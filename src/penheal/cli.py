@@ -164,6 +164,13 @@ def _build_pipeline(doc: dict, out_dir: Path):
     return gateway, backend, kb, nvd_client, transcript_ref
 
 
+def _write_artifact(out_dir: Path, *parts, run_id: str, transcript_ref: str) -> None:
+    """Serialize (plan, findings, recommendations, report) to run-artifact.json."""
+    artifact = serialize_run(*parts, run_id=run_id, transcript_ref=transcript_ref,
+                             created_at=time.strftime("%Y-%m-%dT%H:%M:%S"))
+    (out_dir / "run-artifact.json").write_bytes(artifact)
+
+
 def _persist_history(history: engine.PentestHistory, out_dir: Path) -> None:
     with open(out_dir / "history.jsonl", "w", encoding="utf-8") as fh:
         for record in history.records:
@@ -210,16 +217,8 @@ def cmd_run(args) -> int:
 
     _persist_history(pentest.history, out_dir)
     all_recommendations = [c for g in rem.groups for c in g.candidates]
-    artifact = serialize_run(
-        pentest.plan,
-        pentest.findings,
-        all_recommendations,
-        report,
-        run_id=report.run_id,
-        transcript_ref=transcript_ref,
-        created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
-    (out_dir / "run-artifact.json").write_bytes(artifact)
+    _write_artifact(out_dir, pentest.plan, pentest.findings, all_recommendations, report,
+                    run_id=report.run_id, transcript_ref=transcript_ref)
 
     text_report = "\n".join(
         [
@@ -255,16 +254,9 @@ def cmd_pentest(args) -> int:
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_FATAL
     _persist_history(pentest.history, out_dir)
-    artifact = serialize_run(
-        pentest.plan,
-        pentest.findings,
-        [],
-        None,
-        run_id=_deterministic_run_id(config.target_address, "pentest"),
-        transcript_ref=transcript_ref,
-        created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
-    (out_dir / "run-artifact.json").write_bytes(artifact)
+    _write_artifact(out_dir, pentest.plan, pentest.findings, [], None,
+                    run_id=_deterministic_run_id(config.target_address, "pentest"),
+                    transcript_ref=transcript_ref)
     print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})")
     for v in pentest.findings:
         print(f"  {v.key_str}")
@@ -293,13 +285,8 @@ def cmd_remediate(args) -> int:
         run_id=_deterministic_run_id(config.target_address, "remediate"),
     )
     all_recommendations = [c for g in rem.groups for c in g.candidates]
-    artifact = serialize_run(
-        plan, findings, all_recommendations, report,
-        run_id=report.run_id,
-        transcript_ref=transcript_ref,
-        created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
-    (out_dir / "run-artifact.json").write_bytes(artifact)
+    _write_artifact(out_dir, plan, findings, all_recommendations, report,
+                    run_id=report.run_id, transcript_ref=transcript_ref)
     print(remediation.format_selection_report(rem.groups))
     print()
     print(scoring.format_score_table(report, config.aggregation_mode))

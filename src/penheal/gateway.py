@@ -20,8 +20,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Protocol
 
-import requests
-
 API_KEY_ENV = "PENHEAL_LLM_API_KEY"
 
 STRONG_CHAR_BUDGET = 100_000
@@ -140,14 +138,6 @@ class Transcript:
     def append(self, exchange: Exchange) -> None:
         self.exchanges.append(exchange)
 
-    def responses_containing(self, needle: str) -> list[Exchange]:
-        return [e for e in self.exchanges if needle in e.response]
-
-    def requests_containing(self, needle: str) -> list[Exchange]:
-        return [
-            e for e in self.exchanges if any(needle in t.content for t in e.messages)
-        ]
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for exchange in self.exchanges:
@@ -212,6 +202,8 @@ class LiveBackend:
         self.backoff = backoff
 
     def complete(self, role: AgentRole, model: str, messages: list[ChatTurn]) -> str:
+        import requests  # live only: hermetic runs never pay for the import
+
         url = f"{self.base_url}/chat/completions"
         payload = {
             "model": model,
@@ -370,7 +362,10 @@ def replay_mode(
 
 
 def _truncate(history: list[ChatTurn], budget: int) -> list[ChatTurn]:
-    """Drop oldest non-system turns (then clip) until within the char budget."""
+    """Drop oldest non-system turns, then clip the oldest kept one, to fit the budget.
+
+    The system turn is always kept whole; only it alone can exceed the budget.
+    """
     total = sum(len(t.content) for t in history)
     if total <= budget:
         return list(history)
@@ -380,6 +375,8 @@ def _truncate(history: list[ChatTurn], budget: int) -> list[ChatTurn]:
     remaining = budget - len(system.content)
     if rest and len(rest[0].content) > remaining:
         marker = "...[earlier context truncated] "
-        keep = max(remaining - len(marker), 200)
-        rest[0] = ChatTurn(rest[0].role_tag, marker + rest[0].content[-keep:])
+        if remaining <= len(marker):  # no room for the marker
+            marker = ""
+        keep = remaining - len(marker)
+        rest = [ChatTurn(rest[0].role_tag, marker + rest[0].content[-keep:])] if keep > 0 else []
     return [system] + rest

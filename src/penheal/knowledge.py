@@ -1,21 +1,26 @@
 """External knowledge base backing the instructor.
 
 Reference documents are split into overlapping character windows, embedded,
-and retrieved by exact cosine scan. The default embedder is a deterministic
-hashed term-frequency vector so runs are hermetic; a semantic embedder can
-be plugged in behind the same callable interface.
+and found by exact cosine retrieval over sparse hashed-TF vectors. The
+default embedder is a deterministic hashed term-frequency vector so runs are
+hermetic; a semantic embedder can be plugged in behind the same callable
+interface. The index keeps the nonzero buckets of the dense embeddings.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
 import json
 import logging
 import math
 import re
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import mul
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -30,6 +35,7 @@ DEFAULT_OVERLAP = 200
 DEFAULT_EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 
 _TOKEN = re.compile(r"\w+")
+_NEG_ZERO = struct.pack("<d", -0.0)
 
 
 class KnowledgeBaseError(Exception):
@@ -41,7 +47,9 @@ class Chunk:
     doc_id: str
     seq: int
     text: str
-    vector: tuple[float, ...]
+    # The embedding as {bucket: weight}, ascending, without +0.0 entries. Left
+    # out of == and hash: it follows from text, and a dict cannot be hashed.
+    weights: dict[int, float] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,7 @@ class Excerpt:
     similarity: float
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _bucket(token: str) -> int:
     # Stable across processes, unlike hash().
     digest = hashlib.sha1(token.encode("utf-8")).digest()
@@ -73,6 +82,19 @@ def embed(text: str) -> tuple[float, ...]:
 def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     # Vectors are unit length, so the dot product is the cosine.
     return sum(x * y for x, y in zip(a, b))
+
+
+def _pack(vector) -> bytes:
+    return struct.pack(f"<{len(vector)}d", *vector)
+
+
+def _sparse(packed: bytes) -> dict[int, float]:
+    """{bucket: weight} for the entries of a packed vector other than +0.0."""
+    # -0.0 entries are kept too, so that save() writes back these exact bytes.
+    vector = struct.unpack(f"<{len(packed) // 8}d", packed)
+    if _NEG_ZERO not in packed:
+        return dict(compress(enumerate(vector), vector))
+    return {i: x for i, x in enumerate(vector) if x or math.copysign(1.0, x) < 0.0}
 
 
 class KnowledgeBase:
@@ -104,33 +126,38 @@ class KnowledgeBase:
             raise ValueError("require chunk_size > overlap >= 0")
         if not document:
             logger.warning("ingest(%s): empty document, nothing indexed", doc_id)
-            with self._lock:
-                self._chunks = [c for c in self._chunks if c.doc_id != doc_id]
-            return 0
-
         step = chunk_size - overlap
         new_chunks = []
         for seq, start in enumerate(range(0, len(document), step)):
             piece = document[start : start + chunk_size]
-            new_chunks.append(
-                Chunk(doc_id=doc_id, seq=seq, text=piece, vector=self.embedder(piece))
-            )
+            weights = _sparse(_pack(self.embedder(piece)))
+            new_chunks.append(Chunk(doc_id=doc_id, seq=seq, text=piece, weights=weights))
         with self._lock:
             self._chunks = [c for c in self._chunks if c.doc_id != doc_id] + new_chunks
         return len(new_chunks)
 
     def retrieve(self, query: str, k: int) -> list[Excerpt]:
-        """The k most cosine-similar chunks, ties broken by (doc_id, seq)."""
+        """The k most cosine-similar chunks, ties broken by (doc_id, seq).
+
+        Chunks are scored over the query's nonzero buckets, ascending. Each
+        skipped term is x * 0.0, and adding an exact zero leaves a float sum
+        unchanged, so similarities equal cosine() of the dense vectors exactly.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if not self._chunks:
+        chunks = self._chunks
+        if not chunks:
             raise KnowledgeBaseError(
                 "knowledge base is empty; ingest documents before retrieving"
             )
-        query_vec = self.embedder(query)
-        scored = [Excerpt(chunk=c, similarity=cosine(c.vector, query_vec)) for c in self._chunks]
-        scored.sort(key=lambda e: (-e.similarity, e.chunk.doc_id, e.chunk.seq))
-        return scored[:k]
+        query_weights = _sparse(_pack(self.embedder(query)))
+        buckets, weights = tuple(query_weights), tuple(query_weights.values())
+        absent = (0.0,) * len(buckets)
+        scored = [
+            (-sum(map(mul, map(c.weights.get, buckets, absent), weights), 0.0), c.doc_id, c.seq, i)
+            for i, c in enumerate(chunks)
+        ]
+        return [Excerpt(chunks[i], -neg) for neg, _, _, i in heapq.nsmallest(k, scored)]
 
     # -- persistence --------------------------------------------------------
 
@@ -148,7 +175,10 @@ class KnowledgeBase:
                 )
         with open(directory / "vectors.bin", "wb") as fh:
             for c in self._chunks:
-                fh.write(struct.pack(f"<{EMBED_DIM}d", *c.vector))
+                dense = [0.0] * EMBED_DIM
+                for bucket, weight in c.weights.items():
+                    dense[bucket] = weight
+                fh.write(_pack(dense))
         meta = {
             "dimension": EMBED_DIM,
             "embedder_id": self.embedder_id,
@@ -173,17 +203,17 @@ class KnowledgeBase:
                 if line:
                     rows.append(json.loads(line))
         raw = (directory / "vectors.bin").read_bytes()
-        expected = len(rows) * EMBED_DIM * 8
+        row_bytes = EMBED_DIM * 8
+        expected = len(rows) * row_bytes
         if len(raw) != expected:
             raise KnowledgeBaseError(
                 f"vectors.bin has {len(raw)} bytes, expected {expected}"
             )
         chunks = []
         for i, row in enumerate(rows):
-            offset = i * EMBED_DIM * 8
-            vector = struct.unpack_from(f"<{EMBED_DIM}d", raw, offset)
+            weights = _sparse(raw[i * row_bytes : (i + 1) * row_bytes])
             chunks.append(
-                Chunk(doc_id=row["doc_id"], seq=row["seq"], text=row["text"], vector=vector)
+                Chunk(doc_id=row["doc_id"], seq=row["seq"], text=row["text"], weights=weights)
             )
         kb._chunks = chunks
         return kb

@@ -50,14 +50,6 @@ class BudgetScope(Enum):
     PER_VULNERABILITY = "per-vulnerability"
 
 
-PHASE_ORDER = (
-    "Reconnaissance",
-    "Scanning",
-    "Vulnerability Assessment",
-    "Exploitation",
-)
-
-
 @dataclass(frozen=True)
 class TaskNode:
     """One task in the layered attack plan (ids like "1", "1.2", "1.2.1")."""

@@ -18,8 +18,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-import requests
-
 from . import cvss
 from .model import CVE_PATTERN, CvssMetrics
 
@@ -136,6 +134,8 @@ class LiveNvdClient:
         return record
 
     def _fetch(self, cve_id: str) -> dict:
+        import requests  # live only: hermetic runs never pay for the import
+
         headers = {}
         if self.api_key:
             headers["apiKey"] = self.api_key
@@ -171,9 +171,3 @@ def _validated_id(cve_id: str) -> str:
     if not CVE_PATTERN.match(cve_id):
         raise ValueError(f"not a CVE identifier: {cve_id!r}")
     return cve_id
-
-
-def lookup_cve(cve_id: str, client: Optional[FixtureNvdClient | LiveNvdClient] = None) -> CveRecord:
-    """Fetch one CVE record; defaults to the bundled fixture set."""
-    client = client or FixtureNvdClient()
-    return client.lookup(cve_id)

@@ -1,7 +1,10 @@
 """CLI wiring: subcommands, exit codes, hermetic isolation."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +235,16 @@ class TestTwoStageFlow:
         adopted = [r for r in recommendations if r.status.value == "adopted"]
         assert len(adopted) == 6
         assert report.s_d == 6.0
+
+
+def test_import_does_not_load_requests():
+    """Hermetic runs never pay for importing the HTTP client."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import penheal.cli; "
+        "print('requests' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "False"

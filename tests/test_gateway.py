@@ -5,6 +5,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penheal.gateway import (
     AgentRole,
@@ -20,6 +22,8 @@ from penheal.gateway import (
     replay_mode,
     request_hash,
     system_turn,
+    _truncate,
+    assistant_turn,
     user_turn,
 )
 from penheal.prompts import PromptError, render_prompt
@@ -209,6 +213,38 @@ class TestTruncation:
         history = _history("short")
         gateway.complete(AgentRole.PLANNER, history)
         assert captured["messages"] == history
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(min_size=1, max_size=80),
+        st.lists(
+            st.tuples(st.booleans(), st.text(min_size=1, max_size=120)), max_size=6
+        ),
+        st.integers(0, 400),
+    )
+    def test_total_keeps_system_and_fits_budget(self, system, turns, budget):
+        history = [system_turn(system)] + [
+            user_turn(text) if is_user else assistant_turn(text) for is_user, text in turns
+        ]
+        result = _truncate(history, budget)
+        assert result[0] == history[0]
+        size = sum(len(t.content) for t in result)
+        if sum(len(t.content) for t in history) <= budget:
+            assert result == history
+        elif len(system) <= budget:
+            assert size <= budget
+        if len(result) > 1:  # the newest turn is kept, clipped at most
+            kept = result[-1].content.removeprefix("...[earlier context truncated] ")
+            assert history[-1].content.endswith(kept)
+
+    def test_clip_never_exceeds_budget_for_large_system_turn(self):
+        history = [system_turn("s" * 11_900), user_turn("u" * 5_000)]
+        result = _truncate(history, 12_000)
+        assert sum(len(t.content) for t in result) == 12_000
+        assert result[1].content == "...[earlier context truncated] " + "u" * 69
+        assert _truncate(history, 11_910)[1].content == "u" * 10
+        assert _truncate(history, 11_900) == [history[0]]
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -17,7 +17,7 @@ from penheal.model import (
     RunConfig,
     Vulnerability,
 )
-from penheal.nvd import CveNotFound, FixtureNvdClient, LiveNvdClient, lookup_cve
+from penheal.nvd import CveNotFound, FixtureNvdClient, LiveNvdClient
 from penheal.remediation import (
     EvaluationVerdict,
     RecommendationGroup,
@@ -56,18 +56,18 @@ def finding(vuln_id="CVE-NA", service="http", port=80, score=None):
 
 class TestLookup:
     def test_bundled_record_score_recomputes(self):
-        record = lookup_cve("CVE-2011-2523")
+        record = FixtureNvdClient().lookup("CVE-2011-2523")
         assert record.metrics.base_score == 9.8
         assert cvss.parse_vector(record.vector_string) == record.metrics
         assert "backdoor" in record.description
 
     def test_cve_na_rejected(self):
         with pytest.raises(ValueError):
-            lookup_cve("CVE-NA")
+            FixtureNvdClient().lookup("CVE-NA")
 
     def test_unknown_well_formed_id_not_found(self):
         with pytest.raises(CveNotFound):
-            lookup_cve("CVE-1999-99999")
+            FixtureNvdClient().lookup("CVE-1999-99999")
 
     def test_live_client_serves_from_cache_without_network(self, tmp_path, no_network):
         bundled = FixtureNvdClient()._read("CVE-2011-2523")
