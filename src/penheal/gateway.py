@@ -364,7 +364,8 @@ def replay_mode(
 def _truncate(history: list[ChatTurn], budget: int) -> list[ChatTurn]:
     """Drop oldest non-system turns, then clip the oldest kept one, to fit the budget.
 
-    The system turn is always kept whole; only it alone can exceed the budget.
+    The system turn is always kept whole. If it alone exceeds the budget, the
+    newest turn is kept whole too: no clip could fit, and it holds the task.
     """
     total = sum(len(t.content) for t in history)
     if total <= budget:
@@ -373,7 +374,7 @@ def _truncate(history: list[ChatTurn], budget: int) -> list[ChatTurn]:
     while len(rest) > 1 and sum(len(t.content) for t in [system] + rest) > budget:
         rest.pop(0)
     remaining = budget - len(system.content)
-    if rest and len(rest[0].content) > remaining:
+    if rest and 0 <= remaining < len(rest[0].content):
         marker = "...[earlier context truncated] "
         if remaining <= len(marker):  # no room for the marker
             marker = ""

@@ -35,7 +35,6 @@ DEFAULT_OVERLAP = 200
 DEFAULT_EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 
 _TOKEN = re.compile(r"\w+")
-_NEG_ZERO = struct.pack("<d", -0.0)
 
 
 class KnowledgeBaseError(Exception):
@@ -47,7 +46,7 @@ class Chunk:
     doc_id: str
     seq: int
     text: str
-    # The embedding as {bucket: weight}, ascending, without +0.0 entries. Left
+    # The embedding as {bucket: weight}, ascending, without zero entries. Left
     # out of == and hash: it follows from text, and a dict cannot be hashed.
     weights: dict[int, float] = field(compare=False, repr=False)
 
@@ -88,13 +87,9 @@ def _pack(vector) -> bytes:
     return struct.pack(f"<{len(vector)}d", *vector)
 
 
-def _sparse(packed: bytes) -> dict[int, float]:
-    """{bucket: weight} for the entries of a packed vector other than +0.0."""
-    # -0.0 entries are kept too, so that save() writes back these exact bytes.
-    vector = struct.unpack(f"<{len(packed) // 8}d", packed)
-    if _NEG_ZERO not in packed:
-        return dict(compress(enumerate(vector), vector))
-    return {i: x for i, x in enumerate(vector) if x or math.copysign(1.0, x) < 0.0}
+def _sparse(vector) -> dict[int, float]:
+    """{bucket: weight} for the nonzero entries of a dense vector."""
+    return dict(compress(enumerate(vector), vector))
 
 
 class KnowledgeBase:
@@ -130,7 +125,7 @@ class KnowledgeBase:
         new_chunks = []
         for seq, start in enumerate(range(0, len(document), step)):
             piece = document[start : start + chunk_size]
-            weights = _sparse(_pack(self.embedder(piece)))
+            weights = _sparse(self.embedder(piece))
             new_chunks.append(Chunk(doc_id=doc_id, seq=seq, text=piece, weights=weights))
         with self._lock:
             self._chunks = [c for c in self._chunks if c.doc_id != doc_id] + new_chunks
@@ -150,7 +145,7 @@ class KnowledgeBase:
             raise KnowledgeBaseError(
                 "knowledge base is empty; ingest documents before retrieving"
             )
-        query_weights = _sparse(_pack(self.embedder(query)))
+        query_weights = _sparse(self.embedder(query))
         buckets, weights = tuple(query_weights), tuple(query_weights.values())
         absent = (0.0,) * len(buckets)
         scored = [
@@ -209,13 +204,10 @@ class KnowledgeBase:
             raise KnowledgeBaseError(
                 f"vectors.bin has {len(raw)} bytes, expected {expected}"
             )
-        chunks = []
-        for i, row in enumerate(rows):
-            weights = _sparse(raw[i * row_bytes : (i + 1) * row_bytes])
-            chunks.append(
-                Chunk(doc_id=row["doc_id"], seq=row["seq"], text=row["text"], weights=weights)
-            )
-        kb._chunks = chunks
+        kb._chunks = [
+            Chunk(doc_id=row["doc_id"], seq=row["seq"], text=row["text"], weights=_sparse(vector))
+            for row, vector in zip(rows, struct.iter_unpack(f"<{EMBED_DIM}d", raw))
+        ]
         return kb
 
 

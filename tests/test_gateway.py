@@ -234,6 +234,8 @@ class TestTruncation:
             assert result == history
         elif len(system) <= budget:
             assert size <= budget
+        elif turns:  # no clip could fit: the newest turn is kept whole
+            assert result == [history[0], history[-1]]
         if len(result) > 1:  # the newest turn is kept, clipped at most
             kept = result[-1].content.removeprefix("...[earlier context truncated] ")
             assert history[-1].content.endswith(kept)
@@ -245,6 +247,7 @@ class TestTruncation:
         assert result[1].content == "...[earlier context truncated] " + "u" * 69
         assert _truncate(history, 11_910)[1].content == "u" * 10
         assert _truncate(history, 11_900) == [history[0]]
+        assert _truncate(history, 11_000) == history  # the system turn alone is over
 
 
 class _StubHandler(BaseHTTPRequestHandler):
