@@ -1,16 +1,30 @@
 """Exact group-knapsack selection over scored remediation candidates.
 
 Items are partitioned into groups (one group per vulnerability) and at most
-one item per group may be chosen. Costs are scaled by 10 into integer
-capacity units so the standard tier costs (2/5/10) and 0.1 budget
-granularity survive exactly.
+one item per group may be chosen. The solver works in integers only: costs
+become units of 0.1 (``round(cost * 10)``) and values become cents
+(``round(value * 100)``). Values therefore sit on a 0.01 grid, which
+``compute_value`` guarantees; costs sit on a 0.1 grid, which the evaluator
+parser guarantees. Items worth no cents or heavier than the budget are
+dropped, and every weight and the capacity are divided by the gcd of the
+remaining weights (tier costs 20/50/100 units solve over 2/5/10).
+
+A suffix DP, from the last group back to the first, keeps one integer key
+per remaining capacity: ``cents * (capacity + 1) - weight``, so a larger key
+means higher value, then lower cost. Reconstruction walks forward and, at
+each group, takes the lowest-index candidate that keeps the optimum, and
+skips the group only if none does. The result is the best set by value
+descending, then cost ascending, then the lexicographically smallest pick
+vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 COST_SCALE = 10
+VALUE_SCALE = 100
 
 
 @dataclass(frozen=True)
@@ -22,56 +36,66 @@ class KnapsackSolution:
     total_cost: float
 
 
-def _better(a: tuple, b: tuple) -> bool:
-    """State ordering: value desc, scaled cost asc, pick vector asc."""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[2] < b[2]
-
-
 def solve_group_knapsack(
     groups: list[list[tuple[float, float]]],
     budget: float,
 ) -> KnapsackSolution:
     """Maximize total value subject to total cost <= budget, one pick per group.
 
-    ``groups`` holds (cost, value) pairs. Candidates with value <= 0 are
-    never beneficial and are skipped before the DP. Ties on value are broken
-    toward lower total cost, then toward earlier groups and earlier
+    ``groups`` holds (cost, value) pairs with cost >= 0. Ties on value are
+    broken toward lower total cost, then toward earlier groups and earlier
     candidates within a group, so the result is fully deterministic.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    capacity = int(round(budget * COST_SCALE))
+    capacity = round(budget * COST_SCALE)
+    scaled = [
+        [(i, round(cost * COST_SCALE), round(value * VALUE_SCALE))
+         for i, (cost, value) in enumerate(candidates)]
+        for candidates in groups
+    ]
+    if any(weight < 0 for group in scaled for _, weight, _ in group):
+        raise ValueError("costs must be >= 0")
+    kept = [
+        [(i, weight, cents) for i, weight, cents in group if cents > 0 and weight <= capacity]
+        for group in scaled
+    ]
+    step = gcd(*(weight for group in kept for _, weight, _ in group)) or 1
+    cap = capacity // step
+    items = [
+        [(i, weight // step, cents * (cap + 1) - weight // step) for i, weight, cents in group]
+        for group in kept
+    ]
 
-    # dp[w] = best (value, weight, picks) reachable with total weight <= w.
-    dp: list[tuple] = [(0.0, 0, ())] * (capacity + 1)
+    # rows[g][c] = best key over groups g.. with reduced weight <= c.
+    rows = [[0] * (cap + 1)]
+    for group in reversed(items):
+        after = rows[-1]
+        row = list(after)
+        for _, weight, key in group:
+            row[weight:] = [
+                best if best >= (took := rest + key) else took
+                for best, rest in zip(row[weight:], after)
+            ]
+        rows.append(row)
+    rows.reverse()
 
-    for g, candidates in enumerate(groups):
-        items = [
-            (int(round(cost * COST_SCALE)), value, (g, i))
-            for i, (cost, value) in enumerate(candidates)
-            if value > 0
-        ]
-        if not items:
-            continue
-        new_dp = list(dp)
-        for w in range(capacity + 1):
-            best = dp[w]
-            for weight, value, pick in items:
-                if weight <= w:
-                    prev = dp[w - weight]
-                    cand = (prev[0] + value, prev[1] + weight, prev[2] + (pick,))
-                    if _better(cand, best):
-                        best = cand
-            new_dp[w] = best
-        dp = new_dp
+    picks: list[tuple[int, int]] = []
+    left = cap
+    for g, group in enumerate(items):
+        for i, weight, key in group:
+            if weight <= left and rows[g + 1][left - weight] + key == rows[g][left]:
+                picks.append((g, i))
+                left -= weight
+                break
 
-    value, weight, picks = dp[capacity]
+    # A plain left fold in group order: sum() compensates rounding on
+    # Python >= 3.12, which would change the reported float.
+    total_value = 0.0
+    for g, i in picks:
+        total_value += groups[g][i][1]
     return KnapsackSolution(
-        picks=picks,
-        total_value=value,
-        total_cost=weight / COST_SCALE,
+        picks=tuple(picks),
+        total_value=total_value,
+        total_cost=(cap - left) * step / COST_SCALE,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import cvss
-from .gateway import AgentRole, Gateway, assistant_turn, system_turn, user_turn
+from .gateway import AgentRole, ChatTurn, Gateway, assistant_turn, system_turn, user_turn
 from .knapsack import solve_group_knapsack
 from .model import (
     CVE_NA,
@@ -325,30 +325,37 @@ def _resolve_targets(
     return resolved, unknown
 
 
+def evaluator_system_turn(findings: list[Vulnerability], policy: CostPolicy) -> ChatTurn:
+    """The evaluator's system turn: every finding plus the value and cost rules."""
+    return system_turn(
+        render_prompt(
+            AgentRole.EVALUATOR,
+            {
+                "vulns": format_vulns_inline(findings),
+                "value_def": VALUE_RULES_TEXT,
+                "cost_def": cost_rules_text(policy),
+            },
+            "system",
+        )
+    )
+
+
 def evaluate(
     recommendation: Recommendation,
     findings: list[Vulnerability],
     policy: CostPolicy,
     gateway: Gateway,
+    system: Optional[ChatTurn] = None,
 ) -> tuple[Recommendation, list[str]]:
     """Score one recommendation: evaluator classifies, the engine computes.
 
-    Returns the recommendation with cost, value, rationale and (possibly
-    widened) target list filled in.
+    ``system`` is the evaluator system turn for ``findings`` and ``policy``;
+    it is rendered here when not given. Returns the recommendation with
+    cost, value, rationale and (possibly widened) target list filled in.
     """
     warnings: list[str] = []
     history = [
-        system_turn(
-            render_prompt(
-                AgentRole.EVALUATOR,
-                {
-                    "vulns": format_vulns_inline(findings),
-                    "value_def": VALUE_RULES_TEXT,
-                    "cost_def": cost_rules_text(policy),
-                },
-                "system",
-            )
-        ),
+        system or evaluator_system_turn(findings, policy),
         user_turn(
             render_prompt(
                 AgentRole.EVALUATOR,
@@ -477,12 +484,13 @@ def remediate(
     groups, advise_warnings = advise(enriched, gateway)
     warnings.extend(advise_warnings)
 
+    system = evaluator_system_turn(enriched, config.cost_policy)
     scored_groups: list[RecommendationGroup] = []
     for group in groups:
         scored: list[Recommendation] = []
         for candidate in group.candidates:
             evaluated, eval_warnings = evaluate(
-                candidate, enriched, config.cost_policy, gateway
+                candidate, enriched, config.cost_policy, gateway, system
             )
             warnings.extend(eval_warnings)
             scored.append(evaluated)

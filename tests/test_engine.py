@@ -1,9 +1,15 @@
 """Pentest loop mechanics: parsers, plan updates, termination, scripted runs."""
 
+import contextlib
+import os
+import signal
+import time
+
 import pytest
 
 from penheal.engine import (
     Command,
+    CommandChannel,
     EngineError,
     IterationOutcome,
     PlanExhaustedError,
@@ -411,6 +417,14 @@ class TestSummarize:
         assert result.endswith("...[truncated]")
 
 
+def _gone_or_zombie(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
 class TestExecute:
     def test_timeout_returns_marker(self):
         from penheal.backends import ShellBackend
@@ -420,6 +434,37 @@ class TestExecute:
         )
         assert status == "timeout"
         assert "timed out" in output
+
+    def test_timeout_kills_background_children(self, tmp_path):
+        from penheal.backends import ShellBackend
+
+        pidfile = tmp_path / "pid"
+        command = Command(f"sleep 30 & echo $! > {pidfile}; wait", timeout_seconds=1)
+        _, status = ShellBackend().run(command)
+        assert status == "timeout"
+        pid = int(pidfile.read_text())
+        try:
+            # SIGKILL is delivered asynchronously; allow a moment for it to land.
+            deadline = time.monotonic() + 5
+            while not _gone_or_zombie(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _gone_or_zombie(pid)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_msfconsole_batch_reaches_console_verbatim(self, tmp_path):
+        from penheal.backends import ShellBackend
+
+        console = tmp_path / "msfconsole"
+        console.write_text('#!/bin/sh\nprintf \'%s\\n\' "$@"\n')
+        console.chmod(0o755)
+        batch = "echo $HOME `id` \"quoted\""
+        output, status = ShellBackend(str(console)).run(
+            Command(batch, channel=CommandChannel.MSFCONSOLE, timeout_seconds=10)
+        )
+        assert status == 0
+        assert output.splitlines() == ["-q", "-x", f"{batch}; exit"]
 
     def test_spawn_failure_becomes_record(self):
         class Broken:

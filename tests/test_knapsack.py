@@ -10,18 +10,28 @@ from penheal.knapsack import solve_group_knapsack
 
 
 def brute_force(groups, budget):
-    """Independent oracle: enumerate every choice vector (None = skip group)."""
-    best_value = 0.0
-    best_cost = 0.0
+    """Independent oracle: enumerate every choice vector (None = skip group).
+
+    Works on integer cents and 0.1 cost units and returns the full tie-break
+    winner (cents, weight units, picks): value desc, cost asc, picks asc.
+    """
+    best = (0, 0, ())  # (-cents, weight units, picks): the smallest wins
     choices = [[None] + list(range(len(g))) for g in groups]
     for combo in itertools.product(*choices):
-        cost = sum(groups[g][i][0] for g, i in enumerate(combo) if i is not None)
-        value = sum(groups[g][i][1] for g, i in enumerate(combo) if i is not None)
-        if round(cost * 10) <= round(budget * 10) and (
-            value > best_value or (value == best_value and cost < best_cost)
-        ):
-            best_value, best_cost = value, cost
-    return best_value, best_cost
+        picks = tuple((g, i) for g, i in enumerate(combo) if i is not None)
+        cents = [round(groups[g][i][1] * 100) for g, i in picks]
+        weight = sum(round(groups[g][i][0] * 10) for g, i in picks)
+        if all(c > 0 for c in cents) and weight <= round(budget * 10):
+            best = min(best, (-sum(cents), weight, picks))
+    return -best[0], best[1], best[2]
+
+
+def assert_matches_oracle(groups, budget):
+    solution = solve_group_knapsack(groups, budget)
+    cents, weight, picks = brute_force(groups, budget)
+    assert solution.picks == picks
+    assert round(solution.total_value * 100) == cents
+    assert round(solution.total_cost * 10) == weight
 
 
 def random_instance(rng):
@@ -84,12 +94,23 @@ class TestSolver:
         rng = random.Random(42)
         for _ in range(120):
             groups, budget = random_instance(rng)
-            solution = solve_group_knapsack(groups, budget)
-            expect_value, _ = brute_force(groups, budget)
-            assert solution.total_value == expect_value
-            assert round(solution.total_cost * 10) <= round(budget * 10)
-            picked_groups = [g for g, _ in solution.picks]
-            assert len(picked_groups) == len(set(picked_groups))
+            assert_matches_oracle(groups, budget)
+
+    def test_exact_tie_prefers_earlier_groups(self):
+        # 0.7 + 0.1 and 0.8 are the same 80 cents at the same cost.
+        groups = [[(1.0, 0.7)], [(1.0, 0.1)], [(2.0, 0.8)]]
+        assert solve_group_knapsack(groups, 2.0).picks == ((0, 0), (1, 0))
+        assert_matches_oracle(groups, 2.0)
+
+    def test_exact_tie_prefers_lower_cost(self):
+        # 1.3 + 12.8 is 14.100000000000001 as floats but the same 1410 cents
+        # as 14.1 alone, which costs less.
+        groups = [[(10.0, 1.3)], [(10.0, 14.1), (5.0, 12.8)]]
+        solution = solve_group_knapsack(groups, 16.0)
+        assert solution.picks == ((1, 0),)
+        assert solution.total_cost == 10.0
+        assert solution.total_value == 14.1
+        assert_matches_oracle(groups, 16.0)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -111,9 +132,7 @@ class TestSolver:
             )
         )
         budget = float(data.draw(st.integers(min_value=0, max_value=40)))
-        solution = solve_group_knapsack(groups, budget)
-        expect_value, _ = brute_force(groups, budget)
-        assert solution.total_value == expect_value
+        assert_matches_oracle(groups, budget)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
