@@ -10,6 +10,7 @@ transcript is persisted as JSON lines and can later drive a replay run.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -82,6 +83,12 @@ def assistant_turn(content: str) -> ChatTurn:
 
 def request_hash(role: AgentRole, messages: list[ChatTurn]) -> str:
     """Stable content hash keying a request for record/replay."""
+    return _request_hash(role, tuple(messages))
+
+
+# In replay the backend and then the gateway hash the same request: one entry serves both.
+@functools.lru_cache(maxsize=1)
+def _request_hash(role: AgentRole, messages: tuple[ChatTurn, ...]) -> str:
     payload = json.dumps(
         {
             "role": role.value,

@@ -1,10 +1,10 @@
 """External knowledge base backing the instructor.
 
 Reference documents are split into overlapping character windows, embedded,
-and found by exact cosine retrieval over sparse hashed-TF vectors. The
-default embedder is a deterministic hashed term-frequency vector so runs are
-hermetic; a semantic embedder can be plugged in behind the same callable
-interface. The index keeps the nonzero buckets of the dense embeddings.
+and found by exact cosine retrieval. The default embedder is a deterministic
+hashed term-frequency vector so runs are hermetic; a semantic embedder can be
+plugged in behind the same callable interface. All embeddings form one
+row-major float64 matrix laid out as vectors.bin, written and read as a block.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ import heapq
 import json
 import logging
 import math
+import os
 import re
-import struct
+import sys
 import threading
-from dataclasses import dataclass, field
-from itertools import compress
-from operator import mul
+from array import array
+from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, ge, mul, truediv
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -46,9 +48,6 @@ class Chunk:
     doc_id: str
     seq: int
     text: str
-    # The embedding as {bucket: weight}, ascending, without zero entries. Left
-    # out of == and hash: it follows from text, and a dict cannot be hashed.
-    weights: dict[int, float] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -74,22 +73,24 @@ def embed(text: str) -> tuple[float, ...]:
     counts = [0.0] * EMBED_DIM
     for token in tokens:
         counts[_bucket(token)] += 1.0
-    norm = math.sqrt(sum(c * c for c in counts))
-    return tuple(c / norm for c in counts)
+    norm = math.sqrt(sum(map(mul, counts, counts)))
+    return tuple(map(truediv, counts, repeat(norm)))
 
 
 def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    # Vectors are unit length, so the dot product is the cosine.
-    return sum(x * y for x, y in zip(a, b))
+    # Vectors are unit length, so the dot product is the cosine. A plain left
+    # fold like retrieve's scores: sum() compensates from Python 3.12 on.
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
-def _pack(vector) -> bytes:
-    return struct.pack(f"<{len(vector)}d", *vector)
-
-
-def _sparse(vector) -> dict[int, float]:
-    """{bucket: weight} for the nonzero entries of a dense vector."""
-    return dict(compress(enumerate(vector), vector))
+def _embedding(embedder: Callable[[str], tuple[float, ...]], text: str) -> tuple[float, ...]:
+    vector = embedder(text)
+    if len(vector) != EMBED_DIM:
+        raise ValueError(f"embedder returned {len(vector)} entries, expected {EMBED_DIM}")
+    return vector
 
 
 class KnowledgeBase:
@@ -100,7 +101,8 @@ class KnowledgeBase:
         self.embedder = embedder or embed
         self.embedder_id = embedder_id
         self._chunks: list[Chunk] = []
-        self._lock = threading.Lock()
+        self._vectors = array("d")  # row i, EMBED_DIM entries, embeds _chunks[i]
+        self._lock = threading.Lock()  # guards both; no resize while retrieve reads
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -115,70 +117,80 @@ class KnowledgeBase:
         """Split, embed and index one document; returns the chunk count.
 
         Windows are chunk_size characters sliding by chunk_size - overlap.
-        Re-ingesting a doc_id replaces its previous chunks.
+        Re-ingesting a doc_id replaces its previous chunks. An embedding of
+        the wrong length raises ValueError and leaves the index unchanged.
         """
         if overlap < 0 or chunk_size <= overlap:
             raise ValueError("require chunk_size > overlap >= 0")
         if not document:
             logger.warning("ingest(%s): empty document, nothing indexed", doc_id)
         step = chunk_size - overlap
-        new_chunks = []
-        for seq, start in enumerate(range(0, len(document), step)):
-            piece = document[start : start + chunk_size]
-            weights = _sparse(self.embedder(piece))
-            new_chunks.append(Chunk(doc_id=doc_id, seq=seq, text=piece, weights=weights))
+        new_chunks = [
+            Chunk(doc_id=doc_id, seq=seq, text=document[start : start + chunk_size])
+            for seq, start in enumerate(range(0, len(document), step))
+        ]
+        rows = array("d")
+        for c in new_chunks:
+            rows.fromlist(list(_embedding(self.embedder, c.text)))  # 2x extend(tuple)
         with self._lock:
-            self._chunks = [c for c in self._chunks if c.doc_id != doc_id] + new_chunks
+            chunks = self._chunks + new_chunks  # a new list: retrieve may hold the old one
+            for i in reversed([i for i, c in enumerate(self._chunks) if c.doc_id == doc_id]):
+                del self._vectors[i * EMBED_DIM : (i + 1) * EMBED_DIM]
+                del chunks[i]
+            self._vectors.extend(rows)
+            self._chunks = chunks
         return len(new_chunks)
 
     def retrieve(self, query: str, k: int) -> list[Excerpt]:
         """The k most cosine-similar chunks, ties broken by (doc_id, seq).
 
-        Chunks are scored over the query's nonzero buckets, ascending. Each
-        skipped term is x * 0.0, and adding an exact zero leaves a float sum
-        unchanged, so similarities equal cosine() of the dense vectors exactly.
+        Scores fold in the matrix column of each nonzero query bucket,
+        ascending, from 0.0. Each skipped term is x * 0.0, and adding an exact
+        zero leaves a float sum unchanged, so similarities equal cosine() exactly.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        chunks = self._chunks
-        if not chunks:
-            raise KnowledgeBaseError(
-                "knowledge base is empty; ingest documents before retrieving"
-            )
-        query_weights = _sparse(self.embedder(query))
-        buckets, weights = tuple(query_weights), tuple(query_weights.values())
-        absent = (0.0,) * len(buckets)
-        scored = [
-            (-sum(map(mul, map(c.weights.get, buckets, absent), weights), 0.0), c.doc_id, c.seq, i)
-            for i, c in enumerate(chunks)
-        ]
-        return [Excerpt(chunks[i], -neg) for neg, _, _, i in heapq.nsmallest(k, scored)]
+        query_vec = _embedding(self.embedder, query)
+        with self._lock:
+            chunks = self._chunks
+            if not chunks:
+                raise KnowledgeBaseError(
+                    "knowledge base is empty; ingest documents before retrieving"
+                )
+            n = len(chunks)
+            scores = [0.0] * n
+            with memoryview(self._vectors) as matrix:
+                for bucket in compress(range(EMBED_DIM), query_vec):
+                    with matrix[bucket::EMBED_DIM] as column:
+                        terms = map(mul, column, repeat(query_vec[bucket], n))
+                        scores = list(map(add, scores, terms))
+        # Only chunks scoring at least the k-th largest score can be returned.
+        top = compress(range(n), map(ge, scores, repeat(heapq.nlargest(k, scores)[-1])))
+        ranked = sorted((-scores[i], chunks[i].doc_id, chunks[i].seq, i) for i in top)
+        return [Excerpt(chunks[i], -neg) for neg, _, _, i in ranked[:k]]
 
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
+        """Write chunks.jsonl, vectors.bin (float64 little-endian rows) and meta.json."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        with self._lock:
+            chunks, vectors = self._chunks, self._vectors
+            if sys.byteorder == "big":  # vectors.bin is little-endian
+                vectors = array("d", vectors)
+                vectors.byteswap()
+            with open(directory / "vectors.bin", "wb") as fh:
+                vectors.tofile(fh)
         with open(directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
-            for c in self._chunks:
-                fh.write(
-                    json.dumps(
-                        {"doc_id": c.doc_id, "seq": c.seq, "text": c.text},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-        with open(directory / "vectors.bin", "wb") as fh:
-            for c in self._chunks:
-                dense = [0.0] * EMBED_DIM
-                for bucket, weight in c.weights.items():
-                    dense[bucket] = weight
-                fh.write(_pack(dense))
+            for c in chunks:
+                row = {"doc_id": c.doc_id, "seq": c.seq, "text": c.text}
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
         meta = {
             "dimension": EMBED_DIM,
             "embedder_id": self.embedder_id,
             "dtype": "float64-le",
-            "count": len(self._chunks),
+            "count": len(chunks),
         }
         (directory / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
@@ -191,23 +203,17 @@ class KnowledgeBase:
                 f"index dimension {meta['dimension']} does not match embedder ({EMBED_DIM})"
             )
         kb = cls(embedder_id=meta.get("embedder_id", DEFAULT_EMBEDDER_ID))
-        rows = []
         with open(directory / "chunks.jsonl", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        raw = (directory / "vectors.bin").read_bytes()
-        row_bytes = EMBED_DIM * 8
-        expected = len(rows) * row_bytes
-        if len(raw) != expected:
-            raise KnowledgeBaseError(
-                f"vectors.bin has {len(raw)} bytes, expected {expected}"
-            )
-        kb._chunks = [
-            Chunk(doc_id=row["doc_id"], seq=row["seq"], text=row["text"], weights=_sparse(vector))
-            for row, vector in zip(rows, struct.iter_unpack(f"<{EMBED_DIM}d", raw))
-        ]
+            rows = [json.loads(line) for line in fh if line.strip()]
+        kb._vectors = array("d", [0.0]) * (len(rows) * EMBED_DIM)
+        expected = len(kb._vectors) * kb._vectors.itemsize
+        with open(directory / "vectors.bin", "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected or fh.readinto(kb._vectors) != size:
+                raise KnowledgeBaseError(f"vectors.bin has {size} bytes, expected {expected}")
+        if sys.byteorder == "big":
+            kb._vectors.byteswap()
+        kb._chunks = [Chunk(doc_id=row["doc_id"], seq=row["seq"], text=row["text"]) for row in rows]
         return kb
 
 

@@ -1,9 +1,13 @@
 """Pentest loop mechanics: parsers, plan updates, termination, scripted runs."""
 
 import contextlib
+import json
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -425,6 +429,19 @@ def _gone_or_zombie(pid):
         return True
 
 
+# Runs a 20 MB command through execute; prints [ru_maxrss growth in KiB, output, status].
+MEASURE_BIG_OUTPUT = r"""
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from penheal.backends import ShellBackend
+from penheal.engine import Command, execute
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+output, status = execute(Command("head -c 20000000 /dev/zero | tr '\\0' x"), ShellBackend())
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([after - before, output, status]))
+"""
+
+
 class TestExecute:
     def test_timeout_returns_marker(self):
         from penheal.backends import ShellBackend
@@ -452,6 +469,20 @@ class TestExecute:
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+    def test_big_output_keeps_memory_bounded(self):
+        # A child's ru_maxrss starts at the RSS of the process that forked it,
+        # so the measuring process is forked from a fresh, small interpreter.
+        launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", launch, sys.executable, "-c", MEASURE_BIG_OUTPUT, src],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        grown_kib, output, status = json.loads(result.stdout)
+        assert status == 0
+        assert output == "x" * (64 * 1024 - len("...[truncated]")) + "...[truncated]"
+        assert grown_kib < 20 * 1024
 
     def test_msfconsole_batch_reaches_console_verbatim(self, tmp_path):
         from penheal.backends import ShellBackend
