@@ -17,10 +17,9 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import engine, gateway as gw, knowledge, remediation, scoring, simulator
-from .backends import ShellBackend
+from . import gateway as gw, remediation, scoring
 from .model import (
     AggregationMode,
     ArtifactParseError,
@@ -29,7 +28,10 @@ from .model import (
     deserialize_run,
     serialize_run,
 )
-from .nvd import FixtureNvdClient, LiveNvdClient
+from .nvd import NVD_BASE_URL, FixtureNvdClient, LiveNvdClient
+
+if TYPE_CHECKING:  # at run time, only the commands that run discovery import these
+    from . import engine, knowledge
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -76,15 +78,6 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     return doc
 
 
-def _run_config_from(doc: dict) -> RunConfig:
-    try:
-        config = RunConfig.from_dict(doc)
-        config.validate()
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}")
-    return config
-
-
 def bundled_fixture_path(name: str) -> Path:
     with resources.as_file(
         resources.files("penheal.data").joinpath(f"fixtures/{name}")
@@ -104,6 +97,8 @@ def _resolve_fixtures(spec: Optional[str]) -> Path:
 
 
 def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
+    from . import knowledge
+
     if kb_dir:
         return knowledge.KnowledgeBase.load(kb_dir)
     kb = knowledge.KnowledgeBase()
@@ -112,9 +107,12 @@ def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
     return kb
 
 
-def _load_truth(path: Optional[str]) -> list[Vulnerability]:
+def _load_truth(path: Optional[str], host_model: Optional[str] = None) -> list[Vulnerability]:
+    """The weaknesses in ``path``; by default, the inventory of the host model."""
     if not path:
-        return simulator.ground_truth()
+        from . import simulator
+
+        return simulator.ground_truth(simulator.load_host_model(host_model or None))
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     return [Vulnerability.from_dict(v) for v in doc]
 
@@ -128,40 +126,56 @@ def _deterministic_run_id(*parts: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_pipeline(doc: dict, out_dir: Path):
-    """Build (gateway, executor backend, kb, nvd client, transcript_ref)."""
+def _stage_setup(args) -> tuple[dict, RunConfig, Path]:
+    """The config document, the validated run config and the created out dir."""
+    doc = load_config(args.config, _overrides(args))
+    try:
+        config = RunConfig.from_dict(doc)
+        config.validate()
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"invalid configuration: {exc}")
+    out_dir = Path(doc.get("out_dir", "out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return doc, config, out_dir
+
+
+def _chat_gateway(doc: dict, out_dir: Path) -> tuple[gw.Gateway, str]:
+    """The mode's chat gateway and the transcript it replays or records."""
     mode = doc.get("mode", "hermetic")
     role_models = doc.get("role_models") or {}
     if mode == "hermetic":
         fixtures = _resolve_fixtures(doc.get("fixtures"))
-        gateway = gw.replay_mode(fixtures, role_models=role_models)
-        host_path = doc.get("host_model")
-        host = simulator.load_host_model(host_path) if host_path else simulator.load_host_model()
-        backend = simulator.SimulatorBackend(host)
-        nvd_client = FixtureNvdClient(doc.get("nvd", {}).get("fixture_dir"))
-        transcript_ref = str(fixtures)
-    elif mode == "live":
-        llm = doc.get("llm") or {}
-        base_url = llm.get("base_url")
-        if not base_url:
-            raise ConfigError("live mode requires llm.base_url")
-        live = gw.LiveBackend(base_url, api_key=llm.get("api_key"))
-        record_path = out_dir / "transcript.jsonl"
-        gateway = gw.record_mode(live, record_path, role_models=role_models)
-        backend = ShellBackend()
-        nvd_doc = doc.get("nvd") or {}
-        if nvd_doc.get("mode", "live") == "fixture":
-            nvd_client = FixtureNvdClient(nvd_doc.get("fixture_dir"))
-        else:
-            nvd_client = LiveNvdClient(
-                cache_dir=nvd_doc.get("cache_dir", out_dir / "nvd-cache"),
-                base_url=nvd_doc.get("base_url", "https://services.nvd.nist.gov/rest/json/cves/2.0"),
-            )
-        transcript_ref = str(record_path)
-    else:
+        return gw.replay_mode(fixtures, role_models=role_models), str(fixtures)
+    if mode != "live":
         raise ConfigError(f"unknown mode {mode!r} (expected hermetic or live)")
-    kb = _build_knowledge_base(doc.get("kb_dir"))
-    return gateway, backend, kb, nvd_client, transcript_ref
+    llm = doc.get("llm") or {}
+    if not llm.get("base_url"):
+        raise ConfigError("live mode requires llm.base_url")
+    live = gw.LiveBackend(llm["base_url"], api_key=llm.get("api_key"))
+    record_path = out_dir / "transcript.jsonl"
+    return gw.record_mode(live, record_path, role_models=role_models), str(record_path)
+
+
+def _executor(doc: dict):
+    """The discovery stage's command backend (local shell or simulated host) and KB."""
+    if doc.get("mode", "hermetic") == "live":
+        from .backends import ShellBackend
+
+        return ShellBackend(), _build_knowledge_base(doc.get("kb_dir"))
+    from . import simulator
+
+    host = simulator.load_host_model(doc.get("host_model") or None)
+    return simulator.SimulatorBackend(host), _build_knowledge_base(doc.get("kb_dir"))
+
+
+def _nvd_client(doc: dict, out_dir: Path):
+    nvd_doc = doc.get("nvd") or {}
+    if doc.get("mode", "hermetic") == "hermetic" or nvd_doc.get("mode", "live") == "fixture":
+        return FixtureNvdClient(nvd_doc.get("fixture_dir"))
+    return LiveNvdClient(
+        cache_dir=nvd_doc.get("cache_dir", out_dir / "nvd-cache"),
+        base_url=nvd_doc.get("base_url", NVD_BASE_URL),
+    )
 
 
 def _write_artifact(out_dir: Path, *parts, run_id: str, transcript_ref: str) -> None:
@@ -183,11 +197,12 @@ def _persist_history(history: engine.PentestHistory, out_dir: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    doc = load_config(args.config, _overrides(args))
-    config = _run_config_from(doc)
-    out_dir = Path(doc.get("out_dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    gateway, backend, kb, nvd_client, transcript_ref = _build_pipeline(doc, out_dir)
+    from . import engine
+
+    doc, config, out_dir = _stage_setup(args)
+    gateway, transcript_ref = _chat_gateway(doc, out_dir)
+    backend, kb = _executor(doc)
+    nvd_client = _nvd_client(doc, out_dir)
 
     try:
         pentest = engine.run_pentest(config, backend, gateway, kb)
@@ -206,7 +221,7 @@ def cmd_run(args) -> int:
         print(f"fatal: remediation failed: {exc}", file=sys.stderr)
         return EXIT_FATAL
 
-    truth = _load_truth(doc.get("truth"))
+    truth = _load_truth(doc.get("truth"), doc.get("host_model"))
     report = scoring.score_run(
         pentest.findings,
         truth,
@@ -243,11 +258,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_pentest(args) -> int:
-    doc = load_config(args.config, _overrides(args))
-    config = _run_config_from(doc)
-    out_dir = Path(doc.get("out_dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    gateway, backend, kb, _, transcript_ref = _build_pipeline(doc, out_dir)
+    from . import engine
+
+    doc, config, out_dir = _stage_setup(args)
+    gateway, transcript_ref = _chat_gateway(doc, out_dir)
+    backend, kb = _executor(doc)
     try:
         pentest = engine.run_pentest(config, backend, gateway, kb)
     except (engine.EngineError, gw.GatewayError) as exc:
@@ -264,16 +279,14 @@ def cmd_pentest(args) -> int:
 
 
 def cmd_remediate(args) -> int:
-    doc = load_config(args.config, _overrides(args))
-    config = _run_config_from(doc)
-    out_dir = Path(doc.get("out_dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    doc, config, out_dir = _stage_setup(args)
     try:
         plan, findings, _, _ = deserialize_run(Path(args.artifact).read_bytes())
     except (OSError, ArtifactParseError) as exc:
         print(f"fatal: cannot read artifact: {exc}", file=sys.stderr)
         return EXIT_FATAL
-    gateway, _, _, nvd_client, transcript_ref = _build_pipeline(doc, out_dir)
+    gateway, transcript_ref = _chat_gateway(doc, out_dir)
+    nvd_client = _nvd_client(doc, out_dir)
     try:
         rem = remediation.remediate(findings, config, gateway, nvd_client)
     except (remediation.RemediationError, gw.GatewayError) as exc:
@@ -325,6 +338,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from . import knowledge
+
     kb_dir = Path(args.kb)
     if (kb_dir / "meta.json").exists():
         kb = knowledge.KnowledgeBase.load(kb_dir)

@@ -11,7 +11,6 @@ no task covering an already-found weakness stays to-do.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,8 +28,6 @@ from .model import (
     dedupe_findings,
 )
 from .prompts import format_finding_lines, render_prompt
-
-logger = logging.getLogger(__name__)
 
 OUTPUT_CAP = 64 * 1024
 SUMMARY_CAP = 1200

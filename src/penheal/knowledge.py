@@ -13,7 +13,6 @@ import functools
 import hashlib
 import heapq
 import json
-import logging
 import math
 import os
 import re
@@ -28,8 +27,6 @@ from typing import Callable, Optional
 
 from .gateway import AgentRole
 from .prompts import render_prompt
-
-logger = logging.getLogger(__name__)
 
 EMBED_DIM = 512
 DEFAULT_CHUNK_SIZE = 800
@@ -123,7 +120,11 @@ class KnowledgeBase:
         if overlap < 0 or chunk_size <= overlap:
             raise ValueError("require chunk_size > overlap >= 0")
         if not document:
-            logger.warning("ingest(%s): empty document, nothing indexed", doc_id)
+            import logging  # here, not at the top: a process that never warns skips it
+
+            logging.getLogger(__name__).warning(
+                "ingest(%s): empty document, nothing indexed", doc_id
+            )
         step = chunk_size - overlap
         new_chunks = [
             Chunk(doc_id=doc_id, seq=seq, text=document[start : start + chunk_size])
@@ -195,14 +196,29 @@ class KnowledgeBase:
         (directory / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
     @classmethod
-    def load(cls, directory: str | Path) -> "KnowledgeBase":
+    def load(
+        cls,
+        directory: str | Path,
+        embedder: Optional[Callable[[str], tuple[float, ...]]] = None,
+        embedder_id: str = DEFAULT_EMBEDDER_ID,
+    ) -> "KnowledgeBase":
+        """Read an index saved by ``save``; queries are embedded with ``embedder``.
+
+        ``embedder_id`` names ``embedder``'s vector space and must equal the one
+        the index was built with, or the load raises KnowledgeBaseError.
+        """
         directory = Path(directory)
         meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
         if meta["dimension"] != EMBED_DIM:
             raise KnowledgeBaseError(
                 f"index dimension {meta['dimension']} does not match embedder ({EMBED_DIM})"
             )
-        kb = cls(embedder_id=meta.get("embedder_id", DEFAULT_EMBEDDER_ID))
+        built_with = meta.get("embedder_id", DEFAULT_EMBEDDER_ID)
+        if built_with != embedder_id:
+            raise KnowledgeBaseError(
+                f"index was built with embedder {built_with!r}, not {embedder_id!r}"
+            )
+        kb = cls(embedder, embedder_id)
         with open(directory / "chunks.jsonl", encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh if line.strip()]
         kb._vectors = array("d", [0.0]) * (len(rows) * EMBED_DIM)

@@ -10,7 +10,6 @@ calculator, so a record whose vector and score disagree is rejected.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 from dataclasses import dataclass
@@ -20,8 +19,6 @@ from typing import Optional
 
 from . import cvss
 from .model import CVE_PATTERN, CvssMetrics
-
-logger = logging.getLogger(__name__)
 
 NVD_BASE_URL = "https://services.nvd.nist.gov/rest/json/cves/2.0"
 NVD_API_KEY_ENV = "PENHEAL_NVD_API_KEY"

@@ -11,13 +11,12 @@ finding under the budget.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import cvss
-from .gateway import AgentRole, ChatTurn, Gateway, assistant_turn, system_turn, user_turn
+from .gateway import AgentRole, Gateway, assistant_turn, system_turn, user_turn
 from .knapsack import solve_group_knapsack
 from .model import (
     CVE_NA,
@@ -37,8 +36,6 @@ from .prompts import (
     format_vulns_inline,
     render_prompt,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class RemediationError(Exception):
@@ -306,38 +303,44 @@ def compute_value(verdict: EvaluationVerdict, target_scores: list[float]) -> flo
     return min(max(value, -total), total)
 
 
-def _resolve_targets(
-    keys: tuple[str, ...], findings: list[Vulnerability]
-) -> tuple[list[Vulnerability], list[str]]:
-    resolved: list[Vulnerability] = []
-    unknown: list[str] = []
-    for key in keys:
-        match = next((f for f in findings if f.key_str == key), None)
-        if match is None:
-            match = next(
-                (f for f in findings if f.id.upper() == key.upper() and f.id != CVE_NA),
-                None,
+class EvaluatorContext:
+    """What every evaluate call over one finding list shares, built once.
+
+    The system turn holds every finding plus the value and cost rules. Target
+    keys resolve by finding key first, then by CVE id (never CVE-NA); each
+    lookup takes the first finding that matches.
+    """
+
+    def __init__(self, findings: list[Vulnerability], policy: CostPolicy):
+        self.system = system_turn(
+            render_prompt(
+                AgentRole.EVALUATOR,
+                {
+                    "vulns": format_vulns_inline(findings),
+                    "value_def": VALUE_RULES_TEXT,
+                    "cost_def": cost_rules_text(policy),
+                },
+                "system",
             )
-        if match is None:
-            unknown.append(key)
-        elif match not in resolved:
-            resolved.append(match)
-    return resolved, unknown
-
-
-def evaluator_system_turn(findings: list[Vulnerability], policy: CostPolicy) -> ChatTurn:
-    """The evaluator's system turn: every finding plus the value and cost rules."""
-    return system_turn(
-        render_prompt(
-            AgentRole.EVALUATOR,
-            {
-                "vulns": format_vulns_inline(findings),
-                "value_def": VALUE_RULES_TEXT,
-                "cost_def": cost_rules_text(policy),
-            },
-            "system",
         )
-    )
+        self.by_key: dict[str, Vulnerability] = {}
+        self.by_id: dict[str, Vulnerability] = {}
+        for f in findings:
+            self.by_key.setdefault(f.key_str, f)
+            if f.id != CVE_NA:
+                self.by_id.setdefault(f.id.upper(), f)
+
+    def resolve(self, keys: Iterable[str]) -> tuple[list[Vulnerability], list[str]]:
+        """The distinct findings ``keys`` name, in order, and the keys naming none."""
+        resolved: list[Vulnerability] = []
+        unknown: list[str] = []
+        for key in keys:
+            match = self.by_key.get(key) or self.by_id.get(key.upper())
+            if match is None:
+                unknown.append(key)
+            elif match not in resolved:
+                resolved.append(match)
+        return resolved, unknown
 
 
 def evaluate(
@@ -345,17 +348,18 @@ def evaluate(
     findings: list[Vulnerability],
     policy: CostPolicy,
     gateway: Gateway,
-    system: Optional[ChatTurn] = None,
+    context: Optional[EvaluatorContext] = None,
 ) -> tuple[Recommendation, list[str]]:
     """Score one recommendation: evaluator classifies, the engine computes.
 
-    ``system`` is the evaluator system turn for ``findings`` and ``policy``;
-    it is rendered here when not given. Returns the recommendation with
-    cost, value, rationale and (possibly widened) target list filled in.
+    ``context`` is the EvaluatorContext of ``findings`` and ``policy``; it is
+    built here when not given. Returns the recommendation with cost, value,
+    rationale and (possibly widened) target list filled in.
     """
+    context = context or EvaluatorContext(findings, policy)
     warnings: list[str] = []
     history = [
-        system or evaluator_system_turn(findings, policy),
+        context.system,
         user_turn(
             render_prompt(
                 AgentRole.EVALUATOR,
@@ -393,14 +397,14 @@ def evaluate(
         )
 
     target_keys = list(recommendation.target_vuln_ids)
-    extra, unknown = _resolve_targets(verdict.extra_target_keys, findings)
+    extra, unknown = context.resolve(verdict.extra_target_keys)
     for f in extra:
         if f.key_str not in target_keys:
             target_keys.append(f.key_str)
     for key in unknown:
         warnings.append(f"evaluator named unknown target {key!r}; ignored")
 
-    targets, _ = _resolve_targets(tuple(target_keys), findings)
+    targets, _ = context.resolve(target_keys)
     scores = [t.cvss.base_score if t.cvss else 0.0 for t in targets]
     value = compute_value(verdict, scores)
     return (
@@ -484,13 +488,13 @@ def remediate(
     groups, advise_warnings = advise(enriched, gateway)
     warnings.extend(advise_warnings)
 
-    system = evaluator_system_turn(enriched, config.cost_policy)
+    context = EvaluatorContext(enriched, config.cost_policy)
     scored_groups: list[RecommendationGroup] = []
     for group in groups:
         scored: list[Recommendation] = []
         for candidate in group.candidates:
             evaluated, eval_warnings = evaluate(
-                candidate, enriched, config.cost_policy, gateway, system
+                candidate, enriched, config.cost_policy, gateway, context
             )
             warnings.extend(eval_warnings)
             scored.append(evaluated)

@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from penheal.cli import main
+from penheal.backends import ShellBackend
+from penheal.cli import _chat_gateway, _executor, _nvd_client, main
+from penheal.gateway import LiveBackend
 from penheal.model import deserialize_run
+from penheal.nvd import FixtureNvdClient
+from penheal.simulator import ground_truth
 
 
 def run_cli(*argv):
@@ -237,14 +241,81 @@ class TestTwoStageFlow:
         assert report.s_d == 6.0
 
 
-def test_import_does_not_load_requests():
-    """Hermetic runs never pay for importing the HTTP client."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    probe = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import penheal.cli; "
-        "print('requests' in sys.modules)"
-    )
+class TestDefaultTruth:
+    def test_follows_the_configured_host_model(self, tmp_path, capsys, no_network):
+        host = json.loads(
+            resources.files("penheal.data").joinpath("hosts/metasploitable2.json").read_text()
+        )
+        kept = [w for svc in host["services"] for w in svc.get("weaknesses", [])][:1]
+        for svc in host["services"]:
+            svc["weaknesses"] = [w for w in svc.get("weaknesses", []) if w in kept]
+        host_path = tmp_path / "host.json"
+        host_path.write_text(json.dumps(host))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "target_address": "10.0.2.4", "mode": "hermetic", "host_model": str(host_path),
+        }))
+        fixtures = resources.files("penheal.data").joinpath("fixtures/nofind.jsonl")
+        # nofind never exploits anything, so the one-weakness host replays it
+        # unchanged; no findings means nothing to remediate, hence exit 2.
+        code = run_cli("run", "--config", str(config_path), "--fixtures", str(fixtures),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "(0 found, 1 ground truth)" in capsys.readouterr().out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DISCOVERY_STACK = ("penheal.engine", "penheal.simulator", "penheal.knowledge")
+
+
+def fresh_process(script: str, names: tuple[str, ...]) -> dict:
+    """Run ``script`` in a new interpreter; its exit code and which ``names`` it imported.
+
+    ``script`` sets ``code``; the probe prints one JSON line after the script's output.
+    """
+    probe = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        "code = 0",
+        script,
+        f"print(json.dumps({{'code': code, 'loaded': sorted(set({names!r}) & set(sys.modules))}}))",
+    ])
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout.strip() == "False"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_does_not_load_requests():
+    """Importing the CLI loads neither the HTTP client nor the discovery stack."""
+    names = ("requests", "logging", "subprocess", "penheal.backends", *DISCOVERY_STACK)
+    assert fresh_process("import penheal.cli", names) == {"code": 0, "loaded": []}
+
+
+def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):
+    stage1 = tmp_path / "stage1"
+    assert run_cli("pentest", "--target", "10.0.2.4", "--mode", "hermetic",
+                   "--out", str(stage1)) == 0
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps([v.to_dict() for v in ground_truth()]))
+    argv = ["remediate", str(stage1 / "run-artifact.json"), "--target", "10.0.2.4",
+            "--mode", "hermetic", "--kb", str(tmp_path / "no-such-index"),
+            "--truth", str(truth), "--out", str(tmp_path / "stage2")]
+    script = f"from penheal.cli import main\ncode = main({argv!r})"
+    assert fresh_process(script, DISCOVERY_STACK) == {"code": 0, "loaded": []}
+    _, findings, recommendations, _ = deserialize_run(
+        (tmp_path / "stage2" / "run-artifact.json").read_bytes()
+    )
+    assert len(findings) == 6 and recommendations
+
+
+def test_live_mode_assembly(tmp_path, no_network):
+    """Live assembly builds the shell backend and a recording gateway, and connects nowhere."""
+    doc = {"mode": "live", "llm": {"base_url": "http://127.0.0.1:9/v1"}, "nvd": {"mode": "fixture"}}
+    gateway, transcript_ref = _chat_gateway(doc, tmp_path)
+    backend, _ = _executor(doc)
+    assert isinstance(gateway.backend, LiveBackend)
+    assert transcript_ref == str(tmp_path / "transcript.jsonl")
+    assert (tmp_path / "transcript.jsonl").read_text() == ""  # record mode starts it empty
+    assert isinstance(backend, ShellBackend)
+    assert isinstance(_nvd_client(doc, tmp_path), FixtureNvdClient)

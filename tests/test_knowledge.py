@@ -176,6 +176,22 @@ class TestPersistence:
         reloaded = [(e.chunk.doc_id, e.chunk.seq, e.similarity) for e in loaded.retrieve(query, 5)]
         assert original == reloaded
 
+    def test_load_requires_the_embedder_of_the_index(self, tmp_path):
+        def reversed_embed(text):  # unit length, another vector space
+            return tuple(reversed(embed(text)))
+
+        kb = KnowledgeBase(reversed_embed, "reversed-hashed-tf")
+        kb.ingest("alpha beta gamma " * 40, "doc1", chunk_size=120, overlap=30)
+        kb.ingest("delta epsilon zeta " * 40, "doc2", chunk_size=120, overlap=30)
+        kb.save(tmp_path / "index")
+        with pytest.raises(KnowledgeBaseError, match="reversed-hashed-tf"):
+            KnowledgeBase.load(tmp_path / "index")
+
+        loaded = KnowledgeBase.load(tmp_path / "index", reversed_embed, "reversed-hashed-tf")
+        query = "delta epsilon"
+        fresh = [(e.chunk, e.similarity) for e in kb.retrieve(query, 5)]
+        assert [(e.chunk, e.similarity) for e in loaded.retrieve(query, 5)] == fresh
+
     def test_truncated_vectors_detected(self, tmp_path):
         kb = KnowledgeBase()
         kb.ingest("some text to index " * 20, "doc", chunk_size=100, overlap=0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from penheal import cvss
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend
 from penheal.model import (
+    CVE_NA,
     BudgetScope,
     CostPolicy,
     CvssSource,
@@ -20,6 +21,7 @@ from penheal.model import (
 from penheal.nvd import CveNotFound, FixtureNvdClient, LiveNvdClient
 from penheal.remediation import (
     EvaluationVerdict,
+    EvaluatorContext,
     RecommendationGroup,
     RemediationError,
     advise,
@@ -323,6 +325,49 @@ class TestEvaluate:
         evaluate(rec, [a], policy, gateway)
         system_text = gateway.transcript.exchanges[0].messages[0].content
         assert "downtime is unacceptable" in system_text
+
+
+def linear_resolve(keys, findings):
+    """Reference target resolution: scan for the first key match, then the first id match."""
+    resolved, unknown = [], []
+    for key in keys:
+        match = next((f for f in findings if f.key_str == key), None)
+        if match is None:
+            match = next(
+                (f for f in findings if f.id.upper() == key.upper() and f.id != CVE_NA), None
+            )
+        if match is None:
+            unknown.append(key)
+        elif match not in resolved:
+            resolved.append(match)
+    return resolved, unknown
+
+
+IDS = ["CVE-2011-2523", "cve-2011-2523", "CVE-2010-2075", CVE_NA, "cve-na"]
+loose_findings = st.lists(
+    st.builds(
+        Vulnerability,
+        id=st.sampled_from(IDS),
+        service=st.sampled_from(["ftp", "FTP ", "http", "Ftp"]),
+        port=st.sampled_from([21, 80, None]),
+        description=st.sampled_from(["", "d"]),
+    ),
+    max_size=8,
+)
+
+
+class TestEvaluatorContext:
+    @given(loose_findings, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_resolve_matches_linear_scan(self, findings, data):
+        names = IDS + ["CVE-0000-0000@x:1", "cve-2011-2523@ftp:21", "ftp"]
+        names += [f.key_str for f in findings] + [f.id.lower() for f in findings]
+        keys = data.draw(st.lists(st.sampled_from(names), max_size=10))
+        got = EvaluatorContext(findings, CostPolicy()).resolve(keys)
+        expected = linear_resolve(keys, findings)
+        assert got == expected
+        # Identity, not only equality: the first matching finding is the one returned.
+        assert [id(f) for f in got[0]] == [id(f) for f in expected[0]]
 
 
 def scored_rec(text, key, cost, value):
