@@ -100,7 +100,10 @@ def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
     from . import knowledge
 
     if kb_dir:
-        return knowledge.KnowledgeBase.load(kb_dir)
+        try:
+            return knowledge.KnowledgeBase.load(kb_dir)
+        except (OSError, ValueError, KeyError, knowledge.KnowledgeBaseError) as exc:
+            raise ConfigError(f"cannot load knowledge base {kb_dir}: {exc}") from None
     kb = knowledge.KnowledgeBase()
     corpus = resources.files("penheal.data").joinpath("corpus/pentest_notes.txt")
     kb.ingest(corpus.read_text(encoding="utf-8"), doc_id="pentest_notes")
@@ -108,13 +111,28 @@ def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
 
 
 def _load_truth(path: Optional[str], host_model: Optional[str] = None) -> list[Vulnerability]:
-    """The weaknesses in ``path``; by default, the inventory of the host model."""
+    """The weaknesses in ``path``; by default, the inventory of the host model.
+
+    Raises ConfigError unless ``path`` holds a JSON list of objects, each with a
+    string ``id`` and ``service`` and an integer or absent ``port``.
+    """
     if not path:
         from . import simulator
 
         return simulator.ground_truth(simulator.load_host_model(host_model or None))
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [Vulnerability.from_dict(v) for v in doc]
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, list) or not all(
+            isinstance(v, dict) and isinstance(v.get("id"), str)
+            and isinstance(v.get("service"), str)
+            and (v.get("port") is None or isinstance(v["port"], int))
+            for v in doc
+        ):
+            raise ValueError("expected a list of objects with a string id and service "
+                             "and an integer or absent port")
+        return [Vulnerability.from_dict(v) for v in doc]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read ground truth {path}: {exc}") from None
 
 
 def _deterministic_run_id(*parts: str) -> str:
@@ -191,28 +209,45 @@ def _persist_history(history: engine.PentestHistory, out_dir: Path) -> None:
             fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
 
 
+def _discover(doc: dict, config: RunConfig, gateway: gw.Gateway,
+              out_dir: Path) -> Optional[engine.PentestResult]:
+    """Run the pentest stage; None once a fatal error is reported.
+
+    If the command backend goes away, the partial history is written first.
+    """
+    from . import engine
+
+    backend, kb = _executor(doc)
+    try:
+        return engine.run_pentest(config, backend, gateway, kb)
+    except engine.BackendUnreachableError as exc:
+        if exc.history is not None:
+            _persist_history(exc.history, out_dir)
+        print(f"fatal: command backend unreachable: {exc}", file=sys.stderr)
+    except (engine.EngineError, gw.GatewayError) as exc:
+        print(f"fatal: {exc}", file=sys.stderr)
+    return None
+
+
+def _exit_code(warnings: list[str]) -> int:
+    """Print each warning to stderr; a run with any warning exits partial."""
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return EXIT_PARTIAL if warnings else EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_run(args) -> int:
-    from . import engine
-
     doc, config, out_dir = _stage_setup(args)
+    truth = _load_truth(doc.get("truth"), doc.get("host_model"))
     gateway, transcript_ref = _chat_gateway(doc, out_dir)
-    backend, kb = _executor(doc)
     nvd_client = _nvd_client(doc, out_dir)
-
-    try:
-        pentest = engine.run_pentest(config, backend, gateway, kb)
-    except engine.BackendUnreachableError as exc:
-        if exc.history is not None:
-            _persist_history(exc.history, out_dir)
-        print(f"fatal: command backend unreachable: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except (engine.EngineError, gw.GatewayError) as exc:
-        print(f"fatal: {exc}", file=sys.stderr)
+    pentest = _discover(doc, config, gateway, out_dir)
+    if pentest is None:
         return EXIT_FATAL
 
     try:
@@ -221,7 +256,6 @@ def cmd_run(args) -> int:
         print(f"fatal: remediation failed: {exc}", file=sys.stderr)
         return EXIT_FATAL
 
-    truth = _load_truth(doc.get("truth"), doc.get("host_model"))
     report = scoring.score_run(
         pentest.findings,
         truth,
@@ -248,25 +282,14 @@ def cmd_run(args) -> int:
     )
     (out_dir / "report.txt").write_text(text_report + "\n", encoding="utf-8")
     print(text_report)
-
-    warnings = pentest.warnings + rem.warnings
-    if warnings:
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(pentest.warnings + rem.warnings)
 
 
 def cmd_pentest(args) -> int:
-    from . import engine
-
     doc, config, out_dir = _stage_setup(args)
     gateway, transcript_ref = _chat_gateway(doc, out_dir)
-    backend, kb = _executor(doc)
-    try:
-        pentest = engine.run_pentest(config, backend, gateway, kb)
-    except (engine.EngineError, gw.GatewayError) as exc:
-        print(f"fatal: {exc}", file=sys.stderr)
+    pentest = _discover(doc, config, gateway, out_dir)
+    if pentest is None:
         return EXIT_FATAL
     _persist_history(pentest.history, out_dir)
     _write_artifact(out_dir, pentest.plan, pentest.findings, [], None,
@@ -275,11 +298,12 @@ def cmd_pentest(args) -> int:
     print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})")
     for v in pentest.findings:
         print(f"  {v.key_str}")
-    return EXIT_PARTIAL if pentest.warnings else EXIT_OK
+    return _exit_code(pentest.warnings)
 
 
 def cmd_remediate(args) -> int:
     doc, config, out_dir = _stage_setup(args)
+    truth = _load_truth(doc.get("truth"))
     try:
         plan, findings, _, _ = deserialize_run(Path(args.artifact).read_bytes())
     except (OSError, ArtifactParseError) as exc:
@@ -292,7 +316,6 @@ def cmd_remediate(args) -> int:
     except (remediation.RemediationError, gw.GatewayError) as exc:
         print(f"fatal: remediation failed: {exc}", file=sys.stderr)
         return EXIT_FATAL
-    truth = _load_truth(doc.get("truth"))
     report = scoring.score_run(
         findings, truth, rem.selected, mode=config.aggregation_mode,
         run_id=_deterministic_run_id(config.target_address, "remediate"),
@@ -303,16 +326,12 @@ def cmd_remediate(args) -> int:
     print(remediation.format_selection_report(rem.groups))
     print()
     print(scoring.format_score_table(report, config.aggregation_mode))
-    return EXIT_PARTIAL if rem.warnings else EXIT_OK
+    return _exit_code(rem.warnings)
 
 
 def cmd_score(args) -> int:
     mode = AggregationMode.SUM if args.aggregation == "sum" else AggregationMode.DIVIDED_BY_THREE
-    try:
-        truth = _load_truth(args.truth)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"fatal: cannot read ground truth: {exc}", file=sys.stderr)
-        return EXIT_FATAL
+    truth = _load_truth(args.truth)
 
     reports = []
     for path in args.artifacts:
@@ -342,7 +361,7 @@ def cmd_ingest(args) -> int:
 
     kb_dir = Path(args.kb)
     if (kb_dir / "meta.json").exists():
-        kb = knowledge.KnowledgeBase.load(kb_dir)
+        kb = _build_knowledge_base(str(kb_dir))
     else:
         kb = knowledge.KnowledgeBase()
     total = 0

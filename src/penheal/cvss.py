@@ -79,17 +79,7 @@ def base_score(metrics: CvssMetrics) -> float:
 
 def with_score(metrics: CvssMetrics) -> CvssMetrics:
     """Return a copy carrying its recomputed base score."""
-    return CvssMetrics(
-        av=metrics.av,
-        ac=metrics.ac,
-        pr=metrics.pr,
-        ui=metrics.ui,
-        scope=metrics.scope,
-        c=metrics.c,
-        i=metrics.i,
-        a=metrics.a,
-        base_score=base_score(metrics),
-    )
+    return metrics._replace(base_score=base_score(metrics))
 
 
 def parse_vector(text: str) -> CvssMetrics:

@@ -12,9 +12,8 @@ no task covering an already-found weakness stays to-do.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Protocol, Union
+from typing import Iterable, NamedTuple, Optional, Protocol, Union
 
 from .gateway import AgentRole, Gateway, assistant_turn, system_turn, user_turn
 from .knowledge import KnowledgeBase, build_instructor_prompt
@@ -58,19 +57,25 @@ class CommandChannel(Enum):
     MSFCONSOLE = "msfconsole"
 
 
-@dataclass(frozen=True)
-class Command:
+class _CommandFields(NamedTuple):
     raw: str
     channel: CommandChannel = CommandChannel.SHELL
     timeout_seconds: int = 120
 
-    def __post_init__(self):
+
+class Command(_CommandFields):
+    """One command for a backend; its text must not be blank."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.raw.strip():
             raise ValueError("command must be non-empty")
+        return self
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
+class ExecutionRecord(NamedTuple):
     command: Command
     raw_output: str
     summary: str
@@ -86,14 +91,15 @@ class ExecutionRecord:
         }
 
 
-@dataclass
 class PentestHistory:
-    records: list[ExecutionRecord] = field(default_factory=list)
-    findings_so_far: list[Vulnerability] = field(default_factory=list)
+    """What the loop has executed and found so far; both lists only grow."""
+
+    def __init__(self) -> None:
+        self.records: list[ExecutionRecord] = []
+        self.findings_so_far: list[Vulnerability] = []
 
 
-@dataclass(frozen=True)
-class IterationLog:
+class IterationLog(NamedTuple):
     iteration: int
     task_id: str
     new_finding_keys: tuple[str, ...]
@@ -101,22 +107,20 @@ class IterationLog:
     command_count: int
 
 
-@dataclass(frozen=True)
-class IterationOutcome:
+class IterationOutcome(NamedTuple):
     """Per-iteration signals consumed by the termination rule."""
 
     new_findings: int
     plan_changed: bool
 
 
-@dataclass
-class PentestResult:
+class PentestResult(NamedTuple):
     history: PentestHistory
     plan: AttackPlan
     findings: list[Vulnerability]
     iterations: list[IterationLog]
     termination_reason: str
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 class ExecutorBackend(Protocol):
@@ -144,8 +148,7 @@ _STATUS_WORDS = {
 }
 
 
-@dataclass(frozen=True)
-class ParsedPlanLine:
+class ParsedPlanLine(NamedTuple):
     id: str
     description: str
     status: TaskStatus
@@ -290,14 +293,7 @@ def mark_task(
         raise EngineError(f"no task {task_id} in plan")
     if node.status is not TaskStatus.TODO:
         return plan
-    updated = TaskNode(
-        id=node.id,
-        description=node.description,
-        status=status,
-        result_summary=clip_summary(result),
-        children=node.children,
-    )
-    return plan.with_node(updated)
+    return plan.with_node(node._replace(status=status, result_summary=clip_summary(result)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +440,9 @@ def update_plan(
         merged = mark_task(merged, task_id, TaskStatus.FAILED, summary or PARSE_FAILURE_TEXT)
         warnings.append(f"{task_id}: planner did not settle the task; marked failed")
     elif not target.result_summary or target.result_summary == "(no result provided)":
-        merged = merged.with_node(
-            TaskNode(
-                id=target.id,
-                description=target.description,
-                status=target.status,
-                result_summary=clip_summary(summary) if summary else "(no result provided)",
-                children=target.children,
-            )
-        )
+        merged = merged.with_node(target._replace(
+            result_summary=clip_summary(summary) if summary else "(no result provided)"
+        ))
     return merged, warnings
 
 

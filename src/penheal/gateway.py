@@ -16,10 +16,9 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Iterable, NamedTuple, Optional, Protocol
 
 API_KEY_ENV = "PENHEAL_LLM_API_KEY"
 
@@ -59,14 +58,21 @@ class RoleTag(Enum):
     ASSISTANT = "assistant"
 
 
-@dataclass(frozen=True)
-class ChatTurn:
+class _ChatTurnFields(NamedTuple):
     role_tag: RoleTag
     content: str
 
-    def __post_init__(self):
+
+class ChatTurn(_ChatTurnFields):
+    """One message of a chat history; its content must not be empty."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.content:
             raise ValueError("chat turn content must be non-empty")
+        return self
 
 
 def system_turn(content: str) -> ChatTurn:
@@ -101,8 +107,7 @@ def _request_hash(role: AgentRole, messages: tuple[ChatTurn, ...]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Exchange:
+class Exchange(NamedTuple):
     role: AgentRole
     model: str
     request_hash: str
@@ -136,11 +141,11 @@ class Exchange:
         )
 
 
-@dataclass
 class Transcript:
     """Append-only record of every exchange in a run, in call order."""
 
-    exchanges: list[Exchange] = field(default_factory=list)
+    def __init__(self, exchanges: Iterable[Exchange] = ()) -> None:
+        self.exchanges: list[Exchange] = list(exchanges)
 
     def append(self, exchange: Exchange) -> None:
         self.exchanges.append(exchange)

@@ -20,15 +20,14 @@ vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 COST_SCALE = 10
 VALUE_SCALE = 100
 
 
-@dataclass(frozen=True)
-class KnapsackSolution:
+class KnapsackSolution(NamedTuple):
     """Chosen (group, candidate) index pairs plus the achieved totals."""
 
     picks: tuple[tuple[int, int], ...]

@@ -19,11 +19,10 @@ import re
 import sys
 import threading
 from array import array
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, ge, mul, truediv
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .gateway import AgentRole
 from .prompts import render_prompt
@@ -40,15 +39,13 @@ class KnowledgeBaseError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     doc_id: str
     seq: int
     text: str
 
 
-@dataclass(frozen=True)
-class Excerpt:
+class Excerpt(NamedTuple):
     chunk: Chunk
     similarity: float
 

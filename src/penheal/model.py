@@ -1,7 +1,12 @@
 """Core domain types shared by every stage of the pipeline.
 
-All types are immutable value objects: updates produce new instances, which
-makes plans, findings and reports safe to share and trivially serializable.
+All value types are immutable ``typing.NamedTuple`` classes: an update is
+``value._replace(field=...)``, which returns a new instance, so plans, findings
+and reports are safe to share. Values compare equal field by field, as tuples
+do. Standard-library data classes are avoided on purpose: their module loads
+``inspect`` and ``ast``, and each decorated class execs generated methods, a
+cost every fresh process would pay at start-up.
+
 The run-artifact JSON layout produced by :func:`serialize_run` is the contract
 between CLI invocations.
 """
@@ -10,9 +15,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
 CVE_NA = "CVE-NA"
@@ -50,8 +54,7 @@ class BudgetScope(Enum):
     PER_VULNERABILITY = "per-vulnerability"
 
 
-@dataclass(frozen=True)
-class TaskNode:
+class TaskNode(NamedTuple):
     """One task in the layered attack plan (ids like "1", "1.2", "1.2.1")."""
 
     id: str
@@ -86,8 +89,7 @@ class TaskNode:
         )
 
 
-@dataclass(frozen=True)
-class AttackPlan:
+class AttackPlan(NamedTuple):
     """Ordered tree of pentest tasks following the standard phase sequence."""
 
     roots: tuple[TaskNode, ...] = ()
@@ -122,7 +124,7 @@ class AttackPlan:
         def rebuild(current: TaskNode) -> TaskNode:
             if current.id == node.id:
                 return node
-            return replace(current, children=tuple(rebuild(c) for c in current.children))
+            return current._replace(children=tuple(rebuild(c) for c in current.children))
 
         return AttackPlan(roots=tuple(rebuild(r) for r in self.roots))
 
@@ -134,8 +136,7 @@ class AttackPlan:
         return AttackPlan(roots=tuple(TaskNode.from_dict(r) for r in data.get("roots", [])))
 
 
-@dataclass(frozen=True)
-class CvssMetrics:
+class CvssMetrics(NamedTuple):
     """The eight base-metric descriptors plus the derived base score."""
 
     av: str  # N, A, L, P
@@ -182,8 +183,7 @@ class CvssMetrics:
         )
 
 
-@dataclass(frozen=True)
-class Vulnerability:
+class Vulnerability(NamedTuple):
     """A discovered weakness: a CVE id (or CVE-NA) plus where and how it was hit."""
 
     id: str
@@ -244,8 +244,7 @@ def dedupe_findings(findings: list[Vulnerability]) -> list[Vulnerability]:
     return out
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     """One remediation action with its engine-computed cost and value."""
 
     text: str
@@ -277,8 +276,7 @@ class Recommendation:
         )
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Benchmark scores for one run against ground truth."""
 
     s_d: float
@@ -316,8 +314,7 @@ class ScoreReport:
         )
 
 
-@dataclass(frozen=True)
-class CostPolicy:
+class CostPolicy(NamedTuple):
     """Cost tier scores plus optional free-text user preference for the evaluator."""
 
     tier_scores: tuple[tuple[str, float], ...] = (
@@ -350,13 +347,12 @@ class CostPolicy:
         )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a pipeline run needs beyond the pluggable backends."""
 
     target_address: str
     budget_per_vuln: float = 4.0
-    cost_policy: CostPolicy = field(default_factory=CostPolicy)
+    cost_policy: CostPolicy = CostPolicy()  # immutable, so one shared default is safe
     retrieval_k: int = 3
     max_iterations: int = 30
     no_new_finding_window: int = 5

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cvss
 from .model import CVE_PATTERN, CvssMetrics
@@ -32,8 +31,7 @@ class NvdError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CveRecord:
+class CveRecord(NamedTuple):
     cve_id: str
     description: str
     vector_string: str

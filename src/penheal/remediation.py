@@ -12,8 +12,7 @@ finding under the budget.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import cvss
 from .gateway import AgentRole, Gateway, assistant_turn, system_turn, user_turn
@@ -42,8 +41,7 @@ class RemediationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RecommendationGroup:
+class RecommendationGroup(NamedTuple):
     """All candidate fixes generated for one finding; at most one gets adopted."""
 
     vuln_key: str
@@ -53,14 +51,13 @@ class RecommendationGroup:
         return [c for c in self.candidates if c.status is RecommendationStatus.ADOPTED]
 
 
-@dataclass
-class RemediationResult:
+class RemediationResult(NamedTuple):
     groups: list[RecommendationGroup]
     selected: list[Recommendation]
     budget: float
     budget_used: float
-    findings: list[Vulnerability] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    findings: list[Vulnerability]
+    warnings: list[str]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +146,7 @@ def enrich_findings(
             metrics, est_warnings = estimate_vector(finding, context, gateway)
             warnings.extend(est_warnings)
         enriched.append(
-            replace(finding, cvss=metrics, cvss_source=source, description=description)
+            finding._replace(cvss=metrics, cvss_source=source, description=description)
         )
     return enriched, warnings
 
@@ -242,8 +239,7 @@ _COST_LINE = re.compile(
 _TARGETS_LINE = re.compile(r"^\s*targets\s*:\s*(.+?)\s*$", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class EvaluationVerdict:
+class EvaluationVerdict(NamedTuple):
     effect_class: str  # full | partial | zero | negative
     k: float  # percentage for partial/negative
     cost: float
@@ -387,8 +383,7 @@ def evaluate(
             f"evaluation failed twice; defaulting to zero value, moderate cost"
         )
         return (
-            replace(
-                recommendation,
+            recommendation._replace(
                 cost=policy.tier("moderate"),
                 value=0.0,
                 rationale="evaluation unparseable; conservative default applied",
@@ -408,8 +403,7 @@ def evaluate(
     scores = [t.cvss.base_score if t.cvss else 0.0 for t in targets]
     value = compute_value(verdict, scores)
     return (
-        replace(
-            recommendation,
+        recommendation._replace(
             cost=verdict.cost,
             value=value,
             target_vuln_ids=tuple(target_keys),
@@ -424,8 +418,7 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     groups: tuple[RecommendationGroup, ...]
     selected: tuple[Recommendation, ...]
     total_value: float
@@ -449,11 +442,11 @@ def select(groups: list[RecommendationGroup], budget: float) -> Selection:
                 if (g_index, c_index) in picked
                 else RecommendationStatus.DISCARDED
             )
-            updated = replace(candidate, status=status)
+            updated = candidate._replace(status=status)
             candidates.append(updated)
             if status is RecommendationStatus.ADOPTED:
                 selected.append(updated)
-        final_groups.append(replace(group, candidates=tuple(candidates)))
+        final_groups.append(group._replace(candidates=tuple(candidates)))
     return Selection(
         groups=tuple(final_groups),
         selected=tuple(selected),
@@ -481,6 +474,7 @@ def remediate(
             selected=[],
             budget=0.0,
             budget_used=0.0,
+            findings=[],
             warnings=["nothing to remediate: no findings"],
         )
 
@@ -498,7 +492,7 @@ def remediate(
             )
             warnings.extend(eval_warnings)
             scored.append(evaluated)
-        scored_groups.append(replace(group, candidates=tuple(scored)))
+        scored_groups.append(group._replace(candidates=tuple(scored)))
 
     budget = config.budget_per_vuln * len(enriched)
     if config.budget_scope is BudgetScope.PER_VULNERABILITY:

@@ -8,7 +8,7 @@ three (the default) or as a plain sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     CVE_NA,
@@ -19,8 +19,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     matched: tuple[tuple[Vulnerability, Vulnerability], ...]
     unmatched_found: tuple[Vulnerability, ...]
     unmatched_truth: tuple[Vulnerability, ...]

@@ -14,10 +14,9 @@ alternative hosts can be authored in the same dialect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import Command, CommandChannel
 from .model import Vulnerability
@@ -27,8 +26,7 @@ EFFECT_ROOT_SHELL = "root-shell"
 EFFECT_INFO_LEAK = "info-leak"
 
 
-@dataclass(frozen=True)
-class SimWeakness:
+class SimWeakness(NamedTuple):
     row_id: str
     cve: str
     effect: str
@@ -39,8 +37,7 @@ class SimWeakness:
     triggers: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SimService:
+class SimService(NamedTuple):
     name: str
     port: int
     banner: str
@@ -48,8 +45,7 @@ class SimService:
     weaknesses: tuple[SimWeakness, ...]
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """Exploitation progress; the exploited set only ever grows.
 
     Entries are weakness row ids: two rows share port 80 with no public
@@ -75,8 +71,7 @@ class SimState:
         }
 
 
-@dataclass(frozen=True)
-class HostModel:
+class HostModel(NamedTuple):
     address: str
     hostname: str
     credentials: tuple[tuple[str, str], ...]

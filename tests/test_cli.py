@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from penheal import cli
 from penheal.backends import ShellBackend
 from penheal.cli import _chat_gateway, _executor, _nvd_client, main
-from penheal.gateway import LiveBackend
-from penheal.model import deserialize_run
+from penheal.engine import BackendUnreachableError
+from penheal.gateway import AgentRole, Gateway, LiveBackend, ScriptedBackend
+from penheal.model import AttackPlan, deserialize_run, serialize_run
 from penheal.nvd import FixtureNvdClient
 from penheal.simulator import ground_truth
 
@@ -166,6 +168,14 @@ class TestIngestSubcommand:
     def test_missing_file_fatal(self, tmp_path):
         assert run_cli("ingest", str(tmp_path / "nope.txt"), "--kb", str(tmp_path / "kb")) == 1
 
+    def test_unreadable_index_fatal(self, tmp_path, capsys):
+        (tmp_path / "kb").mkdir()
+        (tmp_path / "kb" / "meta.json").write_text("{broken")
+        doc = tmp_path / "notes.txt"
+        doc.write_text("notes about the ftp service")
+        assert run_cli("ingest", str(doc), "--kb", str(tmp_path / "kb")) == 1
+        assert "knowledge base" in fatal_line(capsys.readouterr().err)
+
 
 class TestReplaySubcommand:
     def test_intact_transcript_verifies(self, capsys):
@@ -264,8 +274,113 @@ class TestDefaultTruth:
         assert "(0 found, 1 ground truth)" in capsys.readouterr().out
 
 
+def fatal_line(err: str) -> str:
+    """stderr, checked to be a single ``fatal:`` line."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fatal: "), err
+    return lines[0]
+
+
+def _refuse(*args):
+    raise AssertionError("the model stage was reached")
+
+
+class TestBadInputsFailFirst:
+    """A bad --truth or --kb is one ``fatal:`` line and exit 1, before any model call."""
+
+    @pytest.fixture
+    def no_model_stage(self, monkeypatch):
+        monkeypatch.setattr(cli, "_chat_gateway", _refuse)
+
+    @pytest.mark.parametrize("content", [
+        '[{"id": 1}]', '[{"id": "CVE-2011-2523"}]', '{"id": "CVE-2011-2523", "service": "ftp"}',
+        '[{"id": "CVE-2011-2523", "service": "ftp", "cvss_source": "guessed"}]', "not json",
+        '[{"id": "CVE-NA", "service": "http", "port": "80"}]',
+    ])
+    @pytest.mark.parametrize("command", ["run", "remediate", "score"])
+    def test_bad_truth(self, tmp_path, capsys, no_model_stage, content, command):
+        truth = tmp_path / "truth.json"
+        truth.write_text(content)
+        artifact = tmp_path / "artifact.json"
+        artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
+        argv = {
+            "run": hermetic_args(tmp_path / "out"),
+            "remediate": ["remediate", str(artifact), "--target", "10.0.2.4",
+                          "--mode", "hermetic", "--out", str(tmp_path / "out")],
+            "score": ["score", str(artifact)],
+        }[command]
+        assert run_cli(*argv, "--truth", str(truth)) == 1
+        assert "ground truth" in fatal_line(capsys.readouterr().err)
+
+    def test_missing_truth_file(self, tmp_path, capsys, no_model_stage):
+        assert run_cli(*hermetic_args(tmp_path / "out"), "--truth", str(tmp_path / "no.json")) == 1
+        assert "no.json" in fatal_line(capsys.readouterr().err)
+
+    def test_missing_kb(self, tmp_path, capsys, monkeypatch, no_network):
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        kb = tmp_path / "no-such-index"
+        assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
+        assert "knowledge base" in fatal_line(capsys.readouterr().err)
+
+
+class _VanishingHost:
+    """A command backend whose host disappears after the first command."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def run(self, command):
+        self.calls += 1
+        if self.calls >= 2:
+            raise BackendUnreachableError("target host vanished")
+        return "first output", 0
+
+
+def _scripted_stage(monkeypatch, scripts, backend):
+    """Make the CLI's model and command stages the given stubs."""
+    monkeypatch.setattr(cli, "_chat_gateway",
+                        lambda doc, out_dir: (Gateway(ScriptedBackend(scripts)), "scripted"))
+    monkeypatch.setattr(cli, "_executor", lambda doc: (backend, None))
+
+
+class TestStageFailuresAndWarnings:
+    @pytest.mark.parametrize("command", ["run", "pentest"])
+    def test_unreachable_backend_keeps_partial_history(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        _scripted_stage(monkeypatch, {
+            AgentRole.PLANNER: ["1 Recon [to-do]\n  1.1 Scan the target [to-do]", "1.1"],
+            AgentRole.EXECUTOR: ["$first$ $second$"],
+            AgentRole.SUMMARIZER: ["summary of first"],
+        }, _VanishingHost())
+        out = tmp_path / "out"
+        assert run_cli(command, "--target", "10.0.2.4", "--out", str(out)) == 1
+        assert "backend unreachable" in fatal_line(capsys.readouterr().err)
+        records = (out / "history.jsonl").read_text().splitlines()
+        assert [json.loads(r)["raw_output"] for r in records] == ["first output"]
+        assert not (out / "run-artifact.json").exists()
+
+    def test_pentest_prints_warnings(self, tmp_path, capsys, monkeypatch):
+        _scripted_stage(monkeypatch, {
+            AgentRole.PLANNER: ["1 Recon [to-do]", "1"],
+            AgentRole.EXECUTOR: ["no command here", "still none"],
+        }, _VanishingHost())
+        assert run_cli("pentest", "--target", "10.0.2.4", "--out", str(tmp_path / "out")) == 2
+        captured = capsys.readouterr()
+        assert "findings: 0" in captured.out
+        assert captured.err == "warning: 1: executor produced no command twice\n"
+
+    def test_remediate_prints_warnings(self, tmp_path, capsys, no_network):
+        artifact = tmp_path / "artifact.json"
+        artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
+        assert run_cli("remediate", str(artifact), "--target", "10.0.2.4", "--mode", "hermetic",
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "warning: nothing to remediate: no findings\n"
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 DISCOVERY_STACK = ("penheal.engine", "penheal.simulator", "penheal.knowledge")
+# Value types are NamedTuples, so no penheal process pays for these imports.
+CODEGEN = ("dataclasses", "inspect")
 
 
 def fresh_process(script: str, names: tuple[str, ...]) -> dict:
@@ -288,8 +403,16 @@ def fresh_process(script: str, names: tuple[str, ...]) -> dict:
 
 def test_import_does_not_load_requests():
     """Importing the CLI loads neither the HTTP client nor the discovery stack."""
-    names = ("requests", "logging", "subprocess", "penheal.backends", *DISCOVERY_STACK)
+    names = ("requests", "logging", "subprocess", "penheal.backends", *DISCOVERY_STACK,
+             *CODEGEN)
     assert fresh_process("import penheal.cli", names) == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("command", ["run", "pentest"])
+def test_hermetic_stages_skip_code_generation_modules(tmp_path, command):
+    argv = [command, "--target", "10.0.2.4", "--mode", "hermetic", "--out", str(tmp_path)]
+    script = f"from penheal.cli import main\ncode = main({argv!r})"
+    assert fresh_process(script, CODEGEN) == {"code": 0, "loaded": []}
 
 
 def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):
@@ -302,7 +425,7 @@ def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):
             "--mode", "hermetic", "--kb", str(tmp_path / "no-such-index"),
             "--truth", str(truth), "--out", str(tmp_path / "stage2")]
     script = f"from penheal.cli import main\ncode = main({argv!r})"
-    assert fresh_process(script, DISCOVERY_STACK) == {"code": 0, "loaded": []}
+    assert fresh_process(script, DISCOVERY_STACK + CODEGEN) == {"code": 0, "loaded": []}
     _, findings, recommendations, _ = deserialize_run(
         (tmp_path / "stage2" / "run-artifact.json").read_bytes()
     )

@@ -133,6 +133,13 @@ class TestParseCommands:
         commands, _ = parse_commands("$a$ $b$ $msfconsole: c$")
         assert all("$" not in c.raw for c in commands)
 
+    @pytest.mark.parametrize("raw", ["", "  ", "\n\t"])
+    def test_blank_command_rejected(self, raw):
+        with pytest.raises(ValueError):
+            Command(raw)
+        with pytest.raises(ValueError):
+            Command(raw=raw, channel=CommandChannel.MSFCONSOLE)
+
 
 class TestPlanText:
     def test_render_parse_round_trip(self):

@@ -281,6 +281,7 @@ def stub_server():
     _StubHandler.requests = []
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
+    server.server_close()
 
 
 def _completion(text):

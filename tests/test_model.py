@@ -222,6 +222,12 @@ class TestFindingIdentity:
         b = Vulnerability(id="CVE-NA", service=service.upper(), port=port)
         assert a.key == b.key
 
+    def test_fields_are_read_only(self):
+        finding = Vulnerability(id="CVE-2011-2523", service="ftp", port=21)
+        with pytest.raises(AttributeError):
+            finding.port = 22
+        assert finding._replace(port=22).port == 22 and finding.port == 21
+
 
 class TestConfig:
     def test_defaults(self):

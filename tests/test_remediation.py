@@ -532,3 +532,4 @@ class TestLiveNvdRetries:
             assert len(Handler.hits) == 2
         finally:
             server.shutdown()
+            server.server_close()
