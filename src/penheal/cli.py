@@ -23,6 +23,7 @@ from . import gateway as gw, remediation, scoring
 from .model import (
     AggregationMode,
     ArtifactParseError,
+    AttackPlan,
     RunConfig,
     Vulnerability,
     deserialize_run,
@@ -30,8 +31,8 @@ from .model import (
 )
 from .nvd import NVD_BASE_URL, FixtureNvdClient, LiveNvdClient
 
-if TYPE_CHECKING:  # at run time, only the commands that run discovery import these
-    from . import engine, knowledge
+if TYPE_CHECKING:  # at run time, each command imports only those it uses
+    from . import engine, knowledge, simulator
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -110,29 +111,36 @@ def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
     return kb
 
 
+def _host_model(path: Optional[str]) -> simulator.HostModel:
+    """The simulated host in ``path`` (default: the bundled profile)."""
+    from . import simulator
+
+    try:
+        return simulator.load_host_model(path or None)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot load host model {path or '(bundled)'}: {exc}") from None
+
+
 def _load_truth(path: Optional[str], host_model: Optional[str] = None) -> list[Vulnerability]:
     """The weaknesses in ``path``; by default, the inventory of the host model.
 
-    Raises ConfigError unless ``path`` holds a JSON list of objects, each with a
-    string ``id`` and ``service`` and an integer or absent ``port``.
+    Raises ConfigError unless that is a non-empty list of findings.
     """
     if not path:
         from . import simulator
 
-        return simulator.ground_truth(simulator.load_host_model(host_model or None))
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, list) or not all(
-            isinstance(v, dict) and isinstance(v.get("id"), str)
-            and isinstance(v.get("service"), str)
-            and (v.get("port") is None or isinstance(v["port"], int))
-            for v in doc
-        ):
-            raise ValueError("expected a list of objects with a string id and service "
-                             "and an integer or absent port")
-        return [Vulnerability.from_dict(v) for v in doc]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot read ground truth {path}: {exc}") from None
+        truth = simulator.ground_truth(_host_model(host_model))
+    else:
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            if type(doc) is not list:
+                raise ValueError("expected a list of findings")
+            truth = [Vulnerability.from_dict(v) for v in doc]
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConfigError(f"cannot read ground truth {path}: {exc}") from None
+    if not truth:  # coverage is a fraction of the ground truth
+        raise ConfigError(f"ground truth {path or 'of the host model'} is empty")
+    return truth
 
 
 def _deterministic_run_id(*parts: str) -> str:
@@ -182,7 +190,7 @@ def _executor(doc: dict):
         return ShellBackend(), _build_knowledge_base(doc.get("kb_dir"))
     from . import simulator
 
-    host = simulator.load_host_model(doc.get("host_model") or None)
+    host = _host_model(doc.get("host_model"))
     return simulator.SimulatorBackend(host), _build_knowledge_base(doc.get("kb_dir"))
 
 
@@ -229,6 +237,29 @@ def _discover(doc: dict, config: RunConfig, gateway: gw.Gateway,
     return None
 
 
+def _remediate_and_score(config: RunConfig, gateway: gw.Gateway, nvd_client, out_dir: Path,
+                         plan: AttackPlan, findings: list[Vulnerability],
+                         truth: list[Vulnerability],
+                         run_id: str, transcript_ref: str) -> Optional[tuple[str, list[str]]]:
+    """Remediate and score the findings, then write the artifact.
+
+    Returns the selection report and score table, and the remediation
+    warnings; None once a fatal error is reported.
+    """
+    try:
+        rem = remediation.remediate(findings, config, gateway, nvd_client)
+    except (remediation.RemediationError, gw.GatewayError) as exc:
+        print(f"fatal: remediation failed: {exc}", file=sys.stderr)
+        return None
+    report = scoring.score_run(findings, truth, rem.selected, mode=config.aggregation_mode,
+                               run_id=run_id)
+    _write_artifact(out_dir, plan, findings, [c for g in rem.groups for c in g.candidates],
+                    report, run_id=run_id, transcript_ref=transcript_ref)
+    text = (remediation.format_selection_report(rem.groups) + "\n\n"
+            + scoring.format_score_table(report, config.aggregation_mode))
+    return text, rem.warnings
+
+
 def _exit_code(warnings: list[str]) -> int:
     """Print each warning to stderr; a run with any warning exits partial."""
     for w in warnings:
@@ -249,40 +280,23 @@ def cmd_run(args) -> int:
     pentest = _discover(doc, config, gateway, out_dir)
     if pentest is None:
         return EXIT_FATAL
-
-    try:
-        rem = remediation.remediate(pentest.findings, config, gateway, nvd_client)
-    except (remediation.RemediationError, gw.GatewayError) as exc:
-        print(f"fatal: remediation failed: {exc}", file=sys.stderr)
+    run_id = _deterministic_run_id(config.target_address, doc.get("mode", "hermetic"))
+    done = _remediate_and_score(config, gateway, nvd_client, out_dir, pentest.plan,
+                                pentest.findings, truth, run_id, transcript_ref)
+    if done is None:
         return EXIT_FATAL
-
-    report = scoring.score_run(
-        pentest.findings,
-        truth,
-        rem.selected,
-        mode=config.aggregation_mode,
-        run_id=_deterministic_run_id(config.target_address, doc.get("mode", "hermetic")),
-    )
-
+    report_text, rem_warnings = done
     _persist_history(pentest.history, out_dir)
-    all_recommendations = [c for g in rem.groups for c in g.candidates]
-    _write_artifact(out_dir, pentest.plan, pentest.findings, all_recommendations, report,
-                    run_id=report.run_id, transcript_ref=transcript_ref)
-
-    text_report = "\n".join(
-        [
-            f"run {report.run_id} against {config.target_address}",
-            f"termination: {pentest.termination_reason}",
-            f"findings: {len(pentest.findings)}",
-            "",
-            remediation.format_selection_report(rem.groups),
-            "",
-            scoring.format_score_table(report, config.aggregation_mode),
-        ]
-    )
+    text_report = "\n".join([
+        f"run {run_id} against {config.target_address}",
+        f"termination: {pentest.termination_reason}",
+        f"findings: {len(pentest.findings)}",
+        "",
+        report_text,
+    ])
     (out_dir / "report.txt").write_text(text_report + "\n", encoding="utf-8")
     print(text_report)
-    return _exit_code(pentest.warnings + rem.warnings)
+    return _exit_code(pentest.warnings + rem_warnings)
 
 
 def cmd_pentest(args) -> int:
@@ -310,23 +324,15 @@ def cmd_remediate(args) -> int:
         print(f"fatal: cannot read artifact: {exc}", file=sys.stderr)
         return EXIT_FATAL
     gateway, transcript_ref = _chat_gateway(doc, out_dir)
-    nvd_client = _nvd_client(doc, out_dir)
-    try:
-        rem = remediation.remediate(findings, config, gateway, nvd_client)
-    except (remediation.RemediationError, gw.GatewayError) as exc:
-        print(f"fatal: remediation failed: {exc}", file=sys.stderr)
+    done = _remediate_and_score(config, gateway, _nvd_client(doc, out_dir), out_dir,
+                                plan, findings, truth,
+                                _deterministic_run_id(config.target_address, "remediate"),
+                                transcript_ref)
+    if done is None:
         return EXIT_FATAL
-    report = scoring.score_run(
-        findings, truth, rem.selected, mode=config.aggregation_mode,
-        run_id=_deterministic_run_id(config.target_address, "remediate"),
-    )
-    all_recommendations = [c for g in rem.groups for c in g.candidates]
-    _write_artifact(out_dir, plan, findings, all_recommendations, report,
-                    run_id=report.run_id, transcript_ref=transcript_ref)
-    print(remediation.format_selection_report(rem.groups))
-    print()
-    print(scoring.format_score_table(report, config.aggregation_mode))
-    return _exit_code(rem.warnings)
+    report_text, rem_warnings = done
+    print(report_text)
+    return _exit_code(rem_warnings)
 
 
 def cmd_score(args) -> int:

@@ -105,12 +105,6 @@ class IterationLog(NamedTuple):
     new_finding_keys: tuple[str, ...]
     counterfactual_issued: bool
     command_count: int
-
-
-class IterationOutcome(NamedTuple):
-    """Per-iteration signals consumed by the termination rule."""
-
-    new_findings: int
     plan_changed: bool
 
 
@@ -590,25 +584,27 @@ def extract_findings(
 # ---------------------------------------------------------------------------
 
 
-def should_terminate(
-    plan: AttackPlan,
-    timeline: list[IterationOutcome],
-    iteration: int,
-    window: int = 5,
-    max_iterations: int = 30,
-) -> bool:
-    """True when the plan is exhausted, stagnant for a full window, or out of budget."""
-    if iteration >= max_iterations:
-        return True
+def termination_reason(
+    plan: AttackPlan, iterations: list[IterationLog], iteration: int, config: RunConfig
+) -> Optional[str]:
+    """Why the loop stops after ``iteration`` iterations, or None to run another.
+
+    In order: the iteration budget is spent, no to-do task remains, or the
+    last ``no_new_finding_window`` iterations found nothing and left the plan
+    unchanged. Stagnation never fires before the first iteration.
+    """
+    if iteration >= config.max_iterations:
+        return "budget-exhausted"
     if plan.first_todo() is None:
-        return True
+        return "plan-exhausted"
     streak = 0
-    for outcome in reversed(timeline):
-        if outcome.new_findings == 0 and not outcome.plan_changed:
-            streak += 1
-        else:
+    for log in reversed(iterations):
+        if log.new_finding_keys or log.plan_changed:
             break
-    return streak >= window
+        streak += 1
+    if iterations and streak >= config.no_new_finding_window:
+        return "stagnation"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -627,26 +623,10 @@ def run_pentest(
     plan, warnings = initial_plan(config, gateway)
     history = PentestHistory()
     iterations: list[IterationLog] = []
-    timeline: list[IterationOutcome] = []
     prev_structure = plan.structure_key()
     iteration = 0
-    termination = ""
 
-    while True:
-        if iteration >= config.max_iterations:
-            termination = "budget-exhausted"
-            break
-        if plan.first_todo() is None:
-            termination = "plan-exhausted"
-            break
-        if should_terminate(
-            plan, timeline, iteration,
-            window=config.no_new_finding_window,
-            max_iterations=config.max_iterations,
-        ) and timeline:
-            termination = "stagnation"
-            break
-
+    while (termination := termination_reason(plan, iterations, iteration, config)) is None:
         iteration += 1
         task_id = select_next_task(plan, gateway)
         task = plan.find(task_id)
@@ -704,31 +684,24 @@ def run_pentest(
             plan, update_warnings = update_plan(plan, task_id, combined, gateway)
             warnings.extend(update_warnings)
 
-        counterfactual_issued = False
         if new_findings:
             plan, cf_warnings = counterfactual_update(
                 plan, list(history.findings_so_far), gateway
             )
             warnings.extend(cf_warnings)
-            counterfactual_issued = True
 
         structure = plan.structure_key()
-        timeline.append(
-            IterationOutcome(
-                new_findings=len(new_findings),
-                plan_changed=structure != prev_structure,
-            )
-        )
-        prev_structure = structure
         iterations.append(
             IterationLog(
                 iteration=iteration,
                 task_id=task_id,
                 new_finding_keys=tuple(v.key_str for v in new_findings),
-                counterfactual_issued=counterfactual_issued,
+                counterfactual_issued=bool(new_findings),
                 command_count=len(commands),
+                plan_changed=structure != prev_structure,
             )
         )
+        prev_structure = structure
 
     final_findings, final_warnings = extract_findings(history.records, gateway)
     warnings.extend(final_warnings)

@@ -20,6 +20,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Protocol
 
+from .model import decode, encode
+
 API_KEY_ENV = "PENHEAL_LLM_API_KEY"
 
 STRONG_CHAR_BUDGET = 100_000
@@ -113,32 +115,7 @@ class Exchange(NamedTuple):
     request_hash: str
     messages: tuple[ChatTurn, ...]
     response: str
-    ts: str
-
-    def to_dict(self) -> dict:
-        return {
-            "role": self.role.value,
-            "model": self.model,
-            "request_hash": self.request_hash,
-            "messages": [
-                {"role_tag": t.role_tag.value, "content": t.content} for t in self.messages
-            ],
-            "response": self.response,
-            "ts": self.ts,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Exchange":
-        return Exchange(
-            role=AgentRole(data["role"]),
-            model=data.get("model", ""),
-            request_hash=data["request_hash"],
-            messages=tuple(
-                ChatTurn(RoleTag(m["role_tag"]), m["content"]) for m in data["messages"]
-            ),
-            response=data["response"],
-            ts=data.get("ts", ""),
-        )
+    ts: str = ""
 
 
 class Transcript:
@@ -150,11 +127,6 @@ class Transcript:
     def append(self, exchange: Exchange) -> None:
         self.exchanges.append(exchange)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for exchange in self.exchanges:
-                fh.write(json.dumps(exchange.to_dict(), ensure_ascii=False) + "\n")
-
     @staticmethod
     def load(path: str | Path) -> "Transcript":
         exchanges = []
@@ -164,7 +136,10 @@ class Transcript:
                 if not line:
                     continue
                 try:
-                    exchanges.append(Exchange.from_dict(json.loads(line)))
+                    data = json.loads(line)
+                    if type(data) is dict:
+                        data.setdefault("model", "")  # a recorded line may omit the model
+                    exchanges.append(decode(Exchange, data))
                 except (json.JSONDecodeError, KeyError, ValueError) as exc:
                     raise GatewayError(
                         f"transcript {path} line {line_no} is unreadable: {exc}"
@@ -272,9 +247,6 @@ class ReplayBackend:
                 )
             self._responses[exchange.request_hash] = exchange.response
 
-    def __len__(self) -> int:
-        return len(self._responses)
-
     def complete(self, role: AgentRole, model: str, messages: list[ChatTurn]) -> str:
         digest = request_hash(role, messages)
         try:
@@ -352,7 +324,7 @@ class Gateway:
             self.transcript.append(exchange)
             if self._record_path:
                 with open(self._record_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(exchange.to_dict(), ensure_ascii=False) + "\n")
+                    fh.write(json.dumps(encode(exchange), ensure_ascii=False) + "\n")
         return response
 
 

@@ -7,21 +7,150 @@ do. Standard-library data classes are avoided on purpose: their module loads
 ``inspect`` and ``ast``, and each decorated class execs generated methods, a
 cost every fresh process would pay at start-up.
 
-The run-artifact JSON layout produced by :func:`serialize_run` is the contract
+Every JSON document the program reads or writes goes through one codec,
+:func:`encode` and :func:`decode`, exposed on the value types as ``to_dict``
+and ``from_dict`` and built from a type's annotations on its first use.
+Fields are written in declaration order, which is the layout. An ``Enum`` is
+its value, a nested value type an object, ``tuple[X, ...]`` a list, ``None``
+``null``, and ``tuple[tuple[str, X], ...]`` an object; that also decodes from
+a list of pairs, as host-model ``credentials`` are written. A float field
+accepts a JSON integer, but no number is read from a string (``"4"`` or a
+``${VAR}`` reference), and an int field refuses floats and booleans. A
+missing field takes its default or raises ``KeyError``; unknown keys are
+ignored. Any other mismatch raises ``ValueError`` naming the field.
+
+The run-artifact layout produced by :func:`serialize_run` is the contract
 between CLI invocations.
 """
 
 from __future__ import annotations
 
+import builtins
 import json
 import re
+import sys
 from enum import Enum
-from typing import Any, Iterator, NamedTuple, Optional
+from functools import partial
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
 CVE_NA = "CVE-NA"
 
 RESULT_SUMMARY_MAX = 500
+
+
+# ---------------------------------------------------------------------------
+# JSON codec
+# ---------------------------------------------------------------------------
+
+
+_CODECS: dict[type, tuple[Callable[[Any], dict], Callable[[Any], Any]]] = {}
+_NO_DEFAULT = object()
+
+
+def encode(value: Any) -> dict[str, Any]:
+    """The JSON object of a value type, by the rules in the module docstring."""
+    return (_CODECS.get(type(value)) or _codec(type(value)))[0](value)
+
+
+def decode(cls: type, data: Any) -> Any:
+    """The ``cls`` value in the JSON object ``data``; KeyError or ValueError if malformed."""
+    return (_CODECS.get(cls) or _codec(cls))[1](data)
+
+
+def _codec(cls: type) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
+    """Build and register the (encoder, decoder) pair of a value type on its first use.
+
+    It is registered only once built: threads racing here each build one and
+    either serves, so none is ever seen half built.
+    """
+    hints: dict[str, Any] = {}
+    for base in reversed(cls.__mro__):  # a validating subclass keeps its base's fields
+        hints.update(vars(base).get("__annotations__", {}))
+    # Value types live in modules with postponed annotations: each hint is a ForwardRef.
+    namespace = vars(sys.modules[cls.__module__])
+    encoders, decoders = [], []
+    for i, name in enumerate(cls._fields):
+        enc, dec = _converters(hints[name].__forward_arg__, namespace)
+        if enc is not None:  # the other fields are written as they are
+            encoders.append((name, i, enc))
+        decoders.append((name, cls._field_defaults.get(name, _NO_DEFAULT), dec))
+
+    def encode_fields(value: Any) -> dict[str, Any]:
+        data = dict(zip(cls._fields, value))
+        for name, i, enc in encoders:
+            if value[i] is not None:
+                data[name] = enc(value[i])
+        return data
+
+    def decode_fields(data: Any) -> Any:
+        _check(dict, data)
+        values = []
+        for name, default, dec in decoders:
+            if name in data:
+                try:
+                    values.append(dec(data[name]))
+                except ValueError as exc:
+                    raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+            elif default is _NO_DEFAULT:
+                raise KeyError(f"{cls.__name__}.{name}")
+            else:
+                values.append(default)
+        return cls(*values)
+
+    codec = _CODECS[cls] = encode_fields, decode_fields
+    return codec
+
+
+def _converters(text: str, namespace: dict[str, Any]) -> tuple[Optional[Callable], Callable]:
+    """(encoder of a non-null value, or None to write it as it is; decoder) of an annotation.
+
+    The annotation is read as written, without compiling it: a type name,
+    ``Optional[X]``, ``tuple[X, ...]`` or ``tuple[tuple[str, X], ...]``.
+    """
+    if text.startswith("Optional["):
+        enc, dec = _converters(text[9:-1], namespace)
+        return enc, lambda x: None if x is None else dec(x)
+    if text.startswith("tuple[tuple[str, "):
+        enc, dec = _converters(text[17:-7], namespace)
+        return ((lambda v: {k: enc(x) for k, x in v}) if enc else dict,
+                lambda x: tuple((_check(str, k), dec(v)) for k, v in _pairs(x)))
+    if text.startswith("tuple["):
+        enc, dec = _converters(text[6:-6], namespace)
+        return ((lambda v: [enc(e) for e in v]) if enc else list,
+                lambda x: tuple(map(dec, _check(list, x))))
+    hint = namespace.get(text) or vars(builtins).get(text)
+    if hint in (str, int, float, bool):
+        return None, partial(_check, hint)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        members = {m.value: m for m in hint}  # a dict lookup costs a seventh of hint(x)
+
+        def member(data: Any) -> Enum:
+            try:
+                return members[data]
+            except (KeyError, TypeError):  # TypeError: a list or object is unhashable
+                raise ValueError(f"{data!r} is not a valid {hint.__name__}") from None
+
+        return {m: m.value for m in hint}.__getitem__, member
+    if isinstance(hint, type) and hasattr(hint, "_fields"):
+        return encode, partial(decode, hint)  # looked up per value: TaskNode nests itself
+    raise TypeError(f"no JSON codec for the annotation {text!r}")
+
+
+def _check(kind: type, data: Any) -> Any:
+    if type(data) is kind:
+        return data
+    if kind is float and type(data) is int and abs(data) <= sys.float_info.max:
+        return float(data)
+    raise ValueError(f"expected {kind.__name__}, got {type(data).__name__}")
+
+
+def _pairs(data: Any) -> Any:
+    if type(data) is dict:
+        return data.items()
+    if type(data) is list and all(type(p) is list and len(p) == 2 for p in data):
+        return data
+    raise ValueError(f"expected dict or list of pairs, got {type(data).__name__}")
 
 
 class TaskStatus(Enum):
@@ -61,32 +190,13 @@ class TaskNode(NamedTuple):
     description: str
     status: TaskStatus = TaskStatus.TODO
     result_summary: Optional[str] = None
-    children: tuple["TaskNode", ...] = ()
+    children: tuple[TaskNode, ...] = ()
 
     def walk(self) -> Iterator["TaskNode"]:
         """Depth-first traversal of this node and its descendants."""
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "status": self.status.value,
-            "result_summary": self.result_summary,
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "TaskNode":
-        return TaskNode(
-            id=data["id"],
-            description=data["description"],
-            status=TaskStatus(data["status"]),
-            result_summary=data.get("result_summary"),
-            children=tuple(TaskNode.from_dict(c) for c in data.get("children", [])),
-        )
 
 
 class AttackPlan(NamedTuple):
@@ -128,13 +238,6 @@ class AttackPlan(NamedTuple):
 
         return AttackPlan(roots=tuple(rebuild(r) for r in self.roots))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"roots": [r.to_dict() for r in self.roots]}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "AttackPlan":
-        return AttackPlan(roots=tuple(TaskNode.from_dict(r) for r in data.get("roots", [])))
-
 
 class CvssMetrics(NamedTuple):
     """The eight base-metric descriptors plus the derived base score."""
@@ -153,33 +256,6 @@ class CvssMetrics(NamedTuple):
         return (
             f"{prefix}/AV:{self.av}/AC:{self.ac}/PR:{self.pr}/UI:{self.ui}"
             f"/S:{self.scope}/C:{self.c}/I:{self.i}/A:{self.a}"
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "av": self.av,
-            "ac": self.ac,
-            "pr": self.pr,
-            "ui": self.ui,
-            "scope": self.scope,
-            "c": self.c,
-            "i": self.i,
-            "a": self.a,
-            "base_score": self.base_score,
-        }
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "CvssMetrics":
-        return CvssMetrics(
-            av=data["av"],
-            ac=data["ac"],
-            pr=data["pr"],
-            ui=data["ui"],
-            scope=data["scope"],
-            c=data["c"],
-            i=data["i"],
-            a=data["a"],
-            base_score=float(data.get("base_score", 0.0)),
         )
 
 
@@ -207,30 +283,6 @@ class Vulnerability(NamedTuple):
     def has_valid_id(self) -> bool:
         return self.id == CVE_NA or bool(CVE_PATTERN.match(self.id))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "service": self.service,
-            "port": self.port,
-            "description": self.description,
-            "exploitation_method": self.exploitation_method,
-            "cvss": self.cvss.to_dict() if self.cvss else None,
-            "cvss_source": self.cvss_source.value,
-        }
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Vulnerability":
-        cvss = data.get("cvss")
-        return Vulnerability(
-            id=data["id"],
-            service=data.get("service", ""),
-            port=data.get("port"),
-            description=data.get("description", ""),
-            exploitation_method=data.get("exploitation_method", ""),
-            cvss=CvssMetrics.from_dict(cvss) if cvss else None,
-            cvss_source=CvssSource(data.get("cvss_source", "unset")),
-        )
-
 
 def dedupe_findings(findings: list[Vulnerability]) -> list[Vulnerability]:
     """Drop findings repeating an earlier (id, service, port) triple."""
@@ -254,27 +306,6 @@ class Recommendation(NamedTuple):
     status: RecommendationStatus = RecommendationStatus.PROPOSED
     rationale: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "text": self.text,
-            "target_vuln_ids": list(self.target_vuln_ids),
-            "cost": self.cost,
-            "value": self.value,
-            "status": self.status.value,
-            "rationale": self.rationale,
-        }
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Recommendation":
-        return Recommendation(
-            text=data["text"],
-            target_vuln_ids=tuple(data.get("target_vuln_ids", [])),
-            cost=float(data.get("cost", 0.0)),
-            value=float(data.get("value", 0.0)),
-            status=RecommendationStatus(data.get("status", "proposed")),
-            rationale=data.get("rationale", ""),
-        )
-
 
 class ScoreReport(NamedTuple):
     """Benchmark scores for one run against ground truth."""
@@ -288,69 +319,31 @@ class ScoreReport(NamedTuple):
     run_id: str = ""
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "s_d": self.s_d,
-            "s_r": self.s_r,
-            "c": self.c,
-            "s_overall": self.s_overall,
-            "found_count": self.found_count,
-            "truth_count": self.truth_count,
-            "run_id": self.run_id,
-            "notes": list(self.notes),
-        }
 
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "ScoreReport":
-        return ScoreReport(
-            s_d=float(data["s_d"]),
-            s_r=float(data["s_r"]),
-            c=float(data["c"]),
-            s_overall=float(data["s_overall"]),
-            found_count=int(data["found_count"]),
-            truth_count=int(data["truth_count"]),
-            run_id=data.get("run_id", ""),
-            notes=tuple(data.get("notes", [])),
-        )
+DEFAULT_COST_TIERS = (("low", 2.0), ("moderate", 5.0), ("high", 10.0))
 
 
 class CostPolicy(NamedTuple):
     """Cost tier scores plus optional free-text user preference for the evaluator."""
 
-    tier_scores: tuple[tuple[str, float], ...] = (
-        ("low", 2.0),
-        ("moderate", 5.0),
-        ("high", 10.0),
-    )
+    tier_scores: tuple[tuple[str, float], ...] = DEFAULT_COST_TIERS
     user_preference_text: Optional[str] = None
 
+    def tiers(self) -> dict[str, float]:
+        """Score by lowercased tier name; a tier the policy leaves out keeps its default."""
+        return dict(DEFAULT_COST_TIERS) | {name.lower(): s for name, s in self.tier_scores}
+
     def tier(self, name: str) -> float:
-        for tier_name, score in self.tier_scores:
-            if tier_name == name.lower():
-                return score
-        raise KeyError(f"unknown cost tier: {name}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tier_scores": {name: score for name, score in self.tier_scores},
-            "user_preference_text": self.user_preference_text,
-        }
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "CostPolicy":
-        tiers = data.get("tier_scores") or {}
-        defaults = {"low": 2.0, "moderate": 5.0, "high": 10.0}
-        defaults.update({k.lower(): float(v) for k, v in tiers.items()})
-        return CostPolicy(
-            tier_scores=tuple(defaults.items()),
-            user_preference_text=data.get("user_preference_text"),
-        )
+        try:
+            return self.tiers()[name.lower()]
+        except KeyError:
+            raise KeyError(f"unknown cost tier: {name}") from None
 
 
 class RunConfig(NamedTuple):
     """Everything a pipeline run needs beyond the pluggable backends."""
 
-    target_address: str
+    target_address: str = ""  # required, but validate() names it when missing
     budget_per_vuln: float = 4.0
     cost_policy: CostPolicy = CostPolicy()  # immutable, so one shared default is safe
     retrieval_k: int = 3
@@ -370,32 +363,10 @@ class RunConfig(NamedTuple):
         if self.retrieval_k < 1:
             raise ValueError("retrieval_k must be >= 1")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "target_address": self.target_address,
-            "budget_per_vuln": self.budget_per_vuln,
-            "cost_policy": self.cost_policy.to_dict(),
-            "retrieval_k": self.retrieval_k,
-            "max_iterations": self.max_iterations,
-            "no_new_finding_window": self.no_new_finding_window,
-            "role_models": dict(self.role_models),
-            "aggregation_mode": self.aggregation_mode.value,
-            "budget_scope": self.budget_scope.value,
-        }
 
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "RunConfig":
-        return RunConfig(
-            target_address=data.get("target_address", ""),
-            budget_per_vuln=float(data.get("budget_per_vuln", 4.0)),
-            cost_policy=CostPolicy.from_dict(data.get("cost_policy", {})),
-            retrieval_k=int(data.get("retrieval_k", 3)),
-            max_iterations=int(data.get("max_iterations", 30)),
-            no_new_finding_window=int(data.get("no_new_finding_window", 5)),
-            role_models=tuple((data.get("role_models") or {}).items()),
-            aggregation_mode=AggregationMode(data.get("aggregation_mode", "div3")),
-            budget_scope=BudgetScope(data.get("budget_scope", "total")),
-        )
+for _value_type in (TaskNode, AttackPlan, CvssMetrics, Vulnerability, Recommendation,
+                    ScoreReport, CostPolicy, RunConfig):
+    _value_type.to_dict, _value_type.from_dict = encode, classmethod(decode)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +443,17 @@ class ArtifactParseError(ValueError):
         self.offset = offset
 
 
+class _Artifact(NamedTuple):
+    artifact_version: int
+    run_id: str
+    created_at: str
+    transcript_ref: str
+    plan: AttackPlan
+    findings: tuple[Vulnerability, ...] = ()
+    recommendations: tuple[Recommendation, ...] = ()
+    score_report: Optional[ScoreReport] = None
+
+
 def serialize_run(
     plan: AttackPlan,
     findings: list[Vulnerability],
@@ -482,16 +464,8 @@ def serialize_run(
     created_at: str = "",
 ) -> bytes:
     """Encode one run as the UTF-8 JSON run-artifact document."""
-    doc = {
-        "artifact_version": ARTIFACT_VERSION,
-        "run_id": run_id,
-        "created_at": created_at,
-        "transcript_ref": transcript_ref,
-        "plan": plan.to_dict(),
-        "findings": [v.to_dict() for v in findings],
-        "recommendations": [r.to_dict() for r in recommendations],
-        "score_report": report.to_dict() if report else None,
-    }
+    doc = encode(_Artifact(ARTIFACT_VERSION, run_id, created_at, transcript_ref, plan,
+                           tuple(findings), tuple(recommendations), report))
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
@@ -508,14 +482,9 @@ def deserialize_run(
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
         raise ArtifactParseError(f"invalid JSON: {exc.msg}", offset) from exc
-    if not isinstance(doc, dict):
-        raise ArtifactParseError("artifact root must be an object")
     try:
-        plan = AttackPlan.from_dict(doc["plan"])
-        findings = [Vulnerability.from_dict(v) for v in doc.get("findings", [])]
-        recommendations = [Recommendation.from_dict(r) for r in doc.get("recommendations", [])]
-        report_data = doc.get("score_report")
-        report = ScoreReport.from_dict(report_data) if report_data else None
-    except (KeyError, TypeError, ValueError) as exc:
+        artifact = decode(_Artifact, doc)
+    except (KeyError, ValueError) as exc:
         raise ArtifactParseError(f"artifact schema error: {exc}") from exc
-    return plan, findings, recommendations, report
+    return (artifact.plan, list(artifact.findings), list(artifact.recommendations),
+            artifact.score_report)

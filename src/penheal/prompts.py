@@ -249,7 +249,7 @@ def render_prompt(role: AgentRole, variables: dict[str, str], kind: str = "syste
 
 def cost_rules_text(policy: CostPolicy) -> str:
     """The cost-tier definition forwarded to the evaluator, with user preferences."""
-    tiers = dict(policy.tier_scores)
+    tiers = policy.tiers()
     text = (
         "Low-Cost recommendations include applying free patches, making "
         "configuration changes, or executing simple commands; they are "

@@ -47,9 +47,6 @@ class RecommendationGroup(NamedTuple):
     vuln_key: str
     candidates: tuple[Recommendation, ...]
 
-    def adopted(self) -> list[Recommendation]:
-        return [c for c in self.candidates if c.status is RecommendationStatus.ADOPTED]
-
 
 class RemediationResult(NamedTuple):
     groups: list[RecommendationGroup]

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .engine import Command, CommandChannel
-from .model import Vulnerability
+from .model import Vulnerability, decode
 
 EFFECT_SHELL = "shell"
 EFFECT_ROOT_SHELL = "root-shell"
@@ -40,9 +40,9 @@ class SimWeakness(NamedTuple):
 class SimService(NamedTuple):
     name: str
     port: int
-    banner: str
-    visible: bool
-    weaknesses: tuple[SimWeakness, ...]
+    banner: str = ""
+    visible: bool = True
+    weaknesses: tuple[SimWeakness, ...] = ()
 
 
 class SimState(NamedTuple):
@@ -73,9 +73,9 @@ class SimState(NamedTuple):
 
 class HostModel(NamedTuple):
     address: str
-    hostname: str
-    credentials: tuple[tuple[str, str], ...]
     services: tuple[SimService, ...]
+    hostname: str = "victim"
+    credentials: tuple[tuple[str, str], ...] = ()
 
     def visible_services(self) -> list[SimService]:
         return sorted((s for s in self.services if s.visible), key=lambda s: s.port)
@@ -93,49 +93,20 @@ class HostModel(NamedTuple):
 
 
 def load_host_model(path: Optional[str | Path] = None) -> HostModel:
-    """Load a host model file; without a path, loads the bundled profile."""
+    """Load a host model file; without a path, loads the bundled profile.
+
+    Raises OSError for an unreadable file, KeyError for a missing required
+    field and ValueError for any other malformed content.
+    """
     if path is None:
-        raw = (
-            resources.files("penheal.data")
-            .joinpath("hosts/metasploitable2.json")
-            .read_text(encoding="utf-8")
-        )
+        source = resources.files("penheal.data").joinpath("hosts/metasploitable2.json")
     else:
-        raw = Path(path).read_text(encoding="utf-8")
-    doc = json.loads(raw)
-    services = []
-    for svc in doc["services"]:
-        weaknesses = tuple(
-            SimWeakness(
-                row_id=w["row_id"],
-                cve=w["cve"],
-                effect=w["effect"],
-                canonical_service=w["canonical_service"],
-                canonical_port=int(w["canonical_port"]),
-                description=w["description"],
-                method=w["method"],
-                triggers=tuple(w["triggers"]),
-            )
-            for w in svc.get("weaknesses", [])
-        )
-        services.append(
-            SimService(
-                name=svc["name"],
-                port=int(svc["port"]),
-                banner=svc.get("banner", ""),
-                visible=bool(svc.get("visible", True)),
-                weaknesses=weaknesses,
-            )
-        )
-    ports = [s.port for s in services]
+        source = Path(path)
+    host = decode(HostModel, json.loads(source.read_text(encoding="utf-8")))
+    ports = [s.port for s in host.services]
     if len(ports) != len(set(ports)):
         raise ValueError("host model has duplicate service ports")
-    return HostModel(
-        address=doc["address"],
-        hostname=doc.get("hostname", "victim"),
-        credentials=tuple((u, p) for u, p in doc.get("credentials", [])),
-        services=tuple(services),
-    )
+    return host
 
 
 def ground_truth(host: Optional[HostModel] = None) -> list[Vulnerability]:

@@ -13,7 +13,7 @@ from penheal.backends import ShellBackend
 from penheal.cli import _chat_gateway, _executor, _nvd_client, main
 from penheal.engine import BackendUnreachableError
 from penheal.gateway import AgentRole, Gateway, LiveBackend, ScriptedBackend
-from penheal.model import AttackPlan, deserialize_run, serialize_run
+from penheal.model import AttackPlan, Vulnerability, deserialize_run, serialize_run
 from penheal.nvd import FixtureNvdClient
 from penheal.simulator import ground_truth
 
@@ -295,7 +295,7 @@ class TestBadInputsFailFirst:
     @pytest.mark.parametrize("content", [
         '[{"id": 1}]', '[{"id": "CVE-2011-2523"}]', '{"id": "CVE-2011-2523", "service": "ftp"}',
         '[{"id": "CVE-2011-2523", "service": "ftp", "cvss_source": "guessed"}]', "not json",
-        '[{"id": "CVE-NA", "service": "http", "port": "80"}]',
+        '[{"id": "CVE-NA", "service": "http", "port": "80"}]', "[]",
     ])
     @pytest.mark.parametrize("command", ["run", "remediate", "score"])
     def test_bad_truth(self, tmp_path, capsys, no_model_stage, content, command):
@@ -315,6 +315,45 @@ class TestBadInputsFailFirst:
     def test_missing_truth_file(self, tmp_path, capsys, no_model_stage):
         assert run_cli(*hermetic_args(tmp_path / "out"), "--truth", str(tmp_path / "no.json")) == 1
         assert "no.json" in fatal_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["remediate", "score"])
+    def test_mistyped_artifact(self, tmp_path, capsys, no_model_stage, command):
+        finding = Vulnerability(id="CVE-2011-2523", service="ftp", port=21)
+        doc = json.loads(serialize_run(AttackPlan(), [finding], [], None))
+        doc["findings"][0]["service"] = 5
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps(doc))
+        argv = {
+            "remediate": ["remediate", str(artifact), "--target", "10.0.2.4",
+                          "--mode", "hermetic", "--out", str(tmp_path / "out")],
+            "score": ["score", str(artifact)],
+        }[command]
+        assert run_cli(*argv) == 1
+        assert "Vulnerability.service" in fatal_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, host, message", [
+        *[(command, host, "cannot load host model")
+          for command in ("run", "pentest") for host in ("missing", "nameless-service")],
+        ("run", "no-weaknesses", "ground truth of the host model is empty"),
+    ])
+    def test_bad_host_model(self, tmp_path, capsys, monkeypatch, no_network, command, host,
+                            message):
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        host_path = tmp_path / "host.json"
+        if host != "missing":
+            doc = json.loads(resources.files("penheal.data")
+                             .joinpath("hosts/metasploitable2.json").read_text())
+            if host == "nameless-service":
+                del doc["services"][0]["name"]
+            else:
+                for service in doc["services"]:
+                    service.pop("weaknesses", None)
+            host_path.write_text(json.dumps(doc))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"target_address": "10.0.2.4", "mode": "hermetic",
+                                      "host_model": str(host_path)}))
+        assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "out")) == 1
+        assert message in fatal_line(capsys.readouterr().err)
 
     def test_missing_kb(self, tmp_path, capsys, monkeypatch, no_network):
         monkeypatch.setattr(Gateway, "complete", _refuse)
@@ -406,6 +445,12 @@ def test_import_does_not_load_requests():
     names = ("requests", "logging", "subprocess", "penheal.backends", *DISCOVERY_STACK,
              *CODEGEN)
     assert fresh_process("import penheal.cli", names) == {"code": 0, "loaded": []}
+
+
+def test_import_builds_no_codec():
+    """JSON codecs are built on first use, so importing the CLI builds none."""
+    script = "import penheal.cli\nfrom penheal import model\ncode = len(model._CODECS)"
+    assert fresh_process(script, ()) == {"code": 0, "loaded": []}
 
 
 @pytest.mark.parametrize("command", ["run", "pentest"])

@@ -10,12 +10,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from penheal.engine import (
     Command,
     CommandChannel,
     EngineError,
-    IterationOutcome,
+    IterationLog,
     PlanExhaustedError,
     build_plan,
     counterfactual_update,
@@ -29,8 +31,8 @@ from penheal.engine import (
     render_plan,
     run_pentest,
     select_next_task,
-    should_terminate,
     summarize,
+    termination_reason,
     update_plan,
 )
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend
@@ -523,28 +525,64 @@ class TestExecute:
         assert output.endswith("...[truncated]")
 
 
+def iteration_log(new_findings=0, plan_changed=False):
+    return IterationLog(iteration=1, task_id="1",
+                        new_finding_keys=("CVE-NA@ftp:21",) * new_findings,
+                        counterfactual_issued=False, command_count=1, plan_changed=plan_changed)
+
+
+def loop_config(window=5, max_iterations=30):
+    return RunConfig(target_address="x", no_new_finding_window=window,
+                     max_iterations=max_iterations)
+
+
+DONE_PLAN = plan_from("1 a [completed] - result: r")
+
+
 class TestShouldTerminate:
     def test_all_completed(self):
-        plan = plan_from("1 a [completed] - result: r")
-        assert should_terminate(plan, [], 1, window=5, max_iterations=30)
+        assert termination_reason(DONE_PLAN, [], 1, loop_config()) == "plan-exhausted"
 
     def test_stagnation_window(self):
-        stagnant = IterationOutcome(new_findings=0, plan_changed=False)
-        timeline = [stagnant] * 5
-        assert should_terminate(BASIC_PLAN, timeline, 6, window=5, max_iterations=30)
+        timeline = [iteration_log()] * 5
+        assert termination_reason(BASIC_PLAN, timeline, 6, loop_config()) == "stagnation"
 
     def test_new_finding_resets_streak(self):
-        stagnant = IterationOutcome(0, False)
-        timeline = [stagnant] * 4 + [IterationOutcome(1, True)]
-        assert not should_terminate(BASIC_PLAN, timeline, 5, window=5, max_iterations=30)
+        timeline = [iteration_log()] * 4 + [iteration_log(1, True)]
+        assert termination_reason(BASIC_PLAN, timeline, 5, loop_config()) is None
 
     def test_plan_change_resets_streak(self):
-        stagnant = IterationOutcome(0, False)
-        timeline = [stagnant] * 4 + [IterationOutcome(0, True)] + [stagnant] * 4
-        assert not should_terminate(BASIC_PLAN, timeline, 9, window=5, max_iterations=30)
+        timeline = [iteration_log()] * 4 + [iteration_log(0, True)] + [iteration_log()] * 4
+        assert termination_reason(BASIC_PLAN, timeline, 9, loop_config()) is None
 
     def test_iteration_budget(self):
-        assert should_terminate(BASIC_PLAN, [], 30, window=5, max_iterations=30)
+        assert termination_reason(BASIC_PLAN, [], 30, loop_config()) == "budget-exhausted"
+
+    def test_no_stagnation_before_the_first_iteration(self):
+        assert termination_reason(BASIC_PLAN, [], 0, loop_config(window=0)) is None
+        assert termination_reason(BASIC_PLAN, [iteration_log()], 1,
+                                  loop_config(window=0)) == "stagnation"
+
+    @given(
+        signals=st.lists(st.tuples(st.integers(0, 1), st.booleans()), max_size=12),
+        window=st.integers(-2, 14),
+        max_iterations=st.integers(1, 15),
+        exhausted=st.booleans(),
+    )
+    def test_matches_brute_force_reading(self, signals, window, max_iterations, exhausted):
+        logs = [iteration_log(new, changed) for new, changed in signals]
+        plan = DONE_PLAN if exhausted else BASIC_PLAN
+        quiet = [not (new or changed) for new, changed in signals]
+        if len(logs) >= max_iterations:
+            expected = "budget-exhausted"
+        elif exhausted:
+            expected = "plan-exhausted"
+        elif logs and len(logs) >= window and all(quiet[len(quiet) - max(window, 0):]):
+            expected = "stagnation"
+        else:
+            expected = None
+        config = loop_config(window, max_iterations)
+        assert termination_reason(plan, logs, len(logs), config) == expected
 
 
 class TestScriptedRuns:

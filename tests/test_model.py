@@ -1,5 +1,8 @@
-"""Core domain types: plan validation and run-artifact round-trips."""
+"""Core domain types: plan validation, the JSON codec and run-artifact round-trips."""
 
+import copy
+import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -196,6 +199,73 @@ class TestArtifactRoundTrip:
             deserialize_run(b"\xff\xfe{}")
 
 
+def _leaf_paths(node, path=()):
+    """Paths to every scalar, empty list and empty object of a JSON document."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaf_paths(child, path + (key,))
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` matches the annotation ``hint`` all the way down."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_conforms(value, arg) for arg in args)
+    if origin in (list, tuple):
+        items = args[:1] * len(value) if origin is list or args[-1] is ... else args
+        return (type(value) is origin and len(items) == len(value)
+                and all(_conforms(v, h) for v, h in zip(value, items)))
+    if hint is type(None):
+        return value is None
+    if hasattr(hint, "_fields"):
+        hints = typing.get_type_hints(hint)
+        return type(value) is hint and all(
+            _conforms(getattr(value, name), hints[name]) for name in hint._fields)
+    return type(value) is hint
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(),
+                                                          max_size=2),
+)
+
+
+class TestArtifactTypes:
+    GOLDEN = json.loads((DATA / "artifact_3vuln.json").read_text())
+    LEAVES = list(_leaf_paths(GOLDEN))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mistyped_leaf_is_a_parse_error_or_well_typed(self, data):
+        path = data.draw(st.sampled_from(self.LEAVES))
+        doc = copy.deepcopy(self.GOLDEN)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        parent[path[-1]] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+        try:
+            decoded = deserialize_run(json.dumps(doc).encode())
+        except ArtifactParseError:
+            return
+        hints = typing.get_type_hints(deserialize_run)["return"]
+        assert _conforms(decoded, hints)
+
+    def test_mistyped_service_names_the_field(self):
+        doc = copy.deepcopy(self.GOLDEN)
+        doc["findings"][0]["service"] = 5
+        with pytest.raises(ArtifactParseError, match="Vulnerability.service"):
+            deserialize_run(json.dumps(doc).encode())
+
+
 class TestFindingIdentity:
     def test_dedupe_by_triple(self):
         a = Vulnerability(id="CVE-NA", service="http", port=80)
@@ -262,3 +332,36 @@ class TestConfig:
     def test_round_trip_through_dict(self):
         config = RunConfig(target_address="10.0.2.4", budget_per_vuln=3.5)
         assert RunConfig.from_dict(config.to_dict()) == config
+
+    def test_partial_tier_scores_merge_with_the_defaults(self):
+        config = RunConfig.from_dict(
+            {"target_address": "x", "cost_policy": {"tier_scores": {"High": 8}}})
+        tiers = config.cost_policy
+        assert (tiers.tier("low"), tiers.tier("moderate"), tiers.tier("high")) == (2, 5, 8)
+
+    def test_missing_target_is_named_by_validate(self):
+        with pytest.raises(ValueError, match="target_address must be set"):
+            RunConfig.from_dict({"out_dir": "ignored"}).validate()
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"budget_per_vuln": "4"}, "RunConfig.budget_per_vuln"),
+        ({"retrieval_k": 2.0}, "RunConfig.retrieval_k"),
+        ({"max_iterations": True}, "RunConfig.max_iterations"),
+        ({"aggregation_mode": "mean"}, "RunConfig.aggregation_mode"),
+        ({"role_models": ["planner"]}, "RunConfig.role_models"),
+        ({"cost_policy": {"tier_scores": {"low": None}}}, "CostPolicy.tier_scores"),
+        ({"cost_policy": []}, "RunConfig.cost_policy"),
+    ])
+    def test_mistyped_field_is_a_value_error_naming_it(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            RunConfig.from_dict({"target_address": "x", **doc})
+
+    def test_codec_json_rules(self):
+        config = RunConfig.from_dict({"target_address": "x", "budget_per_vuln": 3,
+                                      "role_models": [["planner", "big"]]})
+        assert config.budget_per_vuln == 3.0 and type(config.budget_per_vuln) is float
+        assert config.role_models == (("planner", "big"),)
+        assert list(config.to_dict()) == list(RunConfig._fields)
+        assert config.to_dict()["role_models"] == {"planner": "big"}
+        with pytest.raises(KeyError):
+            Vulnerability.from_dict({"id": "CVE-NA"})
