@@ -17,7 +17,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import gateway as gw, remediation, scoring
 from .model import (
@@ -26,7 +26,9 @@ from .model import (
     AttackPlan,
     RunConfig,
     Vulnerability,
+    decode,
     deserialize_run,
+    load_json,
     serialize_run,
 )
 from .nvd import NVD_BASE_URL, FixtureNvdClient, LiveNvdClient
@@ -43,6 +45,31 @@ _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 class ConfigError(Exception):
     pass
+
+
+class LlmSettings(NamedTuple):
+    base_url: str = ""
+    api_key: Optional[str] = None
+
+
+class NvdSettings(NamedTuple):
+    mode: str = "live"  # or "fixture"
+    fixture_dir: Optional[str] = None
+    cache_dir: Optional[str] = None  # default: nvd-cache in the out dir
+    base_url: str = NVD_BASE_URL
+
+
+class CliSettings(NamedTuple):
+    """The config keys the CLI reads itself; the RunConfig fields are the others."""
+
+    mode: str = "hermetic"  # or "live"
+    out_dir: str = "out"
+    fixtures: Optional[str] = None
+    kb_dir: Optional[str] = None
+    truth: Optional[str] = None
+    host_model: Optional[str] = None
+    llm: LlmSettings = LlmSettings()
+    nvd: NvdSettings = NvdSettings()
 
 
 def _interpolate_env(value):
@@ -65,14 +92,13 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
     doc: dict = {}
     if path:
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = load_json(Path(path).read_text(encoding="utf-8"), _interpolate_env)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
-        doc = _interpolate_env(doc)
     for key, value in overrides.items():
         if value is not None:
             doc[key] = value
@@ -132,7 +158,7 @@ def _load_truth(path: Optional[str], host_model: Optional[str] = None) -> list[V
         truth = simulator.ground_truth(_host_model(host_model))
     else:
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = load_json(Path(path).read_text(encoding="utf-8"))
             if type(doc) is not list:
                 raise ValueError("expected a list of findings")
             truth = [Vulnerability.from_dict(v) for v in doc]
@@ -152,56 +178,52 @@ def _deterministic_run_id(*parts: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _stage_setup(args) -> tuple[dict, RunConfig, Path]:
-    """The config document, the validated run config and the created out dir."""
+def _stage_setup(args) -> tuple[CliSettings, RunConfig, Path]:
+    """The CLI settings, the validated run config and the created out dir."""
     doc = load_config(args.config, _overrides(args))
     try:
+        settings = decode(CliSettings, doc)
         config = RunConfig.from_dict(doc)
         config.validate()
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}")
-    out_dir = Path(doc.get("out_dir", "out"))
+    out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return doc, config, out_dir
+    return settings, config, out_dir
 
 
-def _chat_gateway(doc: dict, out_dir: Path) -> tuple[gw.Gateway, str]:
+def _chat_gateway(settings: CliSettings, role_models: tuple[tuple[str, str], ...],
+                  out_dir: Path) -> tuple[gw.Gateway, str]:
     """The mode's chat gateway and the transcript it replays or records."""
-    mode = doc.get("mode", "hermetic")
-    role_models = doc.get("role_models") or {}
-    if mode == "hermetic":
-        fixtures = _resolve_fixtures(doc.get("fixtures"))
-        return gw.replay_mode(fixtures, role_models=role_models), str(fixtures)
-    if mode != "live":
-        raise ConfigError(f"unknown mode {mode!r} (expected hermetic or live)")
-    llm = doc.get("llm") or {}
-    if not llm.get("base_url"):
+    if settings.mode == "hermetic":
+        fixtures = _resolve_fixtures(settings.fixtures)
+        return gw.replay_mode(fixtures, role_models=dict(role_models)), str(fixtures)
+    if settings.mode != "live":
+        raise ConfigError(f"unknown mode {settings.mode!r} (expected hermetic or live)")
+    if not settings.llm.base_url:
         raise ConfigError("live mode requires llm.base_url")
-    live = gw.LiveBackend(llm["base_url"], api_key=llm.get("api_key"))
+    live = gw.LiveBackend(settings.llm.base_url, api_key=settings.llm.api_key)
     record_path = out_dir / "transcript.jsonl"
-    return gw.record_mode(live, record_path, role_models=role_models), str(record_path)
+    return gw.record_mode(live, record_path, role_models=dict(role_models)), str(record_path)
 
 
-def _executor(doc: dict):
+def _executor(settings: CliSettings):
     """The discovery stage's command backend (local shell or simulated host) and KB."""
-    if doc.get("mode", "hermetic") == "live":
+    if settings.mode == "live":
         from .backends import ShellBackend
 
-        return ShellBackend(), _build_knowledge_base(doc.get("kb_dir"))
+        return ShellBackend(), _build_knowledge_base(settings.kb_dir)
     from . import simulator
 
-    host = _host_model(doc.get("host_model"))
-    return simulator.SimulatorBackend(host), _build_knowledge_base(doc.get("kb_dir"))
+    host = _host_model(settings.host_model)
+    return simulator.SimulatorBackend(host), _build_knowledge_base(settings.kb_dir)
 
 
-def _nvd_client(doc: dict, out_dir: Path):
-    nvd_doc = doc.get("nvd") or {}
-    if doc.get("mode", "hermetic") == "hermetic" or nvd_doc.get("mode", "live") == "fixture":
-        return FixtureNvdClient(nvd_doc.get("fixture_dir"))
-    return LiveNvdClient(
-        cache_dir=nvd_doc.get("cache_dir", out_dir / "nvd-cache"),
-        base_url=nvd_doc.get("base_url", NVD_BASE_URL),
-    )
+def _nvd_client(settings: CliSettings, out_dir: Path):
+    nvd = settings.nvd
+    if settings.mode == "hermetic" or nvd.mode == "fixture":
+        return FixtureNvdClient(nvd.fixture_dir)
+    return LiveNvdClient(cache_dir=nvd.cache_dir or out_dir / "nvd-cache", base_url=nvd.base_url)
 
 
 def _write_artifact(out_dir: Path, *parts, run_id: str, transcript_ref: str) -> None:
@@ -217,7 +239,7 @@ def _persist_history(history: engine.PentestHistory, out_dir: Path) -> None:
             fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
 
 
-def _discover(doc: dict, config: RunConfig, gateway: gw.Gateway,
+def _discover(settings: CliSettings, config: RunConfig, gateway: gw.Gateway,
               out_dir: Path) -> Optional[engine.PentestResult]:
     """Run the pentest stage; None once a fatal error is reported.
 
@@ -225,7 +247,7 @@ def _discover(doc: dict, config: RunConfig, gateway: gw.Gateway,
     """
     from . import engine
 
-    backend, kb = _executor(doc)
+    backend, kb = _executor(settings)
     try:
         return engine.run_pentest(config, backend, gateway, kb)
     except engine.BackendUnreachableError as exc:
@@ -273,14 +295,14 @@ def _exit_code(warnings: list[str]) -> int:
 
 
 def cmd_run(args) -> int:
-    doc, config, out_dir = _stage_setup(args)
-    truth = _load_truth(doc.get("truth"), doc.get("host_model"))
-    gateway, transcript_ref = _chat_gateway(doc, out_dir)
-    nvd_client = _nvd_client(doc, out_dir)
-    pentest = _discover(doc, config, gateway, out_dir)
+    settings, config, out_dir = _stage_setup(args)
+    truth = _load_truth(settings.truth, settings.host_model)
+    gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
+    nvd_client = _nvd_client(settings, out_dir)
+    pentest = _discover(settings, config, gateway, out_dir)
     if pentest is None:
         return EXIT_FATAL
-    run_id = _deterministic_run_id(config.target_address, doc.get("mode", "hermetic"))
+    run_id = _deterministic_run_id(config.target_address, settings.mode)
     done = _remediate_and_score(config, gateway, nvd_client, out_dir, pentest.plan,
                                 pentest.findings, truth, run_id, transcript_ref)
     if done is None:
@@ -300,9 +322,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_pentest(args) -> int:
-    doc, config, out_dir = _stage_setup(args)
-    gateway, transcript_ref = _chat_gateway(doc, out_dir)
-    pentest = _discover(doc, config, gateway, out_dir)
+    settings, config, out_dir = _stage_setup(args)
+    gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
+    pentest = _discover(settings, config, gateway, out_dir)
     if pentest is None:
         return EXIT_FATAL
     _persist_history(pentest.history, out_dir)
@@ -316,15 +338,15 @@ def cmd_pentest(args) -> int:
 
 
 def cmd_remediate(args) -> int:
-    doc, config, out_dir = _stage_setup(args)
-    truth = _load_truth(doc.get("truth"))
+    settings, config, out_dir = _stage_setup(args)
+    truth = _load_truth(settings.truth)
     try:
         plan, findings, _, _ = deserialize_run(Path(args.artifact).read_bytes())
     except (OSError, ArtifactParseError) as exc:
         print(f"fatal: cannot read artifact: {exc}", file=sys.stderr)
         return EXIT_FATAL
-    gateway, transcript_ref = _chat_gateway(doc, out_dir)
-    done = _remediate_and_score(config, gateway, _nvd_client(doc, out_dir), out_dir,
+    gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
+    done = _remediate_and_score(config, gateway, _nvd_client(settings, out_dir), out_dir,
                                 plan, findings, truth,
                                 _deterministic_run_id(config.target_address, "remediate"),
                                 transcript_ref)
@@ -490,7 +512,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, gw.GatewayError) as exc:  # a bad config or fixtures transcript
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -15,7 +15,7 @@ import re
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Protocol, Union
 
-from .gateway import AgentRole, Gateway, assistant_turn, system_turn, user_turn
+from .gateway import AgentRole, Gateway
 from .knowledge import KnowledgeBase, build_instructor_prompt
 from .model import (
     AttackPlan,
@@ -26,7 +26,7 @@ from .model import (
     clip_summary,
     dedupe_findings,
 )
-from .prompts import format_finding_lines, render_prompt
+from .prompts import ask, format_finding_lines, render_prompt
 
 OUTPUT_CAP = 64 * 1024
 SUMMARY_CAP = 1200
@@ -347,17 +347,9 @@ def summarize(command_text: str, raw_output: str, gateway: Gateway) -> str:
     """Light-tier condensation of one command's output, hard-capped at 1200 chars."""
     if not raw_output.strip():
         return NO_OUTPUT_TEXT
-    history = [
-        system_turn(render_prompt(AgentRole.SUMMARIZER, {}, "system")),
-        user_turn(
-            render_prompt(
-                AgentRole.SUMMARIZER,
-                {"command": command_text, "output": raw_output},
-                "condense",
-            )
-        ),
-    ]
-    reply = gateway.complete(AgentRole.SUMMARIZER, history)
+    variables = {"command": command_text, "output": raw_output}
+    reply = ask(gateway, AgentRole.SUMMARIZER,
+                render_prompt(AgentRole.SUMMARIZER, variables, "condense"))
     if len(reply) > SUMMARY_CAP:
         reply = reply[: SUMMARY_CAP - len(TRUNCATION_MARKER)] + TRUNCATION_MARKER
     return reply
@@ -368,20 +360,9 @@ def summarize(command_text: str, raw_output: str, gateway: Gateway) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _planner_history(user_content: str) -> list:
-    return [
-        system_turn(render_prompt(AgentRole.PLANNER, {}, "system")),
-        user_turn(user_content),
-    ]
-
-
 def initial_plan(config: RunConfig, gateway: Gateway) -> tuple[AttackPlan, list[str]]:
-    response = gateway.complete(
-        AgentRole.PLANNER,
-        _planner_history(
-            render_prompt(AgentRole.PLANNER, {"target": config.target_address}, "init")
-        ),
-    )
+    response = ask(gateway, AgentRole.PLANNER,
+                   render_prompt(AgentRole.PLANNER, {"target": config.target_address}, "init"))
     lines = parse_plan_text(response)
     if not lines:
         raise EngineError("planner produced no parseable initial plan")
@@ -393,12 +374,8 @@ def select_next_task(plan: AttackPlan, gateway: Gateway) -> str:
     todo = plan.todo_ids()
     if not todo:
         raise PlanExhaustedError("no to-do tasks remain")
-    response = gateway.complete(
-        AgentRole.PLANNER,
-        _planner_history(
-            render_prompt(AgentRole.PLANNER, {"plan": render_plan(plan)}, "select")
-        ),
-    )
+    response = ask(gateway, AgentRole.PLANNER,
+                   render_prompt(AgentRole.PLANNER, {"plan": render_plan(plan)}, "select"))
     for token in re.findall(r"\d+(?:\.\d+)*", response):
         if token in todo:
             return token
@@ -412,16 +389,9 @@ def update_plan(
     node = plan.find(task_id)
     if node is None or node.status is not TaskStatus.TODO:
         raise EngineError(f"task {task_id} does not exist or is not to-do")
-    response = gateway.complete(
-        AgentRole.PLANNER,
-        _planner_history(
-            render_prompt(
-                AgentRole.PLANNER,
-                {"plan": render_plan(plan), "task_id": task_id, "summary": summary},
-                "update",
-            )
-        ),
-    )
+    variables = {"plan": render_plan(plan), "task_id": task_id, "summary": summary}
+    response = ask(gateway, AgentRole.PLANNER,
+                   render_prompt(AgentRole.PLANNER, variables, "update"))
     lines = parse_plan_text(response)
     if not lines:
         return (
@@ -463,19 +433,9 @@ def counterfactual_update(
     """
     if not findings:
         raise EngineError("counterfactual update requires at least one finding")
-    response = gateway.complete(
-        AgentRole.PLANNER,
-        _planner_history(
-            render_prompt(
-                AgentRole.PLANNER,
-                {
-                    "findings": format_finding_lines(findings),
-                    "plan": render_plan(plan),
-                },
-                "counterfactual",
-            )
-        ),
-    )
+    variables = {"findings": format_finding_lines(findings), "plan": render_plan(plan)}
+    response = ask(gateway, AgentRole.PLANNER,
+                   render_prompt(AgentRole.PLANNER, variables, "counterfactual"))
     lines = parse_plan_text(response)
     warnings: list[str] = []
     if lines:
@@ -567,15 +527,8 @@ def extract_findings(
     history_text = "\n".join(
         f"Command: {r.command.raw}\nSummary: {r.summary}" for r in records
     )
-    response = gateway.complete(
-        AgentRole.EXTRACTOR,
-        [
-            system_turn(render_prompt(AgentRole.EXTRACTOR, {}, "system")),
-            user_turn(
-                render_prompt(AgentRole.EXTRACTOR, {"history": history_text}, "extract")
-            ),
-        ],
-    )
+    response = ask(gateway, AgentRole.EXTRACTOR,
+                   render_prompt(AgentRole.EXTRACTOR, {"history": history_text}, "extract"))
     return parse_extractor_blocks(response)
 
 
@@ -634,25 +587,12 @@ def run_pentest(
         excerpts = []
         if knowledge_base is not None and len(knowledge_base):
             excerpts = knowledge_base.retrieve(task.description, config.retrieval_k)
-        guidance = build_instructor_prompt(task.description, excerpts)
 
-        executor_history = [
-            system_turn(
-                render_prompt(AgentRole.EXECUTOR, {"task": task.description}, "system")
-            ),
-            user_turn(guidance),
-        ]
-        reply = gateway.complete(AgentRole.EXECUTOR, executor_history)
-        commands, cmd_warnings = parse_commands(reply)
+        commands, cmd_warnings = ask(
+            gateway, AgentRole.EXECUTOR, build_instructor_prompt(task.description, excerpts),
+            system=render_prompt(AgentRole.EXECUTOR, {"task": task.description}, "system"),
+            parse=parse_commands)
         warnings.extend(cmd_warnings)
-        if not commands:
-            executor_history += [
-                assistant_turn(reply),
-                user_turn(render_prompt(AgentRole.EXECUTOR, {}, "retry")),
-            ]
-            reply = gateway.complete(AgentRole.EXECUTOR, executor_history)
-            commands, cmd_warnings = parse_commands(reply)
-            warnings.extend(cmd_warnings)
 
         new_findings: list[Vulnerability] = []
         if not commands:

@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Protocol
 
-from .model import decode, encode
+from .model import decode, encode, load_json
 
 API_KEY_ENV = "PENHEAL_LLM_API_KEY"
 
@@ -136,7 +136,7 @@ class Transcript:
                 if not line:
                     continue
                 try:
-                    data = json.loads(line)
+                    data = load_json(line)
                     if type(data) is dict:
                         data.setdefault("model", "")  # a recorded line may omit the model
                     exchanges.append(decode(Exchange, data))

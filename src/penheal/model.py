@@ -17,7 +17,9 @@ a list of pairs, as host-model ``credentials`` are written. A float field
 accepts a JSON integer, but no number is read from a string (``"4"`` or a
 ``${VAR}`` reference), and an int field refuses floats and booleans. A
 missing field takes its default or raises ``KeyError``; unknown keys are
-ignored. Any other mismatch raises ``ValueError`` naming the field.
+ignored. Any other mismatch raises ``ValueError`` naming the field. Input
+is parsed by :func:`load_json`, so JSON nested too deep to read is a
+``JSONDecodeError`` like any other malformed input.
 
 The run-artifact layout produced by :func:`serialize_run` is the contract
 between CLI invocations.
@@ -56,6 +58,18 @@ def encode(value: Any) -> dict[str, Any]:
 def decode(cls: type, data: Any) -> Any:
     """The ``cls`` value in the JSON object ``data``; KeyError or ValueError if malformed."""
     return (_CODECS.get(cls) or _codec(cls))[1](data)
+
+
+def load_json(text: str, then: Callable[[Any], Any] = lambda data: data) -> Any:
+    """``then`` of the JSON value in ``text``; JSONDecodeError if it is malformed.
+
+    Parsing and ``then`` (the codec, say) recurse once per level of nesting, so a
+    value nested too deep for either is a JSONDecodeError too, not a RecursionError.
+    """
+    try:
+        return then(json.loads(text))
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
 
 
 def _codec(cls: type) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
@@ -478,12 +492,10 @@ def deserialize_run(
     except UnicodeDecodeError as exc:
         raise ArtifactParseError(f"invalid UTF-8: {exc.reason}", exc.start) from exc
     try:
-        doc = json.loads(text)
+        artifact = load_json(text, partial(decode, _Artifact))
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
         raise ArtifactParseError(f"invalid JSON: {exc.msg}", offset) from exc
-    try:
-        artifact = decode(_Artifact, doc)
     except (KeyError, ValueError) as exc:
         raise ArtifactParseError(f"artifact schema error: {exc}") from exc
     return (artifact.plan, list(artifact.findings), list(artifact.recommendations),

@@ -1,16 +1,18 @@
-"""Prompt catalog for every agent role.
+"""Prompt catalog for every agent role, and the one way an agent is asked.
 
-Templates use ``{name}`` placeholders filled by :func:`render_prompt`.
-Substitution is a single pass, so braces inside substituted values are
-left alone. A missing placeholder raises an error naming it.
+Every agent exchange goes through :func:`ask`. Templates use ``{name}``
+placeholders filled by :func:`render_prompt`. Substitution is a single pass,
+so braces inside substituted values are left alone. A missing placeholder
+raises an error naming it. Every correction prompt of the re-ask rule is the
+role's ``retry`` template.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from .gateway import AgentRole
+from .gateway import AgentRole, Gateway, assistant_turn, system_turn, user_turn
 from .model import CVE_NA, CostPolicy, Vulnerability
 
 _PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
@@ -170,6 +172,10 @@ Severity: CVSS base score {score} ({vector}).
 Description: {description}
 Propose the remediation recommendations now."""
 
+ADVISOR_RETRY = """\
+Your reply could not be parsed. Output a numbered list, one recommendation \
+per item, each starting with "<number>. "."""
+
 EVALUATOR_SYSTEM = """\
 You have already discovered these vulnerabilities: {vulns}. If the following \
 remediation approach is adopted, to what extent can it mitigate the risks? \
@@ -223,6 +229,7 @@ TEMPLATES: dict[tuple[AgentRole, str], str] = {
     (AgentRole.ESTIMATOR, "retry"): ESTIMATOR_RETRY,
     (AgentRole.ADVISOR, "system"): ADVISOR_SYSTEM,
     (AgentRole.ADVISOR, "advise"): ADVISOR_ADVISE,
+    (AgentRole.ADVISOR, "retry"): ADVISOR_RETRY,
     (AgentRole.EVALUATOR, "system"): EVALUATOR_SYSTEM,
     (AgentRole.EVALUATOR, "evaluate"): EVALUATOR_EVALUATE,
     (AgentRole.EVALUATOR, "retry"): EVALUATOR_RETRY,
@@ -245,6 +252,29 @@ def render_prompt(role: AgentRole, variables: dict[str, str], kind: str = "syste
         return str(variables[name])
 
     return _PLACEHOLDER.sub(substitute, template)
+
+
+def ask(gateway: Gateway, role: AgentRole, user: str, system: Optional[str] = None,
+        parse: Optional[Callable[[str], tuple[Any, list[str]]]] = None) -> Any:
+    """Ask ``role`` with its catalog system prompt (or ``system``), then ``user``.
+
+    Without ``parse`` the reply is returned as it is. With it, returns
+    ``parse(reply)``: a value, empty or None when the reply is unusable, and
+    warnings. An unusable reply is asked about exactly once more, with the
+    reply and the role's ``retry`` prompt appended (``{error}`` is that
+    attempt's warnings); the warnings of both attempts are returned in order.
+    """
+    history = [system_turn(system or render_prompt(role, {}, "system")), user_turn(user)]
+    reply = gateway.complete(role, history)
+    if parse is None:
+        return reply
+    value, warnings = parse(reply)
+    if not value:
+        retry = render_prompt(role, {"error": "; ".join(warnings)}, "retry")
+        reply = gateway.complete(role, history + [assistant_turn(reply), user_turn(retry)])
+        value, retry_warnings = parse(reply)
+        warnings = warnings + retry_warnings
+    return value, warnings
 
 
 def cost_rules_text(policy: CostPolicy) -> str:

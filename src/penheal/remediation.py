@@ -15,7 +15,7 @@ import re
 from typing import Iterable, NamedTuple, Optional
 
 from . import cvss
-from .gateway import AgentRole, Gateway, assistant_turn, system_turn, user_turn
+from .gateway import AgentRole, Gateway
 from .knapsack import solve_group_knapsack
 from .model import (
     CVE_NA,
@@ -31,6 +31,7 @@ from .model import (
 from .nvd import CveNotFound, FixtureNvdClient, LiveNvdClient, NvdError
 from .prompts import (
     VALUE_RULES_TEXT,
+    ask,
     cost_rules_text,
     format_vulns_inline,
     render_prompt,
@@ -70,44 +71,31 @@ def estimate_vector(
     One re-prompt with the parse error appended, then the documented
     conservative default vector.
     """
-    warnings: list[str] = []
     finding_text = f"{finding.id} on {finding.service}" + (
         f" port {finding.port}" if finding.port is not None else ""
     )
-    history = [
-        system_turn(render_prompt(AgentRole.ESTIMATOR, {}, "system")),
-        user_turn(
-            render_prompt(
-                AgentRole.ESTIMATOR,
-                {"finding": finding_text, "context": context or "(none recorded)"},
-                "estimate",
-            )
-        ),
-    ]
-    for attempt in range(2):
-        reply = gateway.complete(AgentRole.ESTIMATOR, history)
-        vector_text = _first_vector_like_line(reply)
-        try:
-            return cvss.parse_vector(vector_text), warnings
-        except cvss.VectorParseError as exc:
-            warnings.append(f"{finding.key_str}: estimator vector rejected: {exc}")
-            if attempt == 0:
-                history += [
-                    assistant_turn(reply),
-                    user_turn(
-                        render_prompt(AgentRole.ESTIMATOR, {"error": str(exc)}, "retry")
-                    ),
-                ]
-    warnings.append(f"{finding.key_str}: applied conservative default vector")
-    return cvss.parse_vector(cvss.CONSERVATIVE_DEFAULT_VECTOR), warnings
+    variables = {"finding": finding_text, "context": context or "(none recorded)"}
+    metrics, errors = ask(gateway, AgentRole.ESTIMATOR,
+                          render_prompt(AgentRole.ESTIMATOR, variables, "estimate"),
+                          parse=_parse_vector_reply)
+    warnings = [f"{finding.key_str}: estimator vector rejected: {e}" for e in errors]
+    if metrics is None:
+        warnings.append(f"{finding.key_str}: applied conservative default vector")
+        metrics = cvss.parse_vector(cvss.CONSERVATIVE_DEFAULT_VECTOR)
+    return metrics, warnings
 
 
-def _first_vector_like_line(reply: str) -> str:
+def _parse_vector_reply(reply: str) -> tuple[Optional[cvss.CvssMetrics], list[str]]:
+    """The vector in an estimator reply: its first line naming one, else the whole reply."""
+    text = reply.strip()
     for line in reply.splitlines():
         if "CVSS:" in line.upper():
-            start = line.upper().index("CVSS:")
-            return line[start:].strip().strip("'\"`")
-    return reply.strip().strip("'\"`")
+            text = line[line.upper().index("CVSS:"):].strip()
+            break
+    try:
+        return cvss.parse_vector(text.strip("'\"`")), []
+    except cvss.VectorParseError as exc:
+        return None, [str(exc)]
 
 
 def enrich_findings(
@@ -178,35 +166,15 @@ def advise(
     for finding in findings:
         score = finding.cvss.base_score if finding.cvss else 0.0
         vector = finding.cvss.vector_string() if finding.cvss else "unknown"
-        history = [
-            system_turn(render_prompt(AgentRole.ADVISOR, {}, "system")),
-            user_turn(
-                render_prompt(
-                    AgentRole.ADVISOR,
-                    {
-                        "finding": finding.key_str,
-                        "score": f"{score}",
-                        "vector": vector,
-                        "description": finding.description or "(no description)",
-                    },
-                    "advise",
-                )
-            ),
-        ]
-        items: list[str] = []
-        for attempt in range(2):
-            reply = gateway.complete(AgentRole.ADVISOR, history)
-            items = parse_numbered_list(reply)
-            if items:
-                break
-            if attempt == 0:
-                history += [
-                    assistant_turn(reply),
-                    user_turn(
-                        "Your reply could not be parsed. Output a numbered list, "
-                        'one recommendation per item, each starting with "<number>. ".'
-                    ),
-                ]
+        variables = {
+            "finding": finding.key_str,
+            "score": f"{score}",
+            "vector": vector,
+            "description": finding.description or "(no description)",
+        }
+        items, _ = ask(gateway, AgentRole.ADVISOR,
+                       render_prompt(AgentRole.ADVISOR, variables, "advise"),
+                       parse=lambda reply: (parse_numbered_list(reply), []))
         if not items:
             warnings.append(f"{finding.key_str}: advisor output unparseable, group dropped")
             continue
@@ -305,16 +273,14 @@ class EvaluatorContext:
     """
 
     def __init__(self, findings: list[Vulnerability], policy: CostPolicy):
-        self.system = system_turn(
-            render_prompt(
-                AgentRole.EVALUATOR,
-                {
-                    "vulns": format_vulns_inline(findings),
-                    "value_def": VALUE_RULES_TEXT,
-                    "cost_def": cost_rules_text(policy),
-                },
-                "system",
-            )
+        self.system = render_prompt(
+            AgentRole.EVALUATOR,
+            {
+                "vulns": format_vulns_inline(findings),
+                "value_def": VALUE_RULES_TEXT,
+                "cost_def": cost_rules_text(policy),
+            },
+            "system",
         )
         self.by_key: dict[str, Vulnerability] = {}
         self.by_id: dict[str, Vulnerability] = {}
@@ -350,32 +316,18 @@ def evaluate(
     rationale and (possibly widened) target list filled in.
     """
     context = context or EvaluatorContext(findings, policy)
-    warnings: list[str] = []
-    history = [
-        context.system,
-        user_turn(
-            render_prompt(
-                AgentRole.EVALUATOR,
-                {"recommendation": recommendation.text},
-                "evaluate",
-            )
-        ),
-    ]
-    verdict: Optional[EvaluationVerdict] = None
-    reply = ""
-    for attempt in range(2):
-        reply = gateway.complete(AgentRole.EVALUATOR, history)
+
+    def parse(reply: str) -> tuple[Optional[tuple[EvaluationVerdict, str]], list[str]]:
         try:
-            verdict = parse_evaluation(reply, policy)
-            break
+            return (parse_evaluation(reply, policy), reply.strip()), []
         except RemediationError as exc:
-            warnings.append(str(exc))
-            if attempt == 0:
-                history += [
-                    assistant_turn(reply),
-                    user_turn(render_prompt(AgentRole.EVALUATOR, {}, "retry")),
-                ]
-    if verdict is None:
+            return None, [str(exc)]
+
+    variables = {"recommendation": recommendation.text}
+    parsed, warnings = ask(gateway, AgentRole.EVALUATOR,
+                           render_prompt(AgentRole.EVALUATOR, variables, "evaluate"),
+                           system=context.system, parse=parse)
+    if parsed is None:
         warnings.append(
             f"evaluation failed twice; defaulting to zero value, moderate cost"
         )
@@ -388,6 +340,7 @@ def evaluate(
             warnings,
         )
 
+    verdict, rationale = parsed
     target_keys = list(recommendation.target_vuln_ids)
     extra, unknown = context.resolve(verdict.extra_target_keys)
     for f in extra:
@@ -404,7 +357,7 @@ def evaluate(
             cost=verdict.cost,
             value=value,
             target_vuln_ids=tuple(target_keys),
-            rationale=reply.strip(),
+            rationale=rationale,
         ),
         warnings,
     )

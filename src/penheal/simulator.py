@@ -13,13 +13,12 @@ alternative hosts can be authored in the same dialect.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .engine import Command, CommandChannel
-from .model import Vulnerability, decode
+from .model import Vulnerability, decode, load_json
 
 EFFECT_SHELL = "shell"
 EFFECT_ROOT_SHELL = "root-shell"
@@ -102,7 +101,7 @@ def load_host_model(path: Optional[str | Path] = None) -> HostModel:
         source = resources.files("penheal.data").joinpath("hosts/metasploitable2.json")
     else:
         source = Path(path)
-    host = decode(HostModel, json.loads(source.read_text(encoding="utf-8")))
+    host = decode(HostModel, load_json(source.read_text(encoding="utf-8")))
     ports = [s.port for s in host.services]
     if len(ports) != len(set(ports)):
         raise ValueError("host model has duplicate service ports")

@@ -13,7 +13,7 @@ from penheal.backends import ShellBackend
 from penheal.cli import _chat_gateway, _executor, _nvd_client, main
 from penheal.engine import BackendUnreachableError
 from penheal.gateway import AgentRole, Gateway, LiveBackend, ScriptedBackend
-from penheal.model import AttackPlan, Vulnerability, deserialize_run, serialize_run
+from penheal.model import AttackPlan, Vulnerability, decode, deserialize_run, serialize_run
 from penheal.nvd import FixtureNvdClient
 from penheal.simulator import ground_truth
 
@@ -77,6 +77,13 @@ class TestRun:
             "run", "--config", str(config_path), "--out", str(tmp_path / "out")
         )
         assert code == 0
+
+    def test_role_models_as_pairs(self, tmp_path, no_network):
+        """The gateway takes the validated role models, which may be a list of pairs."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"target_address": "10.0.2.4", "mode": "hermetic",
+                                           "role_models": [["planner", "gpt-4"]]}))
+        assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 0
 
     def test_missing_env_variable_is_fatal(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -355,6 +362,50 @@ class TestBadInputsFailFirst:
         assert run_cli(command, "--config", str(config), "--out", str(tmp_path / "out")) == 1
         assert message in fatal_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key, value", [
+        ("out_dir", 5), ("mode", ["live"]), ("fixtures", 5), ("kb_dir", True), ("truth", {}),
+        ("host_model", 5), ("llm", "x"), ("llm", {"base_url": 5}), ("nvd", None),
+        ("nvd", {"cache_dir": 5}),
+    ])
+    @pytest.mark.parametrize("command", ["run", "pentest", "remediate"])
+    def test_mistyped_cli_key(self, tmp_path, capsys, monkeypatch, command, key, value):
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        monkeypatch.chdir(tmp_path)  # a rejected out_dir must not be created anywhere
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"target_address": "10.0.2.4", key: value}))
+        artifact = tmp_path / "artifact.json"
+        artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
+        argv = [command, str(artifact)] if command == "remediate" else [command]
+        assert run_cli(*argv, "--config", str(config)) == 1
+        assert f"invalid configuration: CliSettings.{key}" in fatal_line(capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "config.json"]
+
+    @pytest.mark.parametrize("site", ["config", "config-interpolation", "truth", "fixtures",
+                                      "host_model", "remediate", "score", "replay"])
+    def test_deeply_nested_json(self, tmp_path, capsys, monkeypatch, no_network, site):
+        """JSON nested too deep to read is a parse error, never a RecursionError."""
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"target_address": "10.0.2.4", "mode": "hermetic",
+                                      "host_model": str(deep)}))
+        parseable = tmp_path / "parseable.json"  # but too deep for the ${VAR} interpolation
+        parseable.write_text('{"x": ' + "[" * 500 + "]" * 500 + "}")
+        out = ["--target", "10.0.2.4", "--mode", "hermetic", "--out", str(tmp_path / "out")]
+        argv = {
+            "config": ["run", "--config", str(deep)],
+            "config-interpolation": ["run", "--config", str(parseable)],
+            "truth": ["run", *out, "--truth", str(deep)],
+            "fixtures": ["run", *out, "--fixtures", str(deep)],
+            "host_model": ["run", "--config", str(config), "--out", str(tmp_path / "out")],
+            "remediate": ["remediate", str(deep), *out],
+            "score": ["score", str(deep)],
+            "replay": ["replay", str(deep)],
+        }[site]
+        assert run_cli(*argv) == 1
+        assert "nesting too deep" in fatal_line(capsys.readouterr().err)
+
     def test_missing_kb(self, tmp_path, capsys, monkeypatch, no_network):
         monkeypatch.setattr(Gateway, "complete", _refuse)
         kb = tmp_path / "no-such-index"
@@ -378,8 +429,9 @@ class _VanishingHost:
 def _scripted_stage(monkeypatch, scripts, backend):
     """Make the CLI's model and command stages the given stubs."""
     monkeypatch.setattr(cli, "_chat_gateway",
-                        lambda doc, out_dir: (Gateway(ScriptedBackend(scripts)), "scripted"))
-    monkeypatch.setattr(cli, "_executor", lambda doc: (backend, None))
+                        lambda settings, role_models, out_dir:
+                        (Gateway(ScriptedBackend(scripts)), "scripted"))
+    monkeypatch.setattr(cli, "_executor", lambda settings: (backend, None))
 
 
 class TestStageFailuresAndWarnings:
@@ -479,11 +531,12 @@ def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):
 
 def test_live_mode_assembly(tmp_path, no_network):
     """Live assembly builds the shell backend and a recording gateway, and connects nowhere."""
-    doc = {"mode": "live", "llm": {"base_url": "http://127.0.0.1:9/v1"}, "nvd": {"mode": "fixture"}}
-    gateway, transcript_ref = _chat_gateway(doc, tmp_path)
-    backend, _ = _executor(doc)
+    settings = decode(cli.CliSettings, {"mode": "live", "llm": {"base_url": "http://127.0.0.1:9/v1"},
+                                        "nvd": {"mode": "fixture"}})
+    gateway, transcript_ref = _chat_gateway(settings, (), tmp_path)
+    backend, _ = _executor(settings)
     assert isinstance(gateway.backend, LiveBackend)
     assert transcript_ref == str(tmp_path / "transcript.jsonl")
     assert (tmp_path / "transcript.jsonl").read_text() == ""  # record mode starts it empty
     assert isinstance(backend, ShellBackend)
-    assert isinstance(_nvd_client(doc, tmp_path), FixtureNvdClient)
+    assert isinstance(_nvd_client(settings, tmp_path), FixtureNvdClient)

@@ -117,6 +117,12 @@ class TestRecordReplay:
         with pytest.raises(GatewayError):
             replay_mode(garbled)
 
+    def test_deeply_nested_line_is_unreadable(self, tmp_path):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "\n")
+        with pytest.raises(GatewayError, match="line 1 is unreadable: nesting too deep"):
+            Transcript.load(deep)
+
     def test_record_preserves_order_under_interleaved_roles(self, tmp_path):
         path = tmp_path / "t.jsonl"
         backend = ScriptedBackend(

@@ -198,6 +198,16 @@ class TestArtifactRoundTrip:
         with pytest.raises(ArtifactParseError):
             deserialize_run(b"\xff\xfe{}")
 
+    @pytest.mark.parametrize("raw", [
+        b"[" * 100_000,  # too deep for json.loads
+        (b'{"artifact_version": 1, "run_id": "", "created_at": "", "transcript_ref": "",'
+         b' "plan": {"roots": [' + b'{"id": "1", "description": "x", "children": [' * 400
+         + b"]}" * 400 + b"]}}"),  # parses, but a 400-level plan is too deep for the codec
+    ], ids=["lists", "plan"])
+    def test_deep_nesting_is_a_parse_error(self, raw):
+        with pytest.raises(ArtifactParseError, match="nesting too deep"):
+            deserialize_run(raw)
+
 
 def _leaf_paths(node, path=()):
     """Paths to every scalar, empty list and empty object of a JSON document."""
