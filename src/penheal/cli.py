@@ -17,13 +17,14 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import gateway as gw, remediation, scoring
 from .model import (
     AggregationMode,
     ArtifactParseError,
     AttackPlan,
+    CliSettings,
     RunConfig,
     Vulnerability,
     decode,
@@ -31,7 +32,7 @@ from .model import (
     load_json,
     serialize_run,
 )
-from .nvd import NVD_BASE_URL, FixtureNvdClient, LiveNvdClient
+from .nvd import FixtureNvdClient, LiveNvdClient
 
 if TYPE_CHECKING:  # at run time, each command imports only those it uses
     from . import engine, knowledge, simulator
@@ -45,31 +46,6 @@ _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 class ConfigError(Exception):
     pass
-
-
-class LlmSettings(NamedTuple):
-    base_url: str = ""
-    api_key: Optional[str] = None
-
-
-class NvdSettings(NamedTuple):
-    mode: str = "live"  # or "fixture"
-    fixture_dir: Optional[str] = None
-    cache_dir: Optional[str] = None  # default: nvd-cache in the out dir
-    base_url: str = NVD_BASE_URL
-
-
-class CliSettings(NamedTuple):
-    """The config keys the CLI reads itself; the RunConfig fields are the others."""
-
-    mode: str = "hermetic"  # or "live"
-    out_dir: str = "out"
-    fixtures: Optional[str] = None
-    kb_dir: Optional[str] = None
-    truth: Optional[str] = None
-    host_model: Optional[str] = None
-    llm: LlmSettings = LlmSettings()
-    nvd: NvdSettings = NvdSettings()
 
 
 def _interpolate_env(value):

@@ -126,7 +126,7 @@ class ExecutorBackend(Protocol):
 # ---------------------------------------------------------------------------
 
 _PLAN_LINE = re.compile(
-    r"^\s*(\d+(?:\.\d+)*)\.?\s+(.+?)\s*"
+    r"^\s*(\d+(?:\.\d+)*)\.?\s+(\S.*?)\s*"
     r"\[(to-do|to do|todo|completed|done|failed)\]"
     r"\s*(?:-\s*result:\s*(.*?))?\s*$",
     re.IGNORECASE,
@@ -501,10 +501,11 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
         port_text = attrs.get("port", "")
         if port_text:
             digits = re.search(r"\d+", port_text)
-            if digits and 0 <= int(digits.group(0)) <= 65535:
-                port = int(digits.group(0))
+            number = digits.group(0).lstrip("0") if digits else ""
+            if digits and len(number) <= 5 and int(number or 0) <= 65535:  # int() caps digits
+                port = int(number or 0)
             else:
-                warnings.append(f"unparseable port {port_text!r} for {vuln_id}")
+                warnings.append(f"unparseable port {port_text[:60]!r} for {vuln_id}")
         findings.append(
             Vulnerability(
                 id=vuln_id,

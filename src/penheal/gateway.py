@@ -6,6 +6,10 @@ pluggable: a live OpenAI-compatible HTTP backend, a deterministic replay
 backend serving recorded exchanges, and a scripted backend for tests.
 Every exchange lands in an append-only transcript; in record mode the
 transcript is persisted as JSON lines and can later drive a replay run.
+
+A request is keyed by :func:`request_hash`. The hash state after a request's
+first (system) turn is cached per distinct turn, so the system turn the
+evaluator repeats for every candidate is escaped and hashed only once.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import os
 import threading
 import time
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Protocol
 
@@ -90,23 +95,39 @@ def assistant_turn(content: str) -> ChatTurn:
 
 
 def request_hash(role: AgentRole, messages: list[ChatTurn]) -> str:
-    """Stable content hash keying a request for record/replay."""
+    """Stable content hash keying a request for record/replay.
+
+    The sha256 hex digest of ``{"messages":[[tag,content],...],"role":role}``
+    written as ``json.dumps(..., sort_keys=True, ensure_ascii=True,
+    separators=(",", ":"))`` would write it.
+    """
     return _request_hash(role, tuple(messages))
+
+
+# Distinct first (system) turns whose hash state is kept; a run has a few dozen.
+FIRST_TURN_STATES = 64
 
 
 # In replay the backend and then the gateway hash the same request: one entry serves both.
 @functools.lru_cache(maxsize=1)
 def _request_hash(role: AgentRole, messages: tuple[ChatTurn, ...]) -> str:
-    payload = json.dumps(
-        {
-            "role": role.value,
-            "messages": [[t.role_tag.value, t.content] for t in messages],
-        },
-        sort_keys=True,
-        ensure_ascii=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if not messages:
+        state = hashlib.sha256(b'{"messages":[')
+    else:  # a copy: the cached state is never updated
+        state = _first_turn_state(messages[0]).copy()
+    tail = "".join(["," + _turn_json(t) for t in messages[1:]])
+    state.update(f'{tail}],"role":{_escape(role.value)}}}'.encode("ascii"))
+    return state.hexdigest()
+
+
+@functools.lru_cache(maxsize=FIRST_TURN_STATES)
+def _first_turn_state(turn: ChatTurn):
+    """The hash state after the payload's opening and its first turn."""
+    return hashlib.sha256(b'{"messages":[' + _turn_json(turn).encode("ascii"))
+
+
+def _turn_json(turn: ChatTurn) -> str:
+    return f"[{_escape(turn.role_tag.value)},{_escape(turn.content)}]"
 
 
 class Exchange(NamedTuple):

@@ -37,6 +37,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
 CVE_NA = "CVE-NA"
+NVD_BASE_URL = "https://services.nvd.nist.gov/rest/json/cves/2.0"
 
 RESULT_SUMMARY_MAX = 500
 
@@ -376,6 +377,33 @@ class RunConfig(NamedTuple):
             raise ValueError("max_iterations must be >= 1")
         if self.retrieval_k < 1:
             raise ValueError("retrieval_k must be >= 1")
+
+
+# The settings types live here, not in the CLI module: the codec reads the names in a
+# value type's module, and a profiler running the CLI as __main__ takes that slot.
+class LlmSettings(NamedTuple):
+    base_url: str = ""
+    api_key: Optional[str] = None
+
+
+class NvdSettings(NamedTuple):
+    mode: str = "live"  # or "fixture"
+    fixture_dir: Optional[str] = None
+    cache_dir: Optional[str] = None  # default: nvd-cache in the out dir
+    base_url: str = NVD_BASE_URL
+
+
+class CliSettings(NamedTuple):
+    """The config keys the CLI reads itself; the RunConfig fields are the others."""
+
+    mode: str = "hermetic"  # or "live"
+    out_dir: str = "out"
+    fixtures: Optional[str] = None
+    kb_dir: Optional[str] = None
+    truth: Optional[str] = None
+    host_model: Optional[str] = None
+    llm: LlmSettings = LlmSettings()
+    nvd: NvdSettings = NvdSettings()
 
 
 for _value_type in (TaskNode, AttackPlan, CvssMetrics, Vulnerability, Recommendation,

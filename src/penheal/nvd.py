@@ -9,7 +9,6 @@ calculator, so a record whose vector and score disagree is rejected.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from importlib import resources
@@ -17,9 +16,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from . import cvss
-from .model import CVE_PATTERN, CvssMetrics
+from .model import CVE_PATTERN, NVD_BASE_URL, CvssMetrics, load_json
 
-NVD_BASE_URL = "https://services.nvd.nist.gov/rest/json/cves/2.0"
 NVD_API_KEY_ENV = "PENHEAL_NVD_API_KEY"
 
 
@@ -37,6 +35,18 @@ class CveRecord(NamedTuple):
     vector_string: str
     metrics: CvssMetrics
     source_timestamp: str
+
+
+def _parse_record(cve_id: str, text: str) -> CveRecord:
+    """The record in the text of an NVD API response.
+
+    Raises CveNotFound if it lists no vulnerability, and NvdError naming the CVE
+    if it is not JSON, is not shaped like a response or carries a bad vector.
+    """
+    try:
+        return _record_from_api_doc(cve_id, load_json(text))
+    except (AttributeError, TypeError, LookupError, ValueError) as exc:  # ValueError: JSON, vector
+        raise NvdError(f"{cve_id}: unreadable record: {type(exc).__name__}: {exc}") from None
 
 
 def _record_from_api_doc(cve_id: str, doc: dict) -> CveRecord:
@@ -95,7 +105,7 @@ class FixtureNvdClient:
         raw = self._read(cve_id)
         if raw is None:
             raise CveNotFound(cve_id)
-        return _record_from_api_doc(cve_id, json.loads(raw))
+        return _parse_record(cve_id, raw)
 
 
 class LiveNvdClient:
@@ -122,13 +132,13 @@ class LiveNvdClient:
         cve_id = _validated_id(cve_id)
         cached = self.cache_dir / f"{cve_id}.json"
         if cached.exists():
-            return _record_from_api_doc(cve_id, json.loads(cached.read_text(encoding="utf-8")))
-        doc = self._fetch(cve_id)
-        record = _record_from_api_doc(cve_id, doc)  # validate before caching
-        cached.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+            return _parse_record(cve_id, cached.read_text(encoding="utf-8"))
+        text = self._fetch(cve_id)
+        record = _parse_record(cve_id, text)  # validate before caching
+        cached.write_text(text, encoding="utf-8")
         return record
 
-    def _fetch(self, cve_id: str) -> dict:
+    def _fetch(self, cve_id: str) -> str:
         import requests  # live only: hermetic runs never pay for the import
 
         headers = {}
@@ -147,7 +157,7 @@ class LiveNvdClient:
                 last_error = f"transport error: {exc}"
             else:
                 if resp.status_code == 200:
-                    return resp.json()
+                    return resp.text
                 if resp.status_code == 404:
                     raise CveNotFound(cve_id)
                 if resp.status_code in (403, 429) or resp.status_code >= 500:

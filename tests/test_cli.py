@@ -1,6 +1,7 @@
 """CLI wiring: subcommands, exit codes, hermetic isolation."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -201,13 +202,17 @@ class TestReplaySubcommand:
     def test_tampered_content_fails_hash_check(self, tmp_path, capsys):
         fixtures = resources.files("penheal.data").joinpath("fixtures/nofind.jsonl")
         lines = fixtures.read_text(encoding="utf-8").splitlines()
-        doc = json.loads(lines[0])
-        doc["messages"][-1]["content"] += " TAMPERED"
-        lines[0] = json.dumps(doc)
-        tampered = tmp_path / "tampered.jsonl"
-        tampered.write_text("\n".join(lines) + "\n")
-        assert run_cli("replay", str(tampered)) == 1
-        assert "hash mismatch" in capsys.readouterr().err
+        with resources.as_file(fixtures) as path:  # hashes every intact first turn first
+            assert run_cli("replay", str(path)) == 0
+        for turn in (-1, 0):  # the last turn, then the system turn
+            doc = json.loads(lines[0])
+            doc["messages"][turn]["content"] += " TAMPERED"
+            tampered = tmp_path / "tampered.jsonl"
+            tampered.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+            assert run_cli("replay", str(tampered)) == 1
+            err = capsys.readouterr().err
+            assert "line 1: hash mismatch" in err
+            assert "1 corrupted exchanges" in err
 
 
 class TestOutputContainment:
@@ -527,6 +532,20 @@ def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):
         (tmp_path / "stage2" / "run-artifact.json").read_bytes()
     )
     assert len(findings) == 6 and recommendations
+
+
+def test_cli_runs_under_the_profiler(tmp_path):
+    """``-m cProfile -m penheal.cli`` runs the CLI as ``__main__`` with the profiler's module
+    in the ``penheal.cli`` slot, so the settings' codec must not look names up there."""
+    argv = [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "p.out"), "-m", "penheal.cli",
+            "run", "--mode", "hermetic", "--target", "10.0.2.4", "--out", str(tmp_path / "out")]
+    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env,
+                            cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "run-artifact.json").is_file()
+    assert (tmp_path / "p.out").is_file()
 
 
 def test_live_mode_assembly(tmp_path, no_network):

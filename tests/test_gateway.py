@@ -1,8 +1,11 @@
 """Gateway behavior: prompt rendering, record/replay, retries, tier routing."""
 
+import hashlib
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +153,76 @@ class TestRecordReplay:
         gateway = Gateway(ScriptedBackend({AgentRole.PLANNER: ["x"]}))
         with pytest.raises(GatewayError):
             gateway.complete(AgentRole.PLANNER, [user_turn("no system")])
+
+
+def _reference_hash(role, messages):
+    """The request hash by its definition: sha256 of the whole payload in one json.dumps."""
+    payload = json.dumps(
+        {"role": role.value, "messages": [[t.role_tag.value, t.content] for t in messages]},
+        sort_keys=True,
+        ensure_ascii=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# Quotes, backslashes, control characters, non-ASCII (BMP and astral) and lone surrogates.
+_TRICKY = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "€",
+                           "\U0001f600", "\ud800", "\udfff", "{", "]", ","])
+_CONTENT = st.text(st.one_of(_TRICKY, st.characters()), min_size=1, max_size=40)
+_TURN = st.builds(ChatTurn, st.sampled_from(RoleTag), _CONTENT)
+
+
+class TestRequestHash:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(AgentRole), st.lists(_TURN, max_size=4))
+    def test_matches_one_shot_payload_hash(self, role, messages):
+        assert request_hash(role, messages) == _reference_hash(role, messages)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(AgentRole), _TURN, st.lists(st.lists(_TURN, max_size=3), min_size=2,
+                                                       max_size=4))
+    def test_shared_first_turn_with_different_later_turns(self, role, first, tails):
+        # The first turn's hash state is reused across these requests: it must never change.
+        for tail in tails + tails[::-1]:
+            messages = [first] + tail
+            assert request_hash(role, messages) == _reference_hash(role, messages)
+
+    def test_threads_sharing_first_turns_get_the_one_shot_hash(self):
+        # The cached first-turn states are shared by every thread; each must copy, never update.
+        firsts = [system_turn(f"system {i} " + "x" * 2000) for i in range(3)]
+        requests = [(role, [first, user_turn(f"task {n}")])
+                    for n in range(40) for role in (AgentRole.ADVISOR, AgentRole.EVALUATOR)
+                    for first in firsts]
+        expected = [_reference_hash(role, messages) for role, messages in requests]
+        results: dict[int, list[str]] = {}
+
+        def work(worker):
+            results[worker] = [request_hash(role, messages) for role, messages in requests]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {w: expected for w in range(6)}
+
+    def test_bundled_fixtures_recompute_their_recorded_hashes(self):
+        for name in ("golden6.jsonl", "nofind.jsonl"):
+            with resources.as_file(
+                resources.files("penheal.data").joinpath(f"fixtures/{name}")
+            ) as path:
+                exchanges = Transcript.load(path).exchanges
+            assert exchanges
+            for e in exchanges:
+                assert request_hash(e.role, list(e.messages)) == e.request_hash
+                assert _reference_hash(e.role, e.messages) == e.request_hash
 
 
 class TestTierRouting:

@@ -18,7 +18,7 @@ from penheal.model import (
     RunConfig,
     Vulnerability,
 )
-from penheal.nvd import CveNotFound, FixtureNvdClient, LiveNvdClient
+from penheal.nvd import CveNotFound, FixtureNvdClient, LiveNvdClient, NvdError
 from penheal.remediation import (
     EvaluationVerdict,
     EvaluatorContext,
@@ -91,6 +91,48 @@ class TestLookup:
         with pytest.raises(Exception) as exc_info:
             FixtureNvdClient(fixture_dir).lookup("CVE-2011-2523")
         assert "does not match" in str(exc_info.value)
+
+
+def _bad_vector_record():
+    doc = json.loads(FixtureNvdClient()._read("CVE-2011-2523"))
+    data = doc["vulnerabilities"][0]["cve"]["metrics"]["cvssMetricV31"][0]["cvssData"]
+    data["vectorString"] = "CVSS:3.1/AV:X/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"
+    return json.dumps(doc)
+
+
+# Record bodies that are not a readable NVD response, each failing a different step.
+UNREADABLE_RECORDS = {
+    "not-json": lambda: "not json",
+    "list": lambda: "[]",
+    "non-object-entry": lambda: '{"vulnerabilities": [5]}',
+    "bad-vector": _bad_vector_record,
+}
+
+
+class TestUnreadableRecord:
+    @pytest.mark.parametrize("body", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS)
+    def test_fixture_client_raises_nvd_error(self, tmp_path, body):
+        (tmp_path / "CVE-2011-2523.json").write_text(body(), encoding="utf-8")
+        with pytest.raises(NvdError, match="CVE-2011-2523"):
+            FixtureNvdClient(tmp_path).lookup("CVE-2011-2523")
+
+    @pytest.mark.parametrize("body", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS)
+    def test_live_client_cached_record_raises_nvd_error(self, tmp_path, body, no_network):
+        (tmp_path / "CVE-2011-2523.json").write_text(body(), encoding="utf-8")
+        client = LiveNvdClient(cache_dir=tmp_path, base_url="http://127.0.0.1:9/none")
+        with pytest.raises(NvdError, match="CVE-2011-2523"):
+            client.lookup("CVE-2011-2523")
+
+    def test_enrich_warns_and_estimates(self, tmp_path):
+        (tmp_path / "CVE-2011-2523.json").write_text("not json", encoding="utf-8")
+        gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
+        findings = [Vulnerability(id="CVE-2011-2523", service="ftp", port=21)]
+        enriched, warnings = enrich_findings(findings, gateway, FixtureNvdClient(tmp_path))
+        assert enriched[0].cvss_source is CvssSource.ESTIMATED
+        assert enriched[0].cvss.base_score == 7.3
+        assert len(warnings) == 1
+        assert warnings[0].startswith("CVE-2011-2523: lookup failed (CVE-2011-2523: unreadable")
+        assert warnings[0].endswith("), estimating")
 
 
 class TestEstimateVector:
