@@ -7,6 +7,10 @@ and the planner updates the plan. Whenever an iteration produces at least
 one new finding, a counterfactual re-planning prompt pushes the planner
 toward unexplored attack paths, and the engine mechanically verifies that
 no task covering an already-found weakness stays to-do.
+
+Every plan change is a merge: the first plan, each planner revision, each
+mechanical mark and the counterfactual pass all fold parsed task lines into
+the plan through ``merge_revision``, which holds the one set of edit rules.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .prompts import ask, format_finding_lines, render_prompt
 
 OUTPUT_CAP = 64 * 1024
 SUMMARY_CAP = 1200
-TRUNCATION_MARKER = "...[truncated]"
 NO_OUTPUT_TEXT = "(no output)"
+NO_RESULT_TEXT = "(no result provided)"
 PARSE_FAILURE_TEXT = "planner-parse-failure"
 TIMEOUT_STATUS = "timeout"
 
@@ -142,13 +146,6 @@ _STATUS_WORDS = {
 }
 
 
-class ParsedPlanLine(NamedTuple):
-    id: str
-    description: str
-    status: TaskStatus
-    result: Optional[str]
-
-
 def render_plan(plan: AttackPlan) -> str:
     """Render a plan as the one-task-per-line format the planner reads and writes."""
     lines = []
@@ -166,8 +163,8 @@ def render_plan(plan: AttackPlan) -> str:
     return "\n".join(lines)
 
 
-def parse_plan_text(text: str) -> list[ParsedPlanLine]:
-    """Extract plan lines from planner output; non-matching lines are ignored."""
+def parse_plan_text(text: str) -> list[TaskNode]:
+    """Extract plan lines as childless tasks; non-matching lines are ignored."""
     parsed = []
     for line in text.splitlines():
         match = _PLAN_LINE.match(line)
@@ -175,107 +172,65 @@ def parse_plan_text(text: str) -> list[ParsedPlanLine]:
             continue
         task_id, description, status_word, result = match.groups()
         parsed.append(
-            ParsedPlanLine(
+            TaskNode(
                 id=task_id,
                 description=description.strip(),
                 status=_STATUS_WORDS[status_word.lower()],
-                result=result.strip() if result else None,
+                result_summary=result.strip() if result else None,
             )
         )
     return parsed
 
 
-def build_plan(lines: list[ParsedPlanLine]) -> tuple[AttackPlan, list[str]]:
-    """Construct a fresh plan from parsed lines, dropping orphans."""
-    return _assemble({}, [], lines)
-
-
-def merge_revision(plan: AttackPlan, lines: list[ParsedPlanLine]) -> tuple[AttackPlan, list[str]]:
-    """Fold a planner revision into an existing plan.
+def merge_revision(plan: AttackPlan, lines: list[TaskNode]) -> tuple[AttackPlan, list[str]]:
+    """Fold parsed task lines into a plan; the one code path that changes a plan.
 
     Existing tasks only ever move to-do -> completed/failed; attempts to
-    revert are ignored. Tasks missing from the revision are kept, new tasks
-    are attached under their parent, orphans are dropped with a warning.
+    revert are ignored with a warning. Tasks missing from the lines are kept.
+    A new task goes under the task whose id is its own minus the last
+    segment, after that task's existing children; orphans are dropped with a
+    warning. Results are clipped, and a settled task without one reads
+    "(no result provided)".
     """
-    seed: dict[str, dict] = {}
-    root_ids: list[str] = []
-
-    def visit(node: TaskNode) -> None:
-        seed[node.id] = {
-            "description": node.description,
-            "status": node.status,
-            "result": node.result_summary,
-            "children": [c.id for c in node.children],
-        }
-        for child in node.children:
-            visit(child)
-
-    for root in plan.roots:
-        visit(root)
-        root_ids.append(root.id)
-    return _assemble(seed, root_ids, lines)
-
-
-def _assemble(
-    seed: dict[str, dict], root_ids: list[str], lines: list[ParsedPlanLine]
-) -> tuple[AttackPlan, list[str]]:
-    nodes = seed
-    roots = list(root_ids)
+    tasks = {n.id: [n.description, n.status, n.result_summary] for n in plan.walk()}
     warnings: list[str] = []
-
     pending = list(lines)
     for _ in range(2):  # second pass catches children listed before their parent
         deferred = []
         for line in pending:
-            if line.id in nodes:
-                entry = nodes[line.id]
-                if entry["status"] is TaskStatus.TODO:
-                    entry["status"] = line.status
-                elif line.status is TaskStatus.TODO:
-                    warnings.append(f"{line.id}: ignored attempt to revert to to-do")
-                elif line.status is not entry["status"]:
-                    warnings.append(f"{line.id}: ignored status change after completion")
-                entry["description"] = line.description
-                if line.result:
-                    entry["result"] = clip_summary(line.result)
+            task = tasks.get(line.id)
+            if task is None:
+                if "." in line.id and line.id.rpartition(".")[0] not in tasks:
+                    deferred.append(line)
+                else:
+                    tasks[line.id] = [line.description, line.status, line.result_summary]
                 continue
-            parent_id = line.id.rsplit(".", 1)[0] if "." in line.id else None
-            if parent_id is not None and parent_id not in nodes:
-                deferred.append(line)
-                continue
-            nodes[line.id] = {
-                "description": line.description,
-                "status": line.status,
-                "result": clip_summary(line.result) if line.result else None,
-                "children": [],
-            }
-            if parent_id is None:
-                roots.append(line.id)
-            else:
-                nodes[parent_id]["children"].append(line.id)
+            if task[1] is TaskStatus.TODO:
+                task[1] = line.status
+            elif line.status is TaskStatus.TODO:
+                warnings.append(f"{line.id}: ignored attempt to revert to to-do")
+            elif line.status is not task[1]:
+                warnings.append(f"{line.id}: ignored status change after completion")
+            task[0] = line.description
+            task[2] = line.result_summary or task[2]
         pending = deferred
-        if not pending:
-            break
-    for line in pending:
-        warnings.append(f"dropped orphan task {line.id} (no parent in plan)")
+    warnings.extend(f"dropped orphan task {line.id} (no parent in plan)" for line in pending)
 
-    for task_id, entry in nodes.items():
-        if entry["status"] is not TaskStatus.TODO and not entry["result"]:
-            entry["result"] = "(no result provided)"
-        if entry["status"] is TaskStatus.TODO:
-            entry["result"] = None
+    children: dict[str, list[str]] = {}  # "" holds the roots
+    for task_id in tasks:
+        parent_id = task_id.rpartition(".")[0]
+        children.setdefault(parent_id if parent_id in tasks else "", []).append(task_id)
 
     def freeze(task_id: str) -> TaskNode:
-        entry = nodes[task_id]
-        return TaskNode(
-            id=task_id,
-            description=entry["description"],
-            status=entry["status"],
-            result_summary=entry["result"],
-            children=tuple(freeze(c) for c in entry["children"]),
-        )
+        description, status, result = tasks[task_id]
+        if status is TaskStatus.TODO:
+            result = None
+        else:
+            result = clip_summary(result) if result else NO_RESULT_TEXT
+        return TaskNode(task_id, description, status, result,
+                        tuple(freeze(c) for c in children.get(task_id, ())))
 
-    return AttackPlan(roots=tuple(freeze(r) for r in roots)), warnings
+    return AttackPlan(tuple(freeze(r) for r in children.get("", ()))), warnings
 
 
 def mark_task(
@@ -287,7 +242,7 @@ def mark_task(
         raise EngineError(f"no task {task_id} in plan")
     if node.status is not TaskStatus.TODO:
         return plan
-    return plan.with_node(node._replace(status=status, result_summary=clip_summary(result)))
+    return merge_revision(plan, [TaskNode(task_id, node.description, status, result)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +293,7 @@ def execute(command: Command, backend: ExecutorBackend) -> tuple[str, Union[int,
         raise
     except Exception as exc:  # spawn failures become records, the loop continues
         return f"execution error: {exc}", -1
-    if len(output) > OUTPUT_CAP:
-        output = output[: OUTPUT_CAP - len(TRUNCATION_MARKER)] + TRUNCATION_MARKER
-    return output, status
+    return clip_summary(output, OUTPUT_CAP), status
 
 
 def summarize(command_text: str, raw_output: str, gateway: Gateway) -> str:
@@ -350,9 +303,7 @@ def summarize(command_text: str, raw_output: str, gateway: Gateway) -> str:
     variables = {"command": command_text, "output": raw_output}
     reply = ask(gateway, AgentRole.SUMMARIZER,
                 render_prompt(AgentRole.SUMMARIZER, variables, "condense"))
-    if len(reply) > SUMMARY_CAP:
-        reply = reply[: SUMMARY_CAP - len(TRUNCATION_MARKER)] + TRUNCATION_MARKER
-    return reply
+    return clip_summary(reply, SUMMARY_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +317,7 @@ def initial_plan(config: RunConfig, gateway: Gateway) -> tuple[AttackPlan, list[
     lines = parse_plan_text(response)
     if not lines:
         raise EngineError("planner produced no parseable initial plan")
-    return build_plan(lines)
+    return merge_revision(AttackPlan(), lines)
 
 
 def select_next_task(plan: AttackPlan, gateway: Gateway) -> str:
@@ -400,13 +351,12 @@ def update_plan(
         )
     merged, warnings = merge_revision(plan, lines)
     target = merged.find(task_id)
-    if target is None or target.status is TaskStatus.TODO:
+    if target.status is TaskStatus.TODO:
         merged = mark_task(merged, task_id, TaskStatus.FAILED, summary or PARSE_FAILURE_TEXT)
         warnings.append(f"{task_id}: planner did not settle the task; marked failed")
-    elif not target.result_summary or target.result_summary == "(no result provided)":
-        merged = merged.with_node(target._replace(
-            result_summary=clip_summary(summary) if summary else "(no result provided)"
-        ))
+    elif target.result_summary == NO_RESULT_TEXT:
+        fill_in = TaskNode(task_id, target.description, target.status, summary)
+        merged = merge_revision(merged, [fill_in])[0]
     return merged, warnings
 
 
@@ -437,26 +387,19 @@ def counterfactual_update(
     response = ask(gateway, AgentRole.PLANNER,
                    render_prompt(AgentRole.PLANNER, variables, "counterfactual"))
     lines = parse_plan_text(response)
-    warnings: list[str] = []
-    if lines:
-        merged, warnings = merge_revision(plan, lines)
-    else:
-        merged = plan
+    merged, warnings = merge_revision(plan, lines)
+    if not lines:
         warnings.append("counterfactual revision unparseable; kept previous plan")
 
-    for node in list(merged.walk()):
+    forced = []
+    for node in merged.walk():
         if node.status is not TaskStatus.TODO:
             continue
-        for finding in findings:
-            if _references_finding(node.description, finding):
-                merged = mark_task(
-                    merged,
-                    node.id,
-                    TaskStatus.COMPLETED,
-                    f"already exploited: {finding.id} on {finding.service} (verified)",
-                )
-                break
-    return merged, warnings
+        finding = next((f for f in findings if _references_finding(node.description, f)), None)
+        if finding is not None:
+            verified = f"already exploited: {finding.id} on {finding.service} (verified)"
+            forced.append(TaskNode(node.id, node.description, TaskStatus.COMPLETED, verified))
+    return merge_revision(merged, forced)[0], warnings
 
 
 # ---------------------------------------------------------------------------

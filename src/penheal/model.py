@@ -243,16 +243,6 @@ class AttackPlan(NamedTuple):
         """Stable fingerprint of (id, status) pairs, used to detect stagnation."""
         return tuple((n.id, n.status.value) for n in self.walk())
 
-    def with_node(self, node: TaskNode) -> "AttackPlan":
-        """Return a new plan with the node of the same id replaced."""
-
-        def rebuild(current: TaskNode) -> TaskNode:
-            if current.id == node.id:
-                return node
-            return current._replace(children=tuple(rebuild(c) for c in current.children))
-
-        return AttackPlan(roots=tuple(rebuild(r) for r in self.roots))
-
 
 class CvssMetrics(NamedTuple):
     """The eight base-metric descriptors plus the derived base score."""

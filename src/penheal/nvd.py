@@ -46,7 +46,11 @@ def _parse_record(cve_id: str, text: str) -> CveRecord:
     try:
         return _record_from_api_doc(cve_id, load_json(text))
     except (AttributeError, TypeError, LookupError, ValueError) as exc:  # ValueError: JSON, vector
-        raise NvdError(f"{cve_id}: unreadable record: {type(exc).__name__}: {exc}") from None
+        raise _unreadable(cve_id, exc) from None
+
+
+def _unreadable(cve_id: str, exc: Exception) -> NvdError:
+    return NvdError(f"{cve_id}: unreadable record: {type(exc).__name__}: {exc}")
 
 
 def _record_from_api_doc(cve_id: str, doc: dict) -> CveRecord:
@@ -93,12 +97,14 @@ class FixtureNvdClient:
         self.fixture_dir = Path(fixture_dir) if fixture_dir else None
 
     def _read(self, cve_id: str) -> Optional[str]:
-        name = f"{cve_id}.json"
-        if self.fixture_dir is not None:
-            path = self.fixture_dir / name
-            return path.read_text(encoding="utf-8") if path.exists() else None
-        bundle = resources.files("penheal.data").joinpath(f"nvd/{name}")
-        return bundle.read_text(encoding="utf-8") if bundle.is_file() else None
+        """The stored record's text, or None if there is none; NvdError if it is not UTF-8."""
+        source = (self.fixture_dir or resources.files("penheal.data") / "nvd") / f"{cve_id}.json"
+        if not source.is_file():
+            return None
+        try:
+            return source.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise _unreadable(cve_id, exc) from None
 
     def lookup(self, cve_id: str) -> CveRecord:
         cve_id = _validated_id(cve_id)
@@ -122,6 +128,7 @@ class LiveNvdClient:
     ):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._cache = FixtureNvdClient(self.cache_dir)
         self.base_url = base_url
         self.api_key = api_key if api_key is not None else os.environ.get(NVD_API_KEY_ENV)
         self.timeout = timeout
@@ -130,12 +137,12 @@ class LiveNvdClient:
 
     def lookup(self, cve_id: str) -> CveRecord:
         cve_id = _validated_id(cve_id)
-        cached = self.cache_dir / f"{cve_id}.json"
-        if cached.exists():
-            return _parse_record(cve_id, cached.read_text(encoding="utf-8"))
+        cached = self._cache._read(cve_id)
+        if cached is not None:
+            return _parse_record(cve_id, cached)
         text = self._fetch(cve_id)
         record = _parse_record(cve_id, text)  # validate before caching
-        cached.write_text(text, encoding="utf-8")
+        (self.cache_dir / f"{cve_id}.json").write_text(text, encoding="utf-8")
         return record
 
     def _fetch(self, cve_id: str) -> str:

@@ -446,29 +446,22 @@ def remediate(
 
     budget = config.budget_per_vuln * len(enriched)
     if config.budget_scope is BudgetScope.PER_VULNERABILITY:
-        final_groups: list[RecommendationGroup] = []
-        selected: list[Recommendation] = []
-        used = 0.0
-        for group in scored_groups:
-            partial = select([group], config.budget_per_vuln)
-            final_groups.extend(partial.groups)
-            selected.extend(partial.selected)
-            used += partial.total_cost
-        return RemediationResult(
-            groups=final_groups,
-            selected=selected,
-            budget=budget,
-            budget_used=round(used, 2),
-            findings=enriched,
-            warnings=warnings,
-        )
-
-    result = select(scored_groups, budget)
+        parts, part_budget = [[g] for g in scored_groups], config.budget_per_vuln
+    else:
+        parts, part_budget = [scored_groups], budget
+    final_groups: list[RecommendationGroup] = []
+    selected: list[Recommendation] = []
+    used = 0.0
+    for part in parts:
+        partial = select(part, part_budget)
+        final_groups.extend(partial.groups)
+        selected.extend(partial.selected)
+        used += partial.total_cost
     return RemediationResult(
-        groups=list(result.groups),
-        selected=list(result.selected),
+        groups=final_groups,
+        selected=selected,
         budget=budget,
-        budget_used=result.total_cost,
+        budget_used=round(used, 2),
         findings=enriched,
         warnings=warnings,
     )

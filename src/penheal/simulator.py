@@ -22,7 +22,6 @@ from .model import Vulnerability, decode, load_json
 
 EFFECT_SHELL = "shell"
 EFFECT_ROOT_SHELL = "root-shell"
-EFFECT_INFO_LEAK = "info-leak"
 
 
 class SimWeakness(NamedTuple):
@@ -169,7 +168,6 @@ def _match_weakness(host: HostModel, command_text: str) -> Optional[SimWeakness]
 def _banner(host: HostModel) -> str:
     return f"[sim] simulated host {host.address} ({host.hostname} profile)"
 
-_SERVICE_DISPLAY = {"domain": "domain", "nfs": "nfs", "http": "http"}
 
 _VULN_SCRIPT_HINTS = {
     "ftp": [
@@ -209,11 +207,10 @@ def _nmap_output(host: HostModel, command_text: str) -> str:
         "PORT     STATE SERVICE     VERSION",
     ]
     for service in host.visible_services():
-        display = _SERVICE_DISPLAY.get(service.name, service.name)
         lines.append(
             f"{service.port}/tcp".ljust(9)
             + "open  "
-            + display.ljust(12)
+            + service.name.ljust(12)
             + service.banner
         )
         if vuln_scripts and service.name in _VULN_SCRIPT_HINTS:

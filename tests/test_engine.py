@@ -19,7 +19,6 @@ from penheal.engine import (
     EngineError,
     IterationLog,
     PlanExhaustedError,
-    build_plan,
     counterfactual_update,
     execute,
     initial_plan,
@@ -36,7 +35,7 @@ from penheal.engine import (
     update_plan,
 )
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend
-from penheal.model import RunConfig, TaskStatus, Vulnerability, validate_plan
+from penheal.model import AttackPlan, RunConfig, TaskStatus, Vulnerability, validate_plan
 from penheal.simulator import SimulatorBackend
 
 
@@ -45,7 +44,7 @@ def gw(scripts):
 
 
 def plan_from(text):
-    plan, warnings = build_plan(parse_plan_text(text))
+    plan, warnings = merge_revision(AttackPlan(), parse_plan_text(text))
     assert not warnings
     return plan
 
@@ -146,7 +145,7 @@ class TestParseCommands:
 class TestPlanText:
     def test_render_parse_round_trip(self):
         lines = parse_plan_text(render_plan(BASIC_PLAN))
-        rebuilt, warnings = build_plan(lines)
+        rebuilt, warnings = merge_revision(AttackPlan(), lines)
         assert rebuilt == BASIC_PLAN
         assert not warnings
 
@@ -166,12 +165,14 @@ class TestPlanText:
         assert len(lines) == 1
 
     def test_orphan_dropped_with_warning(self):
-        plan, warnings = build_plan(parse_plan_text("1 root [to-do]\n9.9 orphan [to-do]"))
+        plan, warnings = merge_revision(
+            AttackPlan(), parse_plan_text("1 root [to-do]\n9.9 orphan [to-do]"))
         assert plan.find("9.9") is None
         assert any("orphan" in w for w in warnings)
 
     def test_child_listed_before_parent_still_attaches(self):
-        plan, warnings = build_plan(parse_plan_text("1.1 child [to-do]\n1 parent [to-do]"))
+        plan, warnings = merge_revision(
+            AttackPlan(), parse_plan_text("1.1 child [to-do]\n1 parent [to-do]"))
         assert plan.find("1.1") is not None
         assert not warnings
 

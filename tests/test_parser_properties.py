@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 from penheal.engine import (
     CommandChannel,
-    build_plan,
     merge_revision,
     parse_commands,
     parse_extractor_blocks,
     parse_plan_text,
     render_plan,
 )
-from penheal.model import RESULT_SUMMARY_MAX, CostPolicy, TaskStatus, validate_plan
+from penheal.model import (
+    RESULT_SUMMARY_MAX,
+    AttackPlan,
+    CostPolicy,
+    TaskStatus,
+    validate_plan,
+)
 from penheal.remediation import RemediationError, parse_evaluation, parse_numbered_list
 
 _TASK_ID = re.compile(r"^\d+(\.\d+)*$")
@@ -124,7 +129,7 @@ def test_parse_plan_text(text):
 @settings(deadline=None)
 @given(_PLAN_TEXT, _PLAN_TEXT)
 def test_merge_revision_keeps_a_plan_valid(base_text, revision_text):
-    base, _ = build_plan(parse_plan_text(base_text))
+    base, _ = merge_revision(AttackPlan(), parse_plan_text(base_text))
     assume(base.roots)
     assert validate_plan(base) == []
     merged, _ = merge_revision(base, parse_plan_text(revision_text))

@@ -100,25 +100,26 @@ def _bad_vector_record():
     return json.dumps(doc)
 
 
-# Record bodies that are not a readable NVD response, each failing a different step.
+# Record files that are not a readable NVD response, each failing a different step.
 UNREADABLE_RECORDS = {
-    "not-json": lambda: "not json",
-    "list": lambda: "[]",
-    "non-object-entry": lambda: '{"vulnerabilities": [5]}',
-    "bad-vector": _bad_vector_record,
+    "not-json": lambda: b"not json",
+    "list": lambda: b"[]",
+    "non-object-entry": lambda: b'{"vulnerabilities": [5]}',
+    "bad-vector": lambda: _bad_vector_record().encode(),
+    "not-utf8": lambda: b"\xff\xfe{}",
 }
 
 
 class TestUnreadableRecord:
     @pytest.mark.parametrize("body", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS)
     def test_fixture_client_raises_nvd_error(self, tmp_path, body):
-        (tmp_path / "CVE-2011-2523.json").write_text(body(), encoding="utf-8")
+        (tmp_path / "CVE-2011-2523.json").write_bytes(body())
         with pytest.raises(NvdError, match="CVE-2011-2523"):
             FixtureNvdClient(tmp_path).lookup("CVE-2011-2523")
 
     @pytest.mark.parametrize("body", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS)
     def test_live_client_cached_record_raises_nvd_error(self, tmp_path, body, no_network):
-        (tmp_path / "CVE-2011-2523.json").write_text(body(), encoding="utf-8")
+        (tmp_path / "CVE-2011-2523.json").write_bytes(body())
         client = LiveNvdClient(cache_dir=tmp_path, base_url="http://127.0.0.1:9/none")
         with pytest.raises(NvdError, match="CVE-2011-2523"):
             client.lookup("CVE-2011-2523")
