@@ -6,10 +6,15 @@ responses, recording every exchange. The recorded transcripts
 (src/penheal/data/fixtures/*.jsonl) are what hermetic runs replay.
 Rerun this script whenever prompts, plan rendering, or the simulator
 output change, then commit the refreshed fixtures.
+
+Usage: python scripts/build_fixtures.py [OUT_DIR]
+OUT_DIR defaults to the bundled fixture directory; the test suite writes
+to a scratch directory and compares the result with the bundled files.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -320,9 +325,10 @@ def nofind_scripts() -> dict[AgentRole, list[str]]:
     }
 
 
-def build(name: str, scripts: dict[AgentRole, list[str]], with_remediation: bool) -> None:
-    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-    out = FIXTURE_DIR / f"{name}.jsonl"
+def build(name: str, scripts: dict[AgentRole, list[str]], with_remediation: bool,
+          out_dir: Path = FIXTURE_DIR) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir / f"{name}.jsonl"
     backend = ScriptedBackend(scripts)
     gateway = record_mode(backend, out)
     config = RunConfig(target_address=TARGET)
@@ -348,12 +354,16 @@ def build(name: str, scripts: dict[AgentRole, list[str]], with_remediation: bool
     leftovers = backend.remaining()
     if leftovers:
         raise SystemExit(f"{name}: unused scripted responses: {leftovers}")
-    print(f"  wrote {out} ({sum(1 for _ in open(out))} exchanges)")
+    print(f"  wrote {out} ({len(out.read_text(encoding='utf-8').splitlines())} exchanges)")
 
 
-def main() -> None:
-    build("golden6", golden6_scripts(), with_remediation=True)
-    build("nofind", nofind_scripts(), with_remediation=False)
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="Regenerate the bundled replay fixtures.")
+    parser.add_argument("out_dir", nargs="?", type=Path, default=FIXTURE_DIR,
+                        help="directory to write the transcripts to (default: %(default)s)")
+    out_dir = parser.parse_args(argv).out_dir
+    build("golden6", golden6_scripts(), with_remediation=True, out_dir=out_dir)
+    build("nofind", nofind_scripts(), with_remediation=False, out_dir=out_dir)
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ import os
 import re
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import gateway as gw, remediation, scoring
 from .model import (
+    DATA_DIR,
     AggregationMode,
     ArtifactParseError,
     AttackPlan,
@@ -82,10 +82,7 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
 
 
 def bundled_fixture_path(name: str) -> Path:
-    with resources.as_file(
-        resources.files("penheal.data").joinpath(f"fixtures/{name}")
-    ) as path:
-        return Path(path)
+    return DATA_DIR / "fixtures" / name
 
 
 def _resolve_fixtures(spec: Optional[str]) -> Path:
@@ -108,7 +105,7 @@ def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
         except (OSError, ValueError, KeyError, knowledge.KnowledgeBaseError) as exc:
             raise ConfigError(f"cannot load knowledge base {kb_dir}: {exc}") from None
     kb = knowledge.KnowledgeBase()
-    corpus = resources.files("penheal.data").joinpath("corpus/pentest_notes.txt")
+    corpus = DATA_DIR / "corpus" / "pentest_notes.txt"
     kb.ingest(corpus.read_text(encoding="utf-8"), doc_id="pentest_notes")
     return kb
 

@@ -6,6 +6,8 @@ pluggable: a live OpenAI-compatible HTTP backend, a deterministic replay
 backend serving recorded exchanges, and a scripted backend for tests.
 Every exchange lands in an append-only transcript; in record mode the
 transcript is persisted as JSON lines and can later drive a replay run.
+The live backend and the live NVD client share one retry loop,
+:func:`send_with_retries`.
 
 A request is keyed by :func:`request_hash`. The hash state after a request's
 first (system) turn is cached per distinct turn, so the system turn the
@@ -23,9 +25,12 @@ import time
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Protocol
 
 from .model import decode, encode, load_json
+
+if TYPE_CHECKING:  # imported at run time by the live clients alone
+    import requests
 
 API_KEY_ENV = "PENHEAL_LLM_API_KEY"
 
@@ -35,7 +40,8 @@ LIGHT_CHAR_BUDGET = 12_000
 DEFAULT_MODELS = {"strong": "gpt-4", "light": "gpt-3.5-turbo"}
 
 MAX_ATTEMPTS = 3
-BACKOFF_SECONDS = 1.0
+BACKOFF_SECONDS = 1.0  # before the second attempt; doubled before each later one
+CHAT_TIMEOUT_SECONDS = 60.0
 
 
 class Tier(Enum):
@@ -183,6 +189,31 @@ class MissingFixtureError(GatewayError):
         self.digest = digest
 
 
+def send_with_retries(send: Callable[[], requests.Response], retry_on: tuple[int, ...],
+                      failure: str, error: type[Exception]) -> requests.Response:
+    """The first response of ``send()`` that is not a transient failure.
+
+    Transient failures are transport errors, HTTP 5xx and the ``retry_on``
+    statuses; after MAX_ATTEMPTS of them, raises ``error`` with the text
+    ``"<failure> after 3 attempts: <last failure>"``.
+    """
+    import requests  # live only: hermetic runs never pay for the import
+
+    last_error = ""
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        try:
+            resp = send()
+        except requests.RequestException as exc:
+            last_error = f"transport error: {exc}"
+        else:
+            if resp.status_code not in retry_on and resp.status_code < 500:
+                return resp
+            last_error = f"HTTP {resp.status_code}"
+        if attempt < MAX_ATTEMPTS:
+            time.sleep(BACKOFF_SECONDS * (2 ** (attempt - 1)))
+    raise error(f"{failure} after {MAX_ATTEMPTS} attempts: {last_error}")
+
+
 class ChatBackend(Protocol):
     def complete(self, role: AgentRole, model: str, messages: list[ChatTurn]) -> str: ...
 
@@ -195,19 +226,9 @@ class LiveBackend:
     variance at the source.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: Optional[str] = None,
-        timeout: float = 60.0,
-        max_attempts: int = MAX_ATTEMPTS,
-        backoff: float = BACKOFF_SECONDS,
-    ):
+    def __init__(self, base_url: str, api_key: Optional[str] = None):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff = backoff
 
     def complete(self, role: AgentRole, model: str, messages: list[ChatTurn]) -> str:
         import requests  # live only: hermetic runs never pay for the import
@@ -224,32 +245,19 @@ class LiveBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        last_error = ""
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                resp = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = f"transport error: {exc}"
-            else:
-                if resp.status_code == 200:
-                    try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, ValueError) as exc:
-                        raise GatewayError(
-                            f"malformed completion response from {url}: {exc}"
-                        ) from exc
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    last_error = f"HTTP {resp.status_code}"
-                else:
-                    raise GatewayError(
-                        f"chat completion failed at {url}: HTTP {resp.status_code} "
-                        f"{resp.text[:200]}"
-                    )
-            if attempt < self.max_attempts:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-        raise GatewayError(
-            f"chat completion failed at {url} after {self.max_attempts} attempts: {last_error}"
+        resp = send_with_retries(
+            lambda: requests.post(url, json=payload, headers=headers,
+                                  timeout=CHAT_TIMEOUT_SECONDS),
+            (429,), f"chat completion failed at {url}", GatewayError,
         )
+        if resp.status_code != 200:
+            raise GatewayError(
+                f"chat completion failed at {url}: HTTP {resp.status_code} {resp.text[:200]}"
+            )
+        try:
+            return resp.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, ValueError) as exc:
+            raise GatewayError(f"malformed completion response from {url}: {exc}") from exc
 
 
 class ReplayBackend:

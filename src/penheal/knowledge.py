@@ -19,12 +19,14 @@ import re
 import sys
 import threading
 from array import array
+from functools import partial
 from itertools import compress, repeat
 from operator import add, ge, mul, truediv
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .gateway import AgentRole
+from .model import decode, encode, load_json
 from .prompts import render_prompt
 
 EMBED_DIM = 512
@@ -43,6 +45,13 @@ class Chunk(NamedTuple):
     doc_id: str
     seq: int
     text: str
+
+
+class IndexMeta(NamedTuple):
+    """The fields of an index's meta.json that a load checks."""
+
+    dimension: int
+    embedder_id: str = DEFAULT_EMBEDDER_ID
 
 
 class Excerpt(NamedTuple):
@@ -182,8 +191,7 @@ class KnowledgeBase:
                 vectors.tofile(fh)
         with open(directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
             for c in chunks:
-                row = {"doc_id": c.doc_id, "seq": c.seq, "text": c.text}
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+                fh.write(json.dumps(encode(c), ensure_ascii=False) + "\n")
         meta = {
             "dimension": EMBED_DIM,
             "embedder_id": self.embedder_id,
@@ -202,23 +210,25 @@ class KnowledgeBase:
         """Read an index saved by ``save``; queries are embedded with ``embedder``.
 
         ``embedder_id`` names ``embedder``'s vector space and must equal the one
-        the index was built with, or the load raises KnowledgeBaseError.
+        the index was built with, or the load raises KnowledgeBaseError. Files
+        that do not decode raise OSError, KeyError or ValueError.
         """
         directory = Path(directory)
-        meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-        if meta["dimension"] != EMBED_DIM:
+        meta = load_json((directory / "meta.json").read_text(encoding="utf-8"),
+                         partial(decode, IndexMeta))
+        if meta.dimension != EMBED_DIM:
             raise KnowledgeBaseError(
-                f"index dimension {meta['dimension']} does not match embedder ({EMBED_DIM})"
+                f"index dimension {meta.dimension} does not match embedder ({EMBED_DIM})"
             )
-        built_with = meta.get("embedder_id", DEFAULT_EMBEDDER_ID)
-        if built_with != embedder_id:
+        if meta.embedder_id != embedder_id:
             raise KnowledgeBaseError(
-                f"index was built with embedder {built_with!r}, not {embedder_id!r}"
+                f"index was built with embedder {meta.embedder_id!r}, not {embedder_id!r}"
             )
         kb = cls(embedder, embedder_id)
+        decode_chunk = partial(decode, Chunk)
         with open(directory / "chunks.jsonl", encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-        kb._vectors = array("d", [0.0]) * (len(rows) * EMBED_DIM)
+            chunks = [load_json(line, decode_chunk) for line in fh if line.strip()]
+        kb._vectors = array("d", [0.0]) * (len(chunks) * EMBED_DIM)
         expected = len(kb._vectors) * kb._vectors.itemsize
         with open(directory / "vectors.bin", "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -226,7 +236,7 @@ class KnowledgeBase:
                 raise KnowledgeBaseError(f"vectors.bin has {size} bytes, expected {expected}")
         if sys.byteorder == "big":
             kb._vectors.byteswap()
-        kb._chunks = [Chunk(doc_id=row["doc_id"], seq=row["seq"], text=row["text"]) for row in rows]
+        kb._chunks = chunks
         return kb
 
 

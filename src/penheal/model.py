@@ -33,7 +33,12 @@ import re
 import sys
 from enum import Enum
 from functools import partial
+from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Optional
+
+# The bundled fixtures, corpus, NVD records and host profile.
+DATA_DIR = Path(__file__).parent / "data"
+BUNDLED_HOST = DATA_DIR / "hosts" / "metasploitable2.json"
 
 CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
 CVE_NA = "CVE-NA"

@@ -1,7 +1,8 @@
 """CVE record lookup against the National Vulnerability Database.
 
-Live mode queries the NVD REST API (``?cveId=<id>``) with retry/backoff and
-an indefinite on-disk cache keyed by CVE id. Fixture mode serves only
+Live mode queries the NVD REST API (``?cveId=<id>``) through the gateway's
+retry loop, :func:`~penheal.gateway.send_with_retries`, and keeps an
+indefinite on-disk cache keyed by CVE id. Fixture mode serves only
 bundled captured responses, which is what the hermetic pipeline uses.
 Either way, the stored base score is re-verified against the local
 calculator, so a record whose vector and score disagree is rejected.
@@ -10,15 +11,15 @@ calculator, so a record whose vector and score disagree is rejected.
 from __future__ import annotations
 
 import os
-import time
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from . import cvss
-from .model import CVE_PATTERN, NVD_BASE_URL, CvssMetrics, load_json
+from .gateway import send_with_retries
+from .model import CVE_PATTERN, DATA_DIR, NVD_BASE_URL, CvssMetrics, load_json
 
 NVD_API_KEY_ENV = "PENHEAL_NVD_API_KEY"
+NVD_TIMEOUT_SECONDS = 30.0
 
 
 class CveNotFound(Exception):
@@ -98,7 +99,7 @@ class FixtureNvdClient:
 
     def _read(self, cve_id: str) -> Optional[str]:
         """The stored record's text, or None if there is none; NvdError if it is not UTF-8."""
-        source = (self.fixture_dir or resources.files("penheal.data") / "nvd") / f"{cve_id}.json"
+        source = (self.fixture_dir or DATA_DIR / "nvd") / f"{cve_id}.json"
         if not source.is_file():
             return None
         try:
@@ -122,18 +123,12 @@ class LiveNvdClient:
         cache_dir: str | Path,
         base_url: str = NVD_BASE_URL,
         api_key: Optional[str] = None,
-        timeout: float = 30.0,
-        max_attempts: int = 3,
-        backoff: float = 1.0,
     ):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._cache = FixtureNvdClient(self.cache_dir)
         self.base_url = base_url
         self.api_key = api_key if api_key is not None else os.environ.get(NVD_API_KEY_ENV)
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff = backoff
 
     def lookup(self, cve_id: str) -> CveRecord:
         cve_id = _validated_id(cve_id)
@@ -148,34 +143,17 @@ class LiveNvdClient:
     def _fetch(self, cve_id: str) -> str:
         import requests  # live only: hermetic runs never pay for the import
 
-        headers = {}
-        if self.api_key:
-            headers["apiKey"] = self.api_key
-        last_error = ""
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                resp = requests.get(
-                    self.base_url,
-                    params={"cveId": cve_id},
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = f"transport error: {exc}"
-            else:
-                if resp.status_code == 200:
-                    return resp.text
-                if resp.status_code == 404:
-                    raise CveNotFound(cve_id)
-                if resp.status_code in (403, 429) or resp.status_code >= 500:
-                    last_error = f"HTTP {resp.status_code}"
-                else:
-                    raise NvdError(f"NVD query for {cve_id} failed: HTTP {resp.status_code}")
-            if attempt < self.max_attempts:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-        raise NvdError(
-            f"NVD query for {cve_id} failed after {self.max_attempts} attempts: {last_error}"
+        headers = {"apiKey": self.api_key} if self.api_key else {}
+        resp = send_with_retries(
+            lambda: requests.get(self.base_url, params={"cveId": cve_id}, headers=headers,
+                                 timeout=NVD_TIMEOUT_SECONDS),
+            (403, 429), f"NVD query for {cve_id} failed", NvdError,
         )
+        if resp.status_code == 404:
+            raise CveNotFound(cve_id)
+        if resp.status_code != 200:
+            raise NvdError(f"NVD query for {cve_id} failed: HTTP {resp.status_code}")
+        return resp.text
 
 
 def _validated_id(cve_id: str) -> str:

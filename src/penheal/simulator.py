@@ -1,24 +1,26 @@
 """Deterministic simulated victim host.
 
-Models the classic intentionally-vulnerable lab VM: ten weakness rows
-reachable through a small command grammar (nmap scans, one-shot msfconsole
-batches, credential attempts, crafted HTTP requests, NFS mounts). The
-simulator is a pure function of (command, state), so pipeline runs against
-it are exactly reproducible. Every output starts with a "[sim]" banner so
-its text can never be confused with a real target.
+A host model lists services, their weaknesses and the commands that reach
+them; the bundled profile models the classic intentionally-vulnerable lab
+VM, with ten weakness rows. Commands follow a small grammar (nmap scans,
+one-shot msfconsole batches, credential attempts, crafted HTTP requests,
+NFS mounts). The simulator is a pure function of (host, command), so
+pipeline runs against it are exactly reproducible. Every output starts
+with a "[sim]" banner so its text can never be confused with a real target.
 
-The host model is declarative JSON; the bundled profile is the default and
-alternative hosts can be authored in the same dialect.
+The host model is declarative JSON; alternative hosts are authored in the
+same dialect as the bundled one. Every host-specific line of output comes
+from the host model: a service's ``vuln_script`` lines, a weakness's
+``output`` lines and the extra ``modules`` that ``search`` lists.
 """
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .engine import Command, CommandChannel
-from .model import Vulnerability, decode, load_json
+from .model import BUNDLED_HOST, Vulnerability, decode, load_json
 
 EFFECT_SHELL = "shell"
 EFFECT_ROOT_SHELL = "root-shell"
@@ -33,6 +35,7 @@ class SimWeakness(NamedTuple):
     description: str
     method: str
     triggers: tuple[str, ...]
+    output: tuple[str, ...] = ()  # printed after the effect lines when it is hit
 
 
 class SimService(NamedTuple):
@@ -41,32 +44,7 @@ class SimService(NamedTuple):
     banner: str = ""
     visible: bool = True
     weaknesses: tuple[SimWeakness, ...] = ()
-
-
-class SimState(NamedTuple):
-    """Exploitation progress; the exploited set only ever grows.
-
-    Entries are weakness row ids: two rows share port 80 with no public
-    CVE, so (port, cve) pairs alone could not tell them apart.
-    """
-
-    exploited: frozenset[str] = frozenset()
-    shells_open: int = 0
-
-    def with_exploit(self, weakness: SimWeakness) -> "SimState":
-        shells = self.shells_open
-        if (
-            weakness.effect in (EFFECT_SHELL, EFFECT_ROOT_SHELL)
-            and weakness.row_id not in self.exploited
-        ):
-            shells += 1
-        return SimState(exploited=self.exploited | {weakness.row_id}, shells_open=shells)
-
-    def exploited_port_cve_pairs(self, host: "HostModel") -> set[tuple[int, str]]:
-        rows = {w.row_id: w for w in host.weakness_rows()}
-        return {
-            (rows[r].canonical_port, rows[r].cve) for r in self.exploited if r in rows
-        }
+    vuln_script: tuple[str, ...] = ()  # printed under its port by nmap --script vuln
 
 
 class HostModel(NamedTuple):
@@ -74,6 +52,7 @@ class HostModel(NamedTuple):
     services: tuple[SimService, ...]
     hostname: str = "victim"
     credentials: tuple[tuple[str, str], ...] = ()
+    modules: tuple[str, ...] = ()  # search lists these besides the module triggers
 
     def visible_services(self) -> list[SimService]:
         return sorted((s for s in self.services if s.visible), key=lambda s: s.port)
@@ -96,10 +75,7 @@ def load_host_model(path: Optional[str | Path] = None) -> HostModel:
     Raises OSError for an unreadable file, KeyError for a missing required
     field and ValueError for any other malformed content.
     """
-    if path is None:
-        source = resources.files("penheal.data").joinpath("hosts/metasploitable2.json")
-    else:
-        source = Path(path)
+    source = BUNDLED_HOST if path is None else Path(path)
     host = decode(HostModel, load_json(source.read_text(encoding="utf-8")))
     ports = [s.port for s in host.services]
     if len(ports) != len(set(ports)):
@@ -169,33 +145,6 @@ def _banner(host: HostModel) -> str:
     return f"[sim] simulated host {host.address} ({host.hostname} profile)"
 
 
-_VULN_SCRIPT_HINTS = {
-    "ftp": [
-        "| ftp-vsftpd-backdoor:",
-        "|   VULNERABLE: vsFTPd version 2.3.4 backdoor",
-        "|     IDs:  CVE:CVE-2011-2523",
-    ],
-    "irc": [
-        "| irc-unrealircd-backdoor:",
-        "|   Looks like a trojaned version of unrealircd (backdoor command execution)",
-        "|     IDs:  CVE:CVE-2010-2075",
-    ],
-    "http": [
-        "| http-sql-injection:",
-        "|   Possible sqli for queries:",
-        "|     /mutillidae/index.php?page=user-info.php&username='%20OR%20'1'%3D'1",
-    ],
-    "telnet": [
-        "| telnet-encryption:",
-        "|   Telnet server does not support encryption; default credentials commonly accepted",
-    ],
-    "nfs": [
-        "| nfs-showmount:",
-        "|   / *",
-    ],
-}
-
-
 def _nmap_output(host: HostModel, command_text: str) -> str:
     vuln_scripts = "--script" in command_text and "vuln" in command_text
     lines = [
@@ -213,22 +162,21 @@ def _nmap_output(host: HostModel, command_text: str) -> str:
             + service.name.ljust(12)
             + service.banner
         )
-        if vuln_scripts and service.name in _VULN_SCRIPT_HINTS:
-            lines.extend(_VULN_SCRIPT_HINTS[service.name])
+        if vuln_scripts:
+            lines.extend(service.vuln_script)
     lines.append("Nmap done: 1 IP address (1 host up) scanned")
     return "\n".join(lines)
 
 
-def _success_output(
-    host: HostModel, weakness: SimWeakness, via_msf: bool, with_banner: bool = True
-) -> str:
-    lines = [_banner(host)] if with_banner else []
+def _success_output(host: HostModel, weakness: SimWeakness, via_msf: bool) -> str:
+    """What hitting the weakness prints; msfconsole prints its own banner first."""
+    lines = [] if via_msf else [_banner(host)]
+    if via_msf and weakness.effect in (EFFECT_SHELL, EFFECT_ROOT_SHELL):
+        lines += [
+            f"[*] {host.address}:{weakness.canonical_port} - Exploit completed",
+            "[*] Command shell session 1 opened",
+        ]
     if weakness.effect == EFFECT_ROOT_SHELL:
-        if via_msf:
-            lines += [
-                f"[*] {host.address}:{weakness.canonical_port} - Exploit completed",
-                "[*] Command shell session 1 opened",
-            ]
         lines += [
             "# whoami",
             "root",
@@ -237,12 +185,7 @@ def _success_output(
             f"Root shell obtained via {weakness.description}.",
         ]
     elif weakness.effect == EFFECT_SHELL:
-        if via_msf:
-            lines += [
-                f"[*] {host.address}:{weakness.canonical_port} - Exploit completed",
-                "[*] Command shell session 1 opened",
-            ]
-        else:
+        if not via_msf:
             lines.append("Login successful.")
         lines += [
             "$ id",
@@ -250,28 +193,8 @@ def _success_output(
             f"Shell access obtained: {weakness.description}.",
         ]
     else:
-        lines += [
-            f"Information disclosed: {weakness.description}.",
-        ]
-        if weakness.row_id == "http-sql-injection":
-            lines += [
-                "username  password",
-                "admin     adminpass",
-                "john      hunter2",
-                "(query returned 2 rows; injection confirmed)",
-            ]
-        elif weakness.row_id == "smtp-open-port":
-            lines += [
-                "220 metasploitable.localdomain ESMTP Postfix (Ubuntu)",
-                "VRFY root",
-                "252 2.0.0 root",
-            ]
-        elif weakness.row_id == "dns-poisoning":
-            lines += [
-                'version.bind. CH TXT "9.4.2"',
-                "BIND 9.4.2 accepts recursive queries and is susceptible to cache poisoning.",
-            ]
-    return "\n".join(lines)
+        lines.append(f"Information disclosed: {weakness.description}.")
+    return "\n".join(lines + list(weakness.output))
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +209,14 @@ def _module_catalog(host: HostModel) -> list[str]:
             for trigger in weakness.triggers:
                 if trigger.startswith(("exploit/", "auxiliary/")):
                     modules.add(trigger)
-    modules.update(
-        {
-            "auxiliary/scanner/telnet/telnet_login",
-            "auxiliary/scanner/ssh/ssh_login",
-            "auxiliary/scanner/mysql/mysql_login",
-            "auxiliary/scanner/postgres/postgres_login",
-            "auxiliary/scanner/smtp/smtp_enum",
-            "auxiliary/scanner/smtp/smtp_version",
-            "auxiliary/admin/smb/samba_symlink_traversal",
-        }
-    )
-    return sorted(modules)
+    return sorted(modules.union(host.modules))
 
 
-def _simulate_msf(host: HostModel, state: SimState, batch: str) -> tuple[str, SimState]:
+def _simulate_msf(host: HostModel, batch: str) -> str:
     lines = [_banner(host), "msf6 >"]
     statements = [s.strip() for part in batch.splitlines() for s in part.split(";") if s.strip()]
     module = ""
     settings: dict[str, str] = {}
-    new_state = state
     for statement in statements:
         lowered = statement.lower()
         if lowered.startswith("search"):
@@ -327,23 +238,20 @@ def _simulate_msf(host: HostModel, state: SimState, batch: str) -> tuple[str, Si
                 settings[parts[1].upper()] = parts[2].strip()
                 lines.append(f"{parts[1].upper()} => {parts[2].strip()}")
         elif lowered in ("exploit", "run", "exploit -j", "run -j"):
-            output, new_state = _run_msf_module(host, new_state, module, settings)
-            lines.append(output)
+            lines.append(_run_msf_module(host, module, settings))
         elif lowered in ("exit", "back", "quit"):
             continue
         else:
             lines.append(f"[-] Unknown command: {statement}")
-    return "\n".join(lines), new_state
+    return "\n".join(lines)
 
 
-def _run_msf_module(
-    host: HostModel, state: SimState, module: str, settings: dict[str, str]
-) -> tuple[str, SimState]:
+def _run_msf_module(host: HostModel, module: str, settings: dict[str, str]) -> str:
     if not module:
-        return "[-] No module selected", state
+        return "[-] No module selected"
     rhost = settings.get("RHOSTS", settings.get("RHOST", ""))
     if rhost != host.address:
-        return f"[-] Exploit failed: could not connect to {rhost or '(unset RHOST)'}", state
+        return f"[-] Exploit failed: could not connect to {rhost or '(unset RHOST)'}"
 
     probe = module.lower()
     username = settings.get("USERNAME", "").lower()
@@ -352,11 +260,8 @@ def _run_msf_module(
         probe += f" {username} {password}"
     weakness = _match_weakness(host, probe)
     if weakness is None:
-        return "[-] Exploit completed, but no session was created.", state
-    return (
-        _success_output(host, weakness, via_msf=True, with_banner=False),
-        state.with_exploit(weakness),
-    )
+        return "[-] Exploit completed, but no session was created."
+    return _success_output(host, weakness, via_msf=True)
 
 
 # ---------------------------------------------------------------------------
@@ -364,40 +269,35 @@ def _run_msf_module(
 # ---------------------------------------------------------------------------
 
 
-def _simulate_shell(host: HostModel, state: SimState, text: str) -> tuple[str, SimState]:
+def _simulate_shell(host: HostModel, text: str) -> str:
     lowered = text.lower()
     first = lowered.split()[0] if lowered.split() else ""
 
     if first == "nmap":
         if host.address in text or "/24" in text:
-            return _nmap_output(host, text), state
-        return f"{_banner(host)}\nNote: Host seems down.", state
+            return _nmap_output(host, text)
+        return f"{_banner(host)}\nNote: Host seems down."
 
     if first == "ping":
         if host.address in text:
             return (
                 f"{_banner(host)}\n64 bytes from {host.address}: icmp_seq=1 ttl=64 "
-                "time=0.4 ms\n1 packets transmitted, 1 received, 0% packet loss",
-                state,
+                "time=0.4 ms\n1 packets transmitted, 1 received, 0% packet loss"
             )
-        return f"{_banner(host)}\nping: no route to host", state
+        return f"{_banner(host)}\nping: no route to host"
 
     if host.address not in text and first not in ("showmount", "mount"):
         return (
             f"{_banner(host)}\nbash: connection attempt ignored: command does not "
-            f"reference the target {host.address}",
-            state,
+            f"reference the target {host.address}"
         )
 
     weakness = _match_weakness(host, lowered)
     if weakness is not None:
-        return _success_output(host, weakness, via_msf=False), state.with_exploit(weakness)
+        return _success_output(host, weakness, via_msf=False)
 
     if first == "showmount":
-        return (
-            f"{_banner(host)}\nExport list for {host.address}:\n/ *",
-            state,
-        )
+        return f"{_banner(host)}\nExport list for {host.address}:\n/ *"
 
     if first in ("ftp", "nc", "ncat", "telnet", "curl", "wget"):
         port = _port_in_command(text)
@@ -409,18 +309,14 @@ def _simulate_shell(host: HostModel, state: SimState, text: str) -> tuple[str, S
         if service is not None:
             return (
                 f"{_banner(host)}\nConnected to {host.address}.\n"
-                f"{service.port}/{service.name} banner: {service.banner}",
-                state,
+                f"{service.port}/{service.name} banner: {service.banner}"
             )
-        return f"{_banner(host)}\nConnection refused", state
+        return f"{_banner(host)}\nConnection refused"
 
     if first in ("ssh", "sshpass", "mysql", "psql"):
-        return (
-            f"{_banner(host)}\nPermission denied (publickey,password).",
-            state,
-        )
+        return f"{_banner(host)}\nPermission denied (publickey,password)."
 
-    return f"{_banner(host)}\nbash: {first or text}: command not found", state
+    return f"{_banner(host)}\nbash: {first or text}: command not found"
 
 
 def _port_in_command(text: str) -> Optional[int]:
@@ -439,21 +335,19 @@ def _service_on_port(host: HostModel, port: Optional[int]) -> Optional[SimServic
     return None
 
 
-def simulate(command: Command, state: SimState, host: Optional[HostModel] = None) -> tuple[str, SimState]:
-    """Run one command against the simulated host; pure in (command, state)."""
+def simulate(command: Command, host: Optional[HostModel] = None) -> str:
+    """The output of one command run against the simulated host."""
     host = host or load_host_model()
     if command.channel is CommandChannel.MSFCONSOLE:
-        return _simulate_msf(host, state, command.raw)
-    return _simulate_shell(host, state, command.raw)
+        return _simulate_msf(host, command.raw)
+    return _simulate_shell(host, command.raw)
 
 
 class SimulatorBackend:
-    """Executor backend adapter holding the evolving simulator state."""
+    """Executor backend adapter over one simulated host."""
 
     def __init__(self, host: Optional[HostModel] = None):
         self.host = host or load_host_model()
-        self.state = SimState()
 
     def run(self, command: Command) -> tuple[str, int]:
-        output, self.state = simulate(command, self.state, self.host)
-        return output, 0
+        return simulate(command, self.host), 0

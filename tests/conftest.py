@@ -23,6 +23,14 @@ def no_network(monkeypatch):
 
 
 @pytest.fixture
+def fast_retries(monkeypatch):
+    """Shrink the live clients' retry backoff from one second to ten milliseconds."""
+    from penheal import gateway
+
+    monkeypatch.setattr(gateway, "BACKOFF_SECONDS", 0.01)
+
+
+@pytest.fixture
 def scripted_gateway():
     """Build a Gateway over per-role scripted response queues."""
     from penheal.gateway import Gateway, ScriptedBackend

@@ -29,7 +29,7 @@ from penheal.remediation import RecommendationGroup, select
 from penheal.model import Recommendation
 from penheal.scoring import overall
 from penheal.model import AggregationMode
-from penheal.simulator import SimState, load_host_model, simulate
+from penheal.simulator import load_host_model, simulate
 from penheal.engine import Command, CommandChannel
 
 DATA = Path(__file__).parent / "data"
@@ -435,23 +435,26 @@ def test_criterion_9_simulator_walkthroughs():
         "php-cgi-injection": [msf(f"use exploit/multi/http/php_cgi_arg_injection; set RHOSTS {target}; exploit")],
     }
 
+    def reached(output):
+        return {w.row_id for w in host.weakness_rows() if w.description in output}
+
     def run_once():
-        state = SimState()
         outputs = []
         for commands in walkthroughs.values():
             assert len(commands) <= 6
-            for command in commands:
-                output, state = simulate(command, state, host)
-                outputs.append(output)
-        return outputs, state
+            outputs.append([simulate(command, host) for command in commands])
+        return outputs
 
-    outputs_a, state_a = run_once()
-    outputs_b, state_b = run_once()
-    assert outputs_a == outputs_b and state_a == state_b  # determinism
-    assert state_a.exploited == {w.row_id for w in host.weakness_rows()}
-    assert len(state_a.exploited) == 10
+    outputs = run_once()
+    assert outputs == run_once()  # determinism
+    # Reachability as the pipeline sees it: the last output names the weakness.
+    assert [reached(o[-1]) for o in outputs] == [{row_id} for row_id in walkthroughs]
+    assert set(walkthroughs) == {w.row_id for w in host.weakness_rows()}
+    assert len(walkthroughs) == 10
+    miss = simulate(msf(f"use exploit/unix/misc/made_up; set RHOSTS {target}; exploit"), host)
+    assert reached(miss) == set()
 
-    scan, _ = simulate(Command(f"nmap -p- {target}"), SimState(), host)
+    scan = simulate(Command(f"nmap -p- {target}"), host)
     ports = {int(m) for m in re.findall(r"^(\d+)/tcp", scan, re.MULTILINE)}
     assert ports == {21, 22, 23, 25, 53, 80, 2049, 3306, 5432, 6667}
     report(9, "10/10 weaknesses reached; scan lists exactly the 10 ports; deterministic")

@@ -417,6 +417,22 @@ class TestBadInputsFailFirst:
         assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
         assert "knowledge base" in fatal_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("damage", ["meta-list", "meta-too-deep", "mistyped-chunk"])
+    def test_bad_kb(self, tmp_path, capsys, monkeypatch, no_network, damage):
+        from penheal.knowledge import KnowledgeBase
+
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        kb = tmp_path / "index"
+        index = KnowledgeBase()
+        index.ingest("Scan the target with nmap before exploiting it.", doc_id="notes")
+        index.save(kb)
+        if damage == "mistyped-chunk":
+            (kb / "chunks.jsonl").write_text('{"doc_id": 5, "seq": 0, "text": ["x"]}\n')
+        else:
+            (kb / "meta.json").write_text("[]" if damage == "meta-list" else "[" * 100_000)
+        assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
+        assert f"cannot load knowledge base {kb}" in fatal_line(capsys.readouterr().err)
+
 
 class _VanishingHost:
     """A command backend whose host disappears after the first command."""

@@ -6,6 +6,7 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -388,17 +389,33 @@ class TestLiveBackend:
         assert request["body"]["temperature"] == 0
         assert request["auth"] == "Bearer k"
 
-    def test_retries_transient_500_then_succeeds(self, stub_server):
+    def test_retries_transient_500_then_succeeds(self, stub_server, fast_retries):
         url, handler = stub_server
         handler.responses = [(500, {}), (200, _completion("recovered"))]
-        backend = LiveBackend(url, api_key="k", backoff=0.01)
+        backend = LiveBackend(url, api_key="k")
         assert backend.complete(AgentRole.PLANNER, "gpt-4", _history()) == "recovered"
         assert len(handler.requests) == 2
 
-    def test_gives_up_after_bounded_attempts(self, stub_server):
+    def test_gives_up_after_bounded_attempts(self, stub_server, fast_retries):
         url, handler = stub_server
         handler.responses = [(500, {}), (500, {}), (500, {})]
-        backend = LiveBackend(url, api_key="k", backoff=0.01)
+        backend = LiveBackend(url, api_key="k")
         with pytest.raises(GatewayError) as exc_info:
             backend.complete(AgentRole.PLANNER, "gpt-4", _history())
         assert "3 attempts" in str(exc_info.value)
+
+
+class TestFixtureRegeneration:
+    def test_build_fixtures_reproduces_bundled_transcripts(self, tmp_path):
+        """Rerunning the fixture builder records the bundled transcripts, apart from ts."""
+        import importlib.util
+
+        script = Path(__file__).resolve().parent.parent / "scripts" / "build_fixtures.py"
+        spec = importlib.util.spec_from_file_location("build_fixtures", script)
+        builder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(builder)
+        builder.main([str(tmp_path)])
+        for name in ("golden6.jsonl", "nofind.jsonl"):
+            rebuilt = Transcript.load(tmp_path / name).exchanges
+            bundled = Transcript.load(builder.FIXTURE_DIR / name).exchanges
+            assert [e._replace(ts="") for e in rebuilt] == [e._replace(ts="") for e in bundled]

@@ -1,6 +1,8 @@
 """Remediation stage: enrichment, advising, evaluation mechanics, selection."""
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -533,46 +535,77 @@ class TestRemediate:
         assert "[Discarded] Shut down the Samba service" in text
 
 
+class _NvdStub(BaseHTTPRequestHandler):
+    """Answers each GET with the next queued status; a 200 carries the bundled record."""
+
+    statuses: list[int] = []
+    hits: list[str] = []
+
+    def do_GET(self):
+        _NvdStub.hits.append(self.path)
+        status = _NvdStub.statuses.pop(0)
+        raw = FixtureNvdClient()._read("CVE-2011-2523").encode() if status == 200 else b""
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def nvd_stub(tmp_path, fast_retries):
+    """A live client querying a local stub server, and the stub."""
+    server = HTTPServer(("127.0.0.1", 0), _NvdStub)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    _NvdStub.statuses, _NvdStub.hits = [], []
+    client = LiveNvdClient(cache_dir=tmp_path / "cache",
+                           base_url=f"http://127.0.0.1:{server.server_port}/rest")
+    yield client, _NvdStub
+    server.shutdown()
+    server.server_close()
+
+
 class TestLiveNvdRetries:
-    def test_rate_limited_then_served(self, tmp_path):
-        import threading
-        from http.server import BaseHTTPRequestHandler, HTTPServer
+    def test_rate_limited_then_served(self, nvd_stub):
+        client, stub = nvd_stub
+        stub.statuses = [429, 200]
+        record = client.lookup("CVE-2011-2523")
+        assert record.metrics.base_score == 9.8
+        assert len(stub.hits) == 2
+        assert "cveId=CVE-2011-2523" in stub.hits[0]
+        # second lookup comes from the disk cache
+        client.lookup("CVE-2011-2523")
+        assert len(stub.hits) == 2
 
-        bundled = FixtureNvdClient()._read("CVE-2011-2523")
+    def test_forbidden_then_served(self, nvd_stub):
+        client, stub = nvd_stub
+        stub.statuses = [403, 200]
+        assert client.lookup("CVE-2011-2523").metrics.base_score == 9.8
+        assert len(stub.hits) == 2
 
-        class Handler(BaseHTTPRequestHandler):
-            hits = []
-
-            def do_GET(self):
-                Handler.hits.append(self.path)
-                if len(Handler.hits) == 1:
-                    self.send_response(429)
-                    self.end_headers()
-                    return
-                raw = bundled.encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(raw)))
-                self.end_headers()
-                self.wfile.write(raw)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            client = LiveNvdClient(
-                cache_dir=tmp_path / "cache",
-                base_url=f"http://127.0.0.1:{server.server_port}/rest",
-                backoff=0.01,
-            )
-            record = client.lookup("CVE-2011-2523")
-            assert record.metrics.base_score == 9.8
-            assert len(Handler.hits) == 2
-            assert "cveId=CVE-2011-2523" in Handler.hits[0]
-            # second lookup comes from the disk cache
+    def test_not_found_is_not_retried(self, nvd_stub):
+        client, stub = nvd_stub
+        stub.statuses = [404]
+        with pytest.raises(CveNotFound):
             client.lookup("CVE-2011-2523")
-            assert len(Handler.hits) == 2
-        finally:
-            server.shutdown()
-            server.server_close()
+        assert len(stub.hits) == 1
+
+    def test_client_error_fails_at_once(self, nvd_stub):
+        client, stub = nvd_stub
+        stub.statuses = [400]
+        with pytest.raises(NvdError) as exc_info:
+            client.lookup("CVE-2011-2523")
+        assert str(exc_info.value) == "NVD query for CVE-2011-2523 failed: HTTP 400"
+        assert len(stub.hits) == 1
+
+    def test_gives_up_after_three_unavailable(self, nvd_stub):
+        client, stub = nvd_stub
+        stub.statuses = [503, 503, 503]
+        with pytest.raises(NvdError) as exc_info:
+            client.lookup("CVE-2011-2523")
+        assert str(exc_info.value) == (
+            "NVD query for CVE-2011-2523 failed after 3 attempts: HTTP 503"
+        )
+        assert len(stub.hits) == 3

@@ -5,13 +5,7 @@ import re
 import pytest
 
 from penheal.engine import Command, CommandChannel
-from penheal.simulator import (
-    SimState,
-    SimulatorBackend,
-    ground_truth,
-    load_host_model,
-    simulate,
-)
+from penheal.simulator import SimulatorBackend, ground_truth, load_host_model, simulate
 
 TARGET = "10.0.2.4"
 EXPECTED_PORTS = {21, 22, 23, 25, 53, 80, 2049, 3306, 5432, 6667}
@@ -76,122 +70,90 @@ class TestGroundTruth:
         assert sorted(i for i in ids if i != "CVE-NA") == ["CVE-2010-2075", "CVE-2011-2523"]
 
 
+def rows_named_in(output, host):
+    """The row ids of the weaknesses whose description the output names."""
+    return {w.row_id for w in host.weakness_rows() if w.description in output}
+
+
 class TestScan:
     def test_full_scan_lists_exactly_the_ten_ports(self, host):
-        output, _ = simulate(Command(f"nmap -p- {TARGET}"), SimState(), host)
+        output = simulate(Command(f"nmap -p- {TARGET}"), host)
         ports = {int(m) for m in re.findall(r"^(\d+)/tcp", output, re.MULTILINE)}
         assert ports == EXPECTED_PORTS
 
     def test_vuln_scripts_expose_cve_hints(self, host):
-        output, _ = simulate(Command(f"nmap --script vuln {TARGET}"), SimState(), host)
+        output = simulate(Command(f"nmap --script vuln {TARGET}"), host)
         assert "CVE-2011-2523" in output
         assert "CVE-2010-2075" in output
         assert "sql-injection" in output
 
     def test_scan_soundness(self, host):
-        output, _ = simulate(Command(f"nmap -sV {TARGET}"), SimState(), host)
+        output = simulate(Command(f"nmap -sV {TARGET}"), host)
         reported = {int(m) for m in re.findall(r"^(\d+)/tcp", output, re.MULTILINE)}
         open_ports = {s.port for s in host.services}
         assert reported <= open_ports
 
-    def test_scan_does_not_change_state(self, host):
-        state = SimState()
-        _, after = simulate(Command(f"nmap -p- {TARGET}"), state, host)
-        assert after == state
-
     def test_wrong_address_seems_down(self, host):
-        output, _ = simulate(Command("nmap -p- 192.168.99.99"), SimState(), host)
+        output = simulate(Command("nmap -p- 192.168.99.99"), host)
         assert "down" in output.lower()
 
 
 class TestExploits:
     def test_usermap_script_opens_session_and_marks_samba(self, host):
-        output, state = simulate(WALKTHROUGHS["samba-symlink"][0], SimState(), host)
+        output = simulate(WALKTHROUGHS["samba-symlink"][0], host)
         assert "Command shell session 1 opened" in output
-        assert "samba-symlink" in state.exploited
-        assert state.shells_open == 1
+        assert rows_named_in(output, host) == {"samba-symlink"}
 
     def test_vsftpd_backdoor_yields_root_shell(self, host):
-        output, state = simulate(WALKTHROUGHS["ftp-backdoor"][0], SimState(), host)
+        output = simulate(WALKTHROUGHS["ftp-backdoor"][0], host)
         assert "uid=0(root)" in output
-        assert "ftp-backdoor" in state.exploited
+        assert rows_named_in(output, host) == {"ftp-backdoor"}
 
     def test_telnet_default_credentials(self, host):
-        output, state = simulate(WALKTHROUGHS["telnet-default-creds"][0], SimState(), host)
-        assert "telnet-default-creds" in state.exploited
-        assert (23, "CVE-NA") in state.exploited_port_cve_pairs(host)
+        output = simulate(WALKTHROUGHS["telnet-default-creds"][0], host)
+        assert "Default credentials accepted on telnet login" in output
 
     def test_wrong_rhost_fails(self, host):
-        output, state = simulate(
-            msf("use exploit/unix/ftp/vsftpd_234_backdoor; set RHOSTS 10.9.9.9; exploit"),
-            SimState(),
-            host,
+        output = simulate(
+            msf("use exploit/unix/ftp/vsftpd_234_backdoor; set RHOSTS 10.9.9.9; exploit"), host
         )
         assert "could not connect" in output
-        assert state.exploited == frozenset()
+        assert rows_named_in(output, host) == set()
 
     def test_wrong_credentials_rejected(self, host):
-        output, state = simulate(
-            Command(f"sshpass -p hunter2 ssh admin@{TARGET}"), SimState(), host
-        )
+        output = simulate(Command(f"sshpass -p hunter2 ssh admin@{TARGET}"), host)
         assert "Permission denied" in output
-        assert state.exploited == frozenset()
+        assert rows_named_in(output, host) == set()
 
     def test_unknown_module_creates_no_session(self, host):
-        output, state = simulate(
-            msf(f"use exploit/unix/misc/made_up; set RHOSTS {TARGET}; exploit"),
-            SimState(),
-            host,
-        )
+        output = simulate(msf(f"use exploit/unix/misc/made_up; set RHOSTS {TARGET}; exploit"), host)
         assert "no session was created" in output
-        assert state.exploited == frozenset()
+        assert rows_named_in(output, host) == set()
 
     def test_unrecognized_shell_command(self, host):
-        output, _ = simulate(Command(f"frobnicate {TARGET}"), SimState(), host)
+        output = simulate(Command(f"frobnicate {TARGET}"), host)
         assert "command not found" in output
-
-    def test_exploited_set_only_grows(self, host):
-        state = SimState()
-        _, state = simulate(WALKTHROUGHS["ftp-backdoor"][0], SimState(), host)
-        before = state.exploited
-        _, state = simulate(Command(f"nmap {TARGET}"), state, host)
-        assert state.exploited >= before
 
 
 class TestWalkthroughs:
     def test_every_weakness_reachable(self, host):
-        state = SimState()
+        assert set(WALKTHROUGHS) == {w.row_id for w in host.weakness_rows()}
         for row_id, commands in WALKTHROUGHS.items():
             assert len(commands) <= 6
-            for command in commands:
-                _, state = simulate(command, state, host)
-            assert row_id in state.exploited, row_id
-        assert state.exploited == {w.row_id for w in host.weakness_rows()}
-        assert len(state.exploited) == 10
+            outputs = [simulate(command, host) for command in commands]
+            assert rows_named_in(outputs[-1], host) == {row_id}, row_id
 
     def test_conservation_against_ground_truth(self, host):
-        state = SimState()
+        truth = {v.description for v in ground_truth(host)}
         for commands in WALKTHROUGHS.values():
-            for command in commands:
-                _, state = simulate(command, state, host)
-        truth_pairs = {(v.port, v.id) for v in ground_truth(host)}
-        assert state.exploited_port_cve_pairs(host) <= truth_pairs
-        assert len(state.exploited) <= 10
+            output = simulate(commands[-1], host)
+            assert len([d for d in truth if d in output]) == 1
 
     def test_determinism_across_repeated_runs(self, host):
         def run_all():
-            state = SimState()
-            outputs = []
-            for commands in WALKTHROUGHS.values():
-                for command in commands:
-                    output, state = simulate(command, state, host)
-                    outputs.append(output)
-            return outputs, state
+            return [simulate(c, host) for commands in WALKTHROUGHS.values() for c in commands]
 
-        first_outputs, first_state = run_all()
-        second_outputs, second_state = run_all()
-        assert first_outputs == second_outputs
-        assert first_state == second_state
+        assert run_all() == run_all()
 
 
 class TestOutputs:
@@ -204,25 +166,24 @@ class TestOutputs:
             msf("search vsftpd"),
         ]
         for command in commands:
-            output, _ = simulate(command, SimState(), host)
+            output = simulate(command, host)
             assert "[sim]" in output.splitlines()[0]
 
     def test_search_lists_known_modules(self, host):
-        output, _ = simulate(msf("search samba"), SimState(), host)
+        output = simulate(msf("search samba"), host)
         assert "exploit/multi/samba/usermap_script" in output
 
     def test_banner_grab(self, host):
-        output, _ = simulate(Command(f"ftp {TARGET}"), SimState(), host)
+        output = simulate(Command(f"ftp {TARGET}"), host)
         assert "vsftpd 2.3.4" in output
 
 
 class TestBackendAdapter:
-    def test_backend_accumulates_state(self, host):
+    def test_backend_returns_simulate_output(self, host):
         backend = SimulatorBackend(host)
-        out1, status1 = backend.run(WALKTHROUGHS["ftp-backdoor"][0])
-        out2, status2 = backend.run(WALKTHROUGHS["irc-backdoor"][0])
-        assert status1 == 0 and status2 == 0
-        assert backend.state.exploited == {"ftp-backdoor", "irc-backdoor"}
+        for row_id in ("ftp-backdoor", "irc-backdoor"):
+            command = WALKTHROUGHS[row_id][0]
+            assert backend.run(command) == (simulate(command, host), 0)
 
 
 class TestHostModelLoading:
@@ -274,3 +235,61 @@ class TestHostModelLoading:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_host_model(path)
+
+    def test_custom_model_prints_its_own_text(self, tmp_path):
+        import json
+
+        doc = {
+            "address": "10.1.1.1",
+            "modules": ["auxiliary/scanner/gopher/gopher_enum"],
+            "services": [
+                {
+                    "name": "gopher",
+                    "port": 70,
+                    "banner": "gophernicus 3.1",
+                    "vuln_script": ["| gopher-traversal:", "|   VULNERABLE: selector traversal"],
+                    "weaknesses": [
+                        {
+                            "row_id": "gopher-traversal",
+                            "cve": "CVE-NA",
+                            "effect": "info-leak",
+                            "canonical_service": "gopher",
+                            "canonical_port": 70,
+                            "description": "Selector traversal reads files outside the root",
+                            "method": "crafted selector",
+                            "triggers": ["gopher*../*"],
+                            "output": ["root:x:0:0:root:/root:/bin/sh"],
+                        }
+                    ],
+                }
+            ],
+        }
+        path = tmp_path / "host.json"
+        path.write_text(json.dumps(doc))
+        custom = load_host_model(path)
+        scan = simulate(Command("nmap --script vuln 10.1.1.1"), custom)
+        assert "70/tcp   open  gopher      gophernicus 3.1\n| gopher-traversal:\n" in scan
+        leak = simulate(Command("gopher 10.1.1.1 ../../etc/passwd"), custom)
+        assert leak.endswith(
+            "Information disclosed: Selector traversal reads files outside the root.\n"
+            "root:x:0:0:root:/root:/bin/sh"
+        )
+        search = simulate(msf("search gopher"), custom)
+        assert "0  auxiliary/scanner/gopher/gopher_enum" in search
+
+    def test_custom_model_shows_no_bundled_text(self, tmp_path):
+        import json
+
+        doc = {
+            "address": "10.1.1.1",
+            "services": [{"name": "ftp", "port": 21, "banner": "proftpd 1.3.5"}],
+        }
+        path = tmp_path / "host.json"
+        path.write_text(json.dumps(doc))
+        custom = load_host_model(path)
+        scan = simulate(Command("nmap --script vuln 10.1.1.1"), custom)
+        assert "proftpd 1.3.5" in scan
+        assert "CVE-2011-2523" not in scan and "VULNERABLE" not in scan
+        search = simulate(msf("search login"), custom)
+        assert "_login" not in search
+        assert "No results from search" in search
