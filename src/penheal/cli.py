@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Wires config, backends, the pentest and remediation engines, scoring and
-artifact persistence. ``run`` executes the whole pipeline; ``pentest`` and
-``remediate`` run one stage; ``score`` re-scores artifacts; ``ingest``
-builds a knowledge-base index; ``replay`` verifies a recorded transcript.
+artifact persistence. ``pentest`` and ``remediate`` run one stage, and
+``run`` is ``pentest`` followed by ``remediate``; ``score`` re-scores
+artifacts; ``ingest`` builds a knowledge-base index; ``replay`` verifies a
+recorded transcript. Every fatal condition raises ``Fatal``, which ``main``
+alone reports.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ EXIT_PARTIAL = 2
 _ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
-class ConfigError(Exception):
-    pass
+class Fatal(Exception):
+    """Ends the command; ``main`` prints it as the one ``fatal:`` line and exits 1."""
 
 
 def _interpolate_env(value):
@@ -54,7 +56,7 @@ def _interpolate_env(value):
         def repl(match):
             name = match.group(1)
             if name not in os.environ:
-                raise ConfigError(f"environment variable {name} is not set")
+                raise Fatal(f"environment variable {name} is not set")
             return os.environ[name]
         return _ENV_REF.sub(repl, value)
     if isinstance(value, dict):
@@ -70,11 +72,11 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
         try:
             doc = load_json(Path(path).read_text(encoding="utf-8"), _interpolate_env)
         except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+            raise Fatal(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+            raise Fatal(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise Fatal("config root must be a JSON object")
     for key, value in overrides.items():
         if value is not None:
             doc[key] = value
@@ -92,7 +94,7 @@ def _resolve_fixtures(spec: Optional[str]) -> Path:
     if path.is_dir():
         path = path / "transcript.jsonl"
     if not path.exists():
-        raise ConfigError(f"fixtures transcript not found: {path}")
+        raise Fatal(f"fixtures transcript not found: {path}")
     return path
 
 
@@ -103,7 +105,7 @@ def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
         try:
             return knowledge.KnowledgeBase.load(kb_dir)
         except (OSError, ValueError, KeyError, knowledge.KnowledgeBaseError) as exc:
-            raise ConfigError(f"cannot load knowledge base {kb_dir}: {exc}") from None
+            raise Fatal(f"cannot load knowledge base {kb_dir}: {exc}") from None
     kb = knowledge.KnowledgeBase()
     corpus = DATA_DIR / "corpus" / "pentest_notes.txt"
     kb.ingest(corpus.read_text(encoding="utf-8"), doc_id="pentest_notes")
@@ -117,13 +119,13 @@ def _host_model(path: Optional[str]) -> simulator.HostModel:
     try:
         return simulator.load_host_model(path or None)
     except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot load host model {path or '(bundled)'}: {exc}") from None
+        raise Fatal(f"cannot load host model {path or '(bundled)'}: {exc}") from None
 
 
 def _load_truth(path: Optional[str], host_model: Optional[str] = None) -> list[Vulnerability]:
     """The weaknesses in ``path``; by default, the inventory of the host model.
 
-    Raises ConfigError unless that is a non-empty list of findings.
+    Raises Fatal unless that is a non-empty list of findings.
     """
     if not path:
         from . import simulator
@@ -136,9 +138,9 @@ def _load_truth(path: Optional[str], host_model: Optional[str] = None) -> list[V
                 raise ValueError("expected a list of findings")
             truth = [Vulnerability.from_dict(v) for v in doc]
         except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot read ground truth {path}: {exc}") from None
+            raise Fatal(f"cannot read ground truth {path}: {exc}") from None
     if not truth:  # coverage is a fraction of the ground truth
-        raise ConfigError(f"ground truth {path or 'of the host model'} is empty")
+        raise Fatal(f"ground truth {path or 'of the host model'} is empty")
     return truth
 
 
@@ -159,7 +161,7 @@ def _stage_setup(args) -> tuple[CliSettings, RunConfig, Path]:
         config = RunConfig.from_dict(doc)
         config.validate()
     except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}")
+        raise Fatal(f"invalid configuration: {exc}")
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return settings, config, out_dir
@@ -172,9 +174,9 @@ def _chat_gateway(settings: CliSettings, role_models: tuple[tuple[str, str], ...
         fixtures = _resolve_fixtures(settings.fixtures)
         return gw.replay_mode(fixtures, role_models=dict(role_models)), str(fixtures)
     if settings.mode != "live":
-        raise ConfigError(f"unknown mode {settings.mode!r} (expected hermetic or live)")
+        raise Fatal(f"unknown mode {settings.mode!r} (expected hermetic or live)")
     if not settings.llm.base_url:
-        raise ConfigError("live mode requires llm.base_url")
+        raise Fatal("live mode requires llm.base_url")
     live = gw.LiveBackend(settings.llm.base_url, api_key=settings.llm.api_key)
     record_path = out_dir / "transcript.jsonl"
     return gw.record_mode(live, record_path, role_models=dict(role_models)), str(record_path)
@@ -206,46 +208,56 @@ def _write_artifact(out_dir: Path, *parts, run_id: str, transcript_ref: str) -> 
     (out_dir / "run-artifact.json").write_bytes(artifact)
 
 
-def _persist_history(history: engine.PentestHistory, out_dir: Path) -> None:
+def _read_artifact(path: str):
+    """(plan, findings, recommendations, report) from a run artifact."""
+    try:
+        return deserialize_run(Path(path).read_bytes())
+    except (OSError, ArtifactParseError) as exc:
+        raise Fatal(f"cannot read artifact {path}: {exc}") from None
+
+
+def _persist_history(history: list[engine.ExecutionRecord], out_dir: Path) -> None:
     with open(out_dir / "history.jsonl", "w", encoding="utf-8") as fh:
-        for record in history.records:
+        for record in history:
             fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
 
 
-def _discover(settings: CliSettings, config: RunConfig, gateway: gw.Gateway,
-              out_dir: Path) -> Optional[engine.PentestResult]:
-    """Run the pentest stage; None once a fatal error is reported.
+def _pentest_stage(settings: CliSettings, config: RunConfig, gateway: gw.Gateway,
+                   out_dir: Path, transcript_ref: str) -> engine.PentestResult:
+    """Run discovery, then write history.jsonl and the stage-one artifact.
 
-    If the command backend goes away, the partial history is written first.
+    That artifact is what ``remediate`` reads. If the command backend goes
+    away, only the partial history is written.
     """
     from . import engine
 
     backend, kb = _executor(settings)
     try:
-        return engine.run_pentest(config, backend, gateway, kb)
+        pentest = engine.run_pentest(config, backend, gateway, kb)
     except engine.BackendUnreachableError as exc:
-        if exc.history is not None:
-            _persist_history(exc.history, out_dir)
-        print(f"fatal: command backend unreachable: {exc}", file=sys.stderr)
-    except (engine.EngineError, gw.GatewayError) as exc:
-        print(f"fatal: {exc}", file=sys.stderr)
-    return None
+        _persist_history(exc.history, out_dir)
+        raise Fatal(f"command backend unreachable: {exc}") from None
+    except engine.EngineError as exc:
+        raise Fatal(str(exc)) from None
+    _persist_history(pentest.history, out_dir)
+    _write_artifact(out_dir, pentest.plan, pentest.findings, [], None,
+                    run_id=_deterministic_run_id(config.target_address, "pentest"),
+                    transcript_ref=transcript_ref)
+    return pentest
 
 
 def _remediate_and_score(config: RunConfig, gateway: gw.Gateway, nvd_client, out_dir: Path,
                          plan: AttackPlan, findings: list[Vulnerability],
                          truth: list[Vulnerability],
-                         run_id: str, transcript_ref: str) -> Optional[tuple[str, list[str]]]:
+                         run_id: str, transcript_ref: str) -> tuple[str, list[str]]:
     """Remediate and score the findings, then write the artifact.
 
-    Returns the selection report and score table, and the remediation
-    warnings; None once a fatal error is reported.
+    Returns the selection report and score table, and the remediation warnings.
     """
     try:
         rem = remediation.remediate(findings, config, gateway, nvd_client)
     except (remediation.RemediationError, gw.GatewayError) as exc:
-        print(f"fatal: remediation failed: {exc}", file=sys.stderr)
-        return None
+        raise Fatal(f"remediation failed: {exc}") from None
     report = scoring.score_run(findings, truth, rem.selected, mode=config.aggregation_mode,
                                run_id=run_id)
     _write_artifact(out_dir, plan, findings, [c for g in rem.groups for c in g.candidates],
@@ -268,20 +280,16 @@ def _exit_code(warnings: list[str]) -> int:
 
 
 def cmd_run(args) -> int:
+    """The pentest stage, then the remediate stage on its findings."""
     settings, config, out_dir = _stage_setup(args)
     truth = _load_truth(settings.truth, settings.host_model)
     gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
     nvd_client = _nvd_client(settings, out_dir)
-    pentest = _discover(settings, config, gateway, out_dir)
-    if pentest is None:
-        return EXIT_FATAL
+    pentest = _pentest_stage(settings, config, gateway, out_dir, transcript_ref)
     run_id = _deterministic_run_id(config.target_address, settings.mode)
-    done = _remediate_and_score(config, gateway, nvd_client, out_dir, pentest.plan,
-                                pentest.findings, truth, run_id, transcript_ref)
-    if done is None:
-        return EXIT_FATAL
-    report_text, rem_warnings = done
-    _persist_history(pentest.history, out_dir)
+    report_text, rem_warnings = _remediate_and_score(
+        config, gateway, nvd_client, out_dir, pentest.plan, pentest.findings, truth, run_id,
+        transcript_ref)
     text_report = "\n".join([
         f"run {run_id} against {config.target_address}",
         f"termination: {pentest.termination_reason}",
@@ -297,13 +305,7 @@ def cmd_run(args) -> int:
 def cmd_pentest(args) -> int:
     settings, config, out_dir = _stage_setup(args)
     gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
-    pentest = _discover(settings, config, gateway, out_dir)
-    if pentest is None:
-        return EXIT_FATAL
-    _persist_history(pentest.history, out_dir)
-    _write_artifact(out_dir, pentest.plan, pentest.findings, [], None,
-                    run_id=_deterministic_run_id(config.target_address, "pentest"),
-                    transcript_ref=transcript_ref)
+    pentest = _pentest_stage(settings, config, gateway, out_dir, transcript_ref)
     print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})")
     for v in pentest.findings:
         print(f"  {v.key_str}")
@@ -313,34 +315,22 @@ def cmd_pentest(args) -> int:
 def cmd_remediate(args) -> int:
     settings, config, out_dir = _stage_setup(args)
     truth = _load_truth(settings.truth)
-    try:
-        plan, findings, _, _ = deserialize_run(Path(args.artifact).read_bytes())
-    except (OSError, ArtifactParseError) as exc:
-        print(f"fatal: cannot read artifact: {exc}", file=sys.stderr)
-        return EXIT_FATAL
+    plan, findings, _, _ = _read_artifact(args.artifact)
     gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
-    done = _remediate_and_score(config, gateway, _nvd_client(settings, out_dir), out_dir,
-                                plan, findings, truth,
-                                _deterministic_run_id(config.target_address, "remediate"),
-                                transcript_ref)
-    if done is None:
-        return EXIT_FATAL
-    report_text, rem_warnings = done
+    report_text, rem_warnings = _remediate_and_score(
+        config, gateway, _nvd_client(settings, out_dir), out_dir, plan, findings, truth,
+        _deterministic_run_id(config.target_address, "remediate"), transcript_ref)
     print(report_text)
     return _exit_code(rem_warnings)
 
 
 def cmd_score(args) -> int:
-    mode = AggregationMode.SUM if args.aggregation == "sum" else AggregationMode.DIVIDED_BY_THREE
+    mode = AggregationMode(args.aggregation)
     truth = _load_truth(args.truth)
 
     reports = []
     for path in args.artifacts:
-        try:
-            _, findings, recommendations, _ = deserialize_run(Path(path).read_bytes())
-        except (OSError, ArtifactParseError) as exc:
-            print(f"fatal: artifact {path}: {exc}", file=sys.stderr)
-            return EXIT_FATAL
+        _, findings, recommendations, _ = _read_artifact(path)
         selected = [r for r in recommendations if r.status.value == "adopted"]
         reports.append(scoring.score_run(findings, truth, selected, mode=mode, run_id=path))
 
@@ -367,15 +357,11 @@ def cmd_ingest(args) -> int:
         kb = knowledge.KnowledgeBase()
     total = 0
     for path in args.paths:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"fatal: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_FATAL
-        count = kb.ingest(
-            text, doc_id=Path(path).stem,
-            chunk_size=args.chunk_size, overlap=args.overlap,
-        )
+        try:  # a bad chunk size and a non-UTF-8 file are ValueErrors
+            count = kb.ingest(Path(path).read_text(encoding="utf-8"), doc_id=Path(path).stem,
+                              chunk_size=args.chunk_size, overlap=args.overlap)
+        except (OSError, ValueError) as exc:
+            raise Fatal(f"cannot ingest {path}: {exc}") from None
         print(f"{path}: {count} chunks")
         total += count
     kb.save(kb_dir)
@@ -386,9 +372,8 @@ def cmd_ingest(args) -> int:
 def cmd_replay(args) -> int:
     try:
         transcript = gw.Transcript.load(args.transcript)
-    except (OSError, gw.GatewayError) as exc:
-        print(f"fatal: {exc}", file=sys.stderr)
-        return EXIT_FATAL
+    except OSError as exc:
+        raise Fatal(str(exc)) from None
     bad = 0
     for i, exchange in enumerate(transcript.exchanges):
         recomputed = gw.request_hash(exchange.role, list(exchange.messages))
@@ -400,8 +385,7 @@ def cmd_replay(args) -> int:
             )
             bad += 1
     if bad:
-        print(f"transcript invalid: {bad} corrupted exchanges", file=sys.stderr)
-        return EXIT_FATAL
+        raise Fatal(f"transcript invalid: {bad} corrupted exchanges")
     print(f"transcript ok: {len(transcript.exchanges)} exchanges")
     return EXIT_OK
 
@@ -412,31 +396,21 @@ def cmd_replay(args) -> int:
 
 
 def _overrides(args) -> dict:
-    overrides = {
-        "target_address": getattr(args, "target", None),
-        "budget_per_vuln": getattr(args, "budget_per_vuln", None),
-        "mode": getattr(args, "mode", None),
-        "fixtures": getattr(args, "fixtures", None),
-        "kb_dir": getattr(args, "kb", None),
-        "out_dir": getattr(args, "out", None),
-        "truth": getattr(args, "truth", None),
-    }
-    aggregation = getattr(args, "aggregation", None)
-    if aggregation:
-        overrides["aggregation_mode"] = "sum" if aggregation == "sum" else "div3"
-    return overrides
+    """The pipeline flags, by the config key each overrides: its argparse dest."""
+    return {key: value for key, value in vars(args).items()
+            if key in RunConfig._fields or key in CliSettings._fields}
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--target", help="target address (overrides config)")
+    parser.add_argument("--target", dest="target_address", help="target address")
     parser.add_argument("--budget-per-vuln", type=float, dest="budget_per_vuln")
     parser.add_argument("--mode", choices=["live", "hermetic"])
     parser.add_argument("--fixtures", help="replay transcript file or directory")
-    parser.add_argument("--kb", help="knowledge-base index directory")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--kb", dest="kb_dir", help="knowledge-base index directory")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--truth", help="ground-truth JSON file")
-    parser.add_argument("--aggregation", choices=["div3", "sum"])
+    parser.add_argument("--aggregation", dest="aggregation_mode", choices=["div3", "sum"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,11 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, gw.GatewayError) as exc:  # a bad config or fixtures transcript
+    except (Fatal, gw.GatewayError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Protocol, Union
+from typing import Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .gateway import AgentRole, Gateway
 from .knowledge import KnowledgeBase, build_instructor_prompt
@@ -45,9 +45,9 @@ class EngineError(Exception):
 
 
 class BackendUnreachableError(EngineError):
-    """The command backend is gone; the loop aborts with partial history."""
+    """The command backend is gone; the loop aborts with the records executed so far."""
 
-    def __init__(self, message: str, history: Optional["PentestHistory"] = None):
+    def __init__(self, message: str, history: Sequence[ExecutionRecord] = ()):
         super().__init__(message)
         self.history = history
 
@@ -95,14 +95,6 @@ class ExecutionRecord(NamedTuple):
         }
 
 
-class PentestHistory:
-    """What the loop has executed and found so far; both lists only grow."""
-
-    def __init__(self) -> None:
-        self.records: list[ExecutionRecord] = []
-        self.findings_so_far: list[Vulnerability] = []
-
-
 class IterationLog(NamedTuple):
     iteration: int
     task_id: str
@@ -113,7 +105,7 @@ class IterationLog(NamedTuple):
 
 
 class PentestResult(NamedTuple):
-    history: PentestHistory
+    history: list[ExecutionRecord]  # every executed command, in order
     plan: AttackPlan
     findings: list[Vulnerability]
     iterations: list[IterationLog]
@@ -518,7 +510,8 @@ def run_pentest(
     """Run the full pentest loop and return history, final plan and findings."""
     config.validate()
     plan, warnings = initial_plan(config, gateway)
-    history = PentestHistory()
+    history: list[ExecutionRecord] = []
+    findings_so_far: list[Vulnerability] = []
     iterations: list[IterationLog] = []
     prev_structure = plan.structure_key()
     iteration = 0
@@ -552,15 +545,15 @@ def run_pentest(
                     summary = summarize(command.raw, output, gateway)
                     record = ExecutionRecord(command, output, summary, status)
                     iteration_records.append(record)
-                    history.records.append(record)
+                    history.append(record)
             except BackendUnreachableError as exc:
                 raise BackendUnreachableError(str(exc), history) from exc
 
             candidates, extract_warnings = extract_findings(iteration_records, gateway)
             warnings.extend(extract_warnings)
-            known = {v.key for v in history.findings_so_far}
+            known = {v.key for v in findings_so_far}
             new_findings = [v for v in candidates if v.key not in known]
-            history.findings_so_far.extend(new_findings)
+            findings_so_far.extend(new_findings)
 
             combined = clip_summary(
                 " / ".join(r.summary for r in iteration_records), SUMMARY_CAP
@@ -569,9 +562,7 @@ def run_pentest(
             warnings.extend(update_warnings)
 
         if new_findings:
-            plan, cf_warnings = counterfactual_update(
-                plan, list(history.findings_so_far), gateway
-            )
+            plan, cf_warnings = counterfactual_update(plan, list(findings_so_far), gateway)
             warnings.extend(cf_warnings)
 
         structure = plan.structure_key()
@@ -587,9 +578,9 @@ def run_pentest(
         )
         prev_structure = structure
 
-    final_findings, final_warnings = extract_findings(history.records, gateway)
+    final_findings, final_warnings = extract_findings(history, gateway)
     warnings.extend(final_warnings)
-    findings = dedupe_findings(list(history.findings_so_far) + final_findings)
+    findings = dedupe_findings(findings_so_far + final_findings)
 
     return PentestResult(
         history=history,

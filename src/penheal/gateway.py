@@ -157,12 +157,12 @@ class Transcript:
     @staticmethod
     def load(path: str | Path) -> "Transcript":
         exchanges = []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
+        with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+            for line_no, raw in enumerate(fh, start=1):
+                try:  # UnicodeDecodeError is a ValueError
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     data = load_json(line)
                     if type(data) is dict:
                         data.setdefault("model", "")  # a recorded line may omit the model

@@ -5,8 +5,10 @@ one item per group may be chosen. The solver works in integers only: costs
 become units of 0.1 (``round(cost * 10)``) and values become cents
 (``round(value * 100)``). Values therefore sit on a 0.01 grid, which
 ``compute_value`` guarantees; costs sit on a 0.1 grid, which the evaluator
-parser guarantees. Items worth no cents or heavier than the budget are
-dropped, and every weight and the capacity are divided by the gcd of the
+parser guarantees. The capacity is at most the sum of each group's heaviest
+item worth any cents: a larger budget buys every pick that one does, so it
+gives the same solution. Items worth no cents or heavier than the capacity
+are dropped, and every weight and the capacity are divided by the gcd of the
 remaining weights (tier costs 20/50/100 units solve over 2/5/10).
 
 A suffix DP, from the last group back to the first, keeps one integer key
@@ -45,9 +47,8 @@ def solve_group_knapsack(
     broken toward lower total cost, then toward earlier groups and earlier
     candidates within a group, so the result is fully deterministic.
     """
-    if budget < 0:
+    if not budget >= 0:  # also a NaN budget
         raise ValueError("budget must be >= 0")
-    capacity = round(budget * COST_SCALE)
     scaled = [
         [(i, round(cost * COST_SCALE), round(value * VALUE_SCALE))
          for i, (cost, value) in enumerate(candidates)]
@@ -55,6 +56,9 @@ def solve_group_knapsack(
     ]
     if any(weight < 0 for group in scaled for _, weight, _ in group):
         raise ValueError("costs must be >= 0")
+    bound = sum(max((weight for _, weight, cents in group if cents > 0), default=0)
+                for group in scaled)
+    capacity = bound if budget * COST_SCALE >= bound else round(budget * COST_SCALE)
     kept = [
         [(i, weight, cents) for i, weight, cents in group if cents > 0 and weight <= capacity]
         for group in scaled

@@ -33,6 +33,7 @@ import re
 import sys
 from enum import Enum
 from functools import partial
+from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
@@ -366,8 +367,11 @@ class RunConfig(NamedTuple):
     def validate(self) -> None:
         if not self.target_address:
             raise ValueError("target_address must be set")
-        if self.budget_per_vuln < 0:
-            raise ValueError("budget_per_vuln must be >= 0")
+        if not (isfinite(self.budget_per_vuln) and self.budget_per_vuln >= 0):
+            raise ValueError(f"budget_per_vuln must be finite and >= 0, not {self.budget_per_vuln}")
+        for name, score in self.cost_policy.tier_scores:
+            if not (isfinite(score) and score >= 0):
+                raise ValueError(f"cost tier {name} must score finite and >= 0, not {score}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.retrieval_k < 1:

@@ -137,7 +137,18 @@ class LiveNvdClient:
             return _parse_record(cve_id, cached)
         text = self._fetch(cve_id)
         record = _parse_record(cve_id, text)  # validate before caching
-        (self.cache_dir / f"{cve_id}.json").write_text(text, encoding="utf-8")
+        import tempfile  # live only, like requests
+
+        # A cache file appears whole or not at all: a truncated one would be read
+        # as a bad record on every later run, and the CVE never fetched again.
+        fd, part = tempfile.mkstemp(prefix=f".{cve_id}.", suffix=".part", dir=self.cache_dir)
+        os.close(fd)
+        try:
+            Path(part).write_text(text, encoding="utf-8")
+            os.replace(part, self.cache_dir / f"{cve_id}.json")
+        except BaseException:
+            os.unlink(part)
+            raise
         return record
 
     def _fetch(self, cve_id: str) -> str:

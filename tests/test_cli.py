@@ -86,6 +86,15 @@ class TestRun:
                                            "role_models": [["planner", "gpt-4"]]}))
         assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 0
 
+    def test_budget_beyond_every_fix_is_solved_at_the_bound(self, tmp_path, capsys,
+                                                             no_network):
+        """A budget no finding can spend picks what budget 10 per finding does."""
+        outputs = []
+        for budget in ("10", "1e308"):
+            assert run_cli(*hermetic_args(tmp_path / budget), "--budget-per-vuln", budget) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_missing_env_variable_is_fatal(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"target_address": "${NO_SUCH_VAR_SET}"}))
@@ -411,6 +420,42 @@ class TestBadInputsFailFirst:
         assert run_cli(*argv) == 1
         assert "nesting too deep" in fatal_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flag, config_keys", [
+        ("nan", ""), ("inf", ""),
+        (None, ', "budget_per_vuln": NaN'), (None, ', "budget_per_vuln": Infinity'),
+        (None, ', "cost_policy": {"tier_scores": {"low": -2.0}}'),
+        (None, ', "cost_policy": {"tier_scores": {"high": Infinity}}'),
+    ], ids=["flag-nan", "flag-inf", "config-nan", "config-inf", "tier-negative", "tier-inf"])
+    def test_unusable_budget_or_tier(self, tmp_path, capsys, monkeypatch, no_network, flag,
+                                     config_keys):
+        """The knapsack needs a finite budget and finite tier scores >= 0."""
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        config = tmp_path / "config.json"
+        config.write_text('{"target_address": "10.0.2.4", "mode": "hermetic"' + config_keys + "}")
+        budget = ["--budget-per-vuln", flag] if flag else []
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"),
+                       *budget) == 1
+        assert "invalid configuration: " in fatal_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("damage", ["overlap", "not-utf8"])
+    def test_bad_ingest_input(self, tmp_path, capsys, damage):
+        doc = tmp_path / "notes.txt"
+        doc.write_bytes(b"\xff\xfe notes" if damage == "not-utf8" else b"notes about ftp")
+        chunks = ["--chunk-size", "100", "--overlap", "200"] if damage == "overlap" else []
+        assert run_cli("ingest", str(doc), "--kb", str(tmp_path / "kb"), *chunks) == 1
+        assert f"cannot ingest {doc}" in fatal_line(capsys.readouterr().err)
+        assert not (tmp_path / "kb").exists()  # no index written
+
+    @pytest.mark.parametrize("command", ["replay", "run"])
+    def test_undecodable_transcript(self, tmp_path, capsys, monkeypatch, no_network, command):
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_bytes(b"\xff\xfe\n")
+        argv = (["replay", str(transcript)] if command == "replay"
+                else [*hermetic_args(tmp_path / "out"), "--fixtures", str(transcript)])
+        assert run_cli(*argv) == 1
+        assert "line 1 is unreadable" in fatal_line(capsys.readouterr().err)
+
     def test_missing_kb(self, tmp_path, capsys, monkeypatch, no_network):
         monkeypatch.setattr(Gateway, "complete", _refuse)
         kb = tmp_path / "no-such-index"
@@ -487,6 +532,39 @@ class TestStageFailuresAndWarnings:
         assert run_cli("remediate", str(artifact), "--target", "10.0.2.4", "--mode", "hermetic",
                        "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == "warning: nothing to remediate: no findings\n"
+
+
+class TestStageCheckpoint:
+    """``run`` writes stage one before remediating, so a failed remediation can resume."""
+
+    def test_failed_remediation_resumes_from_out(self, tmp_path, capsys, no_network):
+        golden = cli.bundled_fixture_path("golden6.jsonl").read_text(encoding="utf-8")
+        no_evaluator = tmp_path / "no-evaluator.jsonl"
+        no_evaluator.write_text("".join(line for line in golden.splitlines(keepends=True)
+                                        if json.loads(line)["role"] != "Evaluator"))
+        full, failed, stage1, resumed = (tmp_path / n for n in ("full", "failed", "stage1",
+                                                                 "resumed"))
+        target = ["--target", "10.0.2.4", "--mode", "hermetic"]
+        assert run_cli(*hermetic_args(full)) == 0
+        assert run_cli("pentest", *target, "--fixtures", str(no_evaluator),
+                       "--out", str(stage1)) == 0
+        capsys.readouterr()
+
+        assert run_cli(*hermetic_args(failed), "--fixtures", str(no_evaluator)) == 1
+        assert "no recorded response for role Evaluator" in fatal_line(capsys.readouterr().err)
+        assert (failed / "history.jsonl").read_bytes() == (full / "history.jsonl").read_bytes()
+        docs = [json.loads((d / "run-artifact.json").read_text()) for d in (failed, stage1)]
+        for doc in docs:
+            doc.pop("created_at")
+        assert docs[0] == docs[1]
+
+        assert run_cli("remediate", str(failed / "run-artifact.json"), *target,
+                       "--out", str(resumed)) == 0
+        _, findings, recommendations, report = deserialize_run(
+            (resumed / "run-artifact.json").read_bytes())
+        _, *expected = deserialize_run((full / "run-artifact.json").read_bytes())
+        assert [findings, recommendations] == expected[:2]
+        assert report._replace(run_id="") == expected[2]._replace(run_id="")
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

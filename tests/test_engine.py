@@ -740,5 +740,5 @@ class TestBackendAbort:
             run_pentest(config, Flaky(), gateway, None)
         history = exc_info.value.history
         assert history is not None
-        assert len(history.records) == 1
-        assert history.records[0].raw_output == "first output"
+        assert len(history) == 1
+        assert history[0].raw_output == "first output"

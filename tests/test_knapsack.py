@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,3 +160,33 @@ class TestSolver:
             solve_group_knapsack(groups, high).total_value
             >= solve_group_knapsack(groups, low).total_value
         )
+
+
+class TestBudgetAboveTheBound:
+    """A budget beyond what the groups can spend solves at that bound, in bounded memory."""
+
+    HUGE = (1e12, 1e308, float("inf"))
+
+    def test_huge_budgets_match_brute_force(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            groups, _ = random_instance(rng)
+            expected = brute_force(groups, 1e12)  # nothing is out of reach
+            bound = sum(max((cost for cost, value in g if round(value * 100) > 0), default=0.0)
+                        for g in groups)
+            at_bound = solve_group_knapsack(groups, bound)
+            for budget in self.HUGE:
+                solution = solve_group_knapsack(groups, budget)
+                assert solution == at_bound
+                assert (round(solution.total_value * 100), round(solution.total_cost * 10),
+                        solution.picks) == expected
+
+    def test_many_groups_at_a_huge_budget(self):
+        groups = [[(10.0, 9.8), (2.0, 5.0)]] * 60
+        solution = solve_group_knapsack(groups, 1e12)
+        assert solution.picks == tuple((g, 0) for g in range(60))
+        assert solution.total_cost == 600.0
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            solve_group_knapsack([[(2.0, 9.0)]], float("nan"))

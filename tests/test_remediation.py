@@ -3,6 +3,7 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,26 @@ class TestLookup:
         with pytest.raises(Exception) as exc_info:
             FixtureNvdClient(fixture_dir).lookup("CVE-2011-2523")
         assert "does not match" in str(exc_info.value)
+
+
+    def test_interrupted_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        """A cache file is whole or absent: never a truncated record read on every later run."""
+        text = FixtureNvdClient()._read("CVE-2011-2523")
+        client = LiveNvdClient(cache_dir=tmp_path, base_url="http://127.0.0.1:9/none")
+        monkeypatch.setattr(client, "_fetch", lambda cve_id: text)
+        write_text = Path.write_text
+
+        def interrupted(path, data, *args, **kwargs):
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        with pytest.raises(OSError, match="No space left"):
+            client.lookup("CVE-2011-2523")
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(Path, "write_text", write_text)
+        assert client.lookup("CVE-2011-2523").metrics.base_score == 9.8
+        assert [p.name for p in tmp_path.iterdir()] == ["CVE-2011-2523.json"]
 
 
 def _bad_vector_record():
