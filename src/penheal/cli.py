@@ -286,6 +286,7 @@ def cmd_run(args) -> int:
     gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
     nvd_client = _nvd_client(settings, out_dir)
     pentest = _pentest_stage(settings, config, gateway, out_dir, transcript_ref)
+    pentest_code = _exit_code(pentest.warnings)  # printed now, in case remediation fails
     run_id = _deterministic_run_id(config.target_address, settings.mode)
     report_text, rem_warnings = _remediate_and_score(
         config, gateway, nvd_client, out_dir, pentest.plan, pentest.findings, truth, run_id,
@@ -299,7 +300,7 @@ def cmd_run(args) -> int:
     ])
     (out_dir / "report.txt").write_text(text_report + "\n", encoding="utf-8")
     print(text_report)
-    return _exit_code(pentest.warnings + rem_warnings)
+    return max(pentest_code, _exit_code(rem_warnings))
 
 
 def cmd_pentest(args) -> int:

@@ -16,12 +16,14 @@ import json
 import math
 import os
 import re
+import struct
 import sys
 import threading
 from array import array
+from collections import Counter
 from functools import partial
 from itertools import compress, repeat
-from operator import add, ge, mul, truediv
+from operator import add, ge, mul
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -35,6 +37,7 @@ DEFAULT_OVERLAP = 200
 DEFAULT_EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 
 _TOKEN = re.compile(r"\w+")
+_ROW = struct.Struct(f"={EMBED_DIM}d")  # native order, as array("d") holds it
 
 
 class KnowledgeBaseError(Exception):
@@ -67,17 +70,23 @@ def _bucket(token: str) -> int:
 
 
 def embed(text: str) -> tuple[float, ...]:
-    """Deterministic L2-normalized hashed term-frequency embedding."""
+    """Deterministic L2-normalized hashed term-frequency embedding.
+
+    Only the buckets a token hits are counted. The squared norm is an integer
+    sum; for text under 2**27 characters it is below 2**53, so it is also
+    exactly what a float sum over all EMBED_DIM counts gives, in any order.
+    Each entry is ``count / norm``, which equals ``float(count) / norm``, or
+    +0.0 for a bucket no token hits.
+    """
     if not text:
         raise ValueError("cannot embed empty text")
-    tokens = _TOKEN.findall(text.lower())
-    if not tokens:
-        tokens = [text.lower()]
-    counts = [0.0] * EMBED_DIM
-    for token in tokens:
-        counts[_bucket(token)] += 1.0
-    norm = math.sqrt(sum(map(mul, counts, counts)))
-    return tuple(map(truediv, counts, repeat(norm)))
+    lowered = text.lower()
+    counts = Counter(map(_bucket, _TOKEN.findall(lowered) or [lowered]))
+    norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
+    vector = [0.0] * EMBED_DIM
+    for bucket, count in counts.items():
+        vector[bucket] = count / norm
+    return tuple(vector)
 
 
 def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -105,7 +114,8 @@ class KnowledgeBase:
         self.embedder_id = embedder_id
         self._chunks: list[Chunk] = []
         self._vectors = array("d")  # row i, EMBED_DIM entries, embeds _chunks[i]
-        self._lock = threading.Lock()  # guards both; no resize while retrieve reads
+        self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
+        self._lock = threading.Lock()  # guards all three; no resize while retrieve reads
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -120,8 +130,11 @@ class KnowledgeBase:
         """Split, embed and index one document; returns the chunk count.
 
         Windows are chunk_size characters sliding by chunk_size - overlap.
-        Re-ingesting a doc_id replaces its previous chunks. An embedding of
-        the wrong length raises ValueError and leaves the index unchanged.
+        Re-ingesting a doc_id replaces its previous chunks; the index is
+        scanned for them only when the doc_id is in ``_doc_ids``, so a run of
+        new documents ingests in time linear in their number. An embedding of
+        the wrong length raises ValueError, and one that is not numeric a
+        struct.error, before the index changes.
         """
         if overlap < 0 or chunk_size <= overlap:
             raise ValueError("require chunk_size > overlap >= 0")
@@ -138,12 +151,14 @@ class KnowledgeBase:
         ]
         rows = array("d")
         for c in new_chunks:
-            rows.fromlist(list(_embedding(self.embedder, c.text)))  # 2x extend(tuple)
+            rows.frombytes(_ROW.pack(*_embedding(self.embedder, c.text)))
         with self._lock:
             chunks = self._chunks + new_chunks  # a new list: retrieve may hold the old one
-            for i in reversed([i for i, c in enumerate(self._chunks) if c.doc_id == doc_id]):
-                del self._vectors[i * EMBED_DIM : (i + 1) * EMBED_DIM]
-                del chunks[i]
+            if doc_id in self._doc_ids:
+                for i in reversed([i for i, c in enumerate(self._chunks) if c.doc_id == doc_id]):
+                    del self._vectors[i * EMBED_DIM : (i + 1) * EMBED_DIM]
+                    del chunks[i]
+            self._doc_ids.add(doc_id)
             self._vectors.extend(rows)
             self._chunks = chunks
         return len(new_chunks)
@@ -237,6 +252,7 @@ class KnowledgeBase:
         if sys.byteorder == "big":
             kb._vectors.byteswap()
         kb._chunks = chunks
+        kb._doc_ids = {c.doc_id for c in chunks}
         return kb
 
 

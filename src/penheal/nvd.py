@@ -141,14 +141,18 @@ class LiveNvdClient:
 
         # A cache file appears whole or not at all: a truncated one would be read
         # as a bad record on every later run, and the CVE never fetched again.
-        fd, part = tempfile.mkstemp(prefix=f".{cve_id}.", suffix=".part", dir=self.cache_dir)
-        os.close(fd)
         try:
-            Path(part).write_text(text, encoding="utf-8")
-            os.replace(part, self.cache_dir / f"{cve_id}.json")
-        except BaseException:
-            os.unlink(part)
-            raise
+            fd, part = tempfile.mkstemp(prefix=f".{cve_id}.", suffix=".part",
+                                        dir=self.cache_dir)
+            try:
+                os.close(fd)
+                Path(part).write_text(text, encoding="utf-8")
+                os.replace(part, self.cache_dir / f"{cve_id}.json")
+            except BaseException:
+                os.unlink(part)
+                raise
+        except OSError as exc:
+            raise NvdError(f"cannot cache {cve_id} in {self.cache_dir}: {exc}") from exc
         return record
 
     def _fetch(self, cve_id: str) -> str:

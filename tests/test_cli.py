@@ -526,6 +526,22 @@ class TestStageFailuresAndWarnings:
         assert "findings: 0" in captured.out
         assert captured.err == "warning: 1: executor produced no command twice\n"
 
+    def test_run_prints_discovery_warnings_when_remediation_fails(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        done = "1 Recon [completed] - result: web server found"
+        finding = "Exploited: CVE-NA\nservice: http\nport: 80\ndescription: weak login\nmethod: -"
+        _scripted_stage(monkeypatch, {  # no Estimator reply for the CVE-NA finding
+            AgentRole.PLANNER: ["1 Recon [to-do]", "1", done, done],
+            AgentRole.EXECUTOR: ["$nmap -sV 10.0.2.4$ $dangling"],
+            AgentRole.SUMMARIZER: ["web server found"],
+            AgentRole.EXTRACTOR: [finding, finding],
+        }, _VanishingHost())
+        assert run_cli("run", "--target", "10.0.2.4", "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: unpaired $ delimiter near: 'dangling'",
+            "fatal: remediation failed: scripted backend has no response left for Estimator",
+        ]
+
     def test_remediate_prints_warnings(self, tmp_path, capsys, no_network):
         artifact = tmp_path / "artifact.json"
         artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))

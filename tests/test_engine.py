@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from plan_invariants import validate_plan
 
 from penheal.engine import (
     Command,
@@ -35,7 +36,7 @@ from penheal.engine import (
     update_plan,
 )
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend
-from penheal.model import AttackPlan, RunConfig, TaskStatus, Vulnerability, validate_plan
+from penheal.model import AttackPlan, RunConfig, TaskStatus, Vulnerability
 from penheal.simulator import SimulatorBackend
 
 

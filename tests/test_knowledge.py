@@ -176,6 +176,19 @@ class TestPersistence:
         reloaded = [(e.chunk.doc_id, e.chunk.seq, e.similarity) for e in loaded.retrieve(query, 5)]
         assert original == reloaded
 
+    def test_reingest_after_load_replaces_the_loaded_chunks(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.ingest("alpha beta gamma " * 40, "doc1", chunk_size=120, overlap=30)
+        kb.ingest("delta epsilon zeta " * 40, "doc2", chunk_size=120, overlap=30)
+        kb.save(tmp_path / "index")
+
+        loaded = KnowledgeBase.load(tmp_path / "index")
+        loaded.ingest("alpha beta gamma " * 40, "doc1", chunk_size=120, overlap=30)
+        assert len(loaded) == len(kb)
+        query, k = "alpha delta", len(kb)
+        fresh = [(e.chunk, e.similarity) for e in kb.retrieve(query, k)]
+        assert [(e.chunk, e.similarity) for e in loaded.retrieve(query, k)] == fresh
+
     def test_load_requires_the_embedder_of_the_index(self, tmp_path):
         def reversed_embed(text):  # unit length, another vector space
             return tuple(reversed(embed(text)))

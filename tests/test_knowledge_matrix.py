@@ -88,6 +88,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="entries"):
             kb.retrieve("bad query", 1)
 
+    def test_non_numeric_embedding_raises_and_leaves_index(self):
+        def text_for_bad(text):
+            return ("0.5",) * EMBED_DIM if "bad" in text else embed(text)
+
+        kb = KnowledgeBase(embedder=text_for_bad)
+        kb.ingest("samba usermap exploit", "doc", chunk_size=100, overlap=0)
+        chunks, vectors = list(kb._chunks), kb._vectors.tobytes()
+        with pytest.raises(struct.error):
+            kb.ingest("nmap scan " * 10 + "bad", "doc", chunk_size=40, overlap=0)
+        assert kb._chunks == chunks
+        assert kb._vectors.tobytes() == vectors
+
     def test_oversize_vectors_detected(self, tmp_path):
         kb = KnowledgeBase()
         kb.ingest("some text to index " * 20, "doc", chunk_size=100, overlap=0)

@@ -1,12 +1,16 @@
-"""Sparse retrieval against the dense reference: exact similarities, exact index bytes."""
+"""Sparse embedding and retrieval against dense references: exact vectors, similarities, bytes."""
 
+import hashlib
 import json
 import math
 import random
+import re
 import struct
 from importlib import resources
+from itertools import repeat
+from operator import mul, truediv
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from penheal.knowledge import (
@@ -30,6 +34,33 @@ def signed_embed(text: str) -> tuple[float, ...]:
             counts[i] += row.choice((-2.0, -1.0, 0.0, 1.0, 2.0))
     norm = math.sqrt(sum(c * c for c in counts)) or 1.0
     return tuple(c / norm for c in counts)
+
+
+def dense_fold_embed(text: str) -> tuple[float, ...]:
+    """Reference for embed: count every token into all EMBED_DIM float buckets, then divide."""
+    tokens = re.findall(r"\w+", text.lower()) or [text.lower()]
+    counts = [0.0] * EMBED_DIM
+    for token in tokens:
+        digest = hashlib.sha1(token.encode("utf-8")).digest()
+        counts[int.from_bytes(digest[:8], "little") % EMBED_DIM] += 1.0
+    norm = math.sqrt(sum(map(mul, counts, counts)))
+    return tuple(map(truediv, counts, repeat(norm)))
+
+
+no_word_text = st.text(alphabet=" \t\n!?.,;:-+*/$#@()[]{}<>\"'|\\~^%&=", min_size=1)
+repeated_token = st.builds(lambda token, n, sep: sep.join([token] * n),
+                           st.sampled_from(VOCAB + ["İ", "x"]), st.integers(1000, 6000),
+                           st.sampled_from([" ", "\n", "--"]))
+
+
+class TestEmbedEqualsDenseFold:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(min_size=1), no_word_text, repeated_token))
+    @example("İ")
+    @example("ΣΑΣ")
+    @example("Straße STRASSE ǅ ﬁ")
+    def test_bit_identical(self, text):
+        assert [x.hex() for x in embed(text)] == [x.hex() for x in dense_fold_embed(text)]
 
 
 def dense_scan(embedder, chunks, query, k):
@@ -104,6 +135,6 @@ class TestIndexBytes:
             r + "\n" for r in rows
         ).encode("utf-8")
         assert (tmp_path / "vectors.bin").read_bytes() == b"".join(
-            struct.pack(f"<{EMBED_DIM}d", *embed(p)) for p in pieces
+            struct.pack(f"<{EMBED_DIM}d", *dense_fold_embed(p)) for p in pieces
         )
         assert (tmp_path / "meta.json").read_bytes() == json.dumps(meta, indent=2).encode()

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plan_invariants import validate_plan
 
 from penheal.model import (
     ArtifactParseError,
@@ -25,7 +26,6 @@ from penheal.model import (
     dedupe_findings,
     deserialize_run,
     serialize_run,
-    validate_plan,
 )
 
 DATA = Path(__file__).parent / "data"

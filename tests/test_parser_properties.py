@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from plan_invariants import validate_plan
 
 from penheal.engine import (
     CommandChannel,
@@ -20,7 +21,6 @@ from penheal.model import (
     AttackPlan,
     CostPolicy,
     TaskStatus,
-    validate_plan,
 )
 from penheal.remediation import RemediationError, parse_evaluation, parse_numbered_list
 

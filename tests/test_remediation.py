@@ -1,6 +1,8 @@
 """Remediation stage: enrichment, advising, evaluation mechanics, selection."""
 
 import json
+import os
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -108,12 +110,32 @@ class TestLookup:
             raise OSError("No space left on device")
 
         monkeypatch.setattr(Path, "write_text", interrupted)
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(NvdError, match="No space left"):
             client.lookup("CVE-2011-2523")
         assert list(tmp_path.iterdir()) == []
         monkeypatch.setattr(Path, "write_text", write_text)
         assert client.lookup("CVE-2011-2523").metrics.base_score == 9.8
         assert [p.name for p in tmp_path.iterdir()] == ["CVE-2011-2523.json"]
+
+    @pytest.mark.parametrize("module, name", [(tempfile, "mkstemp"), (Path, "write_text"),
+                                              (os, "replace")])
+    def test_failed_cache_write_falls_back_to_the_estimator(self, tmp_path, monkeypatch,
+                                                            module, name):
+        text = FixtureNvdClient()._read("CVE-2011-2523")
+        client = LiveNvdClient(cache_dir=tmp_path, base_url="http://127.0.0.1:9/none")
+        monkeypatch.setattr(client, "_fetch", lambda cve_id: text)
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(module, name, disk_full)
+        gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
+        findings = [Vulnerability(id="CVE-2011-2523", service="ftp", port=21)]
+        enriched, warnings = enrich_findings(findings, gateway, client)
+        assert warnings == [f"CVE-2011-2523: lookup failed (cannot cache CVE-2011-2523 in "
+                            f"{tmp_path}: [Errno 28] No space left on device), estimating"]
+        assert enriched[0].cvss_source is CvssSource.ESTIMATED
+        assert list(tmp_path.iterdir()) == []
 
 
 def _bad_vector_record():
