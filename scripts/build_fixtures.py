@@ -347,7 +347,9 @@ def build(name: str, scripts: dict[AgentRole, list[str]], with_remediation: bool
         if rem.warnings:
             raise SystemExit(f"{name}: remediation warnings: {rem.warnings}")
         adopted = [r for r in rem.selected]
-        print(f"  adopted={len(adopted)} budget={rem.budget} used={rem.budget_used}")
+        budget = config.budget_per_vuln * len(result.findings)
+        used = round(sum(r.cost for r in adopted), 2)
+        print(f"  adopted={len(adopted)} budget={budget} used={used}")
         for r in adopted:
             print(f"    [{r.cost:.1f} / {r.value:.1f}] {r.text[:70]}")
 

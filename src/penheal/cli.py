@@ -18,7 +18,7 @@ import re
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from . import gateway as gw, remediation, scoring
 from .model import (
@@ -163,7 +163,7 @@ def _stage_setup(args) -> tuple[CliSettings, RunConfig, Path]:
     except (ValueError, KeyError) as exc:
         raise Fatal(f"invalid configuration: {exc}")
     out_dir = Path(settings.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _output(out_dir, lambda path: path.mkdir(parents=True, exist_ok=True))
     return settings, config, out_dir
 
 
@@ -179,7 +179,8 @@ def _chat_gateway(settings: CliSettings, role_models: tuple[tuple[str, str], ...
         raise Fatal("live mode requires llm.base_url")
     live = gw.LiveBackend(settings.llm.base_url, api_key=settings.llm.api_key)
     record_path = out_dir / "transcript.jsonl"
-    return gw.record_mode(live, record_path, role_models=dict(role_models)), str(record_path)
+    gateway = _output(record_path, lambda path: gw.record_mode(live, path, dict(role_models)))
+    return gateway, str(record_path)
 
 
 def _executor(settings: CliSettings):
@@ -201,11 +202,19 @@ def _nvd_client(settings: CliSettings, out_dir: Path):
     return LiveNvdClient(cache_dir=nvd.cache_dir or out_dir / "nvd-cache", base_url=nvd.base_url)
 
 
+def _output(path: Path, write: Callable[[Path], Any]) -> Any:
+    """``write(path)``; an OSError from it is the fatal error naming ``path``."""
+    try:
+        return write(path)
+    except OSError as exc:
+        raise Fatal(f"cannot write {path}: {exc}") from None
+
+
 def _write_artifact(out_dir: Path, *parts, run_id: str, transcript_ref: str) -> None:
     """Serialize (plan, findings, recommendations, report) to run-artifact.json."""
     artifact = serialize_run(*parts, run_id=run_id, transcript_ref=transcript_ref,
                              created_at=time.strftime("%Y-%m-%dT%H:%M:%S"))
-    (out_dir / "run-artifact.json").write_bytes(artifact)
+    _output(out_dir / "run-artifact.json", lambda path: path.write_bytes(artifact))
 
 
 def _read_artifact(path: str):
@@ -217,9 +226,8 @@ def _read_artifact(path: str):
 
 
 def _persist_history(history: list[engine.ExecutionRecord], out_dir: Path) -> None:
-    with open(out_dir / "history.jsonl", "w", encoding="utf-8") as fh:
-        for record in history:
-            fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+    text = "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n" for record in history)
+    _output(out_dir / "history.jsonl", lambda path: path.write_text(text, encoding="utf-8"))
 
 
 def _pentest_stage(settings: CliSettings, config: RunConfig, gateway: gw.Gateway,
@@ -298,7 +306,8 @@ def cmd_run(args) -> int:
         "",
         report_text,
     ])
-    (out_dir / "report.txt").write_text(text_report + "\n", encoding="utf-8")
+    _output(out_dir / "report.txt",
+            lambda path: path.write_text(text_report + "\n", encoding="utf-8"))
     print(text_report)
     return max(pentest_code, _exit_code(rem_warnings))
 
@@ -365,18 +374,18 @@ def cmd_ingest(args) -> int:
             raise Fatal(f"cannot ingest {path}: {exc}") from None
         print(f"{path}: {count} chunks")
         total += count
-    kb.save(kb_dir)
+    _output(kb_dir, kb.save)
     print(f"indexed {total} chunks into {kb_dir}")
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
     try:
-        transcript = gw.Transcript.load(args.transcript)
+        exchanges = gw.load_transcript(args.transcript)
     except OSError as exc:
         raise Fatal(str(exc)) from None
     bad = 0
-    for i, exchange in enumerate(transcript.exchanges):
+    for i, exchange in enumerate(exchanges):
         recomputed = gw.request_hash(exchange.role, list(exchange.messages))
         if recomputed != exchange.request_hash:
             print(
@@ -387,7 +396,7 @@ def cmd_replay(args) -> int:
             bad += 1
     if bad:
         raise Fatal(f"transcript invalid: {bad} corrupted exchanges")
-    print(f"transcript ok: {len(transcript.exchanges)} exchanges")
+    print(f"transcript ok: {len(exchanges)} exchanges")
     return EXIT_OK
 
 

@@ -4,8 +4,8 @@ All agents (planner, executor, summarizer, extractor, estimator, advisor,
 evaluator) talk to a language model through :class:`Gateway`. Backends are
 pluggable: a live OpenAI-compatible HTTP backend, a deterministic replay
 backend serving recorded exchanges, and a scripted backend for tests.
-Every exchange lands in an append-only transcript; in record mode the
-transcript is persisted as JSON lines and can later drive a replay run.
+In record mode every exchange is appended to a JSON-lines transcript, which
+:func:`load_transcript` reads back and which can later drive a replay run.
 The live backend and the live NVD client share one retry loop,
 :func:`send_with_retries`.
 
@@ -25,7 +25,7 @@ import time
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Protocol
 
 from .model import decode, encode, load_json
 
@@ -107,16 +107,6 @@ def request_hash(role: AgentRole, messages: list[ChatTurn]) -> str:
     written as ``json.dumps(..., sort_keys=True, ensure_ascii=True,
     separators=(",", ":"))`` would write it.
     """
-    return _request_hash(role, tuple(messages))
-
-
-# Distinct first (system) turns whose hash state is kept; a run has a few dozen.
-FIRST_TURN_STATES = 64
-
-
-# In replay the backend and then the gateway hash the same request: one entry serves both.
-@functools.lru_cache(maxsize=1)
-def _request_hash(role: AgentRole, messages: tuple[ChatTurn, ...]) -> str:
     if not messages:
         state = hashlib.sha256(b'{"messages":[')
     else:  # a copy: the cached state is never updated
@@ -124,6 +114,10 @@ def _request_hash(role: AgentRole, messages: tuple[ChatTurn, ...]) -> str:
     tail = "".join(["," + _turn_json(t) for t in messages[1:]])
     state.update(f'{tail}],"role":{_escape(role.value)}}}'.encode("ascii"))
     return state.hexdigest()
+
+
+# Distinct first (system) turns whose hash state is kept; a run has a few dozen.
+FIRST_TURN_STATES = 64
 
 
 @functools.lru_cache(maxsize=FIRST_TURN_STATES)
@@ -145,33 +139,24 @@ class Exchange(NamedTuple):
     ts: str = ""
 
 
-class Transcript:
-    """Append-only record of every exchange in a run, in call order."""
-
-    def __init__(self, exchanges: Iterable[Exchange] = ()) -> None:
-        self.exchanges: list[Exchange] = list(exchanges)
-
-    def append(self, exchange: Exchange) -> None:
-        self.exchanges.append(exchange)
-
-    @staticmethod
-    def load(path: str | Path) -> "Transcript":
-        exchanges = []
-        with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
-            for line_no, raw in enumerate(fh, start=1):
-                try:  # UnicodeDecodeError is a ValueError
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    data = load_json(line)
-                    if type(data) is dict:
-                        data.setdefault("model", "")  # a recorded line may omit the model
-                    exchanges.append(decode(Exchange, data))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise GatewayError(
-                        f"transcript {path} line {line_no} is unreadable: {exc}"
-                    ) from exc
-        return Transcript(exchanges)
+def load_transcript(path: str | Path) -> list[Exchange]:
+    """The exchanges of a recorded transcript, in file order; GatewayError names a bad line."""
+    exchanges = []
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+        for line_no, raw in enumerate(fh, start=1):
+            try:  # UnicodeDecodeError is a ValueError
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                data = load_json(line)
+                if type(data) is dict:
+                    data.setdefault("model", "")  # a recorded line may omit the model
+                exchanges.append(decode(Exchange, data))
+            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                raise GatewayError(
+                    f"transcript {path} line {line_no} is unreadable: {exc}"
+                ) from exc
+    return exchanges
 
 
 class GatewayError(Exception):
@@ -185,8 +170,6 @@ class MissingFixtureError(GatewayError):
         super().__init__(
             f"no recorded response for role {role.value}, request hash {digest}"
         )
-        self.role = role
-        self.digest = digest
 
 
 def send_with_retries(send: Callable[[], requests.Response], retry_on: tuple[int, ...],
@@ -268,7 +251,7 @@ class ReplayBackend:
         if not path.exists():
             raise GatewayError(f"replay transcript not found: {path}")
         self._responses: dict[str, str] = {}
-        for exchange in Transcript.load(path).exchanges:
+        for exchange in load_transcript(path):
             existing = self._responses.get(exchange.request_hash)
             if existing is not None and existing != exchange.response:
                 raise GatewayError(
@@ -307,7 +290,7 @@ class ScriptedBackend:
 
 
 class Gateway:
-    """Routes each role's requests to its tier model and records the exchange."""
+    """Routes each role's requests to its tier model; with a record path, records each exchange."""
 
     def __init__(
         self,
@@ -319,7 +302,6 @@ class Gateway:
         self.models = dict(DEFAULT_MODELS)
         if role_models:
             self.models.update({k.lower(): v for k, v in role_models.items()})
-        self.transcript = Transcript()
         self._record_path = Path(record_path) if record_path else None
         self._lock = threading.Lock()
         if self._record_path:
@@ -341,19 +323,17 @@ class Gateway:
         messages = _truncate(history, self.char_budget(role))
         model = self.model_for(role)
         response = self.backend.complete(role, model, messages)
-        exchange = Exchange(
-            role=role,
-            model=model,
-            request_hash=request_hash(role, messages),
-            messages=tuple(messages),
-            response=response,
-            ts=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        )
-        with self._lock:
-            self.transcript.append(exchange)
-            if self._record_path:
-                with open(self._record_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(encode(exchange), ensure_ascii=False) + "\n")
+        if self._record_path:
+            exchange = Exchange(
+                role=role,
+                model=model,
+                request_hash=request_hash(role, messages),
+                messages=tuple(messages),
+                response=response,
+                ts=time.strftime("%Y-%m-%dT%H:%M:%S"),
+            )
+            with self._lock, open(self._record_path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(encode(exchange), ensure_ascii=False) + "\n")
         return response
 
 

@@ -5,11 +5,12 @@ one item per group may be chosen. The solver works in integers only: costs
 become units of 0.1 (``round(cost * 10)``) and values become cents
 (``round(value * 100)``). Values therefore sit on a 0.01 grid, which
 ``compute_value`` guarantees; costs sit on a 0.1 grid, which the evaluator
-parser guarantees. The capacity is at most the sum of each group's heaviest
-item worth any cents: a larger budget buys every pick that one does, so it
-gives the same solution. Items worth no cents or heavier than the capacity
-are dropped, and every weight and the capacity are divided by the gcd of the
-remaining weights (tier costs 20/50/100 units solve over 2/5/10).
+parser guarantees. The capacity is the budget's whole units, forgiving float
+error below 1e-6 units (0.7 * 3 buys 2.1), and at most the sum of each group's
+heaviest item worth any cents: a larger budget buys every pick that one does,
+so it gives the same solution. Items worth no cents or heavier than the
+capacity are dropped, and every weight and the capacity are divided by the gcd
+of the remaining weights (tier costs 20/50/100 units solve over 2/5/10).
 
 A suffix DP, from the last group back to the first, keeps one integer key
 per remaining capacity: ``cents * (capacity + 1) - weight``, so a larger key
@@ -22,7 +23,7 @@ vector.
 
 from __future__ import annotations
 
-from math import gcd
+from math import floor, gcd
 from typing import NamedTuple
 
 COST_SCALE = 10
@@ -58,7 +59,7 @@ def solve_group_knapsack(
         raise ValueError("costs must be >= 0")
     bound = sum(max((weight for _, weight, cents in group if cents > 0), default=0)
                 for group in scaled)
-    capacity = bound if budget * COST_SCALE >= bound else round(budget * COST_SCALE)
+    capacity = bound if budget * COST_SCALE >= bound else floor(round(budget * COST_SCALE, 6))
     kept = [
         [(i, weight, cents) for i, weight, cents in group if cents > 0 and weight <= capacity]
         for group in scaled

@@ -197,13 +197,6 @@ class AggregationMode(Enum):
     SUM = "sum"
 
 
-class BudgetScope(Enum):
-    """Whether the remediation budget is pooled or applied per finding group."""
-
-    TOTAL = "total"
-    PER_VULNERABILITY = "per-vulnerability"
-
-
 class TaskNode(NamedTuple):
     """One task in the layered attack plan (ids like "1", "1.2", "1.2.1")."""
 
@@ -362,7 +355,6 @@ class RunConfig(NamedTuple):
     no_new_finding_window: int = 5
     role_models: tuple[tuple[str, str], ...] = ()
     aggregation_mode: AggregationMode = AggregationMode.DIVIDED_BY_THREE
-    budget_scope: BudgetScope = BudgetScope.TOTAL
 
     def validate(self) -> None:
         if not self.target_address:
@@ -376,6 +368,8 @@ class RunConfig(NamedTuple):
             raise ValueError("max_iterations must be >= 1")
         if self.retrieval_k < 1:
             raise ValueError("retrieval_k must be >= 1")
+        if self.no_new_finding_window < 1:
+            raise ValueError("no_new_finding_window must be >= 1")
 
 
 # The settings types live here, not in the CLI module: the codec reads the names in a

@@ -31,11 +31,9 @@ class NvdError(Exception):
 
 
 class CveRecord(NamedTuple):
-    cve_id: str
     description: str
     vector_string: str
     metrics: CvssMetrics
-    source_timestamp: str
 
 
 def _parse_record(cve_id: str, text: str) -> CveRecord:
@@ -83,11 +81,9 @@ def _record_from_api_doc(cve_id: str, doc: dict) -> CveRecord:
             f"recomputed {metrics.base_score}"
         )
     return CveRecord(
-        cve_id=cve.get("id", cve_id),
         description=description,
         vector_string=vector,
         metrics=metrics,
-        source_timestamp=doc.get("timestamp", ""),
     )
 
 

@@ -19,7 +19,6 @@ from .gateway import AgentRole, Gateway
 from .knapsack import solve_group_knapsack
 from .model import (
     CVE_NA,
-    BudgetScope,
     CostPolicy,
     CvssSource,
     Recommendation,
@@ -45,16 +44,12 @@ class RemediationError(Exception):
 class RecommendationGroup(NamedTuple):
     """All candidate fixes generated for one finding; at most one gets adopted."""
 
-    vuln_key: str
     candidates: tuple[Recommendation, ...]
 
 
 class RemediationResult(NamedTuple):
     groups: list[RecommendationGroup]
     selected: list[Recommendation]
-    budget: float
-    budget_used: float
-    findings: list[Vulnerability]
     warnings: list[str]
 
 
@@ -180,7 +175,6 @@ def advise(
             continue
         groups.append(
             RecommendationGroup(
-                vuln_key=finding.key_str,
                 candidates=tuple(
                     Recommendation(text=item, target_vuln_ids=(finding.key_str,))
                     for item in items
@@ -265,7 +259,7 @@ def compute_value(verdict: EvaluationVerdict, target_scores: list[float]) -> flo
 
 
 class EvaluatorContext:
-    """What every evaluate call over one finding list shares, built once.
+    """What every evaluate call over one finding list and cost policy shares, built once.
 
     The system turn holds every finding plus the value and cost rules. Target
     keys resolve by finding key first, then by CVE id (never CVE-NA); each
@@ -273,6 +267,7 @@ class EvaluatorContext:
     """
 
     def __init__(self, findings: list[Vulnerability], policy: CostPolicy):
+        self.policy = policy
         self.system = render_prompt(
             AgentRole.EVALUATOR,
             {
@@ -303,23 +298,17 @@ class EvaluatorContext:
 
 
 def evaluate(
-    recommendation: Recommendation,
-    findings: list[Vulnerability],
-    policy: CostPolicy,
-    gateway: Gateway,
-    context: Optional[EvaluatorContext] = None,
+    recommendation: Recommendation, context: EvaluatorContext, gateway: Gateway
 ) -> tuple[Recommendation, list[str]]:
     """Score one recommendation: evaluator classifies, the engine computes.
 
-    ``context`` is the EvaluatorContext of ``findings`` and ``policy``; it is
-    built here when not given. Returns the recommendation with cost, value,
-    rationale and (possibly widened) target list filled in.
+    Returns the recommendation with cost, value, rationale and (possibly
+    widened) target list filled in.
     """
-    context = context or EvaluatorContext(findings, policy)
 
     def parse(reply: str) -> tuple[Optional[tuple[EvaluationVerdict, str]], list[str]]:
         try:
-            return (parse_evaluation(reply, policy), reply.strip()), []
+            return (parse_evaluation(reply, context.policy), reply.strip()), []
         except RemediationError as exc:
             return None, [str(exc)]
 
@@ -333,7 +322,7 @@ def evaluate(
         )
         return (
             recommendation._replace(
-                cost=policy.tier("moderate"),
+                cost=context.policy.tier("moderate"),
                 value=0.0,
                 rationale="evaluation unparseable; conservative default applied",
             ),
@@ -371,8 +360,6 @@ def evaluate(
 class Selection(NamedTuple):
     groups: tuple[RecommendationGroup, ...]
     selected: tuple[Recommendation, ...]
-    total_value: float
-    total_cost: float
 
 
 def select(groups: list[RecommendationGroup], budget: float) -> Selection:
@@ -400,8 +387,6 @@ def select(groups: list[RecommendationGroup], budget: float) -> Selection:
     return Selection(
         groups=tuple(final_groups),
         selected=tuple(selected),
-        total_value=solution.total_value,
-        total_cost=solution.total_cost,
     )
 
 
@@ -422,9 +407,6 @@ def remediate(
         return RemediationResult(
             groups=[],
             selected=[],
-            budget=0.0,
-            budget_used=0.0,
-            findings=[],
             warnings=["nothing to remediate: no findings"],
         )
 
@@ -437,32 +419,15 @@ def remediate(
     for group in groups:
         scored: list[Recommendation] = []
         for candidate in group.candidates:
-            evaluated, eval_warnings = evaluate(
-                candidate, enriched, config.cost_policy, gateway, context
-            )
+            evaluated, eval_warnings = evaluate(candidate, context, gateway)
             warnings.extend(eval_warnings)
             scored.append(evaluated)
         scored_groups.append(group._replace(candidates=tuple(scored)))
 
-    budget = config.budget_per_vuln * len(enriched)
-    if config.budget_scope is BudgetScope.PER_VULNERABILITY:
-        parts, part_budget = [[g] for g in scored_groups], config.budget_per_vuln
-    else:
-        parts, part_budget = [scored_groups], budget
-    final_groups: list[RecommendationGroup] = []
-    selected: list[Recommendation] = []
-    used = 0.0
-    for part in parts:
-        partial = select(part, part_budget)
-        final_groups.extend(partial.groups)
-        selected.extend(partial.selected)
-        used += partial.total_cost
+    selection = select(scored_groups, config.budget_per_vuln * len(enriched))
     return RemediationResult(
-        groups=final_groups,
-        selected=selected,
-        budget=budget,
-        budget_used=round(used, 2),
-        findings=enriched,
+        groups=list(selection.groups),
+        selected=list(selection.selected),
         warnings=warnings,
     )
 

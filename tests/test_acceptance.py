@@ -21,7 +21,7 @@ from penheal.engine import (
     parse_plan_text,
     run_pentest,
 )
-from penheal.gateway import replay_mode
+from penheal.gateway import Gateway, ReplayBackend, load_transcript
 from penheal.knapsack import solve_group_knapsack
 from penheal.knowledge import KnowledgeBase, embed
 from penheal.model import RunConfig, TaskStatus, deserialize_run
@@ -115,7 +115,6 @@ def test_criterion_3_narrowing_reproduction():
         return Recommendation(text=text, target_vuln_ids=(key,), cost=cost, value=value)
 
     group = RecommendationGroup(
-        vuln_key=key,
         candidates=(
             candidate("Update Samba using the package manager", 2.0, 9.0),
             candidate("Perform regular security audits", 2.0, 3.0),
@@ -190,18 +189,20 @@ def _references(description: str, finding) -> bool:
 COUNTERFACTUAL_MARK = "as if they do not exist"
 
 
-def _check_counterfactual_property(fixture_name: str):
-    gateway = replay_mode(bundled_fixture_path(f"{fixture_name}.jsonl"))
+def _check_counterfactual_property(fixture_name: str, record_path: Path):
+    gateway = Gateway(ReplayBackend(bundled_fixture_path(f"{fixture_name}.jsonl")),
+                      record_path=record_path)
     from penheal.simulator import SimulatorBackend
 
     config = RunConfig(target_address="10.0.2.4")
     result = run_pentest(config, SimulatorBackend(), gateway, _build_knowledge_base(None))
+    exchanges = load_transcript(record_path)
 
     # Exactly one counterfactual per iteration with >= 1 new finding.
     expected = sum(1 for log in result.iterations if log.new_finding_keys)
     prompts = [
         (i, e)
-        for i, e in enumerate(gateway.transcript.exchanges)
+        for i, e in enumerate(exchanges)
         if any(COUNTERFACTUAL_MARK in t.content for t in e.messages)
     ]
     assert len(prompts) == expected
@@ -209,7 +210,6 @@ def _check_counterfactual_property(fixture_name: str):
         assert log.counterfactual_issued == bool(log.new_finding_keys)
 
     # After each counterfactual, no still-to-do task covers a known finding.
-    exchanges = gateway.transcript.exchanges
     known = []
     for index, exchange in enumerate(exchanges):
         if exchange.role.value == "Extractor":
@@ -240,9 +240,9 @@ def _check_counterfactual_property(fixture_name: str):
     return expected, len(result.iterations)
 
 
-def test_criterion_6_counterfactual_trigger_property():
-    golden_cf, golden_iters = _check_counterfactual_property("golden6")
-    nofind_cf, nofind_iters = _check_counterfactual_property("nofind")
+def test_criterion_6_counterfactual_trigger_property(tmp_path):
+    golden_cf, golden_iters = _check_counterfactual_property("golden6", tmp_path / "g.jsonl")
+    nofind_cf, nofind_iters = _check_counterfactual_property("nofind", tmp_path / "n.jsonl")
     assert golden_cf == 6  # six finding iterations in the golden run
     assert nofind_cf == 0
     report(

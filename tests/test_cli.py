@@ -425,10 +425,13 @@ class TestBadInputsFailFirst:
         (None, ', "budget_per_vuln": NaN'), (None, ', "budget_per_vuln": Infinity'),
         (None, ', "cost_policy": {"tier_scores": {"low": -2.0}}'),
         (None, ', "cost_policy": {"tier_scores": {"high": Infinity}}'),
-    ], ids=["flag-nan", "flag-inf", "config-nan", "config-inf", "tier-negative", "tier-inf"])
+        (None, ', "no_new_finding_window": 0'),
+    ], ids=["flag-nan", "flag-inf", "config-nan", "config-inf", "tier-negative", "tier-inf",
+            "window-zero"])
     def test_unusable_budget_or_tier(self, tmp_path, capsys, monkeypatch, no_network, flag,
                                      config_keys):
-        """The knapsack needs a finite budget and finite tier scores >= 0."""
+        """The knapsack needs a finite budget and finite tier scores >= 0, and the
+        stagnation check a window of at least one iteration."""
         monkeypatch.setattr(Gateway, "complete", _refuse)
         config = tmp_path / "config.json"
         config.write_text('{"target_address": "10.0.2.4", "mode": "hermetic"' + config_keys + "}")
@@ -477,6 +480,41 @@ class TestBadInputsFailFirst:
             (kb / "meta.json").write_text("[]" if damage == "meta-list" else "[" * 100_000)
         assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
         assert f"cannot load knowledge base {kb}" in fatal_line(capsys.readouterr().err)
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is one ``fatal:`` line naming it, and exit 1."""
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("pentest", "out"), ("ingest", "kb"), ("pentest", "history.jsonl"),
+        ("pentest", "run-artifact.json"), ("run", "run-artifact.json"),
+        ("remediate", "run-artifact.json"), ("run", "report.txt"), ("live", "transcript.jsonl"),
+    ])
+    def test_fatal_names_the_path(self, tmp_path, capsys, no_network, command, blocked):
+        regular = tmp_path / "regular-file"
+        regular.write_text("not a directory")
+        out = regular / "out" if blocked == "out" else tmp_path / "out"
+        path = {"out": out, "kb": regular}.get(blocked, out / blocked)
+        if blocked not in ("out", "kb"):
+            path.mkdir(parents=True)
+        stage1 = tmp_path / "stage1"
+        if command == "remediate":
+            assert run_cli("pentest", "--target", "10.0.2.4", "--out", str(stage1)) == 0
+            capsys.readouterr()
+        corpus = cli.DATA_DIR / "corpus" / "pentest_notes.txt"
+        live = tmp_path / "live.json"
+        live.write_text(json.dumps({"target_address": "10.0.2.4", "mode": "live",
+                                    "llm": {"base_url": "http://127.0.0.1:9/v1"}}))
+        argv = {
+            "pentest": ["pentest", "--target", "10.0.2.4", "--out", str(out)],
+            "run": hermetic_args(out),
+            "remediate": ["remediate", str(stage1 / "run-artifact.json"), "--target", "10.0.2.4",
+                          "--mode", "hermetic", "--out", str(out)],
+            "ingest": ["ingest", str(corpus), "--kb", str(regular)],
+            "live": ["pentest", "--config", str(live), "--out", str(out)],
+        }[command]
+        assert run_cli(*argv) == 1
+        assert str(path) in fatal_line(capsys.readouterr().err)
 
 
 class _VanishingHost:

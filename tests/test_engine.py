@@ -35,7 +35,7 @@ from penheal.engine import (
     termination_reason,
     update_plan,
 )
-from penheal.gateway import AgentRole, Gateway, ScriptedBackend
+from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
 from penheal.model import AttackPlan, RunConfig, TaskStatus, Vulnerability
 from penheal.simulator import SimulatorBackend
 
@@ -296,11 +296,11 @@ FINDINGS = [
 
 
 class TestCounterfactual:
-    def test_prompt_lists_findings_in_port_service_format(self):
+    def test_prompt_lists_findings_in_port_service_format(self, tmp_path):
         backend = ScriptedBackend({AgentRole.PLANNER: [render_plan(BASIC_PLAN)]})
-        gateway = Gateway(backend)
+        gateway = Gateway(backend, record_path=tmp_path / "t.jsonl")
         counterfactual_update(BASIC_PLAN, FINDINGS, gateway)
-        request = gateway.transcript.exchanges[0].messages[-1].content
+        request = load_transcript(tmp_path / "t.jsonl")[0].messages[-1].content
         assert "Port 21/ftp:\n  vsFTPd version 2.3.4 backdoor (CVE-2011-2523)" in request
         assert "Port 6667/irc:\n  Trojaned version of UnrealIRCd (CVE-2010-2075)" in request
         assert "Port 80/http:\n  SQL injection points (Unknown CVE)" in request

@@ -21,7 +21,7 @@ from penheal.gateway import (
     MissingFixtureError,
     RoleTag,
     ScriptedBackend,
-    Transcript,
+    load_transcript,
     record_mode,
     replay_mode,
     request_hash,
@@ -125,7 +125,7 @@ class TestRecordReplay:
         deep = tmp_path / "deep.jsonl"
         deep.write_text("[" * 100_000 + "\n")
         with pytest.raises(GatewayError, match="line 1 is unreadable: nesting too deep"):
-            Transcript.load(deep)
+            load_transcript(deep)
 
     def test_record_preserves_order_under_interleaved_roles(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -141,14 +141,14 @@ class TestRecordReplay:
         recorder.complete(AgentRole.EXECUTOR, _history("b"))
         recorder.complete(AgentRole.SUMMARIZER, _history("c"))
         recorder.complete(AgentRole.PLANNER, _history("d"))
-        loaded = Transcript.load(path)
-        assert [e.role for e in loaded.exchanges] == [
+        loaded = load_transcript(path)
+        assert [e.role for e in loaded] == [
             AgentRole.PLANNER,
             AgentRole.EXECUTOR,
             AgentRole.SUMMARIZER,
             AgentRole.PLANNER,
         ]
-        assert [e.response for e in loaded.exchanges] == ["p1", "e1", "s1", "p2"]
+        assert [e.response for e in loaded] == ["p1", "e1", "s1", "p2"]
 
     def test_history_must_start_with_system(self):
         gateway = Gateway(ScriptedBackend({AgentRole.PLANNER: ["x"]}))
@@ -219,7 +219,7 @@ class TestRequestHash:
             with resources.as_file(
                 resources.files("penheal.data").joinpath(f"fixtures/{name}")
             ) as path:
-                exchanges = Transcript.load(path).exchanges
+                exchanges = load_transcript(path)
             assert exchanges
             for e in exchanges:
                 assert request_hash(e.role, list(e.messages)) == e.request_hash
@@ -416,6 +416,6 @@ class TestFixtureRegeneration:
         spec.loader.exec_module(builder)
         builder.main([str(tmp_path)])
         for name in ("golden6.jsonl", "nofind.jsonl"):
-            rebuilt = Transcript.load(tmp_path / name).exchanges
-            bundled = Transcript.load(builder.FIXTURE_DIR / name).exchanges
+            rebuilt = load_transcript(tmp_path / name)
+            bundled = load_transcript(builder.FIXTURE_DIR / name)
             assert [e._replace(ts="") for e in rebuilt] == [e._replace(ts="") for e in bundled]

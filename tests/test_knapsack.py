@@ -14,7 +14,8 @@ def brute_force(groups, budget):
     """Independent oracle: enumerate every choice vector (None = skip group).
 
     Works on integer cents and 0.1 cost units and returns the full tie-break
-    winner (cents, weight units, picks): value desc, cost asc, picks asc.
+    winner (cents, weight units, picks): value desc, cost asc, picks asc. A
+    choice fits when its cost is at most the budget, up to float error.
     """
     best = (0, 0, ())  # (-cents, weight units, picks): the smallest wins
     choices = [[None] + list(range(len(g))) for g in groups]
@@ -22,7 +23,7 @@ def brute_force(groups, budget):
         picks = tuple((g, i) for g, i in enumerate(combo) if i is not None)
         cents = [round(groups[g][i][1] * 100) for g, i in picks]
         weight = sum(round(groups[g][i][0] * 10) for g, i in picks)
-        if all(c > 0 for c in cents) and weight <= round(budget * 10):
+        if all(c > 0 for c in cents) and weight <= budget * 10 + 1e-6:
             best = min(best, (-sum(cents), weight, picks))
     return -best[0], best[1], best[2]
 
@@ -43,7 +44,7 @@ def random_instance(rng):
         ]
         for _ in range(rng.randint(1, 4))
     ]
-    budget = float(rng.randint(0, 40))
+    budget = rng.randint(0, 4000) / 100
     return groups, budget
 
 
@@ -90,6 +91,12 @@ class TestSolver:
         solution = solve_group_knapsack(groups, 0.3)
         assert solution.total_cost == 0.3
         assert solution.total_value == 3.0
+        assert solve_group_knapsack([[(2.1, 1.0)]], 0.7 * 3).picks == ((0, 0),)
+
+    @pytest.mark.parametrize("cost, budget", [(0.5, 0.46), (1.6, 1.55)])
+    def test_budget_between_units_is_not_rounded_up(self, cost, budget):
+        assert solve_group_knapsack([[(cost, 1.0)]], budget).picks == ()
+        assert_matches_oracle([[(cost, 1.0)]], budget)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(42)
@@ -120,7 +127,7 @@ class TestSolver:
             st.lists(
                 st.lists(
                     st.tuples(
-                        st.sampled_from([2.0, 5.0, 10.0]),
+                        st.sampled_from([0.5, 1.6, 2.0, 2.1, 5.0, 10.0]),
                         st.floats(min_value=0.0, max_value=18.0).map(
                             lambda x: round(x, 1)
                         ),
@@ -132,7 +139,7 @@ class TestSolver:
                 max_size=4,
             )
         )
-        budget = float(data.draw(st.integers(min_value=0, max_value=40)))
+        budget = data.draw(st.integers(min_value=0, max_value=4000)) / 100
         assert_matches_oracle(groups, budget)
 
     @given(st.data())

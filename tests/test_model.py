@@ -325,6 +325,7 @@ class TestConfig:
             {"target_address": "x", "budget_per_vuln": -1},
             {"target_address": "x", "max_iterations": 0},
             {"target_address": "x", "retrieval_k": 0},
+            {"target_address": "x", "no_new_finding_window": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

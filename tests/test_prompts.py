@@ -17,7 +17,7 @@ from penheal.prompts import (
     format_vulns_inline,
     render_prompt,
 )
-from penheal.remediation import advise, estimate_vector, evaluate
+from penheal.remediation import EvaluatorContext, advise, estimate_vector, evaluate
 
 TASK = "Scan the target"
 FINDING = Vulnerability(id="CVE-NA", service="http", port=80, description="sqli",
@@ -120,7 +120,8 @@ def call(role, replies):
         groups, warnings = advise([FINDING], gateway)
         value = [[c.text for c in g.candidates] for g in groups]
     else:
-        scored, warnings = evaluate(RECOMMENDATION, [FINDING], CostPolicy(), gateway)
+        context = EvaluatorContext([FINDING], CostPolicy())
+        scored, warnings = evaluate(RECOMMENDATION, context, gateway)
         value = (scored.cost, scored.value, scored.rationale)
     return backend, warnings, value
 

@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penheal import cvss
-from penheal.gateway import AgentRole, Gateway, ScriptedBackend
+from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
 from penheal.model import (
     CVE_NA,
-    BudgetScope,
     CostPolicy,
     CvssSource,
     Recommendation,
@@ -362,7 +361,7 @@ class TestEvaluate:
         target = finding("CVE-NA", "samba", 445, score=9.0)
         rec = Recommendation(text="Update Samba now", target_vuln_ids=(target.key_str,))
         gateway = gw({AgentRole.EVALUATOR: ["effect: full\ncost: low"]})
-        scored, warnings = evaluate(rec, [target], CostPolicy(), gateway)
+        scored, warnings = evaluate(rec, EvaluatorContext([target], CostPolicy()), gateway)
         assert scored.value == 9.0
         assert scored.cost == 2.0
         assert not warnings
@@ -371,7 +370,7 @@ class TestEvaluate:
         target = finding(score=9.0)
         rec = Recommendation(text="Change user passwords", target_vuln_ids=(target.key_str,))
         gateway = gw({AgentRole.EVALUATOR: ["effect: zero\ncost: low"]})
-        scored, _ = evaluate(rec, [target], CostPolicy(), gateway)
+        scored, _ = evaluate(rec, EvaluatorContext([target], CostPolicy()), gateway)
         assert scored.value == 0.0
 
     def test_multi_target_sum(self):
@@ -381,7 +380,7 @@ class TestEvaluate:
         gateway = gw(
             {AgentRole.EVALUATOR: [f"effect: full\ncost: moderate\ntargets: {b.key_str}"]}
         )
-        scored, _ = evaluate(rec, [a, b], CostPolicy(), gateway)
+        scored, _ = evaluate(rec, EvaluatorContext([a, b], CostPolicy()), gateway)
         assert scored.value == 17.3
         assert set(scored.target_vuln_ids) == {a.key_str, b.key_str}
 
@@ -391,7 +390,7 @@ class TestEvaluate:
         gateway = gw(
             {AgentRole.EVALUATOR: ["effect: full\ncost: low\ntargets: CVE-0000-0000@x:1"]}
         )
-        scored, warnings = evaluate(rec, [a], CostPolicy(), gateway)
+        scored, warnings = evaluate(rec, EvaluatorContext([a], CostPolicy()), gateway)
         assert scored.value == 5.0
         assert any("unknown target" in w for w in warnings)
 
@@ -399,19 +398,19 @@ class TestEvaluate:
         a = finding(score=5.0)
         rec = Recommendation(text="x", target_vuln_ids=(a.key_str,))
         gateway = gw({AgentRole.EVALUATOR: ["mumble", "mumble again"]})
-        scored, warnings = evaluate(rec, [a], CostPolicy(), gateway)
+        scored, warnings = evaluate(rec, EvaluatorContext([a], CostPolicy()), gateway)
         assert scored.value == 0.0
         assert scored.cost == 5.0  # moderate tier
         assert warnings
 
-    def test_user_preference_forwarded_to_prompt(self):
+    def test_user_preference_forwarded_to_prompt(self, tmp_path):
         a = finding(score=5.0)
         policy = CostPolicy(user_preference_text="downtime is unacceptable")
         rec = Recommendation(text="x", target_vuln_ids=(a.key_str,))
         backend = ScriptedBackend({AgentRole.EVALUATOR: ["effect: full\ncost: low"]})
-        gateway = Gateway(backend)
-        evaluate(rec, [a], policy, gateway)
-        system_text = gateway.transcript.exchanges[0].messages[0].content
+        gateway = Gateway(backend, record_path=tmp_path / "t.jsonl")
+        evaluate(rec, EvaluatorContext([a], policy), gateway)
+        system_text = load_transcript(tmp_path / "t.jsonl")[0].messages[0].content
         assert "downtime is unacceptable" in system_text
 
 
@@ -465,14 +464,12 @@ def scored_rec(text, key, cost, value):
 class TestSelect:
     def test_empty_selection(self):
         result = select([], 10.0)
-        assert result.selected == ()
-        assert result.total_value == 0.0
+        assert result.groups == () and result.selected == ()
 
     def test_narrowing_example(self):
         # Four candidates for one finding, budget 3: a cheap full fix is
         # adopted, the audit and the shutdown are discarded.
         group = RecommendationGroup(
-            vuln_key="CVE-NA@samba:445",
             candidates=(
                 scored_rec("Update Samba using the package manager", "CVE-NA@samba:445", 2.0, 9.0),
                 scored_rec("Perform regular security audits", "CVE-NA@samba:445", 2.0, 3.0),
@@ -491,7 +488,6 @@ class TestSelect:
     def test_group_exclusivity(self):
         groups = [
             RecommendationGroup(
-                vuln_key=f"CVE-NA@svc{i}:{i}",
                 candidates=(
                     scored_rec(f"fix {i}a", f"CVE-NA@svc{i}:{i}", 2.0, 5.0),
                     scored_rec(f"fix {i}b", f"CVE-NA@svc{i}:{i}", 2.0, 6.0),
@@ -502,11 +498,10 @@ class TestSelect:
         result = select(groups, 100.0)
         for group in result.groups:
             assert sum(1 for c in group.candidates if c.status is RecommendationStatus.ADOPTED) <= 1
-        assert result.total_value == 18.0
+        assert sum(c.value for c in result.selected) == 18.0
 
     def test_statuses_settled_for_every_candidate(self):
         group = RecommendationGroup(
-            vuln_key="k",
             candidates=(scored_rec("a", "k", 2.0, 1.0), scored_rec("b", "k", 2.0, 0.0)),
         )
         result = select([group], 10.0)
@@ -524,48 +519,22 @@ class TestRemediate:
         assert any("nothing to remediate" in w for w in result.warnings)
 
     def test_budget_is_per_vuln_times_findings(self):
+        # Two findings at 4.0 each pool into one budget of 8.0: the 5.0 fix
+        # fits it (it would not fit 4.0), and the 10.0 fix does not fit beside it.
         gateway = gw(
             {
-                AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"],
-                AgentRole.ADVISOR: ["1. Patch the daemon"],
-                AgentRole.EVALUATOR: ["effect: full\ncost: low"],
+                AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"] * 2,
+                AgentRole.ADVISOR: ["1. Moderate fix", "1. Costly fix"],
+                AgentRole.EVALUATOR: ["effect: full\ncost: moderate", "effect: full\ncost: high"],
             }
         )
         config = RunConfig(target_address="t", budget_per_vuln=4.0)
-        result = remediate([finding()], config, gateway)
-        assert result.budget == 4.0
-        assert len(result.selected) == 1
-
-    def test_per_vulnerability_budget_scope(self):
-        gateway = gw(
-            {
-                AgentRole.ESTIMATOR: [
-                    "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",
-                    "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H",
-                ],
-                AgentRole.ADVISOR: ["1. Cheap fix\n2. Expensive fix", "1. Costly fix"],
-                AgentRole.EVALUATOR: [
-                    "effect: partial 50%\ncost: low",
-                    "effect: full\ncost: high",
-                    "effect: full\ncost: high",
-                ],
-            }
-        )
-        config = RunConfig(
-            target_address="t",
-            budget_per_vuln=4.0,
-            budget_scope=BudgetScope.PER_VULNERABILITY,
-        )
         findings = [finding(port=80), finding(service="nfs", port=2049)]
         result = remediate(findings, config, gateway)
-        # Each group gets its own 4-unit budget: the high-cost full fixes
-        # (cost 10) never fit, only the cheap partial fix is adopted.
-        assert len(result.selected) == 1
-        assert result.selected[0].text == "Cheap fix"
+        assert [(r.text, r.cost) for r in result.selected] == [("Moderate fix", 5.0)]
 
     def test_report_rendering(self):
         group = RecommendationGroup(
-            vuln_key="k",
             candidates=(
                 scored_rec("Update Samba using the package manager", "k", 2.0, 9.0),
                 scored_rec("Shut down the Samba service", "k", 10.0, 9.0),
