@@ -31,6 +31,7 @@ from .model import (
     Vulnerability,
     decode,
     deserialize_run,
+    json_text,
     load_json,
     serialize_run,
 )
@@ -226,7 +227,7 @@ def _read_artifact(path: str):
 
 
 def _persist_history(history: list[engine.ExecutionRecord], out_dir: Path) -> None:
-    text = "".join(json.dumps(record.to_dict(), ensure_ascii=False) + "\n" for record in history)
+    text = "".join(json_text(record.to_dict()) + "\n" for record in history)
     _output(out_dir / "history.jsonl", lambda path: path.write_text(text, encoding="utf-8"))
 
 

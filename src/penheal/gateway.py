@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Protocol
 
-from .model import decode, encode, load_json
+from .model import decode, encode, json_text, load_json
 
 if TYPE_CHECKING:  # imported at run time by the live clients alone
     import requests
@@ -333,7 +333,7 @@ class Gateway:
                 ts=time.strftime("%Y-%m-%dT%H:%M:%S"),
             )
             with self._lock, open(self._record_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(encode(exchange), ensure_ascii=False) + "\n")
+                fh.write(json_text(encode(exchange)) + "\n")
         return response
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .gateway import AgentRole
-from .model import decode, encode, load_json
+from .model import decode, encode, json_text, load_json
 from .prompts import render_prompt
 
 EMBED_DIM = 512
@@ -37,6 +37,9 @@ DEFAULT_OVERLAP = 200
 DEFAULT_EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 
 _TOKEN = re.compile(r"\w+")
+# Each ASCII character outside \w is a space: on ASCII text \w is [A-Za-z0-9_] and all that
+# split() takes for whitespace is outside it, so translate, then split(), is _TOKEN.findall.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not _TOKEN.match(c)})
 _ROW = struct.Struct(f"={EMBED_DIM}d")  # native order, as array("d") holds it
 
 
@@ -81,21 +84,15 @@ def embed(text: str) -> tuple[float, ...]:
     if not text:
         raise ValueError("cannot embed empty text")
     lowered = text.lower()
-    counts = Counter(map(_bucket, _TOKEN.findall(lowered) or [lowered]))
+    # translate is fast only on all-ASCII text; one other character makes it slower than findall.
+    tokens = (lowered.translate(_ASCII_SEPARATORS).split() if lowered.isascii()
+              else _TOKEN.findall(lowered))
+    counts = Counter(map(_bucket, tokens or [lowered]))
     norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
     vector = [0.0] * EMBED_DIM
     for bucket, count in counts.items():
         vector[bucket] = count / norm
     return tuple(vector)
-
-
-def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    # Vectors are unit length, so the dot product is the cosine. A plain left
-    # fold like retrieve's scores: sum() compensates from Python 3.12 on.
-    total = 0.0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
 
 
 def _embedding(embedder: Callable[[str], tuple[float, ...]], text: str) -> tuple[float, ...]:
@@ -168,7 +165,7 @@ class KnowledgeBase:
 
         Scores fold in the matrix column of each nonzero query bucket,
         ascending, from 0.0. Each skipped term is x * 0.0, and adding an exact
-        zero leaves a float sum unchanged, so similarities equal cosine() exactly.
+        zero leaves a float sum unchanged, so similarities equal the tests' cosine() exactly.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -206,7 +203,7 @@ class KnowledgeBase:
                 vectors.tofile(fh)
         with open(directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
             for c in chunks:
-                fh.write(json.dumps(encode(c), ensure_ascii=False) + "\n")
+                fh.write(json_text(encode(c)) + "\n")
         meta = {
             "dimension": EMBED_DIM,
             "embedder_id": self.embedder_id,

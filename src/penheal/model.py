@@ -55,6 +55,8 @@ RESULT_SUMMARY_MAX = 500
 
 _CODECS: dict[type, tuple[Callable[[Any], dict], Callable[[Any], Any]]] = {}
 _NO_DEFAULT = object()
+# json.dumps(value, ensure_ascii=False), byte for byte, from one encoder, not one per call.
+json_text = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def encode(value: Any) -> dict[str, Any]:

@@ -9,6 +9,7 @@ import json
 import random
 import re
 import time
+from math import floor
 from pathlib import Path
 
 import pytest
@@ -71,32 +72,43 @@ def test_criterion_1_cvss_oracle_suite():
 
 
 def _brute_force_value(groups, budget):
-    best = 0.0
+    """Best value by enumeration, in whole cents, within the budget's whole 0.1 units.
+
+    Cents, as the solver counts: float sums of equal-cent sets can differ in the last bit.
+    """
+    capacity = floor(round(budget * 10, 6))
+    best = 0
     choices = [[None] + list(range(len(g))) for g in groups]
     for combo in itertools.product(*choices):
-        cost = sum(groups[g][i][0] for g, i in enumerate(combo) if i is not None)
-        value = sum(groups[g][i][1] for g, i in enumerate(combo) if i is not None)
-        if round(cost * 10) <= round(budget * 10):
-            best = max(best, value)
-    return best
+        picked = [groups[g][i] for g, i in enumerate(combo) if i is not None]
+        if sum(round(cost * 10) for cost, _ in picked) <= capacity:
+            best = max(best, sum(round(value * 100) for _, value in picked))
+    return best / 100
 
 
 def test_criterion_2_knapsack_oracle():
     """500 random instances: DP equals enumeration, constraints never break."""
+    assert _brute_force_value([[(0.5, 1.0)]], 0.46) == 0.0
+    assert _brute_force_value([[(1.6, 1.0)]], 1.55) == 0.0
+    assert _brute_force_value([[(0.7, 1.0)]] * 3, 0.7 * 3) == 3.0
     rng = random.Random(20240318)
     start = time.monotonic()
     for _ in range(500):
         groups = [
             [
-                (rng.choice([2.0, 5.0, 10.0]), round(rng.uniform(0.0, 18.0), 1))
+                (rng.choice([0.5, 1.6, 2.0, 5.0, 10.0]), round(rng.uniform(0.0, 18.0), 1))
                 for _ in range(rng.randint(1, 4))
             ]
             for _ in range(rng.randint(1, 4))
         ]
-        budget = float(rng.randint(0, 40))
+        budget = rng.choice([
+            float(rng.randint(0, 40)),  # whole units
+            rng.randint(0, 400) / 10,  # tenths
+            rng.choice([0.46, 1.55, 2.09, 4.99]),  # between tenths: rounds down
+        ])
         solution = solve_group_knapsack(groups, budget)
-        assert solution.total_value == _brute_force_value(groups, budget)
-        assert round(solution.total_cost * 10) <= round(budget * 10)
+        assert round(solution.total_value, 2) == _brute_force_value(groups, budget)
+        assert round(solution.total_cost * 10) <= floor(round(budget * 10, 6))
         picked = [g for g, _ in solution.picks]
         assert len(picked) == len(set(picked))
     elapsed = time.monotonic() - start

@@ -11,9 +11,9 @@ from penheal.knowledge import (
     KnowledgeBase,
     KnowledgeBaseError,
     build_instructor_prompt,
-    cosine,
     embed,
 )
+from test_knowledge_sparse import cosine
 
 
 class TestEmbed:

@@ -18,7 +18,7 @@ from penheal.knowledge import (
     DEFAULT_OVERLAP,
     EMBED_DIM,
     KnowledgeBase,
-    cosine,
+    _ASCII_SEPARATORS,
     embed,
 )
 
@@ -47,6 +47,18 @@ def dense_fold_embed(text: str) -> tuple[float, ...]:
     return tuple(map(truediv, counts, repeat(norm)))
 
 
+def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """Reference similarity: the dot product of unit vectors as a plain left fold.
+
+    retrieve's scores fold the same way; sum() compensates from Python 3.12 on.
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+ascii_text = st.text(alphabet="".join(map(chr, range(128))), min_size=1)
 no_word_text = st.text(alphabet=" \t\n!?.,;:-+*/$#@()[]{}<>\"'|\\~^%&=", min_size=1)
 repeated_token = st.builds(lambda token, n, sep: sep.join([token] * n),
                            st.sampled_from(VOCAB + ["İ", "x"]), st.integers(1000, 6000),
@@ -55,12 +67,33 @@ repeated_token = st.builds(lambda token, n, sep: sep.join([token] * n),
 
 class TestEmbedEqualsDenseFold:
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(st.text(min_size=1), no_word_text, repeated_token))
+    @given(st.one_of(st.text(min_size=1), ascii_text, no_word_text, repeated_token))
     @example("İ")
     @example("ΣΑΣ")
     @example("Straße STRASSE ǅ ﬁ")
+    @example("a_b-c9")
+    @example("x\x1fy\x0b\x0cz")
+    @example("\u212a")  # Kelvin sign: not ASCII, but its lowercase "k" is
+    @example("tab\tsep\u2014dash")  # one em dash: the regex tokenizes it
     def test_bit_identical(self, text):
         assert [x.hex() for x in embed(text)] == [x.hex() for x in dense_fold_embed(text)]
+
+
+class TestAsciiTokens:
+    """On ASCII text embed splits with _ASCII_SEPARATORS; the tokens must be the regex's."""
+
+    def test_table_spaces_exactly_the_non_word_characters(self):
+        for c in map(chr, range(128)):
+            assert c.translate(_ASCII_SEPARATORS) == (c if re.fullmatch(r"\w", c) else " "), c
+
+    @settings(max_examples=300, deadline=None)
+    @given(ascii_text)
+    @example("a_b-c9")
+    @example("x\x1fy\x0b\x0cz")
+    @example("__ 0_9\x7f\x00Z")
+    def test_tokens_equal_findall(self, text):
+        lowered = text.lower()
+        assert lowered.translate(_ASCII_SEPARATORS).split() == re.findall(r"\w+", lowered)
 
 
 def dense_scan(embedder, chunks, query, k):
