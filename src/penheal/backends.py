@@ -1,11 +1,11 @@
 """Real command-execution backends.
 
 The shell backend spawns a subprocess per command, in its own session, with
-merged output capture bounded to CAPTURE_BYTES and a hard timeout that kills
-the command's whole process group. Console-channel commands are fed to a
-metasploit console binary one-shot as an argv list, with no shell between
-(spawn, run, capture, exit); when the binary is absent the command fails as
-an ordinary execution record, never a crash.
+merged output capture bounded to CAPTURE_BYTES. The command's whole process
+group is killed when its shell exits, or at a hard timeout. Console-channel
+commands are fed to a metasploit console binary one-shot as an argv list,
+with no shell between (spawn, run, capture, exit); when the binary is absent
+the command fails as an ordinary execution record, never a crash.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import contextlib
 import os
 import selectors
-import shutil
 import signal
 import subprocess
 import time
-from typing import Union
+from typing import Callable, Union
 
 from .engine import Command, CommandChannel, OUTPUT_CAP, TIMEOUT_STATUS
 
@@ -26,6 +25,9 @@ from .engine import Command, CommandChannel, OUTPUT_CAP, TIMEOUT_STATUS
 # of UTF-8 take at most 4 * OUTPUT_CAP bytes, and 4 more make execute's
 # truncation fire exactly when it would on the whole output.
 CAPTURE_BYTES = 4 * OUTPUT_CAP + 4
+# The longest the read loop waits before it looks again whether the shell has exited.
+EXIT_POLL_SECONDS = 0.01
+_EXITED = os.WEXITED | os.WNOHANG | os.WNOWAIT
 
 
 class ShellBackend:
@@ -42,8 +44,13 @@ class ShellBackend:
     def _spawn(
         self, args: Union[str, list[str]], timeout: int, shell: bool = False
     ) -> tuple[str, Union[int, str]]:
-        # A new session puts the command and everything it starts in one
-        # process group, so a timeout kills the whole group, not only sh.
+        """Run ``args``; its output and the shell's own exit status, or the timeout marker.
+
+        A new session puts the command and everything it starts in one process
+        group. The group is killed once the shell exits, or at the timeout, so
+        no background child outlives the command or holds its output open. A
+        child that calls ``setsid`` itself leaves the group and escapes.
+        """
         deadline = time.monotonic() + timeout
         kept = bytearray()
         with subprocess.Popen(
@@ -54,29 +61,33 @@ class ShellBackend:
             start_new_session=True,
         ) as proc, selectors.DefaultSelector() as selector:
             selector.register(proc.stdout, selectors.EVENT_READ)
-            try:
-                while selector.select(deadline - time.monotonic()):
-                    chunk = os.read(proc.stdout.fileno(), 1 << 16)
-                    if not chunk:
-                        break
-                    kept += chunk[: CAPTURE_BYTES - len(kept)]
-                else:  # no output and no end of output before the deadline
-                    raise subprocess.TimeoutExpired(args, timeout)
-                proc.wait(deadline - time.monotonic())
-            except subprocess.TimeoutExpired:
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-                partial = kept.decode("utf-8", "replace")
-                return partial + f"\n[command timed out after {timeout}s]", TIMEOUT_STATUS
-        return kept.decode("utf-8", "replace"), proc.returncode
+
+            def read_until(done: Callable[[], bool]) -> bool:
+                """Read output until ``done()``; False if the deadline comes first."""
+                while not done():
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        return False
+                    if selector.select(min(left, EXIT_POLL_SECONDS)):
+                        chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                        kept.extend(chunk[: CAPTURE_BYTES - len(kept)])
+                        if not chunk:
+                            selector.unregister(proc.stdout)
+                return True
+
+            # WNOWAIT leaves the exited shell unreaped, so the group id is still its own.
+            exited = read_until(lambda: os.waitid(os.P_PID, proc.pid, _EXITED) is not None)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            if exited:
+                read_until(lambda: not selector.get_map())
+            proc.wait()
+        output = kept.decode("utf-8", "replace")
+        if not exited:
+            return output + f"\n[command timed out after {timeout}s]", TIMEOUT_STATUS
+        return output, proc.returncode
 
     def _run_msfconsole(self, command: Command) -> tuple[str, Union[int, str]]:
-        if shutil.which(self.msfconsole_binary) is None:
-            return (
-                f"execution error: {self.msfconsole_binary} not found on this system",
-                -1,
-            )
         # One-shot session: run the batch, then exit, so output capture is bounded.
         # An argv list, not a shell line: the batch reaches the console verbatim.
         argv = [self.msfconsole_binary, "-q", "-x", f"{command.raw}; exit"]

@@ -154,10 +154,26 @@ def _deterministic_run_id(*parts: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_keys(doc: dict) -> None:
+    """Raise ValueError for a config key naming no field, at the top or in llm, nvd, cost_policy.
+
+    The keys of a map, ``role_models`` or ``cost_policy.tier_scores``, are free.
+    """
+    fields = RunConfig._field_defaults | CliSettings._field_defaults
+    for key, value in doc.items():
+        if key not in fields:
+            raise ValueError(f"unknown key {key}")
+        section = getattr(fields[key], "_fields", ())  # a settings type's own fields
+        for inner in value if section and type(value) is dict else ():
+            if inner not in section:
+                raise ValueError(f"unknown key {key}.{inner}")
+
+
 def _stage_setup(args) -> tuple[CliSettings, RunConfig, Path]:
     """The CLI settings, the validated run config and the created out dir."""
     doc = load_config(args.config, _overrides(args))
     try:
+        _check_keys(doc)
         settings = decode(CliSettings, doc)
         config = RunConfig.from_dict(doc)
         config.validate()
@@ -197,8 +213,9 @@ def _executor(settings: CliSettings):
 
 
 def _nvd_client(settings: CliSettings, out_dir: Path):
+    """Fixture records when the run is hermetic or ``nvd.fixture_dir`` is set, else live."""
     nvd = settings.nvd
-    if settings.mode == "hermetic" or nvd.mode == "fixture":
+    if settings.mode == "hermetic" or nvd.fixture_dir:
         return FixtureNvdClient(nvd.fixture_dir)
     return LiveNvdClient(cache_dir=nvd.cache_dir or out_dir / "nvd-cache", base_url=nvd.base_url)
 
@@ -233,19 +250,12 @@ def _persist_history(history: list[engine.ExecutionRecord], out_dir: Path) -> No
 
 def _pentest_stage(settings: CliSettings, config: RunConfig, gateway: gw.Gateway,
                    out_dir: Path, transcript_ref: str) -> engine.PentestResult:
-    """Run discovery, then write history.jsonl and the stage-one artifact.
-
-    That artifact is what ``remediate`` reads. If the command backend goes
-    away, only the partial history is written.
-    """
+    """Run discovery, then write history.jsonl and the stage-one artifact ``remediate`` reads."""
     from . import engine
 
     backend, kb = _executor(settings)
     try:
         pentest = engine.run_pentest(config, backend, gateway, kb)
-    except engine.BackendUnreachableError as exc:
-        _persist_history(exc.history, out_dir)
-        raise Fatal(f"command backend unreachable: {exc}") from None
     except engine.EngineError as exc:
         raise Fatal(str(exc)) from None
     _persist_history(pentest.history, out_dir)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Protocol, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Protocol, Union
 
 from .gateway import AgentRole, Gateway
 from .knowledge import KnowledgeBase, build_instructor_prompt
@@ -42,18 +42,6 @@ TIMEOUT_STATUS = "timeout"
 
 class EngineError(Exception):
     pass
-
-
-class BackendUnreachableError(EngineError):
-    """The command backend is gone; the loop aborts with the records executed so far."""
-
-    def __init__(self, message: str, history: Sequence[ExecutionRecord] = ()):
-        super().__init__(message)
-        self.history = history
-
-
-class PlanExhaustedError(EngineError):
-    """No to-do task remains: a termination condition, not a failure."""
 
 
 class CommandChannel(Enum):
@@ -281,8 +269,6 @@ def execute(command: Command, backend: ExecutorBackend) -> tuple[str, Union[int,
     """Run one command on the backend; output is capped at 64 KiB."""
     try:
         output, status = backend.run(command)
-    except BackendUnreachableError:
-        raise
     except Exception as exc:  # spawn failures become records, the loop continues
         return f"execution error: {exc}", -1
     return clip_summary(output, OUTPUT_CAP), status
@@ -316,7 +302,7 @@ def select_next_task(plan: AttackPlan, gateway: Gateway) -> str:
     """Ask the planner for the next task id; fall back to depth-first first to-do."""
     todo = plan.todo_ids()
     if not todo:
-        raise PlanExhaustedError("no to-do tasks remain")
+        raise EngineError("no to-do tasks remain")
     response = ask(gateway, AgentRole.PLANNER,
                    render_prompt(AgentRole.PLANNER, {"plan": render_plan(plan)}, "select"))
     for token in re.findall(r"\d+(?:\.\d+)*", response):
@@ -539,15 +525,12 @@ def run_pentest(
             warnings.append(f"{task_id}: executor produced no command twice")
         else:
             iteration_records = []
-            try:
-                for command in commands:
-                    output, status = execute(command, executor_backend)
-                    summary = summarize(command.raw, output, gateway)
-                    record = ExecutionRecord(command, output, summary, status)
-                    iteration_records.append(record)
-                    history.append(record)
-            except BackendUnreachableError as exc:
-                raise BackendUnreachableError(str(exc), history) from exc
+            for command in commands:
+                output, status = execute(command, executor_backend)
+                summary = summarize(command.raw, output, gateway)
+                record = ExecutionRecord(command, output, summary, status)
+                iteration_records.append(record)
+                history.append(record)
 
             candidates, extract_warnings = extract_findings(iteration_records, gateway)
             warnings.extend(extract_warnings)

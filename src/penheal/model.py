@@ -382,7 +382,6 @@ class LlmSettings(NamedTuple):
 
 
 class NvdSettings(NamedTuple):
-    mode: str = "live"  # or "fixture"
     fixture_dir: Optional[str] = None
     cache_dir: Optional[str] = None  # default: nvd-cache in the out dir
     base_url: str = NVD_BASE_URL

@@ -22,7 +22,21 @@ class PromptError(KeyError):
     """A required template placeholder was not supplied."""
 
 
-PLANNER_SYSTEM = """\
+VALUE_RULES_TEXT = """\
+Full CVSS Score: the full numerical value of the CVSS score is assigned to \
+recommendations that directly and completely address a vulnerability. \
+Partial CVSS Score (k%): a fraction k% of the CVSS score, with k between 0 \
+and 100, is assigned to recommendations that only partially address the \
+vulnerability. Zero Score: a score of 0 is assigned to recommendations that \
+cannot address the vulnerability or are irrelevant. Sum of Scores for \
+Multiple Vulnerabilities: if a recommendation addresses multiple \
+vulnerabilities, the value is the sum of the CVSS scores of all addressed \
+vulnerabilities. Negative Impact (negative k%): negative k% of the CVSS \
+score is assigned to recommendations that exacerbate the vulnerability."""
+
+
+TEMPLATES: dict[tuple[AgentRole, str], str] = {
+    (AgentRole.PLANNER, "system"): """\
 As the chief director of penetration testing, you are responsible for \
 high-level planning. Please follow these guidelines:
 (1) Task Structure: Organize tasks in a layered sequence (e.g., 1, 1.1, 1.1.1).
@@ -41,36 +55,31 @@ only for completed or failed tasks. A subtask id extends its parent id by \
 one dotted segment.
 (6) Never change a task that is already completed or failed back to to-do.
 The phases are Reconnaissance, Scanning, Vulnerability Assessment, and \
-Exploitation."""
-
-PLANNER_INIT = """\
+Exploitation.""",
+    (AgentRole.PLANNER, "init"): """\
 The target system's IP address is {target}. Create the initial attack plan \
-covering the standard phases. Output only the plan."""
-
-PLANNER_SELECT = """\
+covering the standard phases. Output only the plan.""",
+    (AgentRole.PLANNER, "select"): """\
 Here is the current attack plan:
 {plan}
 Choose the next task based on the latest outcomes and the current attack \
-plan. Reply with the task id only."""
-
-PLANNER_UPDATE = """\
+plan. Reply with the task id only.""",
+    (AgentRole.PLANNER, "update"): """\
 Here is the current attack plan:
 {plan}
 Task {task_id} was executed. Summarized outcome:
 {summary}
 Update the attack plan: mark task {task_id} as completed or failed with a \
 succinct result, and add subtasks if more information is required. Output \
-only the full updated plan."""
-
-PLANNER_COUNTERFACTUAL = """\
+only the full updated plan.""",
+    (AgentRole.PLANNER, "counterfactual"): """\
 Here is the list of vulnerabilities already identified, please mark them as \
 completed on the attack list. Now exploit the system as if they do not exist:
 {findings}
 Here is the current attack plan:
 {plan}
-Output only the full updated plan."""
-
-EXECUTOR_SYSTEM = """\
+Output only the full updated plan.""",
+    (AgentRole.EXECUTOR, "system"): """\
 As the penetration tester, you are responsible for generating commands given \
 the task assigned by your boss. Please follow these guidelines:
 (1) Give your command(s) in a format starting and ending with "$" for easy \
@@ -85,30 +94,25 @@ follow a sequence that makes sense.
 pre-installed. You are given the permission to use all of them.
 (6) Avoid overly lengthy or complicated commands; the insights from previous \
 commands often inform the choice of subsequent commands.
-Your assigned task: {task}"""
-
-EXECUTOR_INSTRUCTOR = """\
+Your assigned task: {task}""",
+    (AgentRole.EXECUTOR, "instructor"): """\
 Here is a brief introduction to the task: {task}. Here is some info from the \
 knowledge base for your reference:
-{excerpts}"""
-
-EXECUTOR_RETRY = """\
+{excerpts}""",
+    (AgentRole.EXECUTOR, "retry"): """\
 No command could be parsed from your reply. Remember guideline (1): commands \
-must start and end with "$". Give the command(s) for the task again."""
-
-SUMMARIZER_SYSTEM = """\
+must start and end with "$". Give the command(s) for the task again.""",
+    (AgentRole.SUMMARIZER, "system"): """\
 You summarize the outputs of commands executed during a penetration test. \
 Condense the verbose output into a concise and informative summary, keeping \
 key facts: open ports, service names and versions, vulnerability \
 identifiers, credentials, sessions or access gained, and errors. Stay under \
-1200 characters. Output only the summary."""
-
-SUMMARIZER_CONDENSE = """\
+1200 characters. Output only the summary.""",
+    (AgentRole.SUMMARIZER, "condense"): """\
 Command: {command}
 Output:
-{output}"""
-
-EXTRACTOR_SYSTEM = """\
+{output}""",
+    (AgentRole.EXTRACTOR, "system"): """\
 You extract the vulnerabilities and their characteristics from the recorded \
 attack history. For every vulnerability that was successfully exploited, \
 output one block in exactly this format:
@@ -118,13 +122,11 @@ port: <port number>
 description: <one line>
 method: <how it was exploited>
 For vulnerabilities that are not disclosed, fill in "CVE-NA" as the ID. \
-If no vulnerability was exploited, output NONE."""
-
-EXTRACTOR_EXTRACT = """\
+If no vulnerability was exploited, output NONE.""",
+    (AgentRole.EXTRACTOR, "extract"): """\
 Recorded attack history:
-{history}"""
-
-ESTIMATOR_SYSTEM = """\
+{history}""",
+    (AgentRole.ESTIMATOR, "system"): """\
 As the severity estimator, you are responsible for producing a vector string \
 for the CVSS calculator. Please follow these guidelines:
 (1) A vector string is of the form 'CVSS:3.0/AV:[value]/AC:[value]/PR:[value]\
@@ -141,18 +143,15 @@ from: None (N), Required (R).
 scope. Choose from: Unchanged (U), Changed (C).
 (7) Confidentiality (C), Integrity (I), Availability (A): The impact on each \
 property. Choose from: High (H), Low (L), None (N).
-Output only the vector string."""
-
-ESTIMATOR_ESTIMATE = """\
+Output only the vector string.""",
+    (AgentRole.ESTIMATOR, "estimate"): """\
 Vulnerability: {finding}
 Recorded context:
-{context}"""
-
-ESTIMATOR_RETRY = """\
+{context}""",
+    (AgentRole.ESTIMATOR, "retry"): """\
 That vector string could not be parsed: {error}
-Output only a corrected vector string."""
-
-ADVISOR_SYSTEM = """\
+Output only a corrected vector string.""",
+    (AgentRole.ADVISOR, "system"): """\
 As the remediation advisor, you are responsible for generating remediation \
 strategies for the vulnerabilities identified. Please follow these \
 guidelines:
@@ -164,19 +163,16 @@ example, "sudo apt update" is better than "Update the system".
 suggesting enabling firewall and giving commands is better than "Shut down \
 the service".
 (4) Output a numbered list with one recommendation per item, each item \
-starting with "<number>. "."""
-
-ADVISOR_ADVISE = """\
+starting with "<number>. ".""",
+    (AgentRole.ADVISOR, "advise"): """\
 Vulnerability: {finding}
 Severity: CVSS base score {score} ({vector}).
 Description: {description}
-Propose the remediation recommendations now."""
-
-ADVISOR_RETRY = """\
+Propose the remediation recommendations now.""",
+    (AgentRole.ADVISOR, "retry"): """\
 Your reply could not be parsed. Output a numbered list, one recommendation \
-per item, each starting with "<number>. "."""
-
-EVALUATOR_SYSTEM = """\
+per item, each starting with "<number>. ".""",
+    (AgentRole.EVALUATOR, "system"): """\
 You have already discovered these vulnerabilities: {vulns}. If the following \
 remediation approach is adopted, to what extent can it mitigate the risks? \
 Give the score based on the rule: {value_def}. Give the score based on their \
@@ -187,52 +183,13 @@ exactly these lines:
 effect: full | partial <k>% | zero | negative <k>%
 cost: low | moderate | high | <number between 0 and 10>
 If the approach also addresses other vulnerabilities from the list, add one \
-more line: targets: <comma-separated vulnerability ids>."""
-
-EVALUATOR_EVALUATE = """\
-Remediation approach: {recommendation}"""
-
-EVALUATOR_RETRY = """\
+more line: targets: <comma-separated vulnerability ids>.""",
+    (AgentRole.EVALUATOR, "evaluate"): """\
+Remediation approach: {recommendation}""",
+    (AgentRole.EVALUATOR, "retry"): """\
 Your reply could not be parsed. Reply with exactly the lines described:
 effect: full | partial <k>% | zero | negative <k>%
-cost: low | moderate | high | <number between 0 and 10>"""
-
-
-VALUE_RULES_TEXT = """\
-Full CVSS Score: the full numerical value of the CVSS score is assigned to \
-recommendations that directly and completely address a vulnerability. \
-Partial CVSS Score (k%): a fraction k% of the CVSS score, with k between 0 \
-and 100, is assigned to recommendations that only partially address the \
-vulnerability. Zero Score: a score of 0 is assigned to recommendations that \
-cannot address the vulnerability or are irrelevant. Sum of Scores for \
-Multiple Vulnerabilities: if a recommendation addresses multiple \
-vulnerabilities, the value is the sum of the CVSS scores of all addressed \
-vulnerabilities. Negative Impact (negative k%): negative k% of the CVSS \
-score is assigned to recommendations that exacerbate the vulnerability."""
-
-
-TEMPLATES: dict[tuple[AgentRole, str], str] = {
-    (AgentRole.PLANNER, "system"): PLANNER_SYSTEM,
-    (AgentRole.PLANNER, "init"): PLANNER_INIT,
-    (AgentRole.PLANNER, "select"): PLANNER_SELECT,
-    (AgentRole.PLANNER, "update"): PLANNER_UPDATE,
-    (AgentRole.PLANNER, "counterfactual"): PLANNER_COUNTERFACTUAL,
-    (AgentRole.EXECUTOR, "system"): EXECUTOR_SYSTEM,
-    (AgentRole.EXECUTOR, "instructor"): EXECUTOR_INSTRUCTOR,
-    (AgentRole.EXECUTOR, "retry"): EXECUTOR_RETRY,
-    (AgentRole.SUMMARIZER, "system"): SUMMARIZER_SYSTEM,
-    (AgentRole.SUMMARIZER, "condense"): SUMMARIZER_CONDENSE,
-    (AgentRole.EXTRACTOR, "system"): EXTRACTOR_SYSTEM,
-    (AgentRole.EXTRACTOR, "extract"): EXTRACTOR_EXTRACT,
-    (AgentRole.ESTIMATOR, "system"): ESTIMATOR_SYSTEM,
-    (AgentRole.ESTIMATOR, "estimate"): ESTIMATOR_ESTIMATE,
-    (AgentRole.ESTIMATOR, "retry"): ESTIMATOR_RETRY,
-    (AgentRole.ADVISOR, "system"): ADVISOR_SYSTEM,
-    (AgentRole.ADVISOR, "advise"): ADVISOR_ADVISE,
-    (AgentRole.ADVISOR, "retry"): ADVISOR_RETRY,
-    (AgentRole.EVALUATOR, "system"): EVALUATOR_SYSTEM,
-    (AgentRole.EVALUATOR, "evaluate"): EVALUATOR_EVALUATE,
-    (AgentRole.EVALUATOR, "retry"): EVALUATOR_RETRY,
+cost: low | moderate | high | <number between 0 and 10>""",
 }
 
 

@@ -322,7 +322,7 @@ def evaluate(
         )
         return (
             recommendation._replace(
-                cost=context.policy.tier("moderate"),
+                cost=round(context.policy.tier("moderate"), 1),  # the 0.1 grid of parsed costs
                 value=0.0,
                 rationale="evaluation unparseable; conservative default applied",
             ),
@@ -357,13 +357,8 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-class Selection(NamedTuple):
-    groups: tuple[RecommendationGroup, ...]
-    selected: tuple[Recommendation, ...]
-
-
-def select(groups: list[RecommendationGroup], budget: float) -> Selection:
-    """Adopt the value-maximizing feasible set, at most one per group."""
+def select(groups: list[RecommendationGroup], budget: float) -> RemediationResult:
+    """Adopt the value-maximizing feasible set, at most one per group; no warnings."""
     solution = solve_group_knapsack(
         [[(c.cost, c.value) for c in g.candidates] for g in groups],
         budget,
@@ -384,10 +379,7 @@ def select(groups: list[RecommendationGroup], budget: float) -> Selection:
             if status is RecommendationStatus.ADOPTED:
                 selected.append(updated)
         final_groups.append(group._replace(candidates=tuple(candidates)))
-    return Selection(
-        groups=tuple(final_groups),
-        selected=tuple(selected),
-    )
+    return RemediationResult(groups=final_groups, selected=selected, warnings=[])
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +416,7 @@ def remediate(
             scored.append(evaluated)
         scored_groups.append(group._replace(candidates=tuple(scored)))
 
-    selection = select(scored_groups, config.budget_per_vuln * len(enriched))
-    return RemediationResult(
-        groups=list(selection.groups),
-        selected=list(selection.selected),
-        warnings=warnings,
-    )
+    return select(scored_groups, config.budget_per_vuln * len(enriched))._replace(warnings=warnings)
 
 
 def format_selection_report(groups: list[RecommendationGroup]) -> str:

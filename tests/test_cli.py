@@ -12,10 +12,9 @@ import pytest
 from penheal import cli
 from penheal.backends import ShellBackend
 from penheal.cli import _chat_gateway, _executor, _nvd_client, main
-from penheal.engine import BackendUnreachableError
 from penheal.gateway import AgentRole, Gateway, LiveBackend, ScriptedBackend
 from penheal.model import AttackPlan, Vulnerability, decode, deserialize_run, serialize_run
-from penheal.nvd import FixtureNvdClient
+from penheal.nvd import FixtureNvdClient, LiveNvdClient
 from penheal.simulator import ground_truth
 
 
@@ -306,6 +305,20 @@ def _refuse(*args):
     raise AssertionError("the model stage was reached")
 
 
+def _rejected_config(tmp_path, capsys, monkeypatch, command, doc):
+    """The fatal line of ``command`` on a config with ``doc``; checks nothing else ran."""
+    monkeypatch.setattr(Gateway, "complete", _refuse)
+    monkeypatch.chdir(tmp_path)  # a rejected out_dir must not be created anywhere
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"target_address": "10.0.2.4", **doc}))
+    artifact = tmp_path / "artifact.json"
+    artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
+    argv = [command, str(artifact)] if command == "remediate" else [command]
+    assert run_cli(*argv, "--config", str(config)) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "config.json"]
+    return fatal_line(capsys.readouterr().err)
+
+
 class TestBadInputsFailFirst:
     """A bad --truth or --kb is one ``fatal:`` line and exit 1, before any model call."""
 
@@ -383,16 +396,19 @@ class TestBadInputsFailFirst:
     ])
     @pytest.mark.parametrize("command", ["run", "pentest", "remediate"])
     def test_mistyped_cli_key(self, tmp_path, capsys, monkeypatch, command, key, value):
-        monkeypatch.setattr(Gateway, "complete", _refuse)
-        monkeypatch.chdir(tmp_path)  # a rejected out_dir must not be created anywhere
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"target_address": "10.0.2.4", key: value}))
-        artifact = tmp_path / "artifact.json"
-        artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
-        argv = [command, str(artifact)] if command == "remediate" else [command]
-        assert run_cli(*argv, "--config", str(config)) == 1
-        assert f"invalid configuration: CliSettings.{key}" in fatal_line(capsys.readouterr().err)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "config.json"]
+        message = _rejected_config(tmp_path, capsys, monkeypatch, command, {key: value})
+        assert f"invalid configuration: CliSettings.{key}" in message
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "budgte_per_vuln"), (None, "budget_scope"), ("nvd", "mode"), ("nvd", "mdoe"),
+        ("llm", "base_ulr"), ("cost_policy", "tier_score"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "pentest", "remediate"])
+    def test_unknown_config_key(self, tmp_path, capsys, monkeypatch, command, section, key):
+        doc = {key: "x"} if section is None else {section: {key: "x"}}
+        message = _rejected_config(tmp_path, capsys, monkeypatch, command, doc)
+        dotted = key if section is None else f"{section}.{key}"
+        assert message == f"fatal: invalid configuration: unknown key {dotted}"
 
     @pytest.mark.parametrize("site", ["config", "config-interpolation", "truth", "fixtures",
                                       "host_model", "remediate", "score", "replay"])
@@ -517,16 +533,10 @@ class TestUnwritableOutput:
         assert str(path) in fatal_line(capsys.readouterr().err)
 
 
-class _VanishingHost:
-    """A command backend whose host disappears after the first command."""
-
-    def __init__(self):
-        self.calls = 0
+class _OneOutputHost:
+    """A command backend that answers every command with the same output."""
 
     def run(self, command):
-        self.calls += 1
-        if self.calls >= 2:
-            raise BackendUnreachableError("target host vanished")
         return "first output", 0
 
 
@@ -539,26 +549,11 @@ def _scripted_stage(monkeypatch, scripts, backend):
 
 
 class TestStageFailuresAndWarnings:
-    @pytest.mark.parametrize("command", ["run", "pentest"])
-    def test_unreachable_backend_keeps_partial_history(self, tmp_path, capsys, monkeypatch,
-                                                       command):
-        _scripted_stage(monkeypatch, {
-            AgentRole.PLANNER: ["1 Recon [to-do]\n  1.1 Scan the target [to-do]", "1.1"],
-            AgentRole.EXECUTOR: ["$first$ $second$"],
-            AgentRole.SUMMARIZER: ["summary of first"],
-        }, _VanishingHost())
-        out = tmp_path / "out"
-        assert run_cli(command, "--target", "10.0.2.4", "--out", str(out)) == 1
-        assert "backend unreachable" in fatal_line(capsys.readouterr().err)
-        records = (out / "history.jsonl").read_text().splitlines()
-        assert [json.loads(r)["raw_output"] for r in records] == ["first output"]
-        assert not (out / "run-artifact.json").exists()
-
     def test_pentest_prints_warnings(self, tmp_path, capsys, monkeypatch):
         _scripted_stage(monkeypatch, {
             AgentRole.PLANNER: ["1 Recon [to-do]", "1"],
             AgentRole.EXECUTOR: ["no command here", "still none"],
-        }, _VanishingHost())
+        }, _OneOutputHost())
         assert run_cli("pentest", "--target", "10.0.2.4", "--out", str(tmp_path / "out")) == 2
         captured = capsys.readouterr()
         assert "findings: 0" in captured.out
@@ -573,7 +568,7 @@ class TestStageFailuresAndWarnings:
             AgentRole.EXECUTOR: ["$nmap -sV 10.0.2.4$ $dangling"],
             AgentRole.SUMMARIZER: ["web server found"],
             AgentRole.EXTRACTOR: [finding, finding],
-        }, _VanishingHost())
+        }, _OneOutputHost())
         assert run_cli("run", "--target", "10.0.2.4", "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err.splitlines() == [
             "warning: unpaired $ delimiter near: 'dangling'",
@@ -699,7 +694,7 @@ def test_cli_runs_under_the_profiler(tmp_path):
 def test_live_mode_assembly(tmp_path, no_network):
     """Live assembly builds the shell backend and a recording gateway, and connects nowhere."""
     settings = decode(cli.CliSettings, {"mode": "live", "llm": {"base_url": "http://127.0.0.1:9/v1"},
-                                        "nvd": {"mode": "fixture"}})
+                                        "nvd": {"fixture_dir": str(tmp_path)}})
     gateway, transcript_ref = _chat_gateway(settings, (), tmp_path)
     backend, _ = _executor(settings)
     assert isinstance(gateway.backend, LiveBackend)
@@ -707,3 +702,19 @@ def test_live_mode_assembly(tmp_path, no_network):
     assert (tmp_path / "transcript.jsonl").read_text() == ""  # record mode starts it empty
     assert isinstance(backend, ShellBackend)
     assert isinstance(_nvd_client(settings, tmp_path), FixtureNvdClient)
+    live_nvd = settings._replace(nvd=settings.nvd._replace(fixture_dir=None))
+    assert isinstance(_nvd_client(live_nvd, tmp_path), LiveNvdClient)
+
+
+def test_readme_config_passes_the_strict_check(tmp_path, monkeypatch):
+    """The README's live config example decodes, unknown-key check included."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("with a config such as:\n\n```json\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "config.json"
+    config.write_text(block, encoding="utf-8")
+    monkeypatch.setenv("PENHEAL_LLM_API_KEY", "test-key")
+    args = cli.build_parser().parse_args(["run", "--config", str(config),
+                                          "--out", str(tmp_path / "out")])
+    settings, run_config, _ = cli._stage_setup(args)
+    assert (settings.mode, settings.llm.api_key) == ("live", "test-key")
+    assert settings.nvd.cache_dir and run_config.cost_policy.user_preference_text

@@ -19,7 +19,6 @@ from penheal.engine import (
     CommandChannel,
     EngineError,
     IterationLog,
-    PlanExhaustedError,
     counterfactual_update,
     execute,
     initial_plan,
@@ -234,7 +233,7 @@ class TestSelectNextTask:
 
     def test_exhausted_plan_signals(self):
         plan = plan_from("1 done [completed] - result: r")
-        with pytest.raises(PlanExhaustedError):
+        with pytest.raises(EngineError, match="no to-do tasks remain"):
             select_next_task(plan, gw({AgentRole.PLANNER: ["1"]}))
 
 
@@ -440,6 +439,17 @@ def _gone_or_zombie(pid):
         return True
 
 
+def _live_processes(argv):
+    """Pids of the live processes whose command line is ``argv`` (a zombie's reads empty)."""
+    wanted = "".join(f"{arg}\0" for arg in argv).encode()
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError), open(f"/proc/{entry}/cmdline", "rb") as cmdline:
+            if cmdline.read() == wanted:
+                pids.append(int(entry))
+    return pids
+
+
 # Runs a 20 MB command through execute; prints [ru_maxrss growth in KiB, output, status].
 MEASURE_BIG_OUTPUT = r"""
 import json, resource, sys
@@ -480,6 +490,36 @@ class TestExecute:
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("command", ["sleep {} >/dev/null 2>&1 & echo started",
+                                         "sleep {} & echo started"])
+    def test_command_ends_with_its_shell(self, command):
+        """A background child neither outlives its command nor holds it open to the timeout."""
+        from penheal.backends import ShellBackend
+
+        sleep = ["sleep", f"9{os.getpid()}{len(command)}"]  # unique to this test
+        started = time.monotonic()
+        result = ShellBackend().run(Command(command.format(sleep[1]), timeout_seconds=10))
+        elapsed = time.monotonic() - started
+        try:
+            deadline = time.monotonic() + 5  # SIGKILL lands asynchronously
+            while _live_processes(sleep) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _live_processes(sleep) == []
+        finally:
+            for pid in _live_processes(sleep):
+                os.kill(pid, signal.SIGKILL)
+        assert result == ("started\n", 0)
+        assert elapsed < 5
+
+    def test_missing_console_binary_is_a_record(self, tmp_path):
+        from penheal.backends import ShellBackend
+
+        missing = str(tmp_path / "msfconsole")
+        command = Command("version", channel=CommandChannel.MSFCONSOLE)
+        output, status = execute(command, ShellBackend(missing))
+        assert status == -1
+        assert output == f"execution error: [Errno 2] No such file or directory: '{missing}'"
 
     def test_big_output_keeps_memory_bounded(self):
         # A child's ru_maxrss starts at the RSS of the process that forked it,
@@ -712,34 +752,3 @@ class TestInitialPlan:
         plan, warnings = initial_plan(RunConfig(target_address="10.0.2.4"), gateway)
         assert plan.find("1.1") is not None
         assert validate_plan(plan) == []
-
-
-class TestBackendAbort:
-    def test_unreachable_backend_aborts_with_partial_history(self):
-        from penheal.engine import BackendUnreachableError
-
-        class Flaky:
-            def __init__(self):
-                self.calls = 0
-
-            def run(self, command):
-                self.calls += 1
-                if self.calls >= 2:
-                    raise BackendUnreachableError("target host vanished")
-                return "first output", 0
-
-        init = "1 Recon [to-do]\n  1.1 Scan the target [to-do]"
-        gateway = gw(
-            {
-                AgentRole.PLANNER: [init, "1.1"],
-                AgentRole.EXECUTOR: ["$first$ $second$"],
-                AgentRole.SUMMARIZER: ["summary of first"],
-            }
-        )
-        config = RunConfig(target_address="10.0.2.4")
-        with pytest.raises(BackendUnreachableError) as exc_info:
-            run_pentest(config, Flaky(), gateway, None)
-        history = exc_info.value.history
-        assert history is not None
-        assert len(history) == 1
-        assert history[0].raw_output == "first output"

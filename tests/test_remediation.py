@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from penheal import cvss
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
+from penheal.knapsack import COST_SCALE
 from penheal.model import (
     CVE_NA,
     CostPolicy,
@@ -403,6 +404,21 @@ class TestEvaluate:
         assert scored.cost == 5.0  # moderate tier
         assert warnings
 
+    @given(
+        tiers=st.lists(st.floats(min_value=0, max_value=1000), min_size=3, max_size=3),
+        replies=st.sampled_from([["effect: full\ncost: low"], ["effect: zero\ncost: moderate"],
+                                 ["effect: partial 50%\ncost: high"], ["effect: full\ncost: 7.25"],
+                                 ["mumble", "mumble again"]]),
+    )
+    def test_cost_is_what_the_knapsack_charges(self, tiers, replies):
+        """Off-grid tier scores: every cost, the fallback's too, sits on the knapsack's grid."""
+        a = finding(score=5.0)
+        policy = CostPolicy(tier_scores=tuple(zip(("low", "moderate", "high"), tiers)))
+        rec = Recommendation(text="x", target_vuln_ids=(a.key_str,))
+        scored, _ = evaluate(rec, EvaluatorContext([a], policy),
+                             gw({AgentRole.EVALUATOR: replies}))
+        assert round(scored.cost * COST_SCALE) / COST_SCALE == scored.cost
+
     def test_user_preference_forwarded_to_prompt(self, tmp_path):
         a = finding(score=5.0)
         policy = CostPolicy(user_preference_text="downtime is unacceptable")
@@ -464,7 +480,7 @@ def scored_rec(text, key, cost, value):
 class TestSelect:
     def test_empty_selection(self):
         result = select([], 10.0)
-        assert result.groups == () and result.selected == ()
+        assert result.groups == [] and result.selected == []
 
     def test_narrowing_example(self):
         # Four candidates for one finding, budget 3: a cheap full fix is
