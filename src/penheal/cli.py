@@ -76,6 +76,8 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
             raise Fatal(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise Fatal(f"config file {path} is not valid JSON: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise Fatal(f"cannot read config file {path}: {exc}")
         if not isinstance(doc, dict):
             raise Fatal("config root must be a JSON object")
     for key, value in overrides.items():
@@ -217,7 +219,8 @@ def _nvd_client(settings: CliSettings, out_dir: Path):
     nvd = settings.nvd
     if settings.mode == "hermetic" or nvd.fixture_dir:
         return FixtureNvdClient(nvd.fixture_dir)
-    return LiveNvdClient(cache_dir=nvd.cache_dir or out_dir / "nvd-cache", base_url=nvd.base_url)
+    return _output(Path(nvd.cache_dir or out_dir / "nvd-cache"),
+                   lambda path: LiveNvdClient(cache_dir=path, base_url=nvd.base_url))
 
 
 def _output(path: Path, write: Callable[[Path], Any]) -> Any:
@@ -275,7 +278,7 @@ def _remediate_and_score(config: RunConfig, gateway: gw.Gateway, nvd_client, out
     """
     try:
         rem = remediation.remediate(findings, config, gateway, nvd_client)
-    except (remediation.RemediationError, gw.GatewayError) as exc:
+    except gw.GatewayError as exc:
         raise Fatal(f"remediation failed: {exc}") from None
     report = scoring.score_run(findings, truth, rem.selected, mode=config.aggregation_mode,
                                run_id=run_id)

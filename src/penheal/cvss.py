@@ -77,11 +77,6 @@ def base_score(metrics: CvssMetrics) -> float:
     return round_up_one_decimal(min(1.08 * (impact + exploitability), 10.0))
 
 
-def with_score(metrics: CvssMetrics) -> CvssMetrics:
-    """Return a copy carrying its recomputed base score."""
-    return metrics._replace(base_score=base_score(metrics))
-
-
 def parse_vector(text: str) -> CvssMetrics:
     """Parse a base-metric vector string into scored metrics.
 
@@ -123,15 +118,14 @@ def parse_vector(text: str) -> CvssMetrics:
             f"metrics out of canonical order (expected {'/'.join(METRIC_ORDER)})"
         )
 
-    return with_score(
-        CvssMetrics(
-            av=values["AV"],
-            ac=values["AC"],
-            pr=values["PR"],
-            ui=values["UI"],
-            scope=values["S"],
-            c=values["C"],
-            i=values["I"],
-            a=values["A"],
-        )
+    metrics = CvssMetrics(
+        av=values["AV"],
+        ac=values["AC"],
+        pr=values["PR"],
+        ui=values["UI"],
+        scope=values["S"],
+        c=values["C"],
+        i=values["I"],
+        a=values["A"],
     )
+    return metrics._replace(base_score=base_score(metrics))

@@ -88,18 +88,6 @@ class ChatTurn(_ChatTurnFields):
         return self
 
 
-def system_turn(content: str) -> ChatTurn:
-    return ChatTurn(RoleTag.SYSTEM, content)
-
-
-def user_turn(content: str) -> ChatTurn:
-    return ChatTurn(RoleTag.USER, content)
-
-
-def assistant_turn(content: str) -> ChatTurn:
-    return ChatTurn(RoleTag.ASSISTANT, content)
-
-
 def request_hash(role: AgentRole, messages: list[ChatTurn]) -> str:
     """Stable content hash keying a request for record/replay.
 
@@ -238,9 +226,12 @@ class LiveBackend:
                 f"chat completion failed at {url}: HTTP {resp.status_code} {resp.text[:200]}"
             )
         try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            content = resp.json()["choices"][0]["message"]["content"]
+            if content is not None and type(content) is not str:
+                raise TypeError(f"message content is {type(content).__name__}, not text")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise GatewayError(f"malformed completion response from {url}: {exc}") from exc
+        return content or ""  # null content: a reply with no text
 
 
 class ReplayBackend:

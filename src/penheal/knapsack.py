@@ -24,26 +24,18 @@ vector.
 from __future__ import annotations
 
 from math import floor, gcd
-from typing import NamedTuple
 
 COST_SCALE = 10
 VALUE_SCALE = 100
 
 
-class KnapsackSolution(NamedTuple):
-    """Chosen (group, candidate) index pairs plus the achieved totals."""
-
-    picks: tuple[tuple[int, int], ...]
-    total_value: float
-    total_cost: float
-
-
 def solve_group_knapsack(
     groups: list[list[tuple[float, float]]],
     budget: float,
-) -> KnapsackSolution:
-    """Maximize total value subject to total cost <= budget, one pick per group.
+) -> tuple[tuple[int, int], ...]:
+    """The (group, candidate) index pairs, in group order, of the best pick set.
 
+    Maximizes total value subject to total cost <= budget, one pick per group.
     ``groups`` holds (cost, value) pairs with cost >= 0. Ties on value are
     broken toward lower total cost, then toward earlier groups and earlier
     candidates within a group, so the result is fully deterministic.
@@ -92,14 +84,4 @@ def solve_group_knapsack(
                 picks.append((g, i))
                 left -= weight
                 break
-
-    # A plain left fold in group order: sum() compensates rounding on
-    # Python >= 3.12, which would change the reported float.
-    total_value = 0.0
-    for g, i in picks:
-        total_value += groups[g][i][1]
-    return KnapsackSolution(
-        picks=tuple(picks),
-        total_value=total_value,
-        total_cost=(cap - left) * step / COST_SCALE,
-    )
+    return tuple(picks)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import builtins
 import json
-import re
 import sys
 from enum import Enum
 from functools import partial
@@ -41,7 +40,6 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional
 DATA_DIR = Path(__file__).parent / "data"
 BUNDLED_HOST = DATA_DIR / "hosts" / "metasploitable2.json"
 
-CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
 CVE_NA = "CVE-NA"
 NVD_BASE_URL = "https://services.nvd.nist.gov/rest/json/cves/2.0"
 
@@ -285,9 +283,6 @@ class Vulnerability(NamedTuple):
     def key_str(self) -> str:
         port = "-" if self.port is None else str(self.port)
         return f"{self.id.upper()}@{self.service.strip().lower()}:{port}"
-
-    def has_valid_id(self) -> bool:
-        return self.id == CVE_NA or bool(CVE_PATTERN.match(self.id))
 
 
 def dedupe_findings(findings: list[Vulnerability]) -> list[Vulnerability]:

@@ -11,15 +11,17 @@ calculator, so a record whose vector and score disagree is rejected.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from . import cvss
 from .gateway import send_with_retries
-from .model import CVE_PATTERN, DATA_DIR, NVD_BASE_URL, CvssMetrics, load_json
+from .model import DATA_DIR, NVD_BASE_URL, CvssMetrics, load_json
 
 NVD_API_KEY_ENV = "PENHEAL_NVD_API_KEY"
 NVD_TIMEOUT_SECONDS = 30.0
+CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
 
 
 class CveNotFound(Exception):
@@ -168,6 +170,7 @@ class LiveNvdClient:
 
 
 def _validated_id(cve_id: str) -> str:
+    """The id as a lookup key, whatever its case; ValueError unless it names a CVE."""
     cve_id = cve_id.strip().upper()
     if not CVE_PATTERN.match(cve_id):
         raise ValueError(f"not a CVE identifier: {cve_id!r}")

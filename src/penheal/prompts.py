@@ -1,21 +1,19 @@
 """Prompt catalog for every agent role, and the one way an agent is asked.
 
 Every agent exchange goes through :func:`ask`. Templates use ``{name}``
-placeholders filled by :func:`render_prompt`. Substitution is a single pass,
-so braces inside substituted values are left alone. A missing placeholder
-raises an error naming it. Every correction prompt of the re-ask rule is the
-role's ``retry`` template.
+placeholders filled by :func:`render_prompt` under ``str.format`` rules, so a
+literal brace in a template is written ``{{`` or ``}}``, and braces inside
+substituted values are left alone. A missing placeholder raises an error
+naming it. Every correction prompt of the re-ask rule is the role's ``retry``
+template.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, Optional
 
-from .gateway import AgentRole, Gateway, assistant_turn, system_turn, user_turn
+from .gateway import AgentRole, ChatTurn, Gateway, RoleTag
 from .model import CVE_NA, CostPolicy, Vulnerability
-
-_PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
 
 
 class PromptError(KeyError):
@@ -199,16 +197,12 @@ def render_prompt(role: AgentRole, variables: dict[str, str], kind: str = "syste
         template = TEMPLATES[(role, kind)]
     except KeyError:
         raise PromptError(f"no template for role {role.value!r}, kind {kind!r}") from None
-
-    def substitute(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in variables:
-            raise PromptError(
-                f"missing placeholder {name!r} for {role.value}/{kind} template"
-            )
-        return str(variables[name])
-
-    return _PLACEHOLDER.sub(substitute, template)
+    try:
+        return template.format_map(variables)
+    except KeyError as exc:
+        raise PromptError(
+            f"missing placeholder {exc.args[0]!r} for {role.value}/{kind} template"
+        ) from None
 
 
 def ask(gateway: Gateway, role: AgentRole, user: str, system: Optional[str] = None,
@@ -218,17 +212,20 @@ def ask(gateway: Gateway, role: AgentRole, user: str, system: Optional[str] = No
     Without ``parse`` the reply is returned as it is. With it, returns
     ``parse(reply)``: a value, empty or None when the reply is unusable, and
     warnings. An unusable reply is asked about exactly once more, with the
-    reply and the role's ``retry`` prompt appended (``{error}`` is that
-    attempt's warnings); the warnings of both attempts are returned in order.
+    reply (unless it is empty) and the role's ``retry`` prompt appended
+    (``{error}`` is that attempt's warnings); the warnings of both attempts are
+    returned in order.
     """
-    history = [system_turn(system or render_prompt(role, {}, "system")), user_turn(user)]
+    history = [ChatTurn(RoleTag.SYSTEM, system or render_prompt(role, {}, "system")),
+               ChatTurn(RoleTag.USER, user)]
     reply = gateway.complete(role, history)
     if parse is None:
         return reply
     value, warnings = parse(reply)
     if not value:
         retry = render_prompt(role, {"error": "; ".join(warnings)}, "retry")
-        reply = gateway.complete(role, history + [assistant_turn(reply), user_turn(retry)])
+        answer = [ChatTurn(RoleTag.ASSISTANT, reply)] if reply else []
+        reply = gateway.complete(role, history + answer + [ChatTurn(RoleTag.USER, retry)])
         value, retry_warnings = parse(reply)
         warnings = warnings + retry_warnings
     return value, warnings

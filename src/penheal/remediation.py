@@ -37,10 +37,6 @@ from .prompts import (
 )
 
 
-class RemediationError(Exception):
-    pass
-
-
 class RecommendationGroup(NamedTuple):
     """All candidate fixes generated for one finding; at most one gets adopted."""
 
@@ -109,7 +105,7 @@ def enrich_findings(
         metrics = None
         source = CvssSource.ESTIMATED
         description = finding.description
-        if finding.id != CVE_NA and finding.has_valid_id():
+        if finding.id != CVE_NA:
             try:
                 record = client.lookup(finding.id)
                 metrics = record.metrics
@@ -119,6 +115,8 @@ def enrich_findings(
                 warnings.append(f"{finding.id}: not in the CVE database, estimating")
             except NvdError as exc:
                 warnings.append(f"{finding.id}: lookup failed ({exc}), estimating")
+            except ValueError:  # not a CVE id: estimated without a lookup
+                pass
         if metrics is None:
             context = " ".join(
                 part for part in (finding.description, finding.exploitation_method) if part
@@ -154,8 +152,6 @@ def advise(
     findings: list[Vulnerability], gateway: Gateway
 ) -> tuple[list[RecommendationGroup], list[str]]:
     """One advisor call per finding, parsed into a candidate group."""
-    if not findings:
-        raise RemediationError("advise requires at least one finding")
     groups: list[RecommendationGroup] = []
     warnings: list[str] = []
     for finding in findings:
@@ -231,7 +227,7 @@ def parse_evaluation(reply: str, policy: CostPolicy) -> EvaluationVerdict:
                 t.strip() for t in targets_match.group(1).split(",") if t.strip()
             )
     if not effect_class or cost is None:
-        raise RemediationError(f"unparseable evaluation reply: {reply[:120]!r}")
+        raise ValueError(f"unparseable evaluation reply: {reply[:120]!r}")
     return EvaluationVerdict(
         effect_class=effect_class,
         k=k,
@@ -309,7 +305,7 @@ def evaluate(
     def parse(reply: str) -> tuple[Optional[tuple[EvaluationVerdict, str]], list[str]]:
         try:
             return (parse_evaluation(reply, context.policy), reply.strip()), []
-        except RemediationError as exc:
+        except ValueError as exc:
             return None, [str(exc)]
 
     variables = {"recommendation": recommendation.text}
@@ -359,11 +355,8 @@ def evaluate(
 
 def select(groups: list[RecommendationGroup], budget: float) -> RemediationResult:
     """Adopt the value-maximizing feasible set, at most one per group; no warnings."""
-    solution = solve_group_knapsack(
-        [[(c.cost, c.value) for c in g.candidates] for g in groups],
-        budget,
-    )
-    picked = set(solution.picks)
+    picked = set(solve_group_knapsack(
+        [[(c.cost, c.value) for c in g.candidates] for g in groups], budget))
     final_groups: list[RecommendationGroup] = []
     selected: list[Recommendation] = []
     for g_index, group in enumerate(groups):

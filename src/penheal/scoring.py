@@ -8,8 +8,6 @@ three (the default) or as a plain sum.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .model import (
     CVE_NA,
     AggregationMode,
@@ -19,71 +17,48 @@ from .model import (
 )
 
 
-class MatchReport(NamedTuple):
-    matched: tuple[tuple[Vulnerability, Vulnerability], ...]
-    unmatched_found: tuple[Vulnerability, ...]
-    unmatched_truth: tuple[Vulnerability, ...]
-
-    @property
-    def matched_count(self) -> int:
-        return len(self.matched)
-
-    @property
-    def truth_count(self) -> int:
-        return len(self.matched) + len(self.unmatched_truth)
-
-
-def match_findings(found: list[Vulnerability], truth: list[Vulnerability]) -> MatchReport:
-    """Greedy matching: exact CVE id first, then (service, port) for CVE-NA rows.
+def match_findings(
+    found: list[Vulnerability], truth: list[Vulnerability]
+) -> list[tuple[Vulnerability, Vulnerability]]:
+    """Greedy (found, truth) pairs: exact CVE id first, then (service, port) for CVE-NA rows.
 
     Each truth entry is consumed at most once, so duplicate claims never
     inflate coverage.
     """
     remaining = list(truth)
     matched: list[tuple[Vulnerability, Vulnerability]] = []
-    unmatched_found: list[Vulnerability] = []
-
-    leftover: list[Vulnerability] = []
+    unnamed: list[Vulnerability] = []
     for f in found:
-        if f.id != CVE_NA:
-            hit = next((t for t in remaining if t.id.upper() == f.id.upper()), None)
-            if hit is not None:
-                matched.append((f, hit))
-                remaining.remove(hit)
-                continue
-        leftover.append(f)
-
-    for f in leftover:
-        hit = None
         if f.id == CVE_NA:
-            hit = next(
-                (
-                    t
-                    for t in remaining
-                    if t.id == CVE_NA
-                    and t.service.strip().lower() == f.service.strip().lower()
-                    and t.port == f.port
-                ),
-                None,
-            )
+            unnamed.append(f)
+            continue
+        hit = next((t for t in remaining if t.id.upper() == f.id.upper()), None)
         if hit is not None:
             matched.append((f, hit))
             remaining.remove(hit)
-        else:
-            unmatched_found.append(f)
 
-    return MatchReport(
-        matched=tuple(matched),
-        unmatched_found=tuple(unmatched_found),
-        unmatched_truth=tuple(remaining),
-    )
+    for f in unnamed:
+        hit = next(
+            (
+                t
+                for t in remaining
+                if t.id == CVE_NA
+                and t.service.strip().lower() == f.service.strip().lower()
+                and t.port == f.port
+            ),
+            None,
+        )
+        if hit is not None:
+            matched.append((f, hit))
+            remaining.remove(hit)
+    return matched
 
 
-def detection_coverage(match: MatchReport) -> float:
-    """10x the matched fraction of ground truth."""
-    if match.truth_count < 1:
+def detection_coverage(found: list[Vulnerability], truth: list[Vulnerability]) -> float:
+    """10x the fraction of ground truth that ``found`` matches."""
+    if not truth:
         raise ValueError("ground truth is empty; coverage undefined")
-    return 10.0 * match.matched_count / match.truth_count
+    return 10.0 * len(match_findings(found, truth)) / len(truth)
 
 
 def remediation_effectiveness(selected: list[Recommendation]) -> float:
@@ -120,8 +95,7 @@ def score_run(
     run_id: str = "",
 ) -> ScoreReport:
     """Compute the full score report for one run."""
-    match = match_findings(found, truth)
-    s_d = round(detection_coverage(match), 2)
+    s_d = round(detection_coverage(found, truth), 2)
     s_r = round(remediation_effectiveness(selected), 2)
     c = round(remediation_cost(selected), 2)
     notes: list[str] = []
@@ -133,7 +107,7 @@ def score_run(
         c=c,
         s_overall=overall(s_d, s_r, c, mode),
         found_count=len(found),
-        truth_count=match.truth_count,
+        truth_count=len(truth),
         run_id=run_id,
         notes=tuple(notes),
     )

@@ -106,10 +106,14 @@ def test_criterion_2_knapsack_oracle():
             rng.randint(0, 400) / 10,  # tenths
             rng.choice([0.46, 1.55, 2.09, 4.99]),  # between tenths: rounds down
         ])
-        solution = solve_group_knapsack(groups, budget)
-        assert round(solution.total_value, 2) == _brute_force_value(groups, budget)
-        assert round(solution.total_cost * 10) <= floor(round(budget * 10, 6))
-        picked = [g for g, _ in solution.picks]
+        picks = solve_group_knapsack(groups, budget)
+        value = cost = 0.0  # a left fold in group order
+        for g, i in picks:
+            cost += groups[g][i][0]
+            value += groups[g][i][1]
+        assert round(value, 2) == _brute_force_value(groups, budget)
+        assert round(cost * 10) <= floor(round(budget * 10, 6))
+        picked = [g for g, _ in picks]
         assert len(picked) == len(set(picked))
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -107,6 +107,17 @@ class TestRun:
         assert run_cli("run", "--config", str(config_path)) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["directory", "not-utf8"])
+    def test_unreadable_config_is_fatal(self, tmp_path, capsys, damage):
+        config_path = tmp_path / "config.json"
+        if damage == "directory":
+            config_path.mkdir()
+        else:
+            config_path.write_bytes(b"\xff\xfe{}")
+        assert run_cli("run", "--config", str(config_path)) == 1
+        assert fatal_line(capsys.readouterr().err).startswith(
+            f"fatal: cannot read config file {config_path}: ")
+
 
 class TestPentestSubcommand:
     def test_discovery_stage_only(self, tmp_path, capsys, no_network):
@@ -505,22 +516,25 @@ class TestUnwritableOutput:
         ("pentest", "out"), ("ingest", "kb"), ("pentest", "history.jsonl"),
         ("pentest", "run-artifact.json"), ("run", "run-artifact.json"),
         ("remediate", "run-artifact.json"), ("run", "report.txt"), ("live", "transcript.jsonl"),
+        ("live-remediate", "nvd-cache"),
     ])
     def test_fatal_names_the_path(self, tmp_path, capsys, no_network, command, blocked):
         regular = tmp_path / "regular-file"
         regular.write_text("not a directory")
         out = regular / "out" if blocked == "out" else tmp_path / "out"
-        path = {"out": out, "kb": regular}.get(blocked, out / blocked)
-        if blocked not in ("out", "kb"):
+        path = {"out": out, "kb": regular, "nvd-cache": regular / "nvd-cache"}.get(
+            blocked, out / blocked)
+        if blocked not in ("out", "kb", "nvd-cache"):
             path.mkdir(parents=True)
         stage1 = tmp_path / "stage1"
-        if command == "remediate":
+        if command.endswith("remediate"):
             assert run_cli("pentest", "--target", "10.0.2.4", "--out", str(stage1)) == 0
             capsys.readouterr()
         corpus = cli.DATA_DIR / "corpus" / "pentest_notes.txt"
         live = tmp_path / "live.json"
         live.write_text(json.dumps({"target_address": "10.0.2.4", "mode": "live",
-                                    "llm": {"base_url": "http://127.0.0.1:9/v1"}}))
+                                    "llm": {"base_url": "http://127.0.0.1:9/v1"},
+                                    "nvd": {"cache_dir": str(regular / "nvd-cache")}}))
         argv = {
             "pentest": ["pentest", "--target", "10.0.2.4", "--out", str(out)],
             "run": hermetic_args(out),
@@ -528,6 +542,8 @@ class TestUnwritableOutput:
                           "--mode", "hermetic", "--out", str(out)],
             "ingest": ["ingest", str(corpus), "--kb", str(regular)],
             "live": ["pentest", "--config", str(live), "--out", str(out)],
+            "live-remediate": ["remediate", str(stage1 / "run-artifact.json"), "--config",
+                               str(live), "--out", str(out)],
         }[command]
         assert run_cli(*argv) == 1
         assert str(path) in fatal_line(capsys.readouterr().err)

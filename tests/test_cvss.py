@@ -126,5 +126,6 @@ class TestParseVector:
     )
     @settings(max_examples=60, deadline=None)
     def test_parse_inverts_render(self, av, ac, pr, ui, scope, c, i, a):
-        original = cvss.with_score(metrics(av, ac, pr, ui, scope, c, i, a))
+        unscored = metrics(av, ac, pr, ui, scope, c, i, a)
+        original = unscored._replace(base_score=cvss.base_score(unscored))
         assert cvss.parse_vector(original.vector_string()) == original

@@ -714,6 +714,22 @@ class TestScriptedRuns:
         assert node.status is TaskStatus.FAILED
         assert "no executable command" in node.result_summary
 
+    def test_empty_executor_reply_is_asked_again(self):
+        init = "1 Recon [to-do]\n  1.1 Scan the target [to-do]"
+        done = "1 Recon [to-do]\n  1.1 Scan the target [completed] - result: ports listed"
+        gateway = gw(
+            {
+                AgentRole.PLANNER: [init, "1.1", done],
+                AgentRole.EXECUTOR: ["", "$nmap 10.0.0.1$"],
+                AgentRole.SUMMARIZER: ["ports listed"],
+                AgentRole.EXTRACTOR: ["NONE", "NONE"],
+            }
+        )
+        config = RunConfig(target_address="10.0.0.1", max_iterations=1)
+        result = run_pentest(config, SimulatorBackend(), gateway, None)
+        assert [record.command.raw for record in result.history] == ["nmap 10.0.0.1"]
+        assert result.plan.find("1.1").status is TaskStatus.COMPLETED
+
     def test_monotone_findings_and_replay_purity(self):
         # Same scripts twice produce identical findings lists.
         def build_gateway():

@@ -25,10 +25,7 @@ from penheal.gateway import (
     record_mode,
     replay_mode,
     request_hash,
-    system_turn,
     _truncate,
-    assistant_turn,
-    user_turn,
 )
 from penheal.prompts import PromptError, render_prompt
 
@@ -79,7 +76,7 @@ class TestChatTurn:
 
 
 def _history(content="hello"):
-    return [system_turn("system prompt"), user_turn(content)]
+    return [ChatTurn(RoleTag.SYSTEM, "system prompt"), ChatTurn(RoleTag.USER, content)]
 
 
 class TestRecordReplay:
@@ -153,7 +150,7 @@ class TestRecordReplay:
     def test_history_must_start_with_system(self):
         gateway = Gateway(ScriptedBackend({AgentRole.PLANNER: ["x"]}))
         with pytest.raises(GatewayError):
-            gateway.complete(AgentRole.PLANNER, [user_turn("no system")])
+            gateway.complete(AgentRole.PLANNER, [ChatTurn(RoleTag.USER, "no system")])
 
 
 def _reference_hash(role, messages):
@@ -191,8 +188,8 @@ class TestRequestHash:
 
     def test_threads_sharing_first_turns_get_the_one_shot_hash(self):
         # The cached first-turn states are shared by every thread; each must copy, never update.
-        firsts = [system_turn(f"system {i} " + "x" * 2000) for i in range(3)]
-        requests = [(role, [first, user_turn(f"task {n}")])
+        firsts = [ChatTurn(RoleTag.SYSTEM, f"system {i} " + "x" * 2000) for i in range(3)]
+        requests = [(role, [first, ChatTurn(RoleTag.USER, f"task {n}")])
                     for n in range(40) for role in (AgentRole.ADVISOR, AgentRole.EVALUATOR)
                     for first in firsts]
         expected = [_reference_hash(role, messages) for role, messages in requests]
@@ -272,9 +269,9 @@ class TestTruncation:
                 return "ok"
 
         gateway = Gateway(Capture())
-        history = [system_turn("sys")]
+        history = [ChatTurn(RoleTag.SYSTEM, "sys")]
         for i in range(40):
-            history.append(user_turn(f"turn-{i:03d} " + "x" * 1000))
+            history.append(ChatTurn(RoleTag.USER, f"turn-{i:03d} " + "x" * 1000))
         gateway.complete(AgentRole.SUMMARIZER, history)
         messages = captured["messages"]
         assert messages[0].content == "sys"
@@ -304,8 +301,9 @@ class TestTruncation:
         st.integers(0, 400),
     )
     def test_total_keeps_system_and_fits_budget(self, system, turns, budget):
-        history = [system_turn(system)] + [
-            user_turn(text) if is_user else assistant_turn(text) for is_user, text in turns
+        history = [ChatTurn(RoleTag.SYSTEM, system)] + [
+            ChatTurn(RoleTag.USER if is_user else RoleTag.ASSISTANT, text)
+            for is_user, text in turns
         ]
         result = _truncate(history, budget)
         assert result[0] == history[0]
@@ -321,7 +319,7 @@ class TestTruncation:
             assert history[-1].content.endswith(kept)
 
     def test_clip_never_exceeds_budget_for_large_system_turn(self):
-        history = [system_turn("s" * 11_900), user_turn("u" * 5_000)]
+        history = [ChatTurn(RoleTag.SYSTEM, "s" * 11_900), ChatTurn(RoleTag.USER, "u" * 5_000)]
         result = _truncate(history, 12_000)
         assert sum(len(t.content) for t in result) == 12_000
         assert result[1].content == "...[earlier context truncated] " + "u" * 69
@@ -388,6 +386,22 @@ class TestLiveBackend:
         assert request["body"]["model"] == "gpt-4"
         assert request["body"]["temperature"] == 0
         assert request["auth"] == "Bearer k"
+
+    def test_null_content_is_an_empty_reply_that_replays(self, stub_server, tmp_path):
+        url, handler = stub_server
+        handler.responses = [(200, _completion(None))]
+        transcript = tmp_path / "transcript.jsonl"
+        gateway = Gateway(LiveBackend(url, api_key="k"), record_path=transcript)
+        assert gateway.complete(AgentRole.PLANNER, _history()) == ""
+        assert load_transcript(transcript)[0].response == ""
+        assert replay_mode(transcript).complete(AgentRole.PLANNER, _history()) == ""
+
+    @pytest.mark.parametrize("content", [5, ["hi"], {"text": "hi"}])
+    def test_content_that_is_not_text_is_malformed(self, stub_server, content):
+        url, handler = stub_server
+        handler.responses = [(200, _completion(content))]
+        with pytest.raises(GatewayError, match="malformed completion response"):
+            LiveBackend(url, api_key="k").complete(AgentRole.PLANNER, "gpt-4", _history())
 
     def test_retries_transient_500_then_succeeds(self, stub_server, fast_retries):
         url, handler = stub_server

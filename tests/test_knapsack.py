@@ -28,12 +28,17 @@ def brute_force(groups, budget):
     return -best[0], best[1], best[2]
 
 
+def cents_and_weight(groups, picks):
+    """The picks' total value in cents and total cost in 0.1 units."""
+    return (sum(round(groups[g][i][1] * 100) for g, i in picks),
+            sum(round(groups[g][i][0] * 10) for g, i in picks))
+
+
 def assert_matches_oracle(groups, budget):
-    solution = solve_group_knapsack(groups, budget)
-    cents, weight, picks = brute_force(groups, budget)
-    assert solution.picks == picks
-    assert round(solution.total_value * 100) == cents
-    assert round(solution.total_cost * 10) == weight
+    picks = solve_group_knapsack(groups, budget)
+    cents, weight, expected = brute_force(groups, budget)
+    assert picks == expected
+    assert cents_and_weight(groups, picks) == (cents, weight)
 
 
 def random_instance(rng):
@@ -50,52 +55,41 @@ def random_instance(rng):
 
 class TestSolver:
     def test_empty_groups(self):
-        solution = solve_group_knapsack([], 10.0)
-        assert solution.picks == () and solution.total_value == 0.0
+        assert solve_group_knapsack([], 10.0) == ()
 
     def test_zero_budget_picks_nothing_costly(self):
-        solution = solve_group_knapsack([[(2.0, 9.0)]], 0.0)
-        assert solution.picks == ()
+        assert solve_group_knapsack([[(2.0, 9.0)]], 0.0) == ()
 
     def test_single_group_single_item(self):
-        solution = solve_group_knapsack([[(2.0, 9.0)]], 3.0)
-        assert solution.picks == ((0, 0),)
-        assert solution.total_value == 9.0
-        assert solution.total_cost == 2.0
+        assert solve_group_knapsack([[(2.0, 9.0)]], 3.0) == ((0, 0),)
 
     def test_narrowing_scenario(self):
         # One vulnerability, four candidate fixes, budget 3: the two cheap
         # full fixes tie; candidate order adopts the first, the audit and
         # the shutdown lose.
         groups = [[(2.0, 9.0), (2.0, 3.0), (10.0, 9.0), (2.0, 9.0)]]
-        solution = solve_group_knapsack(groups, 3.0)
-        assert len(solution.picks) == 1
-        assert solution.picks[0] in ((0, 0), (0, 3))
-        assert solution.picks[0] == (0, 0)  # deterministic candidate-order tie-break
-        assert solution.total_value == 9.0
-        assert solution.total_cost == 2.0
+        picks = solve_group_knapsack(groups, 3.0)
+        assert picks == ((0, 0),)  # deterministic candidate-order tie-break
+        assert cents_and_weight(groups, picks) == (900, 20)
 
     def test_nonpositive_values_excluded(self):
         groups = [[(0.0, 0.0), (0.0, -5.0), (1.0, 1.0)]]
-        solution = solve_group_knapsack(groups, 10.0)
-        assert solution.picks == ((0, 2),)
+        assert solve_group_knapsack(groups, 10.0) == ((0, 2),)
 
     def test_one_pick_per_group(self):
         groups = [[(1.0, 5.0), (1.0, 6.0)], [(1.0, 7.0), (1.0, 1.0)]]
-        solution = solve_group_knapsack(groups, 10.0)
-        assert sorted(g for g, _ in solution.picks) == [0, 1]
-        assert solution.total_value == 13.0
+        picks = solve_group_knapsack(groups, 10.0)
+        assert sorted(g for g, _ in picks) == [0, 1]
+        assert cents_and_weight(groups, picks) == (1300, 20)
 
     def test_fractional_costs_survive_scaling(self):
         groups = [[(0.1, 1.0)], [(0.2, 2.0)]]
-        solution = solve_group_knapsack(groups, 0.3)
-        assert solution.total_cost == 0.3
-        assert solution.total_value == 3.0
-        assert solve_group_knapsack([[(2.1, 1.0)]], 0.7 * 3).picks == ((0, 0),)
+        assert cents_and_weight(groups, solve_group_knapsack(groups, 0.3)) == (300, 3)
+        assert solve_group_knapsack([[(2.1, 1.0)]], 0.7 * 3) == ((0, 0),)
 
     @pytest.mark.parametrize("cost, budget", [(0.5, 0.46), (1.6, 1.55)])
     def test_budget_between_units_is_not_rounded_up(self, cost, budget):
-        assert solve_group_knapsack([[(cost, 1.0)]], budget).picks == ()
+        assert solve_group_knapsack([[(cost, 1.0)]], budget) == ()
         assert_matches_oracle([[(cost, 1.0)]], budget)
 
     def test_matches_brute_force_on_random_instances(self):
@@ -107,17 +101,16 @@ class TestSolver:
     def test_exact_tie_prefers_earlier_groups(self):
         # 0.7 + 0.1 and 0.8 are the same 80 cents at the same cost.
         groups = [[(1.0, 0.7)], [(1.0, 0.1)], [(2.0, 0.8)]]
-        assert solve_group_knapsack(groups, 2.0).picks == ((0, 0), (1, 0))
+        assert solve_group_knapsack(groups, 2.0) == ((0, 0), (1, 0))
         assert_matches_oracle(groups, 2.0)
 
     def test_exact_tie_prefers_lower_cost(self):
         # 1.3 + 12.8 is 14.100000000000001 as floats but the same 1410 cents
         # as 14.1 alone, which costs less.
         groups = [[(10.0, 1.3)], [(10.0, 14.1), (5.0, 12.8)]]
-        solution = solve_group_knapsack(groups, 16.0)
-        assert solution.picks == ((1, 0),)
-        assert solution.total_cost == 10.0
-        assert solution.total_value == 14.1
+        picks = solve_group_knapsack(groups, 16.0)
+        assert picks == ((1, 0),)
+        assert cents_and_weight(groups, picks) == (1410, 100)
         assert_matches_oracle(groups, 16.0)
 
     @given(st.data())
@@ -163,10 +156,9 @@ class TestSolver:
         )
         low = float(data.draw(st.integers(min_value=0, max_value=20)))
         high = low + float(data.draw(st.integers(min_value=0, max_value=20)))
-        assert (
-            solve_group_knapsack(groups, high).total_value
-            >= solve_group_knapsack(groups, low).total_value
-        )
+        high_cents, _ = cents_and_weight(groups, solve_group_knapsack(groups, high))
+        low_cents, _ = cents_and_weight(groups, solve_group_knapsack(groups, low))
+        assert high_cents >= low_cents
 
 
 class TestBudgetAboveTheBound:
@@ -183,16 +175,15 @@ class TestBudgetAboveTheBound:
                         for g in groups)
             at_bound = solve_group_knapsack(groups, bound)
             for budget in self.HUGE:
-                solution = solve_group_knapsack(groups, budget)
-                assert solution == at_bound
-                assert (round(solution.total_value * 100), round(solution.total_cost * 10),
-                        solution.picks) == expected
+                picks = solve_group_knapsack(groups, budget)
+                assert picks == at_bound
+                assert (*cents_and_weight(groups, picks), picks) == expected
 
     def test_many_groups_at_a_huge_budget(self):
         groups = [[(10.0, 9.8), (2.0, 5.0)]] * 60
-        solution = solve_group_knapsack(groups, 1e12)
-        assert solution.picks == tuple((g, 0) for g in range(60))
-        assert solution.total_cost == 600.0
+        picks = solve_group_knapsack(groups, 1e12)
+        assert picks == tuple((g, 0) for g in range(60))
+        assert cents_and_weight(groups, picks) == (60 * 980, 6000)
 
     def test_nan_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):

@@ -27,6 +27,7 @@ from penheal.model import (
     deserialize_run,
     serialize_run,
 )
+from penheal.nvd import _validated_id
 
 DATA = Path(__file__).parent / "data"
 
@@ -284,9 +285,12 @@ class TestFindingIdentity:
         assert dedupe_findings([a, b, c]) == [a, c]
 
     def test_id_pattern(self):
-        assert Vulnerability(id="CVE-2011-2523", service="ftp").has_valid_id()
-        assert Vulnerability(id="CVE-NA", service="ftp").has_valid_id()
-        assert not Vulnerability(id="EXPLOIT-123", service="ftp").has_valid_id()
+        # Which finding ids are CVE ids to look up is the NVD client's rule alone.
+        assert _validated_id("CVE-2011-2523") == "CVE-2011-2523"
+        assert _validated_id(" cve-2011-2523 ") == "CVE-2011-2523"
+        for not_a_cve in ("CVE-NA", "EXPLOIT-123"):
+            with pytest.raises(ValueError, match="not a CVE identifier"):
+                _validated_id(not_a_cve)
 
     @given(
         st.text(

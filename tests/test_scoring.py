@@ -31,39 +31,35 @@ TRUTH = ground_truth()
 class TestMatching:
     def test_cve_id_match_beats_service_port(self):
         found = [vuln("CVE-2011-2523", "file-transfer", 2121)]  # sloppy metadata
-        report = match_findings(found, TRUTH)
-        assert report.matched_count == 1
-        assert report.matched[0][1].id == "CVE-2011-2523"
+        matched = match_findings(found, TRUTH)
+        assert len(matched) == 1
+        assert matched[0][1].id == "CVE-2011-2523"
 
     def test_cve_na_matches_by_service_and_port(self):
-        report = match_findings([vuln("CVE-NA", "http", 80)], TRUTH)
-        assert report.matched_count == 1
-        assert report.matched[0][1].service == "http"
+        matched = match_findings([vuln("CVE-NA", "http", 80)], TRUTH)
+        assert len(matched) == 1
+        assert matched[0][1].service == "http"
 
     def test_each_truth_entry_consumed_once(self):
         found = [vuln("CVE-NA", "http", 80), vuln("CVE-NA", "http", 80)]
-        report = match_findings(found, TRUTH)
-        assert report.matched_count == 1
-        assert len(report.unmatched_found) == 1
+        matched = match_findings(found, TRUTH)
+        assert len(matched) == 1
+        assert matched[0][0] is found[0]  # the first claim takes the one row
 
     def test_empty_found(self):
-        report = match_findings([], TRUTH)
-        assert report.matched_count == 0
-        assert len(report.unmatched_truth) == 10
+        assert match_findings([], TRUTH) == []
+        assert len(TRUTH) == 10
 
     def test_service_comparison_normalized(self):
-        report = match_findings([vuln("CVE-NA", " HTTP ", 80)], TRUTH)
-        assert report.matched_count == 1
+        assert len(match_findings([vuln("CVE-NA", " HTTP ", 80)], TRUTH)) == 1
 
     def test_wrong_port_does_not_match(self):
-        report = match_findings([vuln("CVE-NA", "http", 8080)], TRUTH)
-        assert report.matched_count == 0
+        assert match_findings([vuln("CVE-NA", "http", 8080)], TRUTH) == []
 
     def test_cve_found_does_not_consume_na_row_by_port(self):
         # A found CVE id unknown to the truth set stays unmatched even if
         # service/port coincide with a CVE-NA truth row.
-        report = match_findings([vuln("CVE-2020-1234", "http", 80)], TRUTH)
-        assert report.matched_count == 0
+        assert match_findings([vuln("CVE-2020-1234", "http", 80)], TRUTH) == []
 
 
 class TestCoverage:
@@ -79,12 +75,11 @@ class TestCoverage:
             vuln(t.id, t.service, t.port) if t.id != "CVE-NA" else vuln("CVE-NA", t.service, t.port)
             for t in TRUTH[:matched]
         ]
-        report = match_findings(found, TRUTH)
-        assert detection_coverage(report) == expected
+        assert detection_coverage(found, TRUTH) == expected
 
     def test_empty_truth_is_error(self):
         with pytest.raises(ValueError):
-            detection_coverage(match_findings([], []))
+            detection_coverage([], [])
 
 
 class TestMeans:
