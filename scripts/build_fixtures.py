@@ -27,7 +27,7 @@ from penheal.gateway import AgentRole, ScriptedBackend, record_mode  # noqa: E40
 from penheal.model import RunConfig  # noqa: E402
 from penheal.nvd import FixtureNvdClient  # noqa: E402
 from penheal.remediation import remediate  # noqa: E402
-from penheal.simulator import SimulatorBackend  # noqa: E402
+from penheal.simulator import SimulatorBackend, load_host_model  # noqa: E402
 
 FIXTURE_DIR = REPO / "src" / "penheal" / "data" / "fixtures"
 TARGET = "10.0.2.4"
@@ -334,10 +334,10 @@ def build(name: str, scripts: dict[AgentRole, list[str]], with_remediation: bool
     config = RunConfig(target_address=TARGET)
     kb = _build_knowledge_base(None)
 
-    result = run_pentest(config, SimulatorBackend(), gateway, kb)
+    result = run_pentest(config, SimulatorBackend(load_host_model()), gateway, kb)
     print(f"{name}: findings={len(result.findings)} termination={result.termination_reason}")
     for log in result.iterations:
-        marker = " CF" if log.counterfactual_issued else ""
+        marker = " CF" if log.new_finding_keys else ""  # a counterfactual followed
         print(f"  it{log.iteration} task={log.task_id} new={len(log.new_finding_keys)}{marker}")
     if result.warnings:
         raise SystemExit(f"{name}: unexpected warnings: {result.warnings}")

@@ -2,10 +2,10 @@
 
 The shell backend spawns a subprocess per command, in its own session, with
 merged output capture bounded to CAPTURE_BYTES. The command's whole process
-group is killed when its shell exits, or at a hard timeout. Console-channel
-commands are fed to a metasploit console binary one-shot as an argv list,
-with no shell between (spawn, run, capture, exit); when the binary is absent
-the command fails as an ordinary execution record, never a crash.
+group is killed when its shell exits, or after COMMAND_TIMEOUT_SECONDS.
+Console-channel commands are fed to ``msfconsole`` on PATH one-shot as an
+argv list, with no shell between (spawn, run, capture, exit); when it is
+absent the command fails as an ordinary execution record, never a crash.
 """
 
 from __future__ import annotations
@@ -28,21 +28,22 @@ CAPTURE_BYTES = 4 * OUTPUT_CAP + 4
 # The longest the read loop waits before it looks again whether the shell has exited.
 EXIT_POLL_SECONDS = 0.01
 _EXITED = os.WEXITED | os.WNOHANG | os.WNOWAIT
+COMMAND_TIMEOUT_SECONDS = 120
+MSFCONSOLE = "msfconsole"
 
 
 class ShellBackend:
     """Runs commands on the local system. Use only against hosts you own."""
 
-    def __init__(self, msfconsole_binary: str = "msfconsole"):
-        self.msfconsole_binary = msfconsole_binary
-
     def run(self, command: Command) -> tuple[str, Union[int, str]]:
         if command.channel is CommandChannel.MSFCONSOLE:
-            return self._run_msfconsole(command)
-        return self._spawn(command.raw, command.timeout_seconds, shell=True)
+            # One-shot session: run the batch, then exit, so output capture is bounded.
+            # An argv list, not a shell line: the batch reaches the console verbatim.
+            return self._spawn([MSFCONSOLE, "-q", "-x", f"{command.raw}; exit"])
+        return self._spawn(command.raw, shell=True)
 
     def _spawn(
-        self, args: Union[str, list[str]], timeout: int, shell: bool = False
+        self, args: Union[str, list[str]], shell: bool = False
     ) -> tuple[str, Union[int, str]]:
         """Run ``args``; its output and the shell's own exit status, or the timeout marker.
 
@@ -51,7 +52,7 @@ class ShellBackend:
         no background child outlives the command or holds its output open. A
         child that calls ``setsid`` itself leaves the group and escapes.
         """
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + COMMAND_TIMEOUT_SECONDS
         kept = bytearray()
         with subprocess.Popen(
             args,
@@ -84,11 +85,6 @@ class ShellBackend:
             proc.wait()
         output = kept.decode("utf-8", "replace")
         if not exited:
-            return output + f"\n[command timed out after {timeout}s]", TIMEOUT_STATUS
+            output += f"\n[command timed out after {COMMAND_TIMEOUT_SECONDS}s]"
+            return output, TIMEOUT_STATUS
         return output, proc.returncode
-
-    def _run_msfconsole(self, command: Command) -> tuple[str, Union[int, str]]:
-        # One-shot session: run the batch, then exit, so output capture is bounded.
-        # An argv list, not a shell line: the batch reaches the console verbatim.
-        argv = [self.msfconsole_binary, "-q", "-x", f"{command.raw}; exit"]
-        return self._spawn(argv, command.timeout_seconds)

@@ -374,6 +374,12 @@ def cmd_score(args) -> int:
 def cmd_ingest(args) -> int:
     from . import knowledge
 
+    doc_ids: dict[str, str] = {}  # doc id -> the input it comes from
+    for path in args.paths:  # before any is read: a later one would replace an earlier one
+        stem = Path(path).stem
+        if stem in doc_ids:
+            raise Fatal(f"cannot ingest {path}: {doc_ids[stem]} has the same doc id {stem!r}")
+        doc_ids[stem] = path
     kb_dir = Path(args.kb)
     if (kb_dir / "meta.json").exists():
         kb = _build_knowledge_base(str(kb_dir))

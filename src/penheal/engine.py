@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Protocol, Union
 from .gateway import AgentRole, Gateway
 from .knowledge import KnowledgeBase, build_instructor_prompt
 from .model import (
+    CVE_NA,
     AttackPlan,
     RunConfig,
     TaskNode,
@@ -52,7 +53,6 @@ class CommandChannel(Enum):
 class _CommandFields(NamedTuple):
     raw: str
     channel: CommandChannel = CommandChannel.SHELL
-    timeout_seconds: int = 120
 
 
 class Command(_CommandFields):
@@ -86,8 +86,7 @@ class ExecutionRecord(NamedTuple):
 class IterationLog(NamedTuple):
     iteration: int
     task_id: str
-    new_finding_keys: tuple[str, ...]
-    counterfactual_issued: bool
+    new_finding_keys: tuple[str, ...]  # a counterfactual re-plan followed when non-empty
     command_count: int
     plan_changed: bool
 
@@ -340,7 +339,7 @@ def update_plan(
 
 def _references_finding(description: str, finding: Vulnerability) -> bool:
     text = description.lower()
-    if finding.id != "CVE-NA" and finding.id.lower() in text:
+    if finding.id.upper() != CVE_NA and finding.id.lower() in text:
         return True
     service = finding.service.strip().lower()
     if service and re.search(rf"\b{re.escape(service)}\b", text):
@@ -470,7 +469,7 @@ def termination_reason(
     """
     if iteration >= config.max_iterations:
         return "budget-exhausted"
-    if plan.first_todo() is None:
+    if not plan.todo_ids():
         return "plan-exhausted"
     streak = 0
     for log in reversed(iterations):
@@ -491,7 +490,7 @@ def run_pentest(
     config: RunConfig,
     executor_backend: ExecutorBackend,
     gateway: Gateway,
-    knowledge_base: Optional[KnowledgeBase] = None,
+    knowledge_base: KnowledgeBase,
 ) -> PentestResult:
     """Run the full pentest loop and return history, final plan and findings."""
     config.validate()
@@ -508,7 +507,7 @@ def run_pentest(
         task = plan.find(task_id)
 
         excerpts = []
-        if knowledge_base is not None and len(knowledge_base):
+        if len(knowledge_base):
             excerpts = knowledge_base.retrieve(task.description, config.retrieval_k)
 
         commands, cmd_warnings = ask(
@@ -554,7 +553,6 @@ def run_pentest(
                 iteration=iteration,
                 task_id=task_id,
                 new_finding_keys=tuple(v.key_str for v in new_findings),
-                counterfactual_issued=bool(new_findings),
                 command_count=len(commands),
                 plan_changed=structure != prev_structure,
             )

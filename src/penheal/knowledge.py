@@ -1,9 +1,9 @@
 """External knowledge base backing the instructor.
 
 Reference documents are split into overlapping character windows, embedded,
-and found by exact cosine retrieval. The default embedder is a deterministic
-hashed term-frequency vector so runs are hermetic; a semantic embedder can be
-plugged in behind the same callable interface. All embeddings form one
+and found by exact cosine retrieval. There is one embedder, a deterministic
+hashed term-frequency vector (``embed``), so runs are hermetic and an index
+built in one process answers queries in another. All embeddings form one
 row-major float64 matrix laid out as vectors.bin, written and read as a block.
 """
 
@@ -25,7 +25,7 @@ from functools import partial
 from itertools import compress, repeat
 from operator import add, ge, mul
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .gateway import AgentRole
 from .model import decode, encode, json_text, load_json
@@ -34,7 +34,7 @@ from .prompts import render_prompt
 EMBED_DIM = 512
 DEFAULT_CHUNK_SIZE = 800
 DEFAULT_OVERLAP = 200
-DEFAULT_EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
+EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 
 _TOKEN = re.compile(r"\w+")
 # Each ASCII character outside \w is a space: on ASCII text \w is [A-Za-z0-9_] and all that
@@ -57,7 +57,7 @@ class IndexMeta(NamedTuple):
     """The fields of an index's meta.json that a load checks."""
 
     dimension: int
-    embedder_id: str = DEFAULT_EMBEDDER_ID
+    embedder_id: str = EMBEDDER_ID
 
 
 class Excerpt(NamedTuple):
@@ -95,20 +95,10 @@ def embed(text: str) -> tuple[float, ...]:
     return tuple(vector)
 
 
-def _embedding(embedder: Callable[[str], tuple[float, ...]], text: str) -> tuple[float, ...]:
-    vector = embedder(text)
-    if len(vector) != EMBED_DIM:
-        raise ValueError(f"embedder returned {len(vector)} entries, expected {EMBED_DIM}")
-    return vector
-
-
 class KnowledgeBase:
     """In-memory chunk index with exact cosine retrieval and disk persistence."""
 
-    def __init__(self, embedder: Optional[Callable[[str], tuple[float, ...]]] = None,
-                 embedder_id: str = DEFAULT_EMBEDDER_ID):
-        self.embedder = embedder or embed
-        self.embedder_id = embedder_id
+    def __init__(self):
         self._chunks: list[Chunk] = []
         self._vectors = array("d")  # row i, EMBED_DIM entries, embeds _chunks[i]
         self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
@@ -129,9 +119,7 @@ class KnowledgeBase:
         Windows are chunk_size characters sliding by chunk_size - overlap.
         Re-ingesting a doc_id replaces its previous chunks; the index is
         scanned for them only when the doc_id is in ``_doc_ids``, so a run of
-        new documents ingests in time linear in their number. An embedding of
-        the wrong length raises ValueError, and one that is not numeric a
-        struct.error, before the index changes.
+        new documents ingests in time linear in their number.
         """
         if overlap < 0 or chunk_size <= overlap:
             raise ValueError("require chunk_size > overlap >= 0")
@@ -148,7 +136,7 @@ class KnowledgeBase:
         ]
         rows = array("d")
         for c in new_chunks:
-            rows.frombytes(_ROW.pack(*_embedding(self.embedder, c.text)))
+            rows.frombytes(_ROW.pack(*embed(c.text)))
         with self._lock:
             chunks = self._chunks + new_chunks  # a new list: retrieve may hold the old one
             if doc_id in self._doc_ids:
@@ -169,7 +157,7 @@ class KnowledgeBase:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        query_vec = _embedding(self.embedder, query)
+        query_vec = embed(query)
         with self._lock:
             chunks = self._chunks
             if not chunks:
@@ -206,24 +194,19 @@ class KnowledgeBase:
                 fh.write(json_text(encode(c)) + "\n")
         meta = {
             "dimension": EMBED_DIM,
-            "embedder_id": self.embedder_id,
+            "embedder_id": EMBEDDER_ID,
             "dtype": "float64-le",
             "count": len(chunks),
         }
         (directory / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
     @classmethod
-    def load(
-        cls,
-        directory: str | Path,
-        embedder: Optional[Callable[[str], tuple[float, ...]]] = None,
-        embedder_id: str = DEFAULT_EMBEDDER_ID,
-    ) -> "KnowledgeBase":
-        """Read an index saved by ``save``; queries are embedded with ``embedder``.
+    def load(cls, directory: str | Path) -> "KnowledgeBase":
+        """Read an index saved by ``save``.
 
-        ``embedder_id`` names ``embedder``'s vector space and must equal the one
-        the index was built with, or the load raises KnowledgeBaseError. Files
-        that do not decode raise OSError, KeyError or ValueError.
+        An index whose meta.json names another dimension or embedder raises
+        KnowledgeBaseError. Files that do not decode raise OSError, KeyError
+        or ValueError.
         """
         directory = Path(directory)
         meta = load_json((directory / "meta.json").read_text(encoding="utf-8"),
@@ -232,11 +215,11 @@ class KnowledgeBase:
             raise KnowledgeBaseError(
                 f"index dimension {meta.dimension} does not match embedder ({EMBED_DIM})"
             )
-        if meta.embedder_id != embedder_id:
+        if meta.embedder_id != EMBEDDER_ID:
             raise KnowledgeBaseError(
-                f"index was built with embedder {meta.embedder_id!r}, not {embedder_id!r}"
+                f"index was built with embedder {meta.embedder_id!r}, not {EMBEDDER_ID!r}"
             )
-        kb = cls(embedder, embedder_id)
+        kb = cls()
         decode_chunk = partial(decode, Chunk)
         with open(directory / "chunks.jsonl", encoding="utf-8") as fh:
             chunks = [load_json(line, decode_chunk) for line in fh if line.strip()]

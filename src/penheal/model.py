@@ -228,13 +228,6 @@ class AttackPlan(NamedTuple):
                 return node
         return None
 
-    def first_todo(self) -> Optional[TaskNode]:
-        """First to-do task in depth-first order, or None if exhausted."""
-        for node in self.walk():
-            if node.status is TaskStatus.TODO:
-                return node
-        return None
-
     def todo_ids(self) -> list[str]:
         return [n.id for n in self.walk() if n.status is TaskStatus.TODO]
 
@@ -256,9 +249,9 @@ class CvssMetrics(NamedTuple):
     a: str  # H, L, N
     base_score: float = 0.0
 
-    def vector_string(self, prefix: str = "CVSS:3.1") -> str:
+    def vector_string(self) -> str:
         return (
-            f"{prefix}/AV:{self.av}/AC:{self.ac}/PR:{self.pr}/UI:{self.ui}"
+            f"CVSS:3.1/AV:{self.av}/AC:{self.ac}/PR:{self.pr}/UI:{self.ui}"
             f"/S:{self.scope}/C:{self.c}/I:{self.i}/A:{self.a}"
         )
 
@@ -415,11 +408,7 @@ ARTIFACT_VERSION = 1
 
 
 class ArtifactParseError(ValueError):
-    """Raised when a run artifact cannot be decoded; carries the byte offset."""
-
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+    """Raised when a run artifact cannot be decoded; a UTF-8 or JSON error names its offset."""
 
 
 class _Artifact(NamedTuple):
@@ -455,12 +444,12 @@ def deserialize_run(
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ArtifactParseError(f"invalid UTF-8: {exc.reason}", exc.start) from exc
+        raise ArtifactParseError(f"invalid UTF-8: {exc.reason} (byte offset {exc.start})") from exc
     try:
         artifact = load_json(text, partial(decode, _Artifact))
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
-        raise ArtifactParseError(f"invalid JSON: {exc.msg}", offset) from exc
+        raise ArtifactParseError(f"invalid JSON: {exc.msg} (byte offset {offset})") from exc
     except (KeyError, ValueError) as exc:
         raise ArtifactParseError(f"artifact schema error: {exc}") from exc
     return (artifact.plan, list(artifact.findings), list(artifact.recommendations),

@@ -34,7 +34,6 @@ class NvdError(Exception):
 
 class CveRecord(NamedTuple):
     description: str
-    vector_string: str
     metrics: CvssMetrics
 
 
@@ -82,11 +81,7 @@ def _record_from_api_doc(cve_id: str, doc: dict) -> CveRecord:
             f"{cve_id}: stored base score {stored_score} does not match "
             f"recomputed {metrics.base_score}"
         )
-    return CveRecord(
-        description=description,
-        vector_string=vector,
-        metrics=metrics,
-    )
+    return CveRecord(description=description, metrics=metrics)
 
 
 class FixtureNvdClient:
@@ -96,13 +91,11 @@ class FixtureNvdClient:
         self.fixture_dir = Path(fixture_dir) if fixture_dir else None
 
     def _read(self, cve_id: str) -> Optional[str]:
-        """The stored record's text, or None if there is none; NvdError if it is not UTF-8."""
+        """The stored record's text, or None if there is none; NvdError if unreadable."""
         source = (self.fixture_dir or DATA_DIR / "nvd") / f"{cve_id}.json"
-        if not source.is_file():
-            return None
         try:
-            return source.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
+            return source.read_text(encoding="utf-8") if source.is_file() else None
+        except (OSError, UnicodeDecodeError) as exc:
             raise _unreadable(cve_id, exc) from None
 
     def lookup(self, cve_id: str) -> CveRecord:

@@ -255,7 +255,7 @@ def format_finding_lines(findings: list[Vulnerability]) -> str:
     lines = []
     for v in findings:
         port = "?" if v.port is None else str(v.port)
-        label = "Unknown CVE" if v.id == CVE_NA else v.id
+        label = "Unknown CVE" if v.id.upper() == CVE_NA else v.id
         desc = v.description or v.exploitation_method or "weakness identified"
         lines.append(f"Port {port}/{v.service}:\n  {desc} ({label})")
     return "\n".join(lines)

@@ -92,10 +92,9 @@ def _parse_vector_reply(reply: str) -> tuple[Optional[cvss.CvssMetrics], list[st
 def enrich_findings(
     findings: list[Vulnerability],
     gateway: Gateway,
-    nvd_client: Optional[FixtureNvdClient | LiveNvdClient] = None,
+    nvd_client: FixtureNvdClient | LiveNvdClient,
 ) -> tuple[list[Vulnerability], list[str]]:
     """Attach CVSS metrics to every finding (lookup first, estimator fallback)."""
-    client = nvd_client or FixtureNvdClient()
     enriched: list[Vulnerability] = []
     warnings: list[str] = []
     for finding in findings:
@@ -107,7 +106,7 @@ def enrich_findings(
         description = finding.description
         if finding.id != CVE_NA:
             try:
-                record = client.lookup(finding.id)
+                record = nvd_client.lookup(finding.id)
                 metrics = record.metrics
                 source = CvssSource.NVD_LOOKUP
                 description = description or record.description
@@ -277,7 +276,7 @@ class EvaluatorContext:
         self.by_id: dict[str, Vulnerability] = {}
         for f in findings:
             self.by_key.setdefault(f.key_str, f)
-            if f.id != CVE_NA:
+            if f.id.upper() != CVE_NA:
                 self.by_id.setdefault(f.id.upper(), f)
 
     def resolve(self, keys: Iterable[str]) -> tuple[list[Vulnerability], list[str]]:
@@ -384,7 +383,7 @@ def remediate(
     findings: list[Vulnerability],
     config: RunConfig,
     gateway: Gateway,
-    nvd_client: Optional[FixtureNvdClient | LiveNvdClient] = None,
+    nvd_client: FixtureNvdClient | LiveNvdClient,
 ) -> RemediationResult:
     """Enrich, advise, evaluate and select; never aborts on a single finding."""
     findings = dedupe_findings(findings)

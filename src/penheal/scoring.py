@@ -20,34 +20,19 @@ from .model import (
 def match_findings(
     found: list[Vulnerability], truth: list[Vulnerability]
 ) -> list[tuple[Vulnerability, Vulnerability]]:
-    """Greedy (found, truth) pairs: exact CVE id first, then (service, port) for CVE-NA rows.
+    """Greedy (found, truth) pairs: exact CVE id first, then the whole key for CVE-NA rows.
 
-    Each truth entry is consumed at most once, so duplicate claims never
-    inflate coverage.
+    Ids, services and ports compare through ``Vulnerability.key``, so case
+    never matters. Each truth entry is consumed at most once, so duplicate
+    claims never inflate coverage.
     """
     remaining = list(truth)
     matched: list[tuple[Vulnerability, Vulnerability]] = []
-    unnamed: list[Vulnerability] = []
-    for f in found:
-        if f.id == CVE_NA:
-            unnamed.append(f)
-            continue
-        hit = next((t for t in remaining if t.id.upper() == f.id.upper()), None)
-        if hit is not None:
-            matched.append((f, hit))
-            remaining.remove(hit)
-
-    for f in unnamed:
-        hit = next(
-            (
-                t
-                for t in remaining
-                if t.id == CVE_NA
-                and t.service.strip().lower() == f.service.strip().lower()
-                and t.port == f.port
-            ),
-            None,
-        )
+    for f in sorted(found, key=lambda f: f.key[0] == CVE_NA):  # stable: named ids first
+        if f.key[0] == CVE_NA:
+            hit = next((t for t in remaining if t.key == f.key), None)
+        else:
+            hit = next((t for t in remaining if t.key[0] == f.key[0]), None)
         if hit is not None:
             matched.append((f, hit))
             remaining.remove(hit)

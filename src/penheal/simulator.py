@@ -83,9 +83,8 @@ def load_host_model(path: Optional[str | Path] = None) -> HostModel:
     return host
 
 
-def ground_truth(host: Optional[HostModel] = None) -> list[Vulnerability]:
+def ground_truth(host: HostModel) -> list[Vulnerability]:
     """The canonical weakness inventory used as ground truth for scoring."""
-    host = host or load_host_model()
     return [
         Vulnerability(
             id=row.cve,
@@ -335,9 +334,8 @@ def _service_on_port(host: HostModel, port: Optional[int]) -> Optional[SimServic
     return None
 
 
-def simulate(command: Command, host: Optional[HostModel] = None) -> str:
+def simulate(command: Command, host: HostModel) -> str:
     """The output of one command run against the simulated host."""
-    host = host or load_host_model()
     if command.channel is CommandChannel.MSFCONSOLE:
         return _simulate_msf(host, command.raw)
     return _simulate_shell(host, command.raw)
@@ -346,8 +344,8 @@ def simulate(command: Command, host: Optional[HostModel] = None) -> str:
 class SimulatorBackend:
     """Executor backend adapter over one simulated host."""
 
-    def __init__(self, host: Optional[HostModel] = None):
-        self.host = host or load_host_model()
+    def __init__(self, host: HostModel):
+        self.host = host
 
     def run(self, command: Command) -> tuple[str, int]:
         return simulate(command, self.host), 0

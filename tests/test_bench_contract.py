@@ -1,0 +1,37 @@
+"""The benchmark still runs against the program: every name it imports or patches exists.
+
+``bench/`` builds each workload's inputs through the program's public calls
+and wraps its seams from outside (``bench/tracing.py``), so a renamed
+function or a removed argument breaks the benchmark, not the program's own
+tests. This runs each workload once in process, as ``bench/probe.py`` does,
+with every seam wrapped, and asks the benchmark's own checks for problems.
+Nothing under ``bench/`` is written.
+"""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("workload", ["golden", "wide_remediate", "deep_pentest"])
+def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is only read
+    monkeypatch.syspath_prepend(str(BENCH))
+    probe, run, tracing, workloads = (importlib.import_module(name)
+                                      for name in ("probe", "run", "tracing", "workloads"))
+    spec = workloads.generate(workload, 1, tmp_path / workload)
+    restore = tracing.install(tracing.Tracer())
+    try:
+        inputs = probe.assemble(spec, tmp_path / "kb-scratch")
+        facts = probe.timed_rep(spec, inputs)
+    finally:
+        restore()
+    artifact = facts.get("artifact", b"{}")
+    [facts] = probe.summarize(spec, [facts], keep=False)
+    assert run.check_rep(spec, facts, []) == []
+    assert workloads.check_artifact(spec, json.loads(artifact)) == []

@@ -15,7 +15,7 @@ from penheal.cli import _chat_gateway, _executor, _nvd_client, main
 from penheal.gateway import AgentRole, Gateway, LiveBackend, ScriptedBackend
 from penheal.model import AttackPlan, Vulnerability, decode, deserialize_run, serialize_run
 from penheal.nvd import FixtureNvdClient, LiveNvdClient
-from penheal.simulator import ground_truth
+from penheal.simulator import ground_truth, load_host_model
 
 
 def run_cli(*argv):
@@ -467,12 +467,16 @@ class TestBadInputsFailFirst:
                        *budget) == 1
         assert "invalid configuration: " in fatal_line(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("damage", ["overlap", "not-utf8"])
+    @pytest.mark.parametrize("damage", ["overlap", "not-utf8", "duplicate-stem"])
     def test_bad_ingest_input(self, tmp_path, capsys, damage):
         doc = tmp_path / "notes.txt"
         doc.write_bytes(b"\xff\xfe notes" if damage == "not-utf8" else b"notes about ftp")
         chunks = ["--chunk-size", "100", "--overlap", "200"] if damage == "overlap" else []
-        assert run_cli("ingest", str(doc), "--kb", str(tmp_path / "kb"), *chunks) == 1
+        same_id = tmp_path / "other" / "notes.md"  # doc id "notes", like notes.txt
+        same_id.parent.mkdir()
+        same_id.write_text("notes about ssh")
+        first = [str(same_id)] if damage == "duplicate-stem" else []
+        assert run_cli("ingest", *first, str(doc), "--kb", str(tmp_path / "kb"), *chunks) == 1
         assert f"cannot ingest {doc}" in fatal_line(capsys.readouterr().err)
         assert not (tmp_path / "kb").exists()  # no index written
 
@@ -558,10 +562,12 @@ class _OneOutputHost:
 
 def _scripted_stage(monkeypatch, scripts, backend):
     """Make the CLI's model and command stages the given stubs."""
+    from penheal.knowledge import KnowledgeBase
+
     monkeypatch.setattr(cli, "_chat_gateway",
                         lambda settings, role_models, out_dir:
                         (Gateway(ScriptedBackend(scripts)), "scripted"))
-    monkeypatch.setattr(cli, "_executor", lambda settings: (backend, None))
+    monkeypatch.setattr(cli, "_executor", lambda settings: (backend, KnowledgeBase()))
 
 
 class TestStageFailuresAndWarnings:
@@ -681,7 +687,7 @@ def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):
     assert run_cli("pentest", "--target", "10.0.2.4", "--mode", "hermetic",
                    "--out", str(stage1)) == 0
     truth = tmp_path / "truth.json"
-    truth.write_text(json.dumps([v.to_dict() for v in ground_truth()]))
+    truth.write_text(json.dumps([v.to_dict() for v in ground_truth(load_host_model())]))
     argv = ["remediate", str(stage1 / "run-artifact.json"), "--target", "10.0.2.4",
             "--mode", "hermetic", "--kb", str(tmp_path / "no-such-index"),
             "--truth", str(truth), "--out", str(tmp_path / "stage2")]

@@ -36,7 +36,11 @@ from penheal.engine import (
 )
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
 from penheal.model import AttackPlan, RunConfig, TaskStatus, Vulnerability
-from penheal.simulator import SimulatorBackend
+from penheal.knowledge import KnowledgeBase
+from penheal.simulator import SimulatorBackend, load_host_model
+
+
+HOST = load_host_model()
 
 
 def gw(scripts):
@@ -127,8 +131,9 @@ class TestParseCommands:
         assert warnings
 
     def test_default_timeout(self):
-        commands, _ = parse_commands("$sleep 1$")
-        assert commands[0].timeout_seconds == 120
+        from penheal import backends
+
+        assert backends.COMMAND_TIMEOUT_SECONDS == 120
 
     def test_bodies_contain_no_delimiters(self):
         commands, _ = parse_commands("$a$ $b$ $msfconsole: c$")
@@ -330,6 +335,13 @@ class TestCounterfactual:
         with pytest.raises(EngineError):
             counterfactual_update(BASIC_PLAN, [], gw({}))
 
+    def test_unnamed_finding_in_any_case_matches_by_service_and_port_only(self):
+        plan = plan_from("1 Look up CVE-NA entries for the target [to-do]")
+        gateway = gw({AgentRole.PLANNER: [render_plan(plan)]})
+        finding = Vulnerability(id="cve-na", service="http", port=80)
+        merged, _ = counterfactual_update(plan, [finding], gateway)
+        assert merged.find("1").status is TaskStatus.TODO
+
 
 class TestExtractorBlocks:
     def test_standard_cve_block(self):
@@ -464,21 +476,21 @@ print(json.dumps([after - before, output, status]))
 
 
 class TestExecute:
-    def test_timeout_returns_marker(self):
-        from penheal.backends import ShellBackend
+    def test_timeout_returns_marker(self, monkeypatch):
+        from penheal import backends
 
-        output, status = execute(
-            Command("sleep 999", timeout_seconds=1), ShellBackend()
-        )
+        monkeypatch.setattr(backends, "COMMAND_TIMEOUT_SECONDS", 1)
+        output, status = execute(Command("sleep 999"), backends.ShellBackend())
         assert status == "timeout"
-        assert "timed out" in output
+        assert "timed out after 1s" in output
 
-    def test_timeout_kills_background_children(self, tmp_path):
-        from penheal.backends import ShellBackend
+    def test_timeout_kills_background_children(self, tmp_path, monkeypatch):
+        from penheal import backends
 
+        monkeypatch.setattr(backends, "COMMAND_TIMEOUT_SECONDS", 1)
         pidfile = tmp_path / "pid"
-        command = Command(f"sleep 30 & echo $! > {pidfile}; wait", timeout_seconds=1)
-        _, status = ShellBackend().run(command)
+        command = Command(f"sleep 30 & echo $! > {pidfile}; wait")
+        _, status = backends.ShellBackend().run(command)
         assert status == "timeout"
         pid = int(pidfile.read_text())
         try:
@@ -493,13 +505,14 @@ class TestExecute:
 
     @pytest.mark.parametrize("command", ["sleep {} >/dev/null 2>&1 & echo started",
                                          "sleep {} & echo started"])
-    def test_command_ends_with_its_shell(self, command):
+    def test_command_ends_with_its_shell(self, command, monkeypatch):
         """A background child neither outlives its command nor holds it open to the timeout."""
-        from penheal.backends import ShellBackend
+        from penheal import backends
 
+        monkeypatch.setattr(backends, "COMMAND_TIMEOUT_SECONDS", 10)
         sleep = ["sleep", f"9{os.getpid()}{len(command)}"]  # unique to this test
         started = time.monotonic()
-        result = ShellBackend().run(Command(command.format(sleep[1]), timeout_seconds=10))
+        result = backends.ShellBackend().run(Command(command.format(sleep[1])))
         elapsed = time.monotonic() - started
         try:
             deadline = time.monotonic() + 5  # SIGKILL lands asynchronously
@@ -512,12 +525,13 @@ class TestExecute:
         assert result == ("started\n", 0)
         assert elapsed < 5
 
-    def test_missing_console_binary_is_a_record(self, tmp_path):
-        from penheal.backends import ShellBackend
+    def test_missing_console_binary_is_a_record(self, tmp_path, monkeypatch):
+        from penheal import backends
 
         missing = str(tmp_path / "msfconsole")
+        monkeypatch.setattr(backends, "MSFCONSOLE", missing)
         command = Command("version", channel=CommandChannel.MSFCONSOLE)
-        output, status = execute(command, ShellBackend(missing))
+        output, status = execute(command, backends.ShellBackend())
         assert status == -1
         assert output == f"execution error: [Errno 2] No such file or directory: '{missing}'"
 
@@ -535,15 +549,17 @@ class TestExecute:
         assert output == "x" * (64 * 1024 - len("...[truncated]")) + "...[truncated]"
         assert grown_kib < 20 * 1024
 
-    def test_msfconsole_batch_reaches_console_verbatim(self, tmp_path):
-        from penheal.backends import ShellBackend
+    def test_msfconsole_batch_reaches_console_verbatim(self, tmp_path, monkeypatch):
+        from penheal import backends
 
         console = tmp_path / "msfconsole"
         console.write_text('#!/bin/sh\nprintf \'%s\\n\' "$@"\n')
         console.chmod(0o755)
+        monkeypatch.setattr(backends, "MSFCONSOLE", str(console))
+        monkeypatch.setattr(backends, "COMMAND_TIMEOUT_SECONDS", 10)
         batch = "echo $HOME `id` \"quoted\""
-        output, status = ShellBackend(str(console)).run(
-            Command(batch, channel=CommandChannel.MSFCONSOLE, timeout_seconds=10)
+        output, status = backends.ShellBackend().run(
+            Command(batch, channel=CommandChannel.MSFCONSOLE)
         )
         assert status == 0
         assert output.splitlines() == ["-q", "-x", f"{batch}; exit"]
@@ -570,7 +586,7 @@ class TestExecute:
 def iteration_log(new_findings=0, plan_changed=False):
     return IterationLog(iteration=1, task_id="1",
                         new_finding_keys=("CVE-NA@ftp:21",) * new_findings,
-                        counterfactual_issued=False, command_count=1, plan_changed=plan_changed)
+                        command_count=1, plan_changed=plan_changed)
 
 
 def loop_config(window=5, max_iterations=30):
@@ -654,14 +670,14 @@ class TestScriptedRuns:
             }
         )
         config = RunConfig(target_address="10.0.2.4", no_new_finding_window=5)
-        result = run_pentest(config, SimulatorBackend(), gateway, None)
+        result = run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
         assert result.findings == []
         assert result.termination_reason == "plan-exhausted"
         exploitation = [
             n for n in result.plan.walk() if n.id.startswith("4")
         ]
         assert all(n.status is TaskStatus.FAILED for n in exploitation)
-        assert all(not log.counterfactual_issued for log in result.iterations)
+        assert all(not log.new_finding_keys for log in result.iterations)  # no counterfactual
         assert len(result.iterations) <= config.no_new_finding_window + 2
 
     def test_same_cve_twice_deduplicated_and_single_counterfactual(self):
@@ -693,10 +709,10 @@ class TestScriptedRuns:
             }
         )
         config = RunConfig(target_address="10.0.2.4")
-        result = run_pentest(config, SimulatorBackend(), gateway, None)
+        result = run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
         assert len(result.findings) == 1
         assert result.findings[0].key == ("CVE-2011-2523", "ftp", 21)
-        counterfactuals = [log for log in result.iterations if log.counterfactual_issued]
+        counterfactuals = [log for log in result.iterations if log.new_finding_keys]
         assert len(counterfactuals) == 1
         assert counterfactuals[0].iteration == 1
 
@@ -709,7 +725,7 @@ class TestScriptedRuns:
             }
         )
         config = RunConfig(target_address="10.0.2.4", max_iterations=1)
-        result = run_pentest(config, SimulatorBackend(), gateway, None)
+        result = run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
         node = result.plan.find("1.1")
         assert node.status is TaskStatus.FAILED
         assert "no executable command" in node.result_summary
@@ -726,7 +742,7 @@ class TestScriptedRuns:
             }
         )
         config = RunConfig(target_address="10.0.0.1", max_iterations=1)
-        result = run_pentest(config, SimulatorBackend(), gateway, None)
+        result = run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
         assert [record.command.raw for record in result.history] == ["nmap 10.0.0.1"]
         assert result.plan.find("1.1").status is TaskStatus.COMPLETED
 
@@ -751,8 +767,8 @@ class TestScriptedRuns:
             )
 
         config = RunConfig(target_address="10.0.2.4")
-        first = run_pentest(config, SimulatorBackend(), build_gateway(), None)
-        second = run_pentest(config, SimulatorBackend(), build_gateway(), None)
+        first = run_pentest(config, SimulatorBackend(HOST), build_gateway(), KnowledgeBase())
+        second = run_pentest(config, SimulatorBackend(HOST), build_gateway(), KnowledgeBase())
         assert first.findings == second.findings
         assert [f.key_str for f in first.findings] == ["CVE-2011-2523@ftp:21"]
 

@@ -1,5 +1,6 @@
 """Knowledge base: windowed ingestion, exact retrieval, persistence."""
 
+import json
 import math
 import random
 import time
@@ -190,20 +191,14 @@ class TestPersistence:
         assert [(e.chunk, e.similarity) for e in loaded.retrieve(query, k)] == fresh
 
     def test_load_requires_the_embedder_of_the_index(self, tmp_path):
-        def reversed_embed(text):  # unit length, another vector space
-            return tuple(reversed(embed(text)))
-
-        kb = KnowledgeBase(reversed_embed, "reversed-hashed-tf")
+        kb = KnowledgeBase()
         kb.ingest("alpha beta gamma " * 40, "doc1", chunk_size=120, overlap=30)
-        kb.ingest("delta epsilon zeta " * 40, "doc2", chunk_size=120, overlap=30)
-        kb.save(tmp_path / "index")
-        with pytest.raises(KnowledgeBaseError, match="reversed-hashed-tf"):
-            KnowledgeBase.load(tmp_path / "index")
-
-        loaded = KnowledgeBase.load(tmp_path / "index", reversed_embed, "reversed-hashed-tf")
-        query = "delta epsilon"
-        fresh = [(e.chunk, e.similarity) for e in kb.retrieve(query, 5)]
-        assert [(e.chunk, e.similarity) for e in loaded.retrieve(query, 5)] == fresh
+        kb.save(tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        for field, value in [("embedder_id", "reversed-hashed-tf"), ("dimension", 384)]:
+            (tmp_path / "meta.json").write_text(json.dumps(meta | {field: value}))
+            with pytest.raises(KnowledgeBaseError, match=str(value)):
+                KnowledgeBase.load(tmp_path)
 
     def test_truncated_vectors_detected(self, tmp_path):
         kb = KnowledgeBase()

@@ -10,9 +10,11 @@ from importlib import resources
 from itertools import repeat
 from operator import mul, truediv
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from penheal import knowledge
 from penheal.knowledge import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_OVERLAP,
@@ -26,7 +28,7 @@ VOCAB = ["samba", "usermap", "exploit", "nmap", "scan", "port", "ftp", "backdoor
 
 
 def signed_embed(text: str) -> tuple[float, ...]:
-    """A pluggable dense embedder: every token adds a fixed row of -2..2 to all buckets."""
+    """A dense embedder patched in for embed: every token adds a fixed row of -2..2 to all buckets."""
     counts = [0.0] * EMBED_DIM
     for token in text.lower().split() or [text]:
         row = random.Random(token)
@@ -116,11 +118,13 @@ def corpora(draw):
 
 
 def check_against_dense(embedder, docs, query, k):
-    kb = KnowledgeBase(embedder=embedder)
-    for d, text in enumerate(docs):
-        kb.ingest(text, f"doc{9 - d}", chunk_size=24, overlap=8)  # ids run against insertion
-    chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
-    got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
+    kb = KnowledgeBase()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knowledge, "embed", embedder)
+        for d, text in enumerate(docs):
+            kb.ingest(text, f"doc{9 - d}", chunk_size=24, overlap=8)  # ids run against insertion
+        chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
+        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
     assert got == dense_scan(embedder, chunks, query, k)
 
 

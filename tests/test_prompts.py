@@ -10,10 +10,12 @@ import pytest
 
 from penheal.engine import run_pentest
 from penheal.gateway import AgentRole, Gateway
+from penheal.knowledge import KnowledgeBase
 from penheal.model import CostPolicy, CvssMetrics, Recommendation, RunConfig, Vulnerability
 from penheal.prompts import (
     VALUE_RULES_TEXT,
     cost_rules_text,
+    format_finding_lines,
     format_vulns_inline,
     render_prompt,
 )
@@ -108,7 +110,7 @@ def call(role, replies):
     gateway = Gateway(backend)
     if role is AgentRole.EXECUTOR:
         result = run_pentest(RunConfig(target_address="10.0.2.4", max_iterations=1),
-                             _Host(), gateway)
+                             _Host(), gateway, KnowledgeBase())
         task = result.plan.find("1")
         value = ([r.command.raw for r in result.history], task.status.value,
                  task.result_summary)
@@ -170,3 +172,9 @@ def test_reask_protocol(role, case):
     assert warnings == {"first-parses": [], "retry-parses": first_bad,
                         "both-fail": first_bad + second_bad + gave_up}[case]
     assert value == (FALLBACK if case == "both-fail" else PARSED)[role]
+
+
+@pytest.mark.parametrize("vuln_id", ["CVE-NA", "cve-na"])
+def test_unnamed_finding_lists_as_unknown_cve_in_any_case(vuln_id):
+    finding = Vulnerability(id=vuln_id, service="http", port=80, description="sqli")
+    assert format_finding_lines([finding]) == "Port 80/http:\n  sqli (Unknown CVE)"

@@ -63,8 +63,10 @@ def finding(vuln_id="CVE-NA", service="http", port=80, score=None):
 class TestLookup:
     def test_bundled_record_score_recomputes(self):
         record = FixtureNvdClient().lookup("CVE-2011-2523")
+        doc = json.loads(FixtureNvdClient()._read("CVE-2011-2523"))
+        data = doc["vulnerabilities"][0]["cve"]["metrics"]["cvssMetricV31"][0]["cvssData"]
         assert record.metrics.base_score == 9.8
-        assert cvss.parse_vector(record.vector_string) == record.metrics
+        assert cvss.parse_vector(data["vectorString"]) == record.metrics
         assert "backdoor" in record.description
 
     def test_cve_na_rejected(self):
@@ -135,6 +137,25 @@ class TestLookup:
                             f"{tmp_path}: [Errno 28] No space left on device), estimating"]
         assert enriched[0].cvss_source is CvssSource.ESTIMATED
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("live", [False, True], ids=["fixture", "live-cache"])
+    def test_unreadable_record_falls_back_to_the_estimator(self, tmp_path, monkeypatch,
+                                                          no_network, live):
+        # Root reads any file whatever its mode, so the failing read is patched in.
+        (tmp_path / "CVE-2011-2523.json").write_text(FixtureNvdClient()._read("CVE-2011-2523"))
+        client = (LiveNvdClient(cache_dir=tmp_path, base_url="http://127.0.0.1:9/none")
+                  if live else FixtureNvdClient(tmp_path))
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
+        findings = [Vulnerability(id="CVE-2011-2523", service="ftp", port=21)]
+        enriched, warnings = enrich_findings(findings, gateway, client)
+        assert warnings == ["CVE-2011-2523: lookup failed (CVE-2011-2523: unreadable record: "
+                            "PermissionError: [Errno 13] Permission denied), estimating"]
+        assert enriched[0].cvss_source is CvssSource.ESTIMATED
 
 
 def _bad_vector_record():
@@ -231,7 +252,7 @@ class TestEnrich:
             Vulnerability(id="CVE-2011-2523", service="ftp", port=21),
             Vulnerability(id="CVE-NA", service="http", port=80, description="sqli"),
         ]
-        enriched, warnings = enrich_findings(findings, gateway)
+        enriched, warnings = enrich_findings(findings, gateway, FixtureNvdClient())
         assert enriched[0].cvss_source is CvssSource.NVD_LOOKUP
         assert enriched[0].cvss.base_score == 9.8
         assert enriched[1].cvss_source is CvssSource.ESTIMATED
@@ -240,7 +261,7 @@ class TestEnrich:
     def test_lowercase_cve_id_is_looked_up(self):
         gateway = gw({})  # any model call fails
         findings = [Vulnerability(id="cve-2011-2523", service="ftp", port=21)]
-        enriched, warnings = enrich_findings(findings, gateway)
+        enriched, warnings = enrich_findings(findings, gateway, FixtureNvdClient())
         assert enriched[0].cvss_source is CvssSource.NVD_LOOKUP
         assert enriched[0].cvss.base_score == 9.8
         assert (gateway.backend.calls, warnings) == ([], [])
@@ -248,7 +269,7 @@ class TestEnrich:
     def test_lookup_miss_falls_back_to_estimator(self):
         gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
         findings = [Vulnerability(id="CVE-1999-99999", service="x", port=1)]
-        enriched, warnings = enrich_findings(findings, gateway)
+        enriched, warnings = enrich_findings(findings, gateway, FixtureNvdClient())
         assert enriched[0].cvss_source is CvssSource.ESTIMATED
         assert any("not in the CVE database" in w for w in warnings)
 
@@ -447,7 +468,7 @@ def linear_resolve(keys, findings):
         match = next((f for f in findings if f.key_str == key), None)
         if match is None:
             match = next(
-                (f for f in findings if f.id.upper() == key.upper() and f.id != CVE_NA), None
+                (f for f in findings if f.id.upper() == key.upper() != CVE_NA), None
             )
         if match is None:
             unknown.append(key)
@@ -481,6 +502,10 @@ class TestEvaluatorContext:
         assert got == expected
         # Identity, not only equality: the first matching finding is the one returned.
         assert [id(f) for f in got[0]] == [id(f) for f in expected[0]]
+
+    def test_unnamed_finding_never_resolves_by_id_in_any_case(self):
+        context = EvaluatorContext([Vulnerability("cve-na", "ftp", 21)], CostPolicy())
+        assert context.resolve(["CVE-NA", "cve-na"]) == ([], ["CVE-NA", "cve-na"])
 
 
 def scored_rec(text, key, cost, value):
@@ -540,7 +565,7 @@ class TestSelect:
 
 class TestRemediate:
     def test_no_findings(self):
-        result = remediate([], RunConfig(target_address="t"), gw({}))
+        result = remediate([], RunConfig(target_address="t"), gw({}), FixtureNvdClient())
         assert result.groups == [] and result.selected == []
         assert any("nothing to remediate" in w for w in result.warnings)
 
@@ -556,7 +581,7 @@ class TestRemediate:
         )
         config = RunConfig(target_address="t", budget_per_vuln=4.0)
         findings = [finding(port=80), finding(service="nfs", port=2049)]
-        result = remediate(findings, config, gateway)
+        result = remediate(findings, config, gateway, FixtureNvdClient())
         assert [(r.text, r.cost) for r in result.selected] == [("Moderate fix", 5.0)]
 
     def test_report_rendering(self):

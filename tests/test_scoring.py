@@ -14,7 +14,7 @@ from penheal.scoring import (
     remediation_effectiveness,
     score_run,
 )
-from penheal.simulator import ground_truth
+from penheal.simulator import ground_truth, load_host_model
 
 
 def vuln(vuln_id="CVE-NA", service="http", port=80):
@@ -25,7 +25,7 @@ def rec(value=0.0, cost=0.0):
     return Recommendation(text="x", target_vuln_ids=("k",), cost=cost, value=value)
 
 
-TRUTH = ground_truth()
+TRUTH = ground_truth(load_host_model())
 
 
 class TestMatching:
@@ -49,6 +49,11 @@ class TestMatching:
     def test_empty_found(self):
         assert match_findings([], TRUTH) == []
         assert len(TRUTH) == 10
+
+    @pytest.mark.parametrize("vuln_id", ["CVE-NA", "cve-na"])
+    def test_unnamed_finding_in_any_case_matches_only_its_service_and_port(self, vuln_id):
+        assert score_run([vuln(vuln_id, "ssh", 2222)], TRUTH, []).s_d == 0.0
+        assert score_run([vuln(vuln_id, "http", 80)], TRUTH, []).s_d == 1.0
 
     def test_service_comparison_normalized(self):
         assert len(match_findings([vuln("CVE-NA", " HTTP ", 80)], TRUTH)) == 1
