@@ -338,7 +338,7 @@ def cmd_pentest(args) -> int:
 
 def cmd_remediate(args) -> int:
     settings, config, out_dir = _stage_setup(args)
-    truth = _load_truth(settings.truth)
+    truth = _load_truth(settings.truth, settings.host_model)
     plan, findings, _, _ = _read_artifact(args.artifact)
     gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
     report_text, rem_warnings = _remediate_and_score(
@@ -381,10 +381,8 @@ def cmd_ingest(args) -> int:
             raise Fatal(f"cannot ingest {path}: {doc_ids[stem]} has the same doc id {stem!r}")
         doc_ids[stem] = path
     kb_dir = Path(args.kb)
-    if (kb_dir / "meta.json").exists():
-        kb = _build_knowledge_base(str(kb_dir))
-    else:
-        kb = knowledge.KnowledgeBase()
+    kb = (_build_knowledge_base(str(kb_dir)) if (kb_dir / "meta.json").exists()
+          else knowledge.KnowledgeBase())
     total = 0
     for path in args.paths:
         try:  # a bad chunk size and a non-UTF-8 file are ValueErrors

@@ -3,8 +3,12 @@
 Reference documents are split into overlapping character windows, embedded,
 and found by exact cosine retrieval. There is one embedder, a deterministic
 hashed term-frequency vector (``embed``), so runs are hermetic and an index
-built in one process answers queries in another. All embeddings form one
-row-major float64 matrix laid out as vectors.bin, written and read as a block.
+built in one process answers queries in another. Embeddings are held
+bucket-major as postings (per bucket, the rows nonzero there and their
+entries), so a query visits only entries it can score. postings.bin stores
+them little-endian: EMBED_DIM int32 posting counts, every int32 row id, then
+every float64 entry. An index in another layout, such as the dense
+vectors.bin of older versions, must be ingested again.
 """
 
 from __future__ import annotations
@@ -14,16 +18,14 @@ import hashlib
 import heapq
 import json
 import math
-import os
 import re
-import struct
 import sys
 import threading
 from array import array
 from collections import Counter
 from functools import partial
-from itertools import compress, repeat
-from operator import add, ge, mul
+from itertools import accumulate, compress, pairwise, repeat
+from operator import ge, mul, not_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,7 +42,7 @@ _TOKEN = re.compile(r"\w+")
 # Each ASCII character outside \w is a space: on ASCII text \w is [A-Za-z0-9_] and all that
 # split() takes for whitespace is outside it, so translate, then split(), is _TOKEN.findall.
 _ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not _TOKEN.match(c)})
-_ROW = struct.Struct(f"={EMBED_DIM}d")  # native order, as array("d") holds it
+INDEX_DTYPE = "postings-int32-float64-le"  # the layout of postings.bin, named in meta.json
 
 
 class KnowledgeBaseError(Exception):
@@ -57,6 +59,8 @@ class IndexMeta(NamedTuple):
     """The fields of an index's meta.json that a load checks."""
 
     dimension: int
+    dtype: str
+    count: int
     embedder_id: str = EMBEDDER_ID
 
 
@@ -72,14 +76,14 @@ def _bucket(token: str) -> int:
     return int.from_bytes(digest[:8], "little") % EMBED_DIM
 
 
-def embed(text: str) -> tuple[float, ...]:
-    """Deterministic L2-normalized hashed term-frequency embedding.
+def embed(text: str) -> dict[int, float]:
+    """Deterministic L2-normalized hashed term-frequency embedding, as {bucket: entry}.
 
-    Only the buckets a token hits are counted. The squared norm is an integer
-    sum; for text under 2**27 characters it is below 2**53, so it is also
-    exactly what a float sum over all EMBED_DIM counts gives, in any order.
-    Each entry is ``count / norm``, which equals ``float(count) / norm``, or
-    +0.0 for a bucket no token hits.
+    Only the buckets a token hits are counted, and only they are returned:
+    every other entry of the EMBED_DIM-wide vector is +0.0. The squared norm
+    is an integer sum; for text under 2**27 characters it is below 2**53, so
+    it is also exactly what a float sum over all EMBED_DIM counts gives, in
+    any order. Each entry is ``count / norm``, which equals ``float(count) / norm``.
     """
     if not text:
         raise ValueError("cannot embed empty text")
@@ -89,10 +93,15 @@ def embed(text: str) -> tuple[float, ...]:
               else _TOKEN.findall(lowered))
     counts = Counter(map(_bucket, tokens or [lowered]))
     norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
-    vector = [0.0] * EMBED_DIM
-    for bucket, count in counts.items():
-        vector[bucket] = count / norm
-    return tuple(vector)
+    return {bucket: count / norm for bucket, count in counts.items()}
+
+
+def _little_endian(part: array) -> array:
+    """``part`` in the byte order of postings.bin: on a big-endian host, a byte-swapped copy."""
+    if sys.byteorder == "big":
+        part = array(part.typecode, part)
+        part.byteswap()
+    return part
 
 
 class KnowledgeBase:
@@ -100,20 +109,17 @@ class KnowledgeBase:
 
     def __init__(self):
         self._chunks: list[Chunk] = []
-        self._vectors = array("d")  # row i, EMBED_DIM entries, embeds _chunks[i]
+        # _rows[b]: the rows nonzero in bucket b, ascending; _weights[b]: their entries
+        self._rows = [array("I") for _ in range(EMBED_DIM)]
+        self._weights = [array("d") for _ in range(EMBED_DIM)]
         self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
-        self._lock = threading.Lock()  # guards all three; no resize while retrieve reads
+        self._lock = threading.Lock()  # guards all four; no change while retrieve reads
 
     def __len__(self) -> int:
         return len(self._chunks)
 
-    def ingest(
-        self,
-        document: str,
-        doc_id: str,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        overlap: int = DEFAULT_OVERLAP,
-    ) -> int:
+    def ingest(self, document: str, doc_id: str, chunk_size: int = DEFAULT_CHUNK_SIZE,
+               overlap: int = DEFAULT_OVERLAP) -> int:
         """Split, embed and index one document; returns the chunk count.
 
         Windows are chunk_size characters sliding by chunk_size - overlap.
@@ -126,111 +132,110 @@ class KnowledgeBase:
         if not document:
             import logging  # here, not at the top: a process that never warns skips it
 
-            logging.getLogger(__name__).warning(
-                "ingest(%s): empty document, nothing indexed", doc_id
-            )
+            logging.getLogger(__name__).warning("ingest(%s): empty document, nothing indexed",
+                                                doc_id)
         step = chunk_size - overlap
-        new_chunks = [
-            Chunk(doc_id=doc_id, seq=seq, text=document[start : start + chunk_size])
-            for seq, start in enumerate(range(0, len(document), step))
-        ]
-        rows = array("d")
-        for c in new_chunks:
-            rows.frombytes(_ROW.pack(*embed(c.text)))
+        new_chunks = [Chunk(doc_id=doc_id, seq=seq, text=document[start : start + chunk_size])
+                      for seq, start in enumerate(range(0, len(document), step))]
+        vectors = [embed(c.text) for c in new_chunks]
         with self._lock:
             chunks = self._chunks + new_chunks  # a new list: retrieve may hold the old one
             if doc_id in self._doc_ids:
-                for i in reversed([i for i, c in enumerate(self._chunks) if c.doc_id == doc_id]):
-                    del self._vectors[i * EMBED_DIM : (i + 1) * EMBED_DIM]
-                    del chunks[i]
+                gone = [c.doc_id == doc_id for c in self._chunks]
+                renumbered = list(accumulate(map(not_, gone), initial=0))  # kept rows before r
+                for b, (rows, weights) in enumerate(zip(self._rows, self._weights)):
+                    kept = list(map(not_, map(gone.__getitem__, rows)))
+                    self._rows[b] = array("I", map(renumbered.__getitem__, compress(rows, kept)))
+                    self._weights[b] = array("d", compress(weights, kept))
+                chunks = [c for c, g in zip(self._chunks, gone) if not g] + new_chunks
             self._doc_ids.add(doc_id)
-            self._vectors.extend(rows)
+            rows, weights = self._rows, self._weights
+            for r, vector in enumerate(vectors, len(chunks) - len(new_chunks)):
+                for b, w in vector.items():
+                    rows[b].append(r)
+                    weights[b].append(w)
             self._chunks = chunks
         return len(new_chunks)
 
     def retrieve(self, query: str, k: int) -> list[Excerpt]:
         """The k most cosine-similar chunks, ties broken by (doc_id, seq).
 
-        Scores fold in the matrix column of each nonzero query bucket,
-        ascending, from 0.0. Each skipped term is x * 0.0, and adding an exact
-        zero leaves a float sum unchanged, so similarities equal the tests' cosine() exactly.
+        Scores fold in the postings of each nonzero query bucket, ascending,
+        from 0.0. Each skipped term is x * 0.0, and adding an exact zero leaves
+        a float sum unchanged, so similarities equal the tests' cosine() exactly.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        query_vec = embed(query)
+        query_vec = sorted(embed(query).items())
         with self._lock:
             chunks = self._chunks
             if not chunks:
-                raise KnowledgeBaseError(
-                    "knowledge base is empty; ingest documents before retrieving"
-                )
-            n = len(chunks)
-            scores = [0.0] * n
-            with memoryview(self._vectors) as matrix:
-                for bucket in compress(range(EMBED_DIM), query_vec):
-                    with matrix[bucket::EMBED_DIM] as column:
-                        terms = map(mul, column, repeat(query_vec[bucket], n))
-                        scores = list(map(add, scores, terms))
+                raise KnowledgeBaseError("knowledge base is empty; "
+                                         "ingest documents before retrieving")
+            scores = [0.0] * len(chunks)
+            for bucket, x in query_vec:
+                for r, w in zip(self._rows[bucket], self._weights[bucket]):
+                    scores[r] += x * w
         # Only chunks scoring at least the k-th largest score can be returned.
-        top = compress(range(n), map(ge, scores, repeat(heapq.nlargest(k, scores)[-1])))
+        top = compress(range(len(scores)), map(ge, scores, repeat(heapq.nlargest(k, scores)[-1])))
         ranked = sorted((-scores[i], chunks[i].doc_id, chunks[i].seq, i) for i in top)
         return [Excerpt(chunks[i], -neg) for neg, _, _, i in ranked[:k]]
 
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write chunks.jsonl, vectors.bin (float64 little-endian rows) and meta.json."""
+        """Write chunks.jsonl, postings.bin and meta.json."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with self._lock:
-            chunks, vectors = self._chunks, self._vectors
-            if sys.byteorder == "big":  # vectors.bin is little-endian
-                vectors = array("d", vectors)
-                vectors.byteswap()
-            with open(directory / "vectors.bin", "wb") as fh:
-                vectors.tofile(fh)
+            chunks = self._chunks
+            parts = [array("I", map(len, self._rows)), *self._rows, *self._weights]
+            postings = b"".join(_little_endian(part).tobytes() for part in parts)
+        (directory / "postings.bin").write_bytes(postings)
         with open(directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
             for c in chunks:
                 fh.write(json_text(encode(c)) + "\n")
-        meta = {
-            "dimension": EMBED_DIM,
-            "embedder_id": EMBEDDER_ID,
-            "dtype": "float64-le",
-            "count": len(chunks),
-        }
+        meta = IndexMeta(EMBED_DIM, INDEX_DTYPE, len(chunks))._asdict()
         (directory / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
     @classmethod
     def load(cls, directory: str | Path) -> "KnowledgeBase":
         """Read an index saved by ``save``.
 
-        An index whose meta.json names another dimension or embedder raises
+        An index whose meta.json names another dimension, layout or embedder,
+        or whose postings.bin does not fit its chunks, raises
         KnowledgeBaseError. Files that do not decode raise OSError, KeyError
         or ValueError.
         """
         directory = Path(directory)
         meta = load_json((directory / "meta.json").read_text(encoding="utf-8"),
                          partial(decode, IndexMeta))
-        if meta.dimension != EMBED_DIM:
-            raise KnowledgeBaseError(
-                f"index dimension {meta.dimension} does not match embedder ({EMBED_DIM})"
-            )
-        if meta.embedder_id != EMBEDDER_ID:
-            raise KnowledgeBaseError(
-                f"index was built with embedder {meta.embedder_id!r}, not {EMBEDDER_ID!r}"
-            )
-        kb = cls()
+        for field, found, wanted in zip(IndexMeta._fields, meta,
+                                        IndexMeta(EMBED_DIM, INDEX_DTYPE, meta.count)):
+            if found != wanted:  # an index of another version: a new ingest rebuilds it
+                raise KnowledgeBaseError(f"index {field} {found!r} is not {wanted!r}; re-run "
+                                         "`penheal ingest` on its documents into a new directory")
         decode_chunk = partial(decode, Chunk)
         with open(directory / "chunks.jsonl", encoding="utf-8") as fh:
             chunks = [load_json(line, decode_chunk) for line in fh if line.strip()]
-        kb._vectors = array("d", [0.0]) * (len(chunks) * EMBED_DIM)
-        expected = len(kb._vectors) * kb._vectors.itemsize
-        with open(directory / "vectors.bin", "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size != expected or fh.readinto(kb._vectors) != size:
-                raise KnowledgeBaseError(f"vectors.bin has {size} bytes, expected {expected}")
-        if sys.byteorder == "big":
-            kb._vectors.byteswap()
+        if len(chunks) != meta.count:
+            raise KnowledgeBaseError(f"chunks.jsonl has {len(chunks)} chunks, not {meta.count}")
+        data = (directory / "postings.bin").read_bytes()
+        # Read unsigned, a negative int32 count or row id is 2**31 or more and fails the bound.
+        head = 4 * EMBED_DIM
+        counts = _little_endian(array("I", data[:head] if len(data) >= head else b""))
+        if len(data) != head + 12 * sum(counts):
+            raise KnowledgeBaseError(f"postings.bin has {len(data)} bytes, not {head} plus 12 "
+                                     "per posting it counts")
+        split = head + 4 * sum(counts)
+        rows = _little_endian(array("I", data[head:split]))
+        if max(rows, default=-1) >= len(chunks):
+            raise KnowledgeBaseError(f"postings.bin has a row id outside 0..{len(chunks) - 1}")
+        weights = _little_endian(array("d", data[split:]))
+        bounds = list(pairwise(accumulate(counts, initial=0)))
+        kb = cls()
+        kb._rows = [rows[a:b] for a, b in bounds]
+        kb._weights = [weights[a:b] for a, b in bounds]
         kb._chunks = chunks
         kb._doc_ids = {c.doc_id for c in chunks}
         return kb
@@ -238,11 +243,6 @@ class KnowledgeBase:
 
 def build_instructor_prompt(task_description: str, excerpts: list[Excerpt]) -> str:
     """Assemble the guidance message fed to the executor for one task."""
-    numbered = "\n".join(
-        f"{i}. {e.chunk.text}" for i, e in enumerate(excerpts, start=1)
-    )
-    return render_prompt(
-        AgentRole.EXECUTOR,
-        {"task": task_description, "excerpts": numbered},
-        kind="instructor",
-    )
+    numbered = "\n".join(f"{i}. {e.chunk.text}" for i, e in enumerate(excerpts, start=1))
+    return render_prompt(AgentRole.EXECUTOR, {"task": task_description, "excerpts": numbered},
+                         kind="instructor")

@@ -25,6 +25,7 @@ from penheal.engine import (
 from penheal.gateway import Gateway, ReplayBackend, load_transcript
 from penheal.knapsack import solve_group_knapsack
 from penheal.knowledge import KnowledgeBase, embed
+from test_knowledge_sparse import dense
 from penheal.model import RunConfig, TaskStatus, deserialize_run
 from penheal.remediation import RecommendationGroup, select
 from penheal.model import Recommendation
@@ -396,10 +397,10 @@ def test_criterion_8_retrieval_oracle():
     for _ in range(50):
         k = rng.randint(1, 10)
         query = " ".join(rng.choice(vocab) for _ in range(6))
-        query_vec = embed(query)
+        query_vec = dense(embed(query))
         scored = []
         for doc_id, seq, text in corpus:
-            vec = embed(text)
+            vec = dense(embed(text))
             sim = 0.0
             for i in range(len(vec)):
                 sim += vec[i] * query_vec[i]

@@ -190,7 +190,8 @@ class TestIngestSubcommand:
         assert "8 chunks" in out  # golden count for the bundled corpus
         assert (tmp_path / "kb" / "meta.json").exists()
         assert (tmp_path / "kb" / "chunks.jsonl").exists()
-        assert (tmp_path / "kb" / "vectors.bin").exists()
+        assert (tmp_path / "kb" / "postings.bin").exists()
+        assert not (tmp_path / "kb" / "vectors.bin").exists()  # one layout
 
     def test_missing_file_fatal(self, tmp_path):
         assert run_cli("ingest", str(tmp_path / "nope.txt"), "--kb", str(tmp_path / "kb")) == 1
@@ -283,7 +284,11 @@ class TestTwoStageFlow:
 
 
 class TestDefaultTruth:
-    def test_follows_the_configured_host_model(self, tmp_path, capsys, no_network):
+    NOFIND = resources.files("penheal.data").joinpath("fixtures/nofind.jsonl")
+
+    @staticmethod
+    def one_weakness_config(tmp_path):
+        """A config naming a copy of the bundled host with only its first weakness."""
         host = json.loads(
             resources.files("penheal.data").joinpath("hosts/metasploitable2.json").read_text()
         )
@@ -296,11 +301,24 @@ class TestDefaultTruth:
         config_path.write_text(json.dumps({
             "target_address": "10.0.2.4", "mode": "hermetic", "host_model": str(host_path),
         }))
-        fixtures = resources.files("penheal.data").joinpath("fixtures/nofind.jsonl")
+        return str(config_path)
+
+    def test_follows_the_configured_host_model(self, tmp_path, capsys, no_network):
         # nofind never exploits anything, so the one-weakness host replays it
         # unchanged; no findings means nothing to remediate, hence exit 2.
-        code = run_cli("run", "--config", str(config_path), "--fixtures", str(fixtures),
-                       "--out", str(tmp_path / "out"))
+        code = run_cli("run", "--config", self.one_weakness_config(tmp_path),
+                       "--fixtures", str(self.NOFIND), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "(0 found, 1 ground truth)" in capsys.readouterr().out
+
+    def test_remediate_follows_the_configured_host_model(self, tmp_path, capsys, no_network):
+        config = self.one_weakness_config(tmp_path)
+        run_cli("pentest", "--config", config, "--fixtures", str(self.NOFIND),
+                "--out", str(tmp_path / "stage1"))
+        capsys.readouterr()
+        code = run_cli("remediate", str(tmp_path / "stage1" / "run-artifact.json"),
+                       "--config", config, "--fixtures", str(self.NOFIND),
+                       "--out", str(tmp_path / "stage2"))
         assert code == 2
         assert "(0 found, 1 ground truth)" in capsys.readouterr().out
 
@@ -511,6 +529,20 @@ class TestBadInputsFailFirst:
             (kb / "meta.json").write_text("[]" if damage == "meta-list" else "[" * 100_000)
         assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
         assert f"cannot load knowledge base {kb}" in fatal_line(capsys.readouterr().err)
+
+    def test_kb_in_the_dense_layout(self, tmp_path, capsys, monkeypatch, no_network):
+        from penheal.knowledge import KnowledgeBase
+        from test_knowledge_matrix import write_dense_layout
+
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        kb = tmp_path / "index"
+        index = KnowledgeBase()
+        index.ingest("Scan the target with nmap before exploiting it.", doc_id="notes")
+        index.save(kb)
+        write_dense_layout(kb)
+        assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
+        line = fatal_line(capsys.readouterr().err)
+        assert f"cannot load knowledge base {kb}" in line and "re-run `penheal ingest`" in line
 
 
 class TestUnwritableOutput:

@@ -14,7 +14,7 @@ from penheal.knowledge import (
     build_instructor_prompt,
     embed,
 )
-from test_knowledge_sparse import cosine
+from test_knowledge_sparse import cosine, dense
 
 
 class TestEmbed:
@@ -24,11 +24,11 @@ class TestEmbed:
     def test_unit_norm(self):
         for text in ("a", "several words here", "x " * 300, "!!!"):
             vector = embed(text)
-            assert math.isclose(math.sqrt(sum(v * v for v in vector)), 1.0, rel_tol=1e-12)
+            assert math.isclose(math.sqrt(sum(v * v for v in vector.values())), 1.0, rel_tol=1e-12)
 
     def test_bag_of_words_order_invariance(self):
-        a = embed("samba exploit usermap")
-        b = embed("usermap samba exploit")
+        a = dense(embed("samba exploit usermap"))
+        b = dense(embed("usermap samba exploit"))
         assert cosine(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_rejected(self):
@@ -147,10 +147,10 @@ class TestRetrieve:
 
         for trial in range(10):
             query = " ".join(rng.choice(vocab) for _ in range(5))
-            query_vec = embed(query)
+            query_vec = dense(embed(query))
             scored = []
             for doc_id, text in chunks:
-                vec = embed(text)
+                vec = dense(embed(text))
                 sim = 0.0
                 for i in range(len(vec)):
                     sim += vec[i] * query_vec[i]
@@ -204,8 +204,8 @@ class TestPersistence:
         kb = KnowledgeBase()
         kb.ingest("some text to index " * 20, "doc", chunk_size=100, overlap=0)
         kb.save(tmp_path / "index")
-        vectors = tmp_path / "index" / "vectors.bin"
-        vectors.write_bytes(vectors.read_bytes()[:-16])
+        postings = tmp_path / "index" / "postings.bin"
+        postings.write_bytes(postings.read_bytes()[:-16])
         with pytest.raises(KnowledgeBaseError):
             KnowledgeBase.load(tmp_path / "index")
 
@@ -263,11 +263,11 @@ def test_retrieval_oracle_hundred_chunks_under_two_seconds():
     for _ in range(50):
         k = rng.randint(1, 8)
         query = " ".join(rng.choice(vocab) for _ in range(6))
-        query_vec = embed(query)
+        query_vec = dense(embed(query))
 
         scored = []
         for doc_id, seq, text in texts:
-            vec = embed(text)
+            vec = dense(embed(text))
             sim = 0.0
             for i in range(len(vec)):
                 sim += vec[i] * query_vec[i]

@@ -27,7 +27,13 @@ from penheal.knowledge import (
 VOCAB = ["samba", "usermap", "exploit", "nmap", "scan", "port", "ftp", "backdoor", "dns"]
 
 
-def signed_embed(text: str) -> tuple[float, ...]:
+def dense(vector: dict[int, float]) -> tuple[float, ...]:
+    """The EMBED_DIM-wide vector of an embedding's {bucket: entry}, checked to hold no zero entry."""
+    assert all(type(b) is int and 0 <= b < EMBED_DIM and w for b, w in vector.items()), vector
+    return tuple(map(vector.get, range(EMBED_DIM), repeat(0.0)))
+
+
+def signed_embed(text: str) -> dict[int, float]:
     """A dense embedder patched in for embed: every token adds a fixed row of -2..2 to all buckets."""
     counts = [0.0] * EMBED_DIM
     for token in text.lower().split() or [text]:
@@ -35,7 +41,7 @@ def signed_embed(text: str) -> tuple[float, ...]:
         for i in range(EMBED_DIM):
             counts[i] += row.choice((-2.0, -1.0, 0.0, 1.0, 2.0))
     norm = math.sqrt(sum(c * c for c in counts)) or 1.0
-    return tuple(c / norm for c in counts)
+    return {i: c / norm for i, c in enumerate(counts) if c}
 
 
 def dense_fold_embed(text: str) -> tuple[float, ...]:
@@ -78,7 +84,7 @@ class TestEmbedEqualsDenseFold:
     @example("\u212a")  # Kelvin sign: not ASCII, but its lowercase "k" is
     @example("tab\tsep\u2014dash")  # one em dash: the regex tokenizes it
     def test_bit_identical(self, text):
-        assert [x.hex() for x in embed(text)] == [x.hex() for x in dense_fold_embed(text)]
+        assert [x.hex() for x in dense(embed(text))] == [x.hex() for x in dense_fold_embed(text)]
 
 
 class TestAsciiTokens:
@@ -100,8 +106,8 @@ class TestAsciiTokens:
 
 def dense_scan(embedder, chunks, query, k):
     """Reference retrieval: dense cosine() over every chunk, then a full sort."""
-    query_vec = embedder(query)
-    scored = [(-cosine(embedder(text), query_vec), doc_id, seq) for doc_id, seq, text in chunks]
+    query_vec = dense(embedder(query))
+    scored = [(-cosine(dense(embedder(text)), query_vec), doc_id, seq) for doc_id, seq, text in chunks]
     scored.sort()
     return [(doc_id, seq, (-neg).hex()) for neg, doc_id, seq in scored[:k]]
 
@@ -140,13 +146,27 @@ class TestSparseEqualsDense:
         check_against_dense(signed_embed, docs, " ".join(query), k)
 
     def test_signed_embedder_is_dense_with_negatives(self):
-        vector = signed_embed("samba usermap exploit")
+        vector = dense(signed_embed("samba usermap exploit"))
         assert min(vector) < 0.0 < max(vector)
         assert sum(1 for x in vector if x) > EMBED_DIM // 2
 
 
+def postings(vectors: list[tuple[float, ...]]) -> list[list[tuple[int, float]]]:
+    """Reference postings of dense rows: per bucket, the (row, entry) pairs nonzero there, ascending."""
+    return [[(r, v[b]) for r, v in enumerate(vectors) if v[b]] for b in range(EMBED_DIM)]
+
+
+def postings_bytes(vectors: list[tuple[float, ...]]) -> bytes:
+    """Reference postings.bin of dense rows: counts, row ids, entries, bucket-major, little-endian."""
+    buckets = postings(vectors)
+    rows = [r for bucket in buckets for r, _ in bucket]
+    weights = [w for bucket in buckets for _, w in bucket]
+    return (struct.pack(f"<{EMBED_DIM}i", *map(len, buckets))
+            + struct.pack(f"<{len(rows)}i", *rows) + struct.pack(f"<{len(weights)}d", *weights))
+
+
 class TestIndexBytes:
-    def test_save_writes_dense_float64_of_embed(self, tmp_path):
+    def test_save_writes_postings_of_embed(self, tmp_path):
         corpus = (
             resources.files("penheal.data")
             .joinpath("corpus/pentest_notes.txt")
@@ -164,14 +184,14 @@ class TestIndexBytes:
         ]
         meta = {
             "dimension": EMBED_DIM,
-            "embedder_id": f"hashed-tf-{EMBED_DIM}",
-            "dtype": "float64-le",
+            "dtype": "postings-int32-float64-le",
             "count": len(pieces),
+            "embedder_id": f"hashed-tf-{EMBED_DIM}",
         }
         assert (tmp_path / "chunks.jsonl").read_bytes() == "".join(
             r + "\n" for r in rows
         ).encode("utf-8")
-        assert (tmp_path / "vectors.bin").read_bytes() == b"".join(
-            struct.pack(f"<{EMBED_DIM}d", *dense_fold_embed(p)) for p in pieces
+        assert (tmp_path / "postings.bin").read_bytes() == postings_bytes(
+            [dense_fold_embed(p) for p in pieces]
         )
         assert (tmp_path / "meta.json").read_bytes() == json.dumps(meta, indent=2).encode()
