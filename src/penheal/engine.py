@@ -15,9 +15,10 @@ the plan through ``merge_revision``, which holds the one set of edit rules.
 
 from __future__ import annotations
 
+import functools
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Protocol, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Union
 
 from .gateway import AgentRole, Gateway
 from .knowledge import KnowledgeBase, build_instructor_prompt
@@ -144,21 +145,25 @@ def render_plan(plan: AttackPlan) -> str:
 
 def parse_plan_text(text: str) -> list[TaskNode]:
     """Extract plan lines as childless tasks; non-matching lines are ignored."""
-    parsed = []
-    for line in text.splitlines():
-        match = _PLAN_LINE.match(line)
-        if not match:
-            continue
-        task_id, description, status_word, result = match.groups()
-        parsed.append(
-            TaskNode(
-                id=task_id,
-                description=description.strip(),
-                status=_STATUS_WORDS[status_word.lower()],
-                result_summary=result.strip() if result else None,
-            )
-        )
-    return parsed
+    return [node for node in map(_parse_plan_line, text.splitlines()) if node is not None]
+
+
+# Distinct planner lines whose parse is kept; a deep run has a few dozen.
+PLAN_LINE_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=PLAN_LINE_MEMO)
+def _parse_plan_line(line: str) -> Optional[TaskNode]:
+    match = _PLAN_LINE.match(line)
+    if not match:
+        return None
+    task_id, description, status_word, result = match.groups()
+    return TaskNode(
+        id=task_id,
+        description=description.strip(),
+        status=_STATUS_WORDS[status_word.lower()],
+        result_summary=result.strip() if result else None,
+    )
 
 
 def merge_revision(plan: AttackPlan, lines: list[TaskNode]) -> tuple[AttackPlan, list[str]]:
@@ -337,16 +342,17 @@ def update_plan(
     return merged, warnings
 
 
-def _references_finding(description: str, finding: Vulnerability) -> bool:
-    text = description.lower()
-    if finding.id.upper() != CVE_NA and finding.id.lower() in text:
-        return True
+def _finding_matcher(finding: Vulnerability) -> Callable[[str], Optional[re.Match]]:
+    """A search of lower-cased text for the finding's id, its service as a word, or its port."""
+    terms = []
+    if finding.id.upper() != CVE_NA:
+        terms.append(re.escape(finding.id.lower()))
     service = finding.service.strip().lower()
-    if service and re.search(rf"\b{re.escape(service)}\b", text):
-        return True
-    if finding.port is not None and re.search(rf"\bport\s+{finding.port}\b", text):
-        return True
-    return False
+    if service:
+        terms.append(rf"(?<!\w){re.escape(service)}(?!\w)")
+    if finding.port is not None:
+        terms.append(rf"\bport\s+{finding.port}\b")
+    return re.compile("|".join(terms) or r"(?!)").search  # (?!) never matches
 
 
 def counterfactual_update(
@@ -368,15 +374,17 @@ def counterfactual_update(
     if not lines:
         warnings.append("counterfactual revision unparseable; kept previous plan")
 
+    matchers = [(f, _finding_matcher(f)) for f in findings]
     forced = []
     for node in merged.walk():
         if node.status is not TaskStatus.TODO:
             continue
-        finding = next((f for f in findings if _references_finding(node.description, f)), None)
+        text = node.description.lower()
+        finding = next((f for f, matches in matchers if matches(text)), None)
         if finding is not None:
             verified = f"already exploited: {finding.id} on {finding.service} (verified)"
             forced.append(TaskNode(node.id, node.description, TaskStatus.COMPLETED, verified))
-    return merge_revision(merged, forced)[0], warnings
+    return (merge_revision(merged, forced)[0] if forced else merged), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +502,7 @@ def run_pentest(
 ) -> PentestResult:
     """Run the full pentest loop and return history, final plan and findings."""
     config.validate()
+    _parse_plan_line.cache_clear()  # each run parses its own distinct lines once
     plan, warnings = initial_plan(config, gateway)
     history: list[ExecutionRecord] = []
     findings_so_far: list[Vulnerability] = []

@@ -25,7 +25,8 @@ def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
     probe, run, tracing, workloads = (importlib.import_module(name)
                                       for name in ("probe", "run", "tracing", "workloads"))
     spec = workloads.generate(workload, 1, tmp_path / workload)
-    restore = tracing.install(tracing.Tracer())
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
     try:
         inputs = probe.assemble(spec, tmp_path / "kb-scratch")
         facts = probe.timed_rep(spec, inputs)
@@ -35,3 +36,10 @@ def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
     [facts] = probe.summarize(spec, [facts], keep=False)
     assert run.check_rep(spec, facts, []) == []
     assert workloads.check_artifact(spec, json.loads(artifact)) == []
+    if workload == "deep_pentest":  # the tracer still sees one parse per plan reply
+        spans = [(name, attrs or {}) for name, _, _, _, _, attrs in tracer.spans]
+        parses = sum(1 for name, _ in spans if name == "engine.plan_parse")
+        planner = sum(1 for name, a in spans
+                      if name == "gateway.complete" and a.get("role") == "Planner")
+        iterations = sum(a["iterations"] for name, a in spans if name == "engine.run_pentest")
+        assert iterations and parses == planner - iterations  # select replies parse no plan

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,15 +11,18 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from plan_invariants import validate_plan
 
 from penheal.engine import (
+    PLAN_LINE_MEMO,
     Command,
     CommandChannel,
     EngineError,
     IterationLog,
+    _finding_matcher,
+    _parse_plan_line,
     counterfactual_update,
     execute,
     initial_plan,
@@ -35,7 +39,7 @@ from penheal.engine import (
     update_plan,
 )
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
-from penheal.model import AttackPlan, RunConfig, TaskStatus, Vulnerability
+from penheal.model import CVE_NA, AttackPlan, RunConfig, TaskStatus, Vulnerability
 from penheal.knowledge import KnowledgeBase
 from penheal.simulator import SimulatorBackend, load_host_model
 
@@ -341,6 +345,76 @@ class TestCounterfactual:
         finding = Vulnerability(id="cve-na", service="http", port=80)
         merged, _ = counterfactual_update(plan, [finding], gateway)
         assert merged.find("1").status is TaskStatus.TODO
+
+    def test_service_with_a_non_word_edge_is_force_marked(self):
+        plan = plan_from("1 Brute-force the ftp? listener [to-do]")
+        gateway = gw({AgentRole.PLANNER: [render_plan(plan)]})
+        merged, _ = counterfactual_update(plan, [Vulnerability("CVE-NA", "ftp?")], gateway)
+        assert merged.find("1").status is TaskStatus.COMPLETED
+
+
+def references_finding(description, finding):
+    """The matcher's oracle: three separate checks, with the service bounded by ``\\b``."""
+    text = description.lower()
+    if finding.id.upper() != CVE_NA and finding.id.lower() in text:
+        return True
+    service = finding.service.strip().lower()
+    if service and re.search(rf"\b{re.escape(service)}\b", text):
+        return True
+    if finding.port is not None and re.search(rf"\bport\s+{finding.port}\b", text):
+        return True
+    return False
+
+
+_IDS = st.one_of(st.from_regex(r"CVE-\d{4}-\d{4,7}", fullmatch=True),
+                 st.sampled_from([CVE_NA, "cve-na", "Cve-Na", "cve-2011-2523"]))
+# Services that start and end with a word character, where \b and the lookarounds agree.
+_SERVICES = st.one_of(
+    st.sampled_from(["", "  ", "ftp", " FTP ", "ssl/http", "ms.sql", "ms-sql-s", "x11", "irc"]),
+    st.from_regex(r"[a-z0-9_](?:[a-z0-9_./+?*()\[\] -]{0,6}[a-z0-9_])?", fullmatch=True),
+)
+_PORTS = st.one_of(st.none(), st.sampled_from([0, 21, 65535]), st.integers(0, 65535))
+
+
+@st.composite
+def finding_and_description(draw):
+    finding = Vulnerability(draw(_IDS), draw(_SERVICES), draw(_PORTS))
+    service = finding.service.strip()
+    pieces = [finding.id, finding.id.lower(), service, service.upper(), "port ", "Port  ",
+              str(finding.port), "ports", "s", "1", "_", ".", "/", "?", " ", "\t", "CVE-2011-2523"]
+    fragment = st.one_of(st.sampled_from(pieces), st.text(max_size=4))
+    return finding, "".join(draw(st.lists(fragment, max_size=12)))
+
+
+class TestFindingMatcher:
+    @settings(max_examples=300)
+    @given(finding_and_description())
+    @example((Vulnerability(CVE_NA, "", 21), "Probe port 211"))
+    @example((Vulnerability(CVE_NA, "", 21), "Probe sport 21 and port\t21"))
+    @example((Vulnerability(CVE_NA, "ms.sql", 0), "Dump msXsql, then the ms.sql_1 port 0x"))
+    @example((Vulnerability(CVE_NA, "FTP", None), "Fetch over sftp or ftps, not FTP"))
+    def test_agrees_with_the_three_checks_for_word_edged_services(self, case):
+        finding, description = case
+        matched = _finding_matcher(finding)(description.lower()) is not None
+        assert matched == references_finding(description, finding)
+
+    @pytest.mark.parametrize("service, description", [
+        ("ftp?", "Brute-force the ftp? listener"),
+        ("c++", "Fuzz the C++ runtime"),
+        ("c++", "c++"),
+    ])
+    def test_service_with_a_non_word_edge_matches(self, service, description):
+        finding = Vulnerability(CVE_NA, service)
+        assert _finding_matcher(finding)(description.lower())
+        assert not references_finding(description, finding)  # what \b missed
+
+    @pytest.mark.parametrize("description", ["the sftp? listener", "the ftp?x listener"])
+    def test_service_inside_a_longer_word_does_not_match(self, description):
+        assert _finding_matcher(Vulnerability(CVE_NA, "ftp?"))(description) is None
+
+    def test_finding_with_nothing_to_match_matches_nothing(self):
+        matches = _finding_matcher(Vulnerability("cve-na", " "))
+        assert matches("") is None and matches("cve-na port 21") is None
 
 
 class TestExtractorBlocks:
@@ -771,6 +845,29 @@ class TestScriptedRuns:
         second = run_pentest(config, SimulatorBackend(HOST), build_gateway(), KnowledgeBase())
         assert first.findings == second.findings
         assert [f.key_str for f in first.findings] == ["CVE-2011-2523@ftp:21"]
+
+    def test_each_run_starts_with_an_empty_line_memo(self):
+        first_plan = "1 Recon [to-do]\n  1.1 Scan [to-do]"
+        first_done = "1 Recon [done] - result: r\n  1.1 Scan [done] - result: r"
+        second_plan = "2 Exploit [to-do]\n  2.1 Attack the file service [to-do]"
+        second_done = "2 Exploit [done] - result: r\n  2.1 Attack the file service [failed]"
+
+        def run(init, after, task_id):
+            gateway = gw({AgentRole.PLANNER: [init, task_id, after],
+                          AgentRole.EXECUTOR: ["$nmap -p- 10.0.2.4$"],
+                          AgentRole.SUMMARIZER: ["nothing"],
+                          AgentRole.EXTRACTOR: ["NONE", "NONE"]})
+            config = RunConfig(target_address="10.0.2.4")
+            run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
+
+        run(first_plan, first_done, "1.1")
+        run(second_plan, second_done, "2.1")
+        second_lines = set((second_plan + "\n" + second_done).splitlines())
+        assert _parse_plan_line.cache_info().currsize == len(second_lines) <= PLAN_LINE_MEMO
+        hits = _parse_plan_line.cache_info().hits
+        for line in second_lines:
+            _parse_plan_line(line)
+        assert _parse_plan_line.cache_info().hits == hits + len(second_lines)
 
 
 class TestInitialPlan:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from plan_invariants import validate_plan
 
+from penheal import engine
 from penheal.engine import (
     CommandChannel,
     merge_revision,
@@ -20,6 +21,7 @@ from penheal.model import (
     RESULT_SUMMARY_MAX,
     AttackPlan,
     CostPolicy,
+    TaskNode,
     TaskStatus,
 )
 from penheal.nvd import CVE_PATTERN
@@ -125,6 +127,39 @@ def test_parse_plan_text(text):
     for line in lines:
         assert _TASK_ID.match(line.id)
         assert line.description and line.description == line.description.strip()
+
+
+def parse_each_line(text):
+    """``parse_plan_text`` without the line memo: one ``_PLAN_LINE`` match per line."""
+    parsed = []
+    for line in text.splitlines():
+        match = engine._PLAN_LINE.match(line)
+        if match:
+            task_id, description, status_word, result = match.groups()
+            parsed.append(TaskNode(task_id, description.strip(),
+                                   engine._STATUS_WORDS[status_word.lower()],
+                                   result.strip() if result else None))
+    return parsed
+
+
+@settings(deadline=None)
+@given(_PLAN_TEXT, _PLAN_TEXT)
+def test_parse_plan_text_reads_the_same_with_a_cold_or_warm_memo(text, other):
+    expected = parse_each_line(text)
+    engine._parse_plan_line.cache_clear()
+    assert parse_plan_text(text) == expected  # cold
+    assert parse_plan_text(text) == expected  # warm with these lines
+    parse_plan_text(other)
+    assert parse_plan_text(text + "\n" + other) == expected + parse_each_line(other)
+
+
+@settings(deadline=None)
+@given(_PLAN_TEXT, _PLAN_TEXT)
+def test_merging_no_lines_returns_the_plan(base_text, revision_text):
+    base, _ = merge_revision(AttackPlan(), parse_plan_text(base_text))
+    merged, _ = merge_revision(base, parse_plan_text(revision_text))
+    for plan in (base, merged):
+        assert merge_revision(plan, []) == (plan, [])
 
 
 @settings(deadline=None)
