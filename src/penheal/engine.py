@@ -8,9 +8,11 @@ one new finding, a counterfactual re-planning prompt pushes the planner
 toward unexplored attack paths, and the engine mechanically verifies that
 no task covering an already-found weakness stays to-do.
 
-Every plan change is a merge: the first plan, each planner revision, each
-mechanical mark and the counterfactual pass all fold parsed task lines into
-the plan through ``merge_revision``, which holds the one set of edit rules.
+While the loop runs, the plan is one mutable ``PlanTable``, frozen into an
+``AttackPlan`` once, for the result. Every plan change is a merge: the first
+plan, each planner revision, each mechanical mark and the counterfactual pass
+all fold parsed task lines into the table through ``merge_revision``, which
+holds the one set of edit rules.
 """
 
 from __future__ import annotations
@@ -126,21 +128,54 @@ _STATUS_WORDS = {
 }
 
 
-def render_plan(plan: AttackPlan) -> str:
+class PlanTable:
+    """The attack plan while a run edits it, held as one table; ``freeze`` gives the tree.
+
+    ``tasks`` maps an id to ``[description, status, result]``, ``children``
+    maps a task id ("" for the roots) to its child ids in plan order, and
+    ``lines`` keeps each task's rendered line. ``version`` moves when a task
+    is added or changes status, and only then.
+    """
+
+    def __init__(self) -> None:
+        self.tasks: dict[str, list] = {}
+        self.children: dict[str, list[str]] = {"": []}
+        self.lines: dict[str, str] = {}
+        self.version = 0
+        self._ids: Optional[list[str]] = []  # depth-first order; None after an add
+        self._text: Optional[str] = ""  # the last render; None after a line changes
+
+    def ids(self) -> list[str]:
+        """Every task id, depth-first in plan order."""
+        if self._ids is None:
+            ids, stack, children = [], self.children[""][::-1], self.children
+            while stack:
+                task_id = stack.pop()
+                ids.append(task_id)
+                stack.extend(reversed(children[task_id]))
+            self._ids = ids
+        return self._ids
+
+    def todo(self) -> list[str]:
+        """The to-do task ids, depth-first."""
+        tasks = self.tasks
+        return [i for i in self.ids() if tasks[i][1] is TaskStatus.TODO]
+
+    def freeze(self) -> AttackPlan:
+        tasks, children = self.tasks, self.children
+
+        def node(task_id: str) -> TaskNode:
+            return TaskNode(task_id, *tasks[task_id], tuple(map(node, children[task_id])))
+
+        return AttackPlan(tuple(map(node, children[""])))
+
+
+def render_plan(plan: PlanTable) -> str:
     """Render a plan as the one-task-per-line format the planner reads and writes."""
-    lines = []
-
-    def emit(node: TaskNode, depth: int) -> None:
-        line = f"{'  ' * depth}{node.id} {node.description} [{node.status.value}]"
-        if node.result_summary is not None:
-            line += f" - result: {node.result_summary}"
-        lines.append(line)
-        for child in node.children:
-            emit(child, depth + 1)
-
-    for root in plan.roots:
-        emit(root, 0)
-    return "\n".join(lines)
+    if plan._text is None:
+        lines = plan.lines
+        plan._text = "\n".join([lines[i] for i in plan.ids()])
+    return plan._text
 
 
 def parse_plan_text(text: str) -> list[TaskNode]:
@@ -158,75 +193,79 @@ def _parse_plan_line(line: str) -> Optional[TaskNode]:
     if not match:
         return None
     task_id, description, status_word, result = match.groups()
-    return TaskNode(
-        id=task_id,
-        description=description.strip(),
-        status=_STATUS_WORDS[status_word.lower()],
-        result_summary=result.strip() if result else None,
-    )
+    return TaskNode(task_id, description.strip(), _STATUS_WORDS[status_word.lower()],
+                    result.strip() if result else None)
 
 
-def merge_revision(plan: AttackPlan, lines: list[TaskNode]) -> tuple[AttackPlan, list[str]]:
-    """Fold parsed task lines into a plan; the one code path that changes a plan.
+def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
+    """Fold parsed task lines into the plan in place and return the warnings.
 
-    Existing tasks only ever move to-do -> completed/failed; attempts to
-    revert are ignored with a warning. Tasks missing from the lines are kept.
-    A new task goes under the task whose id is its own minus the last
-    segment, after that task's existing children; orphans are dropped with a
-    warning. Results are clipped, and a settled task without one reads
-    "(no result provided)".
+    The one code path that changes a plan. Existing tasks only ever move
+    to-do -> completed/failed; attempts to revert are ignored with a warning.
+    Tasks missing from the lines are kept. A new task goes under the task
+    whose id is its own minus the last segment, after that task's existing
+    children; orphans are dropped with a warning. Results are clipped, and a
+    settled task without one reads "(no result provided)".
     """
-    tasks = {n.id: [n.description, n.status, n.result_summary] for n in plan.walk()}
+    tasks, children = plan.tasks, plan.children
     warnings: list[str] = []
-    pending = list(lines)
+    touched: dict[str, None] = {}  # ids whose fields changed, in first-change order
+    pending = lines
     for _ in range(2):  # second pass catches children listed before their parent
         deferred = []
         for line in pending:
-            task = tasks.get(line.id)
+            task_id = line.id
+            task = tasks.get(task_id)
             if task is None:
-                if "." in line.id and line.id.rpartition(".")[0] not in tasks:
+                parent_id = task_id.rpartition(".")[0]
+                if parent_id and parent_id not in tasks:
                     deferred.append(line)
-                else:
-                    tasks[line.id] = [line.description, line.status, line.result_summary]
+                    continue
+                tasks[task_id] = [line.description, line.status, line.result_summary]
+                children[parent_id].append(task_id)
+                children[task_id] = []
+                plan._ids = None
+                plan.version += 1
+                touched[task_id] = None
                 continue
-            if task[1] is TaskStatus.TODO:
-                task[1] = line.status
+            status = task[1]
+            if status is TaskStatus.TODO:
+                if line.status is not status:
+                    task[1] = line.status
+                    plan.version += 1
+                    touched[task_id] = None
             elif line.status is TaskStatus.TODO:
-                warnings.append(f"{line.id}: ignored attempt to revert to to-do")
-            elif line.status is not task[1]:
-                warnings.append(f"{line.id}: ignored status change after completion")
-            task[0] = line.description
-            task[2] = line.result_summary or task[2]
+                warnings.append(f"{task_id}: ignored attempt to revert to to-do")
+            elif line.status is not status:
+                warnings.append(f"{task_id}: ignored status change after completion")
+            result = line.result_summary or task[2]
+            if line.description != task[0] or result != task[2]:
+                task[0], task[2] = line.description, result
+                touched[task_id] = None
         pending = deferred
     warnings.extend(f"dropped orphan task {line.id} (no parent in plan)" for line in pending)
 
-    children: dict[str, list[str]] = {}  # "" holds the roots
-    for task_id in tasks:
-        parent_id = task_id.rpartition(".")[0]
-        children.setdefault(parent_id if parent_id in tasks else "", []).append(task_id)
-
-    def freeze(task_id: str) -> TaskNode:
-        description, status, result = tasks[task_id]
+    for task_id in touched:  # settle the results and re-render what changed
+        description, status, result = task = tasks[task_id]
+        line = f"{'  ' * task_id.count('.')}{task_id} {description} [{status.value}]"
         if status is TaskStatus.TODO:
-            result = None
+            task[2] = None
         else:
-            result = clip_summary(result) if result else NO_RESULT_TEXT
-        return TaskNode(task_id, description, status, result,
-                        tuple(freeze(c) for c in children.get(task_id, ())))
+            task[2] = result = clip_summary(result) if result else NO_RESULT_TEXT
+            line += f" - result: {result}"
+        if plan.lines.get(task_id) != line:
+            plan.lines[task_id] = line
+            plan._text = None
+    return warnings
 
-    return AttackPlan(tuple(freeze(r) for r in children.get("", ()))), warnings
 
-
-def mark_task(
-    plan: AttackPlan, task_id: str, status: TaskStatus, result: str
-) -> AttackPlan:
+def mark_task(plan: PlanTable, task_id: str, status: TaskStatus, result: str) -> None:
     """Mechanically set one task's status and result (to-do tasks only)."""
-    node = plan.find(task_id)
-    if node is None:
+    task = plan.tasks.get(task_id)
+    if task is None:
         raise EngineError(f"no task {task_id} in plan")
-    if node.status is not TaskStatus.TODO:
-        return plan
-    return merge_revision(plan, [TaskNode(task_id, node.description, status, result)])[0]
+    if task[1] is TaskStatus.TODO:
+        merge_revision(plan, [TaskNode(task_id, task[0], status, result)])
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +332,19 @@ def summarize(command_text: str, raw_output: str, gateway: Gateway) -> str:
 # ---------------------------------------------------------------------------
 
 
-def initial_plan(config: RunConfig, gateway: Gateway) -> tuple[AttackPlan, list[str]]:
+def initial_plan(config: RunConfig, gateway: Gateway) -> tuple[PlanTable, list[str]]:
     response = ask(gateway, AgentRole.PLANNER,
                    render_prompt(AgentRole.PLANNER, {"target": config.target_address}, "init"))
     lines = parse_plan_text(response)
     if not lines:
         raise EngineError("planner produced no parseable initial plan")
-    return merge_revision(AttackPlan(), lines)
+    plan = PlanTable()
+    return plan, merge_revision(plan, lines)
 
 
-def select_next_task(plan: AttackPlan, gateway: Gateway) -> str:
+def select_next_task(plan: PlanTable, gateway: Gateway) -> str:
     """Ask the planner for the next task id; fall back to depth-first first to-do."""
-    todo = plan.todo_ids()
+    todo = plan.todo()
     if not todo:
         raise EngineError("no to-do tasks remain")
     response = ask(gateway, AgentRole.PLANNER,
@@ -315,31 +355,26 @@ def select_next_task(plan: AttackPlan, gateway: Gateway) -> str:
     return todo[0]
 
 
-def update_plan(
-    plan: AttackPlan, task_id: str, summary: str, gateway: Gateway
-) -> tuple[AttackPlan, list[str]]:
-    """Let the planner mark the executed task and extend the plan."""
-    node = plan.find(task_id)
-    if node is None or node.status is not TaskStatus.TODO:
+def update_plan(plan: PlanTable, task_id: str, summary: str, gateway: Gateway) -> list[str]:
+    """Let the planner mark the executed task and extend the plan; returns the warnings."""
+    task = plan.tasks.get(task_id)
+    if task is None or task[1] is not TaskStatus.TODO:
         raise EngineError(f"task {task_id} does not exist or is not to-do")
     variables = {"plan": render_plan(plan), "task_id": task_id, "summary": summary}
     response = ask(gateway, AgentRole.PLANNER,
                    render_prompt(AgentRole.PLANNER, variables, "update"))
     lines = parse_plan_text(response)
     if not lines:
-        return (
-            mark_task(plan, task_id, TaskStatus.FAILED, PARSE_FAILURE_TEXT),
-            [f"{task_id}: {PARSE_FAILURE_TEXT}"],
-        )
-    merged, warnings = merge_revision(plan, lines)
-    target = merged.find(task_id)
-    if target.status is TaskStatus.TODO:
-        merged = mark_task(merged, task_id, TaskStatus.FAILED, summary or PARSE_FAILURE_TEXT)
+        mark_task(plan, task_id, TaskStatus.FAILED, PARSE_FAILURE_TEXT)
+        return [f"{task_id}: {PARSE_FAILURE_TEXT}"]
+    warnings = merge_revision(plan, lines)
+    description, status, result = task  # merged in place
+    if status is TaskStatus.TODO:
+        mark_task(plan, task_id, TaskStatus.FAILED, summary or PARSE_FAILURE_TEXT)
         warnings.append(f"{task_id}: planner did not settle the task; marked failed")
-    elif target.result_summary == NO_RESULT_TEXT:
-        fill_in = TaskNode(task_id, target.description, target.status, summary)
-        merged = merge_revision(merged, [fill_in])[0]
-    return merged, warnings
+    elif result == NO_RESULT_TEXT:
+        merge_revision(plan, [TaskNode(task_id, description, status, summary)])
+    return warnings
 
 
 def _finding_matcher(finding: Vulnerability) -> Callable[[str], Optional[re.Match]]:
@@ -356,13 +391,13 @@ def _finding_matcher(finding: Vulnerability) -> Callable[[str], Optional[re.Matc
 
 
 def counterfactual_update(
-    plan: AttackPlan, findings: list[Vulnerability], gateway: Gateway
-) -> tuple[AttackPlan, list[str]]:
+    plan: PlanTable, findings: list[Vulnerability], gateway: Gateway
+) -> list[str]:
     """Issue the as-if-they-did-not-exist re-planning prompt and verify the result.
 
     After applying the planner's revision, any to-do task that still covers
     an already-found weakness is force-marked completed: the guarantee is
-    mechanical, not left to the model.
+    mechanical, not left to the model. Returns the warnings.
     """
     if not findings:
         raise EngineError("counterfactual update requires at least one finding")
@@ -370,21 +405,22 @@ def counterfactual_update(
     response = ask(gateway, AgentRole.PLANNER,
                    render_prompt(AgentRole.PLANNER, variables, "counterfactual"))
     lines = parse_plan_text(response)
-    merged, warnings = merge_revision(plan, lines)
+    warnings = merge_revision(plan, lines)
     if not lines:
         warnings.append("counterfactual revision unparseable; kept previous plan")
 
     matchers = [(f, _finding_matcher(f)) for f in findings]
     forced = []
-    for node in merged.walk():
-        if node.status is not TaskStatus.TODO:
-            continue
-        text = node.description.lower()
+    for task_id in plan.todo():
+        description = plan.tasks[task_id][0]
+        text = description.lower()
         finding = next((f for f, matches in matchers if matches(text)), None)
         if finding is not None:
             verified = f"already exploited: {finding.id} on {finding.service} (verified)"
-            forced.append(TaskNode(node.id, node.description, TaskStatus.COMPLETED, verified))
-    return (merge_revision(merged, forced)[0] if forced else merged), warnings
+            forced.append(TaskNode(task_id, description, TaskStatus.COMPLETED, verified))
+    if forced:
+        merge_revision(plan, forced)
+    return warnings
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +469,7 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
             if digits and len(number) <= 5 and int(number or 0) <= 65535:  # int() caps digits
                 port = int(number or 0)
             else:
-                warnings.append(f"unparseable port {port_text[:60]!r} for {vuln_id}")
+                warnings.append(f"unparseable port {port_text[:60]!r} for {vuln_id[:60]}")
         findings.append(
             Vulnerability(
                 id=vuln_id,
@@ -467,7 +503,7 @@ def extract_findings(
 
 
 def termination_reason(
-    plan: AttackPlan, iterations: list[IterationLog], iteration: int, config: RunConfig
+    plan: PlanTable, iterations: list[IterationLog], iteration: int, config: RunConfig
 ) -> Optional[str]:
     """Why the loop stops after ``iteration`` iterations, or None to run another.
 
@@ -477,7 +513,7 @@ def termination_reason(
     """
     if iteration >= config.max_iterations:
         return "budget-exhausted"
-    if not plan.todo_ids():
+    if not plan.todo():
         return "plan-exhausted"
     streak = 0
     for log in reversed(iterations):
@@ -507,29 +543,27 @@ def run_pentest(
     history: list[ExecutionRecord] = []
     findings_so_far: list[Vulnerability] = []
     iterations: list[IterationLog] = []
-    prev_structure = plan.structure_key()
     iteration = 0
 
     while (termination := termination_reason(plan, iterations, iteration, config)) is None:
         iteration += 1
+        version = plan.version
         task_id = select_next_task(plan, gateway)
-        task = plan.find(task_id)
+        description = plan.tasks[task_id][0]
 
         excerpts = []
         if len(knowledge_base):
-            excerpts = knowledge_base.retrieve(task.description, config.retrieval_k)
+            excerpts = knowledge_base.retrieve(description, config.retrieval_k)
 
         commands, cmd_warnings = ask(
-            gateway, AgentRole.EXECUTOR, build_instructor_prompt(task.description, excerpts),
-            system=render_prompt(AgentRole.EXECUTOR, {"task": task.description}, "system"),
+            gateway, AgentRole.EXECUTOR, build_instructor_prompt(description, excerpts),
+            system=render_prompt(AgentRole.EXECUTOR, {"task": description}, "system"),
             parse=parse_commands)
         warnings.extend(cmd_warnings)
 
         new_findings: list[Vulnerability] = []
         if not commands:
-            plan = mark_task(
-                plan, task_id, TaskStatus.FAILED, "no executable command produced"
-            )
+            mark_task(plan, task_id, TaskStatus.FAILED, "no executable command produced")
             warnings.append(f"{task_id}: executor produced no command twice")
         else:
             iteration_records = []
@@ -549,34 +583,20 @@ def run_pentest(
             combined = clip_summary(
                 " / ".join(r.summary for r in iteration_records), SUMMARY_CAP
             )
-            plan, update_warnings = update_plan(plan, task_id, combined, gateway)
-            warnings.extend(update_warnings)
+            warnings.extend(update_plan(plan, task_id, combined, gateway))
 
         if new_findings:
-            plan, cf_warnings = counterfactual_update(plan, list(findings_so_far), gateway)
-            warnings.extend(cf_warnings)
+            warnings.extend(counterfactual_update(plan, list(findings_so_far), gateway))
 
-        structure = plan.structure_key()
-        iterations.append(
-            IterationLog(
-                iteration=iteration,
-                task_id=task_id,
-                new_finding_keys=tuple(v.key_str for v in new_findings),
-                command_count=len(commands),
-                plan_changed=structure != prev_structure,
-            )
-        )
-        prev_structure = structure
+        iterations.append(IterationLog(
+            iteration=iteration, task_id=task_id,
+            new_finding_keys=tuple(v.key_str for v in new_findings),
+            command_count=len(commands), plan_changed=plan.version != version))
 
     final_findings, final_warnings = extract_findings(history, gateway)
     warnings.extend(final_warnings)
     findings = dedupe_findings(findings_so_far + final_findings)
 
-    return PentestResult(
-        history=history,
-        plan=plan,
-        findings=findings,
-        iterations=iterations,
-        termination_reason=termination,
-        warnings=warnings,
-    )
+    return PentestResult(history=history, plan=plan.freeze(), findings=findings,
+                         iterations=iterations, termination_reason=termination,
+                         warnings=warnings)

@@ -34,7 +34,7 @@ from enum import Enum
 from functools import partial
 from math import isfinite
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 # The bundled fixtures, corpus, NVD records and host profile.
 DATA_DIR = Path(__file__).parent / "data"
@@ -206,34 +206,11 @@ class TaskNode(NamedTuple):
     result_summary: Optional[str] = None
     children: tuple[TaskNode, ...] = ()
 
-    def walk(self) -> Iterator["TaskNode"]:
-        """Depth-first traversal of this node and its descendants."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 class AttackPlan(NamedTuple):
     """Ordered tree of pentest tasks following the standard phase sequence."""
 
     roots: tuple[TaskNode, ...] = ()
-
-    def walk(self) -> Iterator[TaskNode]:
-        for root in self.roots:
-            yield from root.walk()
-
-    def find(self, task_id: str) -> Optional[TaskNode]:
-        for node in self.walk():
-            if node.id == task_id:
-                return node
-        return None
-
-    def todo_ids(self) -> list[str]:
-        return [n.id for n in self.walk() if n.status is TaskStatus.TODO]
-
-    def structure_key(self) -> tuple[tuple[str, str], ...]:
-        """Stable fingerprint of (id, status) pairs, used to detect stagnation."""
-        return tuple((n.id, n.status.value) for n in self.walk())
 
 
 class CvssMetrics(NamedTuple):

@@ -1,9 +1,22 @@
 """The attack-plan invariants, checked by tests of every stage that builds or edits a plan."""
 
 import re
-from typing import Optional
+from typing import Iterator, Optional
 
 from penheal.model import RESULT_SUMMARY_MAX, AttackPlan, TaskNode, TaskStatus
+
+
+def walk(plan: AttackPlan) -> Iterator[TaskNode]:
+    """Every task of a frozen plan, depth-first."""
+    stack = list(reversed(plan.roots))
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def find(plan: AttackPlan, task_id: str) -> Optional[TaskNode]:
+    return next((node for node in walk(plan) if node.id == task_id), None)
 
 
 def validate_plan(plan: AttackPlan) -> list[str]:

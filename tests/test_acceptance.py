@@ -25,6 +25,7 @@ from penheal.engine import (
 from penheal.gateway import Gateway, ReplayBackend, load_transcript
 from penheal.knapsack import solve_group_knapsack
 from penheal.knowledge import KnowledgeBase, embed
+from plan_invariants import walk
 from test_knowledge_sparse import dense
 from penheal.model import RunConfig, TaskStatus, deserialize_run
 from penheal.remediation import RecommendationGroup, select
@@ -243,7 +244,7 @@ def _check_counterfactual_property(fixture_name: str, record_path: Path):
             if plan_lines is None:
                 plan_lines = [
                     type("L", (), {"status": n.status, "description": n.description})
-                    for n in result.plan.walk()
+                    for n in walk(result.plan)
                 ]
             for line in plan_lines:
                 if line.status is TaskStatus.TODO:

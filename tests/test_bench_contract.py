@@ -36,10 +36,16 @@ def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
     [facts] = probe.summarize(spec, [facts], keep=False)
     assert run.check_rep(spec, facts, []) == []
     assert workloads.check_artifact(spec, json.loads(artifact)) == []
-    if workload == "deep_pentest":  # the tracer still sees one parse per plan reply
+    if workload == "deep_pentest":  # the plan layers are still measured on the loop
         spans = [(name, attrs or {}) for name, _, _, _, _, attrs in tracer.spans]
-        parses = sum(1 for name, _ in spans if name == "engine.plan_parse")
+
+        def count(layer):
+            return sum(1 for name, _ in spans if name == layer)
+
+        parses = count("engine.plan_parse")
         planner = sum(1 for name, a in spans
                       if name == "gateway.complete" and a.get("role") == "Planner")
         iterations = sum(a["iterations"] for name, a in spans if name == "engine.run_pentest")
         assert iterations and parses == planner - iterations  # select replies parse no plan
+        assert count("engine.plan_render") == planner - 1  # the init prompt renders no plan
+        assert count("engine.plan_merge") >= parses

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from plan_invariants import validate_plan
+from plan_invariants import find, validate_plan, walk
 
 from penheal.engine import (
     PLAN_LINE_MEMO,
@@ -21,6 +21,7 @@ from penheal.engine import (
     CommandChannel,
     EngineError,
     IterationLog,
+    PlanTable,
     _finding_matcher,
     _parse_plan_line,
     counterfactual_update,
@@ -39,7 +40,7 @@ from penheal.engine import (
     update_plan,
 )
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
-from penheal.model import CVE_NA, AttackPlan, RunConfig, TaskStatus, Vulnerability
+from penheal.model import CVE_NA, RunConfig, TaskStatus, Vulnerability
 from penheal.knowledge import KnowledgeBase
 from penheal.simulator import SimulatorBackend, load_host_model
 
@@ -52,20 +53,27 @@ def gw(scripts):
 
 
 def plan_from(text):
-    plan, warnings = merge_revision(AttackPlan(), parse_plan_text(text))
-    assert not warnings
+    plan = PlanTable()
+    assert merge_revision(plan, parse_plan_text(text)) == []
     return plan
 
 
-BASIC_PLAN = plan_from(
-    """
+def basic_plan():
+    """A fresh table each time: the loop's calls edit the plan they are given."""
+    return plan_from(
+        """
 1 Reconnaissance [to-do]
   1.1 Scan ports [to-do]
 2 Exploitation [to-do]
   2.1 Exploit the ftp backdoor [to-do]
   2.3 Probe the web application [to-do]
 """
-)
+    )
+
+
+def node(plan, task_id):
+    """The task as the frozen plan holds it, or None."""
+    return find(plan.freeze(), task_id)
 
 
 class TestParseCommands:
@@ -153,9 +161,9 @@ class TestParseCommands:
 
 class TestPlanText:
     def test_render_parse_round_trip(self):
-        lines = parse_plan_text(render_plan(BASIC_PLAN))
-        rebuilt, warnings = merge_revision(AttackPlan(), lines)
-        assert rebuilt == BASIC_PLAN
+        plan, rebuilt = basic_plan(), PlanTable()
+        warnings = merge_revision(rebuilt, parse_plan_text(render_plan(plan)))
+        assert rebuilt.freeze() == plan.freeze()
         assert not warnings
 
     def test_status_synonyms(self):
@@ -174,15 +182,15 @@ class TestPlanText:
         assert len(lines) == 1
 
     def test_orphan_dropped_with_warning(self):
-        plan, warnings = merge_revision(
-            AttackPlan(), parse_plan_text("1 root [to-do]\n9.9 orphan [to-do]"))
-        assert plan.find("9.9") is None
+        plan = PlanTable()
+        warnings = merge_revision(plan, parse_plan_text("1 root [to-do]\n9.9 orphan [to-do]"))
+        assert node(plan, "9.9") is None
         assert any("orphan" in w for w in warnings)
 
     def test_child_listed_before_parent_still_attaches(self):
-        plan, warnings = merge_revision(
-            AttackPlan(), parse_plan_text("1.1 child [to-do]\n1 parent [to-do]"))
-        assert plan.find("1.1") is not None
+        plan = PlanTable()
+        warnings = merge_revision(plan, parse_plan_text("1.1 child [to-do]\n1 parent [to-do]"))
+        assert node(plan, "1.1") is not None
         assert not warnings
 
 
@@ -192,35 +200,33 @@ class TestMergeRevision:
             "2.1 Exploit the ftp backdoor [completed] - result: root shell\n"
             "2.4 Enumerate NFS exports [to-do]"
         )
-        merged, warnings = merge_revision(BASIC_PLAN, revision)
-        assert merged.find("2.1").status is TaskStatus.COMPLETED
-        assert merged.find("2.1").result_summary == "root shell"
-        assert merged.find("2.4").status is TaskStatus.TODO
-        assert merged.find("1.1").status is TaskStatus.TODO  # untouched tasks kept
+        merged = basic_plan()
+        warnings = merge_revision(merged, revision)
+        assert node(merged, "2.1").status is TaskStatus.COMPLETED
+        assert node(merged, "2.1").result_summary == "root shell"
+        assert node(merged, "2.4").status is TaskStatus.TODO
+        assert node(merged, "1.1").status is TaskStatus.TODO  # untouched tasks kept
         assert not warnings
-        assert validate_plan(merged) == []
+        assert validate_plan(merged.freeze()) == []
 
     def test_completed_tasks_never_revert(self):
-        plan = merge_revision(
-            BASIC_PLAN, parse_plan_text("2.1 x [completed] - result: done")
-        )[0]
-        merged, warnings = merge_revision(plan, parse_plan_text("2.1 x [to-do]"))
-        assert merged.find("2.1").status is TaskStatus.COMPLETED
+        plan = basic_plan()
+        merge_revision(plan, parse_plan_text("2.1 x [completed] - result: done"))
+        warnings = merge_revision(plan, parse_plan_text("2.1 x [to-do]"))
+        assert node(plan, "2.1").status is TaskStatus.COMPLETED
         assert any("revert" in w for w in warnings)
 
     def test_failed_task_may_gain_todo_children(self):
-        plan = merge_revision(
-            BASIC_PLAN, parse_plan_text("2.1 x [failed] - result: refused")
-        )[0]
-        merged, _ = merge_revision(
-            plan, parse_plan_text("2.1.1 gather service version first [to-do]")
-        )
-        assert merged.find("2.1.1").status is TaskStatus.TODO
-        assert merged.find("2.1").status is TaskStatus.FAILED
+        plan = basic_plan()
+        merge_revision(plan, parse_plan_text("2.1 x [failed] - result: refused"))
+        merge_revision(plan, parse_plan_text("2.1.1 gather service version first [to-do]"))
+        assert node(plan, "2.1.1").status is TaskStatus.TODO
+        assert node(plan, "2.1").status is TaskStatus.FAILED
 
     def test_completed_without_result_gets_placeholder(self):
-        merged, _ = merge_revision(BASIC_PLAN, parse_plan_text("2.1 x [completed]"))
-        assert merged.find("2.1").result_summary == "(no result provided)"
+        plan = basic_plan()
+        merge_revision(plan, parse_plan_text("2.1 x [completed]"))
+        assert node(plan, "2.1").result_summary == "(no result provided)"
 
 
 class TestSelectNextTask:
@@ -231,12 +237,11 @@ class TestSelectNextTask:
 
     def test_scripted_choice_among_candidates(self):
         gateway = gw({AgentRole.PLANNER: ["Next task: 2.3"]})
-        assert select_next_task(BASIC_PLAN, gateway) == "2.3"
+        assert select_next_task(basic_plan(), gateway) == "2.3"
 
     def test_non_todo_reply_falls_back_depth_first(self):
-        plan = merge_revision(
-            BASIC_PLAN, parse_plan_text("1.1 Scan ports [completed] - result: done")
-        )[0]
+        plan = basic_plan()
+        merge_revision(plan, parse_plan_text("1.1 Scan ports [completed] - result: done"))
         gateway = gw({AgentRole.PLANNER: ["1.1"]})
         assert select_next_task(plan, gateway) == "1"  # first to-do depth-first
 
@@ -248,40 +253,45 @@ class TestSelectNextTask:
 
 class TestUpdatePlan:
     def test_success_marks_completed(self):
-        reply = render_plan(BASIC_PLAN).replace(
+        plan = basic_plan()
+        reply = render_plan(plan).replace(
             "2.1 Exploit the ftp backdoor [to-do]",
             "2.1 Exploit the ftp backdoor [completed] - result: session opened",
         )
         gateway = gw({AgentRole.PLANNER: [reply]})
-        merged, warnings = update_plan(BASIC_PLAN, "2.1", "shell opened", gateway)
-        assert merged.find("2.1").status is TaskStatus.COMPLETED
-        assert merged.find("2.1").result_summary == "session opened"
+        warnings = update_plan(plan, "2.1", "shell opened", gateway)
+        assert node(plan, "2.1").status is TaskStatus.COMPLETED
+        assert node(plan, "2.1").result_summary == "session opened"
         assert not warnings
 
     def test_failure_adds_subtask(self):
-        reply = render_plan(BASIC_PLAN).replace(
+        plan = basic_plan()
+        reply = render_plan(plan).replace(
             "2.1 Exploit the ftp backdoor [to-do]",
             "2.1 Exploit the ftp backdoor [failed] - result: connection refused",
         ) + "\n  2.1.1 Check whether the service is filtered [to-do]"
         gateway = gw({AgentRole.PLANNER: [reply]})
-        merged, _ = update_plan(BASIC_PLAN, "2.1", "refused", gateway)
-        assert merged.find("2.1").status is TaskStatus.FAILED
-        assert merged.find("2.1.1").status is TaskStatus.TODO
+        update_plan(plan, "2.1", "refused", gateway)
+        assert node(plan, "2.1").status is TaskStatus.FAILED
+        assert node(plan, "2.1.1").status is TaskStatus.TODO
 
     def test_unparseable_reply_fails_task(self):
         gateway = gw({AgentRole.PLANNER: ["I cannot do that."]})
-        merged, warnings = update_plan(BASIC_PLAN, "2.1", "whatever", gateway)
-        assert merged.find("2.1").status is TaskStatus.FAILED
-        assert merged.find("2.1").result_summary == "planner-parse-failure"
+        plan = basic_plan()
+        warnings = update_plan(plan, "2.1", "whatever", gateway)
+        assert node(plan, "2.1").status is TaskStatus.FAILED
+        assert node(plan, "2.1").result_summary == "planner-parse-failure"
 
     def test_planner_leaving_task_todo_forces_failed(self):
-        gateway = gw({AgentRole.PLANNER: [render_plan(BASIC_PLAN)]})
-        merged, warnings = update_plan(BASIC_PLAN, "2.1", "summary text", gateway)
-        assert merged.find("2.1").status is TaskStatus.FAILED
+        plan = basic_plan()
+        gateway = gw({AgentRole.PLANNER: [render_plan(plan)]})
+        warnings = update_plan(plan, "2.1", "summary text", gateway)
+        assert node(plan, "2.1").status is TaskStatus.FAILED
         assert any("did not settle" in w for w in warnings)
 
     def test_non_todo_target_rejected(self):
-        plan = mark_task(BASIC_PLAN, "2.1", TaskStatus.COMPLETED, "done")
+        plan = basic_plan()
+        mark_task(plan, "2.1", TaskStatus.COMPLETED, "done")
         with pytest.raises(EngineError):
             update_plan(plan, "2.1", "s", gw({AgentRole.PLANNER: ["x"]}))
 
@@ -305,9 +315,10 @@ FINDINGS = [
 
 class TestCounterfactual:
     def test_prompt_lists_findings_in_port_service_format(self, tmp_path):
-        backend = ScriptedBackend({AgentRole.PLANNER: [render_plan(BASIC_PLAN)]})
+        plan = basic_plan()
+        backend = ScriptedBackend({AgentRole.PLANNER: [render_plan(plan)]})
         gateway = Gateway(backend, record_path=tmp_path / "t.jsonl")
-        counterfactual_update(BASIC_PLAN, FINDINGS, gateway)
+        counterfactual_update(plan, FINDINGS, gateway)
         request = load_transcript(tmp_path / "t.jsonl")[0].messages[-1].content
         assert "Port 21/ftp:\n  vsFTPd version 2.3.4 backdoor (CVE-2011-2523)" in request
         assert "Port 6667/irc:\n  Trojaned version of UnrealIRCd (CVE-2010-2075)" in request
@@ -316,41 +327,44 @@ class TestCounterfactual:
         assert "as if they do not exist" in request
 
     def test_scripted_revision_adds_task(self):
-        reply = render_plan(BASIC_PLAN) + "\n  2.4 Enumerate NFS exports [to-do]"
+        plan = basic_plan()
+        reply = render_plan(plan) + "\n  2.4 Enumerate NFS exports [to-do]"
         gateway = gw({AgentRole.PLANNER: [reply]})
-        merged, _ = counterfactual_update(BASIC_PLAN, FINDINGS[:1], gateway)
-        assert merged.find("2.4").status is TaskStatus.TODO
+        counterfactual_update(plan, FINDINGS[:1], gateway)
+        assert node(plan, "2.4").status is TaskStatus.TODO
 
     def test_straggler_tasks_force_marked(self):
         # The planner "forgets" to mark the ftp task; the engine must not.
-        gateway = gw({AgentRole.PLANNER: [render_plan(BASIC_PLAN)]})
-        merged, _ = counterfactual_update(BASIC_PLAN, FINDINGS, gateway)
-        node = merged.find("2.1")  # "Exploit the ftp backdoor"
-        assert node.status is TaskStatus.COMPLETED
-        assert "already exploited" in node.result_summary
+        plan = basic_plan()
+        gateway = gw({AgentRole.PLANNER: [render_plan(plan)]})
+        counterfactual_update(plan, FINDINGS, gateway)
+        task = node(plan, "2.1")  # "Exploit the ftp backdoor"
+        assert task.status is TaskStatus.COMPLETED
+        assert "already exploited" in task.result_summary
 
     def test_unparseable_revision_keeps_plan_and_still_verifies(self):
         gateway = gw({AgentRole.PLANNER: ["cannot comply"]})
-        merged, warnings = counterfactual_update(BASIC_PLAN, FINDINGS, gateway)
+        plan = basic_plan()
+        warnings = counterfactual_update(plan, FINDINGS, gateway)
         assert any("unparseable" in w for w in warnings)
-        assert merged.find("2.1").status is TaskStatus.COMPLETED  # verification ran
+        assert node(plan, "2.1").status is TaskStatus.COMPLETED  # verification ran
 
     def test_requires_findings(self):
         with pytest.raises(EngineError):
-            counterfactual_update(BASIC_PLAN, [], gw({}))
+            counterfactual_update(basic_plan(), [], gw({}))
 
     def test_unnamed_finding_in_any_case_matches_by_service_and_port_only(self):
         plan = plan_from("1 Look up CVE-NA entries for the target [to-do]")
         gateway = gw({AgentRole.PLANNER: [render_plan(plan)]})
         finding = Vulnerability(id="cve-na", service="http", port=80)
-        merged, _ = counterfactual_update(plan, [finding], gateway)
-        assert merged.find("1").status is TaskStatus.TODO
+        counterfactual_update(plan, [finding], gateway)
+        assert node(plan, "1").status is TaskStatus.TODO
 
     def test_service_with_a_non_word_edge_is_force_marked(self):
         plan = plan_from("1 Brute-force the ftp? listener [to-do]")
         gateway = gw({AgentRole.PLANNER: [render_plan(plan)]})
-        merged, _ = counterfactual_update(plan, [Vulnerability("CVE-NA", "ftp?")], gateway)
-        assert merged.find("1").status is TaskStatus.COMPLETED
+        counterfactual_update(plan, [Vulnerability("CVE-NA", "ftp?")], gateway)
+        assert node(plan, "1").status is TaskStatus.COMPLETED
 
 
 def references_finding(description, finding):
@@ -677,22 +691,22 @@ class TestShouldTerminate:
 
     def test_stagnation_window(self):
         timeline = [iteration_log()] * 5
-        assert termination_reason(BASIC_PLAN, timeline, 6, loop_config()) == "stagnation"
+        assert termination_reason(basic_plan(), timeline, 6, loop_config()) == "stagnation"
 
     def test_new_finding_resets_streak(self):
         timeline = [iteration_log()] * 4 + [iteration_log(1, True)]
-        assert termination_reason(BASIC_PLAN, timeline, 5, loop_config()) is None
+        assert termination_reason(basic_plan(), timeline, 5, loop_config()) is None
 
     def test_plan_change_resets_streak(self):
         timeline = [iteration_log()] * 4 + [iteration_log(0, True)] + [iteration_log()] * 4
-        assert termination_reason(BASIC_PLAN, timeline, 9, loop_config()) is None
+        assert termination_reason(basic_plan(), timeline, 9, loop_config()) is None
 
     def test_iteration_budget(self):
-        assert termination_reason(BASIC_PLAN, [], 30, loop_config()) == "budget-exhausted"
+        assert termination_reason(basic_plan(), [], 30, loop_config()) == "budget-exhausted"
 
     def test_no_stagnation_before_the_first_iteration(self):
-        assert termination_reason(BASIC_PLAN, [], 0, loop_config(window=0)) is None
-        assert termination_reason(BASIC_PLAN, [iteration_log()], 1,
+        assert termination_reason(basic_plan(), [], 0, loop_config(window=0)) is None
+        assert termination_reason(basic_plan(), [iteration_log()], 1,
                                   loop_config(window=0)) == "stagnation"
 
     @given(
@@ -703,7 +717,7 @@ class TestShouldTerminate:
     )
     def test_matches_brute_force_reading(self, signals, window, max_iterations, exhausted):
         logs = [iteration_log(new, changed) for new, changed in signals]
-        plan = DONE_PLAN if exhausted else BASIC_PLAN
+        plan = DONE_PLAN if exhausted else basic_plan()
         quiet = [not (new or changed) for new, changed in signals]
         if len(logs) >= max_iterations:
             expected = "budget-exhausted"
@@ -748,7 +762,7 @@ class TestScriptedRuns:
         assert result.findings == []
         assert result.termination_reason == "plan-exhausted"
         exploitation = [
-            n for n in result.plan.walk() if n.id.startswith("4")
+            n for n in walk(result.plan) if n.id.startswith("4")
         ]
         assert all(n.status is TaskStatus.FAILED for n in exploitation)
         assert all(not log.new_finding_keys for log in result.iterations)  # no counterfactual
@@ -800,9 +814,9 @@ class TestScriptedRuns:
         )
         config = RunConfig(target_address="10.0.2.4", max_iterations=1)
         result = run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
-        node = result.plan.find("1.1")
-        assert node.status is TaskStatus.FAILED
-        assert "no executable command" in node.result_summary
+        task = find(result.plan, "1.1")
+        assert task.status is TaskStatus.FAILED
+        assert "no executable command" in task.result_summary
 
     def test_empty_executor_reply_is_asked_again(self):
         init = "1 Recon [to-do]\n  1.1 Scan the target [to-do]"
@@ -818,7 +832,7 @@ class TestScriptedRuns:
         config = RunConfig(target_address="10.0.0.1", max_iterations=1)
         result = run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
         assert [record.command.raw for record in result.history] == ["nmap 10.0.0.1"]
-        assert result.plan.find("1.1").status is TaskStatus.COMPLETED
+        assert find(result.plan, "1.1").status is TaskStatus.COMPLETED
 
     def test_monotone_findings_and_replay_purity(self):
         # Same scripts twice produce identical findings lists.
@@ -879,5 +893,5 @@ class TestInitialPlan:
     def test_init_builds_tree(self):
         gateway = gw({AgentRole.PLANNER: ["1 Recon [to-do]\n  1.1 Scan [to-do]"]})
         plan, warnings = initial_plan(RunConfig(target_address="10.0.2.4"), gateway)
-        assert plan.find("1.1") is not None
-        assert validate_plan(plan) == []
+        assert node(plan, "1.1") is not None
+        assert validate_plan(plan.freeze()) == []

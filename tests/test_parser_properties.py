@@ -4,13 +4,14 @@ and what it returns stays within its caps, whatever the model wrote."""
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from plan_invariants import validate_plan
+from plan_invariants import find, validate_plan, walk
 
 from penheal import engine
 from penheal.engine import (
     CommandChannel,
+    PlanTable,
     merge_revision,
     parse_commands,
     parse_extractor_blocks,
@@ -19,7 +20,6 @@ from penheal.engine import (
 )
 from penheal.model import (
     RESULT_SUMMARY_MAX,
-    AttackPlan,
     CostPolicy,
     TaskNode,
     TaskStatus,
@@ -57,6 +57,7 @@ def test_parse_commands(text):
 @given(_texts("Exploited: ", "exploited:", "CVE-2011-2523", "cve-2017-0144", "CVE-NA", "CVE-99",
               "Service: ", "Port: ", "port: 70000", "tcp/21", "Description: ", "Method: ",
               "NONE", "99999999999", "0" * 5000))
+@example("Exploited: CVE-2011-2523" + "0" * 5000 + "\nPort: Exploited: ")  # an id past the cap
 def test_parse_extractor_blocks(text):
     findings, warnings = parse_extractor_blocks(text)
     headers = sum(1 for line in text.splitlines() if "exploited" in line.lower())
@@ -156,28 +157,34 @@ def test_parse_plan_text_reads_the_same_with_a_cold_or_warm_memo(text, other):
 @settings(deadline=None)
 @given(_PLAN_TEXT, _PLAN_TEXT)
 def test_merging_no_lines_returns_the_plan(base_text, revision_text):
-    base, _ = merge_revision(AttackPlan(), parse_plan_text(base_text))
-    merged, _ = merge_revision(base, parse_plan_text(revision_text))
-    for plan in (base, merged):
-        assert merge_revision(plan, []) == (plan, [])
+    plan = PlanTable()
+    for text in (base_text, revision_text):
+        merge_revision(plan, parse_plan_text(text))
+        frozen, version, rendered = plan.freeze(), plan.version, render_plan(plan)
+        assert merge_revision(plan, []) == []
+        assert (plan.freeze(), plan.version, render_plan(plan)) == (frozen, version, rendered)
 
 
 @settings(deadline=None)
 @given(_PLAN_TEXT, _PLAN_TEXT)
 def test_merge_revision_keeps_a_plan_valid(base_text, revision_text):
-    base, _ = merge_revision(AttackPlan(), parse_plan_text(base_text))
+    plan = PlanTable()
+    merge_revision(plan, parse_plan_text(base_text))
+    base = plan.freeze()
     assume(base.roots)
     assert validate_plan(base) == []
-    merged, _ = merge_revision(base, parse_plan_text(revision_text))
+    merge_revision(plan, parse_plan_text(revision_text))
+    merged = plan.freeze()
     assert validate_plan(merged) == []
-    for node in base.walk():  # nothing is dropped, and a finished task stays finished
-        kept = merged.find(node.id)
+    for node in walk(base):  # nothing is dropped, and a finished task stays finished
+        kept = find(merged, node.id)
         assert kept is not None
         if node.status is not TaskStatus.TODO:
             assert kept.status is node.status
     # A merged plan renders to text that parses back to the same plan.
-    again, _ = merge_revision(merged, parse_plan_text(render_plan(merged)))
-    assert again == merged
+    version = plan.version
+    merge_revision(plan, parse_plan_text(render_plan(plan)))
+    assert (plan.freeze(), plan.version) == (merged, version)
 
 
 @pytest.mark.parametrize("text", ["2  [todo]", "1.1 \t[done] - result: x", "3 \xa0 [failed]"])

@@ -1,19 +1,33 @@
-"""Differential property: every plan edit is a ``merge_revision``, and it edits a plan
-exactly as the three mechanisms it replaced did.
+"""Differential property: every plan edit is a ``merge_revision`` into the run's
+``PlanTable``, and it edits a plan exactly as the mechanisms it replaced did.
 
 The reference below is the earlier implementation: a fresh plan assembled from
 dicts of child ids, ``merge_revision`` seeding that assembly from a depth-first
-visit, and ``mark_task`` rebuilding the tree around one replaced node. Chains of
-build, merge and mark steps must give equal plans and equal warnings under both.
+visit, ``mark_task`` rebuilding the tree around one replaced node, and a
+recursive render of the frozen tree. Chains of revisions, marks and forced
+completions folded through one table must, after every step, freeze to the
+reference plan with the same warnings, render as the reference renders that
+plan, and move the table's structure counter exactly when the plan's
+(id, status) pairs change.
 """
 
+from functools import partial
 from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penheal.engine import EngineError, mark_task, merge_revision, parse_plan_text
+from plan_invariants import find, walk
+
+from penheal.engine import (
+    EngineError,
+    PlanTable,
+    mark_task,
+    merge_revision,
+    parse_plan_text,
+    render_plan,
+)
 from penheal.model import RESULT_SUMMARY_MAX, AttackPlan, TaskNode, TaskStatus, clip_summary
 
 
@@ -128,12 +142,33 @@ def ref_with_node(plan, node):
 
 
 def ref_mark_task(plan, task_id, status, result):
-    node = plan.find(task_id)
+    node = find(plan, task_id)
     if node is None:
         raise EngineError(f"no task {task_id} in plan")
     if node.status is not TaskStatus.TODO:
         return plan
     return ref_with_node(plan, node._replace(status=status, result_summary=clip_summary(result)))
+
+
+def ref_render(plan):
+    lines = []
+
+    def emit(node, depth):
+        line = f"{'  ' * depth}{node.id} {node.description} [{node.status.value}]"
+        if node.result_summary is not None:
+            line += f" - result: {node.result_summary}"
+        lines.append(line)
+        for child in node.children:
+            emit(child, depth + 1)
+
+    for root in plan.roots:
+        emit(root, 0)
+    return "\n".join(lines)
+
+
+def ref_structure(plan):
+    """The (id, status) pairs, depth-first: what the stagnation check compares."""
+    return [(n.id, n.status) for n in walk(plan)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +203,55 @@ def plan_text(min_size):
 @settings(deadline=None, max_examples=200)
 @given(plan_text(1), st.lists(plan_text(0), min_size=1, max_size=3), st.data())
 def test_merge_chains_match_the_reference(base, revisions, data):
-    ref_plan, ref_warnings = ref_build_plan(ref_lines(base))
-    plan, warnings = merge_revision(AttackPlan(), parse_plan_text(base))
-    assert (plan, warnings) == (ref_plan, ref_warnings)
+    table, ops = PlanTable(), []  # the table's edits, to replay onto a twin
+    ref_plan = AttackPlan()
+
+    def replay():
+        twin = PlanTable()
+        for op in ops:
+            op(twin)
+        return twin
+
+    def step(op, ref_op):
+        """Apply one edit to both sides and compare them after it."""
+        nonlocal ref_plan
+        version, structure = table.version, ref_structure(ref_plan)
+        warnings = op(table) or []
+        ref_plan, ref_warnings = ref_op(ref_plan)
+        ops.append(op)
+        assert (table.freeze(), warnings) == (ref_plan, ref_warnings)
+        assert render_plan(table) == ref_render(ref_plan)
+        assert (table.version != version) == (ref_structure(ref_plan) != structure)
+
+    step(partial(merge_revision, lines=parse_plan_text(base)),
+         lambda p: ref_build_plan(ref_lines(base)))
     for revision in revisions:
-        ref_plan, ref_warnings = ref_merge_revision(ref_plan, ref_lines(revision))
-        plan, warnings = merge_revision(plan, parse_plan_text(revision))
-        assert (plan, warnings) == (ref_plan, ref_warnings)
+        step(partial(merge_revision, lines=parse_plan_text(revision)),
+             lambda p: ref_merge_revision(p, ref_lines(revision)))
 
         task_id = data.draw(st.sampled_from(IDS), label="task")
         result = data.draw(MARK_RESULTS, label="result")
-        if plan.find(task_id) is None:
-            for mark in (mark_task, ref_mark_task):
+        if find(ref_plan, task_id) is None:
+            for mark, plan in ((mark_task, table), (ref_mark_task, ref_plan)):
                 with pytest.raises(EngineError):
                     mark(plan, task_id, TaskStatus.COMPLETED, result)
-            continue
-        for status in (TaskStatus.COMPLETED, TaskStatus.FAILED):
-            assert (mark_task(plan, task_id, status, result)
-                    == ref_mark_task(ref_plan, task_id, status, result))
-        status = data.draw(st.sampled_from([TaskStatus.COMPLETED, TaskStatus.FAILED]))
-        plan = mark_task(plan, task_id, status, result)
-        ref_plan = ref_mark_task(ref_plan, task_id, status, result)
+        else:
+            for status in (TaskStatus.COMPLETED, TaskStatus.FAILED):
+                twin = replay()
+                mark_task(twin, task_id, status, result)
+                assert twin.freeze() == ref_mark_task(ref_plan, task_id, status, result)
+            status = data.draw(st.sampled_from([TaskStatus.COMPLETED, TaskStatus.FAILED]))
+            step(partial(mark_task, task_id=task_id, status=status, result=result),
+                 lambda p: (ref_mark_task(p, task_id, status, result), []))
+
+        # The counterfactual check force-completes to-do tasks, all in one merge.
+        todo = [n for n in walk(ref_plan) if n.status is TaskStatus.TODO]
+        forced = data.draw(st.lists(st.sampled_from(todo), unique_by=lambda n: n.id)
+                           if todo else st.just([]), label="forced")
+        verified = data.draw(MARK_RESULTS, label="verified")
+        step(partial(merge_revision, lines=[n._replace(status=TaskStatus.COMPLETED,
+                                                       result_summary=verified, children=())
+                                            for n in forced]),
+             lambda p: ref_merge_revision(p, [ParsedPlanLine(n.id, n.description,
+                                                             TaskStatus.COMPLETED, verified)
+                                              for n in forced]))

@@ -7,6 +7,7 @@ value the caller keeps (the parsed one, or its fallback).
 """
 
 import pytest
+from plan_invariants import find
 
 from penheal.engine import run_pentest
 from penheal.gateway import AgentRole, Gateway
@@ -111,7 +112,7 @@ def call(role, replies):
     if role is AgentRole.EXECUTOR:
         result = run_pentest(RunConfig(target_address="10.0.2.4", max_iterations=1),
                              _Host(), gateway, KnowledgeBase())
-        task = result.plan.find("1")
+        task = find(result.plan, "1")
         value = ([r.command.raw for r in result.history], task.status.value,
                  task.result_summary)
         warnings = result.warnings
