@@ -125,15 +125,15 @@ def _host_model(path: Optional[str]) -> simulator.HostModel:
         raise Fatal(f"cannot load host model {path or '(bundled)'}: {exc}") from None
 
 
-def _load_truth(path: Optional[str], host_model: Optional[str] = None) -> list[Vulnerability]:
-    """The weaknesses in ``path``; by default, the inventory of the host model.
+def _load_truth(path: Optional[str], host=None) -> list[Vulnerability]:
+    """The weaknesses in ``path``; by default, the inventory of ``host`` (or the bundled one).
 
     Raises Fatal unless that is a non-empty list of findings.
     """
     if not path:
         from . import simulator
 
-        truth = simulator.ground_truth(_host_model(host_model))
+        truth = simulator.ground_truth(_host_model(None) if host is None else host)
     else:
         try:
             doc = load_json(Path(path).read_text(encoding="utf-8"))
@@ -202,15 +202,15 @@ def _chat_gateway(settings: CliSettings, role_models: tuple[tuple[str, str], ...
     return gateway, str(record_path)
 
 
-def _executor(settings: CliSettings):
-    """The discovery stage's command backend (local shell or simulated host) and KB."""
+def _executor(settings: CliSettings, host=None):
+    """The discovery stage's command backend (local shell or ``host`` simulated) and KB."""
     if settings.mode == "live":
         from .backends import ShellBackend
 
         return ShellBackend(), _build_knowledge_base(settings.kb_dir)
     from . import simulator
 
-    host = _host_model(settings.host_model)
+    host = _host_model(settings.host_model) if host is None else host
     return simulator.SimulatorBackend(host), _build_knowledge_base(settings.kb_dir)
 
 
@@ -252,11 +252,11 @@ def _persist_history(history: list[engine.ExecutionRecord], out_dir: Path) -> No
 
 
 def _pentest_stage(settings: CliSettings, config: RunConfig, gateway: gw.Gateway,
-                   out_dir: Path, transcript_ref: str) -> engine.PentestResult:
+                   out_dir: Path, transcript_ref: str, host=None) -> engine.PentestResult:
     """Run discovery, then write history.jsonl and the stage-one artifact ``remediate`` reads."""
     from . import engine
 
-    backend, kb = _executor(settings)
+    backend, kb = _executor(settings, host)
     try:
         pentest = engine.run_pentest(config, backend, gateway, kb)
     except engine.EngineError as exc:
@@ -304,10 +304,13 @@ def _exit_code(warnings: list[str]) -> int:
 def cmd_run(args) -> int:
     """The pentest stage, then the remediate stage on its findings."""
     settings, config, out_dir = _stage_setup(args)
-    truth = _load_truth(settings.truth, settings.host_model)
+    # Read once: a hermetic run simulates the host model, and without --truth scores against it.
+    host = (_host_model(settings.host_model)
+            if settings.mode == "hermetic" or not settings.truth else None)
+    truth = _load_truth(settings.truth, host)
     gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
     nvd_client = _nvd_client(settings, out_dir)
-    pentest = _pentest_stage(settings, config, gateway, out_dir, transcript_ref)
+    pentest = _pentest_stage(settings, config, gateway, out_dir, transcript_ref, host)
     pentest_code = _exit_code(pentest.warnings)  # printed now, in case remediation fails
     run_id = _deterministic_run_id(config.target_address, settings.mode)
     report_text, rem_warnings = _remediate_and_score(
@@ -338,7 +341,8 @@ def cmd_pentest(args) -> int:
 
 def cmd_remediate(args) -> int:
     settings, config, out_dir = _stage_setup(args)
-    truth = _load_truth(settings.truth, settings.host_model)
+    host = None if settings.truth else _host_model(settings.host_model)
+    truth = _load_truth(settings.truth, host)
     plan, findings, _, _ = _read_artifact(args.artifact)
     gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
     report_text, rem_warnings = _remediate_and_score(

@@ -429,7 +429,8 @@ def counterfactual_update(
 
 _EXPLOITED_LINE = re.compile(r"^\s*exploited\s*:\s*(.+?)\s*$", re.IGNORECASE)
 _ATTR_LINE = re.compile(r"^\s*([A-Za-z_ ]+?)\s*:\s*(.*?)\s*$")
-_CVE_TOKEN = re.compile(r"CVE-\d{4}-\d{4,}|CVE-NA", re.IGNORECASE)
+# Sequence numbers run to 7 digits (CVE-2017-1000117); a longer run is no id at all.
+_CVE_TOKEN = re.compile(r"CVE-\d{4}-\d{4,7}(?!\d)|CVE-NA", re.IGNORECASE)
 
 
 def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:

@@ -127,9 +127,16 @@ class Exchange(NamedTuple):
     ts: str = ""
 
 
-def load_transcript(path: str | Path) -> list[Exchange]:
-    """The exchanges of a recorded transcript, in file order; GatewayError names a bad line."""
-    exchanges = []
+class RecordedReply(NamedTuple):
+    """The two fields of a transcript line that a replay reads."""
+
+    request_hash: str
+    response: str
+
+
+def load_transcript(path: str | Path, cls: type = Exchange) -> list:
+    """Each line of a transcript as ``cls``, in file order; GatewayError names a bad line."""
+    values = []
     with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
         for line_no, raw in enumerate(fh, start=1):
             try:  # UnicodeDecodeError is a ValueError
@@ -139,12 +146,12 @@ def load_transcript(path: str | Path) -> list[Exchange]:
                 data = load_json(line)
                 if type(data) is dict:
                     data.setdefault("model", "")  # a recorded line may omit the model
-                exchanges.append(decode(Exchange, data))
+                values.append(decode(cls, data))
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise GatewayError(
                     f"transcript {path} line {line_no} is unreadable: {exc}"
                 ) from exc
-    return exchanges
+    return values
 
 
 class GatewayError(Exception):
@@ -242,13 +249,9 @@ class ReplayBackend:
         if not path.exists():
             raise GatewayError(f"replay transcript not found: {path}")
         self._responses: dict[str, str] = {}
-        for exchange in load_transcript(path):
-            existing = self._responses.get(exchange.request_hash)
-            if existing is not None and existing != exchange.response:
-                raise GatewayError(
-                    f"conflicting recorded responses for hash {exchange.request_hash}"
-                )
-            self._responses[exchange.request_hash] = exchange.response
+        for digest, response in load_transcript(path, RecordedReply):  # `penheal replay` reads all
+            if self._responses.setdefault(digest, response) != response:
+                raise GatewayError(f"conflicting recorded responses for hash {digest}")
 
     def complete(self, role: AgentRole, model: str, messages: list[ChatTurn]) -> str:
         digest = request_hash(role, messages)

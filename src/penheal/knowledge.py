@@ -13,7 +13,6 @@ vectors.bin of older versions, must be ingested again.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import heapq
 import json
@@ -25,7 +24,7 @@ from array import array
 from collections import Counter
 from functools import partial
 from itertools import accumulate, compress, pairwise, repeat
-from operator import ge, mul, not_
+from operator import ge, mul, not_, truediv
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,11 +36,12 @@ EMBED_DIM = 512
 DEFAULT_CHUNK_SIZE = 800
 DEFAULT_OVERLAP = 200
 EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
+BUCKET_MAP_SIZE = 1 << 16  # the token -> bucket map is emptied when it holds this many
 
 _TOKEN = re.compile(r"\w+")
-# Each ASCII character outside \w is a space: on ASCII text \w is [A-Za-z0-9_] and all that
-# split() takes for whitespace is outside it, so translate, then split(), is _TOKEN.findall.
-_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not _TOKEN.match(c)})
+# Lowers \w bytes and spaces all others: ASCII \w is [A-Za-z0-9_] and all that split() takes
+# for whitespace is outside it, so on ASCII text translate, then split(), is _TOKEN.findall.
+_ASCII_WORDS = bytes(ord(c.lower()) if _TOKEN.match(c) else 32 for c in map(chr, range(256)))
 INDEX_DTYPE = "postings-int32-float64-le"  # the layout of postings.bin, named in meta.json
 
 
@@ -69,31 +69,48 @@ class Excerpt(NamedTuple):
     similarity: float
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _bucket(token: str) -> int:
-    # Stable across processes, unlike hash().
-    digest = hashlib.sha1(token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") % EMBED_DIM
+class _Buckets(dict):
+    """token -> bucket, by sha1 of its UTF-8 bytes: stable across processes, unlike hash()."""
+
+    def __missing__(self, token: str | bytes) -> int:
+        if len(self) >= BUCKET_MAP_SIZE:
+            self.clear()
+        digest = hashlib.sha1(token.encode("utf-8") if type(token) is str else token).digest()
+        bucket = self[token] = int.from_bytes(digest[:8], "little") % EMBED_DIM
+        return bucket
+
+
+_BUCKETS = _Buckets()
 
 
 def embed(text: str) -> dict[int, float]:
     """Deterministic L2-normalized hashed term-frequency embedding, as {bucket: entry}.
 
     Only the buckets a token hits are counted, and only they are returned:
-    every other entry of the EMBED_DIM-wide vector is +0.0. The squared norm
-    is an integer sum; for text under 2**27 characters it is below 2**53, so
-    it is also exactly what a float sum over all EMBED_DIM counts gives, in
-    any order. Each entry is ``count / norm``, which equals ``float(count) / norm``.
+    every other entry of the EMBED_DIM-wide vector is +0.0.
     """
     if not text:
         raise ValueError("cannot embed empty text")
-    lowered = text.lower()
-    # translate is fast only on all-ASCII text; one other character makes it slower than findall.
-    tokens = (lowered.translate(_ASCII_SEPARATORS).split() if lowered.isascii()
-              else _TOKEN.findall(lowered))
-    counts = Counter(map(_bucket, tokens or [lowered]))
-    norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
-    return {bucket: count / norm for bucket, count in counts.items()}
+    return dict(next(_window_entries(text, [0], len(text))))
+
+
+def _window_entries(document: str, starts: range | list[int], size: int):
+    """For each window ``document[s : s + size]``, its embedding's (bucket, count / norm) pairs.
+
+    Tokens are the \\w+ runs of the lowered window, or all of it if it has none. The squared
+    norm is an integer sum; under 2**27 characters it is below 2**53, so float sums agree.
+    """
+    if document.isascii():  # an ASCII window without a word has no letter to lower
+        data = document.encode("ascii")
+        words = data.translate(_ASCII_WORDS)
+        windows = (words[s : s + size].split() or [data[s : s + size]] for s in starts)
+    else:  # lower() can change the length of other text, so each window is lowered alone
+        lowered = (document[s : s + size].lower() for s in starts)
+        windows = (_TOKEN.findall(text) or [text] for text in lowered)
+    for tokens in windows:
+        counts = Counter(map(_BUCKETS.__getitem__, tokens))
+        norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
+        yield zip(counts.keys(), map(truediv, counts.values(), repeat(norm)))
 
 
 def _little_endian(part: array) -> array:
@@ -134,10 +151,9 @@ class KnowledgeBase:
 
             logging.getLogger(__name__).warning("ingest(%s): empty document, nothing indexed",
                                                 doc_id)
-        step = chunk_size - overlap
+        starts = range(0, len(document), chunk_size - overlap)
         new_chunks = [Chunk(doc_id=doc_id, seq=seq, text=document[start : start + chunk_size])
-                      for seq, start in enumerate(range(0, len(document), step))]
-        vectors = [embed(c.text) for c in new_chunks]
+                      for seq, start in enumerate(starts)]
         with self._lock:
             chunks = self._chunks + new_chunks  # a new list: retrieve may hold the old one
             if doc_id in self._doc_ids:
@@ -149,9 +165,9 @@ class KnowledgeBase:
                     self._weights[b] = array("d", compress(weights, kept))
                 chunks = [c for c, g in zip(self._chunks, gone) if not g] + new_chunks
             self._doc_ids.add(doc_id)
-            rows, weights = self._rows, self._weights
-            for r, vector in enumerate(vectors, len(chunks) - len(new_chunks)):
-                for b, w in vector.items():
+            rows, weights, first = self._rows, self._weights, len(chunks) - len(new_chunks)
+            for r, entries in enumerate(_window_entries(document, starts, chunk_size), first):
+                for b, w in entries:
                     rows[b].append(r)
                     weights[b].append(w)
             self._chunks = chunks

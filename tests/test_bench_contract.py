@@ -49,3 +49,9 @@ def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
         assert iterations and parses == planner - iterations  # select replies parse no plan
         assert count("engine.plan_render") == planner - 1  # the init prompt renders no plan
         assert count("engine.plan_merge") >= parses
+        # setup_s times the index build and the transcript read: each seam runs on that path
+        ingests = [a["chunks"] for name, a in spans if name == "knowledge.ingest"]
+        assert len(ingests) == len(list(Path(spec["corpus_dir"]).iterdir()))
+        assert sum(ingests) == 800
+        seams = ("knowledge.save", "knowledge.load", "gateway.load")
+        assert [count(seam) for seam in seams] == [1, 1, 1]

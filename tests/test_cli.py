@@ -322,6 +322,31 @@ class TestDefaultTruth:
         assert code == 2
         assert "(0 found, 1 ground truth)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_hermetic_run_reads_the_host_model_once(self, tmp_path, capsys, monkeypatch,
+                                                    no_network, with_truth):
+        """Simulated and, without --truth, scored against: one read serves both."""
+        import penheal.simulator as simulator
+
+        reads, load = [], simulator.load_host_model
+
+        def counted_load(path=None):
+            reads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(simulator, "load_host_model", counted_load)
+        config = self.one_weakness_config(tmp_path)
+        truth_args = []
+        if with_truth:
+            truth = ground_truth(load(tmp_path / "host.json"))
+            (tmp_path / "truth.json").write_text(json.dumps([v.to_dict() for v in truth]))
+            truth_args = ["--truth", str(tmp_path / "truth.json")]
+        code = run_cli("run", "--config", config, "--fixtures", str(self.NOFIND), *truth_args,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "(0 found, 1 ground truth)" in capsys.readouterr().out  # the configured host's
+        assert reads == [str(tmp_path / "host.json")]
+
 
 def fatal_line(err: str) -> str:
     """stderr, checked to be a single ``fatal:`` line."""
@@ -599,7 +624,7 @@ def _scripted_stage(monkeypatch, scripts, backend):
     monkeypatch.setattr(cli, "_chat_gateway",
                         lambda settings, role_models, out_dir:
                         (Gateway(ScriptedBackend(scripts)), "scripted"))
-    monkeypatch.setattr(cli, "_executor", lambda settings: (backend, KnowledgeBase()))
+    monkeypatch.setattr(cli, "_executor", lambda settings, host: (backend, KnowledgeBase()))
 
 
 class TestStageFailuresAndWarnings:

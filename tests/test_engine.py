@@ -503,6 +503,15 @@ class TestExtractorBlocks:
         assert findings == []
         assert warnings
 
+    @pytest.mark.parametrize("digits", ["1000117", "10001170", "2523" + "0" * 5000])
+    def test_sequence_number_is_bounded(self, digits):
+        findings, warnings = parse_extractor_blocks(f"Exploited: CVE-2017-{digits}\nPort: 21")
+        if len(digits) <= 7:
+            assert [f.id for f in findings] == [f"CVE-2017-{digits}"] and warnings == []
+        else:  # not clipped to a shorter id: skipped with the clipped warning
+            assert findings == []
+            assert warnings == [f"skipped block with unrecognized id: {f'CVE-2017-{digits}'[:60]!r}"]
+
     def test_alternate_method_key_and_unknown_attrs(self):
         findings, _ = parse_extractor_blocks(
             "Exploited: CVE-NA\nservice: ssh\nport: 22\n"

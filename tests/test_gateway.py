@@ -124,6 +124,63 @@ class TestRecordReplay:
         with pytest.raises(GatewayError, match="line 1 is unreadable: nesting too deep"):
             load_transcript(deep)
 
+    @staticmethod
+    def _recorded_lines(tmp_path):
+        """A two-exchange transcript's path and its lines, decoded."""
+        path = tmp_path / "t.jsonl"
+        recorder = record_mode(ScriptedBackend({AgentRole.PLANNER: ["alpha", "beta"]}), path)
+        recorder.complete(AgentRole.PLANNER, _history("one"))
+        recorder.complete(AgentRole.PLANNER, _history("two"))
+        return path, [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    @staticmethod
+    def _write(path, lines):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("field, value", [("response", 7), ("response", None),
+                                              ("response", ["beta"]), ("request_hash", 1),
+                                              ("request_hash", None), ("request_hash", "missing")])
+    def test_bad_hash_or_response_is_unreadable_on_its_line(self, tmp_path, field, value):
+        path, lines = self._recorded_lines(tmp_path)
+        if value == "missing":
+            del lines[1][field]
+        else:
+            lines[1][field] = value
+        self._write(path, lines)
+        with pytest.raises(GatewayError, match=f"line 2 is unreadable: .*{field}"):
+            replay_mode(path)
+
+    def test_line_that_is_no_object_is_unreadable(self, tmp_path):
+        path, lines = self._recorded_lines(tmp_path)
+        self._write(path, [lines[0], [lines[1]["request_hash"], lines[1]["response"]]])
+        with pytest.raises(GatewayError, match="line 2 is unreadable: expected dict, got list"):
+            replay_mode(path)
+
+    def test_conflicting_responses_raise(self, tmp_path):
+        path, lines = self._recorded_lines(tmp_path)
+        self._write(path, lines + [lines[0]])  # a repeat with the same response is fine
+        assert replay_mode(path).complete(AgentRole.PLANNER, _history("one")) == "alpha"
+        self._write(path, lines + [dict(lines[0], response="other")])
+        with pytest.raises(GatewayError, match=f"conflicting recorded responses for hash "
+                                               f"{lines[0]['request_hash']}"):
+            replay_mode(path)
+
+    @pytest.mark.parametrize("messages", ["not a list", [["nobody", "hi"]], [["user", ""]], None])
+    def test_malformed_messages_replay_but_fail_the_replay_check(self, tmp_path, capsys, messages):
+        """A replay reads only each line's hash and response; `penheal replay` reads it all."""
+        from penheal.cli import main
+
+        path, lines = self._recorded_lines(tmp_path)
+        lines[0]["messages"] = messages
+        self._write(path, lines)
+        replayer = replay_mode(path)
+        assert replayer.complete(AgentRole.PLANNER, _history("one")) == "alpha"
+        assert replayer.complete(AgentRole.PLANNER, _history("two")) == "beta"
+        with pytest.raises(GatewayError, match="line 1 is unreadable"):
+            load_transcript(path)
+        assert main(["replay", str(path)]) == 1
+        assert "line 1 is unreadable" in capsys.readouterr().err
+
     def test_record_preserves_order_under_interleaved_roles(self, tmp_path):
         path = tmp_path / "t.jsonl"
         backend = ScriptedBackend(

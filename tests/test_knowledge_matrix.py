@@ -9,11 +9,18 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_knowledge_sparse import VOCAB, dense, dense_scan, postings, postings_bytes, signed_embed
+from test_knowledge_sparse import (
+    VOCAB,
+    dense,
+    dense_scan,
+    postings,
+    postings_bytes,
+    signed_embed,
+    use_embedder,
+)
 
-from penheal import knowledge
 from penheal.knowledge import EMBED_DIM, KnowledgeBase, KnowledgeBaseError, embed
 
 CHUNK_SIZE, OVERLAP = 24, 8
@@ -38,7 +45,7 @@ def check_sequence(embedder, ops, query, k):
     documents = {}  # doc_id -> text, in the order the index holds them
     kb = KnowledgeBase()
     with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(knowledge, "embed", embedder)
+        use_embedder(patch, embedder)
         for op in ops:
             if op[0] == "ingest":
                 _, doc_id, text = op
@@ -72,6 +79,28 @@ class TestIngestSequences:
     @given(operations, texts.filter(bool), st.integers(1, 12))
     def test_dense_signed_embedder(self, ops, query, k):
         check_sequence(signed_embed, ops, query, k)
+
+
+documents = st.one_of(
+    texts,
+    st.text(max_size=120),
+    st.text(alphabet="samba İ ß Σ é K\u212a _9", max_size=120),  # mixed ASCII and not
+    st.text(alphabet=" \t\n!?.,;:-+*/$#@()[]{}\x00\x7f", max_size=120),  # no word at all
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), documents, st.integers(1, 40), st.integers(0, 39)),
+                min_size=1, max_size=6))
+@example([("a", "samba exploit " * 9, 24, 0), ("b", "Straße İ " * 9, 10, 3), ("a", "?! " * 20, 7, 0),
+          ("c", "ftp ÷ x_y " * 9, 16, 15)])
+def test_postings_equal_per_window_embed(ops):
+    """ingest's whole-document pass indexes each window as embed of the window's text does."""
+    kb = KnowledgeBase()
+    for doc_id, text, chunk_size, overlap in ops:
+        kb.ingest(text, doc_id, chunk_size=chunk_size, overlap=min(overlap, chunk_size - 1))
+        held = [list(zip(rows, weights)) for rows, weights in zip(kb._rows, kb._weights)]
+        assert held == postings([dense(embed(c.text)) for c in kb._chunks])
 
 
 def saved_index(directory):

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from penheal import knowledge
 from penheal.knowledge import (
+    BUCKET_MAP_SIZE,
     DEFAULT_CHUNK_SIZE,
     DEFAULT_OVERLAP,
     EMBED_DIM,
     KnowledgeBase,
-    _ASCII_SEPARATORS,
+    _ASCII_WORDS,
     embed,
 )
 
@@ -44,13 +45,29 @@ def signed_embed(text: str) -> dict[int, float]:
     return {i: c / norm for i, c in enumerate(counts) if c}
 
 
+def use_embedder(patch: pytest.MonkeyPatch, embedder) -> None:
+    """Make ingest and retrieve embed with ``embedder``; embed itself needs no patch.
+
+    retrieve embeds its query with embed; ingest embeds its windows through
+    _window_entries, its one seam, here given each window's embedder pairs.
+    """
+    if embedder is not embed:
+        patch.setattr(knowledge, "embed", embedder)
+        patch.setattr(knowledge, "_window_entries", lambda document, starts, size: (
+            embedder(document[s : s + size]).items() for s in starts))
+
+
+def reference_bucket(token: str) -> int:
+    digest = hashlib.sha1(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little") % EMBED_DIM
+
+
 def dense_fold_embed(text: str) -> tuple[float, ...]:
     """Reference for embed: count every token into all EMBED_DIM float buckets, then divide."""
     tokens = re.findall(r"\w+", text.lower()) or [text.lower()]
     counts = [0.0] * EMBED_DIM
     for token in tokens:
-        digest = hashlib.sha1(token.encode("utf-8")).digest()
-        counts[int.from_bytes(digest[:8], "little") % EMBED_DIM] += 1.0
+        counts[reference_bucket(token)] += 1.0
     norm = math.sqrt(sum(map(mul, counts, counts)))
     return tuple(map(truediv, counts, repeat(norm)))
 
@@ -88,20 +105,39 @@ class TestEmbedEqualsDenseFold:
 
 
 class TestAsciiTokens:
-    """On ASCII text embed splits with _ASCII_SEPARATORS; the tokens must be the regex's."""
+    """On ASCII text the tokens are the words of a translate by _ASCII_WORDS: the regex's, lowered."""
 
     def test_table_spaces_exactly_the_non_word_characters(self):
         for c in map(chr, range(128)):
-            assert c.translate(_ASCII_SEPARATORS) == (c if re.fullmatch(r"\w", c) else " "), c
+            word = re.fullmatch(r"\w", c)
+            assert c.encode().translate(_ASCII_WORDS) == (c.lower() if word else " ").encode(), c
 
     @settings(max_examples=300, deadline=None)
     @given(ascii_text)
     @example("a_b-c9")
     @example("x\x1fy\x0b\x0cz")
     @example("__ 0_9\x7f\x00Z")
+    @example("Mixed CASE_Words 42")
     def test_tokens_equal_findall(self, text):
-        lowered = text.lower()
-        assert lowered.translate(_ASCII_SEPARATORS).split() == re.findall(r"\w+", lowered)
+        tokens = text.encode("ascii").translate(_ASCII_WORDS).split()
+        assert tokens == [t.encode("ascii") for t in re.findall(r"\w+", text.lower())]
+
+
+class TestBucketMap:
+    def test_overflow_keeps_the_bound_and_the_buckets(self, monkeypatch):
+        buckets = knowledge._Buckets()
+        monkeypatch.setattr(knowledge, "_BUCKETS", buckets)
+        full = " ".join(f"t{i}" for i in range(BUCKET_MAP_SIZE))
+        texts = [full, "t7 one more", "ü " + full[:50_000], full[:60_000]]  # "ü": str, not bytes
+        sizes = []
+        for text in texts:
+            vector = embed(text)
+            sizes.append(len(buckets))
+            assert [x.hex() for x in dense(vector)] == [x.hex() for x in dense_fold_embed(text)]
+            for token, bucket in buckets.items():
+                assert bucket == reference_bucket(token if type(token) is str else token.decode())
+        assert sizes[:2] == [BUCKET_MAP_SIZE, 2]  # full; t7 found, then emptied for "one"
+        assert max(sizes) <= BUCKET_MAP_SIZE
 
 
 def dense_scan(embedder, chunks, query, k):
@@ -126,7 +162,7 @@ def corpora(draw):
 def check_against_dense(embedder, docs, query, k):
     kb = KnowledgeBase()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(knowledge, "embed", embedder)
+        use_embedder(patch, embedder)
         for d, text in enumerate(docs):
             kb.ingest(text, f"doc{9 - d}", chunk_size=24, overlap=8)  # ids run against insertion
         chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]

@@ -58,6 +58,7 @@ def test_parse_commands(text):
               "Service: ", "Port: ", "port: 70000", "tcp/21", "Description: ", "Method: ",
               "NONE", "99999999999", "0" * 5000))
 @example("Exploited: CVE-2011-2523" + "0" * 5000 + "\nPort: Exploited: ")  # an id past the cap
+@example("Exploited: CVE-2011-2523" + "0" * 5000)  # a sequence number past 7 digits: no id
 def test_parse_extractor_blocks(text):
     findings, warnings = parse_extractor_blocks(text)
     headers = sum(1 for line in text.splitlines() if "exploited" in line.lower())
@@ -66,6 +67,7 @@ def test_parse_extractor_blocks(text):
     assert len({f.key for f in findings}) == len(findings)
     for f in findings:
         assert f.id == "CVE-NA" or CVE_PATTERN.match(f.id)
+        assert len(f.id) <= len("CVE-2017-1000117")
         assert f.port is None or 0 <= f.port <= 65535
         assert f.service == f.service.strip().lower()
     assert all(len(w) <= WARNING_CAP for w in warnings)
