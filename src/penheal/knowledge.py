@@ -2,13 +2,25 @@
 
 Reference documents are split into overlapping character windows, embedded,
 and found by exact cosine retrieval. There is one embedder, a deterministic
-hashed term-frequency vector (``embed``), so runs are hermetic and an index
-built in one process answers queries in another. Embeddings are held
-bucket-major as postings (per bucket, the rows nonzero there and their
-entries), so a query visits only entries it can score. postings.bin stores
-them little-endian: EMBED_DIM int32 posting counts, every int32 row id, then
-every float64 entry. An index in another layout, such as the dense
-vectors.bin of older versions, must be ingested again.
+hashed term-frequency vector (``embed``: a window's bucket counts over their
+L2 norm), so runs are hermetic and an index built in one process answers
+queries in another. The index holds the counts bucket-major as postings (per
+bucket, the ascending rows nonzero there and their counts) and each row's
+squared norm. postings.bin stores them little-endian: EMBED_DIM uint32
+posting counts, every uint32 row id, every uint32 count, then a uint64
+squared norm per row. An index in another layout, such as the float64
+entries or dense vectors.bin of older versions, must be ingested again.
+
+retrieve takes every row's dot product with the query's counts in integers:
+a bucket every row has adds its counts as one big int of 32-bit lanes, one
+per row. A dot product is at most sqrt(Q * C) for the squared norms Q of the
+query and C of the row (and at most len(query) * len(row text)), so no lane
+carries while Q times the sum of all C is below 2**64. Only rows whose
+dot / norm is within a relative 1e-9 of the k-th largest are then scored by
+a dense scan's float fold: its m <= 512 terms are positive, so it is within a
+relative (m + 3) * 2**-53 < 6e-14 of dot / norm times a factor all rows
+share, and a row 1e-9 below the k-th scores below k others. Similarities and
+ranking are a dense scan's, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +33,10 @@ import re
 import sys
 import threading
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from itertools import accumulate, compress, pairwise, repeat
+from itertools import accumulate, compress, count, pairwise, repeat
 from operator import ge, mul, not_, truediv
 from pathlib import Path
 from typing import NamedTuple
@@ -37,12 +50,13 @@ DEFAULT_CHUNK_SIZE = 800
 DEFAULT_OVERLAP = 200
 EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 BUCKET_MAP_SIZE = 1 << 16  # the token -> bucket map is emptied when it holds this many
+MARGIN = 1e-9  # rows this far below the k-th dot / norm are scored in floats
 
 _TOKEN = re.compile(r"\w+")
 # Lowers \w bytes and spaces all others: ASCII \w is [A-Za-z0-9_] and all that split() takes
 # for whitespace is outside it, so on ASCII text translate, then split(), is _TOKEN.findall.
 _ASCII_WORDS = bytes(ord(c.lower()) if _TOKEN.match(c) else 32 for c in map(chr, range(256)))
-INDEX_DTYPE = "postings-int32-float64-le"  # the layout of postings.bin, named in meta.json
+INDEX_DTYPE = "postings-uint32-counts-uint64-norms-le"  # the layout of postings.bin
 
 
 class KnowledgeBaseError(Exception):
@@ -89,16 +103,23 @@ def embed(text: str) -> dict[int, float]:
     Only the buckets a token hits are counted, and only they are returned:
     every other entry of the EMBED_DIM-wide vector is +0.0.
     """
+    counts = _text_counts(text)
+    # an integer sum: under 2**27 characters it is below 2**53, so a float sum agrees
+    norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
+    return {b: c / norm for b, c in counts.items()}
+
+
+def _text_counts(text: str) -> Counter:
     if not text:
         raise ValueError("cannot embed empty text")
-    return dict(next(_window_entries(text, [0], len(text))))
+    return next(_window_counts(text, [0], len(text)))
 
 
-def _window_entries(document: str, starts: range | list[int], size: int):
-    """For each window ``document[s : s + size]``, its embedding's (bucket, count / norm) pairs.
+def _window_counts(document: str, starts: range | list[int], size: int):
+    """For each window ``document[s : s + size]``, its {bucket: count} as a Counter.
 
-    Tokens are the \\w+ runs of the lowered window, or all of it if it has none. The squared
-    norm is an integer sum; under 2**27 characters it is below 2**53, so float sums agree.
+    Tokens are the \\w+ runs of the lowered window, or all of it if it has none.
+    Ingest and retrieve count every text through here.
     """
     if document.isascii():  # an ASCII window without a word has no letter to lower
         data = document.encode("ascii")
@@ -108,9 +129,7 @@ def _window_entries(document: str, starts: range | list[int], size: int):
         lowered = (document[s : s + size].lower() for s in starts)
         windows = (_TOKEN.findall(text) or [text] for text in lowered)
     for tokens in windows:
-        counts = Counter(map(_BUCKETS.__getitem__, tokens))
-        norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
-        yield zip(counts.keys(), map(truediv, counts.values(), repeat(norm)))
+        yield Counter(map(_BUCKETS.__getitem__, tokens))
 
 
 def _little_endian(part: array) -> array:
@@ -126,11 +145,14 @@ class KnowledgeBase:
 
     def __init__(self):
         self._chunks: list[Chunk] = []
-        # _rows[b]: the rows nonzero in bucket b, ascending; _weights[b]: their entries
+        # _rows[b]: the rows nonzero in bucket b, ascending; _counts[b]: their term counts
         self._rows = [array("I") for _ in range(EMBED_DIM)]
-        self._weights = [array("d") for _ in range(EMBED_DIM)]
+        self._counts = [array("I") for _ in range(EMBED_DIM)]
+        self._squares = array("Q")  # per row, its squared norm
+        self._norms: list[float] = []  # per row, the square root of that
+        self._square_total = 0  # sum(_squares), perhaps more: it bounds every dot product
         self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
-        self._lock = threading.Lock()  # guards all four; no change while retrieve reads
+        self._lock = threading.Lock()  # guards all of them; no change while retrieve reads
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -158,44 +180,81 @@ class KnowledgeBase:
             chunks = self._chunks + new_chunks  # a new list: retrieve may hold the old one
             if doc_id in self._doc_ids:
                 gone = [c.doc_id == doc_id for c in self._chunks]
-                renumbered = list(accumulate(map(not_, gone), initial=0))  # kept rows before r
-                for b, (rows, weights) in enumerate(zip(self._rows, self._weights)):
+                kept_rows = list(map(not_, gone))
+                renumbered = list(accumulate(kept_rows, initial=0))  # kept rows before r
+                for b, (rows, counts) in enumerate(zip(self._rows, self._counts)):
                     kept = list(map(not_, map(gone.__getitem__, rows)))
                     self._rows[b] = array("I", map(renumbered.__getitem__, compress(rows, kept)))
-                    self._weights[b] = array("d", compress(weights, kept))
-                chunks = [c for c, g in zip(self._chunks, gone) if not g] + new_chunks
+                    self._counts[b] = array("I", compress(counts, kept))
+                self._squares = array("Q", compress(self._squares, kept_rows))
+                self._norms = list(compress(self._norms, kept_rows))
+                chunks = list(compress(self._chunks, kept_rows)) + new_chunks
             self._doc_ids.add(doc_id)
-            rows, weights, first = self._rows, self._weights, len(chunks) - len(new_chunks)
-            for r, entries in enumerate(_window_entries(document, starts, chunk_size), first):
-                for b, w in entries:
+            rows, counts, squares = self._rows, self._counts, []
+            for r, window in enumerate(_window_counts(document, starts, chunk_size),
+                                       len(chunks) - len(new_chunks)):
+                for b, c in window.items():
                     rows[b].append(r)
-                    weights[b].append(w)
+                    counts[b].append(c)
+                squares.append(sum(map(mul, window.values(), window.values())))
+            self._squares.extend(squares)
+            self._norms += map(math.sqrt, squares)
+            self._square_total += sum(squares)
             self._chunks = chunks
         return len(new_chunks)
 
     def retrieve(self, query: str, k: int) -> list[Excerpt]:
         """The k most cosine-similar chunks, ties broken by (doc_id, seq).
 
-        Scores fold in the postings of each nonzero query bucket, ascending,
-        from 0.0. Each skipped term is x * 0.0, and adding an exact zero leaves
-        a float sum unchanged, so similarities equal the tests' cosine() exactly.
+        Rows are chosen by exact integer dot products and scored by the fold
+        of a dense cosine scan; see the module docstring.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        query_vec = sorted(embed(query).items())
+        counts = _text_counts(query)
+        query_square = sum(map(mul, counts.values(), counts.values()))
         with self._lock:
             chunks = self._chunks
             if not chunks:
                 raise KnowledgeBaseError("knowledge base is empty; "
                                          "ingest documents before retrieving")
-            scores = [0.0] * len(chunks)
-            for bucket, x in query_vec:
-                for r, w in zip(self._rows[bucket], self._weights[bucket]):
-                    scores[r] += x * w
-        # Only chunks scoring at least the k-th largest score can be returned.
-        top = compress(range(len(scores)), map(ge, scores, repeat(heapq.nlargest(k, scores)[-1])))
-        ranked = sorted((-scores[i], chunks[i].doc_id, chunks[i].seq, i) for i in top)
-        return [Excerpt(chunks[i], -neg) for neg, _, _, i in ranked[:k]]
+            terms = sorted((b, q) for b, q in counts.items() if self._rows[b])  # ascending
+            dots = self._dots(terms, query_square * self._square_total < 1 << 64)
+            approx = list(map(truediv, dots, self._norms))
+            floor = heapq.nlargest(k, approx)[-1] * (1 - MARGIN)
+            query_norm = math.sqrt(query_square)
+            entries = [(b, q / query_norm) for b, q in terms]
+            ranked = sorted((-self._similarity(r, entries) if dots[r] else -0.0,
+                             chunks[r].doc_id, chunks[r].seq, r)
+                            for r in compress(range(len(chunks)), map(ge, approx, repeat(floor))))
+        return [Excerpt(chunks[r], -neg) for neg, _, _, r in ranked[:k]]
+
+    def _dots(self, terms: list[tuple[int, int]], lanes: bool) -> list[int]:
+        """Every row's dot product with the query counts ``terms``, packing into 32-bit lanes
+        the buckets every row has when ``lanes`` says no lane can overflow."""
+        n, rows, counts = len(self._chunks), self._rows, self._counts
+        packed, scattered = 0, []
+        for b, q in terms:
+            if lanes and len(rows[b]) == n:  # ascending and distinct, so rows 0..n-1
+                packed += q * int.from_bytes(counts[b], sys.byteorder)
+            else:
+                scattered.append((q, rows[b], counts[b]))
+        dots = array("I", packed.to_bytes(4 * n, sys.byteorder)).tolist()
+        for q, bucket_rows, bucket_counts in scattered:
+            for r, c in zip(bucket_rows, bucket_counts):
+                dots[r] += q * c
+        return dots
+
+    def _similarity(self, r: int, entries: list[tuple[int, float]]) -> float:
+        """Row r's cosine with the query's (bucket, entry) pairs: the fold over ascending
+        buckets of a dense scan, whose terms for buckets row r lacks are x * 0.0."""
+        norm, total = self._norms[r], 0.0
+        for b, x in entries:
+            rows = self._rows[b]
+            i = bisect_left(rows, r)
+            if i < len(rows) and rows[i] == r:
+                total += x * (self._counts[b][i] / norm)
+        return total
 
     # -- persistence --------------------------------------------------------
 
@@ -205,7 +264,7 @@ class KnowledgeBase:
         directory.mkdir(parents=True, exist_ok=True)
         with self._lock:
             chunks = self._chunks
-            parts = [array("I", map(len, self._rows)), *self._rows, *self._weights]
+            parts = [array("I", map(len, self._rows)), *self._rows, *self._counts, self._squares]
             postings = b"".join(_little_endian(part).tobytes() for part in parts)
         (directory / "postings.bin").write_bytes(postings)
         with open(directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
@@ -220,8 +279,10 @@ class KnowledgeBase:
 
         An index whose meta.json names another dimension, layout or embedder,
         or whose postings.bin does not fit its chunks, raises
-        KnowledgeBaseError. Files that do not decode raise OSError, KeyError
-        or ValueError.
+        KnowledgeBaseError: the wrong size, a row id out of range, a bucket
+        that lists a row twice or out of order, a count or squared norm of 0,
+        or squared norms that do not sum to the squared counts. Files that do
+        not decode raise OSError, KeyError or ValueError.
         """
         directory = Path(directory)
         meta = load_json((directory / "meta.json").read_text(encoding="utf-8"),
@@ -237,21 +298,32 @@ class KnowledgeBase:
         if len(chunks) != meta.count:
             raise KnowledgeBaseError(f"chunks.jsonl has {len(chunks)} chunks, not {meta.count}")
         data = (directory / "postings.bin").read_bytes()
-        # Read unsigned, a negative int32 count or row id is 2**31 or more and fails the bound.
         head = 4 * EMBED_DIM
-        counts = _little_endian(array("I", data[:head] if len(data) >= head else b""))
-        if len(data) != head + 12 * sum(counts):
-            raise KnowledgeBaseError(f"postings.bin has {len(data)} bytes, not {head} plus 12 "
-                                     "per posting it counts")
-        split = head + 4 * sum(counts)
+        sizes = _little_endian(array("I", data[:head] if len(data) >= head else b""))
+        total = sum(sizes)
+        if len(data) != head + 8 * total + 8 * len(chunks):
+            raise KnowledgeBaseError(f"postings.bin has {len(data)} bytes, not {head} plus 8 "
+                                     "per posting it counts and 8 per chunk")
+        split, tail = head + 4 * total, head + 8 * total
         rows = _little_endian(array("I", data[head:split]))
-        if max(rows, default=-1) >= len(chunks):
+        counts = _little_endian(array("I", data[split:tail]))
+        squares = _little_endian(array("Q", data[tail:]))
+        bounds = list(pairwise(accumulate(sizes, initial=0)))
+        # A row id no greater than the one before it may only begin a bucket.
+        if not set(compress(count(1), map(ge, rows, rows[1:]))) <= set(accumulate(sizes)):
+            raise KnowledgeBaseError("postings.bin lists a row twice or out of order in a bucket")
+        if max((rows[b - 1] for a, b in bounds if a < b), default=-1) >= len(chunks):
             raise KnowledgeBaseError(f"postings.bin has a row id outside 0..{len(chunks) - 1}")
-        weights = _little_endian(array("d", data[split:]))
-        bounds = list(pairwise(accumulate(counts, initial=0)))
+        if 0 in counts or 0 in squares:
+            raise KnowledgeBaseError("postings.bin has a term count or squared norm of 0")
+        if sum(squares) != sum(map(mul, counts, counts)):
+            raise KnowledgeBaseError("postings.bin has squared norms that do not sum to the "
+                                     "squares of its counts")
         kb = cls()
         kb._rows = [rows[a:b] for a, b in bounds]
-        kb._weights = [weights[a:b] for a, b in bounds]
+        kb._counts = [counts[a:b] for a, b in bounds]
+        kb._squares, kb._norms = squares, list(map(math.sqrt, squares))
+        kb._square_total = sum(squares)
         kb._chunks = chunks
         kb._doc_ids = {c.doc_id for c in chunks}
         return kb

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from penheal.knowledge import EMBED_DIM
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -55,3 +57,12 @@ def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
         assert sum(ingests) == 800
         seams = ("knowledge.save", "knowledge.load", "gateway.load")
         assert [count(seam) for seam in seams] == [1, 1, 1]
+        # pipeline_s times retrieval, once per iteration, from the index in the documented layout
+        assert count("knowledge.retrieve") == iterations == 31
+        kb, saved = inputs["kb"], tmp_path / "kb-scratch"
+        postings = 4 * EMBED_DIM + 8 * sum(map(len, kb._rows)) + 8 * len(kb)
+        assert (saved / "postings.bin").stat().st_size == postings
+        layout = postings + sum((saved / name).stat().st_size for name in ("chunks.jsonl",
+                                                                            "meta.json"))
+        assert [a["bytes"] for name, a in spans
+                if name in ("knowledge.save", "knowledge.load")] == [layout, layout]

@@ -1,6 +1,7 @@
 """The postings index: state after any ingest sequence, validation, files, concurrency."""
 
 import json
+import math
 import random
 import struct
 import sys
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 from test_knowledge_sparse import (
     VOCAB,
     dense,
+    dense_counts,
     dense_scan,
     postings,
     postings_bytes,
-    signed_embed,
+    reference_counts,
     use_embedder,
 )
 
@@ -41,11 +43,11 @@ def windows(doc_id, text):
     return [(doc_id, seq, text[s : s + CHUNK_SIZE]) for seq, s in enumerate(range(0, len(text), step))]
 
 
-def check_sequence(embedder, ops, query, k):
+def check_sequence(counter, ops, query, k):
     documents = {}  # doc_id -> text, in the order the index holds them
     kb = KnowledgeBase()
     with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
-        use_embedder(patch, embedder)
+        use_embedder(patch, counter)
         for op in ops:
             if op[0] == "ingest":
                 _, doc_id, text = op
@@ -55,7 +57,7 @@ def check_sequence(embedder, ops, query, k):
                 kb.ingest(text, doc_id, chunk_size=CHUNK_SIZE, overlap=OVERLAP)
             else:
                 kb.save(scratch)
-                expected = postings_bytes([dense(embedder(c.text)) for c in kb._chunks])
+                expected = postings_bytes([dense(counter(c.text)) for c in kb._chunks])
                 assert (Path(scratch) / "postings.bin").read_bytes() == expected
                 kb = KnowledgeBase.load(scratch)
 
@@ -66,19 +68,84 @@ def check_sequence(embedder, ops, query, k):
                     kb.retrieve(query, k)
                 continue
             got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
-            assert got == dense_scan(embedder, chunks, query, k)
+            assert got == dense_scan(counter, chunks, query, k)
+
+
+words = st.sampled_from(VOCAB + ["the", "straße", "İstanbul", "ΣΑΣ", "naïve", "x_1"])
+mixed_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.sampled_from(["b", "a", "c"]),
+                  st.lists(words, max_size=14).map(" ".join)),
+        st.tuples(st.just("reload")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+queries = st.one_of(st.lists(words, min_size=1, max_size=6).map(" ".join),
+                    st.sampled_from(["unseen", "zzz qqq", "?!"]))  # no token in any chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_operations, queries, st.integers(1, 40))
+@example([("ingest", "a", "the samba the the the"), ("ingest", "b", "the the ftp the the")], "the", 1)
+@example([("ingest", "b", "samba exploit"), ("ingest", "a", "samba exploit"), ("reload",)],
+         "samba", 1)  # equal scores: doc a first
+@example([("ingest", "c", "straße İstanbul naïve ΣΑΣ"), ("ingest", "a", "naïve nmap"),
+          ("ingest", "c", "straße ΣΑΣ")], "ΣΑΣ naïve", 40)
+@example([("ingest", "a", "samba port"), ("ingest", "b", "dns")], "unseen", 2)
+def test_retrieve_equals_dense_scan(ops, query, k):
+    """After any ingest, re-ingest and reload, retrieve ranks as a dense cosine scan, bit for
+    bit: buckets every chunk has (packed lanes) and others, ties by (doc_id, seq), k of at
+    least len(kb), queries sharing no token, and text that is not ASCII."""
+    check_sequence(reference_counts, ops, query, k)
+
+
+@pytest.mark.parametrize("repeats", [65537, 65538])
+def test_lanes_at_their_bound_do_not_carry(repeats):
+    """Rows of 65535 and 1 "a" tokens, a query of ``repeats``: at 65537 the first lane holds
+    2**32 - 1, the most 32 bits hold; at 65538 it would carry into the next, so that bucket
+    is added posting by posting."""
+    kb = KnowledgeBase()
+    for doc_id, text in [("a0", "a " * 65535), ("a1", "a")]:
+        kb.ingest(text, doc_id, chunk_size=len(text), overlap=0)
+    [bucket] = [b for b, rows in enumerate(kb._rows) if rows]
+    assert list(kb._rows[bucket]) == [0, 1]  # every row: the packed path, if lanes fit
+    lanes = repeats**2 * kb._square_total < 1 << 64
+    assert lanes == (repeats == 65537)
+    assert kb._dots([(bucket, repeats)], lanes) == [65535 * repeats, repeats]
+    query = "a " * repeats
+    # A carry would leave a0 a small dot and rank a1 alone above it; the tie at 1.0 is a0's.
+    assert [(e.chunk.doc_id, e.similarity) for e in kb.retrieve(query, 2)] == [("a0", 1.0),
+                                                                               ("a1", 1.0)]
+    assert kb.retrieve(query, 1)[0].chunk.doc_id == "a0"
+
+
+def test_margin_keeps_rows_whose_dot_over_norm_rounds_low():
+    """Rows 59 and 61 times the query's counts have cosine 1 and fold to the same float, but
+    the first's dot / norm rounds one unit in the last place lower: only the margin keeps it
+    a candidate, and it wins the tie by doc_id."""
+    assert 295 / math.sqrt(59**2 + 118**2) < 305 / math.sqrt(61**2 + 122**2)
+    kb = KnowledgeBase()
+    for doc_id, times in [("a", 59), ("b", 61)]:
+        text = "ftp " * times + "dns dns " * times
+        kb.ingest(text, doc_id, chunk_size=len(text), overlap=0)
+    chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
+    for k in (1, 2):
+        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("ftp dns dns", k)]
+        assert got == dense_scan(reference_counts, chunks, "ftp dns dns", k)
+    assert got[0][2] == got[1][2] and got[0][0] == "a"
 
 
 class TestIngestSequences:
     @settings(max_examples=60, deadline=None)
     @given(operations, texts.filter(bool), st.integers(1, 12))
     def test_default_embedder(self, ops, query, k):
-        check_sequence(embed, ops, query, k)
+        check_sequence(reference_counts, ops, query, k)
 
     @settings(max_examples=25, deadline=None)
     @given(operations, texts.filter(bool), st.integers(1, 12))
-    def test_dense_signed_embedder(self, ops, query, k):
-        check_sequence(signed_embed, ops, query, k)
+    def test_dense_count_embedder(self, ops, query, k):
+        check_sequence(dense_counts, ops, query, k)
 
 
 documents = st.one_of(
@@ -99,8 +166,21 @@ def test_postings_equal_per_window_embed(ops):
     kb = KnowledgeBase()
     for doc_id, text, chunk_size, overlap in ops:
         kb.ingest(text, doc_id, chunk_size=chunk_size, overlap=min(overlap, chunk_size - 1))
-        held = [list(zip(rows, weights)) for rows, weights in zip(kb._rows, kb._weights)]
-        assert held == postings([dense(embed(c.text)) for c in kb._chunks])
+        check_held_postings(kb)
+
+
+def check_held_postings(kb):
+    """Each row's postings are embed of its chunk's text: per bucket the rows ascending, each
+    count / norm equal to embed's entry bit for bit, each norm the square root of the row's
+    squared counts."""
+    squares = [0] * len(kb)
+    for rows, counts in zip(kb._rows, kb._counts):
+        for r, c in zip(rows, counts):
+            squares[r] += c * c
+    assert list(kb._squares) == squares and kb._norms == list(map(math.sqrt, squares))
+    held = [[(r, c / kb._norms[r]) for r, c in zip(rows, counts)]
+            for rows, counts in zip(kb._rows, kb._counts)]
+    assert held == postings([dense(embed(c.text)) for c in kb._chunks])
 
 
 def saved_index(directory):
@@ -117,7 +197,7 @@ class TestValidation:
 
     def test_oversize_vectors_detected(self, tmp_path):
         data = saved_index(tmp_path)
-        for extra in (bytes(1), bytes(8), bytes(12)):  # 12: one posting's size, uncounted
+        for extra in (bytes(1), bytes(8), bytes(12)):  # 8: one posting's or one norm's size
             (tmp_path / "postings.bin").write_bytes(data + extra)
             with pytest.raises(KnowledgeBaseError, match="bytes"):
                 KnowledgeBase.load(tmp_path)
@@ -132,7 +212,7 @@ class TestValidation:
     @pytest.mark.parametrize("row", [-1, 3, 2**31 - 1])
     def test_row_id_out_of_range_detected(self, tmp_path, row):
         data = bytearray(saved_index(tmp_path))
-        count = (len(data) - 4 * EMBED_DIM) // 12  # postings; the last row id is the largest
+        count = sum(struct.unpack_from(f"<{EMBED_DIM}I", data))  # the last row id is the largest
         struct.pack_into("<i", data, 4 * EMBED_DIM + 4 * (count - 1), row)
         (tmp_path / "postings.bin").write_bytes(data)
         with pytest.raises(KnowledgeBaseError, match="row id"):
@@ -168,6 +248,77 @@ class TestValidation:
         with pytest.raises(KnowledgeBaseError, match="re-run `penheal ingest`"):
             KnowledgeBase.load(tmp_path)
 
+    def test_float_layout_asks_for_a_new_ingest(self, tmp_path):
+        saved_index(tmp_path)
+        write_float_layout(tmp_path)
+        with pytest.raises(KnowledgeBaseError, match="re-run `penheal ingest`"):
+            KnowledgeBase.load(tmp_path)
+
+    @pytest.mark.parametrize("edit", ["twice", "swapped"])
+    def test_bucket_rows_not_strictly_ascending_detected(self, tmp_path, edit):
+        sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
+        first = sum(sizes[: next(b for b, size in enumerate(sizes) if size >= 2)])
+        if edit == "twice":
+            rows[first + 1] = rows[first]
+        else:
+            rows[first], rows[first + 1] = rows[first + 1], rows[first]
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
+        with pytest.raises(KnowledgeBaseError, match="twice or out of order"):
+            KnowledgeBase.load(tmp_path)
+
+    def test_zero_count_detected(self, tmp_path):
+        sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
+        squares[rows[0]] -= counts[0] ** 2  # the squared norms still sum to the squared counts
+        counts[0] = 0
+        assert squares[rows[0]] > 0
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
+        with pytest.raises(KnowledgeBaseError, match="count or squared norm of 0"):
+            KnowledgeBase.load(tmp_path)
+
+    def test_zero_squared_norm_detected(self, tmp_path):
+        sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
+        squares[1] += squares[0]  # the sum still agrees
+        squares[0] = 0
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
+        with pytest.raises(KnowledgeBaseError, match="count or squared norm of 0"):
+            KnowledgeBase.load(tmp_path)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_squared_norms_that_disagree_with_the_counts_detected(self, tmp_path, delta):
+        sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
+        squares[2] += delta
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
+        with pytest.raises(KnowledgeBaseError, match="do not sum"):
+            KnowledgeBase.load(tmp_path)
+
+
+def read_layout(data):
+    """postings.bin as lists: posting count per bucket, row ids, term counts, squared norms."""
+    sizes = list(struct.unpack_from(f"<{EMBED_DIM}I", data))
+    total = sum(sizes)
+    rows = list(struct.unpack_from(f"<{total}I", data, 4 * EMBED_DIM))
+    counts = list(struct.unpack_from(f"<{total}I", data, 4 * EMBED_DIM + 4 * total))
+    squares = list(struct.unpack_from(f"<{(len(data) - 4 * EMBED_DIM - 8 * total) // 8}Q",
+                                      data, 4 * EMBED_DIM + 8 * total))
+    return sizes, rows, counts, squares
+
+
+def write_layout(sizes, rows, counts, squares):
+    return (struct.pack(f"<{EMBED_DIM}I", *sizes) + struct.pack(f"<{len(rows)}I", *rows)
+            + struct.pack(f"<{len(counts)}I", *counts) + struct.pack(f"<{len(squares)}Q", *squares))
+
+
+def write_float_layout(directory):
+    """Turn the index in ``directory`` into the float64-entry postings layout of older versions."""
+    meta = json.loads((directory / "meta.json").read_text())
+    (directory / "meta.json").write_text(
+        json.dumps(meta | {"dtype": "postings-int32-float64-le"}, indent=2))
+    sizes, rows, counts, squares = read_layout((directory / "postings.bin").read_bytes())
+    entries = [c / math.sqrt(squares[r]) for r, c in zip(rows, counts)]
+    (directory / "postings.bin").write_bytes(
+        struct.pack(f"<{EMBED_DIM}i", *sizes) + struct.pack(f"<{len(rows)}i", *rows)
+        + struct.pack(f"<{len(entries)}d", *entries))
+
 
 def write_dense_layout(directory):
     """Turn the index in ``directory`` into the dense layout of older versions."""
@@ -202,8 +353,7 @@ def test_ingest_while_retrieving_raises_no_buffer_error():
         sys.setswitchinterval(interval)
     assert not reader.is_alive()
     assert errors == []
-    held = [list(zip(rows, weights)) for rows, weights in zip(kb._rows, kb._weights)]
-    assert held == postings([dense(embed(c.text)) for c in kb._chunks])
+    check_held_postings(kb)
 
 
 def test_deep_size_index_equals_dense_oracle(tmp_path):

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import struct
+from collections import Counter
 from importlib import resources
 from itertools import repeat
 from operator import mul, truediv
@@ -29,37 +30,51 @@ VOCAB = ["samba", "usermap", "exploit", "nmap", "scan", "port", "ftp", "backdoor
 
 
 def dense(vector: dict[int, float]) -> tuple[float, ...]:
-    """The EMBED_DIM-wide vector of an embedding's {bucket: entry}, checked to hold no zero entry."""
+    """The EMBED_DIM-wide vector of an embedding's or a count's {bucket: entry}, checked to hold
+    no zero entry."""
     assert all(type(b) is int and 0 <= b < EMBED_DIM and w for b, w in vector.items()), vector
-    return tuple(map(vector.get, range(EMBED_DIM), repeat(0.0)))
-
-
-def signed_embed(text: str) -> dict[int, float]:
-    """A dense embedder patched in for embed: every token adds a fixed row of -2..2 to all buckets."""
-    counts = [0.0] * EMBED_DIM
-    for token in text.lower().split() or [text]:
-        row = random.Random(token)
-        for i in range(EMBED_DIM):
-            counts[i] += row.choice((-2.0, -1.0, 0.0, 1.0, 2.0))
-    norm = math.sqrt(sum(c * c for c in counts)) or 1.0
-    return {i: c / norm for i, c in enumerate(counts) if c}
-
-
-def use_embedder(patch: pytest.MonkeyPatch, embedder) -> None:
-    """Make ingest and retrieve embed with ``embedder``; embed itself needs no patch.
-
-    retrieve embeds its query with embed; ingest embeds its windows through
-    _window_entries, its one seam, here given each window's embedder pairs.
-    """
-    if embedder is not embed:
-        patch.setattr(knowledge, "embed", embedder)
-        patch.setattr(knowledge, "_window_entries", lambda document, starts, size: (
-            embedder(document[s : s + size]).items() for s in starts))
+    zero = 0 if all(type(w) is int for w in vector.values()) else 0.0
+    return tuple(map(vector.get, range(EMBED_DIM), repeat(zero)))
 
 
 def reference_bucket(token: str) -> int:
     digest = hashlib.sha1(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") % EMBED_DIM
+
+
+def reference_counts(text: str) -> dict[int, int]:
+    """Reference for the index's term counts: every \\w+ token of the lowered text (or all of
+    it, if it has none) counted in its sha1 bucket."""
+    return dict(Counter(map(reference_bucket, re.findall(r"\w+", text.lower()) or [text.lower()])))
+
+
+def dense_counts(text: str) -> dict[int, int]:
+    """A dense count embedder patched in for the index's: every token adds a fixed row of 1..4
+    to all buckets, so every bucket holds every chunk."""
+    counts = [0] * EMBED_DIM
+    for token in text.lower().split() or [text]:
+        row = random.Random(token)
+        for i in range(EMBED_DIM):
+            counts[i] += row.randint(1, 4)
+    return dict(enumerate(counts))
+
+
+def unit(counts: dict[int, int]) -> dict[int, float]:
+    """The embedding of term counts: each over their L2 norm, summed in integers as embed does."""
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    return {b: c / norm for b, c in counts.items()}
+
+
+def use_embedder(patch: pytest.MonkeyPatch, counter) -> None:
+    """Make ingest, retrieve and embed count terms with ``counter``.
+
+    All three count through _window_counts, their one seam, here given each
+    window's ``counter`` counts. reference_counts is the seam's own, so it
+    patches nothing.
+    """
+    if counter is not reference_counts:
+        patch.setattr(knowledge, "_window_counts", lambda document, starts, size: (
+            counter(document[s : s + size]) for s in starts))
 
 
 def dense_fold_embed(text: str) -> tuple[float, ...]:
@@ -140,10 +155,12 @@ class TestBucketMap:
         assert max(sizes) <= BUCKET_MAP_SIZE
 
 
-def dense_scan(embedder, chunks, query, k):
-    """Reference retrieval: dense cosine() over every chunk, then a full sort."""
-    query_vec = dense(embedder(query))
-    scored = [(-cosine(dense(embedder(text)), query_vec), doc_id, seq) for doc_id, seq, text in chunks]
+def dense_scan(counter, chunks, query, k):
+    """Reference retrieval: dense cosine() of ``counter``'s unit vectors over every chunk, then a
+    full sort."""
+    query_vec = dense(unit(counter(query)))
+    scored = [(-cosine(dense(unit(counter(text))), query_vec), doc_id, seq)
+              for doc_id, seq, text in chunks]
     scored.sort()
     return [(doc_id, seq, (-neg).hex()) for neg, doc_id, seq in scored[:k]]
 
@@ -159,46 +176,52 @@ def corpora(draw):
     return [" ".join(d) for d in docs]
 
 
-def check_against_dense(embedder, docs, query, k):
+def check_against_dense(counter, docs, query, k):
     kb = KnowledgeBase()
     with pytest.MonkeyPatch.context() as patch:
-        use_embedder(patch, embedder)
+        use_embedder(patch, counter)
         for d, text in enumerate(docs):
             kb.ingest(text, f"doc{9 - d}", chunk_size=24, overlap=8)  # ids run against insertion
         chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
         got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
-    assert got == dense_scan(embedder, chunks, query, k)
+    assert got == dense_scan(counter, chunks, query, k)
 
 
 class TestSparseEqualsDense:
     @settings(max_examples=80, deadline=None)
     @given(corpora(), words, st.integers(1, 12))
     def test_default_embedder(self, docs, query, k):
-        check_against_dense(embed, docs, " ".join(query), k)
+        check_against_dense(reference_counts, docs, " ".join(query), k)
 
     @settings(max_examples=40, deadline=None)
     @given(corpora(), words, st.integers(1, 12))
-    def test_dense_signed_embedder(self, docs, query, k):
-        check_against_dense(signed_embed, docs, " ".join(query), k)
+    def test_dense_count_embedder(self, docs, query, k):
+        check_against_dense(dense_counts, docs, " ".join(query), k)
 
-    def test_signed_embedder_is_dense_with_negatives(self):
-        vector = dense(signed_embed("samba usermap exploit"))
-        assert min(vector) < 0.0 < max(vector)
-        assert sum(1 for x in vector if x) > EMBED_DIM // 2
+    def test_count_embedder_fills_every_bucket(self):
+        kb = KnowledgeBase()
+        with pytest.MonkeyPatch.context() as patch:
+            use_embedder(patch, dense_counts)
+            for d, text in enumerate(["samba usermap exploit", "nmap", "ftp backdoor dns"]):
+                kb.ingest(text, f"doc{d}", chunk_size=24, overlap=8)
+        assert len(kb) == 4 and all(list(rows) == [0, 1, 2, 3] for rows in kb._rows)
+        assert max(dense_counts("samba usermap exploit").values()) > 3
 
 
-def postings(vectors: list[tuple[float, ...]]) -> list[list[tuple[int, float]]]:
+def postings(vectors: list[tuple]) -> list[list[tuple]]:
     """Reference postings of dense rows: per bucket, the (row, entry) pairs nonzero there, ascending."""
     return [[(r, v[b]) for r, v in enumerate(vectors) if v[b]] for b in range(EMBED_DIM)]
 
 
-def postings_bytes(vectors: list[tuple[float, ...]]) -> bytes:
-    """Reference postings.bin of dense rows: counts, row ids, entries, bucket-major, little-endian."""
+def postings_bytes(vectors: list[tuple[int, ...]]) -> bytes:
+    """Reference postings.bin of dense count rows, little-endian: per bucket its posting count,
+    then every row id and every term count, bucket-major, then each row's squared norm."""
     buckets = postings(vectors)
     rows = [r for bucket in buckets for r, _ in bucket]
-    weights = [w for bucket in buckets for _, w in bucket]
-    return (struct.pack(f"<{EMBED_DIM}i", *map(len, buckets))
-            + struct.pack(f"<{len(rows)}i", *rows) + struct.pack(f"<{len(weights)}d", *weights))
+    counts = [c for bucket in buckets for _, c in bucket]
+    squares = [sum(c * c for c in v) for v in vectors]
+    return (struct.pack(f"<{EMBED_DIM}I", *map(len, buckets)) + struct.pack(f"<{len(rows)}I", *rows)
+            + struct.pack(f"<{len(counts)}I", *counts) + struct.pack(f"<{len(squares)}Q", *squares))
 
 
 class TestIndexBytes:
@@ -220,7 +243,7 @@ class TestIndexBytes:
         ]
         meta = {
             "dimension": EMBED_DIM,
-            "dtype": "postings-int32-float64-le",
+            "dtype": "postings-uint32-counts-uint64-norms-le",
             "count": len(pieces),
             "embedder_id": f"hashed-tf-{EMBED_DIM}",
         }
@@ -228,6 +251,6 @@ class TestIndexBytes:
             r + "\n" for r in rows
         ).encode("utf-8")
         assert (tmp_path / "postings.bin").read_bytes() == postings_bytes(
-            [dense_fold_embed(p) for p in pieces]
+            [dense(reference_counts(p)) for p in pieces]
         )
         assert (tmp_path / "meta.json").read_bytes() == json.dumps(meta, indent=2).encode()
