@@ -36,8 +36,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from itertools import accumulate, compress, count, pairwise, repeat
-from operator import ge, mul, not_, truediv
+from itertools import accumulate, compress, pairwise, repeat
+from operator import ge, lt, mul, not_, truediv
 from pathlib import Path
 from typing import NamedTuple
 
@@ -309,18 +309,19 @@ class KnowledgeBase:
         counts = _little_endian(array("I", data[split:tail]))
         squares = _little_endian(array("Q", data[tail:]))
         bounds = list(pairwise(accumulate(sizes, initial=0)))
-        # A row id no greater than the one before it may only begin a bucket.
-        if not set(compress(count(1), map(ge, rows, rows[1:]))) <= set(accumulate(sizes)):
-            raise KnowledgeBaseError("postings.bin lists a row twice or out of order in a bucket")
-        if max((rows[b - 1] for a, b in bounds if a < b), default=-1) >= len(chunks):
-            raise KnowledgeBaseError(f"postings.bin has a row id outside 0..{len(chunks) - 1}")
+        buckets, n = [rows[a:b] for a, b in bounds], len(chunks)
+        every = array("I", range(n))  # rows ascend strictly below n, so a bucket of n is these
+        if not all(r == every if len(r) == n else all(map(lt, r, r[1:])) and r[-1] < n
+                   for r in buckets if r):
+            raise KnowledgeBaseError(f"postings.bin has a row id outside 0..{n - 1} or twice or "
+                                     "out of order in a bucket")
         if 0 in counts or 0 in squares:
             raise KnowledgeBaseError("postings.bin has a term count or squared norm of 0")
         if sum(squares) != sum(map(mul, counts, counts)):
             raise KnowledgeBaseError("postings.bin has squared norms that do not sum to the "
                                      "squares of its counts")
         kb = cls()
-        kb._rows = [rows[a:b] for a, b in bounds]
+        kb._rows = buckets
         kb._counts = [counts[a:b] for a, b in bounds]
         kb._squares, kb._norms = squares, list(map(math.sqrt, squares))
         kb._square_total = sum(squares)
