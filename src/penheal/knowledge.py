@@ -13,14 +13,15 @@ entries or dense vectors.bin of older versions, must be ingested again.
 
 retrieve takes every row's dot product with the query's counts in integers:
 a bucket every row has adds its counts as one big int of 32-bit lanes, one
-per row. A dot product is at most sqrt(Q * C) for the squared norms Q of the
-query and C of the row (and at most len(query) * len(row text)), so no lane
-carries while Q times the sum of all C is below 2**64. Only rows whose
-dot / norm is within a relative 1e-9 of the k-th largest are then scored by
-a dense scan's float fold: its m <= 512 terms are positive, so it is within a
-relative (m + 3) * 2**-53 < 6e-14 of dot / norm times a factor all rows
-share, and a row 1e-9 below the k-th scores below k others. Similarities and
-ranking are a dense scan's, bit for bit.
+per row, and the others add theirs posting by posting. A dot product is at
+most sqrt(Q * C) for the squared norms Q of the query and C of the row (and
+at most len(query) * len(row text)), so no lane carries while Q times the
+sum of all C is below 2**64. Only rows whose dot / norm is within a relative
+1e-9 of the k-th largest are then scored by a dense scan's float fold: its
+m <= 512 terms are positive, so it is within a relative (m + 3) * 2**-53 <
+6e-14 of dot / norm times a factor all rows share, and a row 1e-9 below the
+k-th scores below k others. Similarities and ranking are a dense scan's,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ DEFAULT_CHUNK_SIZE = 800
 DEFAULT_OVERLAP = 200
 EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 BUCKET_MAP_SIZE = 1 << 16  # the token -> bucket map is emptied when it holds this many
-MARGIN = 1e-9  # rows this far below the k-th dot / norm are scored in floats
+MARGIN = 1e-9  # rows within this relative distance of the k-th dot / norm are scored in floats
 
 _TOKEN = re.compile(r"\w+")
 # Lowers \w bytes and spaces all others: ASCII \w is [A-Za-z0-9_] and all that split() takes
@@ -223,10 +224,17 @@ class KnowledgeBase:
             approx = list(map(truediv, dots, self._norms))
             floor = heapq.nlargest(k, approx)[-1] * (1 - MARGIN)
             query_norm = math.sqrt(query_square)
-            entries = [(b, q / query_norm) for b, q in terms]
-            ranked = sorted((-self._similarity(r, entries) if dots[r] else -0.0,
-                             chunks[r].doc_id, chunks[r].seq, r)
-                            for r in compress(range(len(chunks)), map(ge, approx, repeat(floor))))
+            entries = [(self._rows[b], self._counts[b], q / query_norm) for b, q in terms]
+            ranked = []
+            for r in compress(range(len(chunks)), map(ge, approx, repeat(floor))):
+                # the fold over ascending buckets of a dense scan, which adds x * 0.0 for the rest
+                total, norm = 0.0, self._norms[r]
+                for rows, bucket_counts, x in entries if dots[r] else ():
+                    i = bisect_left(rows, r)
+                    if i < len(rows) and rows[i] == r:
+                        total += x * (bucket_counts[i] / norm)
+                ranked.append((-total, chunks[r].doc_id, chunks[r].seq, r))
+        ranked.sort()
         return [Excerpt(chunks[r], -neg) for neg, _, _, r in ranked[:k]]
 
     def _dots(self, terms: list[tuple[int, int]], lanes: bool) -> list[int]:
@@ -244,17 +252,6 @@ class KnowledgeBase:
             for r, c in zip(bucket_rows, bucket_counts):
                 dots[r] += q * c
         return dots
-
-    def _similarity(self, r: int, entries: list[tuple[int, float]]) -> float:
-        """Row r's cosine with the query's (bucket, entry) pairs: the fold over ascending
-        buckets of a dense scan, whose terms for buckets row r lacks are x * 0.0."""
-        norm, total = self._norms[r], 0.0
-        for b, x in entries:
-            rows = self._rows[b]
-            i = bisect_left(rows, r)
-            if i < len(rows) and rows[i] == r:
-                total += x * (self._counts[b][i] / norm)
-        return total
 
     # -- persistence --------------------------------------------------------
 

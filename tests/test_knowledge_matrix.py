@@ -218,6 +218,19 @@ class TestValidation:
         with pytest.raises(KnowledgeBaseError, match="row id"):
             KnowledgeBase.load(tmp_path)
 
+    @pytest.mark.parametrize("row", [3, 2**31 - 1, 2**32 - 1])
+    def test_row_id_out_of_range_in_a_bucket_of_some_rows_detected(self, tmp_path, row):
+        kb = KnowledgeBase()
+        for doc_id, text in [("a", "samba exploit"), ("b", "nmap scan"), ("c", "samba scan")]:
+            kb.ingest(text, doc_id)
+        kb.save(tmp_path)
+        sizes, rows, counts, squares = read_layout((tmp_path / "postings.bin").read_bytes())
+        end = sum(sizes[: 1 + next(b for b, size in enumerate(sizes) if 0 < size < 3)])
+        rows[end - 1] = row  # still ascending: the bucket's last row
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
+        with pytest.raises(KnowledgeBaseError, match="row id"):
+            KnowledgeBase.load(tmp_path)
+
     def test_counts_that_disagree_with_the_size_detected(self, tmp_path):
         data = bytearray(saved_index(tmp_path))
         counts = struct.unpack_from(f"<{EMBED_DIM}i", data)
