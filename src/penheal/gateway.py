@@ -20,7 +20,6 @@ import functools
 import hashlib
 import json
 import os
-import threading
 import time
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
@@ -143,10 +142,7 @@ def load_transcript(path: str | Path, cls: type = Exchange) -> list:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                data = load_json(line)
-                if type(data) is dict:
-                    data.setdefault("model", "")  # a recorded line may omit the model
-                values.append(decode(cls, data))
+                values.append(decode(cls, load_json(line)))
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise GatewayError(
                     f"transcript {path} line {line_no} is unreadable: {exc}"
@@ -284,7 +280,10 @@ class ScriptedBackend:
 
 
 class Gateway:
-    """Routes each role's requests to its tier model; with a record path, records each exchange."""
+    """Routes each role's requests to its tier model; with a record path, records each exchange.
+
+    Meant for one thread: a record-mode append takes no lock.
+    """
 
     def __init__(
         self,
@@ -297,7 +296,6 @@ class Gateway:
         if role_models:
             self.models.update({k.lower(): v for k, v in role_models.items()})
         self._record_path = Path(record_path) if record_path else None
-        self._lock = threading.Lock()
         if self._record_path:
             # Truncate eagerly so a failed run never leaves stale exchanges behind.
             self._record_path.parent.mkdir(parents=True, exist_ok=True)
@@ -326,7 +324,7 @@ class Gateway:
                 response=response,
                 ts=time.strftime("%Y-%m-%dT%H:%M:%S"),
             )
-            with self._lock, open(self._record_path, "a", encoding="utf-8") as fh:
+            with open(self._record_path, "a", encoding="utf-8") as fh:
                 fh.write(json_text(encode(exchange)) + "\n")
         return response
 

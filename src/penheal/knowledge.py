@@ -32,7 +32,6 @@ import json
 import math
 import re
 import sys
-import threading
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -142,7 +141,7 @@ def _little_endian(part: array) -> array:
 
 
 class KnowledgeBase:
-    """In-memory chunk index with exact cosine retrieval and disk persistence."""
+    """In-memory chunk index with exact cosine retrieval and disk persistence, for one thread."""
 
     def __init__(self):
         self._chunks: list[Chunk] = []
@@ -153,7 +152,6 @@ class KnowledgeBase:
         self._norms: list[float] = []  # per row, the square root of that
         self._square_total = 0  # sum(_squares), perhaps more: it bounds every dot product
         self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
-        self._lock = threading.Lock()  # guards all of them; no change while retrieve reads
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -169,39 +167,32 @@ class KnowledgeBase:
         """
         if overlap < 0 or chunk_size <= overlap:
             raise ValueError("require chunk_size > overlap >= 0")
-        if not document:
-            import logging  # here, not at the top: a process that never warns skips it
-
-            logging.getLogger(__name__).warning("ingest(%s): empty document, nothing indexed",
-                                                doc_id)
         starts = range(0, len(document), chunk_size - overlap)
         new_chunks = [Chunk(doc_id=doc_id, seq=seq, text=document[start : start + chunk_size])
                       for seq, start in enumerate(starts)]
-        with self._lock:
-            chunks = self._chunks + new_chunks  # a new list: retrieve may hold the old one
-            if doc_id in self._doc_ids:
-                gone = [c.doc_id == doc_id for c in self._chunks]
-                kept_rows = list(map(not_, gone))
-                renumbered = list(accumulate(kept_rows, initial=0))  # kept rows before r
-                for b, (rows, counts) in enumerate(zip(self._rows, self._counts)):
-                    kept = list(map(not_, map(gone.__getitem__, rows)))
-                    self._rows[b] = array("I", map(renumbered.__getitem__, compress(rows, kept)))
-                    self._counts[b] = array("I", compress(counts, kept))
-                self._squares = array("Q", compress(self._squares, kept_rows))
-                self._norms = list(compress(self._norms, kept_rows))
-                chunks = list(compress(self._chunks, kept_rows)) + new_chunks
-            self._doc_ids.add(doc_id)
-            rows, counts, squares = self._rows, self._counts, []
-            for r, window in enumerate(_window_counts(document, starts, chunk_size),
-                                       len(chunks) - len(new_chunks)):
-                for b, c in window.items():
-                    rows[b].append(r)
-                    counts[b].append(c)
-                squares.append(sum(map(mul, window.values(), window.values())))
-            self._squares.extend(squares)
-            self._norms += map(math.sqrt, squares)
-            self._square_total += sum(squares)
-            self._chunks = chunks
+        if doc_id in self._doc_ids:
+            gone = [c.doc_id == doc_id for c in self._chunks]
+            kept_rows = list(map(not_, gone))
+            renumbered = list(accumulate(kept_rows, initial=0))  # kept rows before r
+            for b, (rows, counts) in enumerate(zip(self._rows, self._counts)):
+                kept = list(map(not_, map(gone.__getitem__, rows)))
+                self._rows[b] = array("I", map(renumbered.__getitem__, compress(rows, kept)))
+                self._counts[b] = array("I", compress(counts, kept))
+            self._squares = array("Q", compress(self._squares, kept_rows))
+            self._norms = list(compress(self._norms, kept_rows))
+            self._chunks = list(compress(self._chunks, kept_rows))
+        self._doc_ids.add(doc_id)
+        rows, counts, squares = self._rows, self._counts, []
+        windows = _window_counts(document, starts, chunk_size)
+        for r, window in enumerate(windows, len(self._chunks)):
+            for b, c in window.items():
+                rows[b].append(r)
+                counts[b].append(c)
+            squares.append(sum(map(mul, window.values(), window.values())))
+        self._squares.extend(squares)
+        self._norms += map(math.sqrt, squares)
+        self._square_total += sum(squares)
+        self._chunks += new_chunks
         return len(new_chunks)
 
     def retrieve(self, query: str, k: int) -> list[Excerpt]:
@@ -214,26 +205,25 @@ class KnowledgeBase:
             raise ValueError("k must be >= 1")
         counts = _text_counts(query)
         query_square = sum(map(mul, counts.values(), counts.values()))
-        with self._lock:
-            chunks = self._chunks
-            if not chunks:
-                raise KnowledgeBaseError("knowledge base is empty; "
-                                         "ingest documents before retrieving")
-            terms = sorted((b, q) for b, q in counts.items() if self._rows[b])  # ascending
-            dots = self._dots(terms, query_square * self._square_total < 1 << 64)
-            approx = list(map(truediv, dots, self._norms))
-            floor = heapq.nlargest(k, approx)[-1] * (1 - MARGIN)
-            query_norm = math.sqrt(query_square)
-            entries = [(self._rows[b], self._counts[b], q / query_norm) for b, q in terms]
-            ranked = []
-            for r in compress(range(len(chunks)), map(ge, approx, repeat(floor))):
-                # the fold over ascending buckets of a dense scan, which adds x * 0.0 for the rest
-                total, norm = 0.0, self._norms[r]
-                for rows, bucket_counts, x in entries if dots[r] else ():
-                    i = bisect_left(rows, r)
-                    if i < len(rows) and rows[i] == r:
-                        total += x * (bucket_counts[i] / norm)
-                ranked.append((-total, chunks[r].doc_id, chunks[r].seq, r))
+        chunks = self._chunks
+        if not chunks:
+            raise KnowledgeBaseError("knowledge base is empty; "
+                                     "ingest documents before retrieving")
+        terms = sorted((b, q) for b, q in counts.items() if self._rows[b])  # ascending
+        dots = self._dots(terms, query_square * self._square_total < 1 << 64)
+        approx = list(map(truediv, dots, self._norms))
+        floor = heapq.nlargest(k, approx)[-1] * (1 - MARGIN)
+        query_norm = math.sqrt(query_square)
+        entries = [(self._rows[b], self._counts[b], q / query_norm) for b, q in terms]
+        ranked = []
+        for r in compress(range(len(chunks)), map(ge, approx, repeat(floor))):
+            # the fold over ascending buckets of a dense scan, which adds x * 0.0 for the rest
+            total, norm = 0.0, self._norms[r]
+            for rows, bucket_counts, x in entries if dots[r] else ():
+                i = bisect_left(rows, r)
+                if i < len(rows) and rows[i] == r:
+                    total += x * (bucket_counts[i] / norm)
+            ranked.append((-total, chunks[r].doc_id, chunks[r].seq, r))
         ranked.sort()
         return [Excerpt(chunks[r], -neg) for neg, _, _, r in ranked[:k]]
 
@@ -259,15 +249,13 @@ class KnowledgeBase:
         """Write chunks.jsonl, postings.bin and meta.json."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            chunks = self._chunks
-            parts = [array("I", map(len, self._rows)), *self._rows, *self._counts, self._squares]
-            postings = b"".join(_little_endian(part).tobytes() for part in parts)
+        parts = [array("I", map(len, self._rows)), *self._rows, *self._counts, self._squares]
+        postings = b"".join(_little_endian(part).tobytes() for part in parts)
         (directory / "postings.bin").write_bytes(postings)
         with open(directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
-            for c in chunks:
+            for c in self._chunks:
                 fh.write(json_text(encode(c)) + "\n")
-        meta = IndexMeta(EMBED_DIM, INDEX_DTYPE, len(chunks))._asdict()
+        meta = IndexMeta(EMBED_DIM, INDEX_DTYPE, len(self._chunks))._asdict()
         (directory / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
     @classmethod

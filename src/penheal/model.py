@@ -80,11 +80,7 @@ def load_json(text: str, then: Callable[[Any], Any] = lambda data: data) -> Any:
 
 
 def _codec(cls: type) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
-    """Build and register the (encoder, decoder) pair of a value type on its first use.
-
-    It is registered only once built: threads racing here each build one and
-    either serves, so none is ever seen half built.
-    """
+    """Build and register the (encoder, decoder) pair of a value type on its first use."""
     hints: dict[str, Any] = {}
     for base in reversed(cls.__mro__):  # a validating subclass keeps its base's fields
         hints.update(vars(base).get("__annotations__", {}))
@@ -292,6 +288,7 @@ class ScoreReport(NamedTuple):
 
 
 DEFAULT_COST_TIERS = (("low", 2.0), ("moderate", 5.0), ("high", 10.0))
+MAX_COST = 10.0  # a cost the evaluator gives as a number is clamped to 0..MAX_COST
 
 
 class CostPolicy(NamedTuple):
@@ -329,8 +326,8 @@ class RunConfig(NamedTuple):
         if not (isfinite(self.budget_per_vuln) and self.budget_per_vuln >= 0):
             raise ValueError(f"budget_per_vuln must be finite and >= 0, not {self.budget_per_vuln}")
         for name, score in self.cost_policy.tier_scores:
-            if not (isfinite(score) and score >= 0):
-                raise ValueError(f"cost tier {name} must score finite and >= 0, not {score}")
+            if not 0 <= score <= MAX_COST:  # false for nan too
+                raise ValueError(f"cost tier {name} must score 0 to {MAX_COST:g}, not {score}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.retrieval_k < 1:

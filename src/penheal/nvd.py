@@ -109,17 +109,12 @@ class FixtureNvdClient:
 class LiveNvdClient:
     """Queries the NVD REST endpoint, caching responses on disk indefinitely."""
 
-    def __init__(
-        self,
-        cache_dir: str | Path,
-        base_url: str = NVD_BASE_URL,
-        api_key: Optional[str] = None,
-    ):
+    def __init__(self, cache_dir: str | Path, base_url: str = NVD_BASE_URL):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._cache = FixtureNvdClient(self.cache_dir)
         self.base_url = base_url
-        self.api_key = api_key if api_key is not None else os.environ.get(NVD_API_KEY_ENV)
+        self.api_key = os.environ.get(NVD_API_KEY_ENV)
 
     def lookup(self, cve_id: str) -> CveRecord:
         cve_id = _validated_id(cve_id)

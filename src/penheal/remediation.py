@@ -19,6 +19,7 @@ from .gateway import AgentRole, Gateway
 from .knapsack import solve_group_knapsack
 from .model import (
     CVE_NA,
+    MAX_COST,
     CostPolicy,
     CvssSource,
     Recommendation,
@@ -216,7 +217,7 @@ def parse_evaluation(reply: str, policy: CostPolicy) -> EvaluationVerdict:
         cost_match = _COST_LINE.match(line)
         if cost_match:
             if cost_match.group(2) is not None:
-                cost = min(max(float(cost_match.group(2)), 0.0), 10.0)
+                cost = min(max(float(cost_match.group(2)), 0.0), MAX_COST)
             else:
                 cost = policy.tier(cost_match.group(1))
             continue

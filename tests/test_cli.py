@@ -193,6 +193,18 @@ class TestIngestSubcommand:
         assert (tmp_path / "kb" / "postings.bin").exists()
         assert not (tmp_path / "kb" / "vectors.bin").exists()  # one layout
 
+    def test_empty_file_indexes_nothing_and_warns_nowhere(self, tmp_path):
+        """A new process, so no test harness catches what would go to stderr."""
+        doc = tmp_path / "empty.txt"
+        doc.write_text("")
+        paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        result = subprocess.run(
+            [sys.executable, "-m", "penheal.cli", "ingest", str(doc), "--kb", str(tmp_path / "kb")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+        assert (result.returncode, result.stderr) == (0, "")
+        assert f"{doc}: 0 chunks" in result.stdout
+
     def test_missing_file_fatal(self, tmp_path):
         assert run_cli("ingest", str(tmp_path / "nope.txt"), "--kb", str(tmp_path / "kb")) == 1
 
@@ -495,12 +507,14 @@ class TestBadInputsFailFirst:
         (None, ', "budget_per_vuln": NaN'), (None, ', "budget_per_vuln": Infinity'),
         (None, ', "cost_policy": {"tier_scores": {"low": -2.0}}'),
         (None, ', "cost_policy": {"tier_scores": {"high": Infinity}}'),
+        (None, ', "cost_policy": {"tier_scores": {"high": 1e308}}'),
+        (None, ', "cost_policy": {"tier_scores": {"low": 10.5}}'),
         (None, ', "no_new_finding_window": 0'),
     ], ids=["flag-nan", "flag-inf", "config-nan", "config-inf", "tier-negative", "tier-inf",
-            "window-zero"])
+            "tier-huge", "tier-above-ten", "window-zero"])
     def test_unusable_budget_or_tier(self, tmp_path, capsys, monkeypatch, no_network, flag,
                                      config_keys):
-        """The knapsack needs a finite budget and finite tier scores >= 0, and the
+        """The knapsack needs a finite budget and tier scores from 0 to 10, and the
         stagnation check a window of at least one iteration."""
         monkeypatch.setattr(Gateway, "complete", _refuse)
         config = tmp_path / "config.json"

@@ -29,6 +29,8 @@ from penheal.gateway import (
 )
 from penheal.prompts import PromptError, render_prompt
 
+NO_MODEL = object()  # a transcript damage: the line keeps its messages and loses its model
+
 
 class TestRenderPrompt:
     def test_executor_carries_delimiter_and_console_rules(self):
@@ -165,13 +167,18 @@ class TestRecordReplay:
                                                f"{lines[0]['request_hash']}"):
             replay_mode(path)
 
-    @pytest.mark.parametrize("messages", ["not a list", [["nobody", "hi"]], [["user", ""]], None])
+    @pytest.mark.parametrize("messages", ["not a list", [["nobody", "hi"]], [["user", ""]], None,
+                                          pytest.param(NO_MODEL, id="no-model")])
     def test_malformed_messages_replay_but_fail_the_replay_check(self, tmp_path, capsys, messages):
-        """A replay reads only each line's hash and response; `penheal replay` reads it all."""
+        """A replay reads only each line's hash and response; `penheal replay` reads it all.
+        The no-model case keeps the messages and drops the line's model instead."""
         from penheal.cli import main
 
         path, lines = self._recorded_lines(tmp_path)
-        lines[0]["messages"] = messages
+        if messages is NO_MODEL:
+            del lines[0]["model"]
+        else:
+            lines[0]["messages"] = messages
         self._write(path, lines)
         replayer = replay_mode(path)
         assert replayer.complete(AgentRole.PLANNER, _history("one")) == "alpha"

@@ -1,12 +1,10 @@
-"""The postings index: state after any ingest sequence, validation, files, concurrency."""
+"""The postings index: state after any ingest sequence, validation, files."""
 
 import json
 import math
 import random
 import struct
-import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -339,34 +337,6 @@ def write_dense_layout(directory):
     (directory / "meta.json").write_text(json.dumps(meta | {"dtype": "float64-le"}, indent=2))
     (directory / "postings.bin").unlink()
     (directory / "vectors.bin").write_bytes(bytes(8 * EMBED_DIM * meta["count"]))
-
-
-def test_ingest_while_retrieving_raises_no_buffer_error():
-    kb = KnowledgeBase()
-    kb.ingest("samba usermap exploit nmap scan port " * 200, "base", chunk_size=40, overlap=0)
-    stop, errors = threading.Event(), []
-
-    def retrieve_until_stopped():
-        try:
-            while not stop.is_set():
-                kb.retrieve("samba exploit port", 3)
-        except Exception as exc:  # recorded; the assertion below reports it
-            errors.append(exc)
-
-    reader = threading.Thread(target=retrieve_until_stopped)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        reader.start()
-        for i in range(300):
-            kb.ingest(f"ftp backdoor dns {i} " * 8, f"doc{i % 4}", chunk_size=40, overlap=0)
-    finally:
-        stop.set()
-        reader.join(timeout=10)
-        sys.setswitchinterval(interval)
-    assert not reader.is_alive()
-    assert errors == []
-    check_held_postings(kb)
 
 
 def test_deep_size_index_equals_dense_oracle(tmp_path):

@@ -23,7 +23,7 @@ from penheal.model import (
     RunConfig,
     Vulnerability,
 )
-from penheal.nvd import CveNotFound, FixtureNvdClient, LiveNvdClient, NvdError
+from penheal.nvd import NVD_API_KEY_ENV, CveNotFound, FixtureNvdClient, LiveNvdClient, NvdError
 from penheal.remediation import (
     EvaluationVerdict,
     EvaluatorContext,
@@ -603,9 +603,11 @@ class _NvdStub(BaseHTTPRequestHandler):
 
     statuses: list[int] = []
     hits: list[str] = []
+    api_keys: list[str | None] = []  # each GET's apiKey header, None if it had none
 
     def do_GET(self):
         _NvdStub.hits.append(self.path)
+        _NvdStub.api_keys.append(self.headers.get("apiKey"))
         status = _NvdStub.statuses.pop(0)
         raw = FixtureNvdClient()._read("CVE-2011-2523").encode() if status == 200 else b""
         self.send_response(status)
@@ -622,7 +624,7 @@ def nvd_stub(tmp_path, fast_retries):
     """A live client querying a local stub server, and the stub."""
     server = HTTPServer(("127.0.0.1", 0), _NvdStub)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    _NvdStub.statuses, _NvdStub.hits = [], []
+    _NvdStub.statuses, _NvdStub.hits, _NvdStub.api_keys = [], [], []
     client = LiveNvdClient(cache_dir=tmp_path / "cache",
                            base_url=f"http://127.0.0.1:{server.server_port}/rest")
     yield client, _NvdStub
@@ -631,6 +633,18 @@ def nvd_stub(tmp_path, fast_retries):
 
 
 class TestLiveNvdRetries:
+    @pytest.mark.parametrize("key", ["nvd-key", None])
+    def test_api_key_header_sent_only_when_set(self, nvd_stub, monkeypatch, tmp_path, key):
+        stub_client, stub = nvd_stub
+        if key:
+            monkeypatch.setenv(NVD_API_KEY_ENV, key)
+        else:
+            monkeypatch.delenv(NVD_API_KEY_ENV, raising=False)
+        stub.statuses = [200]
+        LiveNvdClient(cache_dir=tmp_path / "keyed", base_url=stub_client.base_url).lookup(
+            "CVE-2011-2523")
+        assert stub.api_keys == [key]
+
     def test_rate_limited_then_served(self, nvd_stub):
         client, stub = nvd_stub
         stub.statuses = [429, 200]
