@@ -89,7 +89,7 @@ def parse_vector(text: str) -> CvssMetrics:
     prefix = next((p for p in ACCEPTED_PREFIXES if cleaned.startswith(p + "/")), None)
     if prefix is None:
         raise VectorParseError(
-            f"vector must start with one of {', '.join(ACCEPTED_PREFIXES)}: {text!r}"
+            f"vector must start with one of {', '.join(ACCEPTED_PREFIXES)}: {text[:60]!r}"
         )
 
     parts = cleaned[len(prefix) + 1 :].split("/")
@@ -99,14 +99,14 @@ def parse_vector(text: str) -> CvssMetrics:
         if not part:
             continue
         if ":" not in part:
-            raise VectorParseError(f"malformed metric segment {part!r}")
+            raise VectorParseError(f"malformed metric segment {part[:60]!r}")
         name, _, value = part.partition(":")
         if name not in METRIC_VALUES:
-            raise VectorParseError(f"unknown metric {name!r}")
+            raise VectorParseError(f"unknown metric {name[:60]!r}")
         if name in values:
             raise VectorParseError(f"duplicate metric: {name}")
         if value not in METRIC_VALUES[name]:
-            raise VectorParseError(f"invalid value {value!r} for metric {name}")
+            raise VectorParseError(f"invalid value {value[:60]!r} for metric {name}")
         names.append(name)
         values[name] = value
 

@@ -14,11 +14,19 @@ of the remaining weights (tier costs 20/50/100 units solve over 2/5/10).
 
 A suffix DP, from the last group back to the first, keeps one integer key
 per remaining capacity: ``cents * (capacity + 1) - weight``, so a larger key
-means higher value, then lower cost. Reconstruction walks forward and, at
-each group, takes the lowest-index candidate that keeps the optimum, and
-skips the group only if none does. The result is the best set by value
-descending, then cost ascending, then the lexicographically smallest pick
-vector.
+means higher value, then lower cost. A row is one Python int of lanes, lane c
+holding the key within capacity c, so a candidate updates every capacity with
+a few big-int operations (SIMD within a register). A lane has one bit more
+than ``top``, the sum of each group's largest key, which bounds every key: its
+top bit is a guard no key reaches. A candidate's lanes are the next row plus
+its key, shifted up by its weight (0 below it). Subtracting them from the
+current lanes with every guard set leaves a guard set exactly where the current
+key is at least the candidate's, and no lane borrows from the next, since each
+held at least guard - ``top``. The current key stays there, ties included.
+Reconstruction walks forward and, at each group, takes the lowest-index
+candidate that keeps the optimum, and skips the group only if none does. The
+result is the best set by value descending, then cost ascending, then the
+lexicographically smallest pick vector.
 """
 
 from __future__ import annotations
@@ -63,24 +71,28 @@ def solve_group_knapsack(
         for group in kept
     ]
 
-    # rows[g][c] = best key over groups g.. with reduced weight <= c.
-    rows = [[0] * (cap + 1)]
+    # rows[g] holds, in lane c of ``lane`` bits, the best key over groups g.. within c.
+    top = sum(max((key for _, _, key in group), default=0) for group in items)
+    lane = top.bit_length() + 1
+    lane_mask, full = (1 << lane) - 1, (1 << lane * (cap + 1)) - 1
+    ones = full // lane_mask
+    guard = ones << lane - 1
+    rows = [0]
     for group in reversed(items):
-        after = rows[-1]
-        row = list(after)
+        after = row = rows[-1]
         for _, weight, key in group:
-            row[weight:] = [
-                best if best >= (took := rest + key) else took
-                for best, rest in zip(row[weight:], after)
-            ]
+            took = ((after + key * ones) << lane * weight) & full
+            keep = ((((row | guard) - took) & guard) >> lane - 1) * lane_mask
+            row = took ^ ((row ^ took) & keep)
         rows.append(row)
     rows.reverse()
 
     picks: list[tuple[int, int]] = []
     left = cap
     for g, group in enumerate(items):
+        best = rows[g] >> lane * left & lane_mask
         for i, weight, key in group:
-            if weight <= left and rows[g + 1][left - weight] + key == rows[g][left]:
+            if weight <= left and (rows[g + 1] >> lane * (left - weight) & lane_mask) + key == best:
                 picks.append((g, i))
                 left -= weight
                 break

@@ -146,7 +146,7 @@ def _converters(text: str, namespace: dict[str, Any]) -> tuple[Optional[Callable
             try:
                 return members[data]
             except (KeyError, TypeError):  # TypeError: a list or object is unhashable
-                raise ValueError(f"{data!r} is not a valid {hint.__name__}") from None
+                raise ValueError(f"{repr(data)[:60]} is not a valid {hint.__name__}") from None
 
         return {m: m.value for m in hint}.__getitem__, member
     if isinstance(hint, type) and hasattr(hint, "_fields"):

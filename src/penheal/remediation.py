@@ -227,7 +227,7 @@ def parse_evaluation(reply: str, policy: CostPolicy) -> EvaluationVerdict:
                 t.strip() for t in targets_match.group(1).split(",") if t.strip()
             )
     if not effect_class or cost is None:
-        raise ValueError(f"unparseable evaluation reply: {reply[:120]!r}")
+        raise ValueError(f"unparseable evaluation reply: {reply[:60]!r}")
     return EvaluationVerdict(
         effect_class=effect_class,
         k=k,
@@ -332,7 +332,7 @@ def evaluate(
         if f.key_str not in target_keys:
             target_keys.append(f.key_str)
     for key in unknown:
-        warnings.append(f"evaluator named unknown target {key!r}; ignored")
+        warnings.append(f"evaluator named unknown target {key[:60]!r}; ignored")
 
     targets, _ = context.resolve(target_keys)
     scores = [t.cvss.base_score if t.cvss else 0.0 for t in targets]

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penheal.knapsack import solve_group_knapsack
+from penheal.knapsack import COST_SCALE, VALUE_SCALE, solve_group_knapsack
 
 
 def brute_force(groups, budget):
@@ -26,6 +27,39 @@ def brute_force(groups, budget):
         if all(c > 0 for c in cents) and weight <= budget * 10 + 1e-6:
             best = min(best, (-sum(cents), weight, picks))
     return -best[0], best[1], best[2]
+
+
+def list_dp(groups, budget):
+    """Reference: the same scaling and keys, with one Python int per capacity in a list DP."""
+    scaled = [[(i, round(cost * COST_SCALE), round(value * VALUE_SCALE))
+               for i, (cost, value) in enumerate(candidates)] for candidates in groups]
+    bound = sum(max((weight for _, weight, cents in group if cents > 0), default=0)
+                for group in scaled)
+    capacity = bound if budget * COST_SCALE >= bound else floor(round(budget * COST_SCALE, 6))
+    kept = [[(i, weight, cents) for i, weight, cents in group if cents > 0 and weight <= capacity]
+            for group in scaled]
+    step = gcd(*(weight for group in kept for _, weight, _ in group)) or 1
+    cap = capacity // step
+    items = [[(i, weight // step, cents * (cap + 1) - weight // step)
+              for i, weight, cents in group] for group in kept]
+    rows = [[0] * (cap + 1)]
+    for group in reversed(items):
+        after = rows[-1]
+        row = list(after)
+        for _, weight, key in group:
+            row[weight:] = [best if best >= (took := rest + key) else took
+                            for best, rest in zip(row[weight:], after)]
+        rows.append(row)
+    rows.reverse()
+    picks = []
+    left = cap
+    for g, group in enumerate(items):
+        for i, weight, key in group:
+            if weight <= left and rows[g + 1][left - weight] + key == rows[g][left]:
+                picks.append((g, i))
+                left -= weight
+                break
+    return tuple(picks)
 
 
 def cents_and_weight(groups, picks):
@@ -159,6 +193,59 @@ class TestSolver:
         high_cents, _ = cents_and_weight(groups, solve_group_knapsack(groups, high))
         low_cents, _ = cents_and_weight(groups, solve_group_knapsack(groups, low))
         assert high_cents >= low_cents
+
+
+class TestPackedLanes:
+    """The packed DP against the list DP it replaced, past the brute-force oracle's reach."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_list_dp(self, data):
+        costs = data.draw(st.sampled_from([(2.0, 5.0, 10.0), (0.1, 0.3, 0.7, 1.1),
+                                           (0.0, 0.5, 2.5)]))
+        top = data.draw(st.sampled_from([18.0, 1e4, 1e13]))  # 1e13: lanes past 64 bits
+        value = st.floats(min_value=-1.0, max_value=top).map(lambda x: round(x, 2))
+        groups = data.draw(st.lists(st.lists(st.tuples(st.sampled_from(costs), value),
+                                             max_size=4), max_size=60))
+        budget = data.draw(st.one_of(st.integers(0, 60 * 80).map(lambda b: b / 10),
+                                     st.just(1e12)))
+        assert solve_group_knapsack(groups, budget) == list_dp(groups, budget)
+
+    def test_sixty_groups_over_hundreds_of_capacities(self):
+        rng = random.Random(3)
+        groups = [[(rng.choice([0.1, 0.3, 0.7, 1.1]), round(rng.uniform(0.0, 18.0), 1))
+                   for _ in range(3)] for _ in range(60)]
+        for budget in (0.9, 13.3, 30.0, 41.7, 1e12):  # up to 530 capacities of 0.1
+            assert solve_group_knapsack(groups, budget) == list_dp(groups, budget)
+
+    # Keys are cents * (capacity + 1) - weight over the gcd-reduced capacity and weights,
+    # and a lane is one bit wider than their bound, the sum of each group's largest key.
+    # Each instance puts that bound at 2**m - 1, which fills m bits, or at 2**m.
+    @pytest.mark.parametrize("groups, budget", [
+        # capacity 1: the key 2 * 1024 - 1 is 2**11 - 1
+        ([[(1.0, 10.24), (1.0, 5.0)]], 1.0),
+        # capacity 2: keys 3 * 683 - 1 are 2**11 each, and the bound is 2**12
+        ([[(1.0, 6.83), (1.0, 6.0)], [(1.0, 6.83), (1.0, 6.82)]], 2.0),
+        # capacity 2: keys 3 * 341 - 1 and 3 * 342 - 1 sum to 2**11 - 1
+        ([[(1.0, 3.41), (1.0, 3.4)], [(1.0, 3.42)]], 2.0),
+        # capacity 3 of 4: keys 4 * 512 - 2 and 4 * 513 - 2 sum to 2**12
+        ([[(2.0, 5.12), (1.0, 3.0)], [(2.0, 5.13), (1.0, 4.0)]], 3.0),
+        # capacity 4: keys 5 * 13107 - 2 and 5 * 13108 - 2 sum to 2**17 - 1
+        ([[(2.0, 131.07), (1.0, 60.0)], [(2.0, 131.08), (1.0, 70.0)]], 4.0),
+    ])
+    def test_keys_at_the_lane_bound(self, groups, budget):
+        assert solve_group_knapsack(groups, budget) == list_dp(groups, budget)
+        assert_matches_oracle(groups, budget)
+
+    @pytest.mark.parametrize("budget", [3.0, 6.0, 9.0, 10.0, 1e12])
+    def test_lanes_past_64_bits(self, budget):
+        # Cents near 1e18 times 4 to 13 capacities over 3 groups: the key bound takes 64
+        # to 66 bits, so every lane is wider than a machine word.
+        groups = [[(1.0, 9.0e15), (2.0, 9.3e15), (5.0, 9.9e15)],
+                  [(1.0, 8.9e15), (3.0, 9.7e15)],
+                  [(2.0, 9.1e15), (4.0, 9.8e15)]]
+        assert solve_group_knapsack(groups, budget) == list_dp(groups, budget)
+        assert_matches_oracle(groups, budget)
 
 
 class TestBudgetAboveTheBound:

@@ -276,6 +276,18 @@ class TestArtifactTypes:
         with pytest.raises(ArtifactParseError, match="Vulnerability.service"):
             deserialize_run(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("bad", ["x" * 100_000, ["x" * 100_000], {"k": "x" * 100_000}],
+                             ids=["string", "list", "object"])
+    def test_bad_enum_value_is_quoted_clipped(self, bad):
+        doc = copy.deepcopy(self.GOLDEN)
+        doc["findings"][0]["cvss_source"] = bad
+        with pytest.raises(ArtifactParseError, match="is not a valid CvssSource") as exc_info:
+            deserialize_run(json.dumps(doc).encode())
+        message = str(exc_info.value)
+        assert message.startswith("artifact schema error: _Artifact.findings: "
+                                  "Vulnerability.cvss_source: " + repr(bad)[:60] + " is not")
+        assert len(message) <= 100 + 60
+
 
 class TestFindingIdentity:
     def test_dedupe_by_triple(self):

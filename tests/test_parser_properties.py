@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plan_invariants import find, validate_plan, walk
 
 from penheal import engine
+from penheal.cvss import CONSERVATIVE_DEFAULT_VECTOR, parse_vector
 from penheal.engine import (
     CommandChannel,
     PlanTable,
@@ -18,14 +19,24 @@ from penheal.engine import (
     parse_plan_text,
     render_plan,
 )
+from penheal.gateway import AgentRole, Gateway, ScriptedBackend
 from penheal.model import (
     RESULT_SUMMARY_MAX,
     CostPolicy,
+    CvssSource,
+    Recommendation,
     TaskNode,
     TaskStatus,
+    Vulnerability,
 )
 from penheal.nvd import CVE_PATTERN
-from penheal.remediation import parse_evaluation, parse_numbered_list
+from penheal.remediation import (
+    EvaluatorContext,
+    _parse_vector_reply,
+    evaluate,
+    parse_evaluation,
+    parse_numbered_list,
+)
 
 _TASK_ID = re.compile(r"^\d+(\.\d+)*$")
 # A warning quotes at most 60 characters of the reply, each at most 10 in repr.
@@ -99,6 +110,40 @@ def test_parse_evaluation(text):
     assert 0.0 <= verdict.k <= 100.0
     assert 0.0 <= verdict.cost <= 10.0 and round(verdict.cost * 10) == verdict.cost * 10
     assert all(t and t == t.strip() and "," not in t for t in verdict.extra_target_keys)
+
+
+@settings(deadline=None)
+@given(_texts("CVSS:3.1/", "cvss:3.0/", "AV:N/AC:L/PR:N/UI:N/", "S:U/C:H/I:H/A:H", "/", ":",
+              "AV:", "X" * 300, "\x85" * 80, "no vector here ", "'", "`"))
+@example("no vector here " * 5000)  # no vector: the whole reply is quoted
+@example("CVSS:3.1/" + "X" * 50000)  # a malformed segment
+@example("CVSS:3.1/" + "Q" * 50000 + ":N")  # an unknown metric
+@example("CVSS:3.1/AV:" + "Q" * 50000)  # an invalid value
+def test_parse_vector_reply(text):
+    metrics, warnings = _parse_vector_reply(text)
+    assert (metrics is None) == (len(warnings) == 1) and len(warnings) <= 1
+    if metrics is not None:
+        assert metrics == parse_vector(metrics.vector_string())
+    assert all(len(w) <= WARNING_CAP for w in warnings)
+
+
+_TARGET = Vulnerability("CVE-2011-2523", "ftp", 21, cvss=parse_vector(CONSERVATIVE_DEFAULT_VECTOR),
+                        cvss_source=CvssSource.ESTIMATED)
+_EVALUATION = EvaluatorContext([_TARGET], CostPolicy())
+_REPLY = _texts("effect: full", "Effect: partial 40%", "cost: low", "cost: 3.2", "targets: ",
+                "CVE-2011-2523", "Z" * 300, "\x85" * 80, ", ", "\n")
+
+
+@settings(deadline=None)
+@given(_REPLY, _REPLY)
+@example("effect: full\ncost: low\ntargets: " + "Z" * 40000, "")  # an unknown target
+@example("\x85" * 40000, "\x85" * 40000)  # unparseable twice
+def test_evaluate_warnings_are_bounded(first, second):
+    gateway = Gateway(ScriptedBackend({AgentRole.EVALUATOR: [first, second]}))
+    recommendation = Recommendation(text="x", target_vuln_ids=(_TARGET.key_str,))
+    scored, warnings = evaluate(recommendation, _EVALUATION, gateway)
+    assert 0.0 <= scored.cost <= 10.0
+    assert all(len(w) <= WARNING_CAP for w in warnings)
 
 
 _STATUS_WORDS = ["to-do", "to do", "todo", "completed", "done", "failed", "TODO", "Done"]
