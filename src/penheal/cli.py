@@ -35,7 +35,7 @@ from .model import (
     load_json,
     serialize_run,
 )
-from .nvd import FixtureNvdClient, LiveNvdClient
+from .nvd import FixtureNvdClient
 
 if TYPE_CHECKING:  # at run time, each command imports only those it uses
     from . import engine, knowledge, simulator
@@ -196,7 +196,9 @@ def _chat_gateway(settings: CliSettings, role_models: tuple[tuple[str, str], ...
         raise Fatal(f"unknown mode {settings.mode!r} (expected hermetic or live)")
     if not settings.llm.base_url:
         raise Fatal("live mode requires llm.base_url")
-    live = gw.LiveBackend(settings.llm.base_url, api_key=settings.llm.api_key)
+    from .backends import LiveBackend
+
+    live = LiveBackend(settings.llm.base_url, api_key=settings.llm.api_key)
     record_path = out_dir / "transcript.jsonl"
     gateway = _output(record_path, lambda path: gw.record_mode(live, path, dict(role_models)))
     return gateway, str(record_path)
@@ -219,6 +221,8 @@ def _nvd_client(settings: CliSettings, out_dir: Path):
     nvd = settings.nvd
     if settings.mode == "hermetic" or nvd.fixture_dir:
         return FixtureNvdClient(nvd.fixture_dir)
+    from .backends import LiveNvdClient
+
     return _output(Path(nvd.cache_dir or out_dir / "nvd-cache"),
                    lambda path: LiveNvdClient(cache_dir=path, base_url=nvd.base_url))
 

@@ -2,12 +2,10 @@
 
 All agents (planner, executor, summarizer, extractor, estimator, advisor,
 evaluator) talk to a language model through :class:`Gateway`. Backends are
-pluggable: a live OpenAI-compatible HTTP backend, a deterministic replay
-backend serving recorded exchanges, and a scripted backend for tests.
+pluggable: a deterministic replay backend serving recorded exchanges, a
+scripted backend for tests and the live HTTP backend in :mod:`penheal.backends`.
 In record mode every exchange is appended to a JSON-lines transcript, which
 :func:`load_transcript` reads back and which can later drive a replay run.
-The live backend and the live NVD client share one retry loop,
-:func:`send_with_retries`.
 
 A request is keyed by :func:`request_hash`. The hash state after a request's
 first (system) turn is cached per distinct turn, so the system turn the
@@ -19,28 +17,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import time
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from .model import decode, encode, json_text, load_json
-
-if TYPE_CHECKING:  # imported at run time by the live clients alone
-    import requests
-
-API_KEY_ENV = "PENHEAL_LLM_API_KEY"
 
 STRONG_CHAR_BUDGET = 100_000
 LIGHT_CHAR_BUDGET = 12_000
 
 DEFAULT_MODELS = {"strong": "gpt-4", "light": "gpt-3.5-turbo"}
-
-MAX_ATTEMPTS = 3
-BACKOFF_SECONDS = 1.0  # before the second attempt; doubled before each later one
-CHAT_TIMEOUT_SECONDS = 60.0
 
 
 class Tier(Enum):
@@ -163,78 +151,8 @@ class MissingFixtureError(GatewayError):
         )
 
 
-def send_with_retries(send: Callable[[], requests.Response], retry_on: tuple[int, ...],
-                      failure: str, error: type[Exception]) -> requests.Response:
-    """The first response of ``send()`` that is not a transient failure.
-
-    Transient failures are transport errors, HTTP 5xx and the ``retry_on``
-    statuses; after MAX_ATTEMPTS of them, raises ``error`` with the text
-    ``"<failure> after 3 attempts: <last failure>"``.
-    """
-    import requests  # live only: hermetic runs never pay for the import
-
-    last_error = ""
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        try:
-            resp = send()
-        except requests.RequestException as exc:
-            last_error = f"transport error: {exc}"
-        else:
-            if resp.status_code not in retry_on and resp.status_code < 500:
-                return resp
-            last_error = f"HTTP {resp.status_code}"
-        if attempt < MAX_ATTEMPTS:
-            time.sleep(BACKOFF_SECONDS * (2 ** (attempt - 1)))
-    raise error(f"{failure} after {MAX_ATTEMPTS} attempts: {last_error}")
-
-
 class ChatBackend(Protocol):
     def complete(self, role: AgentRole, model: str, messages: list[ChatTurn]) -> str: ...
-
-
-class LiveBackend:
-    """OpenAI-compatible chat-completions client with bounded retries.
-
-    Retries only transient failures (HTTP 429/5xx and transport errors),
-    with exponential backoff. Temperature is pinned to 0 to minimize run
-    variance at the source.
-    """
-
-    def __init__(self, base_url: str, api_key: Optional[str] = None):
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-
-    def complete(self, role: AgentRole, model: str, messages: list[ChatTurn]) -> str:
-        import requests  # live only: hermetic runs never pay for the import
-
-        url = f"{self.base_url}/chat/completions"
-        payload = {
-            "model": model,
-            "temperature": 0,
-            "messages": [
-                {"role": t.role_tag.value, "content": t.content} for t in messages
-            ],
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
-        resp = send_with_retries(
-            lambda: requests.post(url, json=payload, headers=headers,
-                                  timeout=CHAT_TIMEOUT_SECONDS),
-            (429,), f"chat completion failed at {url}", GatewayError,
-        )
-        if resp.status_code != 200:
-            raise GatewayError(
-                f"chat completion failed at {url}: HTTP {resp.status_code} {resp.text[:200]}"
-            )
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-            if content is not None and type(content) is not str:
-                raise TypeError(f"message content is {type(content).__name__}, not text")
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise GatewayError(f"malformed completion response from {url}: {exc}") from exc
-        return content or ""  # null content: a reply with no text
 
 
 class ReplayBackend:

@@ -1,27 +1,22 @@
 """CVE record lookup against the National Vulnerability Database.
 
-Live mode queries the NVD REST API (``?cveId=<id>``) through the gateway's
-retry loop, :func:`~penheal.gateway.send_with_retries`, and keeps an
-indefinite on-disk cache keyed by CVE id. Fixture mode serves only
-bundled captured responses, which is what the hermetic pipeline uses.
-Either way, the stored base score is re-verified against the local
-calculator, so a record whose vector and score disagree is rejected.
+:class:`FixtureNvdClient` serves records stored one file per CVE id, the
+bundled captured responses by default; the live client in :mod:`penheal.backends`
+is one over a cache it fills from the NVD API. Either way, the stored base score
+is re-verified against the local calculator, so a record whose vector and score
+disagree is rejected.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from . import cvss
-from .gateway import send_with_retries
-from .model import DATA_DIR, NVD_BASE_URL, CvssMetrics, load_json
+from .model import DATA_DIR, CvssMetrics, load_json
 
-NVD_API_KEY_ENV = "PENHEAL_NVD_API_KEY"
-NVD_TIMEOUT_SECONDS = 30.0
-CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,}$")
+CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,7}$")  # the extractor's 7-digit bound
 
 
 class CveNotFound(Exception):
@@ -106,60 +101,9 @@ class FixtureNvdClient:
         return _parse_record(cve_id, raw)
 
 
-class LiveNvdClient:
-    """Queries the NVD REST endpoint, caching responses on disk indefinitely."""
-
-    def __init__(self, cache_dir: str | Path, base_url: str = NVD_BASE_URL):
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._cache = FixtureNvdClient(self.cache_dir)
-        self.base_url = base_url
-        self.api_key = os.environ.get(NVD_API_KEY_ENV)
-
-    def lookup(self, cve_id: str) -> CveRecord:
-        cve_id = _validated_id(cve_id)
-        cached = self._cache._read(cve_id)
-        if cached is not None:
-            return _parse_record(cve_id, cached)
-        text = self._fetch(cve_id)
-        record = _parse_record(cve_id, text)  # validate before caching
-        import tempfile  # live only, like requests
-
-        # A cache file appears whole or not at all: a truncated one would be read
-        # as a bad record on every later run, and the CVE never fetched again.
-        try:
-            fd, part = tempfile.mkstemp(prefix=f".{cve_id}.", suffix=".part",
-                                        dir=self.cache_dir)
-            try:
-                os.close(fd)
-                Path(part).write_text(text, encoding="utf-8")
-                os.replace(part, self.cache_dir / f"{cve_id}.json")
-            except BaseException:
-                os.unlink(part)
-                raise
-        except OSError as exc:
-            raise NvdError(f"cannot cache {cve_id} in {self.cache_dir}: {exc}") from exc
-        return record
-
-    def _fetch(self, cve_id: str) -> str:
-        import requests  # live only: hermetic runs never pay for the import
-
-        headers = {"apiKey": self.api_key} if self.api_key else {}
-        resp = send_with_retries(
-            lambda: requests.get(self.base_url, params={"cveId": cve_id}, headers=headers,
-                                 timeout=NVD_TIMEOUT_SECONDS),
-            (403, 429), f"NVD query for {cve_id} failed", NvdError,
-        )
-        if resp.status_code == 404:
-            raise CveNotFound(cve_id)
-        if resp.status_code != 200:
-            raise NvdError(f"NVD query for {cve_id} failed: HTTP {resp.status_code}")
-        return resp.text
-
-
 def _validated_id(cve_id: str) -> str:
     """The id as a lookup key, whatever its case; ValueError unless it names a CVE."""
     cve_id = cve_id.strip().upper()
     if not CVE_PATTERN.match(cve_id):
-        raise ValueError(f"not a CVE identifier: {cve_id!r}")
+        raise ValueError(f"not a CVE identifier: {cve_id[:60]!r}")
     return cve_id

@@ -28,7 +28,7 @@ from .model import (
     Vulnerability,
     dedupe_findings,
 )
-from .nvd import CveNotFound, FixtureNvdClient, LiveNvdClient, NvdError
+from .nvd import CveNotFound, FixtureNvdClient, NvdError
 from .prompts import (
     VALUE_RULES_TEXT,
     ask,
@@ -70,9 +70,10 @@ def estimate_vector(
     metrics, errors = ask(gateway, AgentRole.ESTIMATOR,
                           render_prompt(AgentRole.ESTIMATOR, variables, "estimate"),
                           parse=_parse_vector_reply)
-    warnings = [f"{finding.key_str}: estimator vector rejected: {e}" for e in errors]
+    key = finding.key_str[:60]
+    warnings = [f"{key}: estimator vector rejected: {e}" for e in errors]
     if metrics is None:
-        warnings.append(f"{finding.key_str}: applied conservative default vector")
+        warnings.append(f"{key}: applied conservative default vector")
         metrics = cvss.parse_vector(cvss.CONSERVATIVE_DEFAULT_VECTOR)
     return metrics, warnings
 
@@ -93,7 +94,7 @@ def _parse_vector_reply(reply: str) -> tuple[Optional[cvss.CvssMetrics], list[st
 def enrich_findings(
     findings: list[Vulnerability],
     gateway: Gateway,
-    nvd_client: FixtureNvdClient | LiveNvdClient,
+    nvd_client: FixtureNvdClient,
 ) -> tuple[list[Vulnerability], list[str]]:
     """Attach CVSS metrics to every finding (lookup first, estimator fallback)."""
     enriched: list[Vulnerability] = []
@@ -112,9 +113,9 @@ def enrich_findings(
                 source = CvssSource.NVD_LOOKUP
                 description = description or record.description
             except CveNotFound:
-                warnings.append(f"{finding.id}: not in the CVE database, estimating")
+                warnings.append(f"{finding.id[:60]}: not in the CVE database, estimating")
             except NvdError as exc:
-                warnings.append(f"{finding.id}: lookup failed ({exc}), estimating")
+                warnings.append(f"{finding.id[:60]}: lookup failed ({exc}), estimating")
             except ValueError:  # not a CVE id: estimated without a lookup
                 pass
         if metrics is None:
@@ -167,7 +168,7 @@ def advise(
                        render_prompt(AgentRole.ADVISOR, variables, "advise"),
                        parse=lambda reply: (parse_numbered_list(reply), []))
         if not items:
-            warnings.append(f"{finding.key_str}: advisor output unparseable, group dropped")
+            warnings.append(f"{finding.key_str[:60]}: advisor output unparseable, group dropped")
             continue
         groups.append(
             RecommendationGroup(
@@ -192,6 +193,7 @@ _COST_LINE = re.compile(
     r"^\s*cost\s*:\s*(low|moderate|high|(\d+(?:\.\d+)?))\s*$", re.IGNORECASE
 )
 _TARGETS_LINE = re.compile(r"^\s*targets\s*:\s*(.+?)\s*$", re.IGNORECASE)
+MAX_EXTRA_TARGETS = 8  # target keys kept from one reply, in reply order
 
 
 class EvaluationVerdict(NamedTuple):
@@ -225,7 +227,7 @@ def parse_evaluation(reply: str, policy: CostPolicy) -> EvaluationVerdict:
         if targets_match:
             extra = tuple(
                 t.strip() for t in targets_match.group(1).split(",") if t.strip()
-            )
+            )[:MAX_EXTRA_TARGETS]
     if not effect_class or cost is None:
         raise ValueError(f"unparseable evaluation reply: {reply[:60]!r}")
     return EvaluationVerdict(
@@ -331,8 +333,9 @@ def evaluate(
     for f in extra:
         if f.key_str not in target_keys:
             target_keys.append(f.key_str)
-    for key in unknown:
-        warnings.append(f"evaluator named unknown target {key[:60]!r}; ignored")
+    if unknown:
+        warnings.append(f"evaluator named {len(unknown)} unknown target(s), "
+                        f"the first {unknown[0][:60]!r}; ignored")
 
     targets, _ = context.resolve(target_keys)
     scores = [t.cvss.base_score if t.cvss else 0.0 for t in targets]
@@ -384,7 +387,7 @@ def remediate(
     findings: list[Vulnerability],
     config: RunConfig,
     gateway: Gateway,
-    nvd_client: FixtureNvdClient | LiveNvdClient,
+    nvd_client: FixtureNvdClient,
 ) -> RemediationResult:
     """Enrich, advise, evaluate and select; never aborts on a single finding."""
     findings = dedupe_findings(findings)

@@ -25,9 +25,9 @@ def no_network(monkeypatch):
 @pytest.fixture
 def fast_retries(monkeypatch):
     """Shrink the live clients' retry backoff from one second to ten milliseconds."""
-    from penheal import gateway
+    from penheal import backends
 
-    monkeypatch.setattr(gateway, "BACKOFF_SECONDS", 0.01)
+    monkeypatch.setattr(backends, "BACKOFF_SECONDS", 0.01)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """CLI wiring: subcommands, exit codes, hermetic isolation."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,11 +11,11 @@ from pathlib import Path
 import pytest
 
 from penheal import cli
-from penheal.backends import ShellBackend
+from penheal.backends import LiveBackend, LiveNvdClient, ShellBackend
 from penheal.cli import _chat_gateway, _executor, _nvd_client, main
-from penheal.gateway import AgentRole, Gateway, LiveBackend, ScriptedBackend
+from penheal.gateway import AgentRole, Gateway, ScriptedBackend
 from penheal.model import AttackPlan, Vulnerability, decode, deserialize_run, serialize_run
-from penheal.nvd import FixtureNvdClient, LiveNvdClient
+from penheal.nvd import FixtureNvdClient
 from penheal.simulator import ground_truth, load_host_model
 
 
@@ -711,6 +712,7 @@ class TestStageCheckpoint:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DISCOVERY_STACK = ("penheal.engine", "penheal.simulator", "penheal.knowledge")
+LIVE_CLIENTS = ("penheal.backends", "requests")
 # Value types are NamedTuples, so no penheal process pays for these imports.
 CODEGEN = ("dataclasses", "inspect")
 
@@ -750,7 +752,7 @@ def test_import_builds_no_codec():
 def test_hermetic_stages_skip_code_generation_modules(tmp_path, command):
     argv = [command, "--target", "10.0.2.4", "--mode", "hermetic", "--out", str(tmp_path)]
     script = f"from penheal.cli import main\ncode = main({argv!r})"
-    assert fresh_process(script, CODEGEN) == {"code": 0, "loaded": []}
+    assert fresh_process(script, CODEGEN + LIVE_CLIENTS) == {"code": 0, "loaded": []}
 
 
 def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):
@@ -763,11 +765,24 @@ def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):
             "--mode", "hermetic", "--kb", str(tmp_path / "no-such-index"),
             "--truth", str(truth), "--out", str(tmp_path / "stage2")]
     script = f"from penheal.cli import main\ncode = main({argv!r})"
-    assert fresh_process(script, DISCOVERY_STACK + CODEGEN) == {"code": 0, "loaded": []}
+    assert fresh_process(script, DISCOVERY_STACK + CODEGEN + LIVE_CLIENTS) == {
+        "code": 0, "loaded": []}
     _, findings, recommendations, _ = deserialize_run(
         (tmp_path / "stage2" / "run-artifact.json").read_bytes()
     )
     assert len(findings) == 6 and recommendations
+
+
+def test_only_backends_imports_requests():
+    """The HTTP client is the live clients' alone, so no other module can load it."""
+    importers = []
+    for path in sorted((SRC / "penheal").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "requests" for name in names):
+                importers.append(path.name)
+    assert importers == ["backends.py"]
 
 
 def test_cli_runs_under_the_profiler(tmp_path):

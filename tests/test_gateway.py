@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from penheal.backends import LiveBackend
 from penheal.gateway import (
     AgentRole,
     ChatTurn,
     Gateway,
     GatewayError,
-    LiveBackend,
     MissingFixtureError,
     RoleTag,
     ScriptedBackend,

@@ -300,9 +300,12 @@ class TestFindingIdentity:
         # Which finding ids are CVE ids to look up is the NVD client's rule alone.
         assert _validated_id("CVE-2011-2523") == "CVE-2011-2523"
         assert _validated_id(" cve-2011-2523 ") == "CVE-2011-2523"
-        for not_a_cve in ("CVE-NA", "EXPLOIT-123"):
-            with pytest.raises(ValueError, match="not a CVE identifier"):
+        assert _validated_id("CVE-2017-1000117") == "CVE-2017-1000117"  # 7 digits, the most
+        for not_a_cve in ("CVE-NA", "EXPLOIT-123", "CVE-2011-252", "CVE-2017-10001170",
+                          "CVE-2011-" + "2" * 5000):
+            with pytest.raises(ValueError, match="not a CVE identifier") as exc_info:
                 _validated_id(not_a_cve)
+            assert len(str(exc_info.value)) <= 100  # the id is quoted clipped
 
     @given(
         st.text(

@@ -25,17 +25,20 @@ from penheal.model import (
     CostPolicy,
     CvssSource,
     Recommendation,
+    RunConfig,
     TaskNode,
     TaskStatus,
     Vulnerability,
 )
-from penheal.nvd import CVE_PATTERN
+from penheal.nvd import CVE_PATTERN, FixtureNvdClient
 from penheal.remediation import (
+    MAX_EXTRA_TARGETS,
     EvaluatorContext,
     _parse_vector_reply,
     evaluate,
     parse_evaluation,
     parse_numbered_list,
+    remediate,
 )
 
 _TASK_ID = re.compile(r"^\d+(\.\d+)*$")
@@ -110,6 +113,7 @@ def test_parse_evaluation(text):
     assert 0.0 <= verdict.k <= 100.0
     assert 0.0 <= verdict.cost <= 10.0 and round(verdict.cost * 10) == verdict.cost * 10
     assert all(t and t == t.strip() and "," not in t for t in verdict.extra_target_keys)
+    assert len(verdict.extra_target_keys) <= MAX_EXTRA_TARGETS
 
 
 @settings(deadline=None)
@@ -144,6 +148,33 @@ def test_evaluate_warnings_are_bounded(first, second):
     scored, warnings = evaluate(recommendation, _EVALUATION, gateway)
     assert 0.0 <= scored.cost <= 10.0
     assert all(len(w) <= WARNING_CAP for w in warnings)
+
+
+def test_many_unknown_targets_give_one_bounded_warning():
+    reply = "effect: full\ncost: low\ntargets: " + ",".join(f"x{n}" for n in range(20000))
+    gateway = Gateway(ScriptedBackend({AgentRole.EVALUATOR: [reply]}))
+    recommendation = Recommendation(text="x", target_vuln_ids=(_TARGET.key_str,))
+    assert parse_evaluation(reply, CostPolicy()).extra_target_keys == tuple(
+        f"x{n}" for n in range(MAX_EXTRA_TARGETS))  # the first keys, in reply order
+    _, warnings = evaluate(recommendation, _EVALUATION, gateway)
+    assert len(warnings) <= 2 and all(len(w) <= WARNING_CAP for w in warnings)
+    assert warnings == [f"evaluator named {MAX_EXTRA_TARGETS} unknown target(s), "
+                        "the first 'x0'; ignored"]
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.text(min_size=1, max_size=300),
+       st.sampled_from(["CVE-NA", "CVE-1999-99999", "cve-2011-2523", "EXPLOIT-1"]))
+@example("s" * 100_000, "CVE-NA")  # a service past every cap
+@example("ftp", "CVE-2011-" + "2" * 5000)  # an id past the extractor's 7 digits: no lookup
+def test_remediate_warnings_are_bounded(service, vuln_id):
+    """Each warning quotes the finding clipped, whatever the extractor kept of it."""
+    gateway = Gateway(ScriptedBackend({AgentRole.ESTIMATOR: ["no vector", "no vector"],
+                                       AgentRole.ADVISOR: ["", ""]}))
+    result = remediate([Vulnerability(vuln_id, service, 21)], RunConfig(), gateway,
+                       FixtureNvdClient())
+    assert result.warnings and not result.selected
+    assert all(len(w) <= WARNING_CAP for w in result.warnings)
 
 
 _STATUS_WORDS = ["to-do", "to do", "todo", "completed", "done", "failed", "TODO", "Done"]

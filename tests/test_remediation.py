@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penheal import cvss
+from penheal.backends import NVD_API_KEY_ENV, LiveNvdClient
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
 from penheal.knapsack import COST_SCALE
 from penheal.model import (
@@ -23,7 +24,7 @@ from penheal.model import (
     RunConfig,
     Vulnerability,
 )
-from penheal.nvd import NVD_API_KEY_ENV, CveNotFound, FixtureNvdClient, LiveNvdClient, NvdError
+from penheal.nvd import CveNotFound, FixtureNvdClient, NvdError
 from penheal.remediation import (
     EvaluationVerdict,
     EvaluatorContext,
