@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import re
-from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Union
 
 from .gateway import AgentRole, Gateway
@@ -27,6 +26,7 @@ from .knowledge import KnowledgeBase, build_instructor_prompt
 from .model import (
     CVE_NA,
     AttackPlan,
+    IdentityEnum,
     RunConfig,
     TaskNode,
     TaskStatus,
@@ -48,7 +48,7 @@ class EngineError(Exception):
     pass
 
 
-class CommandChannel(Enum):
+class CommandChannel(IdentityEnum):
     SHELL = "shell"
     MSFCONSOLE = "msfconsole"
 
@@ -273,14 +273,15 @@ def mark_task(plan: PlanTable, task_id: str, status: TaskStatus, result: str) ->
 # ---------------------------------------------------------------------------
 
 _MSF_PREFIX = re.compile(r"^\s*msfconsole\s*:\s*", re.IGNORECASE)
+MAX_COMMANDS = 8  # commands kept from one executor reply, in reply order
 
 
 def parse_commands(llm_output: str) -> tuple[list[Command], list[str]]:
-    """Extract every $-delimited command, in order.
+    """Extract the first ``MAX_COMMANDS`` $-delimited commands, in order.
 
     A body starting with "msfconsole:" becomes a console-channel command
-    with the prefix stripped. Unpaired delimiters and empty bodies are
-    reported as warnings, never raised.
+    with the prefix stripped. Unpaired delimiters, empty bodies and the
+    commands past the bound are reported as warnings, never raised.
     """
     commands: list[Command] = []
     warnings: list[str] = []
@@ -305,6 +306,10 @@ def parse_commands(llm_output: str) -> tuple[list[Command], list[str]]:
             commands.append(Command(raw=remainder, channel=CommandChannel.MSFCONSOLE))
         else:
             commands.append(Command(raw=body, channel=CommandChannel.SHELL))
+    if len(commands) > MAX_COMMANDS:
+        warnings.append(f"{len(commands) - MAX_COMMANDS} command(s) past the first "
+                        f"{MAX_COMMANDS} ignored")
+        del commands[MAX_COMMANDS:]
     return commands, warnings
 
 

@@ -9,7 +9,9 @@ In record mode every exchange is appended to a JSON-lines transcript, which
 
 A request is keyed by :func:`request_hash`. The hash state after a request's
 first (system) turn is cached per distinct turn, so the system turn the
-evaluator repeats for every candidate is escaped and hashed only once.
+evaluator repeats for every candidate is escaped and hashed only once. Each
+gateway resolves every role's model and character budget once, when it is
+built, so a call reads no enum value.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ import functools
 import hashlib
 import json
 import time
-from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol
 
-from .model import decode, encode, json_text, load_json
+from .model import IdentityEnum, decode, encode, json_text, load_json
 
 STRONG_CHAR_BUDGET = 100_000
 LIGHT_CHAR_BUDGET = 12_000
@@ -31,12 +32,7 @@ LIGHT_CHAR_BUDGET = 12_000
 DEFAULT_MODELS = {"strong": "gpt-4", "light": "gpt-3.5-turbo"}
 
 
-class Tier(Enum):
-    STRONG = "strong"
-    LIGHT = "light"
-
-
-class AgentRole(Enum):
+class AgentRole(IdentityEnum):
     PLANNER = "Planner"
     EXECUTOR = "Executor"
     SUMMARIZER = "Summarizer"
@@ -45,14 +41,12 @@ class AgentRole(Enum):
     ADVISOR = "Advisor"
     EVALUATOR = "Evaluator"
 
-    @property
-    def tier(self) -> Tier:
-        if self in (AgentRole.SUMMARIZER, AgentRole.EXTRACTOR, AgentRole.ESTIMATOR):
-            return Tier.LIGHT
-        return Tier.STRONG
+
+# The roles on the light tier; every other role is on the strong tier.
+LIGHT_ROLES = frozenset({AgentRole.SUMMARIZER, AgentRole.EXTRACTOR, AgentRole.ESTIMATOR})
 
 
-class RoleTag(Enum):
+class RoleTag(IdentityEnum):
     SYSTEM = "system"
     USER = "user"
     ASSISTANT = "assistant"
@@ -85,24 +79,23 @@ def request_hash(role: AgentRole, messages: list[ChatTurn]) -> str:
     if not messages:
         state = hashlib.sha256(b'{"messages":[')
     else:  # a copy: the cached state is never updated
-        state = _first_turn_state(messages[0]).copy()
-    tail = "".join(["," + _turn_json(t) for t in messages[1:]])
-    state.update(f'{tail}],"role":{_escape(role.value)}}}'.encode("ascii"))
+        state = _first_turn_state(_TAG_JSON[messages[0].role_tag], messages[0].content).copy()
+    tail = "".join([f",[{_TAG_JSON[t.role_tag]},{_escape(t.content)}]" for t in messages[1:]])
+    state.update(f'{tail}],"role":{_ROLE_JSON[role]}}}'.encode("ascii"))
     return state.hexdigest()
 
 
+# Each role and tag as its JSON string, escaped once.
+_ROLE_JSON = {role: _escape(role.value) for role in AgentRole}
+_TAG_JSON = {tag: _escape(tag.value) for tag in RoleTag}
 # Distinct first (system) turns whose hash state is kept; a run has a few dozen.
 FIRST_TURN_STATES = 64
 
 
 @functools.lru_cache(maxsize=FIRST_TURN_STATES)
-def _first_turn_state(turn: ChatTurn):
+def _first_turn_state(tag_json: str, content: str):
     """The hash state after the payload's opening and its first turn."""
-    return hashlib.sha256(b'{"messages":[' + _turn_json(turn).encode("ascii"))
-
-
-def _turn_json(turn: ChatTurn) -> str:
-    return f"[{_escape(turn.role_tag.value)},{_escape(turn.content)}]"
+    return hashlib.sha256(f'{{"messages":[[{tag_json},{_escape(content)}]'.encode("ascii"))
 
 
 class Exchange(NamedTuple):
@@ -210,28 +203,24 @@ class Gateway:
         record_path: Optional[str | Path] = None,
     ):
         self.backend = backend
-        self.models = dict(DEFAULT_MODELS)
-        if role_models:
-            self.models.update({k.lower(): v for k, v in role_models.items()})
+        models = DEFAULT_MODELS | {k.lower(): v for k, v in (role_models or {}).items()}
+        self._routes: dict[AgentRole, tuple[str, int]] = {}  # role -> (model, char budget)
+        for role in AgentRole:  # a per-role key wins; otherwise the role's tier key decides
+            tier, budget = (("light", LIGHT_CHAR_BUDGET) if role in LIGHT_ROLES
+                            else ("strong", STRONG_CHAR_BUDGET))
+            self._routes[role] = models.get(role.value.lower(), models[tier]), budget
         self._record_path = Path(record_path) if record_path else None
         if self._record_path:
             # Truncate eagerly so a failed run never leaves stale exchanges behind.
             self._record_path.parent.mkdir(parents=True, exist_ok=True)
             self._record_path.write_text("", encoding="utf-8")
 
-    def model_for(self, role: AgentRole) -> str:
-        # Per-role override wins; otherwise the role's tier decides.
-        return self.models.get(role.value.lower(), self.models[role.tier.value])
-
-    def char_budget(self, role: AgentRole) -> int:
-        return STRONG_CHAR_BUDGET if role.tier is Tier.STRONG else LIGHT_CHAR_BUDGET
-
     def complete(self, role: AgentRole, history: list[ChatTurn]) -> str:
         """One chat completion for the role; history must start with its system prompt."""
         if not history or history[0].role_tag is not RoleTag.SYSTEM:
             raise GatewayError(f"{role.value} history must start with a system turn")
-        messages = _truncate(history, self.char_budget(role))
-        model = self.model_for(role)
+        model, budget = self._routes[role]
+        messages = _truncate(history, budget)
         response = self.backend.complete(role, model, messages)
         if self._record_path:
             exchange = Exchange(

@@ -28,9 +28,9 @@ between CLI invocations.
 from __future__ import annotations
 
 import builtins
+import enum
 import json
 import sys
-from enum import Enum
 from functools import partial
 from math import isfinite
 from pathlib import Path
@@ -139,10 +139,10 @@ def _converters(text: str, namespace: dict[str, Any]) -> tuple[Optional[Callable
     hint = namespace.get(text) or vars(builtins).get(text)
     if hint in (str, int, float, bool):
         return None, partial(_check, hint)
-    if isinstance(hint, type) and issubclass(hint, Enum):
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
         members = {m.value: m for m in hint}  # a dict lookup costs a seventh of hint(x)
 
-        def member(data: Any) -> Enum:
+        def member(data: Any) -> enum.Enum:
             try:
                 return members[data]
             except (KeyError, TypeError):  # TypeError: a list or object is unhashable
@@ -170,25 +170,35 @@ def _pairs(data: Any) -> Any:
     raise ValueError(f"expected dict or list of pairs, got {type(data).__name__}")
 
 
-class TaskStatus(Enum):
+class IdentityEnum(enum.Enum):
+    """Base of every penheal enum: a member hashes by identity in C, not by name in Python.
+
+    Members are singletons compared by identity, so this agrees with equality. No output
+    changes: with salted ``str`` hashes, set order of members already varied per process.
+    """
+
+    __hash__ = object.__hash__
+
+
+class TaskStatus(IdentityEnum):
     TODO = "to-do"
     COMPLETED = "completed"
     FAILED = "failed"
 
 
-class CvssSource(Enum):
+class CvssSource(IdentityEnum):
     NVD_LOOKUP = "nvd-lookup"
     ESTIMATED = "estimated"
     UNSET = "unset"
 
 
-class RecommendationStatus(Enum):
+class RecommendationStatus(IdentityEnum):
     PROPOSED = "proposed"
     ADOPTED = "adopted"
     DISCARDED = "discarded"
 
 
-class AggregationMode(Enum):
+class AggregationMode(IdentityEnum):
     DIVIDED_BY_THREE = "div3"
     SUM = "sum"
 

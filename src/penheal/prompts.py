@@ -10,6 +10,7 @@ template.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Optional
 
 from .gateway import AgentRole, ChatTurn, Gateway, RoleTag
@@ -216,7 +217,7 @@ def ask(gateway: Gateway, role: AgentRole, user: str, system: Optional[str] = No
     (``{error}`` is that attempt's warnings); the warnings of both attempts are
     returned in order.
     """
-    history = [ChatTurn(RoleTag.SYSTEM, system or render_prompt(role, {}, "system")),
+    history = [ChatTurn(RoleTag.SYSTEM, system or _catalog_system(role)),
                ChatTurn(RoleTag.USER, user)]
     reply = gateway.complete(role, history)
     if parse is None:
@@ -229,6 +230,13 @@ def ask(gateway: Gateway, role: AgentRole, user: str, system: Optional[str] = No
         value, retry_warnings = parse(reply)
         warnings = warnings + retry_warnings
     return value, warnings
+
+
+@functools.cache
+def _catalog_system(role: AgentRole) -> str:
+    """The role's catalog system prompt, rendered once per process: the gateway's
+    first-turn hash cache then matches this one string object by identity."""
+    return render_prompt(role, {}, "system")
 
 
 def cost_rules_text(policy: CostPolicy) -> str:

@@ -135,6 +135,7 @@ def enrich_findings(
 # ---------------------------------------------------------------------------
 
 _NUMBERED_ITEM = re.compile(r"^\s*(\d+)[.)]\s+(.*\S)\s*$")
+MAX_ADVISOR_ITEMS = 8  # candidates kept from one advisor reply, in reply order; each costs a call
 
 
 def parse_numbered_list(text: str) -> list[str]:
@@ -152,7 +153,7 @@ def parse_numbered_list(text: str) -> list[str]:
 def advise(
     findings: list[Vulnerability], gateway: Gateway
 ) -> tuple[list[RecommendationGroup], list[str]]:
-    """One advisor call per finding, parsed into a candidate group."""
+    """One advisor call per finding, parsed into a group of its first ``MAX_ADVISOR_ITEMS``."""
     groups: list[RecommendationGroup] = []
     warnings: list[str] = []
     for finding in findings:
@@ -170,6 +171,10 @@ def advise(
         if not items:
             warnings.append(f"{finding.key_str[:60]}: advisor output unparseable, group dropped")
             continue
+        if len(items) > MAX_ADVISOR_ITEMS:
+            warnings.append(f"{finding.key_str[:60]}: {len(items) - MAX_ADVISOR_ITEMS} advisor "
+                            f"item(s) past the first {MAX_ADVISOR_ITEMS} dropped")
+            del items[MAX_ADVISOR_ITEMS:]
         groups.append(
             RecommendationGroup(
                 candidates=tuple(

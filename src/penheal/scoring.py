@@ -8,6 +8,8 @@ three (the default) or as a plain sum.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .model import (
     CVE_NA,
     AggregationMode,
@@ -26,17 +28,21 @@ def match_findings(
     never matters. Each truth entry is consumed at most once, so duplicate
     claims never inflate coverage.
     """
-    remaining = list(truth)
+    queues: dict[object, deque[Vulnerability]] = {}  # unconsumed truth rows, in truth order
+    for t in truth:
+        queues.setdefault(_pool_key(t), deque()).append(t)
     matched: list[tuple[Vulnerability, Vulnerability]] = []
-    for f in sorted(found, key=lambda f: f.key[0] == CVE_NA):  # stable: named ids first
-        if f.key[0] == CVE_NA:
-            hit = next((t for t in remaining if t.key == f.key), None)
-        else:
-            hit = next((t for t in remaining if t.key[0] == f.key[0]), None)
-        if hit is not None:
-            matched.append((f, hit))
-            remaining.remove(hit)
+    # Named ids first, in found order: only a CVE-NA finding's pool key is a tuple.
+    for key, f in sorted(((_pool_key(f), f) for f in found), key=lambda p: type(p[0]) is tuple):
+        if queues.get(key):
+            matched.append((f, queues[key].popleft()))
     return matched
+
+
+def _pool_key(v: Vulnerability) -> object:
+    """A named id matches by the id alone, a CVE-NA row by its whole key: the pools never meet."""
+    key = v.key
+    return key if key[0] == CVE_NA else key[0]
 
 
 def detection_coverage(found: list[Vulnerability], truth: list[Vulnerability]) -> float:

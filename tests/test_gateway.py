@@ -1,5 +1,6 @@
 """Gateway behavior: prompt rendering, record/replay, retries, tier routing."""
 
+import enum
 import hashlib
 import json
 import sys
@@ -321,6 +322,31 @@ class TestTierRouting:
             AgentRole.PLANNER: "special",
             AgentRole.EXECUTOR: "local-large",
         }
+
+    def test_a_call_runs_no_enum_code(self, tmp_path):
+        """Routing, truncation, hashing and recording read no enum value and hash no member
+        in Python: every enum lookup on the call path is a C-level dict or identity test.
+        The first record builds the transcript codec, which is set-up, so it is not profiled."""
+        history = [ChatTurn(RoleTag.SYSTEM, "s" * 20_000), ChatTurn(RoleTag.USER, "u"),
+                   ChatTurn(RoleTag.ASSISTANT, "a"), ChatTurn(RoleTag.USER, "u" * 2_000)]
+        roles = list(AgentRole)  # iterating an enum class runs enum code itself
+        path = tmp_path / "t.jsonl"
+        scripts = {role: ["ok", "ok"] for role in roles}
+        recorder = record_mode(ScriptedBackend(scripts), path)
+        recorder.complete(AgentRole.PLANNER, history)
+        called = []
+
+        def complete_every_role(gateway):
+            sys.setprofile(lambda frame, event, arg: event == "call" and called.append(
+                (frame.f_code.co_filename, frame.f_code.co_name)))
+            try:
+                return [gateway.complete(role, history) for role in roles]
+            finally:
+                sys.setprofile(None)
+
+        complete_every_role(recorder)
+        assert complete_every_role(replay_mode(path)) == ["ok"] * len(roles)
+        assert called and [c for c in called if c[0] == enum.__file__] == []
 
 
 class TestTruncation:

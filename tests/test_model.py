@@ -1,7 +1,10 @@
 """Core domain types: plan validation, the JSON codec and run-artifact round-trips."""
 
 import copy
+import enum
+import importlib
 import json
+import pkgutil
 import typing
 from pathlib import Path
 
@@ -287,6 +290,20 @@ class TestArtifactTypes:
         assert message.startswith("artifact schema error: _Artifact.findings: "
                                   "Vulnerability.cvss_source: " + repr(bad)[:60] + " is not")
         assert len(message) <= 100 + 60
+
+
+def test_every_enum_hashes_by_identity():
+    """A member-keyed dict lookup hashes in C: ``enum.Enum`` hashes by name in Python."""
+    import penheal
+
+    enums = {}
+    for module in pkgutil.iter_modules(penheal.__path__, "penheal."):
+        for value in vars(importlib.import_module(module.name)).values():
+            if isinstance(value, type) and issubclass(value, enum.Enum) and len(value):
+                enums[value.__name__] = value
+    assert sorted(enums) == ["AgentRole", "AggregationMode", "CommandChannel", "CvssSource",
+                             "RecommendationStatus", "RoleTag", "TaskStatus"]
+    assert [name for name, cls in enums.items() if cls.__hash__ is not object.__hash__] == []
 
 
 class TestFindingIdentity:

@@ -11,6 +11,7 @@ from plan_invariants import find, validate_plan, walk
 from penheal import engine
 from penheal.cvss import CONSERVATIVE_DEFAULT_VECTOR, parse_vector
 from penheal.engine import (
+    MAX_COMMANDS,
     CommandChannel,
     PlanTable,
     merge_revision,
@@ -18,8 +19,10 @@ from penheal.engine import (
     parse_extractor_blocks,
     parse_plan_text,
     render_plan,
+    run_pentest,
 )
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend
+from penheal.knowledge import KnowledgeBase
 from penheal.model import (
     RESULT_SUMMARY_MAX,
     CostPolicy,
@@ -32,6 +35,7 @@ from penheal.model import (
 )
 from penheal.nvd import CVE_PATTERN, FixtureNvdClient
 from penheal.remediation import (
+    MAX_ADVISOR_ITEMS,
     MAX_EXTRA_TARGETS,
     EvaluatorContext,
     _parse_vector_reply,
@@ -53,12 +57,16 @@ def _texts(*fragments: str, max_size: int = 30):
     return st.lists(piece, max_size=max_size).map("".join)
 
 
+_MANY_COMMANDS = " ".join(f"$id {n}$" for n in range(2000))
+
+
 @settings(deadline=None)
-@given(_texts("$", "$ ", "msfconsole:", "msfconsole: use x", "nmap -sV 10.0.2.4", "$$"))
+@given(_texts("$", "$ ", "msfconsole:", "msfconsole: use x", "nmap -sV 10.0.2.4", "$$", "$id$"))
+@example(_MANY_COMMANDS)
 def test_parse_commands(text):
     commands, warnings = parse_commands(text)
     pairs = text.count("$") // 2
-    assert len(commands) <= pairs
+    assert len(commands) <= min(pairs, MAX_COMMANDS)
     assert len(warnings) <= pairs + 1
     for command in commands:
         assert command.raw and command.raw == command.raw.strip()
@@ -160,6 +168,40 @@ def test_many_unknown_targets_give_one_bounded_warning():
     assert len(warnings) <= 2 and all(len(w) <= WARNING_CAP for w in warnings)
     assert warnings == [f"evaluator named {MAX_EXTRA_TARGETS} unknown target(s), "
                         "the first 'x0'; ignored"]
+
+
+def test_long_executor_reply_runs_the_first_commands():
+    class Counting:
+        def __init__(self):
+            self.ran = []
+
+        def run(self, command):
+            self.ran.append(command.raw)
+            return "ok", 0
+
+    gateway = Gateway(ScriptedBackend({
+        AgentRole.PLANNER: ["1 Recon [to-do]", "1", "1 Recon [completed] - result: done"],
+        AgentRole.EXECUTOR: [_MANY_COMMANDS],
+        AgentRole.SUMMARIZER: ["ok"] * MAX_COMMANDS,
+        AgentRole.EXTRACTOR: ["NONE", "NONE"]}))
+    executor = Counting()
+    result = run_pentest(RunConfig(target_address="10.0.2.4"), executor, gateway, KnowledgeBase())
+    assert executor.ran == [f"id {n}" for n in range(MAX_COMMANDS)]  # the first, in reply order
+    assert result.warnings == [f"{2000 - MAX_COMMANDS} command(s) past the first "
+                               f"{MAX_COMMANDS} ignored"]
+
+
+def test_long_advisor_reply_is_evaluated_up_to_the_bound():
+    backend = ScriptedBackend({
+        AgentRole.ADVISOR: ["\n".join(f"{n}. fix {n}" for n in range(1, 501))],
+        AgentRole.EVALUATOR: ["effect: full\ncost: low"] * 500})
+    result = remediate([_TARGET._replace(service="s" * 100_000)], RunConfig(), Gateway(backend),
+                       FixtureNvdClient())
+    evaluated = [c.text for g in result.groups for c in g.candidates]
+    assert evaluated == [f"fix {n}" for n in range(1, MAX_ADVISOR_ITEMS + 1)]
+    assert [role for role, _ in backend.calls].count(AgentRole.EVALUATOR) == MAX_ADVISOR_ITEMS
+    assert len(result.warnings) == 1 and len(result.warnings[0]) <= WARNING_CAP
+    assert f"{500 - MAX_ADVISOR_ITEMS} advisor item(s)" in result.warnings[0]
 
 
 @settings(deadline=None, max_examples=50)

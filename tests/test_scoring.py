@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penheal.model import AggregationMode, Recommendation, Vulnerability
+from penheal.model import CVE_NA, AggregationMode, Recommendation, Vulnerability
 from penheal.scoring import (
     detection_coverage,
     format_score_table,
@@ -26,6 +26,12 @@ def rec(value=0.0, cost=0.0):
 
 
 TRUTH = ground_truth(load_host_model())
+
+
+# Few distinct ids, services and ports, in several spellings, so rows collide often.
+_VULN = st.builds(vuln, st.sampled_from(["CVE-NA", "cve-na", "CVE-2011-2523", "cve-2011-2523",
+                                         "CVE-2017-0144"]),
+                  st.sampled_from(["http", " HTTP ", "ftp"]), st.sampled_from([None, 21, 80]))
 
 
 class TestMatching:
@@ -65,6 +71,28 @@ class TestMatching:
         # A found CVE id unknown to the truth set stays unmatched even if
         # service/port coincide with a CVE-NA truth row.
         assert match_findings([vuln("CVE-2020-1234", "http", 80)], TRUTH) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_VULN, max_size=12), st.lists(_VULN, max_size=12))
+    def test_same_pairs_as_scanning_the_unconsumed_truth(self, found, truth):
+        pairs = [(id(f), id(t)) for f, t in match_findings(found, truth)]
+        assert pairs == [(id(f), id(t)) for f, t in _match_by_scan(found, truth)]
+
+
+def _match_by_scan(found, truth):
+    """The reference: each finding, named ids first, takes the first unconsumed truth row it
+    matches, found by scanning them all."""
+    remaining = list(truth)
+    matched = []
+    for f in sorted(found, key=lambda f: f.key[0] == CVE_NA):
+        if f.key[0] == CVE_NA:
+            hit = next((t for t in remaining if t.key == f.key), None)
+        else:
+            hit = next((t for t in remaining if t.key[0] == f.key[0]), None)
+        if hit is not None:
+            matched.append((f, hit))
+            remaining.remove(hit)
+    return matched
 
 
 class TestCoverage:
