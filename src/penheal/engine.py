@@ -126,6 +126,8 @@ _STATUS_WORDS = {
     "done": TaskStatus.COMPLETED,
     "failed": TaskStatus.FAILED,
 }
+_STATUS_TEXT = {status: status.value for status in TaskStatus}  # read with no enum call
+MAX_PLAN_TASKS = 512  # tasks a plan holds; merge_revision adds none past it
 
 
 class PlanTable:
@@ -204,11 +206,13 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
     to-do -> completed/failed; attempts to revert are ignored with a warning.
     Tasks missing from the lines are kept. A new task goes under the task
     whose id is its own minus the last segment, after that task's existing
-    children; orphans are dropped with a warning. Results are clipped, and a
-    settled task without one reads "(no result provided)".
+    children; orphans are dropped with a warning, and so are new tasks once the
+    plan holds ``MAX_PLAN_TASKS``, with one warning for all of them. Results are
+    clipped, and a settled task without one reads "(no result provided)".
     """
     tasks, children = plan.tasks, plan.children
     warnings: list[str] = []
+    dropped = 0  # new tasks past the bound
     touched: dict[str, None] = {}  # ids whose fields changed, in first-change order
     pending = lines
     for _ in range(2):  # second pass catches children listed before their parent
@@ -217,6 +221,9 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
             task_id = line.id
             task = tasks.get(task_id)
             if task is None:
+                if len(tasks) >= MAX_PLAN_TASKS:
+                    dropped += 1
+                    continue
                 parent_id = task_id.rpartition(".")[0]
                 if parent_id and parent_id not in tasks:
                     deferred.append(line)
@@ -244,10 +251,12 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
                 touched[task_id] = None
         pending = deferred
     warnings.extend(f"dropped orphan task {line.id} (no parent in plan)" for line in pending)
+    if dropped:
+        warnings.append(f"{dropped} new task(s) past the plan's {MAX_PLAN_TASKS} ignored")
 
     for task_id in touched:  # settle the results and re-render what changed
         description, status, result = task = tasks[task_id]
-        line = f"{'  ' * task_id.count('.')}{task_id} {description} [{status.value}]"
+        line = f"{'  ' * task_id.count('.')}{task_id} {description} [{_STATUS_TEXT[status]}]"
         if status is TaskStatus.TODO:
             task[2] = None
         else:
@@ -436,10 +445,11 @@ _EXPLOITED_LINE = re.compile(r"^\s*exploited\s*:\s*(.+?)\s*$", re.IGNORECASE)
 _ATTR_LINE = re.compile(r"^\s*([A-Za-z_ ]+?)\s*:\s*(.*?)\s*$")
 # Sequence numbers run to 7 digits (CVE-2017-1000117); a longer run is no id at all.
 _CVE_TOKEN = re.compile(r"CVE-\d{4}-\d{4,7}(?!\d)|CVE-NA", re.IGNORECASE)
+MAX_FINDINGS = 32  # "Exploited:" blocks parsed from one extractor reply, in reply order
 
 
 def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
-    """Parse "Exploited:" blocks into findings; bad blocks are skipped with warnings."""
+    """Parse the first MAX_FINDINGS "Exploited:" blocks into findings, warning of skipped ones."""
     stripped = text.strip()
     if not stripped or stripped.upper() == "NONE":
         return [], []
@@ -455,7 +465,7 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
 
     findings: list[Vulnerability] = []
     warnings: list[str] = []
-    for block in blocks:
+    for block in blocks[:MAX_FINDINGS]:
         header = _EXPLOITED_LINE.match(block[0]).group(1)
         cve_match = _CVE_TOKEN.search(header)
         if not cve_match:
@@ -485,6 +495,8 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
                 exploitation_method=attrs.get("method", attrs.get("exploitation_method", "")),
             )
         )
+    if (extra := len(blocks) - MAX_FINDINGS) > 0:
+        warnings.append(f"{extra} block(s) past the first {MAX_FINDINGS} ignored")
     return dedupe_findings(findings), warnings
 
 

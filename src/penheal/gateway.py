@@ -62,11 +62,10 @@ class ChatTurn(_ChatTurnFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.content:
+    def __new__(cls, role_tag: RoleTag, content: str):
+        if not content:
             raise ValueError("chat turn content must be non-empty")
-        return self
+        return tuple.__new__(cls, (role_tag, content))
 
 
 def request_hash(role: AgentRole, messages: list[ChatTurn]) -> str:

@@ -31,7 +31,8 @@ import builtins
 import enum
 import json
 import sys
-from functools import partial
+from functools import lru_cache, partial
+from json.encoder import encode_basestring
 from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
@@ -309,13 +310,18 @@ class CostPolicy(NamedTuple):
 
     def tiers(self) -> dict[str, float]:
         """Score by lowercased tier name; a tier the policy leaves out keeps its default."""
-        return dict(DEFAULT_COST_TIERS) | {name.lower(): s for name, s in self.tier_scores}
+        return dict(_tier_table(self.tier_scores))
 
     def tier(self, name: str) -> float:
         try:
-            return self.tiers()[name.lower()]
+            return _tier_table(self.tier_scores)[name.lower()]
         except KeyError:
             raise KeyError(f"unknown cost tier: {name}") from None
+
+
+@lru_cache(maxsize=16)  # one table per distinct tier_scores; a run has one
+def _tier_table(tier_scores: tuple[tuple[str, float], ...]) -> dict[str, float]:
+    return dict(DEFAULT_COST_TIERS) | {name.lower(): s for name, s in tier_scores}
 
 
 class RunConfig(NamedTuple):
@@ -418,7 +424,38 @@ def serialize_run(
     """Encode one run as the UTF-8 JSON run-artifact document."""
     doc = encode(_Artifact(ARTIFACT_VERSION, run_id, created_at, transcript_ref, plan,
                            tuple(findings), tuple(recommendations), report))
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (_indented(doc, "\n") + "\n").encode("utf-8")
+
+
+# The text of a JSON scalar by its exact type, as json writes it (a float by json's floatstr).
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: lambda x: (float.__repr__(x) if isfinite(x)
+                      else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")}
+_JSON_TYPES = (str, int, float, list, tuple, dict)  # in json's isinstance order
+
+
+def _indented(value: Any, indent: str) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` at ``indent`` (a newline and spaces),
+    without json's pure-Python encoder; a tuple or a subclass goes by json's isinstance order."""
+    kind = type(value)
+    if kind is not dict and kind is not list:  # a scalar, a tuple or a subclass
+        if kind not in _SCALARS:
+            kind = next(filter(partial(isinstance, value), _JSON_TYPES), None)
+        if kind in _SCALARS:
+            return _SCALARS[kind](value)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner, scalar = indent + "  ", _SCALARS.get
+    if kind is dict:
+        return "{" + inner + ("," + inner).join([
+            f"{encode_basestring(k)}: {s(v) if (s := scalar(type(v))) else _indented(v, inner)}"
+            for k, v in value.items()]) + indent + "}"
+    return "[" + inner + ("," + inner).join([
+        s(v) if (s := scalar(type(v))) else _indented(v, inner) for v in value]) + indent + "]"
 
 
 def deserialize_run(

@@ -273,8 +273,7 @@ def format_vulns_inline(findings: list[Vulnerability]) -> str:
     """One-line-per-finding rendering for the evaluator's vulnerability slot."""
     parts = []
     for v in findings:
-        score: Optional[float] = v.cvss.base_score if v.cvss else None
-        score_text = f", CVSS {score}" if score is not None else ""
+        score_text = f", CVSS {v.cvss.base_score}" if v.cvss else ""
         port = "?" if v.port is None else str(v.port)
         parts.append(f"{v.key_str} ({v.service} on port {port}{score_text})")
     return "; ".join(parts)

@@ -59,14 +59,11 @@ class HostModel(NamedTuple):
 
     def weakness_rows(self) -> list[SimWeakness]:
         """Unique weakness rows in declaration order (the ground-truth inventory)."""
-        seen: set[str] = set()
-        rows = []
+        rows: dict[str, SimWeakness] = {}
         for service in self.services:
             for w in service.weaknesses:
-                if w.row_id not in seen:
-                    seen.add(w.row_id)
-                    rows.append(w)
-        return rows
+                rows.setdefault(w.row_id, w)  # an id's first row, where it first appears
+        return list(rows.values())
 
 
 def load_host_model(path: Optional[str | Path] = None) -> HostModel:
@@ -155,12 +152,7 @@ def _nmap_output(host: HostModel, command_text: str) -> str:
         "PORT     STATE SERVICE     VERSION",
     ]
     for service in host.visible_services():
-        lines.append(
-            f"{service.port}/tcp".ljust(9)
-            + "open  "
-            + service.name.ljust(12)
-            + service.banner
-        )
+        lines.append(f"{f'{service.port}/tcp':<9}open  {service.name:<12}{service.banner}")
         if vuln_scripts:
             lines.extend(service.vuln_script)
     lines.append("Nmap done: 1 IP address (1 host up) scanned")
@@ -202,13 +194,9 @@ def _success_output(host: HostModel, weakness: SimWeakness, via_msf: bool) -> st
 
 
 def _module_catalog(host: HostModel) -> list[str]:
-    modules = set()
-    for service in host.services:
-        for weakness in service.weaknesses:
-            for trigger in weakness.triggers:
-                if trigger.startswith(("exploit/", "auxiliary/")):
-                    modules.add(trigger)
-    return sorted(modules.union(host.modules))
+    triggers = (t for service in host.services for w in service.weaknesses for t in w.triggers)
+    return sorted({t for t in triggers if t.startswith(("exploit/", "auxiliary/"))}
+                  .union(host.modules))
 
 
 def _simulate_msf(host: HostModel, batch: str) -> str:
@@ -328,10 +316,7 @@ def _port_in_command(text: str) -> Optional[int]:
 
 
 def _service_on_port(host: HostModel, port: Optional[int]) -> Optional[SimService]:
-    for service in host.services:
-        if service.port == port:
-            return service
-    return None
+    return next((service for service in host.services if service.port == port), None)
 
 
 def simulate(command: Command, host: HostModel) -> str:

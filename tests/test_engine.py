@@ -1,6 +1,7 @@
 """Pentest loop mechanics: parsers, plan updates, termination, scripted runs."""
 
 import contextlib
+import enum
 import json
 import os
 import re
@@ -192,6 +193,25 @@ class TestPlanText:
         warnings = merge_revision(plan, parse_plan_text("1.1 child [to-do]\n1 parent [to-do]"))
         assert node(plan, "1.1") is not None
         assert not warnings
+
+    def test_a_merge_runs_no_enum_code(self):
+        """A plan line's status text is a dict lookup; ``status.value`` runs enum.py."""
+        plan = PlanTable()
+        first = parse_plan_text("1 Recon [to-do]\n1.1 Scan [to-do]\n2 Exploit [to-do]")
+        revision = parse_plan_text("1 Recon [completed] - result: done\n1.1 Scan [failed]\n"
+                                   "2 Exploit [done]\n2.1 Shell [todo]")
+        called = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and called.append(
+            frame.f_code.co_filename))
+        try:
+            merge_revision(plan, first)
+            merge_revision(plan, revision)
+        finally:
+            sys.setprofile(None)
+        assert render_plan(plan).splitlines()[:3] == [
+            "1 Recon [completed] - result: done", "  1.1 Scan [failed] - result: "
+            "(no result provided)", "2 Exploit [completed] - result: (no result provided)"]
+        assert called and enum.__file__ not in called
 
 
 class TestMergeRevision:

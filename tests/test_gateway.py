@@ -28,6 +28,7 @@ from penheal.gateway import (
     request_hash,
     _truncate,
 )
+from penheal.model import decode
 from penheal.prompts import PromptError, render_prompt
 
 NO_MODEL = object()  # a transcript damage: the line keeps its messages and loses its model
@@ -76,6 +77,24 @@ class TestChatTurn:
     def test_empty_content_rejected(self):
         with pytest.raises(ValueError):
             ChatTurn(RoleTag.USER, "")
+
+    def test_positional_and_keyword_construction_agree(self):
+        turn = ChatTurn(RoleTag.USER, "hi")
+        assert type(turn) is ChatTurn and (turn.role_tag, turn.content) == (RoleTag.USER, "hi")
+        assert turn == ChatTurn(role_tag=RoleTag.USER, content="hi") == ChatTurn(
+            RoleTag.USER, content="hi")
+        assert decode(ChatTurn, {"role_tag": "user", "content": "hi"}) == turn
+        with pytest.raises(TypeError):
+            ChatTurn(RoleTag.USER)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ChatTurn(role_tag=RoleTag.USER, content=""),
+        lambda: ChatTurn(RoleTag.SYSTEM, content=""),
+        lambda: decode(ChatTurn, {"role_tag": "user", "content": ""}),
+    ], ids=["keyword", "mixed", "decoded"])
+    def test_empty_content_rejected_however_built(self, build):
+        with pytest.raises(ValueError, match="chat turn content must be non-empty"):
+            build()
 
 
 def _history(content="hello"):

@@ -4,15 +4,19 @@ import copy
 import enum
 import importlib
 import json
+import json.encoder
+import math
 import pkgutil
+import sys
 import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from plan_invariants import validate_plan
 
+from penheal import model
 from penheal.model import (
     ArtifactParseError,
     AttackPlan,
@@ -183,6 +187,22 @@ class TestArtifactRoundTrip:
         assert raw == golden
         assert deserialize_run(golden) == (plan, findings, recs, report)
 
+    def test_golden_artifact_is_written_without_the_json_encoder(self):
+        """``json.dumps`` with an indent runs json's pure-Python encoder; the writer does not."""
+        golden = (DATA / "golden-run" / "run-artifact.json").read_bytes()
+        doc, parts = json.loads(golden), deserialize_run(golden)
+        serialize_run(*parts)  # builds the codecs first, outside the profile
+        entered = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and entered.append(
+            frame.f_code.co_filename))
+        try:
+            raw = serialize_run(*parts, run_id=doc["run_id"], created_at=doc["created_at"],
+                                transcript_ref=doc["transcript_ref"])
+        finally:
+            sys.setprofile(None)
+        assert raw == golden
+        assert entered and json.encoder.__file__ not in entered
+
     def test_truncated_stream_is_parse_error(self):
         plan, findings, recs, report = sample_run()
         raw = serialize_run(plan, findings, recs, report)
@@ -292,6 +312,57 @@ class TestArtifactTypes:
         assert len(message) <= 100 + 60
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# Lone surrogates and characters json escapes, besides any other character.
+_CHARS = st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                   st.sampled_from('\x00\x1f\x7f"\\\n\t\u2028\xe9'))
+_KEYS = st.one_of(st.text(_CHARS, max_size=6), st.text(_CHARS, max_size=6).map(_Str))
+_EDGE_FLOATS = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+_LEAVES = st.one_of(
+    st.text(_CHARS, max_size=8), st.text(_CHARS, max_size=8).map(_Str),
+    st.integers(), st.integers(-10**40, 10**40), st.integers().map(_Int),
+    st.floats(), st.sampled_from(_EDGE_FLOATS), st.floats().map(_Float),
+    st.booleans(), st.none())
+_JSON_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(inner, max_size=4).map(_List), st.dictionaries(_KEYS, inner, max_size=4),
+    st.dictionaries(_KEYS, inner, max_size=4).map(_Dict)), max_leaves=24)
+
+
+@settings(deadline=None)
+@given(_JSON_VALUES)
+@example({"": [], "a": {}, "b": (), "c": [[{}]], "é\n\"\x00": _EDGE_FLOATS + [10**30, -10**30]})
+@example("\ud800 lone")
+@example([True, False, None, _Int(7), _Float(-0.0), _Str("s")])
+def test_artifact_writer_writes_what_json_dumps_writes(value):
+    assert model._indented(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": object()}, [b"bytes"]])
+def test_artifact_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        model._indented(value, "\n")
+
+
 def test_every_enum_hashes_by_identity():
     """A member-keyed dict lookup hashes in C: ``enum.Enum`` hashes by name in Python."""
     import penheal
@@ -345,6 +416,10 @@ class TestFindingIdentity:
         assert finding._replace(port=22).port == 22 and finding.port == 21
 
 
+_TIER_NAMES = st.sampled_from(["low", "moderate", "high", "urgent", ""]).flatmap(
+    lambda name: st.sampled_from([name, name.upper(), name.title(), name[:1] + name[1:].upper()]))
+
+
 class TestConfig:
     def test_defaults(self):
         config = RunConfig(target_address="10.0.2.4")
@@ -375,6 +450,24 @@ class TestConfig:
         assert policy.tier("high") == 10.0
         with pytest.raises(KeyError):
             policy.tier("extreme")
+
+    def test_tiers_is_a_copy_of_the_table_tier_reads(self):
+        policy = CostPolicy((("Low", 1.0),))
+        policy.tiers()["low"] = 9.0
+        assert policy.tier("LOW") == 1.0 and policy.tiers() == {
+            "low": 1.0, "moderate": 5.0, "high": 10.0}
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(_TIER_NAMES, st.floats(0, 10)), max_size=5).map(tuple),
+           _TIER_NAMES)
+    def test_tier_reads_the_policy_tiers(self, tier_scores, name):
+        policy = CostPolicy(tier_scores)
+        tiers = policy.tiers()
+        if name.lower() in tiers:
+            assert policy.tier(name) == tiers[name.lower()]
+        else:
+            with pytest.raises(KeyError, match=f"unknown cost tier: {name}"):
+                policy.tier(name)
 
     def test_round_trip_through_dict(self):
         config = RunConfig(target_address="10.0.2.4", budget_per_vuln=3.5)

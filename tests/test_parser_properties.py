@@ -2,6 +2,7 @@
 and what it returns stays within its caps, whatever the model wrote."""
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,8 +13,11 @@ from penheal import engine
 from penheal.cvss import CONSERVATIVE_DEFAULT_VECTOR, parse_vector
 from penheal.engine import (
     MAX_COMMANDS,
+    MAX_FINDINGS,
+    MAX_PLAN_TASKS,
     CommandChannel,
     PlanTable,
+    initial_plan,
     merge_revision,
     parse_commands,
     parse_extractor_blocks,
@@ -58,6 +62,8 @@ def _texts(*fragments: str, max_size: int = 30):
 
 
 _MANY_COMMANDS = " ".join(f"$id {n}$" for n in range(2000))
+_MANY_BLOCKS = "\n".join(f"Exploited: CVE-2011-{n:04d}\nService: s{n}\nPort: {n}"
+                         for n in range(2000))
 
 
 @settings(deadline=None)
@@ -81,10 +87,11 @@ def test_parse_commands(text):
               "NONE", "99999999999", "0" * 5000))
 @example("Exploited: CVE-2011-2523" + "0" * 5000 + "\nPort: Exploited: ")  # an id past the cap
 @example("Exploited: CVE-2011-2523" + "0" * 5000)  # a sequence number past 7 digits: no id
+@example(_MANY_BLOCKS)
 def test_parse_extractor_blocks(text):
     findings, warnings = parse_extractor_blocks(text)
     headers = sum(1 for line in text.splitlines() if "exploited" in line.lower())
-    assert len(findings) <= headers
+    assert len(findings) <= min(headers, MAX_FINDINGS)
     assert len(warnings) <= 2 * headers
     assert len({f.key for f in findings}) == len(findings)
     for f in findings:
@@ -168,6 +175,27 @@ def test_many_unknown_targets_give_one_bounded_warning():
     assert len(warnings) <= 2 and all(len(w) <= WARNING_CAP for w in warnings)
     assert warnings == [f"evaluator named {MAX_EXTRA_TARGETS} unknown target(s), "
                         "the first 'x0'; ignored"]
+
+
+def test_long_extractor_reply_yields_the_first_findings():
+    findings, warnings = parse_extractor_blocks(_MANY_BLOCKS)
+    assert [f.id for f in findings] == [f"CVE-2011-{n:04d}" for n in range(MAX_FINDINGS)]
+    assert warnings == [f"{2000 - MAX_FINDINGS} block(s) past the first {MAX_FINDINGS} ignored"]
+    assert all(len(w) <= WARNING_CAP for w in warnings)
+
+
+def test_long_planner_reply_leaves_a_bounded_plan():
+    reply = "\n".join(["1 Recon [to-do]"] + [f"1.{n} Probe {n} [to-do]" for n in range(1, 3001)])
+    gateway = Gateway(ScriptedBackend({AgentRole.PLANNER: [reply]}))
+    plan, warnings = initial_plan(RunConfig(target_address="10.0.2.4"), gateway)
+    assert plan.ids() == ["1"] + [f"1.{n}" for n in range(1, MAX_PLAN_TASKS)]  # reply order
+    assert warnings == [f"{3001 - MAX_PLAN_TASKS} new task(s) past the plan's "
+                        f"{MAX_PLAN_TASKS} ignored"]
+    # A full plan still settles its tasks; only additions are dropped.
+    warnings = merge_revision(plan, parse_plan_text("1.5 Probe 5 [done] - result: ok\n"
+                                                    "1.9999 Probe more [to-do]"))
+    assert plan.tasks["1.5"][1] is TaskStatus.COMPLETED and len(plan.tasks) == MAX_PLAN_TASKS
+    assert warnings == [f"1 new task(s) past the plan's {MAX_PLAN_TASKS} ignored"]
 
 
 def test_long_executor_reply_runs_the_first_commands():
@@ -305,6 +333,18 @@ def test_merge_revision_keeps_a_plan_valid(base_text, revision_text):
     version = plan.version
     merge_revision(plan, parse_plan_text(render_plan(plan)))
     assert (plan.freeze(), plan.version) == (merged, version)
+
+
+@settings(deadline=None)
+@given(_PLAN_TEXT, _PLAN_TEXT, st.integers(1, 6))
+def test_merge_revision_keeps_a_plan_within_the_bound(base_text, revision_text, bound):
+    with mock.patch.object(engine, "MAX_PLAN_TASKS", bound):
+        plan = PlanTable()
+        for text in (base_text, revision_text):
+            warnings = merge_revision(plan, parse_plan_text(text))
+            assert len(plan.tasks) <= bound
+            assert sum("past the plan's" in w for w in warnings) <= 1
+            assert not plan.tasks or validate_plan(plan.freeze()) == []
 
 
 @pytest.mark.parametrize("text", ["2  [todo]", "1.1 \t[done] - result: x", "3 \xa0 [failed]"])
