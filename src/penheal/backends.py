@@ -23,9 +23,8 @@ from typing import Callable, Optional, Union
 
 import requests
 
-from .engine import Command, CommandChannel, OUTPUT_CAP, TIMEOUT_STATUS
 from .gateway import AgentRole, ChatTurn, GatewayError
-from .model import NVD_BASE_URL
+from .model import NVD_BASE_URL, OUTPUT_CAP, Command, CommandChannel
 from .nvd import CveNotFound, FixtureNvdClient, NvdError, _parse_record
 
 API_KEY_ENV = "PENHEAL_LLM_API_KEY"
@@ -45,6 +44,7 @@ CAPTURE_BYTES = 4 * OUTPUT_CAP + 4
 EXIT_POLL_SECONDS = 0.01
 _EXITED = os.WEXITED | os.WNOHANG | os.WNOWAIT
 COMMAND_TIMEOUT_SECONDS = 120
+TIMEOUT_STATUS = "timeout"  # the exit status of a command killed at the timeout
 MSFCONSOLE = "msfconsole"
 
 

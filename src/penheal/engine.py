@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Protocol, Union
 
 from .gateway import AgentRole, Gateway
-from .knowledge import KnowledgeBase, build_instructor_prompt
 from .model import (
+    CVE_ID,
     CVE_NA,
+    OUTPUT_CAP,
     AttackPlan,
-    IdentityEnum,
+    Command,
+    CommandChannel,
     RunConfig,
     TaskNode,
     TaskStatus,
@@ -34,40 +36,19 @@ from .model import (
     clip_summary,
     dedupe_findings,
 )
-from .prompts import ask, format_finding_lines, render_prompt
+from .prompts import ask, build_instructor_prompt, format_finding_lines, render_prompt
 
-OUTPUT_CAP = 64 * 1024
+if TYPE_CHECKING:
+    from .knowledge import KnowledgeBase
+
 SUMMARY_CAP = 1200
 NO_OUTPUT_TEXT = "(no output)"
 NO_RESULT_TEXT = "(no result provided)"
 PARSE_FAILURE_TEXT = "planner-parse-failure"
-TIMEOUT_STATUS = "timeout"
 
 
 class EngineError(Exception):
     pass
-
-
-class CommandChannel(IdentityEnum):
-    SHELL = "shell"
-    MSFCONSOLE = "msfconsole"
-
-
-class _CommandFields(NamedTuple):
-    raw: str
-    channel: CommandChannel = CommandChannel.SHELL
-
-
-class Command(_CommandFields):
-    """One command for a backend; its text must not be blank."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.raw.strip():
-            raise ValueError("command must be non-empty")
-        return self
 
 
 class ExecutionRecord(NamedTuple):
@@ -206,17 +187,17 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
     to-do -> completed/failed; attempts to revert are ignored with a warning.
     Tasks missing from the lines are kept. A new task goes under the task
     whose id is its own minus the last segment, after that task's existing
-    children; orphans are dropped with a warning, and so are new tasks once the
-    plan holds ``MAX_PLAN_TASKS``, with one warning for all of them. Results are
-    clipped, and a settled task without one reads "(no result provided)".
+    children. Orphans (no parent in plan or lines) are dropped, and so are new
+    tasks once the plan holds ``MAX_PLAN_TASKS``; each kind gets one warning.
+    Results are clipped, and a settled task without one reads "(no result provided)".
     """
     tasks, children = plan.tasks, plan.children
     warnings: list[str] = []
     dropped = 0  # new tasks past the bound
     touched: dict[str, None] = {}  # ids whose fields changed, in first-change order
-    pending = lines
-    for _ in range(2):  # second pass catches children listed before their parent
-        deferred = []
+    pending, size = lines, -1
+    while pending and len(tasks) > size:  # a task the last pass added may place a deferred one
+        size, deferred = len(tasks), []
         for line in pending:
             task_id = line.id
             task = tasks.get(task_id)
@@ -250,7 +231,9 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
                 task[0], task[2] = line.description, result
                 touched[task_id] = None
         pending = deferred
-    warnings.extend(f"dropped orphan task {line.id} (no parent in plan)" for line in pending)
+    if pending:
+        warnings.append(f"dropped {len(pending)} orphan task(s), the first "
+                        f"{pending[0].id[:60]} (no parent in plan)")
     if dropped:
         warnings.append(f"{dropped} new task(s) past the plan's {MAX_PLAN_TASKS} ignored")
 
@@ -443,8 +426,7 @@ def counterfactual_update(
 
 _EXPLOITED_LINE = re.compile(r"^\s*exploited\s*:\s*(.+?)\s*$", re.IGNORECASE)
 _ATTR_LINE = re.compile(r"^\s*([A-Za-z_ ]+?)\s*:\s*(.*?)\s*$")
-# Sequence numbers run to 7 digits (CVE-2017-1000117); a longer run is no id at all.
-_CVE_TOKEN = re.compile(r"CVE-\d{4}-\d{4,7}(?!\d)|CVE-NA", re.IGNORECASE)
+_CVE_TOKEN = re.compile(rf"{CVE_ID}(?!\d)|{CVE_NA}", re.IGNORECASE)  # more digits: no id
 MAX_FINDINGS = 32  # "Exploited:" blocks parsed from one extractor reply, in reply order
 
 

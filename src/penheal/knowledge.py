@@ -41,9 +41,7 @@ from operator import ge, lt, mul, not_, truediv
 from pathlib import Path
 from typing import NamedTuple
 
-from .gateway import AgentRole
 from .model import decode, encode, json_text, load_json
-from .prompts import render_prompt
 
 EMBED_DIM = 512
 DEFAULT_CHUNK_SIZE = 800
@@ -313,10 +311,3 @@ class KnowledgeBase:
         kb._chunks = chunks
         kb._doc_ids = {c.doc_id for c in chunks}
         return kb
-
-
-def build_instructor_prompt(task_description: str, excerpts: list[Excerpt]) -> str:
-    """Assemble the guidance message fed to the executor for one task."""
-    numbered = "\n".join(f"{i}. {e.chunk.text}" for i, e in enumerate(excerpts, start=1))
-    return render_prompt(AgentRole.EXECUTOR, {"task": task_description, "excerpts": numbered},
-                         kind="instructor")

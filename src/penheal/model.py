@@ -42,9 +42,11 @@ DATA_DIR = Path(__file__).parent / "data"
 BUNDLED_HOST = DATA_DIR / "hosts" / "metasploitable2.json"
 
 CVE_NA = "CVE-NA"
+CVE_ID = r"CVE-\d{4}-\d{4,7}"  # sequence numbers run to 7 digits (CVE-2017-1000117)
 NVD_BASE_URL = "https://services.nvd.nist.gov/rest/json/cves/2.0"
 
 RESULT_SUMMARY_MAX = 500
+OUTPUT_CAP = 64 * 1024  # characters of a command's output kept
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,28 @@ class RecommendationStatus(IdentityEnum):
 class AggregationMode(IdentityEnum):
     DIVIDED_BY_THREE = "div3"
     SUM = "sum"
+
+
+class CommandChannel(IdentityEnum):
+    SHELL = "shell"
+    MSFCONSOLE = "msfconsole"
+
+
+class _CommandFields(NamedTuple):
+    raw: str
+    channel: CommandChannel = CommandChannel.SHELL
+
+
+class Command(_CommandFields):
+    """One command for a backend; its text must not be blank."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not self.raw.strip():
+            raise ValueError("command must be non-empty")
+        return self
 
 
 class TaskNode(NamedTuple):

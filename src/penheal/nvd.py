@@ -14,9 +14,9 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from . import cvss
-from .model import DATA_DIR, CvssMetrics, load_json
+from .model import CVE_ID, DATA_DIR, CvssMetrics, load_json
 
-CVE_PATTERN = re.compile(r"^CVE-\d{4}-\d{4,7}$")  # the extractor's 7-digit bound
+CVE_PATTERN = re.compile(rf"^{CVE_ID}$")
 
 
 class CveNotFound(Exception):

@@ -11,10 +11,13 @@ template.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .gateway import AgentRole, ChatTurn, Gateway, RoleTag
 from .model import CVE_NA, CostPolicy, Vulnerability
+
+if TYPE_CHECKING:
+    from .knowledge import Excerpt
 
 
 class PromptError(KeyError):
@@ -237,6 +240,13 @@ def _catalog_system(role: AgentRole) -> str:
     """The role's catalog system prompt, rendered once per process: the gateway's
     first-turn hash cache then matches this one string object by identity."""
     return render_prompt(role, {}, "system")
+
+
+def build_instructor_prompt(task_description: str, excerpts: list[Excerpt]) -> str:
+    """Assemble the guidance message fed to the executor for one task."""
+    numbered = "\n".join(f"{i}. {e.chunk.text}" for i, e in enumerate(excerpts, start=1))
+    return render_prompt(AgentRole.EXECUTOR, {"task": task_description, "excerpts": numbered},
+                         kind="instructor")
 
 
 def cost_rules_text(policy: CostPolicy) -> str:

@@ -19,8 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .engine import Command, CommandChannel
-from .model import BUNDLED_HOST, Vulnerability, decode, load_json
+from .model import BUNDLED_HOST, Command, CommandChannel, Vulnerability, decode, load_json
 
 EFFECT_SHELL = "shell"
 EFFECT_ROOT_SHELL = "root-shell"

@@ -785,6 +785,60 @@ def test_only_backends_imports_requests():
     assert importers == ["backends.py"]
 
 
+def imported_modules(path: Path) -> set[str]:
+    """The penheal modules a source file imports, at any depth, outside TYPE_CHECKING blocks."""
+    found, stack = set(), [ast.parse(path.read_text(encoding="utf-8"))]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["penheal" * bool(node.level), node.module]))
+            names = [f"{module}.{a.name}" for a in node.names] if module == "penheal" else [module]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("penheal."))
+    return found
+
+
+def test_only_the_cli_imports_a_stage():
+    """The stages sit on shared services; no service imports a stage back."""
+    imports = {path.stem: imported_modules(path) for path in (SRC / "penheal").glob("*.py")}
+    importers = {name for name, used in imports.items() if used & {"engine", "remediation", "cli"}}
+    assert importers == {"cli"}
+    services = ("model", "knapsack", "cvss", "knowledge", "simulator", "scoring", "nvd",
+                "backends")
+    assert {name: imports[name] for name in services} == {
+        "model": set(), "knapsack": set(), "cvss": {"model"}, "knowledge": {"model"},
+        "simulator": {"model"}, "scoring": {"model"}, "nvd": {"cvss", "model"},
+        "backends": {"gateway", "model", "nvd"}}
+
+
+PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))
+                        if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", ["simulator", "knowledge"])
+def test_a_service_loads_only_the_model(module):
+    assert fresh_process(f"import penheal.{module}", PENHEAL_MODULES) == {
+        "code": 0, "loaded": sorted({"penheal.model", f"penheal.{module}"})}
+
+
+def test_live_clients_load_no_discovery_stage():
+    assert fresh_process("import penheal.backends", DISCOVERY_STACK) == {"code": 0, "loaded": []}
+
+
+def test_score_with_the_default_truth_loads_only_the_simulator(tmp_path):
+    artifact = tmp_path / "run-artifact.json"
+    artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
+    script = f"from penheal.cli import main\ncode = main({['score', str(artifact)]!r})"
+    assert fresh_process(script, DISCOVERY_STACK) == {"code": 0, "loaded": ["penheal.simulator"]}
+
+
 def test_cli_runs_under_the_profiler(tmp_path):
     """``-m cProfile -m penheal.cli`` runs the CLI as ``__main__`` with the profiler's module
     in the ``penheal.cli`` slot, so the settings' codec must not look names up there."""

@@ -194,6 +194,14 @@ class TestPlanText:
         assert node(plan, "1.1") is not None
         assert not warnings
 
+    def test_grandchild_listed_before_its_ancestors_attaches(self):
+        """The orphan rule looks at the whole revision, in any order."""
+        plan = PlanTable()
+        text = "1.1.1 grandchild [to-do]\n1.1 child [to-do]\n1 root [to-do]"
+        assert merge_revision(plan, parse_plan_text(text)) == []
+        assert render_plan(plan).splitlines() == [
+            "1 root [to-do]", "  1.1 child [to-do]", "    1.1.1 grandchild [to-do]"]
+
     def test_a_merge_runs_no_enum_code(self):
         """A plan line's status text is a dict lookup; ``status.value`` runs enum.py."""
         plan = PlanTable()

@@ -11,9 +11,9 @@ import pytest
 from penheal.knowledge import (
     KnowledgeBase,
     KnowledgeBaseError,
-    build_instructor_prompt,
     embed,
 )
+from penheal.prompts import build_instructor_prompt
 from test_knowledge_sparse import cosine, dense
 
 

@@ -37,7 +37,7 @@ from penheal.model import (
     TaskStatus,
     Vulnerability,
 )
-from penheal.nvd import CVE_PATTERN, FixtureNvdClient
+from penheal.nvd import CVE_PATTERN, FixtureNvdClient, _validated_id
 from penheal.remediation import (
     MAX_ADVISOR_ITEMS,
     MAX_EXTRA_TARGETS,
@@ -79,6 +79,20 @@ def test_parse_commands(text):
         assert "$" not in command.raw and command.raw in text
         assert command.channel in (CommandChannel.SHELL, CommandChannel.MSFCONSOLE)
     assert all(len(w) <= WARNING_CAP for w in warnings)
+
+
+@pytest.mark.parametrize("prefix", ["CVE", "cve", "cVe"])
+@pytest.mark.parametrize("digits", [3, 4, 7, 8])
+def test_extractor_recognises_an_id_exactly_when_nvd_looks_it_up(prefix, digits):
+    cve_id = f"{prefix}-2017-{'1' * digits}"
+    findings, warnings = parse_extractor_blocks(f"Exploited: {cve_id}\nservice: ftp")
+    try:
+        looked_up = [_validated_id(cve_id)]
+    except ValueError:
+        looked_up = []
+    assert [f.id for f in findings] == looked_up
+    assert len(warnings) == 1 - len(looked_up)  # an unrecognized id is a skipped block
+    assert (digits in (4, 7)) == bool(looked_up)
 
 
 @settings(deadline=None)
@@ -345,6 +359,18 @@ def test_merge_revision_keeps_a_plan_within_the_bound(base_text, revision_text, 
             assert len(plan.tasks) <= bound
             assert sum("past the plan's" in w for w in warnings) <= 1
             assert not plan.tasks or validate_plan(plan.freeze()) == []
+
+
+def test_orphans_of_one_reply_give_one_warning():
+    plan = PlanTable()
+    merge_revision(plan, parse_plan_text("1 root [to-do]"))
+    long_id = "9." + "1" * 5000  # the plan-line grammar does not bound an id's length
+    reply = "\n".join([f"{long_id} orphan [to-do]"]
+                      + [f"9.{n} orphan task {n} [to-do]" for n in range(2999)])
+    warnings = merge_revision(plan, parse_plan_text(reply))
+    assert warnings == [f"dropped 3000 orphan task(s), the first {long_id[:60]} "
+                        "(no parent in plan)"]
+    assert len(warnings[0]) <= WARNING_CAP and plan.ids() == ["1"]
 
 
 @pytest.mark.parametrize("text", ["2  [todo]", "1.1 \t[done] - result: x", "3 \xa0 [failed]"])

@@ -78,7 +78,7 @@ def ref_assemble(seed, root_ids, lines):
     warnings = []
 
     pending = list(lines)
-    for _ in range(2):
+    while pending:  # until a pass defers every line it sees
         deferred = []
         for line in pending:
             if line.id in nodes:
@@ -107,11 +107,12 @@ def ref_assemble(seed, root_ids, lines):
                 roots.append(line.id)
             else:
                 nodes[parent_id]["children"].append(line.id)
-        pending = deferred
-        if not pending:
+        if len(deferred) == len(pending):
             break
-    for line in pending:
-        warnings.append(f"dropped orphan task {line.id} (no parent in plan)")
+        pending = deferred
+    if pending:
+        warnings.append(f"dropped {len(pending)} orphan task(s), the first "
+                        f"{pending[0].id[:60]} (no parent in plan)")
 
     for entry in nodes.values():
         if entry["status"] is not TaskStatus.TODO and not entry["result"]:
