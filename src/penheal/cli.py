@@ -27,10 +27,12 @@ from .model import (
     ArtifactParseError,
     AttackPlan,
     CliSettings,
+    RecommendationStatus,
     RunConfig,
     Vulnerability,
     decode,
     deserialize_run,
+    encode,
     json_text,
     load_json,
     serialize_run,
@@ -91,7 +93,7 @@ def bundled_fixture_path(name: str) -> Path:
 
 
 def _resolve_fixtures(spec: Optional[str]) -> Path:
-    if not spec or spec == "builtin":
+    if not spec:
         return bundled_fixture_path("golden6.jsonl")
     path = Path(spec)
     if path.is_dir():
@@ -251,7 +253,7 @@ def _read_artifact(path: str):
 
 
 def _persist_history(history: list[engine.ExecutionRecord], out_dir: Path) -> None:
-    text = "".join(json_text(record.to_dict()) + "\n" for record in history)
+    text = "".join(json_text(encode(record)) + "\n" for record in history)
     _output(out_dir / "history.jsonl", lambda path: path.write_text(text, encoding="utf-8"))
 
 
@@ -363,7 +365,7 @@ def cmd_score(args) -> int:
     reports = []
     for path in args.artifacts:
         _, findings, recommendations, _ = _read_artifact(path)
-        selected = [r for r in recommendations if r.status.value == "adopted"]
+        selected = [r for r in recommendations if r.status is RecommendationStatus.ADOPTED]
         reports.append(scoring.score_run(findings, truth, selected, mode=mode, run_id=path))
 
     if args.repeat_mean and len(reports) > 1:

@@ -51,20 +51,12 @@ class EngineError(Exception):
     pass
 
 
-class ExecutionRecord(NamedTuple):
-    command: Command
+class ExecutionRecord(NamedTuple):  # one executed command: a history.jsonl row, in field order
+    command: str
+    channel: CommandChannel
     raw_output: str
     summary: str
     exit_status: Union[int, str]
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command.raw,
-            "channel": self.command.channel.value,
-            "raw_output": self.raw_output,
-            "summary": self.summary,
-            "exit_status": self.exit_status,
-        }
 
 
 class IterationLog(NamedTuple):
@@ -193,7 +185,7 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
     """
     tasks, children = plan.tasks, plan.children
     warnings: list[str] = []
-    dropped = 0  # new tasks past the bound
+    dropped = stranded = 0  # new tasks past the bound; deferred ones that can never attach
     touched: dict[str, None] = {}  # ids whose fields changed, in first-change order
     pending, size = lines, -1
     while pending and len(tasks) > size:  # a task the last pass added may place a deferred one
@@ -230,10 +222,17 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
             if line.description != task[0] or result != task[2]:
                 task[0], task[2] = line.description, result
                 touched[task_id] = None
-        pending = deferred
-    if pending:
-        warnings.append(f"dropped {len(pending)} orphan task(s), the first "
-                        f"{pending[0].id[:60]} (no parent in plan)")
+        # A deferred line whose parent is neither a task nor a deferred line can never attach.
+        waiting = {line.id for line in deferred}
+        pending = [line for line in deferred
+                   if (parent := line.id.rpartition(".")[0]) in tasks or parent in waiting]
+        stranded += len(deferred) - len(pending)
+    if len(tasks) >= MAX_PLAN_TASKS:  # a full plan drops every new line it reaches
+        dropped += stranded
+    elif pending or stranded:
+        first = next(line for line in lines if line.id not in tasks)  # in reply order
+        warnings.append(f"dropped {len(pending) + stranded} orphan task(s), the first "
+                        f"{first.id[:60]} (no parent in plan)")
     if dropped:
         warnings.append(f"{dropped} new task(s) past the plan's {MAX_PLAN_TASKS} ignored")
 
@@ -490,7 +489,7 @@ def extract_findings(
     if not records:
         return [], []
     history_text = "\n".join(
-        f"Command: {r.command.raw}\nSummary: {r.summary}" for r in records
+        f"Command: {r.command}\nSummary: {r.summary}" for r in records
     )
     response = ask(gateway, AgentRole.EXTRACTOR,
                    render_prompt(AgentRole.EXTRACTOR, {"history": history_text}, "extract"))
@@ -570,7 +569,7 @@ def run_pentest(
             for command in commands:
                 output, status = execute(command, executor_backend)
                 summary = summarize(command.raw, output, gateway)
-                record = ExecutionRecord(command, output, summary, status)
+                record = ExecutionRecord(command.raw, command.channel, output, summary, status)
                 iteration_records.append(record)
                 history.append(record)
 

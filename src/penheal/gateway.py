@@ -137,11 +137,6 @@ class GatewayError(Exception):
 class MissingFixtureError(GatewayError):
     """Replay mode saw a request it has no recorded response for."""
 
-    def __init__(self, role: AgentRole, digest: str):
-        super().__init__(
-            f"no recorded response for role {role.value}, request hash {digest}"
-        )
-
 
 class ChatBackend(Protocol):
     def complete(self, role: AgentRole, model: str, messages: list[ChatTurn]) -> str: ...
@@ -164,7 +159,8 @@ class ReplayBackend:
         try:
             return self._responses[digest]
         except KeyError:
-            raise MissingFixtureError(role, digest) from None
+            raise MissingFixtureError(
+                f"no recorded response for role {role.value}, request hash {digest}") from None
 
 
 class ScriptedBackend:

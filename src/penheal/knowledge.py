@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
 import re
 import sys
@@ -41,7 +40,7 @@ from operator import ge, lt, mul, not_, truediv
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import decode, encode, json_text, load_json
+from .model import decode, encode, json_document, json_text, load_json
 
 EMBED_DIM = 512
 DEFAULT_CHUNK_SIZE = 800
@@ -253,8 +252,8 @@ class KnowledgeBase:
         with open(directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
             for c in self._chunks:
                 fh.write(json_text(encode(c)) + "\n")
-        meta = IndexMeta(EMBED_DIM, INDEX_DTYPE, len(self._chunks))._asdict()
-        (directory / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+        meta = json_document(encode(IndexMeta(EMBED_DIM, INDEX_DTYPE, len(self._chunks))))
+        (directory / "meta.json").write_text(meta, encoding="utf-8")
 
     @classmethod
     def load(cls, directory: str | Path) -> "KnowledgeBase":

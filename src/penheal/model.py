@@ -9,17 +9,20 @@ cost every fresh process would pay at start-up.
 
 Every JSON document the program reads or writes goes through one codec,
 :func:`encode` and :func:`decode`, exposed on the value types as ``to_dict``
-and ``from_dict`` and built from a type's annotations on its first use.
-Fields are written in declaration order, which is the layout. An ``Enum`` is
-its value, a nested value type an object, ``tuple[X, ...]`` a list, ``None``
-``null``, and ``tuple[tuple[str, X], ...]`` an object; that also decodes from
-a list of pairs, as host-model ``credentials`` are written. A float field
-accepts a JSON integer, but no number is read from a string (``"4"`` or a
-``${VAR}`` reference), and an int field refuses floats and booleans. A
-missing field takes its default or raises ``KeyError``; unknown keys are
-ignored. Any other mismatch raises ``ValueError`` naming the field. Input
-is parsed by :func:`load_json`, so JSON nested too deep to read is a
-``JSONDecodeError`` like any other malformed input.
+and ``from_dict`` and built from a type's annotations on its first use, and
+through this module's two writers: :data:`json_text` for one-line documents,
+:func:`json_document` for indented ones. Fields are written in declaration
+order, which is the layout. An ``Enum`` is its value, a nested value type an
+object, ``tuple[X, ...]`` a list, ``None`` ``null``, ``Union[int, str]`` (any
+builtin scalars) the value as it is, and ``tuple[tuple[str, X], ...]`` an
+object; that also decodes from a list of pairs, as host-model ``credentials``
+are written. A float field accepts a JSON integer, but no number is read from
+a string (``"4"`` or a ``${VAR}`` reference), an int field refuses floats and
+booleans, and a union takes only its types exactly. A missing field takes its
+default or raises ``KeyError``; unknown keys are ignored. Any other mismatch
+raises ``ValueError`` naming the field. Input is parsed by :func:`load_json`,
+so JSON nested too deep to read is a ``JSONDecodeError`` like any other
+malformed input.
 
 The run-artifact layout produced by :func:`serialize_run` is the contract
 between CLI invocations.
@@ -125,8 +128,8 @@ def _codec(cls: type) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
 def _converters(text: str, namespace: dict[str, Any]) -> tuple[Optional[Callable], Callable]:
     """(encoder of a non-null value, or None to write it as it is; decoder) of an annotation.
 
-    The annotation is read as written, without compiling it: a type name,
-    ``Optional[X]``, ``tuple[X, ...]`` or ``tuple[tuple[str, X], ...]``.
+    The annotation is read as written, without compiling it: a type name, ``Optional[X]``,
+    ``Union[...]`` of builtin scalars, ``tuple[X, ...]`` or ``tuple[tuple[str, X], ...]``.
     """
     if text.startswith("Optional["):
         enc, dec = _converters(text[9:-1], namespace)
@@ -139,6 +142,9 @@ def _converters(text: str, namespace: dict[str, Any]) -> tuple[Optional[Callable
         enc, dec = _converters(text[6:-6], namespace)
         return ((lambda v: [enc(e) for e in v]) if enc else list,
                 lambda x: tuple(map(dec, _check(list, x))))
+    if text.startswith("Union["):  # of builtin scalars, each taken only as its exact type
+        kinds = {vars(builtins)[name] for name in text[6:-1].split(", ")}
+        return None, lambda x: x if type(x) in kinds else _check(text, x)  # raises, naming text
     hint = namespace.get(text) or vars(builtins).get(text)
     if hint in (str, int, float, bool):
         return None, partial(_check, hint)
@@ -157,12 +163,12 @@ def _converters(text: str, namespace: dict[str, Any]) -> tuple[Optional[Callable
     raise TypeError(f"no JSON codec for the annotation {text!r}")
 
 
-def _check(kind: type, data: Any) -> Any:
+def _check(kind: type | str, data: Any) -> Any:
     if type(data) is kind:
         return data
     if kind is float and type(data) is int and abs(data) <= sys.float_info.max:
         return float(data)
-    raise ValueError(f"expected {kind.__name__}, got {type(data).__name__}")
+    raise ValueError(f"expected {getattr(kind, '__name__', kind)}, got {type(data).__name__}")
 
 
 def _pairs(data: Any) -> Any:
@@ -448,7 +454,7 @@ def serialize_run(
     """Encode one run as the UTF-8 JSON run-artifact document."""
     doc = encode(_Artifact(ARTIFACT_VERSION, run_id, created_at, transcript_ref, plan,
                            tuple(findings), tuple(recommendations), report))
-    return (_indented(doc, "\n") + "\n").encode("utf-8")
+    return (json_document(doc) + "\n").encode("utf-8")
 
 
 # The text of a JSON scalar by its exact type, as json writes it (a float by json's floatstr).
@@ -460,7 +466,7 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 _JSON_TYPES = (str, int, float, list, tuple, dict)  # in json's isinstance order
 
 
-def _indented(value: Any, indent: str) -> str:
+def json_document(value: Any, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` at ``indent`` (a newline and spaces),
     without json's pure-Python encoder; a tuple or a subclass goes by json's isinstance order."""
     kind = type(value)
@@ -476,10 +482,10 @@ def _indented(value: Any, indent: str) -> str:
     inner, scalar = indent + "  ", _SCALARS.get
     if kind is dict:
         return "{" + inner + ("," + inner).join([
-            f"{encode_basestring(k)}: {s(v) if (s := scalar(type(v))) else _indented(v, inner)}"
+            f"{encode_basestring(k)}: {s(v) if (s := scalar(type(v))) else json_document(v, inner)}"
             for k, v in value.items()]) + indent + "}"
     return "[" + inner + ("," + inner).join([
-        s(v) if (s := scalar(type(v))) else _indented(v, inner) for v in value]) + indent + "]"
+        s(v) if (s := scalar(type(v))) else json_document(v, inner) for v in value]) + indent + "]"
 
 
 def deserialize_run(

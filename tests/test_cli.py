@@ -389,6 +389,12 @@ def _rejected_config(tmp_path, capsys, monkeypatch, command, doc):
 class TestBadInputsFailFirst:
     """A bad --truth or --kb is one ``fatal:`` line and exit 1, before any model call."""
 
+    def test_fixtures_builtin_is_a_path_like_any_other(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        assert run_cli(*hermetic_args(tmp_path / "out"), "--fixtures", "builtin") == 1
+        assert fatal_line(capsys.readouterr().err) == "fatal: fixtures transcript not found: builtin"
+
     @pytest.fixture
     def no_model_stage(self, monkeypatch):
         monkeypatch.setattr(cli, "_chat_gateway", _refuse)
@@ -816,6 +822,26 @@ def test_only_the_cli_imports_a_stage():
         "model": set(), "knapsack": set(), "cvss": {"model"}, "knowledge": {"model"},
         "simulator": {"model"}, "scoring": {"model"}, "nvd": {"cvss", "model"},
         "backends": {"gateway", "model", "nvd"}}
+
+
+def test_only_the_model_formats_json():
+    """Every JSON file is a value type written by ``model``'s ``json_text`` or
+    ``json_document``; no other module holds a JSON writer or a hand-built encoder."""
+    writers = {"dump", "dumps", "JSONEncoder"}
+    found = []
+    for path in sorted((SRC / "penheal").glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in writers
+                    and ast.unparse(node.value).split(".")[0] == "json"):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                found.extend(f"{path.stem}: {a.name}" for a in node.names if a.name in writers)
+            elif isinstance(node, ast.ClassDef):
+                found.extend(f"{path.stem}: {node.name}.to_dict" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and item.name == "to_dict")
+    assert found == []
 
 
 PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from penheal.engine import (
     Command,
     CommandChannel,
     EngineError,
+    ExecutionRecord,
     IterationLog,
     PlanTable,
     _finding_matcher,
@@ -41,7 +43,16 @@ from penheal.engine import (
     update_plan,
 )
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
-from penheal.model import CVE_NA, RunConfig, TaskStatus, Vulnerability
+from penheal.model import (
+    CVE_NA,
+    RunConfig,
+    TaskStatus,
+    Vulnerability,
+    decode,
+    encode,
+    json_text,
+    load_json,
+)
 from penheal.knowledge import KnowledgeBase
 from penheal.simulator import SimulatorBackend, load_host_model
 
@@ -868,7 +879,7 @@ class TestScriptedRuns:
         )
         config = RunConfig(target_address="10.0.0.1", max_iterations=1)
         result = run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
-        assert [record.command.raw for record in result.history] == ["nmap 10.0.0.1"]
+        assert [record.command for record in result.history] == ["nmap 10.0.0.1"]
         assert find(result.plan, "1.1").status is TaskStatus.COMPLETED
 
     def test_monotone_findings_and_replay_purity(self):
@@ -919,6 +930,32 @@ class TestScriptedRuns:
         for line in second_lines:
             _parse_plan_line(line)
         assert _parse_plan_line.cache_info().hits == hits + len(second_lines)
+
+
+class TestExecutionRecordCodec:
+    """A history.jsonl line is an ``ExecutionRecord`` written by the codec."""
+
+    def test_golden_history_lines_round_trip_to_the_same_bytes(self):
+        path = Path(__file__).resolve().parent / "data" / "golden-run" / "history.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines
+        for line in lines:
+            record = load_json(line, partial(decode, ExecutionRecord))
+            assert json_text(encode(record)) == line
+
+    @pytest.mark.parametrize("status", [0, -1, "timeout"])
+    def test_exit_status_takes_an_int_or_a_string(self, status):
+        record = ExecutionRecord("id", CommandChannel.MSFCONSOLE, "out", "sum", status)
+        data = encode(record)
+        assert list(data) == ["command", "channel", "raw_output", "summary", "exit_status"]
+        assert data["channel"] == "msfconsole" and data["exit_status"] == status
+        assert decode(ExecutionRecord, data) == record
+
+    @pytest.mark.parametrize("status", [1.5, True, None, []])
+    def test_exit_status_refuses_any_other_type(self, status):
+        data = encode(ExecutionRecord("id", CommandChannel.SHELL, "", "", 0))
+        with pytest.raises(ValueError, match=r"ExecutionRecord\.exit_status: .*int.*str"):
+            decode(ExecutionRecord, {**data, "exit_status": status})
 
 
 class TestInitialPlan:

@@ -354,13 +354,13 @@ _JSON_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
 @example("\ud800 lone")
 @example([True, False, None, _Int(7), _Float(-0.0), _Str("s")])
 def test_artifact_writer_writes_what_json_dumps_writes(value):
-    assert model._indented(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
+    assert model.json_document(value) == json.dumps(value, indent=2, ensure_ascii=False)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, {"a": object()}, [b"bytes"]])
 def test_artifact_writer_refuses_what_json_dumps_refuses(value):
     with pytest.raises(TypeError, match="is not JSON serializable"):
-        model._indented(value, "\n")
+        model.json_document(value)
 
 
 def test_every_enum_hashes_by_identity():

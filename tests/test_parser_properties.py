@@ -2,6 +2,7 @@
 and what it returns stays within its caps, whatever the model wrote."""
 
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -371,6 +372,40 @@ def test_orphans_of_one_reply_give_one_warning():
     assert warnings == [f"dropped 3000 orphan task(s), the first {long_id[:60]} "
                         "(no parent in plan)"]
     assert len(warnings[0]) <= WARNING_CAP and plan.ids() == ["1"]
+
+
+def test_orphans_are_not_carried_through_the_deferral_passes():
+    """A chain listed deepest first takes one pass per level; lines that can never attach
+    leave after the first pass instead of riding along on every later one."""
+    chain = [".".join("1" * depth) for depth in range(MAX_PLAN_TASKS - 1, 0, -1)]
+    lines = ([TaskNode(task_id, "step") for task_id in chain]
+             + [TaskNode(f"9.{n}", "orphan") for n in range(30000)])
+    plan = PlanTable()
+    started = time.perf_counter()
+    warnings = merge_revision(plan, lines)
+    assert time.perf_counter() - started < 2
+    assert len(plan.tasks) == MAX_PLAN_TASKS - 1
+    assert warnings == ["dropped 30000 orphan task(s), the first 9.0 (no parent in plan)"]
+
+
+def test_an_orphan_deferred_before_the_plan_fills_counts_as_dropped():
+    with mock.patch.object(engine, "MAX_PLAN_TASKS", 3):
+        plan = PlanTable()
+        merge_revision(plan, parse_plan_text("1 root [to-do]"))
+        warnings = merge_revision(plan, parse_plan_text(
+            "9.1 orphan [to-do]\n1.1 a [to-do]\n1.2 b [to-do]\n1.3 c [to-do]"))
+    assert plan.ids() == ["1", "1.1", "1.2"]
+    assert warnings == ["2 new task(s) past the plan's 3 ignored"]
+
+
+def test_orphan_warning_quotes_the_first_unplaced_line_in_reply_order():
+    """``9.1`` and ``2.1`` are stranded in the first pass and ``2.1.1`` only in the second,
+    yet the warning quotes ``2.1.1``, which the reply lists first."""
+    plan = PlanTable()
+    text = "2.1.1 b [to-do]\n1.1 a [to-do]\n9.1 c [to-do]\n2.1 d [to-do]\n1 root [to-do]"
+    warnings = merge_revision(plan, parse_plan_text(text))
+    assert plan.ids() == ["1", "1.1"]
+    assert warnings == ["dropped 3 orphan task(s), the first 2.1.1 (no parent in plan)"]
 
 
 @pytest.mark.parametrize("text", ["2  [todo]", "1.1 \t[done] - result: x", "3 \xa0 [failed]"])

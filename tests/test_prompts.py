@@ -113,7 +113,7 @@ def call(role, replies):
         result = run_pentest(RunConfig(target_address="10.0.2.4", max_iterations=1),
                              _Host(), gateway, KnowledgeBase())
         task = find(result.plan, "1")
-        value = ([r.command.raw for r in result.history], task.status.value,
+        value = ([r.command for r in result.history], task.status.value,
                  task.result_summary)
         warnings = result.warnings
     elif role is AgentRole.ESTIMATOR:
