@@ -9,15 +9,3 @@ fixtures and a simulated victim host.
 """
 
 __version__ = "0.1.0"
-
-from .model import (  # noqa: F401
-    AttackPlan,
-    CostPolicy,
-    CvssMetrics,
-    Recommendation,
-    RunConfig,
-    ScoreReport,
-    TaskNode,
-    TaskStatus,
-    Vulnerability,
-)

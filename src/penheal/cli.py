@@ -32,10 +32,9 @@ from .model import (
     Vulnerability,
     decode,
     deserialize_run,
-    encode,
-    json_text,
     load_json,
     serialize_run,
+    write_json_lines,
 )
 from .nvd import FixtureNvdClient
 
@@ -252,26 +251,25 @@ def _read_artifact(path: str):
         raise Fatal(f"cannot read artifact {path}: {exc}") from None
 
 
-def _persist_history(history: list[engine.ExecutionRecord], out_dir: Path) -> None:
-    text = "".join(json_text(encode(record)) + "\n" for record in history)
-    _output(out_dir / "history.jsonl", lambda path: path.write_text(text, encoding="utf-8"))
+def _pentest_stage(settings: CliSettings, config: RunConfig, out_dir: Path,
+                   host=None) -> tuple[engine.PentestResult, gw.Gateway, str]:
+    """Run discovery, then write history.jsonl and the stage-one artifact ``remediate`` reads.
 
+    Returns the result, and the gateway and transcript reference ``run`` remediates with.
+    """
+    from . import engine  # compiled before a replay transcript is read: a lower peak RSS
 
-def _pentest_stage(settings: CliSettings, config: RunConfig, gateway: gw.Gateway,
-                   out_dir: Path, transcript_ref: str, host=None) -> engine.PentestResult:
-    """Run discovery, then write history.jsonl and the stage-one artifact ``remediate`` reads."""
-    from . import engine
-
+    gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
     backend, kb = _executor(settings, host)
     try:
         pentest = engine.run_pentest(config, backend, gateway, kb)
     except engine.EngineError as exc:
         raise Fatal(str(exc)) from None
-    _persist_history(pentest.history, out_dir)
+    _output(out_dir / "history.jsonl", lambda path: write_json_lines(path, pentest.history))
     _write_artifact(out_dir, pentest.plan, pentest.findings, [], None,
                     run_id=_deterministic_run_id(config.target_address, "pentest"),
                     transcript_ref=transcript_ref)
-    return pentest
+    return pentest, gateway, transcript_ref
 
 
 def _remediate_and_score(config: RunConfig, gateway: gw.Gateway, nvd_client, out_dir: Path,
@@ -314,9 +312,8 @@ def cmd_run(args) -> int:
     host = (_host_model(settings.host_model)
             if settings.mode == "hermetic" or not settings.truth else None)
     truth = _load_truth(settings.truth, host)
-    gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
     nvd_client = _nvd_client(settings, out_dir)
-    pentest = _pentest_stage(settings, config, gateway, out_dir, transcript_ref, host)
+    pentest, gateway, transcript_ref = _pentest_stage(settings, config, out_dir, host)
     pentest_code = _exit_code(pentest.warnings)  # printed now, in case remediation fails
     run_id = _deterministic_run_id(config.target_address, settings.mode)
     report_text, rem_warnings = _remediate_and_score(
@@ -337,8 +334,7 @@ def cmd_run(args) -> int:
 
 def cmd_pentest(args) -> int:
     settings, config, out_dir = _stage_setup(args)
-    gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
-    pentest = _pentest_stage(settings, config, gateway, out_dir, transcript_ref)
+    pentest, _, _ = _pentest_stage(settings, config, out_dir)
     print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})")
     for v in pentest.findings:
         print(f"  {v.key_str}")

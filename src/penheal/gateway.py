@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import time
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol
 
-from .model import IdentityEnum, decode, encode, json_text, load_json
+from .model import IdentityEnum, read_json_lines, write_json_lines
 
 STRONG_CHAR_BUDGET = 100_000
 LIGHT_CHAR_BUDGET = 12_000
@@ -115,19 +114,10 @@ class RecordedReply(NamedTuple):
 
 def load_transcript(path: str | Path, cls: type = Exchange) -> list:
     """Each line of a transcript as ``cls``, in file order; GatewayError names a bad line."""
-    values = []
-    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
-        for line_no, raw in enumerate(fh, start=1):
-            try:  # UnicodeDecodeError is a ValueError
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                values.append(decode(cls, load_json(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise GatewayError(
-                    f"transcript {path} line {line_no} is unreadable: {exc}"
-                ) from exc
-    return values
+    try:
+        return read_json_lines(path, cls)
+    except ValueError as exc:
+        raise GatewayError(f"transcript {exc}") from exc
 
 
 class GatewayError(Exception):
@@ -226,8 +216,7 @@ class Gateway:
                 response=response,
                 ts=time.strftime("%Y-%m-%dT%H:%M:%S"),
             )
-            with open(self._record_path, "a", encoding="utf-8") as fh:
-                fh.write(json_text(encode(exchange)) + "\n")
+            write_json_lines(self._record_path, [exchange], append=True)
         return response
 
 

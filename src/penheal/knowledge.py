@@ -40,7 +40,7 @@ from operator import ge, lt, mul, not_, truediv
 from pathlib import Path
 from typing import NamedTuple
 
-from .model import decode, encode, json_document, json_text, load_json
+from .model import decode, encode, json_document, load_json, read_json_lines, write_json_lines
 
 EMBED_DIM = 512
 DEFAULT_CHUNK_SIZE = 800
@@ -249,9 +249,7 @@ class KnowledgeBase:
         parts = [array("I", map(len, self._rows)), *self._rows, *self._counts, self._squares]
         postings = b"".join(_little_endian(part).tobytes() for part in parts)
         (directory / "postings.bin").write_bytes(postings)
-        with open(directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
-            for c in self._chunks:
-                fh.write(json_text(encode(c)) + "\n")
+        write_json_lines(directory / "chunks.jsonl", self._chunks)
         meta = json_document(encode(IndexMeta(EMBED_DIM, INDEX_DTYPE, len(self._chunks))))
         (directory / "meta.json").write_text(meta, encoding="utf-8")
 
@@ -274,9 +272,7 @@ class KnowledgeBase:
             if found != wanted:  # an index of another version: a new ingest rebuilds it
                 raise KnowledgeBaseError(f"index {field} {found!r} is not {wanted!r}; re-run "
                                          "`penheal ingest` on its documents into a new directory")
-        decode_chunk = partial(decode, Chunk)
-        with open(directory / "chunks.jsonl", encoding="utf-8") as fh:
-            chunks = [load_json(line, decode_chunk) for line in fh if line.strip()]
+        chunks = read_json_lines(directory / "chunks.jsonl", Chunk)
         if len(chunks) != meta.count:
             raise KnowledgeBaseError(f"chunks.jsonl has {len(chunks)} chunks, not {meta.count}")
         data = (directory / "postings.bin").read_bytes()

@@ -10,8 +10,9 @@ cost every fresh process would pay at start-up.
 Every JSON document the program reads or writes goes through one codec,
 :func:`encode` and :func:`decode`, exposed on the value types as ``to_dict``
 and ``from_dict`` and built from a type's annotations on its first use, and
-through this module's two writers: :data:`json_text` for one-line documents,
-:func:`json_document` for indented ones. Fields are written in declaration
+through this module's writers: :func:`json_document` for indented documents
+and :func:`write_json_lines` (one :data:`json_text` line per value), which
+:func:`read_json_lines` reads. Fields are written in declaration
 order, which is the layout. An ``Enum`` is its value, a nested value type an
 object, ``tuple[X, ...]`` a list, ``None`` ``null``, ``Union[int, str]`` (any
 builtin scalars) the value as it is, and ``tuple[tuple[str, X], ...]`` an
@@ -38,7 +39,7 @@ from functools import lru_cache, partial
 from json.encoder import encode_basestring
 from math import isfinite
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 # The bundled fixtures, corpus, NVD records and host profile.
 DATA_DIR = Path(__file__).parent / "data"
@@ -83,6 +84,30 @@ def load_json(text: str, then: Callable[[Any], Any] = lambda data: data) -> Any:
         return then(json.loads(text))
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep", text, 0) from None
+
+
+def read_json_lines(path: str | Path, cls: type) -> list:
+    """Each nonblank line of a JSON-lines file as ``cls``, in file order.
+
+    Lines are decoded from UTF-8 one at a time, so a bad byte, malformed JSON or a value
+    the codec refuses is a ValueError naming ``<path> line N``.
+    """
+    values = []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                line = raw.decode("utf-8").strip()
+                if line:
+                    values.append(decode(cls, load_json(line)))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path} line {line_no} is unreadable: {exc}") from exc
+    return values
+
+
+def write_json_lines(path: str | Path, values: Iterable[Any], append: bool = False) -> None:
+    """Write, or append, one UTF-8 line of :data:`json_text` per value, streamed."""
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+        fh.writelines(json_text(encode(value)) + "\n" for value in values)
 
 
 def _codec(cls: type) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:

@@ -206,13 +206,14 @@ class EvaluationVerdict(NamedTuple):
     k: float  # percentage for partial/negative
     cost: float
     extra_target_keys: tuple[str, ...] = ()
+    ignored_target_keys: int = 0  # keys past the first MAX_EXTRA_TARGETS
 
 
 def parse_evaluation(reply: str, policy: CostPolicy) -> EvaluationVerdict:
     effect_class = ""
     k = 0.0
     cost: Optional[float] = None
-    extra: tuple[str, ...] = ()
+    extra: list[str] = []
     for line in reply.splitlines():
         effect = _EFFECT_LINE.match(line)
         if effect:
@@ -230,26 +231,27 @@ def parse_evaluation(reply: str, policy: CostPolicy) -> EvaluationVerdict:
             continue
         targets_match = _TARGETS_LINE.match(line)
         if targets_match:
-            extra = tuple(
-                t.strip() for t in targets_match.group(1).split(",") if t.strip()
-            )[:MAX_EXTRA_TARGETS]
+            extra = [t.strip() for t in targets_match.group(1).split(",") if t.strip()]
     if not effect_class or cost is None:
         raise ValueError(f"unparseable evaluation reply: {reply[:60]!r}")
     return EvaluationVerdict(
         effect_class=effect_class,
         k=k,
         cost=round(cost, 1),  # 0.1 granularity so the knapsack scaling is exact
-        extra_target_keys=extra,
+        extra_target_keys=tuple(extra[:MAX_EXTRA_TARGETS]),
+        ignored_target_keys=max(len(extra) - MAX_EXTRA_TARGETS, 0),
     )
 
 
 def compute_value(verdict: EvaluationVerdict, target_scores: list[float]) -> float:
     """Deterministic value from the parsed class: the model never does arithmetic.
 
-    The result is clamped to [-sum, +sum] of the target scores so rounding
-    can never push it past the mechanical bounds.
+    The scores are summed exactly, in whole tenths (a CVSS score has one
+    decimal; any further digits are dropped), and the result is clamped to
+    [-sum, +sum] so rounding can never push it past the mechanical bounds:
+    both ends are on the knapsack's 0.01 grid.
     """
-    total = sum(target_scores)
+    total = sum(int(score * 10) for score in target_scores) / 10
     if verdict.effect_class == "full":
         value = round(total, 2)
     elif verdict.effect_class == "partial":
@@ -333,6 +335,9 @@ def evaluate(
         )
 
     verdict, rationale = parsed
+    if verdict.ignored_target_keys:
+        warnings.append(f"{verdict.ignored_target_keys} target key(s) past the first "
+                        f"{MAX_EXTRA_TARGETS} ignored")
     target_keys = list(recommendation.target_vuln_ids)
     extra, unknown = context.resolve(verdict.extra_target_keys)
     for f in extra:

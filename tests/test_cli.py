@@ -560,7 +560,8 @@ class TestBadInputsFailFirst:
         assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
         assert "knowledge base" in fatal_line(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("damage", ["meta-list", "meta-too-deep", "mistyped-chunk"])
+    @pytest.mark.parametrize("damage", ["meta-list", "meta-too-deep", "mistyped-chunk",
+                                        "broken-chunk"])
     def test_bad_kb(self, tmp_path, capsys, monkeypatch, no_network, damage):
         from penheal.knowledge import KnowledgeBase
 
@@ -569,12 +570,17 @@ class TestBadInputsFailFirst:
         index = KnowledgeBase()
         index.ingest("Scan the target with nmap before exploiting it.", doc_id="notes")
         index.save(kb)
-        if damage == "mistyped-chunk":
-            (kb / "chunks.jsonl").write_text('{"doc_id": 5, "seq": 0, "text": ["x"]}\n')
+        chunks = {"mistyped-chunk": '{"doc_id": 5, "seq": 0, "text": ["x"]}',
+                  "broken-chunk": '{"doc_id": "notes", "seq": 0,'}.get(damage)
+        if chunks:  # after a blank line, which is skipped but counted
+            (kb / "chunks.jsonl").write_text(f"\n{chunks}\n")
         else:
             (kb / "meta.json").write_text("[]" if damage == "meta-list" else "[" * 100_000)
         assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
-        assert f"cannot load knowledge base {kb}" in fatal_line(capsys.readouterr().err)
+        line = fatal_line(capsys.readouterr().err)
+        assert f"cannot load knowledge base {kb}" in line
+        if chunks:
+            assert f"{kb / 'chunks.jsonl'} line 2 is unreadable: " in line
 
     def test_kb_in_the_dense_layout(self, tmp_path, capsys, monkeypatch, no_network):
         from penheal.knowledge import KnowledgeBase
@@ -825,8 +831,9 @@ def test_only_the_cli_imports_a_stage():
 
 
 def test_only_the_model_formats_json():
-    """Every JSON file is a value type written by ``model``'s ``json_text`` or
-    ``json_document``; no other module holds a JSON writer or a hand-built encoder."""
+    """Every JSON file is a value type written by ``model``'s ``write_json_lines`` or
+    ``json_document``; no other module holds a JSON writer, a hand-built encoder or a
+    reference to ``json_text``, the one-line encoder those JSON-lines writes use."""
     writers = {"dump", "dumps", "JSONEncoder"}
     found = []
     for path in sorted((SRC / "penheal").glob("*.py")):
@@ -841,6 +848,8 @@ def test_only_the_model_formats_json():
             elif isinstance(node, ast.ClassDef):
                 found.extend(f"{path.stem}: {node.name}.to_dict" for item in node.body
                              if isinstance(item, ast.FunctionDef) and item.name == "to_dict")
+            if "json_text" in (getattr(node, n, None) for n in ("id", "attr", "name")):
+                found.append(f"{path.stem}: json_text")
     assert found == []
 
 

@@ -363,6 +363,24 @@ def test_artifact_writer_refuses_what_json_dumps_refuses(value):
         model.json_document(value)
 
 
+def test_json_lines_stream_out_and_read_back_naming_a_bad_line(tmp_path):
+    """One codec line per value, appended or not; blank lines are skipped on read, and a
+    line that is not UTF-8, not JSON or not the type is a ValueError naming its number."""
+    path = tmp_path / "rows.jsonl"
+    rows = [Vulnerability("CVE-NA", "http", 80, description="caf\u00e9 \u2028 line"),
+            Vulnerability("CVE-2011-2523", "ftp", 21)]
+    model.write_json_lines(path, iter(rows[:1]))
+    model.write_json_lines(path, iter(rows[1:]), append=True)
+    text = "".join(json.dumps(model.encode(row), ensure_ascii=False) + "\n" for row in rows)
+    assert path.read_bytes() == text.encode("utf-8")
+    path.write_text("\n" + text + "  \n", encoding="utf-8")
+    assert model.read_json_lines(path, Vulnerability) == rows
+    for bad in (b"\xff", b'{"id": "CVE-NA",', b'{"id": 5, "service": "ftp"}', b"[]", b"{}"):
+        path.write_bytes(b"\n" + text.encode("utf-8") + bad + b"\n")
+        with pytest.raises(ValueError, match=f"^{path} line 4 is unreadable: "):
+            model.read_json_lines(path, Vulnerability)
+
+
 def test_every_enum_hashes_by_identity():
     """A member-keyed dict lookup hashes in C: ``enum.Enum`` hashes by name in Python."""
     import penheal

@@ -188,7 +188,9 @@ def test_many_unknown_targets_give_one_bounded_warning():
         f"x{n}" for n in range(MAX_EXTRA_TARGETS))  # the first keys, in reply order
     _, warnings = evaluate(recommendation, _EVALUATION, gateway)
     assert len(warnings) <= 2 and all(len(w) <= WARNING_CAP for w in warnings)
-    assert warnings == [f"evaluator named {MAX_EXTRA_TARGETS} unknown target(s), "
+    assert warnings == [f"{20000 - MAX_EXTRA_TARGETS} target key(s) past the first "
+                        f"{MAX_EXTRA_TARGETS} ignored",
+                        f"evaluator named {MAX_EXTRA_TARGETS} unknown target(s), "
                         "the first 'x0'; ignored"]
 
 

@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from penheal import cvss
@@ -369,6 +369,19 @@ class TestComputeValue:
     @given(
         st.sampled_from(["full", "partial", "zero", "negative"]),
         st.floats(min_value=0.0, max_value=100.0),
+        st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=9),
+    )
+    @example("full", 0.0, [98] * 9)  # a float sum of 88.19999999999999
+    @settings(max_examples=200, deadline=None)
+    def test_value_is_on_the_cent_grid_within_the_exact_sum(self, effect_class, k, tenths):
+        """One-decimal scores, as CVSS gives them: the value is what the knapsack reads."""
+        value = compute_value(EvaluationVerdict(effect_class, k, 2.0), [t / 10 for t in tenths])
+        assert round(value, 2) == value
+        assert abs(round(value * 100)) <= 10 * sum(tenths)
+
+    @given(
+        st.sampled_from(["full", "partial", "zero", "negative"]),
+        st.floats(min_value=0.0, max_value=100.0),
         st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=4),
     )
     @settings(max_examples=120, deadline=None)
@@ -409,6 +422,16 @@ class TestEvaluate:
         scored, _ = evaluate(rec, EvaluatorContext([a, b], CostPolicy()), gateway)
         assert scored.value == 17.3
         assert set(scored.target_vuln_ids) == {a.key_str, b.key_str}
+
+    def test_target_keys_past_the_bound_are_counted_in_one_warning(self):
+        findings = [finding("CVE-NA", f"svc{n}", n, score=5.0) for n in range(12)]
+        rec = Recommendation(text="Harden everything", target_vuln_ids=(findings[0].key_str,))
+        reply = "effect: full\ncost: low\ntargets: " + ", ".join(f.key_str for f in findings[1:])
+        scored, warnings = evaluate(rec, EvaluatorContext(findings, CostPolicy()),
+                                    gw({AgentRole.EVALUATOR: [reply]}))
+        assert scored.target_vuln_ids == tuple(f.key_str for f in findings[:9])
+        assert scored.value == 45.0
+        assert warnings == ["3 target key(s) past the first 8 ignored"]
 
     def test_unknown_target_warned_and_ignored(self):
         a = finding(score=5.0)
