@@ -35,7 +35,7 @@ import builtins
 import enum
 import json
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from json.encoder import encode_basestring
 from math import isfinite
 from pathlib import Path
@@ -365,18 +365,7 @@ class CostPolicy(NamedTuple):
 
     def tiers(self) -> dict[str, float]:
         """Score by lowercased tier name; a tier the policy leaves out keeps its default."""
-        return dict(_tier_table(self.tier_scores))
-
-    def tier(self, name: str) -> float:
-        try:
-            return _tier_table(self.tier_scores)[name.lower()]
-        except KeyError:
-            raise KeyError(f"unknown cost tier: {name}") from None
-
-
-@lru_cache(maxsize=16)  # one table per distinct tier_scores; a run has one
-def _tier_table(tier_scores: tuple[tuple[str, float], ...]) -> dict[str, float]:
-    return dict(DEFAULT_COST_TIERS) | {name.lower(): s for name, s in tier_scores}
+        return dict(DEFAULT_COST_TIERS) | {name.lower(): s for name, s in self.tier_scores}
 
 
 class RunConfig(NamedTuple):

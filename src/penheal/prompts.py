@@ -14,7 +14,7 @@ import functools
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .gateway import AgentRole, ChatTurn, Gateway, RoleTag
-from .model import CVE_NA, CostPolicy, Vulnerability
+from .model import CVE_NA, Vulnerability
 
 if TYPE_CHECKING:
     from .knowledge import Excerpt
@@ -249,9 +249,8 @@ def build_instructor_prompt(task_description: str, excerpts: list[Excerpt]) -> s
                          kind="instructor")
 
 
-def cost_rules_text(policy: CostPolicy) -> str:
+def cost_rules_text(tiers: dict[str, float], user_preference: Optional[str] = None) -> str:
     """The cost-tier definition forwarded to the evaluator, with user preferences."""
-    tiers = policy.tiers()
     text = (
         "Low-Cost recommendations include applying free patches, making "
         "configuration changes, or executing simple commands; they are "
@@ -263,8 +262,8 @@ def cost_rules_text(policy: CostPolicy) -> str:
         "system, or carry a high risk of causing system disruptions; they "
         f"are assigned the highest cost score of {tiers['high']:g}."
     )
-    if policy.user_preference_text:
-        text += f" User preference: {policy.user_preference_text}"
+    if user_preference:
+        text += f" User preference: {user_preference}"
     return text
 
 

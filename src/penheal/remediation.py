@@ -46,8 +46,13 @@ class RecommendationGroup(NamedTuple):
 
 class RemediationResult(NamedTuple):
     groups: list[RecommendationGroup]
-    selected: list[Recommendation]
     warnings: list[str]
+
+    @property
+    def selected(self) -> list[Recommendation]:
+        """The adopted candidates, in group order."""
+        return [c for g in self.groups for c in g.candidates
+                if c.status is RecommendationStatus.ADOPTED]
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +101,22 @@ def enrich_findings(
     gateway: Gateway,
     nvd_client: FixtureNvdClient,
 ) -> tuple[list[Vulnerability], list[str]]:
-    """Attach CVSS metrics to every finding (lookup first, estimator fallback)."""
+    """Attach CVSS metrics to every finding (lookup first, estimator fallback).
+
+    Supplied metrics are kept only as the scored parse of their own vector.
+    """
     enriched: list[Vulnerability] = []
     warnings: list[str] = []
     for finding in findings:
         if finding.cvss is not None:
-            enriched.append(finding)
-            continue
+            try:
+                if cvss.parse_vector(finding.cvss.vector_string()) == finding.cvss:
+                    enriched.append(finding)
+                    continue
+            except cvss.VectorParseError:
+                pass
+            warnings.append(f"{finding.key_str[:60]}: supplied CVSS is not a scored "
+                            f"v3.1 vector, enriching anew")
         metrics = None
         source = CvssSource.ESTIMATED
         description = finding.description
@@ -209,7 +223,7 @@ class EvaluationVerdict(NamedTuple):
     ignored_target_keys: int = 0  # keys past the first MAX_EXTRA_TARGETS
 
 
-def parse_evaluation(reply: str, policy: CostPolicy) -> EvaluationVerdict:
+def parse_evaluation(reply: str, tiers: dict[str, float]) -> EvaluationVerdict:
     effect_class = ""
     k = 0.0
     cost: Optional[float] = None
@@ -227,7 +241,7 @@ def parse_evaluation(reply: str, policy: CostPolicy) -> EvaluationVerdict:
             if cost_match.group(2) is not None:
                 cost = min(max(float(cost_match.group(2)), 0.0), MAX_COST)
             else:
-                cost = policy.tier(cost_match.group(1))
+                cost = tiers[cost_match.group(1).lower()]
             continue
         targets_match = _TARGETS_LINE.match(line)
         if targets_match:
@@ -266,19 +280,20 @@ def compute_value(verdict: EvaluationVerdict, target_scores: list[float]) -> flo
 class EvaluatorContext:
     """What every evaluate call over one finding list and cost policy shares, built once.
 
-    The system turn holds every finding plus the value and cost rules. Target
+    The system turn holds every finding plus the value and cost rules; ``tiers``
+    is the run's one cost-tier table, which the replies are read against. Target
     keys resolve by finding key first, then by CVE id (never CVE-NA); each
     lookup takes the first finding that matches.
     """
 
     def __init__(self, findings: list[Vulnerability], policy: CostPolicy):
-        self.policy = policy
+        self.tiers = policy.tiers()
         self.system = render_prompt(
             AgentRole.EVALUATOR,
             {
                 "vulns": format_vulns_inline(findings),
                 "value_def": VALUE_RULES_TEXT,
-                "cost_def": cost_rules_text(policy),
+                "cost_def": cost_rules_text(self.tiers, policy.user_preference_text),
             },
             "system",
         )
@@ -303,31 +318,32 @@ class EvaluatorContext:
 
 
 def evaluate(
-    recommendation: Recommendation, context: EvaluatorContext, gateway: Gateway
+    recommendation: Recommendation, context: EvaluatorContext, gateway: Gateway, number: int = 1
 ) -> tuple[Recommendation, list[str]]:
     """Score one recommendation: evaluator classifies, the engine computes.
 
     Returns the recommendation with cost, value, rationale and (possibly
-    widened) target list filled in.
+    widened) target list filled in. Each warning starts with the candidate's
+    finding key and ``number``, its place in its group.
     """
+    label = f"{recommendation.target_vuln_ids[0][:60]} candidate {number}"
 
     def parse(reply: str) -> tuple[Optional[tuple[EvaluationVerdict, str]], list[str]]:
         try:
-            return (parse_evaluation(reply, context.policy), reply.strip()), []
+            return (parse_evaluation(reply, context.tiers), reply.strip()), []
         except ValueError as exc:
-            return None, [str(exc)]
+            return None, [f"{label}: {exc}"]
 
     variables = {"recommendation": recommendation.text}
     parsed, warnings = ask(gateway, AgentRole.EVALUATOR,
                            render_prompt(AgentRole.EVALUATOR, variables, "evaluate"),
                            system=context.system, parse=parse)
     if parsed is None:
-        warnings.append(
-            f"evaluation failed twice; defaulting to zero value, moderate cost"
-        )
+        warnings.append(f"{label}: evaluation failed twice; "
+                        "defaulting to zero value, moderate cost")
         return (
             recommendation._replace(
-                cost=round(context.policy.tier("moderate"), 1),  # the 0.1 grid of parsed costs
+                cost=round(context.tiers["moderate"], 1),  # the 0.1 grid of parsed costs
                 value=0.0,
                 rationale="evaluation unparseable; conservative default applied",
             ),
@@ -336,25 +352,18 @@ def evaluate(
 
     verdict, rationale = parsed
     if verdict.ignored_target_keys:
-        warnings.append(f"{verdict.ignored_target_keys} target key(s) past the first "
+        warnings.append(f"{label}: {verdict.ignored_target_keys} target key(s) past the first "
                         f"{MAX_EXTRA_TARGETS} ignored")
-    target_keys = list(recommendation.target_vuln_ids)
-    extra, unknown = context.resolve(verdict.extra_target_keys)
-    for f in extra:
-        if f.key_str not in target_keys:
-            target_keys.append(f.key_str)
+    targets, unknown = context.resolve(recommendation.target_vuln_ids + verdict.extra_target_keys)
     if unknown:
-        warnings.append(f"evaluator named {len(unknown)} unknown target(s), "
+        warnings.append(f"{label}: evaluator named {len(unknown)} unknown target(s), "
                         f"the first {unknown[0][:60]!r}; ignored")
-
-    targets, _ = context.resolve(target_keys)
     scores = [t.cvss.base_score if t.cvss else 0.0 for t in targets]
-    value = compute_value(verdict, scores)
     return (
         recommendation._replace(
             cost=verdict.cost,
-            value=value,
-            target_vuln_ids=tuple(target_keys),
+            value=compute_value(verdict, scores),
+            target_vuln_ids=tuple([t.key_str for t in targets]),
             rationale=rationale,
         ),
         warnings,
@@ -366,26 +375,19 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def select(groups: list[RecommendationGroup], budget: float) -> RemediationResult:
-    """Adopt the value-maximizing feasible set, at most one per group; no warnings."""
+def select(
+    groups: list[RecommendationGroup], budget: float, warnings: Iterable[str] = ()
+) -> RemediationResult:
+    """Adopt the value-maximizing feasible set, at most one per group; adds no warnings."""
     picked = set(solve_group_knapsack(
         [[(c.cost, c.value) for c in g.candidates] for g in groups], budget))
-    final_groups: list[RecommendationGroup] = []
-    selected: list[Recommendation] = []
-    for g_index, group in enumerate(groups):
-        candidates = []
-        for c_index, candidate in enumerate(group.candidates):
-            status = (
-                RecommendationStatus.ADOPTED
-                if (g_index, c_index) in picked
-                else RecommendationStatus.DISCARDED
-            )
-            updated = candidate._replace(status=status)
-            candidates.append(updated)
-            if status is RecommendationStatus.ADOPTED:
-                selected.append(updated)
-        final_groups.append(group._replace(candidates=tuple(candidates)))
-    return RemediationResult(groups=final_groups, selected=selected, warnings=[])
+    adopted, discarded = RecommendationStatus.ADOPTED, RecommendationStatus.DISCARDED
+    return RemediationResult([
+        group._replace(candidates=tuple(
+            c._replace(status=adopted if (g, i) in picked else discarded)
+            for i, c in enumerate(group.candidates)))
+        for g, group in enumerate(groups)
+    ], list(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +404,7 @@ def remediate(
     """Enrich, advise, evaluate and select; never aborts on a single finding."""
     findings = dedupe_findings(findings)
     if not findings:
-        return RemediationResult(
-            groups=[],
-            selected=[],
-            warnings=["nothing to remediate: no findings"],
-        )
+        return RemediationResult(groups=[], warnings=["nothing to remediate: no findings"])
 
     enriched, warnings = enrich_findings(findings, gateway, nvd_client)
     groups, advise_warnings = advise(enriched, gateway)
@@ -416,13 +414,13 @@ def remediate(
     scored_groups: list[RecommendationGroup] = []
     for group in groups:
         scored: list[Recommendation] = []
-        for candidate in group.candidates:
-            evaluated, eval_warnings = evaluate(candidate, context, gateway)
+        for number, candidate in enumerate(group.candidates, 1):
+            evaluated, eval_warnings = evaluate(candidate, context, gateway, number)
             warnings.extend(eval_warnings)
             scored.append(evaluated)
         scored_groups.append(group._replace(candidates=tuple(scored)))
 
-    return select(scored_groups, config.budget_per_vuln * len(enriched))._replace(warnings=warnings)
+    return select(scored_groups, config.budget_per_vuln * len(enriched), warnings)
 
 
 def format_selection_report(groups: list[RecommendationGroup]) -> str:

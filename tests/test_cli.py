@@ -853,6 +853,15 @@ def test_only_the_model_formats_json():
     assert found == []
 
 
+def test_only_the_remediation_stage_builds_a_cost_tier_table():
+    """``CostPolicy.tiers()`` has one caller, the evaluator context: one tier table per run."""
+    callers = [path.stem for path in sorted((SRC / "penheal").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "tiers"]
+    assert callers == ["remediation"]
+
+
 PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))
                         if path.stem != "__init__")
 

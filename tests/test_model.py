@@ -462,30 +462,20 @@ class TestConfig:
             RunConfig(**kwargs).validate()
 
     def test_cost_policy_tiers(self):
-        policy = CostPolicy()
-        assert policy.tier("low") == 2.0
-        assert policy.tier("Moderate") == 5.0
-        assert policy.tier("high") == 10.0
-        with pytest.raises(KeyError):
-            policy.tier("extreme")
+        assert CostPolicy().tiers() == {"low": 2.0, "moderate": 5.0, "high": 10.0}
 
-    def test_tiers_is_a_copy_of_the_table_tier_reads(self):
+    def test_tiers_is_a_fresh_copy(self):
         policy = CostPolicy((("Low", 1.0),))
         policy.tiers()["low"] = 9.0
-        assert policy.tier("LOW") == 1.0 and policy.tiers() == {
-            "low": 1.0, "moderate": 5.0, "high": 10.0}
+        assert policy.tiers() == {"low": 1.0, "moderate": 5.0, "high": 10.0}
 
     @settings(deadline=None)
-    @given(st.lists(st.tuples(_TIER_NAMES, st.floats(0, 10)), max_size=5).map(tuple),
-           _TIER_NAMES)
-    def test_tier_reads_the_policy_tiers(self, tier_scores, name):
-        policy = CostPolicy(tier_scores)
-        tiers = policy.tiers()
-        if name.lower() in tiers:
-            assert policy.tier(name) == tiers[name.lower()]
-        else:
-            with pytest.raises(KeyError, match=f"unknown cost tier: {name}"):
-                policy.tier(name)
+    @given(st.lists(st.tuples(_TIER_NAMES, st.floats(0, 10)), max_size=5).map(tuple))
+    def test_tiers_lay_the_policy_over_the_defaults_by_lowercased_name(self, tier_scores):
+        expected = {"low": 2.0, "moderate": 5.0, "high": 10.0}
+        for name, score in tier_scores:  # a name given twice keeps its last score
+            expected[name.lower()] = score
+        assert CostPolicy(tier_scores).tiers() == expected
 
     def test_round_trip_through_dict(self):
         config = RunConfig(target_address="10.0.2.4", budget_per_vuln=3.5)
@@ -494,8 +484,7 @@ class TestConfig:
     def test_partial_tier_scores_merge_with_the_defaults(self):
         config = RunConfig.from_dict(
             {"target_address": "x", "cost_policy": {"tier_scores": {"High": 8}}})
-        tiers = config.cost_policy
-        assert (tiers.tier("low"), tiers.tier("moderate"), tiers.tier("high")) == (2, 5, 8)
+        assert config.cost_policy.tiers() == {"low": 2, "moderate": 5, "high": 8}
 
     def test_missing_target_is_named_by_validate(self):
         with pytest.raises(ValueError, match="target_address must be set"):

@@ -136,7 +136,7 @@ EFFECT_CLASSES = {"full", "partial", "zero", "negative"}
               "Targets: ", "CVE-2011-2523@ftp:21, ,x"))
 def test_parse_evaluation(text):
     try:
-        verdict = parse_evaluation(text, CostPolicy())
+        verdict = parse_evaluation(text, CostPolicy().tiers())
     except ValueError:
         return
     assert verdict.effect_class in EFFECT_CLASSES
@@ -184,14 +184,14 @@ def test_many_unknown_targets_give_one_bounded_warning():
     reply = "effect: full\ncost: low\ntargets: " + ",".join(f"x{n}" for n in range(20000))
     gateway = Gateway(ScriptedBackend({AgentRole.EVALUATOR: [reply]}))
     recommendation = Recommendation(text="x", target_vuln_ids=(_TARGET.key_str,))
-    assert parse_evaluation(reply, CostPolicy()).extra_target_keys == tuple(
+    assert parse_evaluation(reply, CostPolicy().tiers()).extra_target_keys == tuple(
         f"x{n}" for n in range(MAX_EXTRA_TARGETS))  # the first keys, in reply order
     _, warnings = evaluate(recommendation, _EVALUATION, gateway)
     assert len(warnings) <= 2 and all(len(w) <= WARNING_CAP for w in warnings)
-    assert warnings == [f"{20000 - MAX_EXTRA_TARGETS} target key(s) past the first "
-                        f"{MAX_EXTRA_TARGETS} ignored",
-                        f"evaluator named {MAX_EXTRA_TARGETS} unknown target(s), "
-                        "the first 'x0'; ignored"]
+    assert warnings == [f"CVE-2011-2523@ftp:21 candidate 1: {20000 - MAX_EXTRA_TARGETS} "
+                        f"target key(s) past the first {MAX_EXTRA_TARGETS} ignored",
+                        f"CVE-2011-2523@ftp:21 candidate 1: evaluator named "
+                        f"{MAX_EXTRA_TARGETS} unknown target(s), the first 'x0'; ignored"]
 
 
 def test_long_extractor_reply_yields_the_first_findings():

@@ -87,7 +87,7 @@ def first_history(role):
     else:
         system = render_prompt(role, {"vulns": format_vulns_inline([FINDING]),
                                       "value_def": VALUE_RULES_TEXT,
-                                      "cost_def": cost_rules_text(CostPolicy())}, "system")
+                                      "cost_def": cost_rules_text(CostPolicy().tiers())}, "system")
         user = render_prompt(role, {"recommendation": RECOMMENDATION.text}, "evaluate")
     return [("system", system), ("user", user)]
 
@@ -152,9 +152,10 @@ WARNINGS = {
         ["CVE-NA@http:80: estimator vector rejected: missing metrics: AC, PR, UI, S, C, I, A"],
         ["CVE-NA@http:80: applied conservative default vector"]),
     AgentRole.ADVISOR: ([], [], ["CVE-NA@http:80: advisor output unparseable, group dropped"]),
-    AgentRole.EVALUATOR: (["unparseable evaluation reply: 'maybe'"],
-                          ["unparseable evaluation reply: 'perhaps'"],
-                          ["evaluation failed twice; defaulting to zero value, moderate cost"]),
+    AgentRole.EVALUATOR: (["CVE-NA@http:80 candidate 1: unparseable evaluation reply: 'maybe'"],
+                          ["CVE-NA@http:80 candidate 1: unparseable evaluation reply: 'perhaps'"],
+                          ["CVE-NA@http:80 candidate 1: evaluation failed twice; "
+                           "defaulting to zero value, moderate cost"]),
 }
 
 

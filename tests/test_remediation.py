@@ -1,6 +1,7 @@
 """Remediation stage: enrichment, advising, evaluation mechanics, selection."""
 
 import json
+import math
 import os
 import tempfile
 import threading
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from penheal import cvss
 from penheal.backends import NVD_API_KEY_ENV, LiveNvdClient
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
-from penheal.knapsack import COST_SCALE
+from penheal.knapsack import COST_SCALE, solve_group_knapsack
 from penheal.model import (
     CVE_NA,
     CostPolicy,
@@ -274,6 +275,26 @@ class TestEnrich:
         assert enriched[0].cvss_source is CvssSource.ESTIMATED
         assert any("not in the CVE database" in w for w in warnings)
 
+    def test_valid_supplied_cvss_is_kept_without_a_model_call(self):
+        gateway = gw({})  # any model call fails
+        findings = [finding(score=9.8), finding("CVE-2011-2523", "ftp", 21, score=9.8)]
+        enriched, warnings = enrich_findings(findings, gateway, FixtureNvdClient())
+        assert (enriched, warnings, gateway.backend.calls) == (findings, [], [])
+
+    @pytest.mark.parametrize("bad", [{"base_score": math.nan}, {"av": "Z"}, {"base_score": 55.0}],
+                             ids=["nan-score", "unknown-av", "score-past-ten"])
+    def test_supplied_cvss_that_is_not_a_scored_vector_is_estimated_anew(self, bad):
+        supplied = finding(score=9.8)
+        supplied = supplied._replace(cvss=supplied.cvss._replace(**bad))
+        gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:L/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"],
+                      AgentRole.ADVISOR: ["1. Patch it"],
+                      AgentRole.EVALUATOR: ["effect: full\ncost: low"]})
+        result = remediate([supplied], RunConfig(target_address="t"), gateway,
+                           FixtureNvdClient())
+        assert [(c.text, c.value) for c in result.selected] == [("Patch it", 8.4)]
+        assert result.warnings == [
+            "CVE-NA@http:80: supplied CVSS is not a scored v3.1 vector, enriching anew"]
+
 
 class TestAdvise:
     def test_numbered_list_parsed_into_group(self):
@@ -314,39 +335,39 @@ class TestAdvise:
 
 class TestParseEvaluation:
     def test_full_and_tier(self):
-        verdict = parse_evaluation("effect: full\ncost: low", CostPolicy())
+        verdict = parse_evaluation("effect: full\ncost: low", CostPolicy().tiers())
         assert verdict.effect_class == "full"
         assert verdict.cost == 2.0
 
     def test_partial_with_percent(self):
-        verdict = parse_evaluation("effect: partial 40%\ncost: moderate", CostPolicy())
+        verdict = parse_evaluation("effect: partial 40%\ncost: moderate", CostPolicy().tiers())
         assert (verdict.effect_class, verdict.k, verdict.cost) == ("partial", 40.0, 5.0)
 
     def test_negative(self):
-        verdict = parse_evaluation("effect: negative 25\ncost: high", CostPolicy())
+        verdict = parse_evaluation("effect: negative 25\ncost: high", CostPolicy().tiers())
         assert (verdict.effect_class, verdict.k, verdict.cost) == ("negative", 25.0, 10.0)
 
     def test_explicit_numeric_cost(self):
-        verdict = parse_evaluation("effect: zero\ncost: 3.5", CostPolicy())
+        verdict = parse_evaluation("effect: zero\ncost: 3.5", CostPolicy().tiers())
         assert verdict.cost == 3.5
 
     def test_numeric_cost_clamped(self):
-        assert parse_evaluation("effect: zero\ncost: 15", CostPolicy()).cost == 10.0
+        assert parse_evaluation("effect: zero\ncost: 15", CostPolicy().tiers()).cost == 10.0
 
     def test_targets_line(self):
         verdict = parse_evaluation(
             "effect: full\ncost: low\ntargets: CVE-2011-2523@ftp:21, CVE-NA@http:80",
-            CostPolicy(),
+            CostPolicy().tiers(),
         )
         assert verdict.extra_target_keys == ("CVE-2011-2523@ftp:21", "CVE-NA@http:80")
 
     def test_unparseable_raises(self):
         with pytest.raises(ValueError):
-            parse_evaluation("I think it is quite effective.", CostPolicy())
+            parse_evaluation("I think it is quite effective.", CostPolicy().tiers())
 
     def test_case_insensitive(self):
-        verdict = parse_evaluation("Effect: FULL\nCost: LOW", CostPolicy())
-        assert verdict.effect_class == "full"
+        verdict = parse_evaluation("Effect: FULL\nCost: LOW", CostPolicy().tiers())
+        assert (verdict.effect_class, verdict.cost) == ("full", 2.0)
 
 
 class TestComputeValue:
@@ -431,7 +452,7 @@ class TestEvaluate:
                                     gw({AgentRole.EVALUATOR: [reply]}))
         assert scored.target_vuln_ids == tuple(f.key_str for f in findings[:9])
         assert scored.value == 45.0
-        assert warnings == ["3 target key(s) past the first 8 ignored"]
+        assert warnings == ["CVE-NA@svc0:0 candidate 1: 3 target key(s) past the first 8 ignored"]
 
     def test_unknown_target_warned_and_ignored(self):
         a = finding(score=5.0)
@@ -442,6 +463,16 @@ class TestEvaluate:
         scored, warnings = evaluate(rec, EvaluatorContext([a], CostPolicy()), gateway)
         assert scored.value == 5.0
         assert any("unknown target" in w for w in warnings)
+
+        # The candidate's own finding, named by CVE id and by key, counts once.
+        own = finding("CVE-2011-2523", "ftp", 21, score=9.8)
+        rec = Recommendation(text="x", target_vuln_ids=(own.key_str,))
+        reply = f"effect: full\ncost: low\ntargets: CVE-2011-2523, {own.key_str}, CVE-0000-0000@x:1"
+        scored, warnings = evaluate(rec, EvaluatorContext([own], CostPolicy()),
+                                    gw({AgentRole.EVALUATOR: [reply]}), number=2)
+        assert (scored.target_vuln_ids, scored.value) == ((own.key_str,), 9.8)
+        assert warnings == ["CVE-2011-2523@ftp:21 candidate 2: evaluator named 1 unknown "
+                            "target(s), the first 'CVE-0000-0000@x:1'; ignored"]
 
     def test_empty_reply_is_asked_again(self):
         target = finding("CVE-NA", "samba", 445, score=9.0)
@@ -574,6 +605,21 @@ class TestSelect:
         for group in result.groups:
             assert sum(1 for c in group.candidates if c.status is RecommendationStatus.ADOPTED) <= 1
         assert sum(c.value for c in result.selected) == 18.0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_selected_is_the_knapsack_picks_in_group_order(self, data):
+        candidate = st.builds(scored_rec, st.sampled_from("abc"), st.just("k"),
+                              st.integers(0, 100).map(lambda tenths: tenths / 10),
+                              st.integers(-500, 1800).map(lambda cents: cents / 100))
+        groups = data.draw(st.lists(st.builds(RecommendationGroup, st.lists(
+            candidate, min_size=1, max_size=4).map(tuple)), max_size=5))
+        budget = data.draw(st.integers(0, 4000)) / 100
+        picks = solve_group_knapsack(
+            [[(c.cost, c.value) for c in g.candidates] for g in groups], budget)
+        assert select(groups, budget).selected == [
+            groups[g].candidates[c]._replace(status=RecommendationStatus.ADOPTED)
+            for g, c in sorted(picks)]
 
     def test_statuses_settled_for_every_candidate(self):
         group = RecommendationGroup(
