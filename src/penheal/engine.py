@@ -45,6 +45,7 @@ SUMMARY_CAP = 1200
 NO_OUTPUT_TEXT = "(no output)"
 NO_RESULT_TEXT = "(no result provided)"
 PARSE_FAILURE_TEXT = "planner-parse-failure"
+COVERAGE_MEMO = 4096  # coverage checks (and matchers) kept; a deep run makes ~530, 164 distinct
 
 
 class EngineError(Exception):
@@ -109,7 +110,7 @@ class PlanTable:
     ``tasks`` maps an id to ``[description, status, result]``, ``children``
     maps a task id ("" for the roots) to its child ids in plan order, and
     ``lines`` keeps each task's rendered line. ``version`` moves when a task
-    is added or changes status, and only then.
+    is added or changes status, and only then, so ``todo`` is kept per version.
     """
 
     def __init__(self) -> None:
@@ -119,6 +120,7 @@ class PlanTable:
         self.version = 0
         self._ids: Optional[list[str]] = []  # depth-first order; None after an add
         self._text: Optional[str] = ""  # the last render; None after a line changes
+        self._todo: tuple[int, list[str]] = (0, [])  # (version, the to-do ids at it)
 
     def ids(self) -> list[str]:
         """Every task id, depth-first in plan order."""
@@ -132,9 +134,11 @@ class PlanTable:
         return self._ids
 
     def todo(self) -> list[str]:
-        """The to-do task ids, depth-first."""
-        tasks = self.tasks
-        return [i for i in self.ids() if tasks[i][1] is TaskStatus.TODO]
+        """The to-do task ids, depth-first; callers must not change the list."""
+        if self._todo[0] != self.version:
+            tasks = self.tasks
+            self._todo = self.version, [i for i in self.ids() if tasks[i][1] is TaskStatus.TODO]
+        return self._todo[1]
 
     def freeze(self) -> AttackPlan:
         tasks, children = self.tasks, self.children
@@ -373,6 +377,7 @@ def update_plan(plan: PlanTable, task_id: str, summary: str, gateway: Gateway) -
     return warnings
 
 
+@functools.lru_cache(maxsize=COVERAGE_MEMO)
 def _finding_matcher(finding: Vulnerability) -> Callable[[str], Optional[re.Match]]:
     """A search of lower-cased text for the finding's id, its service as a word, or its port."""
     terms = []
@@ -384,6 +389,12 @@ def _finding_matcher(finding: Vulnerability) -> Callable[[str], Optional[re.Matc
     if finding.port is not None:
         terms.append(rf"\bport\s+{finding.port}\b")
     return re.compile("|".join(terms) or r"(?!)").search  # (?!) never matches
+
+
+@functools.lru_cache(maxsize=COVERAGE_MEMO)
+def _covers(vuln_id: str, service: str, port: Optional[int], text: str) -> bool:
+    """Whether lower-cased task text names the finding; keyed by what _finding_matcher reads."""
+    return _finding_matcher(Vulnerability(vuln_id, service, port))(text) is not None
 
 
 def counterfactual_update(
@@ -405,15 +416,15 @@ def counterfactual_update(
     if not lines:
         warnings.append("counterfactual revision unparseable; kept previous plan")
 
-    matchers = [(f, _finding_matcher(f)) for f in findings]
     forced = []
     for task_id in plan.todo():
         description = plan.tasks[task_id][0]
         text = description.lower()
-        finding = next((f for f, matches in matchers if matches(text)), None)
-        if finding is not None:
-            verified = f"already exploited: {finding.id} on {finding.service} (verified)"
-            forced.append(TaskNode(task_id, description, TaskStatus.COMPLETED, verified))
+        for f in findings:  # the first finding the task covers
+            if _covers(f.id, f.service, f.port, text):
+                verified = f"already exploited: {f.id} on {f.service} (verified)"
+                forced.append(TaskNode(task_id, description, TaskStatus.COMPLETED, verified))
+                break
     if forced:
         merge_revision(plan, forced)
     return warnings
@@ -538,6 +549,7 @@ def run_pentest(
     """Run the full pentest loop and return history, final plan and findings."""
     config.validate()
     _parse_plan_line.cache_clear()  # each run parses its own distinct lines once
+    _covers.cache_clear()  # and checks each task text against each finding once
     plan, warnings = initial_plan(config, gateway)
     history: list[ExecutionRecord] = []
     findings_so_far: list[Vulnerability] = []

@@ -43,6 +43,7 @@ class AgentRole(IdentityEnum):
 
 # The roles on the light tier; every other role is on the strong tier.
 LIGHT_ROLES = frozenset({AgentRole.SUMMARIZER, AgentRole.EXTRACTOR, AgentRole.ESTIMATOR})
+_ROUTE_KEYS = {role.value.lower() for role in AgentRole} | DEFAULT_MODELS.keys()
 
 
 class RoleTag(IdentityEnum):
@@ -189,6 +190,8 @@ class Gateway:
     ):
         self.backend = backend
         models = DEFAULT_MODELS | {k.lower(): v for k, v in (role_models or {}).items()}
+        if typos := [key for key in role_models or () if key.lower() not in _ROUTE_KEYS]:
+            raise GatewayError(f"role_models key {typos[0]!r} names no role, nor strong or light")
         self._routes: dict[AgentRole, tuple[str, int]] = {}  # role -> (model, char budget)
         for role in AgentRole:  # a per-role key wins; otherwise the role's tier key decides
             tier, budget = (("light", LIGHT_CHAR_BUDGET) if role in LIGHT_ROLES

@@ -21,7 +21,8 @@ sum of all C is below 2**64. Only rows whose dot / norm is within a relative
 m <= 512 terms are positive, so it is within a relative (m + 3) * 2**-53 <
 6e-14 of dot / norm times a factor all rows share, and a row 1e-9 below the
 k-th scores below k others. Similarities and ranking are a dense scan's,
-bit for bit.
+bit for bit. The packed lane int of each every-row bucket is built on first use
+and kept until the next ingest, which may add or renumber rows.
 """
 
 from __future__ import annotations
@@ -149,6 +150,7 @@ class KnowledgeBase:
         self._norms: list[float] = []  # per row, the square root of that
         self._square_total = 0  # sum(_squares), perhaps more: it bounds every dot product
         self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
+        self._lanes: dict[int, int] = {}  # an every-row bucket's counts as one int; see _dots
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -179,6 +181,7 @@ class KnowledgeBase:
             self._norms = list(compress(self._norms, kept_rows))
             self._chunks = list(compress(self._chunks, kept_rows))
         self._doc_ids.add(doc_id)
+        self._lanes.clear()
         rows, counts, squares = self._rows, self._counts, []
         windows = _window_counts(document, starts, chunk_size)
         for r, window in enumerate(windows, len(self._chunks)):
@@ -227,11 +230,13 @@ class KnowledgeBase:
     def _dots(self, terms: list[tuple[int, int]], lanes: bool) -> list[int]:
         """Every row's dot product with the query counts ``terms``, packing into 32-bit lanes
         the buckets every row has when ``lanes`` says no lane can overflow."""
-        n, rows, counts = len(self._chunks), self._rows, self._counts
+        n, rows, counts, packed_lanes = len(self._chunks), self._rows, self._counts, self._lanes
         packed, scattered = 0, []
         for b, q in terms:
             if lanes and len(rows[b]) == n:  # ascending and distinct, so rows 0..n-1
-                packed += q * int.from_bytes(counts[b], sys.byteorder)
+                if (lane := packed_lanes.get(b)) is None:
+                    lane = packed_lanes[b] = int.from_bytes(counts[b], sys.byteorder)
+                packed += q * lane
             else:
                 scattered.append((q, rows[b], counts[b]))
         dots = array("I", packed.to_bytes(4 * n, sys.byteorder)).tolist()

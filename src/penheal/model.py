@@ -386,6 +386,8 @@ class RunConfig(NamedTuple):
         if not (isfinite(self.budget_per_vuln) and self.budget_per_vuln >= 0):
             raise ValueError(f"budget_per_vuln must be finite and >= 0, not {self.budget_per_vuln}")
         for name, score in self.cost_policy.tier_scores:
+            if name.lower() not in dict(DEFAULT_COST_TIERS):  # the evaluator is offered no other
+                raise ValueError(f"unknown cost tier {name!r} (expected low, moderate or high)")
             if not 0 <= score <= MAX_COST:  # false for nan too
                 raise ValueError(f"cost tier {name} must score 0 to {MAX_COST:g}, not {score}")
         if self.max_iterations < 1:

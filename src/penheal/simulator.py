@@ -98,36 +98,35 @@ def ground_truth(host: HostModel) -> list[Vulnerability]:
 # ---------------------------------------------------------------------------
 
 
-def _pattern_matches(pattern: str, command: str) -> bool:
-    """Wildcard containment: the '*'-separated parts appear in order."""
-    parts = [p for p in pattern.lower().split("*") if p]
-    pos = 0
-    for part in parts:
-        found = command.find(part, pos)
-        if found < 0:
-            return False
-        pos = found + len(part)
-    return True
-
-
-def _expand_triggers(weakness: SimWeakness, credentials: tuple[tuple[str, str], ...]) -> list[str]:
-    patterns = []
-    for trigger in weakness.triggers:
-        if "{user}" in trigger or "{pass}" in trigger:
-            for user, password in credentials:
-                patterns.append(trigger.replace("{user}", user).replace("{pass}", password))
-        else:
-            patterns.append(trigger)
-    return patterns
-
-
-def _match_weakness(host: HostModel, command_text: str) -> Optional[SimWeakness]:
-    lowered = command_text.lower()
+def _trigger_table(host: HostModel) -> list[tuple[SimWeakness, list[list[str]]]]:
+    """Each weakness in scan order with each trigger's lowered '*'-split parts, per credential."""
+    table = []
     for service in host.services:
         for weakness in service.weaknesses:
-            for pattern in _expand_triggers(weakness, host.credentials):
-                if _pattern_matches(pattern, lowered):
-                    return weakness
+            patterns = []
+            for trigger in weakness.triggers:
+                if "{user}" in trigger or "{pass}" in trigger:
+                    patterns += [trigger.replace("{user}", user).replace("{pass}", password)
+                                 for user, password in host.credentials]
+                else:
+                    patterns.append(trigger)
+            table.append((weakness, [[p for p in pattern.lower().split("*") if p]
+                                     for pattern in patterns]))
+    return table
+
+
+def _match_weakness(sim: SimulatorBackend, lowered: str) -> Optional[SimWeakness]:
+    """The first weakness with a pattern whose parts all appear, in order, in ``lowered``."""
+    for weakness, patterns in sim.triggers:
+        for parts in patterns:
+            pos = 0
+            for part in parts:
+                pos = lowered.find(part, pos)
+                if pos < 0:
+                    break
+                pos += len(part)
+            else:
+                return weakness
     return None
 
 
@@ -192,13 +191,14 @@ def _success_output(host: HostModel, weakness: SimWeakness, via_msf: bool) -> st
 # ---------------------------------------------------------------------------
 
 
-def _module_catalog(host: HostModel) -> list[str]:
+def _module_catalog(host: HostModel) -> list[tuple[str, str]]:
     triggers = (t for service in host.services for w in service.weaknesses for t in w.triggers)
-    return sorted({t for t in triggers if t.startswith(("exploit/", "auxiliary/"))}
-                  .union(host.modules))
+    names = {t for t in triggers if t.startswith(("exploit/", "auxiliary/"))}.union(host.modules)
+    return [(name, name.lower()) for name in sorted(names)]
 
 
-def _simulate_msf(host: HostModel, batch: str) -> str:
+def _simulate_msf(sim: SimulatorBackend, batch: str) -> str:
+    host = sim.host
     lines = [_banner(host), "msf6 >"]
     statements = [s.strip() for part in batch.splitlines() for s in part.split(";") if s.strip()]
     module = ""
@@ -207,7 +207,7 @@ def _simulate_msf(host: HostModel, batch: str) -> str:
         lowered = statement.lower()
         if lowered.startswith("search"):
             term = statement.split(None, 1)[1].strip().lower() if " " in statement else ""
-            hits = [m for m in _module_catalog(host) if term in m.lower()]
+            hits = [name for name, lowered_name in sim.catalog if term in lowered_name]
             lines.append(f'msf6 > search {term}')
             if hits:
                 lines.append("#  Name")
@@ -224,7 +224,7 @@ def _simulate_msf(host: HostModel, batch: str) -> str:
                 settings[parts[1].upper()] = parts[2].strip()
                 lines.append(f"{parts[1].upper()} => {parts[2].strip()}")
         elif lowered in ("exploit", "run", "exploit -j", "run -j"):
-            lines.append(_run_msf_module(host, module, settings))
+            lines.append(_run_msf_module(sim, module, settings))
         elif lowered in ("exit", "back", "quit"):
             continue
         else:
@@ -232,7 +232,8 @@ def _simulate_msf(host: HostModel, batch: str) -> str:
     return "\n".join(lines)
 
 
-def _run_msf_module(host: HostModel, module: str, settings: dict[str, str]) -> str:
+def _run_msf_module(sim: SimulatorBackend, module: str, settings: dict[str, str]) -> str:
+    host = sim.host
     if not module:
         return "[-] No module selected"
     rhost = settings.get("RHOSTS", settings.get("RHOST", ""))
@@ -244,7 +245,7 @@ def _run_msf_module(host: HostModel, module: str, settings: dict[str, str]) -> s
     password = settings.get("PASSWORD", "").lower()
     if username or password:
         probe += f" {username} {password}"
-    weakness = _match_weakness(host, probe)
+    weakness = _match_weakness(sim, probe)
     if weakness is None:
         return "[-] Exploit completed, but no session was created."
     return _success_output(host, weakness, via_msf=True)
@@ -255,8 +256,8 @@ def _run_msf_module(host: HostModel, module: str, settings: dict[str, str]) -> s
 # ---------------------------------------------------------------------------
 
 
-def _simulate_shell(host: HostModel, text: str) -> str:
-    lowered = text.lower()
+def _simulate_shell(sim: SimulatorBackend, text: str) -> str:
+    host, lowered = sim.host, text.lower()
     first = lowered.split()[0] if lowered.split() else ""
 
     if first == "nmap":
@@ -278,7 +279,7 @@ def _simulate_shell(host: HostModel, text: str) -> str:
             f"reference the target {host.address}"
         )
 
-    weakness = _match_weakness(host, lowered)
+    weakness = _match_weakness(sim, lowered)
     if weakness is not None:
         return _success_output(host, weakness, via_msf=False)
 
@@ -320,16 +321,18 @@ def _service_on_port(host: HostModel, port: Optional[int]) -> Optional[SimServic
 
 def simulate(command: Command, host: HostModel) -> str:
     """The output of one command run against the simulated host."""
-    if command.channel is CommandChannel.MSFCONSOLE:
-        return _simulate_msf(host, command.raw)
-    return _simulate_shell(host, command.raw)
+    return SimulatorBackend(host).run(command)[0]
 
 
 class SimulatorBackend:
-    """Executor backend adapter over one simulated host."""
+    """Executor backend adapter over one (immutable) host, with its trigger table and catalog."""
 
     def __init__(self, host: HostModel):
         self.host = host
+        self.triggers = _trigger_table(host)
+        self.catalog = _module_catalog(host)
 
     def run(self, command: Command) -> tuple[str, int]:
-        return simulate(command, self.host), 0
+        if command.channel is CommandChannel.MSFCONSOLE:
+            return _simulate_msf(self, command.raw), 0
+        return _simulate_shell(self, command.raw), 0

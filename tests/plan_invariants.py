@@ -19,6 +19,11 @@ def find(plan: AttackPlan, task_id: str) -> Optional[TaskNode]:
     return next((node for node in walk(plan) if node.id == task_id), None)
 
 
+def todo_ids(plan: AttackPlan) -> list[str]:
+    """The to-do task ids of a frozen plan, depth-first: what ``PlanTable.todo`` must return."""
+    return [node.id for node in walk(plan) if node.status is TaskStatus.TODO]
+
+
 def validate_plan(plan: AttackPlan) -> list[str]:
     """Check every plan invariant; returns one message per violation.
 

@@ -57,8 +57,11 @@ def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
         assert sum(ingests) == 800
         seams = ("knowledge.save", "knowledge.load", "gateway.load")
         assert [count(seam) for seam in seams] == [1, 1, 1]
-        # pipeline_s times retrieval, once per iteration, from the index in the documented layout
+        # pipeline_s times retrieval, once per iteration, from the index in the documented layout,
+        # and the simulator once per command, whatever either keeps between calls
         assert count("knowledge.retrieve") == iterations == 31
+        commands = sum(a["commands"] for name, a in spans if name == "engine.run_pentest")
+        assert commands and count("simulator.run") == commands
         kb, saved = inputs["kb"], tmp_path / "kb-scratch"
         postings = 4 * EMBED_DIM + 8 * sum(map(len, kb._rows)) + 8 * len(kb)
         assert (saved / "postings.bin").stat().st_size == postings

@@ -483,6 +483,23 @@ class TestBadInputsFailFirst:
         dotted = key if section is None else f"{section}.{key}"
         assert message == f"fatal: invalid configuration: unknown key {dotted}"
 
+    @pytest.mark.parametrize("command", ["run", "pentest", "remediate"])
+    def test_role_models_key_naming_no_role(self, tmp_path, capsys, monkeypatch, no_network,
+                                            command):
+        """A typo in a role name is one fatal line before any model call, not a silent route
+        of that role to the tier model."""
+        monkeypatch.setattr(Gateway, "complete", _refuse)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"target_address": "10.0.2.4", "mode": "hermetic",
+                                      "role_models": {"planer": "special-model",
+                                                      "Strong": "big"}}))
+        artifact = tmp_path / "artifact.json"
+        artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
+        argv = [command, str(artifact)] if command == "remediate" else [command]
+        assert run_cli(*argv, "--config", str(config), "--out", str(tmp_path / "out")) == 1
+        assert fatal_line(capsys.readouterr().err) == (
+            "fatal: role_models key 'planer' names no role, nor strong or light")
+
     @pytest.mark.parametrize("site", ["config", "config-interpolation", "truth", "fixtures",
                                       "host_model", "remediate", "score", "replay"])
     def test_deeply_nested_json(self, tmp_path, capsys, monkeypatch, no_network, site):
@@ -517,8 +534,9 @@ class TestBadInputsFailFirst:
         (None, ', "cost_policy": {"tier_scores": {"high": 1e308}}'),
         (None, ', "cost_policy": {"tier_scores": {"low": 10.5}}'),
         (None, ', "no_new_finding_window": 0'),
+        (None, ', "cost_policy": {"tier_scores": {"Urgent": 7}}'),
     ], ids=["flag-nan", "flag-inf", "config-nan", "config-inf", "tier-negative", "tier-inf",
-            "tier-huge", "tier-above-ten", "window-zero"])
+            "tier-huge", "tier-above-ten", "window-zero", "tier-unknown"])
     def test_unusable_budget_or_tier(self, tmp_path, capsys, monkeypatch, no_network, flag,
                                      config_keys):
         """The knapsack needs a finite budget and tier scores from 0 to 10, and the

@@ -25,6 +25,7 @@ from penheal.engine import (
     ExecutionRecord,
     IterationLog,
     PlanTable,
+    _covers,
     _finding_matcher,
     _parse_plan_line,
     counterfactual_update,
@@ -42,7 +43,7 @@ from penheal.engine import (
     termination_reason,
     update_plan,
 )
-from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
+from penheal.gateway import AgentRole, Gateway, ReplayBackend, ScriptedBackend, load_transcript
 from penheal.model import (
     CVE_NA,
     RunConfig,
@@ -404,6 +405,20 @@ class TestCounterfactual:
         gateway = gw({AgentRole.PLANNER: [render_plan(plan)]})
         counterfactual_update(plan, [Vulnerability("CVE-NA", "ftp?")], gateway)
         assert node(plan, "1").status is TaskStatus.COMPLETED
+
+    def test_a_task_is_checked_again_after_its_description_changes(self):
+        """The coverage memo is keyed by the task's text, not its id: a to-do task the planner
+        rewrites to name a found service is closed on the next check."""
+        plan = plan_from("1 Probe the mail relay [to-do]")
+        renamed = "1 Exploit the ftp backdoor [to-do]"
+        gateway = gw({AgentRole.PLANNER: [render_plan(plan), renamed]})
+        counterfactual_update(plan, FINDINGS[:1], gateway)
+        assert node(plan, "1").status is TaskStatus.TODO
+        counterfactual_update(plan, FINDINGS[:1], gateway)
+        task = node(plan, "1")
+        assert (task.description, task.status) == ("Exploit the ftp backdoor",
+                                                    TaskStatus.COMPLETED)
+        assert task.result_summary == "already exploited: CVE-2011-2523 on ftp (verified)"
 
 
 def references_finding(description, finding):
@@ -907,6 +922,22 @@ class TestScriptedRuns:
         second = run_pentest(config, SimulatorBackend(HOST), build_gateway(), KnowledgeBase())
         assert first.findings == second.findings
         assert [f.key_str for f in first.findings] == ["CVE-2011-2523@ftp:21"]
+
+    def test_a_second_run_in_the_process_repeats_the_first(self):
+        """The golden replay twice in one process: the same result, and the coverage memo
+        starts empty each time, so the second run makes the first run's checks afresh."""
+        from penheal.cli import _build_knowledge_base, bundled_fixture_path
+
+        def run():
+            gateway = Gateway(ReplayBackend(bundled_fixture_path("golden6.jsonl")))
+            result = run_pentest(RunConfig(target_address="10.0.2.4"), SimulatorBackend(HOST),
+                                 gateway, _build_knowledge_base(None))
+            return result, _covers.cache_info()
+
+        (first, first_memo), (second, second_memo) = run(), run()
+        assert second == first
+        assert sum(1 for log in first.iterations if log.new_finding_keys) == 6
+        assert first_memo.misses > 0 and second_memo == first_memo
 
     def test_each_run_starts_with_an_empty_line_memo(self):
         first_plan = "1 Recon [to-do]\n  1.1 Scan [to-do]"

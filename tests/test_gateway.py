@@ -342,6 +342,26 @@ class TestTierRouting:
             AgentRole.EXECUTOR: "local-large",
         }
 
+    @pytest.mark.parametrize("role_models, typo", [
+        ({"planer": "special-model", "Strong": "big"}, "planer"),
+        ({"Strong": "big", "Evaluater": "x"}, "Evaluater"),
+        ({"medium": "x"}, "medium"),
+    ])
+    def test_a_key_naming_no_role_or_tier_is_rejected(self, tmp_path, role_models, typo):
+        """A typo would otherwise route its role to the tier model; nothing is recorded."""
+        record = tmp_path / "transcript.jsonl"
+        with pytest.raises(GatewayError, match=f"role_models key '{typo}' names no role"):
+            Gateway(ScriptedBackend({}), role_models=role_models, record_path=record)
+        assert not record.exists()
+
+    def test_keys_name_roles_and_tiers_in_any_case(self):
+        backend = ScriptedBackend({AgentRole.PLANNER: ["ok"], AgentRole.SUMMARIZER: ["ok"]})
+        gateway = Gateway(backend, role_models={"PLANNER": "special", "Light": "small"})
+        gateway.complete(AgentRole.PLANNER, _history("a"))
+        gateway.complete(AgentRole.SUMMARIZER, _history("b"))
+        assert dict(backend.calls) == {AgentRole.PLANNER: "special",
+                                       AgentRole.SUMMARIZER: "small"}
+
     def test_a_call_runs_no_enum_code(self, tmp_path):
         """Routing, truncation, hashing and recording read no enum value and hash no member
         in Python: every enum lookup on the call path is a C-level dict or identity test.

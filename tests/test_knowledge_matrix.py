@@ -98,6 +98,55 @@ def test_retrieve_equals_dense_scan(ops, query, k):
     check_sequence(reference_counts, ops, query, k)
 
 
+# Each document is one chunk that says "port", so that bucket (and any other all chunks share)
+# is added as packed lanes, whose ints the index keeps between retrieves until an ingest.
+shared_texts = st.lists(st.sampled_from(VOCAB), max_size=6).map(lambda w: " ".join(["port", *w]))
+lane_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.sampled_from(["a", "b", "c", "d"]), shared_texts),
+        st.tuples(st.just("retrieve"), shared_texts, st.integers(1, 4)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def answers(kb, query, k):
+    return [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(lane_operations)
+@example([("ingest", "a", "port ftp"), ("retrieve", "port", 1), ("ingest", "b", "port"),
+          ("retrieve", "port", 1)])  # a new row in a kept bucket
+@example([("ingest", "a", "port port ftp"), ("ingest", "b", "port"), ("retrieve", "port", 1),
+          ("ingest", "a", "port port ftp"), ("retrieve", "port ftp", 1)])  # renumbered rows
+def test_kept_lanes_follow_every_ingest(ops):
+    """Retrieves interleaved with ingests of new and re-ingested doc ids answer as an index
+    freshly built from the same documents, and as that index saved and loaded."""
+    kb, documents = KnowledgeBase(), {}  # doc_id -> text, in the order the index holds them
+    with tempfile.TemporaryDirectory() as scratch:
+        for op in ops:
+            if op[0] == "ingest":
+                _, doc_id, text = op
+                documents.pop(doc_id, None)
+                documents[doc_id] = text
+                kb.ingest(text, doc_id, chunk_size=1000, overlap=0)
+                continue
+            _, query, k = op
+            fresh = KnowledgeBase()
+            for doc_id, text in documents.items():
+                fresh.ingest(text, doc_id, chunk_size=1000, overlap=0)
+            fresh.save(scratch)
+            if not documents:
+                with pytest.raises(KnowledgeBaseError):
+                    kb.retrieve(query, k)
+                continue
+            expected = answers(fresh, query, k)
+            assert answers(kb, query, k) == expected
+            assert answers(KnowledgeBase.load(scratch), query, k) == expected
+
+
 @pytest.mark.parametrize("repeats", [65537, 65538])
 def test_lanes_at_their_bound_do_not_carry(repeats):
     """Rows of 65535 and 1 "a" tokens, a query of ``repeats``: at 65537 the first lane holds

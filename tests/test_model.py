@@ -464,6 +464,14 @@ class TestConfig:
     def test_cost_policy_tiers(self):
         assert CostPolicy().tiers() == {"low": 2.0, "moderate": 5.0, "high": 10.0}
 
+    @pytest.mark.parametrize("name", ["Urgent", "urgent", "", "lowest", "mod"])
+    def test_unknown_tier_name_is_rejected_naming_it(self, name):
+        """The evaluator is offered low, moderate and high only, so another name is unused."""
+        config = RunConfig.from_dict(
+            {"target_address": "x", "cost_policy": {"tier_scores": {"low": 1, name: 7}}})
+        with pytest.raises(ValueError, match=f"unknown cost tier {name!r}"):
+            config.validate()
+
     def test_tiers_is_a_fresh_copy(self):
         policy = CostPolicy((("Low", 1.0),))
         policy.tiers()["low"] = 9.0
@@ -483,8 +491,9 @@ class TestConfig:
 
     def test_partial_tier_scores_merge_with_the_defaults(self):
         config = RunConfig.from_dict(
-            {"target_address": "x", "cost_policy": {"tier_scores": {"High": 8}}})
-        assert config.cost_policy.tiers() == {"low": 2, "moderate": 5, "high": 8}
+            {"target_address": "x", "cost_policy": {"tier_scores": {"High": 8, "LOW": 1}}})
+        config.validate()  # a tier name is read in any case
+        assert config.cost_policy.tiers() == {"low": 1, "moderate": 5, "high": 8}
 
     def test_missing_target_is_named_by_validate(self):
         with pytest.raises(ValueError, match="target_address must be set"):

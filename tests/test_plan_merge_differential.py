@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plan_invariants import find, walk
+from plan_invariants import find, todo_ids, walk
 
 from penheal.engine import (
     EngineError,
@@ -256,3 +256,20 @@ def test_merge_chains_match_the_reference(base, revisions, data):
              lambda p: ref_merge_revision(p, [ParsedPlanLine(n.id, n.description,
                                                              TaskStatus.COMPLETED, verified)
                                               for n in forced]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(plan_text(0), min_size=1, max_size=5), st.data())
+def test_todo_kept_per_version_is_the_to_do_ids_after_every_edit(revisions, data):
+    """``todo`` is kept until ``version`` moves: after any chain of merges (adds, status changes,
+    description and result edits) and marks, it equals the uncached list of to-do ids."""
+    table = PlanTable()
+    assert table.todo() == []
+    for revision in revisions:
+        merge_revision(table, parse_plan_text(revision))
+        assert table.todo() == todo_ids(table.freeze())
+        task_id = data.draw(st.sampled_from(IDS), label="task")
+        if task_id in table.tasks:
+            status = data.draw(st.sampled_from([TaskStatus.COMPLETED, TaskStatus.FAILED]))
+            mark_task(table, task_id, status, data.draw(MARK_RESULTS, label="result"))
+            assert table.todo() == todo_ids(table.freeze())

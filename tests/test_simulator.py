@@ -3,9 +3,20 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from penheal.engine import Command, CommandChannel
-from penheal.simulator import SimulatorBackend, ground_truth, load_host_model, simulate
+from penheal.simulator import (
+    HostModel,
+    SimService,
+    SimulatorBackend,
+    SimWeakness,
+    _match_weakness,
+    ground_truth,
+    load_host_model,
+    simulate,
+)
 
 TARGET = "10.0.2.4"
 EXPECTED_PORTS = {21, 22, 23, 25, 53, 80, 2049, 3306, 5432, 6667}
@@ -184,6 +195,73 @@ class TestBackendAdapter:
         for row_id in ("ftp-backdoor", "irc-backdoor"):
             command = WALKTHROUGHS[row_id][0]
             assert backend.run(command) == (simulate(command, host), 0)
+
+
+def reference_match(host, command_text):
+    """The scan the trigger table replaces: per command, every service's weaknesses in order,
+    each trigger expanded per credential pair, lowered and split on '*' afresh."""
+    lowered = command_text.lower()
+    for service in host.services:
+        for weakness in service.weaknesses:
+            patterns = []
+            for trigger in weakness.triggers:
+                if "{user}" in trigger or "{pass}" in trigger:
+                    patterns += [trigger.replace("{user}", u).replace("{pass}", p)
+                                 for u, p in host.credentials]
+                else:
+                    patterns.append(trigger)
+            for pattern in patterns:
+                pos = 0
+                for part in (p for p in pattern.lower().split("*") if p):
+                    found = lowered.find(part, pos)
+                    if found < 0:
+                        break
+                    pos = found + len(part)
+                else:
+                    return weakness
+    return None
+
+
+_PIECES = ["a", "B", "ab", "Ba", " ", "/", "*", "**", "{user}", "{pass}", "{user}:{pass}"]
+_triggers = st.lists(st.sampled_from(_PIECES), max_size=5).map("".join)
+_names = st.text("aAbB*{}", max_size=3)
+
+
+@st.composite
+def host_and_commands(draw):
+    services = []
+    for port in range(1, draw(st.integers(1, 3)) + 1):
+        weaknesses = tuple(
+            SimWeakness(f"row-{port}-{i}", "CVE-NA", "info", "svc", port, "d", "m",
+                        tuple(draw(st.lists(_triggers, min_size=1, max_size=3))))
+            for i in range(draw(st.integers(0, 3))))
+        services.append(SimService(f"svc{port}", port, weaknesses=weaknesses))
+    credentials = tuple(draw(st.lists(st.tuples(_names, _names), max_size=3)))
+    host = HostModel("10.0.2.4", tuple(services), credentials=credentials)
+    pieces = _PIECES[:6] + [user for user, _ in credentials] + [pw for _, pw in credentials]
+    commands = draw(st.lists(st.lists(st.sampled_from(pieces), max_size=8).map("".join),
+                             min_size=1, max_size=6))
+    return host, commands
+
+
+class TestTriggerTable:
+    @settings(max_examples=300, deadline=None)
+    @given(host_and_commands())
+    @example((HostModel("h", (SimService("s", 1, weaknesses=(
+        SimWeakness("w", "CVE-NA", "info", "s", 1, "d", "m", ("LOGIN {user}*{pass}",)),)),),
+        credentials=(("Root", "Toor"), ("x", "y"))), ["login root:toor", "login x", "login"]))
+    def test_matches_the_reference_scan(self, case):
+        """On hosts with credentials, the table built once per backend picks the same weakness
+        (the same row, first in scan order) as the scan it replaced, for any command."""
+        host, commands = case
+        sim = SimulatorBackend(host)
+        for command in commands:
+            assert _match_weakness(sim, command.lower()) is reference_match(host, command)
+
+    def test_the_table_is_built_once_per_backend(self, host, monkeypatch):
+        backend = SimulatorBackend(host)
+        monkeypatch.setattr(HostModel, "credentials", property(lambda _: pytest.fail("read")))
+        assert "Login successful." in backend.run(WALKTHROUGHS["weak-passwords"][0])[0]
 
 
 class TestHostModelLoading:
