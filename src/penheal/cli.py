@@ -173,7 +173,7 @@ def _check_keys(doc: dict) -> None:
 
 
 def _stage_setup(args) -> tuple[CliSettings, RunConfig, Path]:
-    """The CLI settings, the validated run config and the created out dir."""
+    """The CLI settings, the validated run config and mode, and the created out dir."""
     doc = load_config(args.config, _overrides(args))
     try:
         _check_keys(doc)
@@ -182,6 +182,10 @@ def _stage_setup(args) -> tuple[CliSettings, RunConfig, Path]:
         config.validate()
     except (ValueError, KeyError) as exc:
         raise Fatal(f"invalid configuration: {exc}")
+    if settings.mode not in ("hermetic", "live"):
+        raise Fatal(f"unknown mode {settings.mode!r} (expected hermetic or live)")
+    if settings.mode == "live" and not settings.llm.base_url:
+        raise Fatal("live mode requires llm.base_url")
     out_dir = Path(settings.out_dir)
     _output(out_dir, lambda path: path.mkdir(parents=True, exist_ok=True))
     return settings, config, out_dir
@@ -193,10 +197,6 @@ def _chat_gateway(settings: CliSettings, role_models: tuple[tuple[str, str], ...
     if settings.mode == "hermetic":
         fixtures = _resolve_fixtures(settings.fixtures)
         return gw.replay_mode(fixtures, role_models=dict(role_models)), str(fixtures)
-    if settings.mode != "live":
-        raise Fatal(f"unknown mode {settings.mode!r} (expected hermetic or live)")
-    if not settings.llm.base_url:
-        raise Fatal("live mode requires llm.base_url")
     from .backends import LiveBackend
 
     live = LiveBackend(settings.llm.base_url, api_key=settings.llm.api_key)
@@ -404,10 +404,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        exchanges = gw.load_transcript(args.transcript)
-    except OSError as exc:
-        raise Fatal(str(exc)) from None
+    exchanges = gw.load_transcript(args.transcript)
     bad = 0
     for i, exchange in enumerate(exchanges):
         recomputed = gw.request_hash(exchange.role, list(exchange.messages))

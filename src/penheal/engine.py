@@ -36,7 +36,7 @@ from .model import (
     clip_summary,
     dedupe_findings,
 )
-from .prompts import ask, build_instructor_prompt, format_finding_lines, render_prompt
+from .prompts import ask, format_excerpts, format_finding_lines, render_prompt
 
 if TYPE_CHECKING:
     from .knowledge import KnowledgeBase
@@ -321,9 +321,8 @@ def summarize(command_text: str, raw_output: str, gateway: Gateway) -> str:
     """Light-tier condensation of one command's output, hard-capped at 1200 chars."""
     if not raw_output.strip():
         return NO_OUTPUT_TEXT
-    variables = {"command": command_text, "output": raw_output}
-    reply = ask(gateway, AgentRole.SUMMARIZER,
-                render_prompt(AgentRole.SUMMARIZER, variables, "condense"))
+    reply = ask(gateway, AgentRole.SUMMARIZER, "condense",
+                {"command": command_text, "output": raw_output})
     return clip_summary(reply, SUMMARY_CAP)
 
 
@@ -333,8 +332,7 @@ def summarize(command_text: str, raw_output: str, gateway: Gateway) -> str:
 
 
 def initial_plan(config: RunConfig, gateway: Gateway) -> tuple[PlanTable, list[str]]:
-    response = ask(gateway, AgentRole.PLANNER,
-                   render_prompt(AgentRole.PLANNER, {"target": config.target_address}, "init"))
+    response = ask(gateway, AgentRole.PLANNER, "init", {"target": config.target_address})
     lines = parse_plan_text(response)
     if not lines:
         raise EngineError("planner produced no parseable initial plan")
@@ -347,8 +345,7 @@ def select_next_task(plan: PlanTable, gateway: Gateway) -> str:
     todo = plan.todo()
     if not todo:
         raise EngineError("no to-do tasks remain")
-    response = ask(gateway, AgentRole.PLANNER,
-                   render_prompt(AgentRole.PLANNER, {"plan": render_plan(plan)}, "select"))
+    response = ask(gateway, AgentRole.PLANNER, "select", {"plan": render_plan(plan)})
     for token in re.findall(r"\d+(?:\.\d+)*", response):
         if token in todo:
             return token
@@ -361,8 +358,7 @@ def update_plan(plan: PlanTable, task_id: str, summary: str, gateway: Gateway) -
     if task is None or task[1] is not TaskStatus.TODO:
         raise EngineError(f"task {task_id} does not exist or is not to-do")
     variables = {"plan": render_plan(plan), "task_id": task_id, "summary": summary}
-    response = ask(gateway, AgentRole.PLANNER,
-                   render_prompt(AgentRole.PLANNER, variables, "update"))
+    response = ask(gateway, AgentRole.PLANNER, "update", variables)
     lines = parse_plan_text(response)
     if not lines:
         mark_task(plan, task_id, TaskStatus.FAILED, PARSE_FAILURE_TEXT)
@@ -409,8 +405,7 @@ def counterfactual_update(
     if not findings:
         raise EngineError("counterfactual update requires at least one finding")
     variables = {"findings": format_finding_lines(findings), "plan": render_plan(plan)}
-    response = ask(gateway, AgentRole.PLANNER,
-                   render_prompt(AgentRole.PLANNER, variables, "counterfactual"))
+    response = ask(gateway, AgentRole.PLANNER, "counterfactual", variables)
     lines = parse_plan_text(response)
     warnings = merge_revision(plan, lines)
     if not lines:
@@ -502,8 +497,7 @@ def extract_findings(
     history_text = "\n".join(
         f"Command: {r.command}\nSummary: {r.summary}" for r in records
     )
-    response = ask(gateway, AgentRole.EXTRACTOR,
-                   render_prompt(AgentRole.EXTRACTOR, {"history": history_text}, "extract"))
+    response = ask(gateway, AgentRole.EXTRACTOR, "extract", {"history": history_text})
     return parse_extractor_blocks(response)
 
 
@@ -566,10 +560,10 @@ def run_pentest(
         if len(knowledge_base):
             excerpts = knowledge_base.retrieve(description, config.retrieval_k)
 
+        variables = {"task": description, "excerpts": format_excerpts(excerpts)}
         commands, cmd_warnings = ask(
-            gateway, AgentRole.EXECUTOR, build_instructor_prompt(description, excerpts),
-            system=render_prompt(AgentRole.EXECUTOR, {"task": description}, "system"),
-            parse=parse_commands)
+            gateway, AgentRole.EXECUTOR, "instructor", variables,
+            system=render_prompt(AgentRole.EXECUTOR, variables, "system"), parse=parse_commands)
         warnings.extend(cmd_warnings)
 
         new_findings: list[Vulnerability] = []

@@ -114,9 +114,11 @@ class RecordedReply(NamedTuple):
 
 
 def load_transcript(path: str | Path, cls: type = Exchange) -> list:
-    """Each line of a transcript as ``cls``, in file order; GatewayError names a bad line."""
+    """Each line of a transcript as ``cls``, in file order; GatewayError names a bad file/line."""
     try:
         return read_json_lines(path, cls)
+    except OSError as exc:
+        raise GatewayError(f"cannot read transcript {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise GatewayError(f"transcript {exc}") from exc
 

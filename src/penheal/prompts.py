@@ -209,9 +209,11 @@ def render_prompt(role: AgentRole, variables: dict[str, str], kind: str = "syste
         ) from None
 
 
-def ask(gateway: Gateway, role: AgentRole, user: str, system: Optional[str] = None,
+def ask(gateway: Gateway, role: AgentRole, kind: str, variables: dict[str, str],
+        system: Optional[str] = None,
         parse: Optional[Callable[[str], tuple[Any, list[str]]]] = None) -> Any:
-    """Ask ``role`` with its catalog system prompt (or ``system``), then ``user``.
+    """Ask ``role`` its ``kind`` template with ``variables``, after its catalog system turn
+    (or ``system``).
 
     Without ``parse`` the reply is returned as it is. With it, returns
     ``parse(reply)``: a value, empty or None when the reply is unusable, and
@@ -221,7 +223,7 @@ def ask(gateway: Gateway, role: AgentRole, user: str, system: Optional[str] = No
     returned in order.
     """
     history = [ChatTurn(RoleTag.SYSTEM, system or _catalog_system(role)),
-               ChatTurn(RoleTag.USER, user)]
+               ChatTurn(RoleTag.USER, render_prompt(role, variables, kind))]
     reply = gateway.complete(role, history)
     if parse is None:
         return reply
@@ -242,11 +244,9 @@ def _catalog_system(role: AgentRole) -> str:
     return render_prompt(role, {}, "system")
 
 
-def build_instructor_prompt(task_description: str, excerpts: list[Excerpt]) -> str:
-    """Assemble the guidance message fed to the executor for one task."""
-    numbered = "\n".join(f"{i}. {e.chunk.text}" for i, e in enumerate(excerpts, start=1))
-    return render_prompt(AgentRole.EXECUTOR, {"task": task_description, "excerpts": numbered},
-                         kind="instructor")
+def format_excerpts(excerpts: list[Excerpt]) -> str:
+    """The Instructor's numbered list of retrieved excerpts, in rank order."""
+    return "\n".join(f"{i}. {e.chunk.text}" for i, e in enumerate(excerpts, start=1))
 
 
 def cost_rules_text(tiers: dict[str, float], user_preference: Optional[str] = None) -> str:

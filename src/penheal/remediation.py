@@ -72,8 +72,7 @@ def estimate_vector(
         f" port {finding.port}" if finding.port is not None else ""
     )
     variables = {"finding": finding_text, "context": context or "(none recorded)"}
-    metrics, errors = ask(gateway, AgentRole.ESTIMATOR,
-                          render_prompt(AgentRole.ESTIMATOR, variables, "estimate"),
+    metrics, errors = ask(gateway, AgentRole.ESTIMATOR, "estimate", variables,
                           parse=_parse_vector_reply)
     key = finding.key_str[:60]
     warnings = [f"{key}: estimator vector rejected: {e}" for e in errors]
@@ -179,8 +178,7 @@ def advise(
             "vector": vector,
             "description": finding.description or "(no description)",
         }
-        items, _ = ask(gateway, AgentRole.ADVISOR,
-                       render_prompt(AgentRole.ADVISOR, variables, "advise"),
+        items, _ = ask(gateway, AgentRole.ADVISOR, "advise", variables,
                        parse=lambda reply: (parse_numbered_list(reply), []))
         if not items:
             warnings.append(f"{finding.key_str[:60]}: advisor output unparseable, group dropped")
@@ -334,9 +332,8 @@ def evaluate(
         except ValueError as exc:
             return None, [f"{label}: {exc}"]
 
-    variables = {"recommendation": recommendation.text}
-    parsed, warnings = ask(gateway, AgentRole.EVALUATOR,
-                           render_prompt(AgentRole.EVALUATOR, variables, "evaluate"),
+    parsed, warnings = ask(gateway, AgentRole.EVALUATOR, "evaluate",
+                           {"recommendation": recommendation.text},
                            system=context.system, parse=parse)
     if parsed is None:
         warnings.append(f"{label}: evaluation failed twice; "

@@ -6,7 +6,8 @@ VM, with ten weakness rows. Commands follow a small grammar (nmap scans,
 one-shot msfconsole batches, credential attempts, crafted HTTP requests,
 NFS mounts). The simulator is a pure function of (host, command), so
 pipeline runs against it are exactly reproducible. Every output starts
-with a "[sim]" banner so its text can never be confused with a real target.
+with the backend's "[sim]" banner line, prepended to what either grammar
+prints, so its text can never be confused with a real target.
 
 The host model is declarative JSON; alternative hosts are authored in the
 same dialect as the bundled one. Every host-specific line of output comes
@@ -135,14 +136,9 @@ def _match_weakness(sim: SimulatorBackend, lowered: str) -> Optional[SimWeakness
 # ---------------------------------------------------------------------------
 
 
-def _banner(host: HostModel) -> str:
-    return f"[sim] simulated host {host.address} ({host.hostname} profile)"
-
-
 def _nmap_output(host: HostModel, command_text: str) -> str:
     vuln_scripts = "--script" in command_text and "vuln" in command_text
     lines = [
-        _banner(host),
         "Starting Nmap 7.94 ( https://nmap.org )",
         f"Nmap scan report for {host.address}",
         "Host is up (0.00042s latency).",
@@ -158,8 +154,8 @@ def _nmap_output(host: HostModel, command_text: str) -> str:
 
 
 def _success_output(host: HostModel, weakness: SimWeakness, via_msf: bool) -> str:
-    """What hitting the weakness prints; msfconsole prints its own banner first."""
-    lines = [] if via_msf else [_banner(host)]
+    """What hitting the weakness prints; through msfconsole, the session it opened first."""
+    lines = []
     if via_msf and weakness.effect in (EFFECT_SHELL, EFFECT_ROOT_SHELL):
         lines += [
             f"[*] {host.address}:{weakness.canonical_port} - Exploit completed",
@@ -199,7 +195,7 @@ def _module_catalog(host: HostModel) -> list[tuple[str, str]]:
 
 def _simulate_msf(sim: SimulatorBackend, batch: str) -> str:
     host = sim.host
-    lines = [_banner(host), "msf6 >"]
+    lines = ["msf6 >"]
     statements = [s.strip() for part in batch.splitlines() for s in part.split(";") if s.strip()]
     module = ""
     settings: dict[str, str] = {}
@@ -263,28 +259,24 @@ def _simulate_shell(sim: SimulatorBackend, text: str) -> str:
     if first == "nmap":
         if host.address in text or "/24" in text:
             return _nmap_output(host, text)
-        return f"{_banner(host)}\nNote: Host seems down."
+        return "Note: Host seems down."
 
     if first == "ping":
         if host.address in text:
-            return (
-                f"{_banner(host)}\n64 bytes from {host.address}: icmp_seq=1 ttl=64 "
-                "time=0.4 ms\n1 packets transmitted, 1 received, 0% packet loss"
-            )
-        return f"{_banner(host)}\nping: no route to host"
+            return (f"64 bytes from {host.address}: icmp_seq=1 ttl=64 time=0.4 ms\n"
+                    "1 packets transmitted, 1 received, 0% packet loss")
+        return "ping: no route to host"
 
     if host.address not in text and first not in ("showmount", "mount"):
-        return (
-            f"{_banner(host)}\nbash: connection attempt ignored: command does not "
-            f"reference the target {host.address}"
-        )
+        return ("bash: connection attempt ignored: command does not reference the target "
+                f"{host.address}")
 
     weakness = _match_weakness(sim, lowered)
     if weakness is not None:
         return _success_output(host, weakness, via_msf=False)
 
     if first == "showmount":
-        return f"{_banner(host)}\nExport list for {host.address}:\n/ *"
+        return f"Export list for {host.address}:\n/ *"
 
     if first in ("ftp", "nc", "ncat", "telnet", "curl", "wget"):
         port = _port_in_command(text)
@@ -294,16 +286,14 @@ def _simulate_shell(sim: SimulatorBackend, text: str) -> str:
         if first == "ftp":
             service = _service_on_port(host, 21)
         if service is not None:
-            return (
-                f"{_banner(host)}\nConnected to {host.address}.\n"
-                f"{service.port}/{service.name} banner: {service.banner}"
-            )
-        return f"{_banner(host)}\nConnection refused"
+            return (f"Connected to {host.address}.\n"
+                    f"{service.port}/{service.name} banner: {service.banner}")
+        return "Connection refused"
 
     if first in ("ssh", "sshpass", "mysql", "psql"):
-        return f"{_banner(host)}\nPermission denied (publickey,password)."
+        return "Permission denied (publickey,password)."
 
-    return f"{_banner(host)}\nbash: {first or text}: command not found"
+    return f"bash: {first or text}: command not found"
 
 
 def _port_in_command(text: str) -> Optional[int]:
@@ -325,14 +315,14 @@ def simulate(command: Command, host: HostModel) -> str:
 
 
 class SimulatorBackend:
-    """Executor backend adapter over one (immutable) host, with its trigger table and catalog."""
+    """Executor backend over one (immutable) host; every output starts with its banner line."""
 
     def __init__(self, host: HostModel):
         self.host = host
+        self.banner = f"[sim] simulated host {host.address} ({host.hostname} profile)\n"
         self.triggers = _trigger_table(host)
         self.catalog = _module_catalog(host)
 
     def run(self, command: Command) -> tuple[str, int]:
-        if command.channel is CommandChannel.MSFCONSOLE:
-            return _simulate_msf(self, command.raw), 0
-        return _simulate_shell(self, command.raw), 0
+        grammar = _simulate_msf if command.channel is CommandChannel.MSFCONSOLE else _simulate_shell
+        return self.banner + grammar(self, command.raw), 0

@@ -472,6 +472,16 @@ class TestBadInputsFailFirst:
         message = _rejected_config(tmp_path, capsys, monkeypatch, command, {key: value})
         assert f"invalid configuration: CliSettings.{key}" in message
 
+    @pytest.mark.parametrize("mode, message", [
+        ("hemetic", "unknown mode 'hemetic' (expected hermetic or live)"),
+        ("live", "live mode requires llm.base_url"),
+    ], ids=["unknown", "live-without-base-url"])
+    @pytest.mark.parametrize("command", ["run", "pentest", "remediate"])
+    def test_unrunnable_mode(self, tmp_path, capsys, monkeypatch, no_network, command, mode,
+                             message):
+        message_line = _rejected_config(tmp_path, capsys, monkeypatch, command, {"mode": mode})
+        assert message_line == f"fatal: {message}"
+
     @pytest.mark.parametrize("section, key", [
         (None, "budgte_per_vuln"), (None, "budget_scope"), ("nvd", "mode"), ("nvd", "mdoe"),
         ("llm", "base_ulr"), ("cost_policy", "tier_score"),
@@ -564,6 +574,7 @@ class TestBadInputsFailFirst:
 
     @pytest.mark.parametrize("command", ["replay", "run"])
     def test_undecodable_transcript(self, tmp_path, capsys, monkeypatch, no_network, command):
+        """A transcript that cannot be decoded, or not read at all, is one fatal line."""
         monkeypatch.setattr(Gateway, "complete", _refuse)
         transcript = tmp_path / "transcript.jsonl"
         transcript.write_bytes(b"\xff\xfe\n")
@@ -571,6 +582,11 @@ class TestBadInputsFailFirst:
                 else [*hermetic_args(tmp_path / "out"), "--fixtures", str(transcript)])
         assert run_cli(*argv) == 1
         assert "line 1 is unreadable" in fatal_line(capsys.readouterr().err)
+        transcript.unlink()
+        transcript.mkdir()  # `run` finds it in the --fixtures directory
+        argv[-1] = str(transcript if command == "replay" else tmp_path)
+        assert run_cli(*argv) == 1
+        assert f"cannot read transcript {transcript}: " in fatal_line(capsys.readouterr().err)
 
     def test_missing_kb(self, tmp_path, capsys, monkeypatch, no_network):
         monkeypatch.setattr(Gateway, "complete", _refuse)
@@ -783,6 +799,17 @@ def test_hermetic_stages_skip_code_generation_modules(tmp_path, command):
     argv = [command, "--target", "10.0.2.4", "--mode", "hermetic", "--out", str(tmp_path)]
     script = f"from penheal.cli import main\ncode = main({argv!r})"
     assert fresh_process(script, CODEGEN + LIVE_CLIENTS) == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("mode", ["hemetic", "live"])  # live without llm.base_url
+def test_unrunnable_mode_fails_before_any_stage_work(tmp_path, mode):
+    """No host model, truth, live client or out dir is touched before the mode is checked."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"target_address": "10.0.2.4", "mode": mode}))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    script = f"from penheal.cli import main\ncode = main({argv!r})"
+    assert fresh_process(script, DISCOVERY_STACK + LIVE_CLIENTS) == {"code": 1, "loaded": []}
+    assert not (tmp_path / "out").exists()
 
 
 def test_hermetic_remediate_skips_the_discovery_stack(tmp_path, no_network):

@@ -8,12 +8,13 @@ from importlib import resources
 
 import pytest
 
+from penheal.gateway import AgentRole
 from penheal.knowledge import (
     KnowledgeBase,
     KnowledgeBaseError,
     embed,
 )
-from penheal.prompts import build_instructor_prompt
+from penheal.prompts import format_excerpts, render_prompt
 from test_knowledge_sparse import cosine, dense
 
 
@@ -208,6 +209,12 @@ class TestPersistence:
         postings.write_bytes(postings.read_bytes()[:-16])
         with pytest.raises(KnowledgeBaseError):
             KnowledgeBase.load(tmp_path / "index")
+
+
+def build_instructor_prompt(task, excerpts):
+    """The executor's Instructor request for ``task``, as the discovery loop renders it."""
+    variables = {"task": task, "excerpts": format_excerpts(excerpts)}
+    return render_prompt(AgentRole.EXECUTOR, variables, "instructor")
 
 
 class TestInstructorPrompt:

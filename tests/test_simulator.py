@@ -169,16 +169,27 @@ class TestWalkthroughs:
 
 class TestOutputs:
     def test_every_output_carries_sim_banner(self, host):
+        """Each output opens with the exact banner line, and carries it once."""
         commands = [
             Command(f"nmap {TARGET}"),
+            Command(f"nmap --script vuln {TARGET}"),
+            Command("nmap 10.9.9.9"),
             Command(f"ping -c1 {TARGET}"),
             Command(f"showmount -e {TARGET}"),
             Command("garbage"),
+            Command("curl http://10.9.9.9/"),  # out of target
+            Command(f"sshpass -p msfadmin ssh msfadmin@{TARGET} id"),  # shell hit
+            Command(f"ssh root@{TARGET}"),  # shell miss
+            Command(f"ftp {TARGET}"),
             msf("search vsftpd"),
+            WALKTHROUGHS["ftp-backdoor"][0],  # msf exploit
+            msf(f"use exploit/unix/misc/none; set RHOSTS {TARGET}; exploit"),  # msf miss
         ]
+        banner = f"[sim] simulated host {TARGET} (metasploitable profile)"
         for command in commands:
             output = simulate(command, host)
-            assert "[sim]" in output.splitlines()[0]
+            assert output.splitlines()[0] == banner, command
+            assert output.count("[sim]") == 1, command
 
     def test_search_lists_known_modules(self, host):
         output = simulate(msf("search samba"), host)
