@@ -26,11 +26,9 @@ from .model import (
     AggregationMode,
     ArtifactParseError,
     AttackPlan,
-    CliSettings,
     RecommendationStatus,
     RunConfig,
     Vulnerability,
-    decode,
     deserialize_run,
     load_json,
     serialize_run,
@@ -162,7 +160,7 @@ def _check_keys(doc: dict) -> None:
 
     The keys of a map, ``role_models`` or ``cost_policy.tier_scores``, are free.
     """
-    fields = RunConfig._field_defaults | CliSettings._field_defaults
+    fields = RunConfig._field_defaults
     for key, value in doc.items():
         if key not in fields:
             raise ValueError(f"unknown key {key}")
@@ -172,55 +170,55 @@ def _check_keys(doc: dict) -> None:
                 raise ValueError(f"unknown key {key}.{inner}")
 
 
-def _stage_setup(args) -> tuple[CliSettings, RunConfig, Path]:
-    """The CLI settings, the validated run config and mode, and the created out dir."""
+def _stage_setup(args) -> tuple[RunConfig, Path]:
+    """The config, with every rule checked before the out dir is created, and that dir."""
     doc = load_config(args.config, _overrides(args))
     try:
         _check_keys(doc)
-        settings = decode(CliSettings, doc)
         config = RunConfig.from_dict(doc)
         config.validate()
     except (ValueError, KeyError) as exc:
         raise Fatal(f"invalid configuration: {exc}")
-    if settings.mode not in ("hermetic", "live"):
-        raise Fatal(f"unknown mode {settings.mode!r} (expected hermetic or live)")
-    if settings.mode == "live" and not settings.llm.base_url:
+    if config.mode not in ("hermetic", "live"):
+        raise Fatal(f"unknown mode {config.mode!r} (expected hermetic or live)")
+    if config.mode == "live" and not config.llm.base_url:
         raise Fatal("live mode requires llm.base_url")
-    out_dir = Path(settings.out_dir)
+    gw.route_table(config.role_models)  # for its key checks: a GatewayError, which main reports
+    out_dir = Path(config.out_dir)
     _output(out_dir, lambda path: path.mkdir(parents=True, exist_ok=True))
-    return settings, config, out_dir
+    return config, out_dir
 
 
-def _chat_gateway(settings: CliSettings, role_models: tuple[tuple[str, str], ...],
-                  out_dir: Path) -> tuple[gw.Gateway, str]:
+def _chat_gateway(config: RunConfig, out_dir: Path) -> tuple[gw.Gateway, str]:
     """The mode's chat gateway and the transcript it replays or records."""
-    if settings.mode == "hermetic":
-        fixtures = _resolve_fixtures(settings.fixtures)
-        return gw.replay_mode(fixtures, role_models=dict(role_models)), str(fixtures)
+    if config.mode == "hermetic":
+        fixtures = _resolve_fixtures(config.fixtures)
+        return gw.replay_mode(fixtures, role_models=dict(config.role_models)), str(fixtures)
     from .backends import LiveBackend
 
-    live = LiveBackend(settings.llm.base_url, api_key=settings.llm.api_key)
+    live = LiveBackend(config.llm.base_url, api_key=config.llm.api_key)
     record_path = out_dir / "transcript.jsonl"
-    gateway = _output(record_path, lambda path: gw.record_mode(live, path, dict(role_models)))
+    gateway = _output(record_path,
+                      lambda path: gw.record_mode(live, path, dict(config.role_models)))
     return gateway, str(record_path)
 
 
-def _executor(settings: CliSettings, host=None):
+def _executor(config: RunConfig, host=None):
     """The discovery stage's command backend (local shell or ``host`` simulated) and KB."""
-    if settings.mode == "live":
+    if config.mode == "live":
         from .backends import ShellBackend
 
-        return ShellBackend(), _build_knowledge_base(settings.kb_dir)
+        return ShellBackend(), _build_knowledge_base(config.kb_dir)
     from . import simulator
 
-    host = _host_model(settings.host_model) if host is None else host
-    return simulator.SimulatorBackend(host), _build_knowledge_base(settings.kb_dir)
+    host = _host_model(config.host_model) if host is None else host
+    return simulator.SimulatorBackend(host), _build_knowledge_base(config.kb_dir)
 
 
-def _nvd_client(settings: CliSettings, out_dir: Path):
+def _nvd_client(config: RunConfig, out_dir: Path):
     """Fixture records when the run is hermetic or ``nvd.fixture_dir`` is set, else live."""
-    nvd = settings.nvd
-    if settings.mode == "hermetic" or nvd.fixture_dir:
+    nvd = config.nvd
+    if config.mode == "hermetic" or nvd.fixture_dir:
         return FixtureNvdClient(nvd.fixture_dir)
     from .backends import LiveNvdClient
 
@@ -251,7 +249,7 @@ def _read_artifact(path: str):
         raise Fatal(f"cannot read artifact {path}: {exc}") from None
 
 
-def _pentest_stage(settings: CliSettings, config: RunConfig, out_dir: Path,
+def _pentest_stage(config: RunConfig, out_dir: Path,
                    host=None) -> tuple[engine.PentestResult, gw.Gateway, str]:
     """Run discovery, then write history.jsonl and the stage-one artifact ``remediate`` reads.
 
@@ -259,8 +257,8 @@ def _pentest_stage(settings: CliSettings, config: RunConfig, out_dir: Path,
     """
     from . import engine  # compiled before a replay transcript is read: a lower peak RSS
 
-    gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
-    backend, kb = _executor(settings, host)
+    gateway, transcript_ref = _chat_gateway(config, out_dir)
+    backend, kb = _executor(config, host)
     try:
         pentest = engine.run_pentest(config, backend, gateway, kb)
     except engine.EngineError as exc:
@@ -307,15 +305,14 @@ def _exit_code(warnings: list[str]) -> int:
 
 def cmd_run(args) -> int:
     """The pentest stage, then the remediate stage on its findings."""
-    settings, config, out_dir = _stage_setup(args)
+    config, out_dir = _stage_setup(args)
     # Read once: a hermetic run simulates the host model, and without --truth scores against it.
-    host = (_host_model(settings.host_model)
-            if settings.mode == "hermetic" or not settings.truth else None)
-    truth = _load_truth(settings.truth, host)
-    nvd_client = _nvd_client(settings, out_dir)
-    pentest, gateway, transcript_ref = _pentest_stage(settings, config, out_dir, host)
+    host = _host_model(config.host_model) if config.mode == "hermetic" or not config.truth else None
+    truth = _load_truth(config.truth, host)
+    nvd_client = _nvd_client(config, out_dir)
+    pentest, gateway, transcript_ref = _pentest_stage(config, out_dir, host)
     pentest_code = _exit_code(pentest.warnings)  # printed now, in case remediation fails
-    run_id = _deterministic_run_id(config.target_address, settings.mode)
+    run_id = _deterministic_run_id(config.target_address, config.mode)
     report_text, rem_warnings = _remediate_and_score(
         config, gateway, nvd_client, out_dir, pentest.plan, pentest.findings, truth, run_id,
         transcript_ref)
@@ -333,8 +330,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_pentest(args) -> int:
-    settings, config, out_dir = _stage_setup(args)
-    pentest, _, _ = _pentest_stage(settings, config, out_dir)
+    config, out_dir = _stage_setup(args)
+    pentest, _, _ = _pentest_stage(config, out_dir)
     print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})")
     for v in pentest.findings:
         print(f"  {v.key_str}")
@@ -342,13 +339,13 @@ def cmd_pentest(args) -> int:
 
 
 def cmd_remediate(args) -> int:
-    settings, config, out_dir = _stage_setup(args)
-    host = None if settings.truth else _host_model(settings.host_model)
-    truth = _load_truth(settings.truth, host)
+    config, out_dir = _stage_setup(args)
+    host = None if config.truth else _host_model(config.host_model)
+    truth = _load_truth(config.truth, host)
     plan, findings, _, _ = _read_artifact(args.artifact)
-    gateway, transcript_ref = _chat_gateway(settings, config.role_models, out_dir)
+    gateway, transcript_ref = _chat_gateway(config, out_dir)
     report_text, rem_warnings = _remediate_and_score(
-        config, gateway, _nvd_client(settings, out_dir), out_dir, plan, findings, truth,
+        config, gateway, _nvd_client(config, out_dir), out_dir, plan, findings, truth,
         _deterministic_run_id(config.target_address, "remediate"), transcript_ref)
     print(report_text)
     return _exit_code(rem_warnings)
@@ -428,8 +425,7 @@ def cmd_replay(args) -> int:
 
 def _overrides(args) -> dict:
     """The pipeline flags, by the config key each overrides: its argparse dest."""
-    return {key: value for key, value in vars(args).items()
-            if key in RunConfig._fields or key in CliSettings._fields}
+    return {key: value for key, value in vars(args).items() if key in RunConfig._fields}
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:

@@ -21,7 +21,7 @@ import hashlib
 import time
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import NamedTuple, Optional, Protocol
+from typing import Iterable, NamedTuple, Optional, Protocol
 
 from .model import IdentityEnum, read_json_lines, write_json_lines
 
@@ -138,10 +138,7 @@ class ChatBackend(Protocol):
 class ReplayBackend:
     """Serves only previously recorded responses, keyed by request hash."""
 
-    def __init__(self, transcript_path: str | Path):
-        path = Path(transcript_path)
-        if not path.exists():
-            raise GatewayError(f"replay transcript not found: {path}")
+    def __init__(self, path: str | Path):
         self._responses: dict[str, str] = {}
         for digest, response in load_transcript(path, RecordedReply):  # `penheal replay` reads all
             if self._responses.setdefault(digest, response) != response:
@@ -178,6 +175,24 @@ class ScriptedBackend:
         return {role.value: len(q) for role, q in self._scripts.items() if q}
 
 
+def route_table(role_models: Iterable[tuple[str, str]]) -> dict[AgentRole, tuple[str, int]]:
+    """Each role's (model, char budget); GatewayError for a key naming no role or tier, or twice."""
+    given: dict[str, str] = {}  # model by lowercased role or tier
+    for key, model in role_models:
+        if key.lower() not in _ROUTE_KEYS:
+            raise GatewayError(f"role_models key {key!r} names no role, nor strong or light")
+        if key.lower() in given:
+            raise GatewayError(f"role_models names {key.lower()} twice (case is ignored)")
+        given[key.lower()] = model
+    models = DEFAULT_MODELS | given
+    routes = {}
+    for role in AgentRole:  # a per-role key wins; otherwise the role's tier key decides
+        tier, budget = (("light", LIGHT_CHAR_BUDGET) if role in LIGHT_ROLES
+                        else ("strong", STRONG_CHAR_BUDGET))
+        routes[role] = models.get(role.value.lower(), models[tier]), budget
+    return routes
+
+
 class Gateway:
     """Routes each role's requests to its tier model; with a record path, records each exchange.
 
@@ -191,14 +206,7 @@ class Gateway:
         record_path: Optional[str | Path] = None,
     ):
         self.backend = backend
-        models = DEFAULT_MODELS | {k.lower(): v for k, v in (role_models or {}).items()}
-        if typos := [key for key in role_models or () if key.lower() not in _ROUTE_KEYS]:
-            raise GatewayError(f"role_models key {typos[0]!r} names no role, nor strong or light")
-        self._routes: dict[AgentRole, tuple[str, int]] = {}  # role -> (model, char budget)
-        for role in AgentRole:  # a per-role key wins; otherwise the role's tier key decides
-            tier, budget = (("light", LIGHT_CHAR_BUDGET) if role in LIGHT_ROLES
-                            else ("strong", STRONG_CHAR_BUDGET))
-            self._routes[role] = models.get(role.value.lower(), models[tier]), budget
+        self._routes = route_table((role_models or {}).items())
         self._record_path = Path(record_path) if record_path else None
         if self._record_path:
             # Truncate eagerly so a failed run never leaves stale exchanges behind.

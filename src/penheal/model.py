@@ -368,36 +368,6 @@ class CostPolicy(NamedTuple):
         return dict(DEFAULT_COST_TIERS) | {name.lower(): s for name, s in self.tier_scores}
 
 
-class RunConfig(NamedTuple):
-    """Everything a pipeline run needs beyond the pluggable backends."""
-
-    target_address: str = ""  # required, but validate() names it when missing
-    budget_per_vuln: float = 4.0
-    cost_policy: CostPolicy = CostPolicy()  # immutable, so one shared default is safe
-    retrieval_k: int = 3
-    max_iterations: int = 30
-    no_new_finding_window: int = 5
-    role_models: tuple[tuple[str, str], ...] = ()
-    aggregation_mode: AggregationMode = AggregationMode.DIVIDED_BY_THREE
-
-    def validate(self) -> None:
-        if not self.target_address:
-            raise ValueError("target_address must be set")
-        if not (isfinite(self.budget_per_vuln) and self.budget_per_vuln >= 0):
-            raise ValueError(f"budget_per_vuln must be finite and >= 0, not {self.budget_per_vuln}")
-        for name, score in self.cost_policy.tier_scores:
-            if name.lower() not in dict(DEFAULT_COST_TIERS):  # the evaluator is offered no other
-                raise ValueError(f"unknown cost tier {name!r} (expected low, moderate or high)")
-            if not 0 <= score <= MAX_COST:  # false for nan too
-                raise ValueError(f"cost tier {name} must score 0 to {MAX_COST:g}, not {score}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.retrieval_k < 1:
-            raise ValueError("retrieval_k must be >= 1")
-        if self.no_new_finding_window < 1:
-            raise ValueError("no_new_finding_window must be >= 1")
-
-
 # The settings types live here, not in the CLI module: the codec reads the names in a
 # value type's module, and a profiler running the CLI as __main__ takes that slot.
 class LlmSettings(NamedTuple):
@@ -411,9 +381,17 @@ class NvdSettings(NamedTuple):
     base_url: str = NVD_BASE_URL
 
 
-class CliSettings(NamedTuple):
-    """The config keys the CLI reads itself; the RunConfig fields are the others."""
+class RunConfig(NamedTuple):
+    """The config document: the run's target, budget and limits, and how the CLI builds it."""
 
+    target_address: str = ""  # required, but validate() names it when missing
+    budget_per_vuln: float = 4.0
+    cost_policy: CostPolicy = CostPolicy()  # immutable, so one shared default is safe
+    retrieval_k: int = 3
+    max_iterations: int = 30
+    no_new_finding_window: int = 5
+    role_models: tuple[tuple[str, str], ...] = ()
+    aggregation_mode: AggregationMode = AggregationMode.DIVIDED_BY_THREE
     mode: str = "hermetic"  # or "live"
     out_dir: str = "out"
     fixtures: Optional[str] = None
@@ -422,6 +400,25 @@ class CliSettings(NamedTuple):
     host_model: Optional[str] = None
     llm: LlmSettings = LlmSettings()
     nvd: NvdSettings = NvdSettings()
+
+    def validate(self) -> None:
+        if not self.target_address:
+            raise ValueError("target_address must be set")
+        if not (isfinite(self.budget_per_vuln) and self.budget_per_vuln >= 0):
+            raise ValueError(f"budget_per_vuln must be finite and >= 0, not {self.budget_per_vuln}")
+        for i, (name, score) in enumerate(self.cost_policy.tier_scores):
+            if name.lower() not in dict(DEFAULT_COST_TIERS):  # the evaluator is offered no other
+                raise ValueError(f"unknown cost tier {name!r} (expected low, moderate or high)")
+            if name.lower() in {other.lower() for other, _ in self.cost_policy.tier_scores[:i]}:
+                raise ValueError(f"tier_scores names {name.lower()} twice (case is ignored)")
+            if not 0 <= score <= MAX_COST:  # false for nan too
+                raise ValueError(f"cost tier {name} must score 0 to {MAX_COST:g}, not {score}")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.retrieval_k < 1:
+            raise ValueError("retrieval_k must be >= 1")
+        if self.no_new_finding_window < 1:
+            raise ValueError("no_new_finding_window must be >= 1")
 
 
 for _value_type in (TaskNode, AttackPlan, CvssMetrics, Vulnerability, Recommendation,

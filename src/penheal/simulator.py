@@ -309,11 +309,6 @@ def _service_on_port(host: HostModel, port: Optional[int]) -> Optional[SimServic
     return next((service for service in host.services if service.port == port), None)
 
 
-def simulate(command: Command, host: HostModel) -> str:
-    """The output of one command run against the simulated host."""
-    return SimulatorBackend(host).run(command)[0]
-
-
 class SimulatorBackend:
     """Executor backend over one (immutable) host; every output starts with its banner line."""
 

@@ -32,7 +32,7 @@ from penheal.remediation import RecommendationGroup, select
 from penheal.model import Recommendation
 from penheal.scoring import overall
 from penheal.model import AggregationMode
-from penheal.simulator import load_host_model, simulate
+from penheal.simulator import SimulatorBackend, load_host_model
 from penheal.engine import Command, CommandChannel
 
 DATA = Path(__file__).parent / "data"
@@ -210,8 +210,6 @@ COUNTERFACTUAL_MARK = "as if they do not exist"
 def _check_counterfactual_property(fixture_name: str, record_path: Path):
     gateway = Gateway(ReplayBackend(bundled_fixture_path(f"{fixture_name}.jsonl")),
                       record_path=record_path)
-    from penheal.simulator import SimulatorBackend
-
     config = RunConfig(target_address="10.0.2.4")
     result = run_pentest(config, SimulatorBackend(load_host_model()), gateway,
                          _build_knowledge_base(None))
@@ -459,7 +457,7 @@ def test_criterion_9_simulator_walkthroughs():
         outputs = []
         for commands in walkthroughs.values():
             assert len(commands) <= 6
-            outputs.append([simulate(command, host) for command in commands])
+            outputs.append([SimulatorBackend(host).run(command)[0] for command in commands])
         return outputs
 
     outputs = run_once()
@@ -468,10 +466,11 @@ def test_criterion_9_simulator_walkthroughs():
     assert [reached(o[-1]) for o in outputs] == [{row_id} for row_id in walkthroughs]
     assert set(walkthroughs) == {w.row_id for w in host.weakness_rows()}
     assert len(walkthroughs) == 10
-    miss = simulate(msf(f"use exploit/unix/misc/made_up; set RHOSTS {target}; exploit"), host)
+    miss = SimulatorBackend(host).run(
+        msf(f"use exploit/unix/misc/made_up; set RHOSTS {target}; exploit"))[0]
     assert reached(miss) == set()
 
-    scan = simulate(Command(f"nmap -p- {target}"), host)
+    scan = SimulatorBackend(host).run(Command(f"nmap -p- {target}"))[0]
     ports = {int(m) for m in re.findall(r"^(\d+)/tcp", scan, re.MULTILINE)}
     assert ports == {21, 22, 23, 25, 53, 80, 2049, 3306, 5432, 6667}
     report(9, "10/10 weaknesses reached; scan lists exactly the 10 ports; deterministic")

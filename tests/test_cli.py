@@ -1,5 +1,6 @@
 """CLI wiring: subcommands, exit codes, hermetic isolation."""
 
+import argparse
 import ast
 import json
 import os
@@ -14,7 +15,7 @@ from penheal import cli
 from penheal.backends import LiveBackend, LiveNvdClient, ShellBackend
 from penheal.cli import _chat_gateway, _executor, _nvd_client, main
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend
-from penheal.model import AttackPlan, Vulnerability, decode, deserialize_run, serialize_run
+from penheal.model import AttackPlan, RunConfig, Vulnerability, deserialize_run, serialize_run
 from penheal.nvd import FixtureNvdClient
 from penheal.simulator import ground_truth, load_host_model
 
@@ -372,8 +373,9 @@ def _refuse(*args):
     raise AssertionError("the model stage was reached")
 
 
-def _rejected_config(tmp_path, capsys, monkeypatch, command, doc):
-    """The fatal line of ``command`` on a config with ``doc``; checks nothing else ran."""
+def _rejected_config(tmp_path, capsys, monkeypatch, command, doc, *flags):
+    """The fatal line of ``command`` on a config with ``doc`` and ``flags``; checks nothing
+    else ran and nothing was created."""
     monkeypatch.setattr(Gateway, "complete", _refuse)
     monkeypatch.chdir(tmp_path)  # a rejected out_dir must not be created anywhere
     config = tmp_path / "config.json"
@@ -381,7 +383,7 @@ def _rejected_config(tmp_path, capsys, monkeypatch, command, doc):
     artifact = tmp_path / "artifact.json"
     artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
     argv = [command, str(artifact)] if command == "remediate" else [command]
-    assert run_cli(*argv, "--config", str(config)) == 1
+    assert run_cli(*argv, "--config", str(config), *flags) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "config.json"]
     return fatal_line(capsys.readouterr().err)
 
@@ -470,7 +472,7 @@ class TestBadInputsFailFirst:
     @pytest.mark.parametrize("command", ["run", "pentest", "remediate"])
     def test_mistyped_cli_key(self, tmp_path, capsys, monkeypatch, command, key, value):
         message = _rejected_config(tmp_path, capsys, monkeypatch, command, {key: value})
-        assert f"invalid configuration: CliSettings.{key}" in message
+        assert f"invalid configuration: RunConfig.{key}" in message
 
     @pytest.mark.parametrize("mode, message", [
         ("hemetic", "unknown mode 'hemetic' (expected hermetic or live)"),
@@ -498,17 +500,24 @@ class TestBadInputsFailFirst:
                                             command):
         """A typo in a role name is one fatal line before any model call, not a silent route
         of that role to the tier model."""
-        monkeypatch.setattr(Gateway, "complete", _refuse)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"target_address": "10.0.2.4", "mode": "hermetic",
-                                      "role_models": {"planer": "special-model",
-                                                      "Strong": "big"}}))
-        artifact = tmp_path / "artifact.json"
-        artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
-        argv = [command, str(artifact)] if command == "remediate" else [command]
-        assert run_cli(*argv, "--config", str(config), "--out", str(tmp_path / "out")) == 1
-        assert fatal_line(capsys.readouterr().err) == (
+        doc = {"mode": "hermetic", "role_models": {"planer": "special-model", "Strong": "big"}}
+        assert _rejected_config(tmp_path, capsys, monkeypatch, command, doc) == (
             "fatal: role_models key 'planer' names no role, nor strong or light")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"role_models": {"Planner": "a", "planner": "b"}},
+         "role_models names planner twice (case is ignored)"),
+        ({"role_models": [["light", "a"], ["light", "b"]]},
+         "role_models names light twice (case is ignored)"),
+        ({"cost_policy": {"tier_scores": {"low": 1.0, "LOW": 3.0}}},
+         "invalid configuration: tier_scores names low twice (case is ignored)"),
+    ], ids=["role", "role-pairs", "cost-tier"])
+    @pytest.mark.parametrize("command", ["run", "pentest", "remediate"])
+    def test_name_given_twice(self, tmp_path, capsys, monkeypatch, no_network, command, doc,
+                              message):
+        """Names are read in any case, so two keys that differ only in case are one key
+        given twice: fatal, not resolved by whichever comes last."""
+        assert _rejected_config(tmp_path, capsys, monkeypatch, command, doc) == f"fatal: {message}"
 
     @pytest.mark.parametrize("site", ["config", "config-interpolation", "truth", "fixtures",
                                       "host_model", "remediate", "score", "replay"])
@@ -537,27 +546,24 @@ class TestBadInputsFailFirst:
         assert "nesting too deep" in fatal_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, config_keys", [
-        ("nan", ""), ("inf", ""),
-        (None, ', "budget_per_vuln": NaN'), (None, ', "budget_per_vuln": Infinity'),
-        (None, ', "cost_policy": {"tier_scores": {"low": -2.0}}'),
-        (None, ', "cost_policy": {"tier_scores": {"high": Infinity}}'),
-        (None, ', "cost_policy": {"tier_scores": {"high": 1e308}}'),
-        (None, ', "cost_policy": {"tier_scores": {"low": 10.5}}'),
-        (None, ', "no_new_finding_window": 0'),
-        (None, ', "cost_policy": {"tier_scores": {"Urgent": 7}}'),
+        ("nan", {}), ("inf", {}),
+        (None, {"budget_per_vuln": float("nan")}), (None, {"budget_per_vuln": float("inf")}),
+        (None, {"cost_policy": {"tier_scores": {"low": -2.0}}}),
+        (None, {"cost_policy": {"tier_scores": {"high": float("inf")}}}),
+        (None, {"cost_policy": {"tier_scores": {"high": 1e308}}}),
+        (None, {"cost_policy": {"tier_scores": {"low": 10.5}}}),
+        (None, {"no_new_finding_window": 0}),
+        (None, {"cost_policy": {"tier_scores": {"Urgent": 7}}}),
     ], ids=["flag-nan", "flag-inf", "config-nan", "config-inf", "tier-negative", "tier-inf",
             "tier-huge", "tier-above-ten", "window-zero", "tier-unknown"])
     def test_unusable_budget_or_tier(self, tmp_path, capsys, monkeypatch, no_network, flag,
                                      config_keys):
         """The knapsack needs a finite budget and tier scores from 0 to 10, and the
         stagnation check a window of at least one iteration."""
-        monkeypatch.setattr(Gateway, "complete", _refuse)
-        config = tmp_path / "config.json"
-        config.write_text('{"target_address": "10.0.2.4", "mode": "hermetic"' + config_keys + "}")
         budget = ["--budget-per-vuln", flag] if flag else []
-        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"),
-                       *budget) == 1
-        assert "invalid configuration: " in fatal_line(capsys.readouterr().err)
+        doc = {"mode": "hermetic", **config_keys}  # json writes nan and inf as NaN, Infinity
+        message = _rejected_config(tmp_path, capsys, monkeypatch, "run", doc, *budget)
+        assert "invalid configuration: " in message
 
     @pytest.mark.parametrize("damage", ["overlap", "not-utf8", "duplicate-stem"])
     def test_bad_ingest_input(self, tmp_path, capsys, damage):
@@ -683,9 +689,8 @@ def _scripted_stage(monkeypatch, scripts, backend):
     from penheal.knowledge import KnowledgeBase
 
     monkeypatch.setattr(cli, "_chat_gateway",
-                        lambda settings, role_models, out_dir:
-                        (Gateway(ScriptedBackend(scripts)), "scripted"))
-    monkeypatch.setattr(cli, "_executor", lambda settings, host: (backend, KnowledgeBase()))
+                        lambda config, out_dir: (Gateway(ScriptedBackend(scripts)), "scripted"))
+    monkeypatch.setattr(cli, "_executor", lambda config, host: (backend, KnowledgeBase()))
 
 
 class TestStageFailuresAndWarnings:
@@ -944,17 +949,26 @@ def test_cli_runs_under_the_profiler(tmp_path):
 
 def test_live_mode_assembly(tmp_path, no_network):
     """Live assembly builds the shell backend and a recording gateway, and connects nowhere."""
-    settings = decode(cli.CliSettings, {"mode": "live", "llm": {"base_url": "http://127.0.0.1:9/v1"},
-                                        "nvd": {"fixture_dir": str(tmp_path)}})
-    gateway, transcript_ref = _chat_gateway(settings, (), tmp_path)
-    backend, _ = _executor(settings)
+    config = RunConfig.from_dict({"mode": "live", "llm": {"base_url": "http://127.0.0.1:9/v1"},
+                                  "nvd": {"fixture_dir": str(tmp_path)}})
+    gateway, transcript_ref = _chat_gateway(config, tmp_path)
+    backend, _ = _executor(config)
     assert isinstance(gateway.backend, LiveBackend)
     assert transcript_ref == str(tmp_path / "transcript.jsonl")
     assert (tmp_path / "transcript.jsonl").read_text() == ""  # record mode starts it empty
     assert isinstance(backend, ShellBackend)
-    assert isinstance(_nvd_client(settings, tmp_path), FixtureNvdClient)
-    live_nvd = settings._replace(nvd=settings.nvd._replace(fixture_dir=None))
+    assert isinstance(_nvd_client(config, tmp_path), FixtureNvdClient)
+    live_nvd = config._replace(nvd=config.nvd._replace(fixture_dir=None))
     assert isinstance(_nvd_client(live_nvd, tmp_path), LiveNvdClient)
+
+
+def test_every_pipeline_flag_overrides_a_config_field():
+    """``_overrides`` keeps only the flags whose dest is a config field, so a flag with any
+    other dest would be dropped without a word."""
+    parser = argparse.ArgumentParser()
+    cli._add_pipeline_flags(parser)
+    dests = set(vars(parser.parse_args([]))) - {"config"}
+    assert dests and dests - set(RunConfig._fields) == set()
 
 
 def test_readme_config_passes_the_strict_check(tmp_path, monkeypatch):
@@ -966,6 +980,6 @@ def test_readme_config_passes_the_strict_check(tmp_path, monkeypatch):
     monkeypatch.setenv("PENHEAL_LLM_API_KEY", "test-key")
     args = cli.build_parser().parse_args(["run", "--config", str(config),
                                           "--out", str(tmp_path / "out")])
-    settings, run_config, _ = cli._stage_setup(args)
-    assert (settings.mode, settings.llm.api_key) == ("live", "test-key")
-    assert settings.nvd.cache_dir and run_config.cost_policy.user_preference_text
+    config, _ = cli._stage_setup(args)
+    assert (config.mode, config.llm.api_key) == ("live", "test-key")
+    assert config.nvd.cache_dir and config.cost_policy.user_preference_text

@@ -133,8 +133,9 @@ class TestRecordReplay:
             replay_mode(path).complete(AgentRole.PLANNER, _history())
 
     def test_unreadable_transcript_is_startup_error(self, tmp_path):
-        with pytest.raises(GatewayError):
-            replay_mode(tmp_path / "does-not-exist.jsonl")
+        missing = tmp_path / "does-not-exist.jsonl"
+        with pytest.raises(GatewayError, match=f"cannot read transcript {missing}: "):
+            replay_mode(missing)
         garbled = tmp_path / "garbled.jsonl"
         garbled.write_text("not json\n")
         with pytest.raises(GatewayError):
@@ -351,6 +352,17 @@ class TestTierRouting:
         """A typo would otherwise route its role to the tier model; nothing is recorded."""
         record = tmp_path / "transcript.jsonl"
         with pytest.raises(GatewayError, match=f"role_models key '{typo}' names no role"):
+            Gateway(ScriptedBackend({}), role_models=role_models, record_path=record)
+        assert not record.exists()
+
+    @pytest.mark.parametrize("role_models, name", [
+        ({"Planner": "a", "planner": "b"}, "planner"),
+        ({"light": "a", "LIGHT": "b"}, "light"),
+    ])
+    def test_a_name_given_twice_is_rejected(self, tmp_path, role_models, name):
+        """Keys are read in any case, so a second spelling is the same key given twice."""
+        record = tmp_path / "transcript.jsonl"
+        with pytest.raises(GatewayError, match=f"role_models names {name} twice"):
             Gateway(ScriptedBackend({}), role_models=role_models, record_path=record)
         assert not record.exists()
 

@@ -472,6 +472,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown cost tier {name!r}"):
             config.validate()
 
+    @pytest.mark.parametrize("tier_scores", [{"low": 1, "LOW": 3}, [["High", 8], ["high", 9]]])
+    def test_tier_named_twice_is_rejected(self, tier_scores):
+        """Tier names are read in any case, so the second is the same tier given twice."""
+        config = RunConfig.from_dict(
+            {"target_address": "x", "cost_policy": {"tier_scores": tier_scores}})
+        with pytest.raises(ValueError, match="tier_scores names (low|high) twice"):
+            config.validate()
+
     def test_tiers_is_a_fresh_copy(self):
         policy = CostPolicy((("Low", 1.0),))
         policy.tiers()["low"] = 9.0

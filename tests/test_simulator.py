@@ -15,7 +15,6 @@ from penheal.simulator import (
     _match_weakness,
     ground_truth,
     load_host_model,
-    simulate,
 )
 
 TARGET = "10.0.2.4"
@@ -88,61 +87,61 @@ def rows_named_in(output, host):
 
 class TestScan:
     def test_full_scan_lists_exactly_the_ten_ports(self, host):
-        output = simulate(Command(f"nmap -p- {TARGET}"), host)
+        output = SimulatorBackend(host).run(Command(f"nmap -p- {TARGET}"))[0]
         ports = {int(m) for m in re.findall(r"^(\d+)/tcp", output, re.MULTILINE)}
         assert ports == EXPECTED_PORTS
 
     def test_vuln_scripts_expose_cve_hints(self, host):
-        output = simulate(Command(f"nmap --script vuln {TARGET}"), host)
+        output = SimulatorBackend(host).run(Command(f"nmap --script vuln {TARGET}"))[0]
         assert "CVE-2011-2523" in output
         assert "CVE-2010-2075" in output
         assert "sql-injection" in output
 
     def test_scan_soundness(self, host):
-        output = simulate(Command(f"nmap -sV {TARGET}"), host)
+        output = SimulatorBackend(host).run(Command(f"nmap -sV {TARGET}"))[0]
         reported = {int(m) for m in re.findall(r"^(\d+)/tcp", output, re.MULTILINE)}
         open_ports = {s.port for s in host.services}
         assert reported <= open_ports
 
     def test_wrong_address_seems_down(self, host):
-        output = simulate(Command("nmap -p- 192.168.99.99"), host)
+        output = SimulatorBackend(host).run(Command("nmap -p- 192.168.99.99"))[0]
         assert "down" in output.lower()
 
 
 class TestExploits:
     def test_usermap_script_opens_session_and_marks_samba(self, host):
-        output = simulate(WALKTHROUGHS["samba-symlink"][0], host)
+        output = SimulatorBackend(host).run(WALKTHROUGHS["samba-symlink"][0])[0]
         assert "Command shell session 1 opened" in output
         assert rows_named_in(output, host) == {"samba-symlink"}
 
     def test_vsftpd_backdoor_yields_root_shell(self, host):
-        output = simulate(WALKTHROUGHS["ftp-backdoor"][0], host)
+        output = SimulatorBackend(host).run(WALKTHROUGHS["ftp-backdoor"][0])[0]
         assert "uid=0(root)" in output
         assert rows_named_in(output, host) == {"ftp-backdoor"}
 
     def test_telnet_default_credentials(self, host):
-        output = simulate(WALKTHROUGHS["telnet-default-creds"][0], host)
+        output = SimulatorBackend(host).run(WALKTHROUGHS["telnet-default-creds"][0])[0]
         assert "Default credentials accepted on telnet login" in output
 
     def test_wrong_rhost_fails(self, host):
-        output = simulate(
-            msf("use exploit/unix/ftp/vsftpd_234_backdoor; set RHOSTS 10.9.9.9; exploit"), host
-        )
+        output = SimulatorBackend(host).run(
+            msf("use exploit/unix/ftp/vsftpd_234_backdoor; set RHOSTS 10.9.9.9; exploit"))[0]
         assert "could not connect" in output
         assert rows_named_in(output, host) == set()
 
     def test_wrong_credentials_rejected(self, host):
-        output = simulate(Command(f"sshpass -p hunter2 ssh admin@{TARGET}"), host)
+        output = SimulatorBackend(host).run(Command(f"sshpass -p hunter2 ssh admin@{TARGET}"))[0]
         assert "Permission denied" in output
         assert rows_named_in(output, host) == set()
 
     def test_unknown_module_creates_no_session(self, host):
-        output = simulate(msf(f"use exploit/unix/misc/made_up; set RHOSTS {TARGET}; exploit"), host)
+        command = msf(f"use exploit/unix/misc/made_up; set RHOSTS {TARGET}; exploit")
+        output = SimulatorBackend(host).run(command)[0]
         assert "no session was created" in output
         assert rows_named_in(output, host) == set()
 
     def test_unrecognized_shell_command(self, host):
-        output = simulate(Command(f"frobnicate {TARGET}"), host)
+        output = SimulatorBackend(host).run(Command(f"frobnicate {TARGET}"))[0]
         assert "command not found" in output
 
 
@@ -151,18 +150,19 @@ class TestWalkthroughs:
         assert set(WALKTHROUGHS) == {w.row_id for w in host.weakness_rows()}
         for row_id, commands in WALKTHROUGHS.items():
             assert len(commands) <= 6
-            outputs = [simulate(command, host) for command in commands]
+            outputs = [SimulatorBackend(host).run(command)[0] for command in commands]
             assert rows_named_in(outputs[-1], host) == {row_id}, row_id
 
     def test_conservation_against_ground_truth(self, host):
         truth = {v.description for v in ground_truth(host)}
         for commands in WALKTHROUGHS.values():
-            output = simulate(commands[-1], host)
+            output = SimulatorBackend(host).run(commands[-1])[0]
             assert len([d for d in truth if d in output]) == 1
 
     def test_determinism_across_repeated_runs(self, host):
         def run_all():
-            return [simulate(c, host) for commands in WALKTHROUGHS.values() for c in commands]
+            return [SimulatorBackend(host).run(c)[0]
+                    for commands in WALKTHROUGHS.values() for c in commands]
 
         assert run_all() == run_all()
 
@@ -187,25 +187,26 @@ class TestOutputs:
         ]
         banner = f"[sim] simulated host {TARGET} (metasploitable profile)"
         for command in commands:
-            output = simulate(command, host)
+            output = SimulatorBackend(host).run(command)[0]
             assert output.splitlines()[0] == banner, command
             assert output.count("[sim]") == 1, command
 
     def test_search_lists_known_modules(self, host):
-        output = simulate(msf("search samba"), host)
+        output = SimulatorBackend(host).run(msf("search samba"))[0]
         assert "exploit/multi/samba/usermap_script" in output
 
     def test_banner_grab(self, host):
-        output = simulate(Command(f"ftp {TARGET}"), host)
+        output = SimulatorBackend(host).run(Command(f"ftp {TARGET}"))[0]
         assert "vsftpd 2.3.4" in output
 
 
 class TestBackendAdapter:
-    def test_backend_returns_simulate_output(self, host):
+    def test_a_reused_backend_returns_a_fresh_backends_output(self, host):
+        """A backend keeps no state between commands, and every command exits 0."""
         backend = SimulatorBackend(host)
         for row_id in ("ftp-backdoor", "irc-backdoor"):
             command = WALKTHROUGHS[row_id][0]
-            assert backend.run(command) == (simulate(command, host), 0)
+            assert backend.run(command) == SimulatorBackend(host).run(command)
 
 
 def reference_match(host, command_text):
@@ -356,14 +357,14 @@ class TestHostModelLoading:
         path = tmp_path / "host.json"
         path.write_text(json.dumps(doc))
         custom = load_host_model(path)
-        scan = simulate(Command("nmap --script vuln 10.1.1.1"), custom)
+        scan = SimulatorBackend(custom).run(Command("nmap --script vuln 10.1.1.1"))[0]
         assert "70/tcp   open  gopher      gophernicus 3.1\n| gopher-traversal:\n" in scan
-        leak = simulate(Command("gopher 10.1.1.1 ../../etc/passwd"), custom)
+        leak = SimulatorBackend(custom).run(Command("gopher 10.1.1.1 ../../etc/passwd"))[0]
         assert leak.endswith(
             "Information disclosed: Selector traversal reads files outside the root.\n"
             "root:x:0:0:root:/root:/bin/sh"
         )
-        search = simulate(msf("search gopher"), custom)
+        search = SimulatorBackend(custom).run(msf("search gopher"))[0]
         assert "0  auxiliary/scanner/gopher/gopher_enum" in search
 
     def test_custom_model_shows_no_bundled_text(self, tmp_path):
@@ -376,9 +377,9 @@ class TestHostModelLoading:
         path = tmp_path / "host.json"
         path.write_text(json.dumps(doc))
         custom = load_host_model(path)
-        scan = simulate(Command("nmap --script vuln 10.1.1.1"), custom)
+        scan = SimulatorBackend(custom).run(Command("nmap --script vuln 10.1.1.1"))[0]
         assert "proftpd 1.3.5" in scan
         assert "CVE-2011-2523" not in scan and "VULNERABLE" not in scan
-        search = simulate(msf("search login"), custom)
+        search = SimulatorBackend(custom).run(msf("search login"))[0]
         assert "_login" not in search
         assert "No results from search" in search
