@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import re
 import sys
@@ -24,7 +23,6 @@ from . import gateway as gw, remediation, scoring
 from .model import (
     DATA_DIR,
     AggregationMode,
-    ArtifactParseError,
     AttackPlan,
     RecommendationStatus,
     RunConfig,
@@ -66,22 +64,28 @@ def _interpolate_env(value):
     return value
 
 
-def load_config(path: Optional[str], overrides: dict) -> dict:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The object of a config document's ``pairs``; ValueError if a key comes twice."""
     doc: dict = {}
-    if path:
-        try:
-            doc = load_json(Path(path).read_text(encoding="utf-8"), _interpolate_env)
-        except FileNotFoundError:
-            raise Fatal(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise Fatal(f"config file {path} is not valid JSON: {exc}")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise Fatal(f"cannot read config file {path}: {exc}")
-        if not isinstance(doc, dict):
-            raise Fatal("config root must be a JSON object")
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is given twice in one object")
+        doc[key] = value
+    return doc
+
+
+def _read_config(path: str) -> dict:
+    """The config document at ``path``: a JSON object, its strings interpolated."""
+    doc = load_json(Path(path).read_text(encoding="utf-8"), _interpolate_env,
+                    object_pairs_hook=_unique_keys)
+    if not isinstance(doc, dict):
+        raise ValueError("its root is not a JSON object")
+    return doc
+
+
+def load_config(path: Optional[str], overrides: dict) -> dict:
+    doc = _input("read config file", path, _read_config) if path else {}
+    doc.update((key, value) for key, value in overrides.items() if value is not None)
     return doc
 
 
@@ -90,24 +94,15 @@ def bundled_fixture_path(name: str) -> Path:
 
 
 def _resolve_fixtures(spec: Optional[str]) -> Path:
-    if not spec:
-        return bundled_fixture_path("golden6.jsonl")
-    path = Path(spec)
-    if path.is_dir():
-        path = path / "transcript.jsonl"
-    if not path.exists():
-        raise Fatal(f"fixtures transcript not found: {path}")
-    return path
+    path = Path(spec) if spec else bundled_fixture_path("golden6.jsonl")
+    return path / "transcript.jsonl" if path.is_dir() else path
 
 
 def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
     from . import knowledge
 
     if kb_dir:
-        try:
-            return knowledge.KnowledgeBase.load(kb_dir)
-        except (OSError, ValueError, KeyError, knowledge.KnowledgeBaseError) as exc:
-            raise Fatal(f"cannot load knowledge base {kb_dir}: {exc}") from None
+        return _input("load knowledge base", kb_dir, knowledge.KnowledgeBase.load)
     kb = knowledge.KnowledgeBase()
     corpus = DATA_DIR / "corpus" / "pentest_notes.txt"
     kb.ingest(corpus.read_text(encoding="utf-8"), doc_id="pentest_notes")
@@ -118,10 +113,15 @@ def _host_model(path: Optional[str]) -> simulator.HostModel:
     """The simulated host in ``path`` (default: the bundled profile)."""
     from . import simulator
 
-    try:
-        return simulator.load_host_model(path or None)
-    except (OSError, ValueError, KeyError) as exc:
-        raise Fatal(f"cannot load host model {path or '(bundled)'}: {exc}") from None
+    return _input("load host model", path or "(bundled)",
+                  lambda _: simulator.load_host_model(path or None))
+
+
+def _findings(doc: Any) -> list[Vulnerability]:
+    """A ground-truth document's findings; ValueError unless it is a list of them."""
+    if type(doc) is not list:
+        raise ValueError("expected a list of findings")
+    return [Vulnerability.from_dict(v) for v in doc]
 
 
 def _load_truth(path: Optional[str], host=None) -> list[Vulnerability]:
@@ -134,13 +134,8 @@ def _load_truth(path: Optional[str], host=None) -> list[Vulnerability]:
 
         truth = simulator.ground_truth(_host_model(None) if host is None else host)
     else:
-        try:
-            doc = load_json(Path(path).read_text(encoding="utf-8"))
-            if type(doc) is not list:
-                raise ValueError("expected a list of findings")
-            truth = [Vulnerability.from_dict(v) for v in doc]
-        except (OSError, ValueError, KeyError) as exc:
-            raise Fatal(f"cannot read ground truth {path}: {exc}") from None
+        truth = _input("read ground truth", path,
+                       lambda p: load_json(Path(p).read_text(encoding="utf-8"), _findings))
     if not truth:  # coverage is a fraction of the ground truth
         raise Fatal(f"ground truth {path or 'of the host model'} is empty")
     return truth
@@ -226,6 +221,15 @@ def _nvd_client(config: RunConfig, out_dir: Path):
                    lambda path: LiveNvdClient(cache_dir=path, base_url=nvd.base_url))
 
 
+def _input(what: str, path: Any, read: Callable[[Any], Any]) -> Any:
+    """``read(path)``; an OSError, ValueError or KeyError from it is the fatal error naming
+    ``path``: ``cannot <what> <path>: <reason>``."""
+    try:
+        return read(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise Fatal(f"cannot {what} {path}: {exc}") from None
+
+
 def _output(path: Path, write: Callable[[Path], Any]) -> Any:
     """``write(path)``; an OSError from it is the fatal error naming ``path``."""
     try:
@@ -243,10 +247,7 @@ def _write_artifact(out_dir: Path, *parts, run_id: str, transcript_ref: str) -> 
 
 def _read_artifact(path: str):
     """(plan, findings, recommendations, report) from a run artifact."""
-    try:
-        return deserialize_run(Path(path).read_bytes())
-    except (OSError, ArtifactParseError) as exc:
-        raise Fatal(f"cannot read artifact {path}: {exc}") from None
+    return _input("read artifact", path, lambda p: deserialize_run(Path(p).read_bytes()))
 
 
 def _pentest_stage(config: RunConfig, out_dir: Path,
@@ -387,12 +388,9 @@ def cmd_ingest(args) -> int:
     kb = (_build_knowledge_base(str(kb_dir)) if (kb_dir / "meta.json").exists()
           else knowledge.KnowledgeBase())
     total = 0
-    for path in args.paths:
-        try:  # a bad chunk size and a non-UTF-8 file are ValueErrors
-            count = kb.ingest(Path(path).read_text(encoding="utf-8"), doc_id=Path(path).stem,
-                              chunk_size=args.chunk_size, overlap=args.overlap)
-        except (OSError, ValueError) as exc:
-            raise Fatal(f"cannot ingest {path}: {exc}") from None
+    for doc_id, path in doc_ids.items():  # a bad chunk size and a non-UTF-8 file are ValueErrors
+        count = _input("ingest", path, lambda p: kb.ingest(Path(p).read_text(encoding="utf-8"),
+                                                           doc_id, args.chunk_size, args.overlap))
         print(f"{path}: {count} chunks")
         total += count
     _output(kb_dir, kb.save)

@@ -57,8 +57,8 @@ _ASCII_WORDS = bytes(ord(c.lower()) if _TOKEN.match(c) else 32 for c in map(chr,
 INDEX_DTYPE = "postings-uint32-counts-uint64-norms-le"  # the layout of postings.bin
 
 
-class KnowledgeBaseError(Exception):
-    pass
+class KnowledgeBaseError(ValueError):
+    """An index that cannot be used: empty, damaged or of another layout."""
 
 
 class Chunk(NamedTuple):

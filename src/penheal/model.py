@@ -74,14 +74,16 @@ def decode(cls: type, data: Any) -> Any:
     return (_CODECS.get(cls) or _codec(cls))[1](data)
 
 
-def load_json(text: str, then: Callable[[Any], Any] = lambda data: data) -> Any:
+def load_json(text: str, then: Callable[[Any], Any] = lambda data: data,
+              object_pairs_hook: Optional[Callable[[list], Any]] = None) -> Any:
     """``then`` of the JSON value in ``text``; JSONDecodeError if it is malformed.
 
     Parsing and ``then`` (the codec, say) recurse once per level of nesting, so a
     value nested too deep for either is a JSONDecodeError too, not a RecursionError.
+    ``object_pairs_hook`` is ``json.loads``'s; without it, parsing takes the fast path.
     """
     try:
-        return then(json.loads(text))
+        return then(json.loads(text, object_pairs_hook=object_pairs_hook))
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep", text, 0) from None
 

@@ -194,7 +194,6 @@ def _module_catalog(host: HostModel) -> list[tuple[str, str]]:
 
 
 def _simulate_msf(sim: SimulatorBackend, batch: str) -> str:
-    host = sim.host
     lines = ["msf6 >"]
     statements = [s.strip() for part in batch.splitlines() for s in part.split(";") if s.strip()]
     module = ""

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -107,7 +108,9 @@ class TestRun:
         config_path = tmp_path / "bad.json"
         config_path.write_text("{not json")
         assert run_cli("run", "--config", str(config_path)) == 1
-        assert "not valid JSON" in capsys.readouterr().err
+        assert fatal_line(capsys.readouterr().err) == (
+            f"fatal: cannot read config file {config_path}: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")
 
     @pytest.mark.parametrize("damage", ["directory", "not-utf8"])
     def test_unreadable_config_is_fatal(self, tmp_path, capsys, damage):
@@ -119,6 +122,22 @@ class TestRun:
         assert run_cli("run", "--config", str(config_path)) == 1
         assert fatal_line(capsys.readouterr().err).startswith(
             f"fatal: cannot read config file {config_path}: ")
+
+    def test_missing_config_is_fatal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--config", "none.json") == 1
+        assert fatal_line(capsys.readouterr().err) == (
+            "fatal: cannot read config file none.json: "
+            "[Errno 2] No such file or directory: 'none.json'")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ['["target_address", "10.0.2.4"]', '"10.0.2.4"', "null"])
+    def test_config_root_that_is_not_an_object_is_fatal(self, tmp_path, capsys, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        assert run_cli("run", "--config", str(config_path)) == 1
+        assert fatal_line(capsys.readouterr().err) == (
+            f"fatal: cannot read config file {config_path}: its root is not a JSON object")
 
 
 class TestPentestSubcommand:
@@ -374,12 +393,13 @@ def _refuse(*args):
 
 
 def _rejected_config(tmp_path, capsys, monkeypatch, command, doc, *flags):
-    """The fatal line of ``command`` on a config with ``doc`` and ``flags``; checks nothing
-    else ran and nothing was created."""
+    """The fatal line of ``command`` on a config with ``doc`` (or text) and ``flags``; checks
+    nothing else ran and nothing was created."""
     monkeypatch.setattr(Gateway, "complete", _refuse)
     monkeypatch.chdir(tmp_path)  # a rejected out_dir must not be created anywhere
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"target_address": "10.0.2.4", **doc}))
+    config.write_text(doc if isinstance(doc, str)  # raw text, for what json.dumps cannot write
+                      else json.dumps({"target_address": "10.0.2.4", **doc}))
     artifact = tmp_path / "artifact.json"
     artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
     argv = [command, str(artifact)] if command == "remediate" else [command]
@@ -395,7 +415,8 @@ class TestBadInputsFailFirst:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(Gateway, "complete", _refuse)
         assert run_cli(*hermetic_args(tmp_path / "out"), "--fixtures", "builtin") == 1
-        assert fatal_line(capsys.readouterr().err) == "fatal: fixtures transcript not found: builtin"
+        assert fatal_line(capsys.readouterr().err) == (
+            "fatal: cannot read transcript builtin: No such file or directory")
 
     @pytest.fixture
     def no_model_stage(self, monkeypatch):
@@ -518,6 +539,22 @@ class TestBadInputsFailFirst:
         """Names are read in any case, so two keys that differ only in case are one key
         given twice: fatal, not resolved by whichever comes last."""
         assert _rejected_config(tmp_path, capsys, monkeypatch, command, doc) == f"fatal: {message}"
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"target_address": "10.0.2.4", "budget_per_vuln": 5, "budget_per_vuln": 50}',
+         "budget_per_vuln"),
+        ('{"target_address": "10.0.2.4", "cost_policy": {"tier_scores": {"low": 1.0, "low": 3.0}}}',
+         "low"),
+        ('{"target_address": "10.0.2.4", "role_models": {"Planner": "a", "Planner": "b"}}',
+         "Planner"),
+    ], ids=["top-level", "cost-tier", "role"])
+    @pytest.mark.parametrize("command", ["run", "pentest", "remediate"])
+    def test_key_repeated_in_one_object(self, tmp_path, capsys, monkeypatch, command, text, key):
+        """JSON keeps the last of two identical keys; in the config that would hide a typo's
+        twin, so the repeat is fatal before anything is created."""
+        assert _rejected_config(tmp_path, capsys, monkeypatch, command, text) == (
+            f"fatal: cannot read config file {tmp_path / 'config.json'}: "
+            f"key {key!r} is given twice in one object")
 
     @pytest.mark.parametrize("site", ["config", "config-interpolation", "truth", "fixtures",
                                       "host_model", "remediate", "score", "replay"])
@@ -728,6 +765,14 @@ class TestStageFailuresAndWarnings:
         assert capsys.readouterr().err == "warning: nothing to remediate: no findings\n"
 
 
+    def test_engine_error_is_one_fatal_line(self, tmp_path, capsys, monkeypatch):
+        _scripted_stage(monkeypatch, {AgentRole.PLANNER: ["no plan line here"]},
+                        _OneOutputHost())
+        assert run_cli("pentest", "--target", "10.0.2.4", "--out", str(tmp_path / "out")) == 1
+        assert fatal_line(capsys.readouterr().err) == (
+            "fatal: planner produced no parseable initial plan")
+
+
 class TestStageCheckpoint:
     """``run`` writes stage one before remediating, so a failed remediation can resume."""
 
@@ -910,6 +955,34 @@ def test_only_the_remediation_stage_builds_a_cost_tier_table():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "tiers"]
     assert callers == ["remediation"]
+
+
+
+def handlers(node, function="<module>"):
+    """(enclosing function, handler) for every ``except`` clause under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield function, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        yield from handlers(child, inner or function)
+
+
+def catches_os_errors(handler) -> bool:
+    """Whether an ``except`` clause catches an OSError, or a kind of one."""
+    if handler.type is None:
+        return True
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    caught = [getattr(builtins, n.id, None) for n in names if isinstance(n, ast.Name)]
+    return any(isinstance(c, type) and (issubclass(OSError, c) or issubclass(c, OSError))
+               for c in caught)
+
+
+def test_only_the_file_guards_catch_os_errors():
+    """In ``cli`` every file is read through ``_input`` and written through ``_output``, so
+    a file that fails is one ``fatal:`` line in one form; no other function catches OSError."""
+    tree = ast.parse((SRC / "penheal" / "cli.py").read_text(encoding="utf-8"))
+    guards = {function for function, handler in handlers(tree) if catches_os_errors(handler)}
+    assert guards == {"_input", "_output"}
 
 
 PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))

@@ -10,10 +10,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penheal.backends import LiveBackend
+from penheal.backends import LiveBackend, send_with_retries
 from penheal.gateway import (
     AgentRole,
     ChatTurn,
@@ -558,6 +559,22 @@ class TestLiveBackend:
         with pytest.raises(GatewayError) as exc_info:
             backend.complete(AgentRole.PLANNER, "gpt-4", _history())
         assert "3 attempts" in str(exc_info.value)
+
+
+def test_transport_errors_give_up_after_bounded_attempts(monkeypatch, no_network):
+    """Every attempt failing to connect is one error naming the last transport failure."""
+    monkeypatch.setattr("penheal.backends.BACKOFF_SECONDS", 0)
+    attempts = []
+
+    def unreachable():
+        attempts.append(1)
+        raise requests.ConnectionError("connection refused")
+
+    with pytest.raises(GatewayError) as exc_info:
+        send_with_retries(unreachable, (), "chat request failed", GatewayError)
+    assert str(exc_info.value) == (
+        "chat request failed after 3 attempts: transport error: connection refused")
+    assert len(attempts) == 3
 
 
 class TestFixtureRegeneration:

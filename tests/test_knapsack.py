@@ -110,6 +110,10 @@ class TestSolver:
         groups = [[(0.0, 0.0), (0.0, -5.0), (1.0, 1.0)]]
         assert solve_group_knapsack(groups, 10.0) == ((0, 2),)
 
+    def test_negative_cost_rejected(self):
+        with pytest.raises(ValueError, match="costs must be >= 0"):
+            solve_group_knapsack([[(2.0, 9.0)], [(-1.0, 5.0)]], 10.0)
+
     def test_one_pick_per_group(self):
         groups = [[(1.0, 5.0), (1.0, 6.0)], [(1.0, 7.0), (1.0, 1.0)]]
         picks = solve_group_knapsack(groups, 10.0)

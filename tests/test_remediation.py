@@ -79,6 +79,21 @@ class TestLookup:
         with pytest.raises(CveNotFound):
             FixtureNvdClient().lookup("CVE-1999-99999")
 
+    def test_record_listing_no_vulnerability_is_not_found(self, tmp_path):
+        (tmp_path / "CVE-2011-2523.json").write_text('{"vulnerabilities": []}')
+        with pytest.raises(CveNotFound, match="CVE-2011-2523"):
+            FixtureNvdClient(tmp_path).lookup("CVE-2011-2523")
+
+    def test_record_without_v3_metrics_names_the_cve(self, tmp_path):
+        doc = json.loads(FixtureNvdClient()._read("CVE-2011-2523"))
+        metrics = doc["vulnerabilities"][0]["cve"]["metrics"]
+        metrics.pop("cvssMetricV31", None)
+        metrics.pop("cvssMetricV30", None)
+        (tmp_path / "CVE-2011-2523.json").write_text(json.dumps(doc))
+        with pytest.raises(NvdError) as exc_info:
+            FixtureNvdClient(tmp_path).lookup("CVE-2011-2523")
+        assert str(exc_info.value) == "CVE-2011-2523: record carries no v3.x vector string"
+
     def test_live_client_serves_from_cache_without_network(self, tmp_path, no_network):
         bundled = FixtureNvdClient()._read("CVE-2011-2523")
         cache = tmp_path / "cache"

@@ -383,3 +383,31 @@ class TestHostModelLoading:
         search = SimulatorBackend(custom).run(msf("search login"))[0]
         assert "_login" not in search
         assert "No results from search" in search
+
+
+class TestGrammarEdges:
+    """The statements and commands the walkthroughs do not use."""
+
+    def run(self, host, command):
+        return SimulatorBackend(host).run(command)[0].split("\n", 1)[1]  # without the banner
+
+    def test_msf_skips_exit_back_and_quit_and_names_an_unknown_statement(self, host):
+        output = self.run(host, msf("use exploit/x; back; exit\nquit; frobnicate now"))
+        assert output.splitlines() == ["msf6 >", "msf6 > use exploit/x",
+                                       "[-] Unknown command: frobnicate now"]
+
+    def test_msf_exploit_without_a_module(self, host):
+        assert self.run(host, msf(f"set RHOSTS {TARGET}; exploit")).splitlines() == [
+            "msf6 >", f"RHOSTS => {TARGET}", "[-] No module selected"]
+
+    def test_ping_of_another_host_has_no_route(self, host):
+        assert self.run(host, Command("ping -c1 10.9.9.9")) == "ping: no route to host"
+
+    @pytest.mark.parametrize("url", [f"http://{TARGET}/", f"{TARGET}:8080"])
+    def test_curl_without_a_served_port_gets_port_80s_banner(self, host, url):
+        assert self.run(host, Command(f"curl {url}")) == (
+            f"Connected to {TARGET}.\n80/http banner: Apache httpd 2.2.8 (Ubuntu) DAV/2")
+
+    @pytest.mark.parametrize("client", ["nc", "telnet"])
+    def test_a_port_with_no_service_refuses_the_connection(self, host, client):
+        assert self.run(host, Command(f"{client} {TARGET} 4444")) == "Connection refused"
