@@ -11,18 +11,26 @@ posting counts, every uint32 row id, every uint32 count, then a uint64
 squared norm per row. An index in another layout, such as the float64
 entries or dense vectors.bin of older versions, must be ingested again.
 
-retrieve takes every row's dot product with the query's counts in integers:
-a bucket every row has adds its counts as one big int of 32-bit lanes, one
-per row, and the others add theirs posting by posting. A dot product is at
-most sqrt(Q * C) for the squared norms Q of the query and C of the row (and
-at most len(query) * len(row text)), so no lane carries while Q times the
-sum of all C is below 2**64. Only rows whose dot / norm is within a relative
-1e-9 of the k-th largest are then scored by a dense scan's float fold: its
-m <= 512 terms are positive, so it is within a relative (m + 3) * 2**-53 <
-6e-14 of dot / norm times a factor all rows share, and a row 1e-9 below the
-k-th scores below k others. Similarities and ranking are a dense scan's,
-bit for bit. The packed lane int of each every-row bucket is built on first use
-and kept until the next ingest, which may add or renumber rows.
+retrieve ranks rows by integer keys: a row's key is its dot product with the
+query's counts times its scale floor(2**KEY_BITS / norm), which is 1 or more
+for a window under 2**27 characters. So key / 2**KEY_BITS is at most dot /
+norm and at least that times 1 - norm / 2**KEY_BITS. A bucket every row has
+adds its counts times the scales as one big int of 32-bit lanes, one per row,
+and the others add theirs posting by posting. A dot product is at most
+sqrt(Q * C) for the squared norms Q of the query and C of the row, so a key
+is at most sqrt(Q) * 2**KEY_BITS and no lane carries while Q is below
+2**(2 * (32 - KEY_BITS)). Rows whose key is at least the k-th largest times
+1 - mu, mu = 2 * max norm / 2**KEY_BITS + 1e-9, are scored in floats: one max
+norm covers the scales' rounding and the other the floor's, so a row left out
+has a dot / norm a relative 1e-9 below each of the k rows of largest keys.
+Those rows are found by index from heapq.nlargest(k + 1) of the keys, and
+all rows are compared with the floor only when the (k + 1)-th key is also at
+or above it. A dense scan's float fold scores each: its m <= 512 terms are
+positive, so it is within a relative (m + 3) * 2**-53 < 6e-14 of dot / norm
+times a factor all rows share, and a row 1e-9 below k others scores below
+them all. Similarities and ranking are a dense scan's, bit for bit. The
+scales and each every-row bucket's lane int are built on first use and kept
+until the next ingest, which may add or renumber rows.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import partial
 from itertools import accumulate, compress, pairwise, repeat
-from operator import ge, lt, mul, not_, truediv
+from operator import ge, lt, mul, not_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,6 +57,7 @@ DEFAULT_OVERLAP = 200
 EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 BUCKET_MAP_SIZE = 1 << 16  # the token -> bucket map is emptied when it holds this many
 MARGIN = 1e-9  # rows within this relative distance of the k-th dot / norm are scored in floats
+KEY_BITS = 26  # a row's key is its dot product times floor(2**KEY_BITS / norm)
 
 _TOKEN = re.compile(r"\w+")
 # Lowers \w bytes and spaces all others: ASCII \w is [A-Za-z0-9_] and all that split() takes
@@ -148,9 +157,10 @@ class KnowledgeBase:
         self._counts = [array("I") for _ in range(EMBED_DIM)]
         self._squares = array("Q")  # per row, its squared norm
         self._norms: list[float] = []  # per row, the square root of that
-        self._square_total = 0  # sum(_squares), perhaps more: it bounds every dot product
         self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
-        self._lanes: dict[int, int] = {}  # an every-row bucket's counts as one int; see _dots
+        self._scales: list[int] = []  # per row, floor(2**KEY_BITS / norm); see _keys
+        self._margin = MARGIN  # mu of the module docstring, set with _scales
+        self._lanes: dict[int, int] = {}  # an every-row bucket's keyed counts as one int
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -182,6 +192,7 @@ class KnowledgeBase:
             self._chunks = list(compress(self._chunks, kept_rows))
         self._doc_ids.add(doc_id)
         self._lanes.clear()
+        self._scales = []
         rows, counts, squares = self._rows, self._counts, []
         windows = _window_counts(document, starts, chunk_size)
         for r, window in enumerate(windows, len(self._chunks)):
@@ -191,15 +202,14 @@ class KnowledgeBase:
             squares.append(sum(map(mul, window.values(), window.values())))
         self._squares.extend(squares)
         self._norms += map(math.sqrt, squares)
-        self._square_total += sum(squares)
         self._chunks += new_chunks
         return len(new_chunks)
 
     def retrieve(self, query: str, k: int) -> list[Excerpt]:
         """The k most cosine-similar chunks, ties broken by (doc_id, seq).
 
-        Rows are chosen by exact integer dot products and scored by the fold
-        of a dense cosine scan; see the module docstring.
+        Rows are chosen by integer keys and scored by the fold of a dense
+        cosine scan; see the module docstring.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -210,16 +220,24 @@ class KnowledgeBase:
             raise KnowledgeBaseError("knowledge base is empty; "
                                      "ingest documents before retrieving")
         terms = sorted((b, q) for b, q in counts.items() if self._rows[b])  # ascending
-        dots = self._dots(terms, query_square * self._square_total < 1 << 64)
-        approx = list(map(truediv, dots, self._norms))
-        floor = heapq.nlargest(k, approx)[-1] * (1 - MARGIN)
+        keys = self._keys(terms, query_square < 1 << 2 * (32 - KEY_BITS))
+        top = heapq.nlargest(k + 1, keys)
+        floor = top[:k][-1] * (1 - self._margin)
+        if top[-1] >= floor:  # a near tie with the k-th key, or k >= len(chunks)
+            candidates = compress(range(len(chunks)), map(ge, keys, repeat(floor)))
+        else:  # the rows of the k largest keys; equal keys are found left to right
+            candidates, r = [], -1
+            for before, key in zip([None, *top], top[:k]):
+                r = keys.index(key, r + 1 if key == before else 0)
+                candidates.append(r)
         query_norm = math.sqrt(query_square)
         entries = [(self._rows[b], self._counts[b], q / query_norm) for b, q in terms]
         ranked = []
-        for r in compress(range(len(chunks)), map(ge, approx, repeat(floor))):
-            # the fold over ascending buckets of a dense scan, which adds x * 0.0 for the rest
+        for r in candidates:
+            # the fold over ascending buckets of a dense scan, which adds x * 0.0 for the rest;
+            # a key is 0 only for a dot product of 0, unless the row's scale is 0
             total, norm = 0.0, self._norms[r]
-            for rows, bucket_counts, x in entries if dots[r] else ():
+            for rows, bucket_counts, x in entries if keys[r] or not self._scales[r] else ():
                 i = bisect_left(rows, r)
                 if i < len(rows) and rows[i] == r:
                     total += x * (bucket_counts[i] / norm)
@@ -227,23 +245,27 @@ class KnowledgeBase:
         ranked.sort()
         return [Excerpt(chunks[r], -neg) for neg, _, _, r in ranked[:k]]
 
-    def _dots(self, terms: list[tuple[int, int]], lanes: bool) -> list[int]:
-        """Every row's dot product with the query counts ``terms``, packing into 32-bit lanes
-        the buckets every row has when ``lanes`` says no lane can overflow."""
-        n, rows, counts, packed_lanes = len(self._chunks), self._rows, self._counts, self._lanes
+    def _keys(self, terms: list[tuple[int, int]], lanes: bool) -> list[int]:
+        """Every row's key for the query counts ``terms``, packing into 32-bit lanes the
+        buckets every row has when ``lanes`` says no lane can overflow."""
+        if not self._scales:  # exact: floor(sqrt(floor(x))) is floor(sqrt(x))
+            self._scales = [math.isqrt((1 << 2 * KEY_BITS) // s) for s in self._squares]
+            self._margin = 2 * max(self._norms) / (1 << KEY_BITS) + MARGIN
+        n, rows, counts, scales = len(self._chunks), self._rows, self._counts, self._scales
         packed, scattered = 0, []
         for b, q in terms:
             if lanes and len(rows[b]) == n:  # ascending and distinct, so rows 0..n-1
-                if (lane := packed_lanes.get(b)) is None:
-                    lane = packed_lanes[b] = int.from_bytes(counts[b], sys.byteorder)
+                if (lane := self._lanes.get(b)) is None:
+                    keyed = array("I", map(mul, counts[b], scales))  # each at most 2**KEY_BITS
+                    lane = self._lanes[b] = int.from_bytes(keyed, sys.byteorder)
                 packed += q * lane
             else:
                 scattered.append((q, rows[b], counts[b]))
-        dots = array("I", packed.to_bytes(4 * n, sys.byteorder)).tolist()
+        keys = array("I", packed.to_bytes(4 * n, sys.byteorder)).tolist()
         for q, bucket_rows, bucket_counts in scattered:
             for r, c in zip(bucket_rows, bucket_counts):
-                dots[r] += q * c
-        return dots
+                keys[r] += q * c * scales[r]
+        return keys
 
     # -- persistence --------------------------------------------------------
 
@@ -307,7 +329,6 @@ class KnowledgeBase:
         kb._rows = buckets
         kb._counts = [counts[a:b] for a, b in bounds]
         kb._squares, kb._norms = squares, list(map(math.sqrt, squares))
-        kb._square_total = sum(squares)
         kb._chunks = chunks
         kb._doc_ids = {c.doc_id for c in chunks}
         return kb

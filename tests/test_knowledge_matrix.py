@@ -21,7 +21,8 @@ from test_knowledge_sparse import (
     use_embedder,
 )
 
-from penheal.knowledge import EMBED_DIM, KnowledgeBase, KnowledgeBaseError, embed
+from penheal import knowledge
+from penheal.knowledge import EMBED_DIM, KEY_BITS, KnowledgeBase, KnowledgeBaseError, embed
 
 CHUNK_SIZE, OVERLAP = 24, 8
 
@@ -70,16 +71,19 @@ def check_sequence(counter, ops, query, k):
 
 
 words = st.sampled_from(VOCAB + ["the", "straße", "İstanbul", "ΣΑΣ", "naïve", "x_1"])
+# one short token over and over: windows of the largest norm CHUNK_SIZE allows, 12 "a"s
+single_token = st.builds(lambda word, n: " ".join([word] * n), st.sampled_from(["a", "x", "ftp"]),
+                         st.integers(1, 40))
 mixed_operations = st.lists(
     st.one_of(
         st.tuples(st.just("ingest"), st.sampled_from(["b", "a", "c"]),
-                  st.lists(words, max_size=14).map(" ".join)),
+                  st.lists(words, max_size=14).map(" ".join) | single_token),
         st.tuples(st.just("reload")),
     ),
     min_size=1,
     max_size=8,
 )
-queries = st.one_of(st.lists(words, min_size=1, max_size=6).map(" ".join),
+queries = st.one_of(st.lists(words, min_size=1, max_size=6).map(" ".join), single_token,
                     st.sampled_from(["unseen", "zzz qqq", "?!"]))  # no token in any chunk
 
 
@@ -147,30 +151,35 @@ def test_kept_lanes_follow_every_ingest(ops):
             assert answers(KnowledgeBase.load(scratch), query, k) == expected
 
 
-@pytest.mark.parametrize("repeats", [65537, 65538])
+SIDE = 1 << 32 - KEY_BITS  # 64: a row of SIDE tokens has norm SIDE and scale 2**KEY_BITS / SIDE
+
+
+@pytest.mark.parametrize("repeats", [SIDE - 1, SIDE])
 def test_lanes_at_their_bound_do_not_carry(repeats):
-    """Rows of 65535 and 1 "a" tokens, a query of ``repeats``: at 65537 the first lane holds
-    2**32 - 1, the most 32 bits hold; at 65538 it would carry into the next, so that bucket
-    is added posting by posting."""
+    """Rows of SIDE and 1 "a" tokens, a query of ``repeats``: both keys are repeats *
+    2**KEY_BITS. At SIDE - 1 the query's squared norm is below 2**(2 * (32 - KEY_BITS)), so
+    the lanes are packed and hold less than 2**32; at SIDE a key would reach 2**32 and carry
+    into the next lane, so that bucket is added posting by posting."""
     kb = KnowledgeBase()
-    for doc_id, text in [("a0", "a " * 65535), ("a1", "a")]:
+    for doc_id, text in [("a0", "a " * SIDE), ("a1", "a")]:
         kb.ingest(text, doc_id, chunk_size=len(text), overlap=0)
     [bucket] = [b for b, rows in enumerate(kb._rows) if rows]
     assert list(kb._rows[bucket]) == [0, 1]  # every row: the packed path, if lanes fit
-    lanes = repeats**2 * kb._square_total < 1 << 64
-    assert lanes == (repeats == 65537)
-    assert kb._dots([(bucket, repeats)], lanes) == [65535 * repeats, repeats]
+    lanes = repeats**2 < 1 << 2 * (32 - KEY_BITS)
+    assert lanes == (repeats == SIDE - 1)
+    assert kb._keys([(bucket, repeats)], lanes) == [repeats << KEY_BITS] * 2
+    assert (repeats << KEY_BITS < 1 << 32) == lanes
     query = "a " * repeats
-    # A carry would leave a0 a small dot and rank a1 alone above it; the tie at 1.0 is a0's.
+    # A carry would leave a0 a small key and rank a1 alone above it; the tie at 1.0 is a0's.
     assert [(e.chunk.doc_id, e.similarity) for e in kb.retrieve(query, 2)] == [("a0", 1.0),
                                                                                ("a1", 1.0)]
     assert kb.retrieve(query, 1)[0].chunk.doc_id == "a0"
 
 
 def test_margin_keeps_rows_whose_dot_over_norm_rounds_low():
-    """Rows 59 and 61 times the query's counts have cosine 1 and fold to the same float, but
-    the first's dot / norm rounds one unit in the last place lower: only the margin keeps it
-    a candidate, and it wins the tie by doc_id."""
+    """Rows 59 and 61 times the query's counts have cosine 1 and fold to the same float, though
+    the first's dot / norm rounds one unit in the last place lower: the fold ranks them, so
+    the first wins the tie by doc_id."""
     assert 295 / math.sqrt(59**2 + 118**2) < 305 / math.sqrt(61**2 + 122**2)
     kb = KnowledgeBase()
     for doc_id, times in [("a", 59), ("b", 61)]:
@@ -181,6 +190,41 @@ def test_margin_keeps_rows_whose_dot_over_norm_rounds_low():
         got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("ftp dns dns", k)]
         assert got == dense_scan(reference_counts, chunks, "ftp dns dns", k)
     assert got[0][2] == got[1][2] and got[0][0] == "a"
+
+
+def test_margin_keeps_rows_whose_key_rounds_low():
+    """Rows 183 times and once the query's counts have cosine 1 and fold to the same float,
+    but the first's scale floor(2**KEY_BITS / norm) drops almost a whole unit: its key is a
+    relative 6e-6 below the second's, 0.98 of its norm / 2**KEY_BITS. Only a margin of a
+    norm / 2**KEY_BITS keeps it a candidate, and it wins the tie by doc_id."""
+    kb = KnowledgeBase()
+    for doc_id, times in [("a", 183), ("b", 1)]:
+        text = "ftp " * times + "dns dns " * times
+        kb.ingest(text, doc_id, chunk_size=len(text), overlap=0)
+    terms = sorted((b, q) for b, q in reference_counts("ftp dns dns").items())
+    keys = kb._keys(terms, True)
+    assert keys[0] < keys[1] * (1 - 5.9e-6)
+    assert keys[1] - keys[0] > 0.97 * keys[1] * kb._norms[0] / (1 << KEY_BITS)
+    chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
+    for k in (1, 2):
+        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("ftp dns dns", k)]
+        assert got == dense_scan(reference_counts, chunks, "ftp dns dns", k)
+    assert got[0][2] == got[1][2] and got[0][0] == "a"
+
+
+def test_rows_whose_scale_is_0_are_still_folded(monkeypatch):
+    """With KEY_BITS at 3, a row of 12 "a" tokens has norm 12 > 2**3, so its scale and key
+    are 0 although its dot product is not. mu passes 1, every row is a candidate, and the
+    row is folded to its cosine of 1.0, winning the tie by doc_id."""
+    monkeypatch.setattr(knowledge, "KEY_BITS", 3)
+    kb = KnowledgeBase()
+    for doc_id, text in [("a", "a " * 12), ("b", "a a")]:
+        kb.ingest(text, doc_id, chunk_size=len(text), overlap=0)
+    chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
+    for k in (1, 2):
+        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("a", k)]
+        assert got == dense_scan(reference_counts, chunks, "a", k)
+    assert kb._scales == [0, 4] and got[0][0] == "a"
 
 
 class TestIngestSequences:
