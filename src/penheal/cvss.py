@@ -8,6 +8,7 @@ so results match the public calculators digit for digit.
 from __future__ import annotations
 
 import math
+import re
 
 from .model import CvssMetrics
 
@@ -32,6 +33,14 @@ METRIC_VALUES = {
 
 ACCEPTED_PREFIXES = ("CVSS:3.0", "CVSS:3.1")
 
+# The whole accepted grammar, upper-cased: a prefix, then each metric in canonical
+# order after one or more slashes, then optional slashes. One group per metric value.
+_VECTOR = re.compile(
+    f"(?:{'|'.join(map(re.escape, ACCEPTED_PREFIXES))})"
+    + "".join(f"/+{m}:([{''.join(METRIC_VALUES[m])}])" for m in METRIC_ORDER)
+    + "/*"
+)
+
 # Applied when the estimator cannot produce a parseable vector.
 CONSERVATIVE_DEFAULT_VECTOR = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"
 
@@ -48,31 +57,22 @@ def round_up_one_decimal(value: float) -> float:
     return (scaled // 10000 + 1) / 10.0
 
 
-def base_score(metrics: CvssMetrics) -> float:
-    """Compute the base score (0.0-10.0, one decimal) from the eight metrics."""
-    iss = 1.0 - (
-        (1.0 - WEIGHT_CIA[metrics.c])
-        * (1.0 - WEIGHT_CIA[metrics.i])
-        * (1.0 - WEIGHT_CIA[metrics.a])
-    )
-    if metrics.scope == "U":
+def base_score(metrics: tuple) -> float:
+    """The base score (0.0-10.0, one decimal) of the eight metric values, in CvssMetrics order."""
+    av, ac, pr, ui, scope, c, i, a = metrics[:8]
+    iss = 1.0 - (1.0 - WEIGHT_CIA[c]) * (1.0 - WEIGHT_CIA[i]) * (1.0 - WEIGHT_CIA[a])
+    if scope == "U":
         impact = 6.42 * iss
-        pr_weight = WEIGHT_PR_UNCHANGED[metrics.pr]
+        pr_weight = WEIGHT_PR_UNCHANGED[pr]
     else:
         impact = 7.52 * (iss - 0.029) - 3.25 * (iss - 0.02) ** 15
-        pr_weight = WEIGHT_PR_CHANGED[metrics.pr]
+        pr_weight = WEIGHT_PR_CHANGED[pr]
 
     if impact <= 0:
         return 0.0
 
-    exploitability = (
-        8.22
-        * WEIGHT_AV[metrics.av]
-        * WEIGHT_AC[metrics.ac]
-        * pr_weight
-        * WEIGHT_UI[metrics.ui]
-    )
-    if metrics.scope == "U":
+    exploitability = 8.22 * WEIGHT_AV[av] * WEIGHT_AC[ac] * pr_weight * WEIGHT_UI[ui]
+    if scope == "U":
         return round_up_one_decimal(min(impact + exploitability, 10.0))
     return round_up_one_decimal(min(1.08 * (impact + exploitability), 10.0))
 
@@ -80,22 +80,28 @@ def base_score(metrics: CvssMetrics) -> float:
 def parse_vector(text: str) -> CvssMetrics:
     """Parse a base-metric vector string into scored metrics.
 
-    Grammar is strict: a CVSS:3.0/ or CVSS:3.1/ prefix, then the eight
-    metrics in canonical order, slash-separated. Values are accepted
+    Grammar is strict: ASCII only, a CVSS:3.0/ or CVSS:3.1/ prefix, then the
+    eight metrics in canonical order, slash-separated. Values are accepted
     case-insensitively; duplicated, missing or reordered metrics are
     rejected with an error naming the offenders.
     """
-    cleaned = text.strip().upper()
+    cleaned = text.strip()
+    if not cleaned.isascii():  # upper() would fold lookalikes such as "ſ" into "S"
+        raise VectorParseError(f"vector must be ASCII: {text[:60]!r}")
+    cleaned = cleaned.upper()
+    match = _VECTOR.fullmatch(cleaned)
+    if match:
+        values = match.groups()
+        return CvssMetrics(*values, base_score(values))
+
+    # Not a vector: walk the segments to name the first problem.
     prefix = next((p for p in ACCEPTED_PREFIXES if cleaned.startswith(p + "/")), None)
     if prefix is None:
         raise VectorParseError(
             f"vector must start with one of {', '.join(ACCEPTED_PREFIXES)}: {text[:60]!r}"
         )
-
-    parts = cleaned[len(prefix) + 1 :].split("/")
     names: list[str] = []
-    values: dict[str, str] = {}
-    for part in parts:
+    for part in cleaned[len(prefix) + 1 :].split("/"):
         if not part:
             continue
         if ":" not in part:
@@ -103,29 +109,13 @@ def parse_vector(text: str) -> CvssMetrics:
         name, _, value = part.partition(":")
         if name not in METRIC_VALUES:
             raise VectorParseError(f"unknown metric {name[:60]!r}")
-        if name in values:
+        if name in names:
             raise VectorParseError(f"duplicate metric: {name}")
         if value not in METRIC_VALUES[name]:
             raise VectorParseError(f"invalid value {value[:60]!r} for metric {name}")
         names.append(name)
-        values[name] = value
-
-    missing = [m for m in METRIC_ORDER if m not in values]
+    missing = [m for m in METRIC_ORDER if m not in names]
     if missing:
         raise VectorParseError(f"missing metrics: {', '.join(missing)}")
-    if tuple(names) != METRIC_ORDER:
-        raise VectorParseError(
-            f"metrics out of canonical order (expected {'/'.join(METRIC_ORDER)})"
-        )
-
-    metrics = CvssMetrics(
-        av=values["AV"],
-        ac=values["AC"],
-        pr=values["PR"],
-        ui=values["UI"],
-        scope=values["S"],
-        c=values["C"],
-        i=values["I"],
-        a=values["A"],
-    )
-    return metrics._replace(base_score=base_score(metrics))
+    # Every metric once with a valid value, yet no match: only the order is wrong.
+    raise VectorParseError(f"metrics out of canonical order (expected {'/'.join(METRIC_ORDER)})")

@@ -9,6 +9,7 @@ disagree is rejected.
 
 from __future__ import annotations
 
+import errno
 import re
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -17,6 +18,10 @@ from . import cvss
 from .model import CVE_ID, DATA_DIR, CvssMetrics, load_json
 
 CVE_PATTERN = re.compile(rf"^{CVE_ID}$")
+BUNDLED_DIR = DATA_DIR / "nvd"
+# Errors opening a record path that mean there is no record: nothing there, a
+# directory, a path through a file, or a dangling or looping link.
+NO_RECORD = (errno.ENOENT, errno.EISDIR, errno.ENOTDIR, errno.ELOOP)
 
 
 class CveNotFound(Exception):
@@ -71,7 +76,8 @@ def _record_from_api_doc(cve_id: str, doc: dict) -> CveRecord:
     if not vector:
         raise NvdError(f"{cve_id}: record carries no v3.x vector string")
     metrics = cvss.parse_vector(vector)
-    if stored_score is not None and abs(metrics.base_score - float(stored_score)) > 1e-9:
+    # Not "difference > 1e-9": a NaN score makes every comparison false, and must fail.
+    if stored_score is not None and not abs(metrics.base_score - float(stored_score)) <= 1e-9:
         raise NvdError(
             f"{cve_id}: stored base score {stored_score} does not match "
             f"recomputed {metrics.base_score}"
@@ -87,10 +93,14 @@ class FixtureNvdClient:
 
     def _read(self, cve_id: str) -> Optional[str]:
         """The stored record's text, or None if there is none; NvdError if unreadable."""
-        source = (self.fixture_dir or DATA_DIR / "nvd") / f"{cve_id}.json"
         try:
-            return source.read_text(encoding="utf-8") if source.is_file() else None
-        except (OSError, UnicodeDecodeError) as exc:
+            with open(f"{self.fixture_dir or BUNDLED_DIR}/{cve_id}.json", "rb", buffering=0) as f:
+                return f.read().decode("utf-8")
+        except OSError as exc:
+            if exc.errno in NO_RECORD:
+                return None
+            raise _unreadable(cve_id, exc) from None
+        except UnicodeDecodeError as exc:
             raise _unreadable(cve_id, exc) from None
 
     def lookup(self, cve_id: str) -> CveRecord:

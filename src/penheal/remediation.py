@@ -86,8 +86,8 @@ def _parse_vector_reply(reply: str) -> tuple[Optional[cvss.CvssMetrics], list[st
     """The vector in an estimator reply: its first line naming one, else the whole reply."""
     text = reply.strip()
     for line in reply.splitlines():
-        if "CVSS:" in line.upper():
-            text = line[line.upper().index("CVSS:"):].strip()
+        if start := re.search("(?ai)CVSS:", line):  # not in line.upper(): "ß".upper() is "SS"
+            text = line[start.start():].strip()
             break
     try:
         return cvss.parse_vector(text.strip("'\"`")), []

@@ -104,6 +104,9 @@ class TestParseVector:
             ("CVSS:3.1/AVN/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", "malformed"),
             ("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:X/I:H/A:H", "invalid value"),
             ("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H/E:F", "unknown metric"),
+            # upper() folds these lookalikes into ASCII: "ſ" to "S", "ı" to "I"
+            ("cvſſ:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", "must be ASCII: 'cvſſ:3.1/AV:N"),
+            ("CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/ı:H/A:H", "must be ASCII: 'CVSS:3.1/AV:N"),
         ],
     )
     def test_rejections_name_the_problem(self, vector, fragment):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from penheal import cvss
+from penheal import cvss, nvd
 from penheal.backends import NVD_API_KEY_ENV, LiveNvdClient
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
 from penheal.knapsack import COST_SCALE, solve_group_knapsack
@@ -115,6 +115,18 @@ class TestLookup:
             FixtureNvdClient(fixture_dir).lookup("CVE-2011-2523")
         assert "does not match" in str(exc_info.value)
 
+    @pytest.mark.parametrize("stored", [math.nan, math.inf], ids=["nan", "infinity"])
+    def test_stored_score_that_is_not_finite_is_rejected(self, tmp_path, stored):
+        """No difference from NaN exceeds a tolerance, so NaN must fail the check another way."""
+        doc = json.loads(FixtureNvdClient()._read("CVE-2011-2523"))
+        doc["vulnerabilities"][0]["cve"]["metrics"]["cvssMetricV31"][0]["cvssData"][
+            "baseScore"
+        ] = stored
+        (tmp_path / "CVE-2011-2523.json").write_text(json.dumps(doc))  # NaN or Infinity
+        with pytest.raises(NvdError) as exc_info:
+            FixtureNvdClient(tmp_path).lookup("CVE-2011-2523")
+        assert str(exc_info.value) == (f"CVE-2011-2523: stored base score {stored} does not "
+                                       f"match recomputed 9.8")
 
     def test_interrupted_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         """A cache file is whole or absent: never a truncated record read on every later run."""
@@ -158,7 +170,7 @@ class TestLookup:
     @pytest.mark.parametrize("live", [False, True], ids=["fixture", "live-cache"])
     def test_unreadable_record_falls_back_to_the_estimator(self, tmp_path, monkeypatch,
                                                           no_network, live):
-        # Root reads any file whatever its mode, so the failing read is patched in.
+        # Root opens any file whatever its mode, so the record's one open fails by patch.
         (tmp_path / "CVE-2011-2523.json").write_text(FixtureNvdClient()._read("CVE-2011-2523"))
         client = (LiveNvdClient(cache_dir=tmp_path, base_url="http://127.0.0.1:9/none")
                   if live else FixtureNvdClient(tmp_path))
@@ -166,7 +178,7 @@ class TestLookup:
         def denied(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr(Path, "read_text", denied)
+        monkeypatch.setattr(nvd, "open", denied, raising=False)
         gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
         findings = [Vulnerability(id="CVE-2011-2523", service="ftp", port=21)]
         enriched, warnings = enrich_findings(findings, gateway, client)
@@ -218,6 +230,43 @@ class TestUnreadableRecord:
         assert warnings[0].endswith("), estimating")
 
 
+# Record paths that hold no record: a lookup misses there, as where there is no file.
+NO_RECORD_PATHS = {
+    "directory": lambda path: path.mkdir(),
+    "dangling-link": lambda path: path.symlink_to(path.with_name("gone.json")),
+}
+
+
+class TestRecordPath:
+    @pytest.mark.parametrize("make", NO_RECORD_PATHS.values(), ids=NO_RECORD_PATHS)
+    @pytest.mark.parametrize("live", [False, True], ids=["fixture", "live-cache"])
+    def test_path_without_a_record_is_not_found(self, tmp_path, nvd_stub, make, live):
+        live_client, stub = nvd_stub
+        cache = live_client.fixture_dir
+        client = live_client if live else FixtureNvdClient(cache)
+        make(cache / "CVE-2011-2523.json")
+        stub.statuses = [404]
+        gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
+        findings = [Vulnerability(id="CVE-2011-2523", service="ftp", port=21)]
+        enriched, warnings = enrich_findings(findings, gateway, client)
+        assert warnings == ["CVE-2011-2523: not in the CVE database, estimating"]
+        assert enriched[0].cvss_source is CvssSource.ESTIMATED
+        assert len(stub.hits) == live  # the live client asks NVD, which has none either
+
+    @pytest.mark.parametrize("live", [False, True], ids=["fixture", "live-cache"])
+    def test_record_that_is_not_utf8_is_unreadable(self, tmp_path, no_network, live):
+        (tmp_path / "CVE-2011-2523.json").write_bytes(b'{"vulnerabilities": "\xff"}')
+        client = (LiveNvdClient(cache_dir=tmp_path, base_url="http://127.0.0.1:9/none")
+                  if live else FixtureNvdClient(tmp_path))
+        gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
+        findings = [Vulnerability(id="CVE-2011-2523", service="ftp", port=21)]
+        enriched, warnings = enrich_findings(findings, gateway, client)
+        assert warnings == ["CVE-2011-2523: lookup failed (CVE-2011-2523: unreadable record: "
+                            "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in "
+                            "position 21: invalid start byte), estimating"]
+        assert enriched[0].cvss_source is CvssSource.ESTIMATED
+
+
 class TestEstimateVector:
     def test_clean_reply_parsed(self):
         gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.0/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"]})
@@ -241,6 +290,13 @@ class TestEstimateVector:
         )
         metrics, _ = estimate_vector(finding(), "", gateway)
         assert metrics.base_score == 8.1
+
+    @pytest.mark.parametrize("prose", ["Vector für Straße: ", "ﬁx: "], ids=["sharp-s", "fi"])
+    def test_vector_after_a_letter_that_upper_widens(self, prose):
+        """"ß".upper() is "SS" and "ﬁ".upper() is "FI", so the vector is found in the line itself."""
+        gateway = gw({AgentRole.ESTIMATOR: [prose + "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"]})
+        metrics, warnings = estimate_vector(finding(), "", gateway)
+        assert (metrics.base_score, warnings, len(gateway.backend.calls)) == (9.8, [], 1)
 
     def test_retry_once_then_succeed(self):
         gateway = gw(
