@@ -292,11 +292,11 @@ def _remediate_and_score(config: RunConfig, gateway: gw.Gateway, nvd_client, out
     return text, rem.warnings
 
 
-def _exit_code(warnings: list[str]) -> int:
-    """Print each warning to stderr; a run with any warning exits partial."""
+def _warn(warnings: list[str]) -> list[str]:
+    """Print each warning to stderr; returns ``warnings``, for a command to return."""
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return EXIT_PARTIAL if warnings else EXIT_OK
+    return warnings
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def _exit_code(warnings: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> list[str]:
     """The pentest stage, then the remediate stage on its findings."""
     config, out_dir = _stage_setup(args)
     # Read once: a hermetic run simulates the host model, and without --truth scores against it.
@@ -312,7 +312,7 @@ def cmd_run(args) -> int:
     truth = _load_truth(config.truth, host)
     nvd_client = _nvd_client(config, out_dir)
     pentest, gateway, transcript_ref = _pentest_stage(config, out_dir, host)
-    pentest_code = _exit_code(pentest.warnings)  # printed now, in case remediation fails
+    _warn(pentest.warnings)  # printed now, in case remediation fails
     run_id = _deterministic_run_id(config.target_address, config.mode)
     report_text, rem_warnings = _remediate_and_score(
         config, gateway, nvd_client, out_dir, pentest.plan, pentest.findings, truth, run_id,
@@ -327,19 +327,19 @@ def cmd_run(args) -> int:
     _output(out_dir / "report.txt",
             lambda path: path.write_text(text_report + "\n", encoding="utf-8"))
     print(text_report)
-    return max(pentest_code, _exit_code(rem_warnings))
+    return pentest.warnings + _warn(rem_warnings)
 
 
-def cmd_pentest(args) -> int:
+def cmd_pentest(args) -> list[str]:
     config, out_dir = _stage_setup(args)
     pentest, _, _ = _pentest_stage(config, out_dir)
     print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})")
     for v in pentest.findings:
         print(f"  {v.key_str}")
-    return _exit_code(pentest.warnings)
+    return _warn(pentest.warnings)
 
 
-def cmd_remediate(args) -> int:
+def cmd_remediate(args) -> list[str]:
     config, out_dir = _stage_setup(args)
     host = None if config.truth else _host_model(config.host_model)
     truth = _load_truth(config.truth, host)
@@ -349,10 +349,10 @@ def cmd_remediate(args) -> int:
         config, gateway, _nvd_client(config, out_dir), out_dir, plan, findings, truth,
         _deterministic_run_id(config.target_address, "remediate"), transcript_ref)
     print(report_text)
-    return _exit_code(rem_warnings)
+    return _warn(rem_warnings)
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     mode = AggregationMode(args.aggregation)
     truth = _load_truth(args.truth)
 
@@ -372,10 +372,9 @@ def cmd_score(args) -> int:
     else:
         for report in reports:
             print(scoring.format_score_table(report, mode))
-    return EXIT_OK
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     from . import knowledge
 
     doc_ids: dict[str, str] = {}  # doc id -> the input it comes from
@@ -395,10 +394,9 @@ def cmd_ingest(args) -> int:
         total += count
     _output(kb_dir, kb.save)
     print(f"indexed {total} chunks into {kb_dir}")
-    return EXIT_OK
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> None:
     exchanges = gw.load_transcript(args.transcript)
     bad = 0
     for i, exchange in enumerate(exchanges):
@@ -413,7 +411,6 @@ def cmd_replay(args) -> int:
     if bad:
         raise Fatal(f"transcript invalid: {bad} corrupted exchanges")
     print(f"transcript ok: {len(exchanges)} exchanges")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # a command returns the warnings it printed, if it prints any
+        return EXIT_PARTIAL if args.func(args) else EXIT_OK
     except (Fatal, gw.GatewayError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -85,13 +85,6 @@ class ExecutorBackend(Protocol):
 # Plan text rendering and parsing
 # ---------------------------------------------------------------------------
 
-_PLAN_LINE = re.compile(
-    r"^\s*(\d+(?:\.\d+)*)\.?\s+(\S.*?)\s*"
-    r"\[(to-do|to do|todo|completed|done|failed)\]"
-    r"\s*(?:-\s*result:\s*(.*?))?\s*$",
-    re.IGNORECASE,
-)
-
 _STATUS_WORDS = {
     "to-do": TaskStatus.TODO,
     "to do": TaskStatus.TODO,
@@ -100,6 +93,12 @@ _STATUS_WORDS = {
     "done": TaskStatus.COMPLETED,
     "failed": TaskStatus.FAILED,
 }
+_PLAN_LINE = re.compile(
+    r"^\s*(\d+(?:\.\d+)*)\.?\s+(\S.*?)\s*"
+    rf"\[({'|'.join(_STATUS_WORDS)})\]"
+    r"\s*(?:-\s*result:\s*(.*?))?\s*$",
+    re.IGNORECASE,
+)
 _STATUS_TEXT = {status: status.value for status in TaskStatus}  # read with no enum call
 MAX_PLAN_TASKS = 512  # tasks a plan holds; merge_revision adds none past it
 
@@ -507,15 +506,15 @@ def extract_findings(
 
 
 def termination_reason(
-    plan: PlanTable, iterations: list[IterationLog], iteration: int, config: RunConfig
+    plan: PlanTable, iterations: list[IterationLog], config: RunConfig
 ) -> Optional[str]:
-    """Why the loop stops after ``iteration`` iterations, or None to run another.
+    """Why the loop stops after the ``iterations`` logged so far, or None to run another.
 
     In order: the iteration budget is spent, no to-do task remains, or the
     last ``no_new_finding_window`` iterations found nothing and left the plan
     unchanged. Stagnation never fires before the first iteration.
     """
-    if iteration >= config.max_iterations:
+    if len(iterations) >= config.max_iterations:
         return "budget-exhausted"
     if not plan.todo():
         return "plan-exhausted"
@@ -548,10 +547,8 @@ def run_pentest(
     history: list[ExecutionRecord] = []
     findings_so_far: list[Vulnerability] = []
     iterations: list[IterationLog] = []
-    iteration = 0
 
-    while (termination := termination_reason(plan, iterations, iteration, config)) is None:
-        iteration += 1
+    while (termination := termination_reason(plan, iterations, config)) is None:
         version = plan.version
         task_id = select_next_task(plan, gateway)
         description = plan.tasks[task_id][0]
@@ -594,7 +591,7 @@ def run_pentest(
             warnings.extend(counterfactual_update(plan, list(findings_so_far), gateway))
 
         iterations.append(IterationLog(
-            iteration=iteration, task_id=task_id,
+            iteration=len(iterations) + 1, task_id=task_id,
             new_finding_keys=tuple(v.key_str for v in new_findings),
             command_count=len(commands), plan_changed=plan.version != version))
 

@@ -156,7 +156,6 @@ class KnowledgeBase:
         self._rows = [array("I") for _ in range(EMBED_DIM)]
         self._counts = [array("I") for _ in range(EMBED_DIM)]
         self._squares = array("Q")  # per row, its squared norm
-        self._norms: list[float] = []  # per row, the square root of that
         self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
         self._scales: list[int] = []  # per row, floor(2**KEY_BITS / norm); see _keys
         self._margin = MARGIN  # mu of the module docstring, set with _scales
@@ -188,7 +187,6 @@ class KnowledgeBase:
                 self._rows[b] = array("I", map(renumbered.__getitem__, compress(rows, kept)))
                 self._counts[b] = array("I", compress(counts, kept))
             self._squares = array("Q", compress(self._squares, kept_rows))
-            self._norms = list(compress(self._norms, kept_rows))
             self._chunks = list(compress(self._chunks, kept_rows))
         self._doc_ids.add(doc_id)
         self._lanes.clear()
@@ -201,7 +199,6 @@ class KnowledgeBase:
                 counts[b].append(c)
             squares.append(sum(map(mul, window.values(), window.values())))
         self._squares.extend(squares)
-        self._norms += map(math.sqrt, squares)
         self._chunks += new_chunks
         return len(new_chunks)
 
@@ -236,7 +233,7 @@ class KnowledgeBase:
         for r in candidates:
             # the fold over ascending buckets of a dense scan, which adds x * 0.0 for the rest;
             # a key is 0 only for a dot product of 0, unless the row's scale is 0
-            total, norm = 0.0, self._norms[r]
+            total, norm = 0.0, math.sqrt(self._squares[r])
             for rows, bucket_counts, x in entries if keys[r] or not self._scales[r] else ():
                 i = bisect_left(rows, r)
                 if i < len(rows) and rows[i] == r:
@@ -250,7 +247,7 @@ class KnowledgeBase:
         buckets every row has when ``lanes`` says no lane can overflow."""
         if not self._scales:  # exact: floor(sqrt(floor(x))) is floor(sqrt(x))
             self._scales = [math.isqrt((1 << 2 * KEY_BITS) // s) for s in self._squares]
-            self._margin = 2 * max(self._norms) / (1 << KEY_BITS) + MARGIN
+            self._margin = 2 * math.sqrt(max(self._squares)) / (1 << KEY_BITS) + MARGIN
         n, rows, counts, scales = len(self._chunks), self._rows, self._counts, self._scales
         packed, scattered = 0, []
         for b, q in terms:
@@ -328,7 +325,7 @@ class KnowledgeBase:
         kb = cls()
         kb._rows = buckets
         kb._counts = [counts[a:b] for a, b in bounds]
-        kb._squares, kb._norms = squares, list(map(math.sqrt, squares))
+        kb._squares = squares
         kb._chunks = chunks
         kb._doc_ids = {c.doc_id for c in chunks}
         return kb

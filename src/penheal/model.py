@@ -315,8 +315,8 @@ class Vulnerability(NamedTuple):
 
     @property
     def key_str(self) -> str:
-        port = "-" if self.port is None else str(self.port)
-        return f"{self.id.upper()}@{self.service.strip().lower()}:{port}"
+        cve_id, service, port = self.key
+        return f"{cve_id}@{service}:{'-' if port is None else port}"
 
 
 def dedupe_findings(findings: list[Vulnerability]) -> list[Vulnerability]:

@@ -10,7 +10,9 @@ disagree is rejected.
 from __future__ import annotations
 
 import errno
+import os
 import re
+import stat
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -92,9 +94,14 @@ class FixtureNvdClient:
         self.fixture_dir = Path(fixture_dir) if fixture_dir else None
 
     def _read(self, cve_id: str) -> Optional[str]:
-        """The stored record's text, or None if there is none; NvdError if unreadable."""
+        """The stored record's text, or None if there is none or it is not a regular file (a
+        FIFO is opened without waiting for a writer, and not read); NvdError if unreadable."""
+        nonblocking = getattr(os, "O_NONBLOCK", 0)
         try:
-            with open(f"{self.fixture_dir or BUNDLED_DIR}/{cve_id}.json", "rb", buffering=0) as f:
+            with open(f"{self.fixture_dir or BUNDLED_DIR}/{cve_id}.json", "rb", buffering=0,
+                      opener=lambda path, flags: os.open(path, flags | nonblocking)) as f:
+                if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                    return None
                 return f.read().decode("utf-8")
         except OSError as exc:
             if exc.errno in NO_RECORD:

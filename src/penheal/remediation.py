@@ -19,6 +19,7 @@ from .gateway import AgentRole, Gateway
 from .knapsack import solve_group_knapsack
 from .model import (
     CVE_NA,
+    DEFAULT_COST_TIERS,
     MAX_COST,
     CostPolicy,
     CvssSource,
@@ -207,32 +208,31 @@ _EFFECT_LINE = re.compile(
     re.IGNORECASE,
 )
 _COST_LINE = re.compile(
-    r"^\s*cost\s*:\s*(low|moderate|high|(\d+(?:\.\d+)?))\s*$", re.IGNORECASE
+    rf"^\s*cost\s*:\s*({'|'.join(dict(DEFAULT_COST_TIERS))}|(\d+(?:\.\d+)?))\s*$", re.IGNORECASE
 )
 _TARGETS_LINE = re.compile(r"^\s*targets\s*:\s*(.+?)\s*$", re.IGNORECASE)
 MAX_EXTRA_TARGETS = 8  # target keys kept from one reply, in reply order
 
 
 class EvaluationVerdict(NamedTuple):
-    effect_class: str  # full | partial | zero | negative
-    k: float  # percentage for partial/negative
+    effect: float  # share of the targets' scores: full 1, partial k/100, zero 0, negative -k/100
     cost: float
     extra_target_keys: tuple[str, ...] = ()
     ignored_target_keys: int = 0  # keys past the first MAX_EXTRA_TARGETS
 
 
 def parse_evaluation(reply: str, tiers: dict[str, float]) -> EvaluationVerdict:
-    effect_class = ""
-    k = 0.0
+    """The verdict of the last effect, cost and targets lines; k is clamped to 0..100."""
+    effect: Optional[float] = None
     cost: Optional[float] = None
     extra: list[str] = []
     for line in reply.splitlines():
-        effect = _EFFECT_LINE.match(line)
-        if effect:
-            word = effect.group(1).split()[0].lower()
-            effect_class = word
-            if word in ("partial", "negative"):
-                k = min(max(float(effect.group(2) or effect.group(3)), 0.0), 100.0)
+        effect_match = _EFFECT_LINE.match(line)
+        if effect_match:
+            k = min(max(float(effect_match.group(2) or effect_match.group(3) or 0), 0.0), 100.0)
+            shares = {"full": 1.0, "partial": k / 100.0, "negative": -k / 100.0}
+            # zero, or a word matched only by case folding, as "partıal" with a dotless i
+            effect = shares.get(effect_match.group(1).split()[0].lower(), 0.0)
             continue
         cost_match = _COST_LINE.match(line)
         if cost_match:
@@ -244,11 +244,10 @@ def parse_evaluation(reply: str, tiers: dict[str, float]) -> EvaluationVerdict:
         targets_match = _TARGETS_LINE.match(line)
         if targets_match:
             extra = [t.strip() for t in targets_match.group(1).split(",") if t.strip()]
-    if not effect_class or cost is None:
+    if effect is None or cost is None:
         raise ValueError(f"unparseable evaluation reply: {reply[:60]!r}")
     return EvaluationVerdict(
-        effect_class=effect_class,
-        k=k,
+        effect=effect,
         cost=round(cost, 1),  # 0.1 granularity so the knapsack scaling is exact
         extra_target_keys=tuple(extra[:MAX_EXTRA_TARGETS]),
         ignored_target_keys=max(len(extra) - MAX_EXTRA_TARGETS, 0),
@@ -256,7 +255,7 @@ def parse_evaluation(reply: str, tiers: dict[str, float]) -> EvaluationVerdict:
 
 
 def compute_value(verdict: EvaluationVerdict, target_scores: list[float]) -> float:
-    """Deterministic value from the parsed class: the model never does arithmetic.
+    """Deterministic value from the parsed share: the model never does arithmetic.
 
     The scores are summed exactly, in whole tenths (a CVSS score has one
     decimal; any further digits are dropped), and the result is clamped to
@@ -264,15 +263,7 @@ def compute_value(verdict: EvaluationVerdict, target_scores: list[float]) -> flo
     both ends are on the knapsack's 0.01 grid.
     """
     total = sum(int(score * 10) for score in target_scores) / 10
-    if verdict.effect_class == "full":
-        value = round(total, 2)
-    elif verdict.effect_class == "partial":
-        value = round(verdict.k / 100.0 * total, 2)
-    elif verdict.effect_class == "negative":
-        value = round(-verdict.k / 100.0 * total, 2)
-    else:
-        value = 0.0
-    return min(max(value, -total), total)
+    return min(max(round(verdict.effect * total, 2), -total), total)
 
 
 class EvaluatorContext:

@@ -985,6 +985,24 @@ def test_only_the_file_guards_catch_os_errors():
     assert guards == {"_input", "_output"}
 
 
+def names_read(node, function="<module>"):
+    """(enclosing function, name) for every name or attribute read under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+            yield function, child.id if isinstance(child, ast.Name) else child.attr
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        yield from names_read(child, inner or function)
+
+
+def test_only_main_picks_the_exit_code():
+    """A command returns the warnings it printed, if any, and ``main`` alone turns that or a
+    fatal error into the exit code: no other code in ``cli`` reads EXIT_OK or EXIT_PARTIAL."""
+    tree = ast.parse((SRC / "penheal" / "cli.py").read_text(encoding="utf-8"))
+    readers = {function for function, name in names_read(tree)
+               if name in ("EXIT_OK", "EXIT_PARTIAL")}
+    assert readers == {"main"}
+
+
 PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))
                         if path.stem != "__init__")
 

@@ -750,26 +750,27 @@ DONE_PLAN = plan_from("1 a [completed] - result: r")
 
 class TestShouldTerminate:
     def test_all_completed(self):
-        assert termination_reason(DONE_PLAN, [], 1, loop_config()) == "plan-exhausted"
+        assert termination_reason(DONE_PLAN, [], loop_config()) == "plan-exhausted"
 
     def test_stagnation_window(self):
         timeline = [iteration_log()] * 5
-        assert termination_reason(basic_plan(), timeline, 6, loop_config()) == "stagnation"
+        assert termination_reason(basic_plan(), timeline, loop_config()) == "stagnation"
 
     def test_new_finding_resets_streak(self):
         timeline = [iteration_log()] * 4 + [iteration_log(1, True)]
-        assert termination_reason(basic_plan(), timeline, 5, loop_config()) is None
+        assert termination_reason(basic_plan(), timeline, loop_config()) is None
 
     def test_plan_change_resets_streak(self):
         timeline = [iteration_log()] * 4 + [iteration_log(0, True)] + [iteration_log()] * 4
-        assert termination_reason(basic_plan(), timeline, 9, loop_config()) is None
+        assert termination_reason(basic_plan(), timeline, loop_config()) is None
 
     def test_iteration_budget(self):
-        assert termination_reason(basic_plan(), [], 30, loop_config()) == "budget-exhausted"
+        timeline = [iteration_log(1, True)] * 30  # each iteration found something
+        assert termination_reason(basic_plan(), timeline, loop_config()) == "budget-exhausted"
 
     def test_no_stagnation_before_the_first_iteration(self):
-        assert termination_reason(basic_plan(), [], 0, loop_config(window=0)) is None
-        assert termination_reason(basic_plan(), [iteration_log()], 1,
+        assert termination_reason(basic_plan(), [], loop_config(window=0)) is None
+        assert termination_reason(basic_plan(), [iteration_log()],
                                   loop_config(window=0)) == "stagnation"
 
     @given(
@@ -791,7 +792,7 @@ class TestShouldTerminate:
         else:
             expected = None
         config = loop_config(window, max_iterations)
-        assert termination_reason(plan, logs, len(logs), config) == expected
+        assert termination_reason(plan, logs, config) == expected
 
 
 class TestScriptedRuns:

@@ -204,7 +204,7 @@ def test_margin_keeps_rows_whose_key_rounds_low():
     terms = sorted((b, q) for b, q in reference_counts("ftp dns dns").items())
     keys = kb._keys(terms, True)
     assert keys[0] < keys[1] * (1 - 5.9e-6)
-    assert keys[1] - keys[0] > 0.97 * keys[1] * kb._norms[0] / (1 << KEY_BITS)
+    assert keys[1] - keys[0] > 0.97 * keys[1] * math.sqrt(kb._squares[0]) / (1 << KEY_BITS)
     chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
     for k in (1, 2):
         got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("ftp dns dns", k)]
@@ -262,14 +262,14 @@ def test_postings_equal_per_window_embed(ops):
 
 def check_held_postings(kb):
     """Each row's postings are embed of its chunk's text: per bucket the rows ascending, each
-    count / norm equal to embed's entry bit for bit, each norm the square root of the row's
-    squared counts."""
+    count / norm equal to embed's entry bit for bit, and the row's squared counts held as its
+    squared norm, whose square root is that norm."""
     squares = [0] * len(kb)
     for rows, counts in zip(kb._rows, kb._counts):
         for r, c in zip(rows, counts):
             squares[r] += c * c
-    assert list(kb._squares) == squares and kb._norms == list(map(math.sqrt, squares))
-    held = [[(r, c / kb._norms[r]) for r, c in zip(rows, counts)]
+    assert list(kb._squares) == squares
+    held = [[(r, c / math.sqrt(squares[r])) for r, c in zip(rows, counts)]
             for rows, counts in zip(kb._rows, kb._counts)]
     assert held == postings([dense(embed(c.text)) for c in kb._chunks])
 

@@ -62,6 +62,13 @@ def _texts(*fragments: str, max_size: int = 30):
     return st.lists(piece, max_size=max_size).map("".join)
 
 
+def _lines(grammar: list[str], noise):
+    """Lines joined by newlines: two in three are whole ``grammar`` lines, the rest ``noise``.
+    A reply of one noise line is the noise alone."""
+    line = st.one_of(st.sampled_from(grammar), st.sampled_from(grammar), noise)
+    return st.lists(line, min_size=1, max_size=8).map("\n".join)
+
+
 _MANY_COMMANDS = " ".join(f"$id {n}$" for n in range(2000))
 _MANY_BLOCKS = "\n".join(f"Exploited: CVE-2011-{n:04d}\nService: s{n}\nPort: {n}"
                          for n in range(2000))
@@ -126,29 +133,42 @@ def test_parse_numbered_list(text):
     assert all(i and i == i.strip() for i in items)
 
 
-EFFECT_CLASSES = {"full", "partial", "zero", "negative"}
+_EVALUATION_NOISE = _texts("Effect: ", "effect: full", "effect: zero", "Effect: partial 40%",
+                           "effect: negative 250", "partial 1" + "0" * 400, "Cost: ", "cost: low",
+                           "cost: Moderate", "cost: high", "cost: 3.25", "cost: 99",
+                           "cost: medium", "Targets: ", "CVE-2011-2523@ftp:21, ,x")
+_EVALUATION_LINES = ["effect: full", "Effect: ZERO", " effect : partial 40% ",
+                     "effect: partial 7.5", "EFFECT: negative 250", "effect: negative 0",
+                     "effect: partial 1" + "0" * 400, "cost: low", "Cost: Moderate", "cost:high",
+                     "cost: 3.25", "cost: 99", "targets: CVE-2011-2523@ftp:21, ,x",
+                     "Targets: " + ",".join("abcdefghij")]
 
 
 @settings(deadline=None)
-@given(_texts("Effect: ", "effect: full", "effect: zero", "Effect: partial 40%",
-              "effect: negative 250", "partial 1" + "0" * 400, "Cost: ", "cost: low",
-              "cost: Moderate", "cost: high", "cost: 3.25", "cost: 99", "cost: medium",
-              "Targets: ", "CVE-2011-2523@ftp:21, ,x"))
+@given(_lines(_EVALUATION_LINES, _EVALUATION_NOISE))
+@example("effect: partial 40%\ncost: moderate\ntargets: CVE-2011-2523@ftp:21")
+@example("Effect: negative 250\nCost: 99")
 def test_parse_evaluation(text):
     try:
         verdict = parse_evaluation(text, CostPolicy().tiers())
     except ValueError:
         return
-    assert verdict.effect_class in EFFECT_CLASSES
-    assert 0.0 <= verdict.k <= 100.0
+    assert -1.0 <= verdict.effect <= 1.0
     assert 0.0 <= verdict.cost <= 10.0 and round(verdict.cost * 10) == verdict.cost * 10
     assert all(t and t == t.strip() and "," not in t for t in verdict.extra_target_keys)
     assert len(verdict.extra_target_keys) <= MAX_EXTRA_TARGETS
 
 
+_VECTOR_NOISE = _texts("CVSS:3.1/", "cvss:3.0/", "AV:N/AC:L/PR:N/UI:N/", "S:U/C:H/I:H/A:H", "/",
+                       ":", "AV:", "X" * 300, "\x85" * 80, "no vector here ", "'", "`")
+_VECTOR_LINES = ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", "The vector is:",
+                 "Vector: `CVSS:3.0/AV:L/AC:H/PR:H/UI:R/S:C/C:L/I:N/A:N`", "",
+                 "  'cvss:3.1/av:p/ac:l/pr:l/ui:n/s:u/c:n/i:l/a:h'", "no vector here"]
+
+
 @settings(deadline=None)
-@given(_texts("CVSS:3.1/", "cvss:3.0/", "AV:N/AC:L/PR:N/UI:N/", "S:U/C:H/I:H/A:H", "/", ":",
-              "AV:", "X" * 300, "\x85" * 80, "no vector here ", "'", "`"))
+@given(_lines(_VECTOR_LINES, _VECTOR_NOISE))
+@example("The estimate:\nCVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H\nbecause it is remote")
 @example("no vector here " * 5000)  # no vector: the whole reply is quoted
 @example("CVSS:3.1/" + "X" * 50000)  # a malformed segment
 @example("CVSS:3.1/" + "Q" * 50000 + ":N")  # an unknown metric
@@ -164,12 +184,16 @@ def test_parse_vector_reply(text):
 _TARGET = Vulnerability("CVE-2011-2523", "ftp", 21, cvss=parse_vector(CONSERVATIVE_DEFAULT_VECTOR),
                         cvss_source=CvssSource.ESTIMATED)
 _EVALUATION = EvaluatorContext([_TARGET], CostPolicy())
-_REPLY = _texts("effect: full", "Effect: partial 40%", "cost: low", "cost: 3.2", "targets: ",
-                "CVE-2011-2523", "Z" * 300, "\x85" * 80, ", ", "\n")
+_REPLY_NOISE = _texts("effect: full", "Effect: partial 40%", "cost: low", "cost: 3.2",
+                      "targets: ", "CVE-2011-2523", "Z" * 300, "\x85" * 80, ", ", "\n")
+_REPLY = _lines(["effect: full", "Effect: partial 40%", "cost: low", "cost: 3.2",
+                 "targets: CVE-2011-2523, " + "Z" * 300], _REPLY_NOISE)
 
 
 @settings(deadline=None)
 @given(_REPLY, _REPLY)
+@example("effect: partial 40%\ncost: 3.2\ntargets: CVE-2011-2523", "")  # parsed at once
+@example("no verdict", "effect: full\ncost: low")  # parsed on the re-prompt
 @example("effect: full\ncost: low\ntargets: " + "Z" * 40000, "")  # an unknown target
 @example("\x85" * 40000, "\x85" * 40000)  # unparseable twice
 def test_evaluate_warnings_are_bounded(first, second):

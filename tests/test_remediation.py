@@ -234,6 +234,7 @@ class TestUnreadableRecord:
 NO_RECORD_PATHS = {
     "directory": lambda path: path.mkdir(),
     "dangling-link": lambda path: path.symlink_to(path.with_name("gone.json")),
+    "link-to-a-device": lambda path: path.symlink_to(os.devnull),  # a character device
 }
 
 
@@ -251,6 +252,29 @@ class TestRecordPath:
         enriched, warnings = enrich_findings(findings, gateway, client)
         assert warnings == ["CVE-2011-2523: not in the CVE database, estimating"]
         assert enriched[0].cvss_source is CvssSource.ESTIMATED
+        assert len(stub.hits) == live  # the live client asks NVD, which has none either
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    @pytest.mark.parametrize("live", [False, True], ids=["fixture", "live-cache"])
+    def test_fifo_is_no_record_and_waits_for_no_writer(self, nvd_stub, live):
+        live_client, stub = nvd_stub
+        client = live_client if live else FixtureNvdClient(live_client.fixture_dir)
+        fifo = live_client.fixture_dir / "CVE-2011-2523.json"
+        os.mkfifo(fifo)
+        stub.statuses = [404]
+        raised = []
+        thread = threading.Thread(target=lambda: raised.append(pytest.raises(
+            CveNotFound, client.lookup, "CVE-2011-2523")), daemon=True)
+        thread.start()
+        thread.join(5)
+        if thread.is_alive():  # blocked opening the FIFO: a writer's open and close release it
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+            thread.join(5)
+            pytest.fail("the lookup waited for a writer to open the FIFO")
+        assert len(raised) == 1  # the lookup raised CveNotFound
         assert len(stub.hits) == live  # the live client asks NVD, which has none either
 
     @pytest.mark.parametrize("live", [False, True], ids=["fixture", "live-cache"])
@@ -407,16 +431,16 @@ class TestAdvise:
 class TestParseEvaluation:
     def test_full_and_tier(self):
         verdict = parse_evaluation("effect: full\ncost: low", CostPolicy().tiers())
-        assert verdict.effect_class == "full"
+        assert verdict.effect == 1.0
         assert verdict.cost == 2.0
 
     def test_partial_with_percent(self):
         verdict = parse_evaluation("effect: partial 40%\ncost: moderate", CostPolicy().tiers())
-        assert (verdict.effect_class, verdict.k, verdict.cost) == ("partial", 40.0, 5.0)
+        assert (verdict.effect, verdict.cost) == (0.4, 5.0)
 
     def test_negative(self):
         verdict = parse_evaluation("effect: negative 25\ncost: high", CostPolicy().tiers())
-        assert (verdict.effect_class, verdict.k, verdict.cost) == ("negative", 25.0, 10.0)
+        assert (verdict.effect, verdict.cost) == (-0.25, 10.0)
 
     def test_explicit_numeric_cost(self):
         verdict = parse_evaluation("effect: zero\ncost: 3.5", CostPolicy().tiers())
@@ -438,25 +462,30 @@ class TestParseEvaluation:
 
     def test_case_insensitive(self):
         verdict = parse_evaluation("Effect: FULL\nCost: LOW", CostPolicy().tiers())
-        assert (verdict.effect_class, verdict.cost) == ("full", 2.0)
+        assert (verdict.effect, verdict.cost) == (1.0, 2.0)
+
+
+def share(effect_class: str, k: float) -> float:
+    """The effect parse_evaluation reads from an effect line of ``effect_class`` and ``k``."""
+    return {"full": 1.0, "partial": k / 100.0, "zero": 0.0, "negative": -k / 100.0}[effect_class]
 
 
 class TestComputeValue:
     def test_full_single(self):
-        verdict = EvaluationVerdict("full", 0.0, 2.0)
+        verdict = EvaluationVerdict(1.0, 2.0)
         assert compute_value(verdict, [9.0]) == 9.0
 
     def test_zero_for_irrelevant(self):
-        assert compute_value(EvaluationVerdict("zero", 0.0, 2.0), [9.0]) == 0.0
+        assert compute_value(EvaluationVerdict(0.0, 2.0), [9.0]) == 0.0
 
     def test_sum_rule(self):
-        assert compute_value(EvaluationVerdict("full", 0.0, 2.0), [9.8, 7.5]) == 17.3
+        assert compute_value(EvaluationVerdict(1.0, 2.0), [9.8, 7.5]) == 17.3
 
     def test_partial_percentage(self):
-        assert compute_value(EvaluationVerdict("partial", 40.0, 2.0), [10.0]) == 4.0
+        assert compute_value(EvaluationVerdict(0.4, 2.0), [10.0]) == 4.0
 
     def test_negative_percentage(self):
-        assert compute_value(EvaluationVerdict("negative", 50.0, 2.0), [8.0]) == -4.0
+        assert compute_value(EvaluationVerdict(-0.5, 2.0), [8.0]) == -4.0
 
     @given(
         st.sampled_from(["full", "partial", "zero", "negative"]),
@@ -467,7 +496,8 @@ class TestComputeValue:
     @settings(max_examples=200, deadline=None)
     def test_value_is_on_the_cent_grid_within_the_exact_sum(self, effect_class, k, tenths):
         """One-decimal scores, as CVSS gives them: the value is what the knapsack reads."""
-        value = compute_value(EvaluationVerdict(effect_class, k, 2.0), [t / 10 for t in tenths])
+        value = compute_value(EvaluationVerdict(share(effect_class, k), 2.0),
+                              [t / 10 for t in tenths])
         assert round(value, 2) == value
         assert abs(round(value * 100)) <= 10 * sum(tenths)
 
@@ -478,7 +508,7 @@ class TestComputeValue:
     )
     @settings(max_examples=120, deadline=None)
     def test_value_bounds(self, effect_class, k, scores):
-        value = compute_value(EvaluationVerdict(effect_class, k, 2.0), scores)
+        value = compute_value(EvaluationVerdict(share(effect_class, k), 2.0), scores)
         total = sum(scores)
         assert -total - 1e-6 <= value <= total + 1e-6
         if effect_class == "zero":
