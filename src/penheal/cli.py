@@ -4,8 +4,8 @@ Wires config, backends, the pentest and remediation engines, scoring and
 artifact persistence. ``pentest`` and ``remediate`` run one stage, and
 ``run`` is ``pentest`` followed by ``remediate``; ``score`` re-scores
 artifacts; ``ingest`` builds a knowledge-base index; ``replay`` verifies a
-recorded transcript. Every fatal condition raises ``Fatal``, which ``main``
-alone reports.
+recorded transcript. Each runs in the one ``Session`` that ``main`` holds, which keeps
+every warning printed; every fatal condition raises ``Fatal``, which ``main`` alone reports.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ def bundled_fixture_path(name: str) -> Path:
     return DATA_DIR / "fixtures" / name
 
 
-def _resolve_fixtures(spec: Optional[str]) -> Path:
-    path = Path(spec) if spec else bundled_fixture_path("golden6.jsonl")
-    return path / "transcript.jsonl" if path.is_dir() else path
-
-
 def _build_knowledge_base(kb_dir: Optional[str]) -> knowledge.KnowledgeBase:
     from . import knowledge
 
@@ -165,37 +160,54 @@ def _check_keys(doc: dict) -> None:
                 raise ValueError(f"unknown key {key}.{inner}")
 
 
-def _stage_setup(args) -> tuple[RunConfig, Path]:
-    """The config, with every rule checked before the out dir is created, and that dir."""
-    doc = load_config(args.config, _overrides(args))
-    try:
-        _check_keys(doc)
-        config = RunConfig.from_dict(doc)
-        config.validate()
-    except (ValueError, KeyError) as exc:
-        raise Fatal(f"invalid configuration: {exc}")
-    if config.mode not in ("hermetic", "live"):
-        raise Fatal(f"unknown mode {config.mode!r} (expected hermetic or live)")
-    if config.mode == "live" and not config.llm.base_url:
-        raise Fatal("live mode requires llm.base_url")
-    gw.route_table(config.role_models)  # for its key checks: a GatewayError, which main reports
-    out_dir = Path(config.out_dir)
-    _output(out_dir, lambda path: path.mkdir(parents=True, exist_ok=True))
-    return config, out_dir
+class Session:
+    """One command as it runs: its args, the warnings printed so far, and, once ``setup``
+    and the stage helpers have built them, the config, the out dir, the gateway and the
+    transcript it replays or records. ``main`` holds it, so it outlives a ``Fatal``."""
+
+    def __init__(self, args) -> None:
+        self.args = args
+        self.warnings: list[str] = []
+
+    def setup(self) -> RunConfig:
+        """Check every config rule, then create the out dir; returns the config."""
+        doc = load_config(self.args.config, _overrides(self.args))
+        try:
+            _check_keys(doc)
+            config = RunConfig.from_dict(doc)
+            config.validate()
+        except (ValueError, KeyError) as exc:
+            raise Fatal(f"invalid configuration: {exc}")
+        if config.mode not in ("hermetic", "live"):
+            raise Fatal(f"unknown mode {config.mode!r} (expected hermetic or live)")
+        if config.mode == "live" and not config.llm.base_url:
+            raise Fatal("live mode requires llm.base_url")
+        gw.route_table(config.role_models)  # for its key checks: a GatewayError, which main reports
+        self.config, self.out_dir = config, Path(config.out_dir)
+        _output(self.out_dir, lambda path: path.mkdir(parents=True, exist_ok=True))
+        return config
+
+    def warn(self, warnings: list[str]) -> None:
+        """Print each warning to stderr, and keep it."""
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        self.warnings += warnings
 
 
-def _chat_gateway(config: RunConfig, out_dir: Path) -> tuple[gw.Gateway, str]:
-    """The mode's chat gateway and the transcript it replays or records."""
+def _chat_gateway(session: Session) -> None:
+    """Give the session the mode's chat gateway and the transcript it replays or records."""
+    config, roles = session.config, dict(session.config.role_models)
     if config.mode == "hermetic":
-        fixtures = _resolve_fixtures(config.fixtures)
-        return gw.replay_mode(fixtures, role_models=dict(config.role_models)), str(fixtures)
-    from .backends import LiveBackend
+        path = Path(config.fixtures or bundled_fixture_path("golden6.jsonl"))
+        path = path / "transcript.jsonl" if path.is_dir() else path
+        session.gateway = gw.replay_mode(path, role_models=roles)
+    else:
+        from .backends import LiveBackend
 
-    live = LiveBackend(config.llm.base_url, api_key=config.llm.api_key)
-    record_path = out_dir / "transcript.jsonl"
-    gateway = _output(record_path,
-                      lambda path: gw.record_mode(live, path, dict(config.role_models)))
-    return gateway, str(record_path)
+        live = LiveBackend(config.llm.base_url, api_key=config.llm.api_key)
+        path = session.out_dir / "transcript.jsonl"
+        session.gateway = _output(path, lambda p: gw.record_mode(live, p, roles))
+    session.transcript_ref = str(path)
 
 
 def _executor(config: RunConfig, host=None):
@@ -210,14 +222,14 @@ def _executor(config: RunConfig, host=None):
     return simulator.SimulatorBackend(host), _build_knowledge_base(config.kb_dir)
 
 
-def _nvd_client(config: RunConfig, out_dir: Path):
+def _nvd_client(session: Session):
     """Fixture records when the run is hermetic or ``nvd.fixture_dir`` is set, else live."""
-    nvd = config.nvd
-    if config.mode == "hermetic" or nvd.fixture_dir:
+    nvd = session.config.nvd
+    if session.config.mode == "hermetic" or nvd.fixture_dir:
         return FixtureNvdClient(nvd.fixture_dir)
     from .backends import LiveNvdClient
 
-    return _output(Path(nvd.cache_dir or out_dir / "nvd-cache"),
+    return _output(Path(nvd.cache_dir or session.out_dir / "nvd-cache"),
                    lambda path: LiveNvdClient(cache_dir=path, base_url=nvd.base_url))
 
 
@@ -238,11 +250,11 @@ def _output(path: Path, write: Callable[[Path], Any]) -> Any:
         raise Fatal(f"cannot write {path}: {exc}") from None
 
 
-def _write_artifact(out_dir: Path, *parts, run_id: str, transcript_ref: str) -> None:
+def _write_artifact(session: Session, *parts, run_id: str) -> None:
     """Serialize (plan, findings, recommendations, report) to run-artifact.json."""
-    artifact = serialize_run(*parts, run_id=run_id, transcript_ref=transcript_ref,
+    artifact = serialize_run(*parts, run_id=run_id, transcript_ref=session.transcript_ref,
                              created_at=time.strftime("%Y-%m-%dT%H:%M:%S"))
-    _output(out_dir / "run-artifact.json", lambda path: path.write_bytes(artifact))
+    _output(session.out_dir / "run-artifact.json", lambda path: path.write_bytes(artifact))
 
 
 def _read_artifact(path: str):
@@ -250,53 +262,38 @@ def _read_artifact(path: str):
     return _input("read artifact", path, lambda p: deserialize_run(Path(p).read_bytes()))
 
 
-def _pentest_stage(config: RunConfig, out_dir: Path,
-                   host=None) -> tuple[engine.PentestResult, gw.Gateway, str]:
-    """Run discovery, then write history.jsonl and the stage-one artifact ``remediate`` reads.
-
-    Returns the result, and the gateway and transcript reference ``run`` remediates with.
-    """
+def _pentest_stage(session: Session, host=None) -> engine.PentestResult:
+    """Run discovery, then write history.jsonl and the stage-one artifact ``remediate`` reads."""
     from . import engine  # compiled before a replay transcript is read: a lower peak RSS
 
-    gateway, transcript_ref = _chat_gateway(config, out_dir)
-    backend, kb = _executor(config, host)
+    _chat_gateway(session)
+    backend, kb = _executor(session.config, host)
     try:
-        pentest = engine.run_pentest(config, backend, gateway, kb)
+        pentest = engine.run_pentest(session.config, backend, session.gateway, kb)
     except engine.EngineError as exc:
         raise Fatal(str(exc)) from None
-    _output(out_dir / "history.jsonl", lambda path: write_json_lines(path, pentest.history))
-    _write_artifact(out_dir, pentest.plan, pentest.findings, [], None,
-                    run_id=_deterministic_run_id(config.target_address, "pentest"),
-                    transcript_ref=transcript_ref)
-    return pentest, gateway, transcript_ref
+    _output(session.out_dir / "history.jsonl",
+            lambda path: write_json_lines(path, pentest.history))
+    _write_artifact(session, pentest.plan, pentest.findings, [], None,
+                    run_id=_deterministic_run_id(session.config.target_address, "pentest"))
+    return pentest
 
 
-def _remediate_and_score(config: RunConfig, gateway: gw.Gateway, nvd_client, out_dir: Path,
-                         plan: AttackPlan, findings: list[Vulnerability],
-                         truth: list[Vulnerability],
-                         run_id: str, transcript_ref: str) -> tuple[str, list[str]]:
-    """Remediate and score the findings, then write the artifact.
-
-    Returns the selection report and score table, and the remediation warnings.
-    """
+def _remediate_and_score(session: Session, nvd_client, plan: AttackPlan,
+                         findings: list[Vulnerability], truth: list[Vulnerability],
+                         run_id: str) -> tuple[str, list[str]]:
+    """Remediate and score the findings and write the artifact: (report text, warnings)."""
+    mode = session.config.aggregation_mode
     try:
-        rem = remediation.remediate(findings, config, gateway, nvd_client)
+        rem = remediation.remediate(findings, session.config, session.gateway, nvd_client)
     except gw.GatewayError as exc:
         raise Fatal(f"remediation failed: {exc}") from None
-    report = scoring.score_run(findings, truth, rem.selected, mode=config.aggregation_mode,
-                               run_id=run_id)
-    _write_artifact(out_dir, plan, findings, [c for g in rem.groups for c in g.candidates],
-                    report, run_id=run_id, transcript_ref=transcript_ref)
+    report = scoring.score_run(findings, truth, rem.selected, mode=mode, run_id=run_id)
+    _write_artifact(session, plan, findings, [c for g in rem.groups for c in g.candidates],
+                    report, run_id=run_id)
     text = (remediation.format_selection_report(rem.groups) + "\n\n"
-            + scoring.format_score_table(report, config.aggregation_mode))
+            + scoring.format_score_table(report, mode))
     return text, rem.warnings
-
-
-def _warn(warnings: list[str]) -> list[str]:
-    """Print each warning to stderr; returns ``warnings``, for a command to return."""
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return warnings
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +301,18 @@ def _warn(warnings: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(args) -> list[str]:
+def cmd_run(session: Session) -> None:
     """The pentest stage, then the remediate stage on its findings."""
-    config, out_dir = _stage_setup(args)
+    config = session.setup()
     # Read once: a hermetic run simulates the host model, and without --truth scores against it.
     host = _host_model(config.host_model) if config.mode == "hermetic" or not config.truth else None
     truth = _load_truth(config.truth, host)
-    nvd_client = _nvd_client(config, out_dir)
-    pentest, gateway, transcript_ref = _pentest_stage(config, out_dir, host)
-    _warn(pentest.warnings)  # printed now, in case remediation fails
+    nvd_client = _nvd_client(session)
+    pentest = _pentest_stage(session, host)
+    session.warn(pentest.warnings)  # printed now, in case remediation fails
     run_id = _deterministic_run_id(config.target_address, config.mode)
     report_text, rem_warnings = _remediate_and_score(
-        config, gateway, nvd_client, out_dir, pentest.plan, pentest.findings, truth, run_id,
-        transcript_ref)
+        session, nvd_client, pentest.plan, pentest.findings, truth, run_id)
     text_report = "\n".join([
         f"run {run_id} against {config.target_address}",
         f"termination: {pentest.termination_reason}",
@@ -324,35 +320,35 @@ def cmd_run(args) -> list[str]:
         "",
         report_text,
     ])
-    _output(out_dir / "report.txt",
+    _output(session.out_dir / "report.txt",
             lambda path: path.write_text(text_report + "\n", encoding="utf-8"))
     print(text_report)
-    return pentest.warnings + _warn(rem_warnings)
+    session.warn(rem_warnings)
 
 
-def cmd_pentest(args) -> list[str]:
-    config, out_dir = _stage_setup(args)
-    pentest, _, _ = _pentest_stage(config, out_dir)
-    print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})")
-    for v in pentest.findings:
-        print(f"  {v.key_str}")
-    return _warn(pentest.warnings)
+def cmd_pentest(session: Session) -> None:
+    session.setup()
+    pentest = _pentest_stage(session)
+    print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})",
+          *(f"  {v.key_str}" for v in pentest.findings), sep="\n")
+    session.warn(pentest.warnings)
 
 
-def cmd_remediate(args) -> list[str]:
-    config, out_dir = _stage_setup(args)
+def cmd_remediate(session: Session) -> None:
+    config = session.setup()
     host = None if config.truth else _host_model(config.host_model)
     truth = _load_truth(config.truth, host)
-    plan, findings, _, _ = _read_artifact(args.artifact)
-    gateway, transcript_ref = _chat_gateway(config, out_dir)
+    plan, findings, _, _ = _read_artifact(session.args.artifact)
+    _chat_gateway(session)
     report_text, rem_warnings = _remediate_and_score(
-        config, gateway, _nvd_client(config, out_dir), out_dir, plan, findings, truth,
-        _deterministic_run_id(config.target_address, "remediate"), transcript_ref)
+        session, _nvd_client(session), plan, findings, truth,
+        _deterministic_run_id(config.target_address, "remediate"))
     print(report_text)
-    return _warn(rem_warnings)
+    session.warn(rem_warnings)
 
 
-def cmd_score(args) -> None:
+def cmd_score(session: Session) -> None:
+    args = session.args
     mode = AggregationMode(args.aggregation)
     truth = _load_truth(args.truth)
 
@@ -365,18 +361,17 @@ def cmd_score(args) -> None:
     if args.repeat_mean and len(reports) > 1:
         n = len(reports)
         print(f"mean over {n} runs:")
-        print(f"  S_D       = {sum(r.s_d for r in reports) / n:.4f}")
-        print(f"  S_R       = {sum(r.s_r for r in reports) / n:.4f}")
-        print(f"  C         = {sum(r.c for r in reports) / n:.4f}")
-        print(f"  S_overall = {sum(r.s_overall for r in reports) / n:.4f}")
+        for name in ("S_D", "S_R", "C", "S_overall"):
+            print(f"  {name:<9} = {sum(getattr(r, name.lower()) for r in reports) / n:.4f}")
     else:
         for report in reports:
             print(scoring.format_score_table(report, mode))
 
 
-def cmd_ingest(args) -> None:
+def cmd_ingest(session: Session) -> None:
     from . import knowledge
 
+    args = session.args
     doc_ids: dict[str, str] = {}  # doc id -> the input it comes from
     for path in args.paths:  # before any is read: a later one would replace an earlier one
         stem = Path(path).stem
@@ -396,8 +391,8 @@ def cmd_ingest(args) -> None:
     print(f"indexed {total} chunks into {kb_dir}")
 
 
-def cmd_replay(args) -> None:
-    exchanges = gw.load_transcript(args.transcript)
+def cmd_replay(session: Session) -> None:
+    exchanges = gw.load_transcript(session.args.transcript)
     bad = 0
     for i, exchange in enumerate(exchanges):
         recomputed = gw.request_hash(exchange.role, list(exchange.messages))
@@ -477,12 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:  # a command returns the warnings it printed, if it prints any
-        return EXIT_PARTIAL if args.func(args) else EXIT_OK
+    session = Session(build_parser().parse_args(argv))
+    try:
+        session.args.func(session)
     except (Fatal, gw.GatewayError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    return EXIT_PARTIAL if session.warnings else EXIT_OK
 
 
 if __name__ == "__main__":

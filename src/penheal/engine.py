@@ -93,10 +93,11 @@ _STATUS_WORDS = {
     "done": TaskStatus.COMPLETED,
     "failed": TaskStatus.FAILED,
 }
+# Keywords and task ids are ASCII ((?a:...)): "faıled" names no status, "١.٢" is no id.
 _PLAN_LINE = re.compile(
-    r"^\s*(\d+(?:\.\d+)*)\.?\s+(\S.*?)\s*"
-    rf"\[({'|'.join(_STATUS_WORDS)})\]"
-    r"\s*(?:-\s*result:\s*(.*?))?\s*$",
+    r"^\s*((?a:\d+(?:\.\d+)*))\.?\s+(\S.*?)\s*"
+    rf"\[((?a:{'|'.join(_STATUS_WORDS)}))\]"
+    r"\s*(?:-\s*(?a:result):\s*(.*?))?\s*$",
     re.IGNORECASE,
 )
 _STATUS_TEXT = {status: status.value for status in TaskStatus}  # read with no enum call
@@ -168,11 +169,11 @@ PLAN_LINE_MEMO = 1024
 @functools.lru_cache(maxsize=PLAN_LINE_MEMO)
 def _parse_plan_line(line: str) -> Optional[TaskNode]:
     match = _PLAN_LINE.match(line)
-    if not match:
+    status = _STATUS_WORDS.get(match[3].lower()) if match else None
+    if status is None:
         return None
-    task_id, description, status_word, result = match.groups()
-    return TaskNode(task_id, description.strip(), _STATUS_WORDS[status_word.lower()],
-                    result.strip() if result else None)
+    task_id, description, _, result = match.groups()
+    return TaskNode(task_id, description.strip(), status, result.strip() if result else None)
 
 
 def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
@@ -266,7 +267,7 @@ def mark_task(plan: PlanTable, task_id: str, status: TaskStatus, result: str) ->
 # Command parsing and execution
 # ---------------------------------------------------------------------------
 
-_MSF_PREFIX = re.compile(r"^\s*msfconsole\s*:\s*", re.IGNORECASE)
+_MSF_PREFIX = re.compile(r"^\s*(?a:msfconsole)\s*:\s*", re.IGNORECASE)
 MAX_COMMANDS = 8  # commands kept from one executor reply, in reply order
 
 
@@ -428,9 +429,9 @@ def counterfactual_update(
 # Finding extraction
 # ---------------------------------------------------------------------------
 
-_EXPLOITED_LINE = re.compile(r"^\s*exploited\s*:\s*(.+?)\s*$", re.IGNORECASE)
+_EXPLOITED_LINE = re.compile(r"^\s*(?a:exploited)\s*:\s*(.+?)\s*$", re.IGNORECASE)
 _ATTR_LINE = re.compile(r"^\s*([A-Za-z_ ]+?)\s*:\s*(.*?)\s*$")
-_CVE_TOKEN = re.compile(rf"{CVE_ID}(?!\d)|{CVE_NA}", re.IGNORECASE)  # more digits: no id
+_CVE_TOKEN = re.compile(rf"(?a:{CVE_ID})(?!\d)|(?a:{CVE_NA})", re.IGNORECASE)  # more digits: no id
 MAX_FINDINGS = 32  # "Exploited:" blocks parsed from one extractor reply, in reply order
 
 

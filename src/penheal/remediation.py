@@ -203,14 +203,17 @@ def advise(
 # Evaluator
 # ---------------------------------------------------------------------------
 
+# Keywords are ASCII ((?a:...)): "partıal" (dotless i) or "hıgh" makes no effect or cost line.
 _EFFECT_LINE = re.compile(
-    r"^\s*effect\s*:\s*(full|zero|partial\s+(\d+(?:\.\d+)?)\s*%?|negative\s+(\d+(?:\.\d+)?)\s*%?)\s*$",
+    r"^\s*(?a:effect)\s*:\s*"
+    r"(?:(?a:(full|zero))|(?a:(partial|negative))\s+(\d+(?:\.\d+)?)\s*%?)\s*$",
     re.IGNORECASE,
 )
 _COST_LINE = re.compile(
-    rf"^\s*cost\s*:\s*({'|'.join(dict(DEFAULT_COST_TIERS))}|(\d+(?:\.\d+)?))\s*$", re.IGNORECASE
+    rf"^\s*(?a:cost)\s*:\s*((?a:{'|'.join(dict(DEFAULT_COST_TIERS))})|(\d+(?:\.\d+)?))\s*$",
+    re.IGNORECASE,
 )
-_TARGETS_LINE = re.compile(r"^\s*targets\s*:\s*(.+?)\s*$", re.IGNORECASE)
+_TARGETS_LINE = re.compile(r"^\s*(?a:targets)\s*:\s*(.+?)\s*$", re.IGNORECASE)
 MAX_EXTRA_TARGETS = 8  # target keys kept from one reply, in reply order
 
 
@@ -229,17 +232,17 @@ def parse_evaluation(reply: str, tiers: dict[str, float]) -> EvaluationVerdict:
     for line in reply.splitlines():
         effect_match = _EFFECT_LINE.match(line)
         if effect_match:
-            k = min(max(float(effect_match.group(2) or effect_match.group(3) or 0), 0.0), 100.0)
-            shares = {"full": 1.0, "partial": k / 100.0, "negative": -k / 100.0}
-            # zero, or a word matched only by case folding, as "partıal" with a dotless i
-            effect = shares.get(effect_match.group(1).split()[0].lower(), 0.0)
+            word, scaled, k = effect_match.groups()
+            k = min(max(float(k or 0), 0.0), 100.0)
+            shares = {"full": 1.0, "zero": 0.0, "partial": k / 100.0, "negative": -k / 100.0}
+            effect = shares.get((word or scaled).lower())  # None, an unparseable reply
             continue
         cost_match = _COST_LINE.match(line)
         if cost_match:
             if cost_match.group(2) is not None:
                 cost = min(max(float(cost_match.group(2)), 0.0), MAX_COST)
             else:
-                cost = tiers[cost_match.group(1).lower()]
+                cost = tiers.get(cost_match.group(1).lower())  # None, an unparseable reply
             continue
         targets_match = _TARGETS_LINE.match(line)
         if targets_match:

@@ -725,9 +725,25 @@ def _scripted_stage(monkeypatch, scripts, backend):
     """Make the CLI's model and command stages the given stubs."""
     from penheal.knowledge import KnowledgeBase
 
-    monkeypatch.setattr(cli, "_chat_gateway",
-                        lambda config, out_dir: (Gateway(ScriptedBackend(scripts)), "scripted"))
+    def chat_gateway(session):
+        session.gateway, session.transcript_ref = Gateway(ScriptedBackend(scripts)), "scripted"
+
+    monkeypatch.setattr(cli, "_chat_gateway", chat_gateway)
     monkeypatch.setattr(cli, "_executor", lambda config, host: (backend, KnowledgeBase()))
+
+
+@pytest.fixture
+def sessions(monkeypatch):
+    """The sessions ``main`` builds, kept for the test to read after ``main`` returns."""
+    built = []
+
+    class Recorded(cli.Session):
+        def __init__(self, args):
+            super().__init__(args)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "Session", Recorded)
+    return built
 
 
 class TestStageFailuresAndWarnings:
@@ -764,6 +780,29 @@ class TestStageFailuresAndWarnings:
                        "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == "warning: nothing to remediate: no findings\n"
 
+
+    def test_the_session_keeps_the_warnings_printed_before_a_fatal(self, tmp_path, monkeypatch,
+                                                                   sessions):
+        done = "1 Recon [completed] - result: web server found"
+        finding = "Exploited: CVE-NA\nservice: http\nport: 80\ndescription: weak login\nmethod: -"
+        _scripted_stage(monkeypatch, {  # no Estimator reply for the CVE-NA finding
+            AgentRole.PLANNER: ["1 Recon [to-do]", "1", done, done],
+            AgentRole.EXECUTOR: ["$nmap -sV 10.0.2.4$ $dangling"],
+            AgentRole.SUMMARIZER: ["web server found"],
+            AgentRole.EXTRACTOR: [finding, finding],
+        }, _OneOutputHost())
+        assert run_cli("run", "--target", "10.0.2.4", "--out", str(tmp_path / "out")) == 1
+        assert [session.warnings for session in sessions] == [
+            ["unpaired $ delimiter near: 'dangling'"]]
+
+    def test_the_session_keeps_the_warnings_that_make_exit_2(self, tmp_path, no_network,
+                                                              sessions):
+        artifact = tmp_path / "artifact.json"
+        artifact.write_bytes(serialize_run(AttackPlan(), [], [], None))
+        assert run_cli("remediate", str(artifact), "--target", "10.0.2.4", "--mode", "hermetic",
+                       "--out", str(tmp_path / "out")) == 2
+        assert [session.warnings for session in sessions] == [
+            ["nothing to remediate: no findings"]]
 
     def test_engine_error_is_one_fatal_line(self, tmp_path, capsys, monkeypatch):
         _scripted_stage(monkeypatch, {AgentRole.PLANNER: ["no plan line here"]},
@@ -1003,6 +1042,23 @@ def test_only_main_picks_the_exit_code():
     assert readers == {"main"}
 
 
+def session_uses(node, function="<module>"):
+    """The enclosing function of every use of ``session.warnings`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr == "warnings"
+                and isinstance(child.value, ast.Name) and child.value.id == "session"):
+            yield function
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        yield from session_uses(child, inner or function)
+
+
+def test_only_main_reads_the_session_warnings():
+    """Commands and stage helpers add each warning through ``Session.warn``, which prints and
+    keeps it; outside ``Session`` only ``main`` reads them back, to pick the exit code."""
+    tree = ast.parse((SRC / "penheal" / "cli.py").read_text(encoding="utf-8"))
+    assert set(session_uses(tree)) == {"main"}
+
+
 PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))
                         if path.stem != "__init__")
 
@@ -1042,15 +1098,17 @@ def test_live_mode_assembly(tmp_path, no_network):
     """Live assembly builds the shell backend and a recording gateway, and connects nowhere."""
     config = RunConfig.from_dict({"mode": "live", "llm": {"base_url": "http://127.0.0.1:9/v1"},
                                   "nvd": {"fixture_dir": str(tmp_path)}})
-    gateway, transcript_ref = _chat_gateway(config, tmp_path)
+    session = cli.Session(None)
+    session.config, session.out_dir = config, tmp_path
+    _chat_gateway(session)
     backend, _ = _executor(config)
-    assert isinstance(gateway.backend, LiveBackend)
-    assert transcript_ref == str(tmp_path / "transcript.jsonl")
+    assert isinstance(session.gateway.backend, LiveBackend)
+    assert session.transcript_ref == str(tmp_path / "transcript.jsonl")
     assert (tmp_path / "transcript.jsonl").read_text() == ""  # record mode starts it empty
     assert isinstance(backend, ShellBackend)
-    assert isinstance(_nvd_client(config, tmp_path), FixtureNvdClient)
-    live_nvd = config._replace(nvd=config.nvd._replace(fixture_dir=None))
-    assert isinstance(_nvd_client(live_nvd, tmp_path), LiveNvdClient)
+    assert isinstance(_nvd_client(session), FixtureNvdClient)
+    session.config = config._replace(nvd=config.nvd._replace(fixture_dir=None))
+    assert isinstance(_nvd_client(session), LiveNvdClient)
 
 
 def test_every_pipeline_flag_overrides_a_config_field():
@@ -1071,6 +1129,6 @@ def test_readme_config_passes_the_strict_check(tmp_path, monkeypatch):
     monkeypatch.setenv("PENHEAL_LLM_API_KEY", "test-key")
     args = cli.build_parser().parse_args(["run", "--config", str(config),
                                           "--out", str(tmp_path / "out")])
-    config, _ = cli._stage_setup(args)
+    config = cli.Session(args).setup()
     assert (config.mode, config.llm.api_key) == ("live", "test-key")
     assert config.nvd.cache_dir and config.cost_policy.user_preference_text

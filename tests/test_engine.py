@@ -882,6 +882,24 @@ class TestScriptedRuns:
         assert task.status is TaskStatus.FAILED
         assert "no executable command" in task.result_summary
 
+    @pytest.mark.parametrize("line", ["2. Old probe [faıled]", "2. Old probe [FAİLED]",
+                                      "٢. Old probe [todo]"])
+    def test_a_non_ascii_keyword_or_id_makes_no_plan_line(self, line):
+        """Status words and task ids are ASCII: a dotless or dotted capital i folds to ``i``
+        only in Unicode, and ``٢`` is a digit only in Unicode, so the line is skipped."""
+        init = f"1 Recon [to-do]\n{line}"
+        gateway = gw(
+            {
+                AgentRole.PLANNER: [init, "1", f"1 Recon [completed] - result: r\n{line}"],
+                AgentRole.EXECUTOR: ["$nmap 10.0.0.1$"],
+                AgentRole.SUMMARIZER: ["ports listed"],
+                AgentRole.EXTRACTOR: ["NONE", "NONE"],
+            }
+        )
+        config = RunConfig(target_address="10.0.0.1", max_iterations=1)
+        result = run_pentest(config, SimulatorBackend(HOST), gateway, KnowledgeBase())
+        assert [(n.id, n.status) for n in walk(result.plan)] == [("1", TaskStatus.COMPLETED)]
+
     def test_empty_executor_reply_is_asked_again(self):
         init = "1 Recon [to-do]\n  1.1 Scan the target [to-do]"
         done = "1 Recon [to-do]\n  1.1 Scan the target [completed] - result: ports listed"

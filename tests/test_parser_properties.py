@@ -1,8 +1,10 @@
 """Properties of the parsers of model text: each returns or raises its documented error,
 and what it returns stays within its caps, whatever the model wrote."""
 
+import ast
 import re
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from plan_invariants import find, validate_plan, walk
 
-from penheal import engine
+from penheal import engine, remediation
 from penheal.cvss import CONSERVATIVE_DEFAULT_VECTOR, parse_vector
 from penheal.engine import (
     MAX_COMMANDS,
@@ -444,3 +446,72 @@ def test_port_with_more_digits_than_int_reads_is_a_warning():
     findings, warnings = parse_extractor_blocks(text)
     assert findings[0].port is None
     assert len(warnings) == 1 and len(warnings[0]) <= WARNING_CAP
+
+
+# Non-ASCII letters that Unicode case folding matches to ASCII ones under re.IGNORECASE.
+_LOOKALIKES = {"i": "ıİ", "s": "ſ", "k": "K"}
+_KEYWORD = re.compile(r"<([^<>]*)>")  # marks the keywords of a grammar line below
+# parser of model text: (its documented errors, grammar lines)
+_KEYWORD_GRAMMARS = {
+    parse_plan_text: ((), [
+        "1 Recon [<to-do>]", "1.1 Scan ports [<failed>] - <result>: port 21 open",
+        "2. Exploit the file service [<Done>] - <Result>: root shell", "2.1 Try it [<FAILED>]",
+        "3 Report [<todo>]"]),
+    parse_extractor_blocks: ((), [
+        "<Exploited>: <CVE>-2011-2523", "<exploited>: <cve-na>", "<EXPLOITED>: <CVE>-2017-0144",
+        "service: ftp", "Port: 21", "description: backdoor", "method: msf"]),
+    lambda reply: parse_evaluation(reply, CostPolicy().tiers()): ((ValueError,), [
+        "<effect>: <full>", "<Effect>: <partial> 40%", "<EFFECT>: <negative> 25",
+        "<effect>: <zero>", "<cost>: <high>", "<Cost>: <low>", "<cost>: <Moderate>",
+        "<COST>: 3.5", "<targets>: CVE-2011-2523@ftp:21"]),
+}
+
+
+def _foldable(line: str) -> list[int]:
+    """The indices in ``line`` of the keyword letters that have a lookalike."""
+    return [m.start(1) + i for m in _KEYWORD.finditer(line) for i, c in enumerate(m[1])
+            if c.lower() in _LOOKALIKES]
+
+
+@st.composite
+def _one_keyword_folded(draw, grammar: list[str]) -> tuple[str, str]:
+    """A reply of grammar lines in which one keyword letter is a lookalike, and the same
+    reply with that line left blank."""
+    lines = draw(st.lists(st.sampled_from(grammar), max_size=5))
+    line = draw(st.sampled_from([g for g in grammar if _foldable(g)]))
+    at = draw(st.sampled_from(_foldable(line)))
+    folded = line[:at] + draw(st.sampled_from(_LOOKALIKES[line[at].lower()])) + line[at + 1:]
+    where = draw(st.integers(0, len(lines)))
+    return tuple("\n".join(_KEYWORD.sub(r"\1", g) for g in [*lines[:where], middle, *lines[where:]])
+                 for middle in (folded, ""))
+
+
+def _outcome(parse, errors, reply):
+    """What ``parse`` returns for ``reply``, or the type of the documented error it raises."""
+    try:
+        return parse(reply)
+    except errors as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("parse", list(_KEYWORD_GRAMMARS),
+                         ids=["plan", "extractor", "evaluation"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_a_keyword_with_a_folding_lookalike_is_no_keyword(parse, data):
+    """Keywords are ASCII: the line of a folded keyword reads as a blank line, so the parser
+    raises only its documented error and returns nothing read from that keyword."""
+    errors, grammar = _KEYWORD_GRAMMARS[parse]
+    folded, blanked = data.draw(_one_keyword_folded(grammar))
+    assert _outcome(parse, errors, folded) == _outcome(parse, errors, blanked)
+
+
+@pytest.mark.parametrize("module", [engine, remediation])
+def test_every_case_folded_pattern_keeps_its_keywords_ascii(module):
+    """Each ``re.compile(..., re.IGNORECASE)`` of a parser module holds ``(?a:``, the scope in
+    which its keywords match ASCII letters only."""
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    patterns = [ast.get_source_segment(source, node.args[0]) for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "re.compile"
+                and "IGNORECASE" in ast.unparse(node)]
+    assert patterns and all("(?a:" in pattern for pattern in patterns)

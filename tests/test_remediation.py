@@ -582,6 +582,19 @@ class TestEvaluate:
         scored, _ = evaluate(rec, EvaluatorContext([target], CostPolicy()), gateway)
         assert (scored.value, scored.cost) == (9.0, 2.0)
 
+    @pytest.mark.parametrize("reply", ["effect: full\ncost: hıgh",
+                                       "effect: partıal 40\ncost: low"])
+    def test_a_keyword_with_a_folding_lookalike_is_asked_again(self, reply):
+        """A dotless i matches ``i`` only by Unicode case folding, and keywords are ASCII:
+        the reply is unparseable, and the evaluator is asked again."""
+        target = finding("CVE-NA", "samba", 445, score=9.0)
+        rec = Recommendation(text="Update Samba now", target_vuln_ids=(target.key_str,))
+        gateway = gw({AgentRole.EVALUATOR: [reply, "effect: partial 40\ncost: high"]})
+        scored, warnings = evaluate(rec, EvaluatorContext([target], CostPolicy()), gateway)
+        assert (scored.value, scored.cost) == (3.6, 10.0)
+        assert warnings == [f"{target.key_str} candidate 1: unparseable evaluation reply: "
+                            f"{reply!r}"]
+
     def test_unparseable_twice_conservative_default(self):
         a = finding(score=5.0)
         rec = Recommendation(text="x", target_vuln_ids=(a.key_str,))

@@ -10,6 +10,7 @@ compared by ``float.hex`` so that a -0.0, which the artifact writes as such, is 
 
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +83,15 @@ _SCORES = st.lists(st.integers(0, 100).map(lambda tenths: tenths / 10), max_size
 @example("effect: partial 100.5%\ncost: 2", [9.8, 7.5])  # k past 100
 @example("effect: partial 33.333333\ncost: low", [9.9, 0.1, 7.7])
 @example("effect: partial 40\neffect: full\ncost: low", [5.0])  # the last line wins
-@example("effect: partıal 40\ncost: low", [9.8])  # a dotless i: matched by case folding, zero
 def test_value_equals_the_class_based_rule(reply, scores):
     value = compute_value(parse_evaluation(reply, CostPolicy().tiers()), scores)
     assert value.hex() == ref_compute_value(*ref_effect(reply), scores).hex()
+
+
+def test_an_effect_word_matched_only_by_case_folding_is_unparseable():
+    """The reference reads ``partıal`` (a dotless i), which its Unicode case folding matches
+    to ``partial``, as no class, so zero. Keywords are ASCII now: the reply has no effect
+    line, and ``parse_evaluation`` raises, so the evaluator is asked again."""
+    assert ref_compute_value(*ref_effect("effect: partıal 40\ncost: low"), [9.8]) == 0.0
+    with pytest.raises(ValueError, match="unparseable evaluation reply"):
+        parse_evaluation("effect: partıal 40\ncost: low", CostPolicy().tiers())
