@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Protocol, Union
 
 from .gateway import AgentRole, Gateway
 from .model import (
@@ -437,23 +437,17 @@ MAX_FINDINGS = 32  # "Exploited:" blocks parsed from one extractor reply, in rep
 
 def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
     """Parse the first MAX_FINDINGS "Exploited:" blocks into findings, warning of skipped ones."""
-    stripped = text.strip()
-    if not stripped or stripped.upper() == "NONE":
-        return [], []
-
-    blocks: list[list[str]] = []
-    current: Optional[list[str]] = None
-    for line in stripped.splitlines():
-        if _EXPLOITED_LINE.match(line):
-            current = [line]
-            blocks.append(current)
-        elif current is not None:
-            current.append(line)
+    blocks: list[list[str]] = []  # each: the header's id text, then the block's lines
+    for line in text.strip().splitlines():
+        if match := _EXPLOITED_LINE.match(line):
+            blocks.append([match.group(1)])
+        elif blocks:
+            blocks[-1].append(line)
 
     findings: list[Vulnerability] = []
     warnings: list[str] = []
     for block in blocks[:MAX_FINDINGS]:
-        header = _EXPLOITED_LINE.match(block[0]).group(1)
+        header = block[0]
         cve_match = _CVE_TOKEN.search(header)
         if not cve_match:
             warnings.append(f"skipped block with unrecognized id: {header[:60]!r}")
@@ -488,10 +482,9 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
 
 
 def extract_findings(
-    records: Iterable[ExecutionRecord], gateway: Gateway
+    records: list[ExecutionRecord], gateway: Gateway
 ) -> tuple[list[Vulnerability], list[str]]:
     """Run the extractor over executed commands and their summaries."""
-    records = list(records)
     if not records:
         return [], []
     history_text = "\n".join(
@@ -569,22 +562,21 @@ def run_pentest(
             mark_task(plan, task_id, TaskStatus.FAILED, "no executable command produced")
             warnings.append(f"{task_id}: executor produced no command twice")
         else:
-            iteration_records = []
+            start = len(history)
             for command in commands:
                 output, status = execute(command, executor_backend)
                 summary = summarize(command.raw, output, gateway)
                 record = ExecutionRecord(command.raw, command.channel, output, summary, status)
-                iteration_records.append(record)
                 history.append(record)
 
-            candidates, extract_warnings = extract_findings(iteration_records, gateway)
+            candidates, extract_warnings = extract_findings(history[start:], gateway)
             warnings.extend(extract_warnings)
             known = {v.key for v in findings_so_far}
             new_findings = [v for v in candidates if v.key not in known]
             findings_so_far.extend(new_findings)
 
             combined = clip_summary(
-                " / ".join(r.summary for r in iteration_records), SUMMARY_CAP
+                " / ".join(r.summary for r in history[start:]), SUMMARY_CAP
             )
             warnings.extend(update_plan(plan, task_id, combined, gateway))
 

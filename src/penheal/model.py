@@ -244,21 +244,11 @@ class CommandChannel(IdentityEnum):
     MSFCONSOLE = "msfconsole"
 
 
-class _CommandFields(NamedTuple):
+class Command(NamedTuple):
+    """One command for a backend; ``engine.parse_commands`` builds each, never blank."""
+
     raw: str
     channel: CommandChannel = CommandChannel.SHELL
-
-
-class Command(_CommandFields):
-    """One command for a backend; its text must not be blank."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.raw.strip():
-            raise ValueError("command must be non-empty")
-        return self
 
 
 class TaskNode(NamedTuple):

@@ -997,6 +997,24 @@ def test_only_the_remediation_stage_builds_a_cost_tier_table():
 
 
 
+def command_calls(node, function="<module>"):
+    """The enclosing function of every ``Command(...)`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and "Command" in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+            yield function
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        yield from command_calls(child, inner or function)
+
+
+def test_only_parse_commands_builds_a_command():
+    """``Command`` checks nothing itself: ``engine.parse_commands`` holds the non-blank rule,
+    so it alone may build one."""
+    builders = {(path.stem, function) for path in sorted((SRC / "penheal").glob("*.py"))
+                for function in command_calls(ast.parse(path.read_text(encoding="utf-8")))}
+    assert builders == {("engine", "parse_commands")}
+
+
 def handlers(node, function="<module>"):
     """(enclosing function, handler) for every ``except`` clause under ``node``."""
     for child in ast.iter_child_nodes(node):
@@ -1034,8 +1052,9 @@ def names_read(node, function="<module>"):
 
 
 def test_only_main_picks_the_exit_code():
-    """A command returns the warnings it printed, if any, and ``main`` alone turns that or a
-    fatal error into the exit code: no other code in ``cli`` reads EXIT_OK or EXIT_PARTIAL."""
+    """A command adds each warning to the session, and ``main`` alone turns the session's
+    warnings or a fatal error into the exit code: no other code in ``cli`` reads EXIT_OK or
+    EXIT_PARTIAL."""
     tree = ast.parse((SRC / "penheal" / "cli.py").read_text(encoding="utf-8"))
     readers = {function for function, name in names_read(tree)
                if name in ("EXIT_OK", "EXIT_PARTIAL")}

@@ -166,10 +166,8 @@ class TestParseCommands:
 
     @pytest.mark.parametrize("raw", ["", "  ", "\n\t"])
     def test_blank_command_rejected(self, raw):
-        with pytest.raises(ValueError):
-            Command(raw)
-        with pytest.raises(ValueError):
-            Command(raw=raw, channel=CommandChannel.MSFCONSOLE)
+        assert parse_commands(f"${raw}$ $msfconsole:{raw}$") == (
+            [], ["empty command between $ delimiters", "empty msfconsole command"])
 
 
 class TestPlanText:
@@ -957,6 +955,46 @@ class TestScriptedRuns:
         assert second == first
         assert sum(1 for log in first.iterations if log.new_finding_keys) == 6
         assert first_memo.misses > 0 and second_memo == first_memo
+
+    def test_each_extractor_request_lists_its_iterations_commands(self):
+        """An iteration's records are the tail of the one history list: its extractor request
+        names just that iteration's commands, in order, and the final pass names them all."""
+
+        class ExtractorRecorder(ScriptedBackend):
+            def __init__(self, scripts):
+                super().__init__(scripts)
+                self.extractor_requests = []
+
+            def complete(self, role, model, messages):
+                if role is AgentRole.EXTRACTOR:
+                    self.extractor_requests.append(messages[-1].content)
+                return super().complete(role, model, messages)
+
+        init = "1 Recon [to-do]\n  1.1 Scan [to-do]\n  1.2 Probe [to-do]"
+        after1 = "1 Recon [to-do]\n  1.1 Scan [completed] - result: r\n  1.2 Probe [to-do]"
+        after2 = ("1 Recon [completed] - result: r\n  1.1 Scan [completed] - result: r\n"
+                  "  1.2 Probe [completed] - result: r")
+        backend = ExtractorRecorder({
+            AgentRole.PLANNER: [init, "1.1", after1, "1.2", after2],
+            AgentRole.EXECUTOR: ["$nmap -p- 10.0.2.4$ $msfconsole: search vsftpd$",
+                                 "$nmap -sV 10.0.2.4$"],
+            AgentRole.SUMMARIZER: ["ports listed", "module found", "versions listed"],
+            AgentRole.EXTRACTOR: ["NONE", "NONE", "NONE"],
+        })
+        config = RunConfig(target_address="10.0.2.4")
+        result = run_pentest(config, SimulatorBackend(HOST), Gateway(backend), KnowledgeBase())
+
+        def commands_in(request):
+            return [line for line in request.splitlines() if line.startswith("Command: ")]
+
+        assert [commands_in(request) for request in backend.extractor_requests] == [
+            ["Command: nmap -p- 10.0.2.4", "Command: search vsftpd"],
+            ["Command: nmap -sV 10.0.2.4"],
+            ["Command: nmap -p- 10.0.2.4", "Command: search vsftpd", "Command: nmap -sV 10.0.2.4"],
+        ]
+        assert [log.command_count for log in result.iterations] == [2, 1]
+        assert len(result.history) == sum(log.command_count for log in result.iterations)
+        assert backend.remaining() == {}
 
     def test_each_run_starts_with_an_empty_line_memo(self):
         first_plan = "1 Recon [to-do]\n  1.1 Scan [to-do]"

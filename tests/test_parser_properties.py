@@ -18,6 +18,7 @@ from penheal.engine import (
     MAX_COMMANDS,
     MAX_FINDINGS,
     MAX_PLAN_TASKS,
+    Command,
     CommandChannel,
     PlanTable,
     initial_plan,
@@ -504,6 +505,36 @@ def test_a_keyword_with_a_folding_lookalike_is_no_keyword(parse, data):
     errors, grammar = _KEYWORD_GRAMMARS[parse]
     folded, blanked = data.draw(_one_keyword_folded(grammar))
     assert _outcome(parse, errors, folded) == _outcome(parse, errors, blanked)
+
+
+@st.composite
+def _folded(draw, keyword: str) -> str:
+    """``keyword`` in some ASCII case with one letter swapped for a lookalike."""
+    word = draw(st.sampled_from([keyword.lower(), keyword.upper(), keyword.title()]))
+    at = draw(st.sampled_from([i for i, c in enumerate(word) if c.lower() in _LOOKALIKES]))
+    return word[:at] + draw(st.sampled_from(_LOOKALIKES[word[at].lower()])) + word[at + 1:]
+
+
+@settings(deadline=None)
+@given(_folded("msfconsole"), st.sampled_from([":", " : ", ":\t"]),
+       st.text(st.characters(blacklist_characters="$"), max_size=20))
+@example("mſfconsole", ":", " use exploit/unix/ftp/vsftpd_234_backdoor")
+def test_a_folded_msfconsole_prefix_is_a_shell_command(prefix, separator, rest):
+    """A folded ``msfconsole:`` is no console prefix: the body stays one shell command,
+    verbatim, and nothing is warned of."""
+    body = f"{prefix}{separator}{rest}".strip()
+    assert parse_commands(f"${body}$") == ([Command(body, CommandChannel.SHELL)], [])
+
+
+@settings(deadline=None)
+@given(_folded("CVSS"), st.lists(st.sampled_from(["The vector is:", "", "no vector here"]),
+                                 max_size=3))
+def test_a_folded_cvss_prefix_is_never_located(prefix, prose):
+    """The estimator's ``CVSS:`` is ASCII: a folded one locates no vector line, so the whole
+    reply is read, and it gives no metrics and one error."""
+    vector = prefix + CONSERVATIVE_DEFAULT_VECTOR.removeprefix("CVSS")
+    metrics, errors = _parse_vector_reply("\n".join([*prose, vector]))
+    assert metrics is None and len(errors) == 1
 
 
 @pytest.mark.parametrize("module", [engine, remediation])
