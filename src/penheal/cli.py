@@ -394,7 +394,10 @@ def cmd_ingest(session: Session) -> None:
 def cmd_replay(session: Session) -> None:
     exchanges = gw.load_transcript(session.args.transcript)
     bad = 0
+    chars: dict[gw.AgentRole, int] = {}  # request characters by role: what a live run sends
     for i, exchange in enumerate(exchanges):
+        sent = sum(len(turn.content) for turn in exchange.messages)
+        chars[exchange.role] = chars.get(exchange.role, 0) + sent
         recomputed = gw.request_hash(exchange.role, list(exchange.messages))
         if recomputed != exchange.request_hash:
             print(
@@ -406,6 +409,8 @@ def cmd_replay(session: Session) -> None:
     if bad:
         raise Fatal(f"transcript invalid: {bad} corrupted exchanges")
     print(f"transcript ok: {len(exchanges)} exchanges")
+    parts = [f"{role.value} {chars[role]:,}" for role in gw.AgentRole if role in chars]
+    print("prompt chars: " + ", ".join(parts + [f"total {sum(chars.values()):,}"]))
 
 
 # ---------------------------------------------------------------------------

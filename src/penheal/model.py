@@ -314,10 +314,10 @@ def dedupe_findings(findings: list[Vulnerability]) -> list[Vulnerability]:
     seen: set[tuple[str, str, Optional[int]]] = set()
     out: list[Vulnerability] = []
     for v in findings:
-        if v.key in seen:
-            continue
-        seen.add(v.key)
-        out.append(v)
+        key = v.key
+        if key not in seen:
+            seen.add(key)
+            out.append(v)
     return out
 
 

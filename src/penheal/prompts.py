@@ -279,10 +279,6 @@ def format_finding_lines(findings: list[Vulnerability]) -> str:
 
 
 def format_vulns_inline(findings: list[Vulnerability]) -> str:
-    """One-line-per-finding rendering for the evaluator's vulnerability slot."""
-    parts = []
-    for v in findings:
-        score_text = f", CVSS {v.cvss.base_score}" if v.cvss else ""
-        port = "?" if v.port is None else str(v.port)
-        parts.append(f"{v.key_str} ({v.service} on port {port}{score_text})")
-    return "; ".join(parts)
+    """The evaluator's vulnerability slot: each finding's key (id, service, port) and score."""
+    return "; ".join(f"{v.key_str} (CVSS {v.cvss.base_score})" if v.cvss else v.key_str
+                     for v in findings)

@@ -171,10 +171,11 @@ def advise(
     groups: list[RecommendationGroup] = []
     warnings: list[str] = []
     for finding in findings:
+        key = finding.key_str
         score = finding.cvss.base_score if finding.cvss else 0.0
         vector = finding.cvss.vector_string() if finding.cvss else "unknown"
         variables = {
-            "finding": finding.key_str,
+            "finding": key,
             "score": f"{score}",
             "vector": vector,
             "description": finding.description or "(no description)",
@@ -182,20 +183,14 @@ def advise(
         items, _ = ask(gateway, AgentRole.ADVISOR, "advise", variables,
                        parse=lambda reply: (parse_numbered_list(reply), []))
         if not items:
-            warnings.append(f"{finding.key_str[:60]}: advisor output unparseable, group dropped")
+            warnings.append(f"{key[:60]}: advisor output unparseable, group dropped")
             continue
         if len(items) > MAX_ADVISOR_ITEMS:
-            warnings.append(f"{finding.key_str[:60]}: {len(items) - MAX_ADVISOR_ITEMS} advisor "
+            warnings.append(f"{key[:60]}: {len(items) - MAX_ADVISOR_ITEMS} advisor "
                             f"item(s) past the first {MAX_ADVISOR_ITEMS} dropped")
             del items[MAX_ADVISOR_ITEMS:]
-        groups.append(
-            RecommendationGroup(
-                candidates=tuple(
-                    Recommendation(text=item, target_vuln_ids=(finding.key_str,))
-                    for item in items
-                ),
-            )
-        )
+        groups.append(RecommendationGroup(candidates=tuple(
+            Recommendation(text=item, target_vuln_ids=(key,)) for item in items)))
     return groups, warnings
 
 
@@ -269,13 +264,19 @@ def compute_value(verdict: EvaluationVerdict, target_scores: list[float]) -> flo
     return min(max(round(verdict.effect * total, 2), -total), total)
 
 
+def _fold_key(key: str) -> str:
+    """A target key folded as ``Vulnerability.key`` folds case: id upper, service and port lower."""
+    cve_id, at, rest = key.partition("@")
+    return cve_id.upper() + at + rest.lower()
+
+
 class EvaluatorContext:
     """What every evaluate call over one finding list and cost policy shares, built once.
 
     The system turn holds every finding plus the value and cost rules; ``tiers``
     is the run's one cost-tier table, which the replies are read against. Target
-    keys resolve by finding key first, then by CVE id (never CVE-NA); each
-    lookup takes the first finding that matches.
+    keys resolve by finding key first, case folded by ``_fold_key``, then by CVE
+    id in any case (never CVE-NA); each lookup takes the first finding that matches.
     """
 
     def __init__(self, findings: list[Vulnerability], policy: CostPolicy):
@@ -289,19 +290,21 @@ class EvaluatorContext:
             },
             "system",
         )
-        self.by_key: dict[str, Vulnerability] = {}
-        self.by_id: dict[str, Vulnerability] = {}
+        self.by_key: dict[str, tuple[str, Vulnerability]] = {}
+        self.by_id: dict[str, tuple[str, Vulnerability]] = {}
         for f in findings:
-            self.by_key.setdefault(f.key_str, f)
+            key = f.key_str
+            target = (key, f)
+            self.by_key.setdefault(_fold_key(key), target)
             if f.id.upper() != CVE_NA:
-                self.by_id.setdefault(f.id.upper(), f)
+                self.by_id.setdefault(f.id.upper(), target)
 
-    def resolve(self, keys: Iterable[str]) -> tuple[list[Vulnerability], list[str]]:
-        """The distinct findings ``keys`` name, in order, and the keys naming none."""
-        resolved: list[Vulnerability] = []
+    def resolve(self, keys: Iterable[str]) -> tuple[list[tuple[str, Vulnerability]], list[str]]:
+        """The distinct (key, finding) pairs ``keys`` name, in order, and the keys naming none."""
+        resolved: list[tuple[str, Vulnerability]] = []
         unknown: list[str] = []
         for key in keys:
-            match = self.by_key.get(key) or self.by_id.get(key.upper())
+            match = self.by_key.get(_fold_key(key)) or self.by_id.get(key.upper())
             if match is None:
                 unknown.append(key)
             elif match not in resolved:
@@ -349,12 +352,12 @@ def evaluate(
     if unknown:
         warnings.append(f"{label}: evaluator named {len(unknown)} unknown target(s), "
                         f"the first {unknown[0][:60]!r}; ignored")
-    scores = [t.cvss.base_score if t.cvss else 0.0 for t in targets]
+    scores = [t.cvss.base_score if t.cvss else 0.0 for _, t in targets]
     return (
         recommendation._replace(
             cost=verdict.cost,
             value=compute_value(verdict, scores),
-            target_vuln_ids=tuple([t.key_str for t in targets]),
+            target_vuln_ids=tuple([key for key, _ in targets]),
             rationale=rationale,
         ),
         warnings,

@@ -243,7 +243,19 @@ class TestReplaySubcommand:
         fixtures = resources.files("penheal.data").joinpath("fixtures/golden6.jsonl")
         with resources.as_file(fixtures) as path:
             assert run_cli("replay", str(path)) == 0
-        assert "transcript ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "transcript ok" in out
+        assert out.splitlines()[1] == (
+            "prompt chars: Planner 56,359, Executor 27,156, Summarizer 7,418, Extractor 7,765, "
+            "Estimator 4,820, Advisor 5,208, Evaluator 31,928, total 140,654")
+
+    def test_prompt_chars_leave_out_roles_with_no_exchange(self, capsys):
+        fixtures = resources.files("penheal.data").joinpath("fixtures/nofind.jsonl")
+        with resources.as_file(fixtures) as path:
+            assert run_cli("replay", str(path)) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "prompt chars: Planner 7,575, Executor 6,644, Summarizer 1,713, Extractor 1,911, "
+            "total 17,843")
 
     def test_truncated_transcript_fails(self, tmp_path, capsys):
         fixtures = resources.files("penheal.data").joinpath("fixtures/golden6.jsonl")

@@ -24,6 +24,7 @@ from penheal.model import (
     RecommendationStatus,
     RunConfig,
     Vulnerability,
+    dedupe_findings,
 )
 from penheal.nvd import CveNotFound, FixtureNvdClient, NvdError
 from penheal.remediation import (
@@ -41,6 +42,7 @@ from penheal.remediation import (
     remediate,
     select,
 )
+from penheal.prompts import format_vulns_inline
 
 
 def gw(scripts):
@@ -630,19 +632,25 @@ class TestEvaluate:
         assert "downtime is unacceptable" in system_text
 
 
+def fold_key(key):
+    """Case as ``Vulnerability.key`` has it: upper before the first "@", lower after it."""
+    head, at, tail = key.partition("@")
+    return head.upper() + at + tail.lower()
+
+
 def linear_resolve(keys, findings):
-    """Reference target resolution: scan for the first key match, then the first id match."""
+    """Reference target resolution: the first folded key match, then the first id match."""
     resolved, unknown = [], []
     for key in keys:
-        match = next((f for f in findings if f.key_str == key), None)
+        match = next((f for f in findings if fold_key(f.key_str) == fold_key(key)), None)
         if match is None:
             match = next(
                 (f for f in findings if f.id.upper() == key.upper() != CVE_NA), None
             )
         if match is None:
             unknown.append(key)
-        elif match not in resolved:
-            resolved.append(match)
+        elif (match.key_str, match) not in resolved:
+            resolved.append((match.key_str, match))
     return resolved, unknown
 
 
@@ -658,23 +666,65 @@ loose_findings = st.lists(
     max_size=8,
 )
 
+scored_findings = st.lists(
+    st.builds(
+        Vulnerability,
+        id=st.one_of(st.sampled_from([CVE_NA, "cve-na", "Cve-Na"]),
+                     st.from_regex(r"[Cc][Vv][Ee]-(19|20)[0-9]{2}-[0-9]{4,7}", fullmatch=True)),
+        service=st.one_of(st.sampled_from(["ftp", "FTP", "http ", "Samba"]),
+                          st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                                blacklist_characters=";"), max_size=12)),
+        port=st.one_of(st.none(), st.integers(0, 65535)),
+        cvss=st.one_of(st.none(), st.integers(0, 100).map(
+            lambda tenths: finding(score=tenths / 10).cvss)),
+    ),
+    max_size=12,
+).map(dedupe_findings)
+
 
 class TestEvaluatorContext:
     @given(loose_findings, st.data())
     @settings(max_examples=200, deadline=None)
     def test_resolve_matches_linear_scan(self, findings, data):
-        names = IDS + ["CVE-0000-0000@x:1", "cve-2011-2523@ftp:21", "ftp"]
+        names = IDS + ["CVE-0000-0000@x:1", "cve-2011-2523@ftp:21", "CVE-2011-2523@FTP:21",
+                       "cve-na@HTTP:80", "Cve-Na@Ftp:-", "ftp"]
         names += [f.key_str for f in findings] + [f.id.lower() for f in findings]
         keys = data.draw(st.lists(st.sampled_from(names), max_size=10))
         got = EvaluatorContext(findings, CostPolicy()).resolve(keys)
         expected = linear_resolve(keys, findings)
         assert got == expected
         # Identity, not only equality: the first matching finding is the one returned.
-        assert [id(f) for f in got[0]] == [id(f) for f in expected[0]]
+        assert [id(f) for _, f in got[0]] == [id(f) for _, f in expected[0]]
 
     def test_unnamed_finding_never_resolves_by_id_in_any_case(self):
         context = EvaluatorContext([Vulnerability("cve-na", "ftp", 21)], CostPolicy())
         assert context.resolve(["CVE-NA", "cve-na"]) == ([], ["CVE-NA", "cve-na"])
+
+    def test_target_keys_fold_case_as_finding_keys_do(self):
+        ftp, http = finding("CVE-2011-2523", "ftp", 21, 9.8), finding("CVE-NA", "http", 80, 5.0)
+        reply = "effect: full\ncost: low\ntargets: cve-na@http:80, CVE-2011-2523@FTP:21"
+        rec = Recommendation(text="x", target_vuln_ids=(ftp.key_str,))
+        scored, warnings = evaluate(rec, EvaluatorContext([ftp, http], CostPolicy()),
+                                    gw({AgentRole.EVALUATOR: [reply]}))
+        assert warnings == []
+        assert scored.target_vuln_ids == ("CVE-2011-2523@ftp:21", "CVE-NA@http:80")
+        assert scored.value == 14.8
+
+    @given(scored_findings)
+    @settings(max_examples=200, deadline=None)
+    def test_system_list_names_each_finding_once_by_a_key_that_resolves(self, findings):
+        context = EvaluatorContext(findings, CostPolicy())
+        rendered = format_vulns_inline(findings)
+        assert f"these vulnerabilities: {rendered}. If" in context.system
+        entries = rendered.split("; ") if findings else []
+        assert len(entries) == len(findings)
+        for entry, f in zip(entries, findings):
+            key = f.key_str
+            assert entry == (f"{key} (CVSS {f.cvss.base_score})" if f.cvss else key)
+            for spelling in (key, key.swapcase()):
+                resolved, unknown = context.resolve([spelling])
+                assert (resolved, unknown) == ([(key, f)], [])
+                assert resolved[0][1] is f
 
 
 def scored_rec(text, key, cost, value):
