@@ -341,10 +341,9 @@ def initial_plan(config: RunConfig, gateway: Gateway) -> tuple[PlanTable, list[s
 
 
 def select_next_task(plan: PlanTable, gateway: Gateway) -> str:
-    """Ask the planner for the next task id; fall back to depth-first first to-do."""
+    """The planner's pick of the next to-do task id, else the first depth-first. A to-do task
+    exists: ``run_pentest`` selects only after ``termination_reason`` finds one."""
     todo = plan.todo()
-    if not todo:
-        raise EngineError("no to-do tasks remain")
     response = ask(gateway, AgentRole.PLANNER, "select", {"plan": render_plan(plan)})
     for token in re.findall(r"\d+(?:\.\d+)*", response):
         if token in todo:
@@ -353,10 +352,8 @@ def select_next_task(plan: PlanTable, gateway: Gateway) -> str:
 
 
 def update_plan(plan: PlanTable, task_id: str, summary: str, gateway: Gateway) -> list[str]:
-    """Let the planner mark the executed task and extend the plan; returns the warnings."""
-    task = plan.tasks.get(task_id)
-    if task is None or task[1] is not TaskStatus.TODO:
-        raise EngineError(f"task {task_id} does not exist or is not to-do")
+    """Let the planner settle the to-do task ``run_pentest`` just selected; returns the warnings."""
+    task = plan.tasks[task_id]
     variables = {"plan": render_plan(plan), "task_id": task_id, "summary": summary}
     response = ask(gateway, AgentRole.PLANNER, "update", variables)
     lines = parse_plan_text(response)
@@ -396,14 +393,9 @@ def _covers(vuln_id: str, service: str, port: Optional[int], text: str) -> bool:
 def counterfactual_update(
     plan: PlanTable, findings: list[Vulnerability], gateway: Gateway
 ) -> list[str]:
-    """Issue the as-if-they-did-not-exist re-planning prompt and verify the result.
-
-    After applying the planner's revision, any to-do task that still covers
-    an already-found weakness is force-marked completed: the guarantee is
-    mechanical, not left to the model. Returns the warnings.
-    """
-    if not findings:
-        raise EngineError("counterfactual update requires at least one finding")
+    """Re-plan as if the ``findings`` (not empty: ``run_pentest`` asks only after new ones) did
+    not exist, then force-mark completed each to-do task that still covers one: the guarantee is
+    mechanical, not left to the model. Returns the warnings."""
     variables = {"findings": format_finding_lines(findings), "plan": render_plan(plan)}
     response = ask(gateway, AgentRole.PLANNER, "counterfactual", variables)
     lines = parse_plan_text(response)

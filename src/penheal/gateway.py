@@ -214,9 +214,8 @@ class Gateway:
             self._record_path.write_text("", encoding="utf-8")
 
     def complete(self, role: AgentRole, history: list[ChatTurn]) -> str:
-        """One chat completion for the role; history must start with its system prompt."""
-        if not history or history[0].role_tag is not RoleTag.SYSTEM:
-            raise GatewayError(f"{role.value} history must start with a system turn")
+        """One chat completion for the role; ``history`` starts with its system turn, as
+        ``prompts.ask``, the one caller, builds every history."""
         model, budget = self._routes[role]
         messages = _truncate(history, budget)
         response = self.backend.complete(role, model, messages)

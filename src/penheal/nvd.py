@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 from . import cvss
 from .model import CVE_ID, DATA_DIR, CvssMetrics, load_json
 
-CVE_PATTERN = re.compile(rf"^{CVE_ID}$")
+CVE_PATTERN = re.compile(rf"^{CVE_ID}$", re.ASCII)
 BUNDLED_DIR = DATA_DIR / "nvd"
 # Errors opening a record path that mean there is no record: nothing there, a
 # directory, a path through a file, or a dangling or looping link.

@@ -196,11 +196,9 @@ cost: low | moderate | high | <number between 0 and 10>""",
 
 
 def render_prompt(role: AgentRole, variables: dict[str, str], kind: str = "system") -> str:
-    """Fill the role's template with variables, substituted verbatim."""
-    try:
-        template = TEMPLATES[(role, kind)]
-    except KeyError:
-        raise PromptError(f"no template for role {role.value!r}, kind {kind!r}") from None
+    """Fill the role's ``kind`` template with variables, substituted verbatim; an unknown kind
+    is a KeyError (a source test checks that every call names a catalog kind)."""
+    template = TEMPLATES[(role, kind)]
     try:
         return template.format_map(variables)
     except KeyError as exc:

@@ -297,7 +297,7 @@ def _simulate_shell(sim: SimulatorBackend, text: str) -> str:
 
 def _port_in_command(text: str) -> Optional[int]:
     for token in text.replace(":", " ").split():
-        if token.isdigit():
+        if token.isascii() and token.isdigit():  # int() refuses `²`; `٢١` names no port
             value = int(token)
             if 0 < value <= 65535:
                 return value

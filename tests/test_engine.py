@@ -31,7 +31,6 @@ from penheal.engine import (
     counterfactual_update,
     execute,
     initial_plan,
-    mark_task,
     merge_revision,
     parse_commands,
     parse_extractor_blocks,
@@ -283,11 +282,6 @@ class TestSelectNextTask:
         gateway = gw({AgentRole.PLANNER: ["1.1"]})
         assert select_next_task(plan, gateway) == "1"  # first to-do depth-first
 
-    def test_exhausted_plan_signals(self):
-        plan = plan_from("1 done [completed] - result: r")
-        with pytest.raises(EngineError, match="no to-do tasks remain"):
-            select_next_task(plan, gw({AgentRole.PLANNER: ["1"]}))
-
 
 class TestUpdatePlan:
     def test_success_marks_completed(self):
@@ -326,12 +320,6 @@ class TestUpdatePlan:
         warnings = update_plan(plan, "2.1", "summary text", gateway)
         assert node(plan, "2.1").status is TaskStatus.FAILED
         assert any("did not settle" in w for w in warnings)
-
-    def test_non_todo_target_rejected(self):
-        plan = basic_plan()
-        mark_task(plan, "2.1", TaskStatus.COMPLETED, "done")
-        with pytest.raises(EngineError):
-            update_plan(plan, "2.1", "s", gw({AgentRole.PLANNER: ["x"]}))
 
 
 FINDINGS = [
@@ -386,10 +374,6 @@ class TestCounterfactual:
         warnings = counterfactual_update(plan, FINDINGS, gateway)
         assert any("unparseable" in w for w in warnings)
         assert node(plan, "2.1").status is TaskStatus.COMPLETED  # verification ran
-
-    def test_requires_findings(self):
-        with pytest.raises(EngineError):
-            counterfactual_update(basic_plan(), [], gw({}))
 
     def test_unnamed_finding_in_any_case_matches_by_service_and_port_only(self):
         plan = plan_from("1 Look up CVE-NA entries for the target [to-do]")

@@ -65,10 +65,6 @@ class TestRenderPrompt:
             render_prompt(AgentRole.PLANNER, {}, kind="init")
         assert "target" in str(exc_info.value)
 
-    def test_unknown_template_rejected(self):
-        with pytest.raises(PromptError):
-            render_prompt(AgentRole.SUMMARIZER, {}, kind="nonsense")
-
     def test_substitution_is_single_pass(self):
         text = render_prompt(AgentRole.PLANNER, {"target": "{plan}"}, kind="init")
         assert "{plan}" in text
@@ -232,11 +228,6 @@ class TestRecordReplay:
             AgentRole.PLANNER,
         ]
         assert [e.response for e in loaded] == ["p1", "e1", "s1", "p2"]
-
-    def test_history_must_start_with_system(self):
-        gateway = Gateway(ScriptedBackend({AgentRole.PLANNER: ["x"]}))
-        with pytest.raises(GatewayError):
-            gateway.complete(AgentRole.PLANNER, [ChatTurn(RoleTag.USER, "no system")])
 
 
 def _reference_hash(role, messages):

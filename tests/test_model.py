@@ -413,6 +413,14 @@ class TestFindingIdentity:
                 _validated_id(not_a_cve)
             assert len(str(exc_info.value)) <= 100  # the id is quoted clipped
 
+    @pytest.mark.parametrize("digits", ["\uff12\uff10\uff11\uff11-\uff12\uff15\uff12\uff13",
+                                        "\u0662\u0660\u0661\u0661-\u0662\u0665\u0662\u0663"],
+                             ids=["fullwidth", "arabic-indic"])
+    def test_id_digits_are_ascii(self, digits):
+        """The id grammar is the extractor's, in ASCII: other digits name no CVE to look up."""
+        with pytest.raises(ValueError, match="not a CVE identifier"):
+            _validated_id(f"CVE-{digits}")
+
     @given(
         st.text(
             alphabet=st.characters(min_codepoint=33, max_codepoint=126),

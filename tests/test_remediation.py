@@ -365,6 +365,16 @@ class TestEnrich:
         assert enriched[0].cvss.base_score == 9.8
         assert (gateway.backend.calls, warnings) == ([], [])
 
+    @pytest.mark.parametrize("digits", ["\uff12\uff10\uff11\uff11-\uff12\uff15\uff12\uff13",
+                                        "\u0662\u0660\u0661\u0661-\u0662\u0665\u0662\u0663"],
+                             ids=["fullwidth", "arabic-indic"])
+    def test_non_ascii_digit_id_is_estimated_without_a_lookup(self, digits):
+        gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
+        findings = [Vulnerability(id=f"CVE-{digits}", service="ftp", port=21)]
+        enriched, warnings = enrich_findings(findings, gateway, FixtureNvdClient())
+        assert enriched[0].cvss_source is CvssSource.ESTIMATED
+        assert warnings == []  # no "not in the CVE database" warning: no id was looked up
+
     def test_lookup_miss_falls_back_to_estimator(self):
         gateway = gw({AgentRole.ESTIMATOR: ["CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:L/A:L"]})
         findings = [Vulnerability(id="CVE-1999-99999", service="x", port=1)]

@@ -1,11 +1,14 @@
 """The request path is static: every agent request names its role and a catalog template.
 
-A kind that names no template raises ``PromptError`` only when its call runs, which for a
-live-only path is too late; these checks read the source instead.
+A kind that names no template raises a ``KeyError`` only when its call runs, which for a
+live-only path is too late; these checks read the source instead. So do the checks that each
+helper which trusts its caller's state has that one caller.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 from penheal.gateway import AgentRole
 from penheal.prompts import TEMPLATES
@@ -13,15 +16,28 @@ from penheal.prompts import TEMPLATES
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "penheal"
 
 
+def enclosed_calls(node, function="<module>"):
+    """(enclosing function, call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield function, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        yield from enclosed_calls(child, inner or function)
+
+
+def located_calls(name):
+    """(module, enclosing function, call) for every call of ``name`` or ``<anything>.name``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, node in enclosed_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                yield path.stem, function, node
+
+
 def calls(name):
     """(module, call) for every call of ``name`` or ``<anything>.name`` in the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
-                    yield path.stem, node
+    for module, _, node in located_calls(name):
+        yield module, node
 
 
 def argument(call, index, keyword):
@@ -74,3 +90,20 @@ def test_only_prompts_renders_a_request_template():
         assert kind is None or literal(kind) == "system", f"{module}.py line {call.lineno}"
         rendered += 1
     assert rendered  # the executor's and the evaluator's system turns
+
+
+def test_only_ask_sends_a_request():
+    """``Gateway.complete`` trusts its history to start with the system turn: outside
+    ``gateway``, only ``prompts.ask`` calls it, and it builds every history that way."""
+    senders = {(module, function) for module, function, _ in located_calls("complete")
+               if module != "gateway"}
+    assert senders == {("prompts", "ask")}
+
+
+@pytest.mark.parametrize("step", ["select_next_task", "update_plan", "counterfactual_update"])
+def test_only_the_loop_runs_a_plan_step(step):
+    """Each step trusts the loop's state: ``select_next_task`` runs only while a to-do task
+    remains, ``update_plan`` gets the task just selected, and ``counterfactual_update`` runs
+    only after new findings."""
+    assert {(module, function) for module, function, _ in located_calls(step)} == {
+        ("engine", "run_pentest")}

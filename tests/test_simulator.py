@@ -25,9 +25,27 @@ def msf(batch):
     return Command(batch, CommandChannel.MSFCONSOLE)
 
 
+BUNDLED_HOST = load_host_model()
+
+
 @pytest.fixture(scope="module")
 def host():
-    return load_host_model()
+    return BUNDLED_HOST
+
+
+# A first word of either grammar, then the target, a number in digits of any script, and
+# more words, so commands reach the port, module and option parsers as well as the fallbacks.
+_FIRST_WORDS = ["nc", "telnet", "curl", "wget", "ftp", "nmap", "ping", "ssh", "showmount",
+                "use", "set", "search", "exploit"]
+_WORDS = [TARGET, ";", ":", "\n", "RHOSTS", "RPORT", "21", "6667", "70000", "0",
+          "exploit/unix/ftp/vsftpd_234_backdoor"]
+_words = st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=4)), max_size=6)
+_number = st.text(st.characters(categories=["Nd", "No"]), min_size=1, max_size=5)
+_command_text = st.one_of(
+    st.text(),
+    st.builds(lambda first, rest: " ".join([first, *rest]), st.sampled_from(_FIRST_WORDS), _words),
+    st.builds(lambda first, number, rest: " ".join([first, TARGET, number, *rest]),
+              st.sampled_from(_FIRST_WORDS), _number, _words))
 
 
 # One scripted sequence per ground-truth weakness row, each well under the
@@ -190,6 +208,16 @@ class TestOutputs:
             output = SimulatorBackend(host).run(command)[0]
             assert output.splitlines()[0] == banner, command
             assert output.count("[sim]") == 1, command
+
+    @settings(max_examples=300, deadline=None)
+    @given(_command_text, st.sampled_from(CommandChannel))
+    @example(f"nc {TARGET} \u00b2", CommandChannel.SHELL)  # a superscript two: once a ValueError
+    def test_any_text_exits_0_behind_the_banner(self, text, channel):
+        """Output is a pure function of host and command, on either channel: no text raises,
+        and every output opens with the banner line."""
+        output, status = SimulatorBackend(BUNDLED_HOST).run(Command(text, channel))
+        assert status == 0
+        assert output.startswith(f"[sim] simulated host {TARGET} (metasploitable profile)\n")
 
     def test_search_lists_known_modules(self, host):
         output = SimulatorBackend(host).run(msf("search samba"))[0]
@@ -407,6 +435,13 @@ class TestGrammarEdges:
     def test_curl_without_a_served_port_gets_port_80s_banner(self, host, url):
         assert self.run(host, Command(f"curl {url}")) == (
             f"Connected to {TARGET}.\n80/http banner: Apache httpd 2.2.8 (Ubuntu) DAV/2")
+
+    @pytest.mark.parametrize("port", ["\u00b2", "\u0662\u0661", "\uff12\uff11"])
+    def test_only_ascii_digits_name_a_port(self, host, port):
+        """A superscript two, Arabic-Indic 21 and fullwidth 21 are digits to ``str.isdigit``
+        but name no port, as ASCII 21 would."""
+        assert self.run(host, Command(f"nc {TARGET} {port}")) == "Connection refused"
+        assert self.run(host, Command(f"nc {TARGET} 21")).endswith("21/ftp banner: vsftpd 2.3.4")
 
     @pytest.mark.parametrize("client", ["nc", "telnet"])
     def test_a_port_with_no_service_refuses_the_connection(self, host, client):
