@@ -22,9 +22,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from penheal.cli import _build_knowledge_base  # noqa: E402
-from penheal.engine import run_pentest  # noqa: E402
+from penheal.engine import PlanTable, merge_revision, render_plan, run_pentest  # noqa: E402
 from penheal.gateway import AgentRole, ScriptedBackend, record_mode  # noqa: E402
-from penheal.model import RunConfig  # noqa: E402
+from penheal.model import RunConfig, TaskNode, TaskStatus  # noqa: E402
 from penheal.nvd import FixtureNvdClient  # noqa: E402
 from penheal.remediation import remediate  # noqa: E402
 from penheal.simulator import SimulatorBackend, load_host_model  # noqa: E402
@@ -34,32 +34,24 @@ TARGET = "10.0.2.4"
 
 
 class PlanScript:
-    """Tracks the scripted planner's plan state and renders full-plan replies."""
+    """The scripted planner's plan in an engine ``PlanTable``: ``merge_revision`` makes every
+    edit, and a warning stops the build; ``render_plan`` writes every full-plan reply."""
 
     def __init__(self):
-        self.order: list[str] = []
-        self.entries: dict[str, list] = {}  # id -> [description, status, result]
+        self.table = PlanTable()
 
-    def add(self, task_id: str, description: str, status: str = "to-do", result=None):
-        self.order.append(task_id)
-        self.entries[task_id] = [description, status, result]
-        return self
+    def add(self, task_id: str, description: str):
+        self._merge(TaskNode(task_id, description))
 
     def mark(self, task_id: str, status: str, result: str):
-        self.entries[task_id][1] = status
-        self.entries[task_id][2] = result
-        return self
+        self._merge(TaskNode(task_id, self.table.tasks[task_id][0], TaskStatus(status), result))
+
+    def _merge(self, line: TaskNode):
+        if warnings := merge_revision(self.table, [line]):
+            raise SystemExit(f"scripted plan: unexpected warnings: {warnings}")
 
     def render(self) -> str:
-        lines = []
-        for task_id in self.order:
-            description, status, result = self.entries[task_id]
-            depth = task_id.count(".")
-            line = f"{'  ' * depth}{task_id} {description} [{status}]"
-            if result:
-                line += f" - result: {result}"
-            lines.append(line)
-        return "\n".join(lines)
+        return render_plan(self.table)
 
 
 def golden6_scripts() -> dict[AgentRole, list[str]]:

@@ -181,28 +181,24 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
 
     The one code path that changes a plan. Existing tasks only ever move
     to-do -> completed/failed; attempts to revert are ignored with a warning.
-    Tasks missing from the lines are kept. A new task goes under the task
-    whose id is its own minus the last segment, after that task's existing
-    children. Orphans (no parent in plan or lines) are dropped, and so are new
-    tasks once the plan holds ``MAX_PLAN_TASKS``; each kind gets one warning.
+    Tasks missing from the lines are kept. A new task goes under the task whose id is
+    its own minus the last segment, after that task's existing children, once that parent
+    exists and while the plan holds fewer than ``MAX_PLAN_TASKS``. After the passes, the
+    lines whose id the plan lacks get one warning: past the bound if it is full, else orphans.
     Results are clipped, and a settled task without one reads "(no result provided)".
     """
     tasks, children = plan.tasks, plan.children
     warnings: list[str] = []
-    dropped = stranded = 0  # new tasks past the bound; deferred ones that can never attach
     touched: dict[str, None] = {}  # ids whose fields changed, in first-change order
-    pending, size = lines, -1
+    pending, size, waited = lines, -1, False
     while pending and len(tasks) > size:  # a task the last pass added may place a deferred one
         size, deferred = len(tasks), []
         for line in pending:
             task_id = line.id
             task = tasks.get(task_id)
             if task is None:
-                if len(tasks) >= MAX_PLAN_TASKS:
-                    dropped += 1
-                    continue
                 parent_id = task_id.rpartition(".")[0]
-                if parent_id and parent_id not in tasks:
+                if len(tasks) >= MAX_PLAN_TASKS or parent_id and parent_id not in tasks:
                     deferred.append(line)
                     continue
                 tasks[task_id] = [line.description, line.status, line.result_summary]
@@ -230,15 +226,11 @@ def merge_revision(plan: PlanTable, lines: list[TaskNode]) -> list[str]:
         waiting = {line.id for line in deferred}
         pending = [line for line in deferred
                    if (parent := line.id.rpartition(".")[0]) in tasks or parent in waiting]
-        stranded += len(deferred) - len(pending)
-    if len(tasks) >= MAX_PLAN_TASKS:  # a full plan drops every new line it reaches
-        dropped += stranded
-    elif pending or stranded:
-        first = next(line for line in lines if line.id not in tasks)  # in reply order
-        warnings.append(f"dropped {len(pending) + stranded} orphan task(s), the first "
-                        f"{first.id[:60]} (no parent in plan)")
-    if dropped:
-        warnings.append(f"{dropped} new task(s) past the plan's {MAX_PLAN_TASKS} ignored")
+        waited = waited or bool(deferred)  # only then can a line go unplaced
+    if unplaced := [line.id for line in lines if line.id not in tasks] if waited else None:
+        warnings.append(f"{len(unplaced)} new task(s) past the plan's {MAX_PLAN_TASKS} ignored"
+                        if len(tasks) >= MAX_PLAN_TASKS else f"dropped {len(unplaced)} orphan "
+                        f"task(s), the first {unplaced[0][:60]} (no parent in plan)")
 
     for task_id in touched:  # settle the results and re-render what changed
         description, status, result = task = tasks[task_id]

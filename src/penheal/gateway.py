@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import re
 import time
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
@@ -89,6 +90,7 @@ _ROLE_JSON = {role: _escape(role.value) for role in AgentRole}
 _TAG_JSON = {tag: _escape(tag.value) for tag in RoleTag}
 # Distinct first (system) turns whose hash state is kept; a run has a few dozen.
 FIRST_TURN_STATES = 64
+_SURROGATE = re.compile("[\ud800-\udfff]")  # JSON can carry one alone; UTF-8 cannot
 
 
 @functools.lru_cache(maxsize=FIRST_TURN_STATES)
@@ -215,10 +217,13 @@ class Gateway:
 
     def complete(self, role: AgentRole, history: list[ChatTurn]) -> str:
         """One chat completion for the role; ``history`` starts with its system turn, as
-        ``prompts.ask``, the one caller, builds every history."""
+        ``prompts.ask``, the one caller, builds every history. Each surrogate code point
+        in the reply becomes U+FFFD before it is recorded or returned."""
         model, budget = self._routes[role]
         messages = _truncate(history, budget)
         response = self.backend.complete(role, model, messages)
+        if not response.isascii():
+            response = _SURROGATE.sub("\ufffd", response)
         if self._record_path:
             exchange = Exchange(
                 role=role,

@@ -15,8 +15,10 @@ import pytest
 from penheal import cli
 from penheal.backends import LiveBackend, LiveNvdClient, ShellBackend
 from penheal.cli import _chat_gateway, _executor, _nvd_client, main
+from penheal.engine import ExecutionRecord
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend
-from penheal.model import AttackPlan, RunConfig, Vulnerability, deserialize_run, serialize_run
+from penheal.model import (AttackPlan, RunConfig, Vulnerability, deserialize_run,
+                           read_json_lines, serialize_run)
 from penheal.nvd import FixtureNvdClient
 from penheal.simulator import ground_truth, load_host_model
 
@@ -815,6 +817,18 @@ class TestStageFailuresAndWarnings:
                        "--out", str(tmp_path / "out")) == 2
         assert [session.warnings for session in sessions] == [
             ["nothing to remediate: no findings"]]
+
+    def test_a_reply_holding_a_lone_surrogate_is_written_out(self, tmp_path, capsys, monkeypatch):
+        _scripted_stage(monkeypatch, {
+            AgentRole.PLANNER: ["1 Recon [to-do]", "1", "1 Recon [completed] - result: ports"],
+            AgentRole.EXECUTOR: ["$nmap 10.0.2.4$"],
+            AgentRole.SUMMARIZER: [json.loads('"open ports \\ud83d"')],  # as a JSON body
+            AgentRole.EXTRACTOR: ["NONE", "NONE"],
+        }, _OneOutputHost())
+        assert run_cli("pentest", "--target", "10.0.2.4", "--out", str(tmp_path / "out")) == 0
+        assert capsys.readouterr().err == ""
+        history = read_json_lines(tmp_path / "out" / "history.jsonl", ExecutionRecord)
+        assert [record.summary for record in history] == ["open ports \ufffd"]
 
     def test_engine_error_is_one_fatal_line(self, tmp_path, capsys, monkeypatch):
         _scripted_stage(monkeypatch, {AgentRole.PLANNER: ["no plan line here"]},

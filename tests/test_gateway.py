@@ -229,6 +229,15 @@ class TestRecordReplay:
         ]
         assert [e.response for e in loaded] == ["p1", "e1", "s1", "p2"]
 
+    def test_a_lone_surrogate_in_a_reply_is_recorded_and_returned_as_u_fffd(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        reply = json.loads('"open ports \\ud83d, \\udc80 and \\ud83d\\ude00"')  # as a JSON body
+        recorder = record_mode(ScriptedBackend({AgentRole.SUMMARIZER: [reply]}), path)
+        expected = "open ports \ufffd, \ufffd and \U0001f600"
+        assert recorder.complete(AgentRole.SUMMARIZER, _history()) == expected
+        assert [e.response for e in load_transcript(path)] == [expected]
+        assert replay_mode(path).complete(AgentRole.SUMMARIZER, _history()) == expected
+
 
 def _reference_hash(role, messages):
     """The request hash by its definition: sha256 of the whole payload in one json.dumps."""

@@ -382,13 +382,22 @@ def test_merge_revision_keeps_a_plan_valid(base_text, revision_text):
 @settings(deadline=None)
 @given(_PLAN_TEXT, _PLAN_TEXT, st.integers(1, 6))
 def test_merge_revision_keeps_a_plan_within_the_bound(base_text, revision_text, bound):
+    """A merge's one drop warning counts the lines whose id the plan lacks after it, and it
+    reads "past the plan's" exactly when the plan is full; otherwise they are orphans."""
     with mock.patch.object(engine, "MAX_PLAN_TASKS", bound):
         plan = PlanTable()
         for text in (base_text, revision_text):
-            warnings = merge_revision(plan, parse_plan_text(text))
+            lines = parse_plan_text(text)
+            warnings = merge_revision(plan, lines)
             assert len(plan.tasks) <= bound
             assert sum("past the plan's" in w for w in warnings) <= 1
             assert not plan.tasks or validate_plan(plan.freeze()) == []
+            unplaced = sum(line.id not in plan.tasks for line in lines)
+            drops = [w for w in warnings if "past the plan's" in w or "orphan task(s)" in w]
+            assert len(drops) == (unplaced > 0)
+            for drop in drops:  # "N new task(s) past the plan's B ignored" or "dropped N orphan..."
+                assert int(drop.removeprefix("dropped ").split()[0]) == unplaced
+                assert ("past the plan's" in drop) == (len(plan.tasks) == bound)
 
 
 def test_orphans_of_one_reply_give_one_warning():
