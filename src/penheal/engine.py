@@ -35,6 +35,7 @@ from .model import (
     Vulnerability,
     clip_summary,
     dedupe_findings,
+    keep_first,
 )
 from .prompts import ask, format_excerpts, format_finding_lines, render_prompt
 
@@ -273,31 +274,18 @@ def parse_commands(llm_output: str) -> tuple[list[Command], list[str]]:
     commands: list[Command] = []
     warnings: list[str] = []
     pieces = llm_output.split("$")
-    # pieces at odd indices sit between delimiter pairs
-    for idx in range(1, len(pieces), 2):
-        if idx + 1 >= len(pieces):
-            fragment = pieces[idx].strip()
-            if fragment:
-                warnings.append(f"unpaired $ delimiter near: {fragment[:60]!r}")
-            break
-        body = pieces[idx].strip()
-        if not body:
-            warnings.append("empty command between $ delimiters")
-            continue
-        match = _MSF_PREFIX.match(body)
-        if match:
-            remainder = body[match.end():].strip()
-            if not remainder:
-                warnings.append("empty msfconsole command")
-                continue
-            commands.append(Command(raw=remainder, channel=CommandChannel.MSFCONSOLE))
+    for body in pieces[1:-1:2]:  # the bodies between delimiter pairs
+        msf = _MSF_PREFIX.match(body)
+        channel = CommandChannel.MSFCONSOLE if msf else CommandChannel.SHELL
+        if raw := (body[msf.end():] if msf else body).strip():
+            commands.append(Command(raw, channel))
         else:
-            commands.append(Command(raw=body, channel=CommandChannel.SHELL))
-    if len(commands) > MAX_COMMANDS:
-        warnings.append(f"{len(commands) - MAX_COMMANDS} command(s) past the first "
-                        f"{MAX_COMMANDS} ignored")
-        del commands[MAX_COMMANDS:]
-    return commands, warnings
+            warnings.append("empty msfconsole command" if msf
+                            else "empty command between $ delimiters")
+    if len(pieces) % 2 == 0 and (fragment := pieces[-1].strip()):  # a $ with no pair
+        warnings.append(f"unpaired $ delimiter near: {fragment[:60]!r}")
+    commands, bound_warnings = keep_first(commands, MAX_COMMANDS, "command(s)")
+    return commands, warnings + bound_warnings
 
 
 def execute(command: Command, backend: ExecutorBackend) -> tuple[str, Union[int, str]]:
@@ -428,9 +416,10 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
         elif blocks:
             blocks[-1].append(line)
 
+    blocks, bound_warnings = keep_first(blocks, MAX_FINDINGS, "block(s)")
     findings: list[Vulnerability] = []
     warnings: list[str] = []
-    for block in blocks[:MAX_FINDINGS]:
+    for block in blocks:
         header = block[0]
         cve_match = _CVE_TOKEN.search(header)
         if not cve_match:
@@ -460,9 +449,7 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
                 exploitation_method=attrs.get("method", attrs.get("exploitation_method", "")),
             )
         )
-    if (extra := len(blocks) - MAX_FINDINGS) > 0:
-        warnings.append(f"{extra} block(s) past the first {MAX_FINDINGS} ignored")
-    return dedupe_findings(findings), warnings
+    return dedupe_findings(findings), warnings + bound_warnings
 
 
 def extract_findings(

@@ -255,22 +255,23 @@ def replay_mode(
 
 
 def _truncate(history: list[ChatTurn], budget: int) -> list[ChatTurn]:
-    """Drop oldest non-system turns, then clip the oldest kept one, to fit the budget.
+    """Fit the history to the budget: drop the turns between the task turn (the first after
+    the system turn) and the newest, oldest first, then clip the task turn from the front.
 
-    The system turn is always kept whole. If it alone exceeds the budget, the
-    newest turn is kept whole too: no clip could fit, and it holds the task.
-    """
-    total = sum(len(t.content) for t in history)
-    if total <= budget:
+    The task turn goes only when the system and newest turns fill the budget; the newest is
+    then clipped instead. The system turn stays whole, and the newest too if it alone is over."""
+    if sum(len(t.content) for t in history) <= budget:
         return list(history)
     system, rest = history[0], list(history[1:])
-    while len(rest) > 1 and sum(len(t.content) for t in [system] + rest) > budget:
-        rest.pop(0)
-    remaining = budget - len(system.content)
+    while len(rest) > 2 and sum(len(t.content) for t in [system] + rest) > budget:
+        rest.pop(1)
+    if len(rest) > 1 and len(system.content) + len(rest[-1].content) >= budget:
+        rest.pop(0)  # no room for the task turn
+    remaining = budget - len(system.content) - sum(len(t.content) for t in rest[1:])
     if rest and 0 <= remaining < len(rest[0].content):
         marker = "...[earlier context truncated] "
         if remaining <= len(marker):  # no room for the marker
             marker = ""
         keep = remaining - len(marker)
-        rest = [ChatTurn(rest[0].role_tag, marker + rest[0].content[-keep:])] if keep > 0 else []
+        rest[:1] = [ChatTurn(rest[0].role_tag, marker + rest[0].content[-keep:])] if keep > 0 else []
     return [system] + rest

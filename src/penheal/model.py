@@ -22,8 +22,9 @@ a string (``"4"`` or a ``${VAR}`` reference), an int field refuses floats and
 booleans, and a union takes only its types exactly. A missing field takes its
 default or raises ``KeyError``; unknown keys are ignored. Any other mismatch
 raises ``ValueError`` naming the field. Input is parsed by :func:`load_json`,
-so JSON nested too deep to read is a ``JSONDecodeError`` like any other
-malformed input.
+so JSON nested too deep to read, or holding a lone surrogate escape
+(``"\\udc80"``), which no UTF-8 writer takes, is a ``JSONDecodeError`` like
+any other malformed input.
 
 The run-artifact layout produced by :func:`serialize_run` is the contract
 between CLI invocations.
@@ -34,6 +35,7 @@ from __future__ import annotations
 import builtins
 import enum
 import json
+import re
 import sys
 from functools import partial
 from json.encoder import encode_basestring
@@ -62,6 +64,8 @@ _CODECS: dict[type, tuple[Callable[[Any], dict], Callable[[Any], Any]]] = {}
 _NO_DEFAULT = object()
 # json.dumps(value, ensure_ascii=False), byte for byte, from one encoder, not one per call.
 json_text = json.JSONEncoder(ensure_ascii=False).encode
+# A JSON string escape: a pair, a lone surrogate (group 1), or any other; compiled on first use.
+_ESCAPE = r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)"
 
 
 def encode(value: Any) -> dict[str, Any]:
@@ -82,6 +86,9 @@ def load_json(text: str, then: Callable[[Any], Any] = lambda data: data,
     value nested too deep for either is a JSONDecodeError too, not a RecursionError.
     ``object_pairs_hook`` is ``json.loads``'s; without it, parsing takes the fast path.
     """
+    if "\\ud" in text or "\\uD" in text:  # decoded UTF-8 holds a surrogate only as an escape
+        if lone := next((m for m in re.finditer(_ESCAPE, text) if m[1]), None):
+            raise json.JSONDecodeError(f"lone surrogate \\{lone[1]}", text, lone.start())
     try:
         return then(json.loads(text, object_pairs_hook=object_pairs_hook))
     except RecursionError:
@@ -423,6 +430,12 @@ def clip_summary(text: str, limit: int = RESULT_SUMMARY_MAX) -> str:
     if len(text) <= limit:
         return text
     return text[: limit - len(marker)] + marker
+
+
+def keep_first(items: list, bound: int, what: str) -> tuple[list, list[str]]:
+    """The first ``bound`` items of a reply's list, in order, and one warning if more came."""
+    extra = len(items) - bound
+    return items[:bound], [f"{extra} {what} past the first {bound} ignored"] if extra > 0 else []
 
 
 # ---------------------------------------------------------------------------

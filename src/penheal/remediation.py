@@ -28,6 +28,7 @@ from .model import (
     RunConfig,
     Vulnerability,
     dedupe_findings,
+    keep_first,
 )
 from .nvd import CveNotFound, FixtureNvdClient, NvdError
 from .prompts import (
@@ -185,10 +186,8 @@ def advise(
         if not items:
             warnings.append(f"{key[:60]}: advisor output unparseable, group dropped")
             continue
-        if len(items) > MAX_ADVISOR_ITEMS:
-            warnings.append(f"{key[:60]}: {len(items) - MAX_ADVISOR_ITEMS} advisor "
-                            f"item(s) past the first {MAX_ADVISOR_ITEMS} dropped")
-            del items[MAX_ADVISOR_ITEMS:]
+        items, bound_warnings = keep_first(items, MAX_ADVISOR_ITEMS, "advisor item(s)")
+        warnings.extend(f"{key[:60]}: {warning}" for warning in bound_warnings)
         groups.append(RecommendationGroup(candidates=tuple(
             Recommendation(text=item, target_vuln_ids=(key,)) for item in items)))
     return groups, warnings
@@ -216,7 +215,7 @@ class EvaluationVerdict(NamedTuple):
     effect: float  # share of the targets' scores: full 1, partial k/100, zero 0, negative -k/100
     cost: float
     extra_target_keys: tuple[str, ...] = ()
-    ignored_target_keys: int = 0  # keys past the first MAX_EXTRA_TARGETS
+    warnings: tuple[str, ...] = ()  # keep_first's, for a reply naming over MAX_EXTRA_TARGETS
 
 
 def parse_evaluation(reply: str, tiers: dict[str, float]) -> EvaluationVerdict:
@@ -244,12 +243,9 @@ def parse_evaluation(reply: str, tiers: dict[str, float]) -> EvaluationVerdict:
             extra = [t.strip() for t in targets_match.group(1).split(",") if t.strip()]
     if effect is None or cost is None:
         raise ValueError(f"unparseable evaluation reply: {reply[:60]!r}")
-    return EvaluationVerdict(
-        effect=effect,
-        cost=round(cost, 1),  # 0.1 granularity so the knapsack scaling is exact
-        extra_target_keys=tuple(extra[:MAX_EXTRA_TARGETS]),
-        ignored_target_keys=max(len(extra) - MAX_EXTRA_TARGETS, 0),
-    )
+    extra, warnings = keep_first(extra, MAX_EXTRA_TARGETS, "target key(s)")
+    # The cost has 0.1 granularity, so the knapsack scaling is exact.
+    return EvaluationVerdict(effect, round(cost, 1), tuple(extra), tuple(warnings))
 
 
 def compute_value(verdict: EvaluationVerdict, target_scores: list[float]) -> float:
@@ -345,9 +341,7 @@ def evaluate(
         )
 
     verdict, rationale = parsed
-    if verdict.ignored_target_keys:
-        warnings.append(f"{label}: {verdict.ignored_target_keys} target key(s) past the first "
-                        f"{MAX_EXTRA_TARGETS} ignored")
+    warnings.extend(f"{label}: {warning}" for warning in verdict.warnings)
     targets, unknown = context.resolve(recommendation.target_vuln_ids + verdict.extra_target_keys)
     if unknown:
         warnings.append(f"{label}: evaluator named {len(unknown)} unknown target(s), "

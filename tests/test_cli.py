@@ -475,6 +475,19 @@ class TestBadInputsFailFirst:
         assert run_cli(*argv) == 1
         assert "Vulnerability.service" in fatal_line(capsys.readouterr().err)
 
+    def test_lone_surrogate_in_artifact(self, tmp_path, capsys, no_model_stage):
+        """No UTF-8 writer takes a lone surrogate, so it is refused where the artifact is
+        read, not when the transcript records the first request quoting it."""
+        text = (Path(__file__).parent / "data" / "artifact_3vuln.json").read_text("utf-8")
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(text.replace('"description": "sqli"', '"description": "sqli\\udc80"'),
+                            encoding="utf-8")
+        assert run_cli("remediate", str(artifact), "--target", "10.0.2.4", "--mode", "hermetic",
+                       "--out", str(tmp_path / "out")) == 1
+        assert fatal_line(capsys.readouterr().err) == (
+            f"fatal: cannot read artifact {artifact}: invalid JSON: lone surrogate \\udc80 "
+            f"(byte offset {text.index('sqli') + 4})")
+
     @pytest.mark.parametrize("command, host, message", [
         *[(command, host, "cannot load host model")
           for command in ("run", "pentest") for host in ("missing", "nameless-service")],

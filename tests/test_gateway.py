@@ -469,6 +469,42 @@ class TestTruncation:
         assert _truncate(history, 11_900) == [history[0]]
         assert _truncate(history, 11_000) == history  # the system turn alone is over
 
+    def test_retry_keeps_the_task_turn_before_the_failed_reply(self):
+        system, task, reply, retry = [ChatTurn(tag, text) for tag, text in [
+            (RoleTag.SYSTEM, "s" * 10), (RoleTag.USER, "t" * 20 + "T" * 30),
+            (RoleTag.ASSISTANT, "a" * 30), (RoleTag.USER, "r" * 20)]]
+        assert _truncate([system, task, reply, retry], 60) == [
+            system, ChatTurn(RoleTag.USER, "T" * 30), retry]
+        # With no room left beside the system and newest turns, the task turn goes.
+        assert _truncate([system, task, reply, retry], 30) == [system, retry]
+        assert _truncate([system, task, reply, retry], 25) == [
+            system, ChatTurn(RoleTag.USER, "r" * 15)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(min_size=1, max_size=80),
+        st.lists(st.text(min_size=1, max_size=120), min_size=2, max_size=6),
+        st.integers(0, 600),
+    )
+    def test_over_budget_keeps_the_task_tail_while_there_is_room(self, system, turns, budget):
+        history = [ChatTurn(RoleTag.SYSTEM, system)] + [
+            ChatTurn(RoleTag.USER if i % 2 == 0 else RoleTag.ASSISTANT, text)
+            for i, text in enumerate(turns)
+        ]
+        room = budget - len(system) - len(turns[-1])
+        if sum(map(len, [system, *turns])) <= budget or room <= 0:
+            return
+        result = _truncate(history, budget)
+        size = sum(len(t.content) for t in result)
+        assert result[0] == history[0] and result[-1] == history[-1] and size <= budget
+        middle = result[2:-1]  # the newest of the turns between the task and the newest
+        assert middle == history[len(history) - 1 - len(middle):-1]
+        if len(middle) < len(turns) - 2:  # the next older one would not have fit
+            assert size + len(history[-2 - len(middle)].content) > budget
+        task = result[1].content
+        assert turns[0].endswith(task.removeprefix("...[earlier context truncated] "))
+        assert len(task) == min(room - sum(len(t.content) for t in middle), len(turns[0]))
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     responses = []

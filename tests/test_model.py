@@ -381,6 +381,45 @@ def test_json_lines_stream_out_and_read_back_naming_a_bad_line(tmp_path):
             model.read_json_lines(path, Vulnerability)
 
 
+def test_load_json_refuses_a_lone_surrogate_escape_at_its_offset():
+    """No UTF-8 writer takes a lone surrogate, so reading one is a JSONDecodeError at its
+    escape; a pair is one character, and an escaped backslash before "udc80" is no escape."""
+    with pytest.raises(json.JSONDecodeError, match=r"^lone surrogate \\udc80: .*\(char 2\)$"):
+        model.load_json('"a\\udc80"')
+    assert model.load_json('"\\ud83d\\ude00"') == "\U0001F600"
+    assert model.load_json('["\\\\udc80"]') == ["\\udc80"]
+    with pytest.raises(json.JSONDecodeError) as raised:
+        model.load_json('["\\ud83d\\udc80", {"k\\uDC80": 1}]')
+    assert (raised.value.msg, raised.value.pos) == ("lone surrogate \\uDC80", 20)
+
+
+def _writable(text: str) -> bool:
+    """Whether the JSON string body ``text`` decodes to text a UTF-8 writer takes."""
+    try:
+        json.loads(f'"{text}"').encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["\\ud83d", "\\uDE00", "\\udc80", "\\uD800", "\\\\", "\\n",
+                                 "\\u0041", "a", "\\\\ud83d", "\u00e9", "\\ud7ff", "\\ue000"]),
+                max_size=8))
+def test_load_json_refuses_exactly_what_no_utf8_writer_takes(parts):
+    body = "".join(parts)
+    text = f'["{body}"]'
+    if _writable(body):
+        assert model.load_json(text) == json.loads(text)
+        return
+    with pytest.raises(json.JSONDecodeError, match="^lone surrogate ") as raised:
+        model.load_json(text)
+    pos = raised.value.pos - 2  # in the body
+    assert body[pos:pos + 3].lower() == "\\ud"  # the first escape that makes it unwritable
+    assert _writable(body[:pos]) and not _writable(body[:pos + 6])
+    assert raised.value.msg == f"lone surrogate {body[pos:pos + 6]}"
+
+
 def test_every_enum_hashes_by_identity():
     """A member-keyed dict lookup hashes in C: ``enum.Enum`` hashes by name in Python."""
     import penheal

@@ -433,6 +433,12 @@ class TestAdvise:
             "second",
         ]
 
+    def test_items_past_the_bound_are_ignored_with_one_warning(self):
+        reply = "\n".join(f"{n}. fix {n}" for n in range(1, 11))
+        groups, warnings = advise([finding(score=8.0)], gw({AgentRole.ADVISOR: [reply]}))
+        assert [c.text for c in groups[0].candidates] == [f"fix {n}" for n in range(1, 9)]
+        assert warnings == ["CVE-NA@http:80: 2 advisor item(s) past the first 8 ignored"]
+
     def test_unparseable_twice_drops_group(self):
         gateway = gw({AgentRole.ADVISOR: ["no list", "still no list"]})
         groups, warnings = advise([finding(score=8.0)], gateway)

@@ -107,3 +107,15 @@ def test_only_the_loop_runs_a_plan_step(step):
     only after new findings."""
     assert {(module, function) for module, function, _ in located_calls(step)} == {
         ("engine", "run_pentest")}
+
+
+def test_one_rule_bounds_every_list_a_reply_yields():
+    """``model.keep_first`` alone words the bound warning, and each reply list's bound is the
+    ``bound`` of exactly one of its calls."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "model":
+            assert "past the first" not in path.read_text(encoding="utf-8"), path.name
+    bounds = [(module, argument(call, 1, "bound")) for module, call in calls("keep_first")]
+    assert sorted((module, getattr(bound, "id", None)) for module, bound in bounds) == [
+        ("engine", "MAX_COMMANDS"), ("engine", "MAX_FINDINGS"),
+        ("remediation", "MAX_ADVISOR_ITEMS"), ("remediation", "MAX_EXTRA_TARGETS")]
