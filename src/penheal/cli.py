@@ -211,15 +211,14 @@ def _chat_gateway(session: Session) -> None:
 
 
 def _executor(config: RunConfig, host=None):
-    """The discovery stage's command backend (local shell or ``host`` simulated) and KB."""
+    """The discovery stage's command backend: the local shell, or ``host`` simulated."""
     if config.mode == "live":
         from .backends import ShellBackend
 
-        return ShellBackend(), _build_knowledge_base(config.kb_dir)
+        return ShellBackend()
     from . import simulator
 
-    host = _host_model(config.host_model) if host is None else host
-    return simulator.SimulatorBackend(host), _build_knowledge_base(config.kb_dir)
+    return simulator.SimulatorBackend(_host_model(config.host_model) if host is None else host)
 
 
 def _nvd_client(session: Session):
@@ -263,15 +262,17 @@ def _read_artifact(path: str):
 
 
 def _pentest_stage(session: Session, host=None) -> engine.PentestResult:
-    """Run discovery, then write history.jsonl and the stage-one artifact ``remediate`` reads."""
+    """Run discovery, print its warnings, then write history.jsonl and the stage-one artifact."""
     from . import engine  # compiled before a replay transcript is read: a lower peak RSS
 
     _chat_gateway(session)
-    backend, kb = _executor(session.config, host)
+    backend = _executor(session.config, host)
+    kb = _build_knowledge_base(session.config.kb_dir)
     try:
         pentest = engine.run_pentest(session.config, backend, session.gateway, kb)
     except engine.EngineError as exc:
         raise Fatal(str(exc)) from None
+    session.warn(pentest.warnings)
     _output(session.out_dir / "history.jsonl",
             lambda path: write_json_lines(path, pentest.history))
     _write_artifact(session, pentest.plan, pentest.findings, [], None,
@@ -281,19 +282,19 @@ def _pentest_stage(session: Session, host=None) -> engine.PentestResult:
 
 def _remediate_and_score(session: Session, nvd_client, plan: AttackPlan,
                          findings: list[Vulnerability], truth: list[Vulnerability],
-                         run_id: str) -> tuple[str, list[str]]:
-    """Remediate and score the findings and write the artifact: (report text, warnings)."""
+                         run_id: str) -> str:
+    """Remediate (printing its warnings), score and write the artifact; the report text."""
     mode = session.config.aggregation_mode
     try:
         rem = remediation.remediate(findings, session.config, session.gateway, nvd_client)
     except gw.GatewayError as exc:
         raise Fatal(f"remediation failed: {exc}") from None
+    session.warn(rem.warnings)
     report = scoring.score_run(findings, truth, rem.selected, mode=mode, run_id=run_id)
     _write_artifact(session, plan, findings, [c for g in rem.groups for c in g.candidates],
                     report, run_id=run_id)
-    text = (remediation.format_selection_report(rem.groups) + "\n\n"
+    return (remediation.format_selection_report(rem.groups) + "\n\n"
             + scoring.format_score_table(report, mode))
-    return text, rem.warnings
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +310,17 @@ def cmd_run(session: Session) -> None:
     truth = _load_truth(config.truth, host)
     nvd_client = _nvd_client(session)
     pentest = _pentest_stage(session, host)
-    session.warn(pentest.warnings)  # printed now, in case remediation fails
     run_id = _deterministic_run_id(config.target_address, config.mode)
-    report_text, rem_warnings = _remediate_and_score(
-        session, nvd_client, pentest.plan, pentest.findings, truth, run_id)
     text_report = "\n".join([
         f"run {run_id} against {config.target_address}",
         f"termination: {pentest.termination_reason}",
         f"findings: {len(pentest.findings)}",
         "",
-        report_text,
+        _remediate_and_score(session, nvd_client, pentest.plan, pentest.findings, truth, run_id),
     ])
     _output(session.out_dir / "report.txt",
             lambda path: path.write_text(text_report + "\n", encoding="utf-8"))
     print(text_report)
-    session.warn(rem_warnings)
 
 
 def cmd_pentest(session: Session) -> None:
@@ -331,7 +328,6 @@ def cmd_pentest(session: Session) -> None:
     pentest = _pentest_stage(session)
     print(f"findings: {len(pentest.findings)} (termination: {pentest.termination_reason})",
           *(f"  {v.key_str}" for v in pentest.findings), sep="\n")
-    session.warn(pentest.warnings)
 
 
 def cmd_remediate(session: Session) -> None:
@@ -340,11 +336,8 @@ def cmd_remediate(session: Session) -> None:
     truth = _load_truth(config.truth, host)
     plan, findings, _, _ = _read_artifact(session.args.artifact)
     _chat_gateway(session)
-    report_text, rem_warnings = _remediate_and_score(
-        session, _nvd_client(session), plan, findings, truth,
-        _deterministic_run_id(config.target_address, "remediate"))
-    print(report_text)
-    session.warn(rem_warnings)
+    print(_remediate_and_score(session, _nvd_client(session), plan, findings, truth,
+                               _deterministic_run_id(config.target_address, "remediate")))
 
 
 def cmd_score(session: Session) -> None:

@@ -434,7 +434,7 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
         port: Optional[int] = None
         port_text = attrs.get("port", "")
         if port_text:
-            digits = re.search(r"\d+", port_text)
+            digits = re.search(r"(?a:\d+)", port_text)
             number = digits.group(0).lstrip("0") if digits else ""
             if digits and len(number) <= 5 and int(number or 0) <= 65535:  # int() caps digits
                 port = int(number or 0)

@@ -3,9 +3,9 @@
 Every agent exchange goes through :func:`ask`. Templates use ``{name}``
 placeholders filled by :func:`render_prompt` under ``str.format`` rules, so a
 literal brace in a template is written ``{{`` or ``}}``, and braces inside
-substituted values are left alone. A missing placeholder raises an error
-naming it. Every correction prompt of the re-ask rule is the role's ``retry``
-template.
+substituted values are left alone. A source test checks that every request
+passes each placeholder its template names. Every correction prompt of the
+re-ask rule is the role's ``retry`` template.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from .model import CVE_NA, Vulnerability
 
 if TYPE_CHECKING:
     from .knowledge import Excerpt
-
-
-class PromptError(KeyError):
-    """A required template placeholder was not supplied."""
 
 
 VALUE_RULES_TEXT = """\
@@ -197,14 +193,8 @@ cost: low | moderate | high | <number between 0 and 10>""",
 
 def render_prompt(role: AgentRole, variables: dict[str, str], kind: str = "system") -> str:
     """Fill the role's ``kind`` template with variables, substituted verbatim; an unknown kind
-    is a KeyError (a source test checks that every call names a catalog kind)."""
-    template = TEMPLATES[(role, kind)]
-    try:
-        return template.format_map(variables)
-    except KeyError as exc:
-        raise PromptError(
-            f"missing placeholder {exc.args[0]!r} for {role.value}/{kind} template"
-        ) from None
+    or a missing placeholder is a KeyError, which source tests rule out for every request."""
+    return TEMPLATES[(role, kind)].format_map(variables)
 
 
 def ask(gateway: Gateway, role: AgentRole, kind: str, variables: dict[str, str],

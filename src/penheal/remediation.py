@@ -15,7 +15,7 @@ import re
 from typing import Iterable, NamedTuple, Optional
 
 from . import cvss
-from .gateway import AgentRole, Gateway
+from .gateway import LIGHT_CHAR_BUDGET, AgentRole, Gateway
 from .knapsack import solve_group_knapsack
 from .model import (
     CVE_NA,
@@ -27,6 +27,7 @@ from .model import (
     RecommendationStatus,
     RunConfig,
     Vulnerability,
+    clip_summary,
     dedupe_findings,
     keep_first,
 )
@@ -73,7 +74,8 @@ def estimate_vector(
     finding_text = f"{finding.id} on {finding.service}" + (
         f" port {finding.port}" if finding.port is not None else ""
     )
-    variables = {"finding": finding_text, "context": context or "(none recorded)"}
+    variables = {"finding": finding_text,  # half the light budget: the task turn is sent whole
+                 "context": clip_summary(context, LIGHT_CHAR_BUDGET // 2) or "(none recorded)"}
     metrics, errors = ask(gateway, AgentRole.ESTIMATOR, "estimate", variables,
                           parse=_parse_vector_reply)
     key = finding.key_str[:60]

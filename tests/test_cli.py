@@ -741,6 +741,34 @@ class TestUnwritableOutput:
         assert str(path) in fatal_line(capsys.readouterr().err)
 
 
+class TestWarningsBeforeAFailedWrite:
+    """A stage prints its warnings when it returns, so a failed write after it keeps them."""
+
+    def test_report_write(self, tmp_path, capsys, no_network):
+        out = tmp_path / "out"
+        (out / "report.txt").mkdir(parents=True)
+        nofind = cli.bundled_fixture_path("nofind.jsonl")
+        assert run_cli(*hermetic_args(out), "--fixtures", str(nofind)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "warning: nothing to remediate: no findings"
+        assert fatal_line("\n".join(err[1:])).startswith(
+            f"fatal: cannot write {out / 'report.txt'}")
+
+    def test_history_write(self, tmp_path, capsys, monkeypatch, no_network):
+        from penheal import engine
+
+        run_pentest = engine.run_pentest
+        monkeypatch.setattr(engine, "run_pentest", lambda *args: run_pentest(*args)._replace(
+            warnings=["a discovery warning"]))
+        out = tmp_path / "out"
+        (out / "history.jsonl").mkdir(parents=True)
+        assert run_cli("pentest", "--target", "10.0.2.4", "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "warning: a discovery warning"
+        assert fatal_line("\n".join(err[1:])).startswith(
+            f"fatal: cannot write {out / 'history.jsonl'}")
+
+
 class _OneOutputHost:
     """A command backend that answers every command with the same output."""
 
@@ -756,7 +784,8 @@ def _scripted_stage(monkeypatch, scripts, backend):
         session.gateway, session.transcript_ref = Gateway(ScriptedBackend(scripts)), "scripted"
 
     monkeypatch.setattr(cli, "_chat_gateway", chat_gateway)
-    monkeypatch.setattr(cli, "_executor", lambda config, host: (backend, KnowledgeBase()))
+    monkeypatch.setattr(cli, "_executor", lambda config, host: backend)
+    monkeypatch.setattr(cli, "_build_knowledge_base", lambda kb_dir: KnowledgeBase())
 
 
 @pytest.fixture
@@ -1091,7 +1120,7 @@ def names_read(node, function="<module>"):
 
 
 def test_only_main_picks_the_exit_code():
-    """A command adds each warning to the session, and ``main`` alone turns the session's
+    """A stage helper adds each warning to the session, and ``main`` alone turns the session's
     warnings or a fatal error into the exit code: no other code in ``cli`` reads EXIT_OK or
     EXIT_PARTIAL."""
     tree = ast.parse((SRC / "penheal" / "cli.py").read_text(encoding="utf-8"))
@@ -1111,10 +1140,18 @@ def session_uses(node, function="<module>"):
 
 
 def test_only_main_reads_the_session_warnings():
-    """Commands and stage helpers add each warning through ``Session.warn``, which prints and
+    """The stage helpers add each warning through ``Session.warn``, which prints and
     keeps it; outside ``Session`` only ``main`` reads them back, to pick the exit code."""
     tree = ast.parse((SRC / "penheal" / "cli.py").read_text(encoding="utf-8"))
     assert set(session_uses(tree)) == {"main"}
+
+
+def test_only_the_stage_helpers_print_warnings():
+    """Each stage helper hands its stage's warnings to ``Session.warn`` as the stage returns,
+    before it writes anything, so no command holds warnings back until its outputs are out."""
+    tree = ast.parse((SRC / "penheal" / "cli.py").read_text(encoding="utf-8"))
+    callers = {function for function, name in names_read(tree) if name == "warn"}
+    assert callers == {"_pentest_stage", "_remediate_and_score"}
 
 
 PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))
@@ -1159,7 +1196,7 @@ def test_live_mode_assembly(tmp_path, no_network):
     session = cli.Session(None)
     session.config, session.out_dir = config, tmp_path
     _chat_gateway(session)
-    backend, _ = _executor(config)
+    backend = _executor(config)
     assert isinstance(session.gateway.backend, LiveBackend)
     assert session.transcript_ref == str(tmp_path / "transcript.jsonl")
     assert (tmp_path / "transcript.jsonl").read_text() == ""  # record mode starts it empty

@@ -525,6 +525,14 @@ class TestExtractorBlocks:
         assert findings[0].port is None
         assert any("port" in w for w in warnings)
 
+    @pytest.mark.parametrize("port", ["\uff12\uff11", "\u0662\u0661"],
+                             ids=["fullwidth", "arabic-indic"])
+    def test_non_ascii_digit_port_warns(self, port):
+        """A port is ASCII digits, as the simulator reads one from a command."""
+        findings, warnings = parse_extractor_blocks(f"Exploited: CVE-NA\nport: {port}")
+        assert findings[0].port is None
+        assert warnings == [f"unparseable port {port!r} for CVE-NA"]
+
     def test_out_of_range_port_warns(self):
         findings, warnings = parse_extractor_blocks(
             "Exploited: CVE-NA\nservice: x\nport: 99999"

@@ -30,7 +30,7 @@ from penheal.gateway import (
     _truncate,
 )
 from penheal.model import decode
-from penheal.prompts import PromptError, render_prompt
+from penheal.prompts import render_prompt
 
 NO_MODEL = object()  # a transcript damage: the line keeps its messages and loses its model
 
@@ -61,7 +61,7 @@ class TestRenderPrompt:
         assert "CVE-2011-2523 on 21/ftp" in text
 
     def test_missing_placeholder_named(self):
-        with pytest.raises(PromptError) as exc_info:
+        with pytest.raises(KeyError) as exc_info:
             render_prompt(AgentRole.PLANNER, {}, kind="init")
         assert "target" in str(exc_info.value)
 

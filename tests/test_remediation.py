@@ -337,6 +337,21 @@ class TestEstimateVector:
         assert metrics.base_score == 9.8
         assert len(warnings) == 1
 
+    def test_long_context_keeps_the_finding_in_both_requests(self):
+        """The context is clipped before the light budget would clip the task turn's front."""
+        sent = []
+
+        class Recording(ScriptedBackend):
+            def complete(self, role, model, messages):
+                sent.append(messages[1].content)
+                return super().complete(role, model, messages)
+
+        gateway = Gateway(Recording({AgentRole.ESTIMATOR: ["no vector", "still none"]}))
+        metrics, _ = estimate_vector(finding(), "x" * 20_000, gateway)
+        assert metrics.base_score == 7.3  # both replies failed: the default vector
+        assert len(sent) == 2
+        assert all(text.startswith("Vulnerability: CVE-NA on http port 80\n") for text in sent)
+
     def test_garbage_twice_applies_conservative_default(self):
         gateway = gw({AgentRole.ESTIMATOR: ["nope", "still nope"]})
         metrics, warnings = estimate_vector(finding(), "", gateway)

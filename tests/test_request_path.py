@@ -1,12 +1,14 @@
-"""The request path is static: every agent request names its role and a catalog template.
+"""The request path is static: every agent request names its role and a catalog template,
+and passes each placeholder that template names.
 
-A kind that names no template raises a ``KeyError`` only when its call runs, which for a
-live-only path is too late; these checks read the source instead. So do the checks that each
-helper which trusts its caller's state has that one caller.
+A kind that names no template, or a placeholder with no value, raises a ``KeyError`` only
+when its call runs, which for a live-only path is too late; these checks read the source
+instead. So do the checks that each helper which trusts its caller's state has that one caller.
 """
 
 import ast
 from pathlib import Path
+from string import Formatter
 
 import pytest
 
@@ -58,6 +60,76 @@ def role_named(node):
 def literal(node):
     """The string a source expression spells out, else None."""
     return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def placeholders(role, kind):
+    """The names of the ``{name}`` placeholders in the role's ``kind`` template."""
+    fields = Formatter().parse(TEMPLATES[(role, kind)])
+    return {name for _, name, _, _ in fields if name is not None}
+
+
+def dict_keys(node):
+    """The keys of a dict display whose keys are all string literals, else None."""
+    if isinstance(node, ast.Dict) and node.keys and all(literal(k) for k in node.keys):
+        return {k.value for k in node.keys}
+    return None
+
+
+def bound_dicts():
+    """(module, function, name) -> the keys of each dict a function binds to ``name``."""
+    bound = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                            and isinstance(node.targets[0], ast.Name)):
+                        key = (path.stem, function.name, node.targets[0].id)
+                        bound.setdefault(key, []).append(dict_keys(node.value))
+    return bound
+
+
+def request_sites():
+    """(module, enclosing function, call, role, kind, variables) for every request: each
+    ``ask``, and each system turn rendered outside ``prompts``."""
+    for module, function, call in located_calls("ask"):
+        yield (module, function, call, role_named(argument(call, 1, "role")),
+               literal(argument(call, 2, "kind")), argument(call, 3, "variables"))
+    for module, function, call in located_calls("render_prompt"):
+        if module != "prompts":
+            yield (module, function, call, role_named(argument(call, 0, "role")), "system",
+                   argument(call, 1, "variables"))
+
+
+def test_every_request_passes_each_placeholder_of_its_template():
+    """A ``variables`` name resolves to the one dict its function binds to it."""
+    bound = bound_dicts()
+    sites = list(request_sites())
+    assert len(sites) == 12  # 10 asks, and the executor's and the evaluator's system turns
+    for module, function, call, role, kind, variables in sites:
+        where = f"{module}.py line {call.lineno}"
+        names = dict_keys(variables)
+        if isinstance(variables, ast.Name):
+            bindings = bound.get((module, function, variables.id), [])
+            names = bindings[0] if len(bindings) == 1 else None
+        assert names is not None, f"{where}: the variables are not one dict of literal keys"
+        missing = placeholders(role, kind) - names
+        assert not missing, f"{where}: no value for {sorted(missing)} of {role.value}/{kind}"
+
+
+def test_every_catalog_system_turn_has_no_placeholder():
+    """``ask`` renders a role's catalog system turn with no variables."""
+    for module, call in calls("ask"):
+        if argument(call, 4, "system") is None:
+            role = role_named(argument(call, 1, "role"))
+            assert placeholders(role, "system") == set(), f"{module}.py line {call.lineno}"
+
+
+def test_every_retry_template_names_only_the_error():
+    """``ask`` renders a retry template with the failed attempt's ``error`` alone."""
+    for role, kind in TEMPLATES:
+        if kind == "retry":
+            assert placeholders(role, kind) <= {"error"}, role.value
 
 
 def test_every_ask_names_a_role_and_a_catalog_kind():
