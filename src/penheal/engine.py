@@ -405,6 +405,7 @@ _EXPLOITED_LINE = re.compile(r"^\s*(?a:exploited)\s*:\s*(.+?)\s*$", re.IGNORECAS
 _ATTR_LINE = re.compile(r"^\s*([A-Za-z_ ]+?)\s*:\s*(.*?)\s*$")
 _CVE_TOKEN = re.compile(rf"(?a:{CVE_ID})(?!\d)|(?a:{CVE_NA})", re.IGNORECASE)  # more digits: no id
 MAX_FINDINGS = 32  # "Exploited:" blocks parsed from one extractor reply, in reply order
+MAX_SERVICE_CHARS = 64  # of a block's service name kept; it leads each Estimator request
 
 
 def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
@@ -440,10 +441,13 @@ def parse_extractor_blocks(text: str) -> tuple[list[Vulnerability], list[str]]:
                 port = int(number or 0)
             else:
                 warnings.append(f"unparseable port {port_text[:60]!r} for {vuln_id[:60]}")
+        service, clipped = keep_first(attrs.get("service", "unknown").strip().lower(),
+                                      MAX_SERVICE_CHARS, "service character(s) of " + vuln_id)
+        warnings += clipped
         findings.append(
             Vulnerability(
                 id=vuln_id,
-                service=attrs.get("service", "unknown").strip().lower(),
+                service=service.rstrip(),
                 port=port,
                 description=attrs.get("description", ""),
                 exploitation_method=attrs.get("method", attrs.get("exploitation_method", "")),

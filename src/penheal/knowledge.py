@@ -8,8 +8,12 @@ queries in another. The index holds the counts bucket-major as postings (per
 bucket, the ascending rows nonzero there and their counts) and each row's
 squared norm. postings.bin stores them little-endian: EMBED_DIM uint32
 posting counts, every uint32 row id, every uint32 count, then a uint64
-squared norm per row. An index in another layout, such as the float64
-entries or dense vectors.bin of older versions, must be ingested again.
+squared norm per row. texts.bin holds a uint32 length in characters per
+chunk, then every chunk's text as one UTF-8 string, in row order; meta.json
+lists each doc id and its chunk count in row order, as ingest keeps a
+document's chunks together as seq 0..k-1. An index in another layout, such
+as the chunks.jsonl, float64 entries or dense vectors.bin of older versions,
+must be ingested again.
 
 retrieve ranks rows by integer keys: a row's key is its dot product with the
 query's counts times its scale floor(2**KEY_BITS / norm), which is 1 or more
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import math
 import re
 import sys
@@ -45,11 +50,11 @@ from bisect import bisect_left
 from collections import Counter
 from functools import partial
 from itertools import accumulate, compress, pairwise, repeat
-from operator import ge, lt, mul, not_
+from operator import attrgetter, ge, lt, mul, not_
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .model import decode, encode, json_document, load_json, read_json_lines, write_json_lines
+from .model import decode, encode, json_document, load_json
 
 EMBED_DIM = 512
 DEFAULT_CHUNK_SIZE = 800
@@ -64,6 +69,7 @@ _TOKEN = re.compile(r"\w+")
 # for whitespace is outside it, so on ASCII text translate, then split(), is _TOKEN.findall.
 _ASCII_WORDS = bytes(ord(c.lower()) if _TOKEN.match(c) else 32 for c in map(chr, range(256)))
 INDEX_DTYPE = "postings-uint32-counts-uint64-norms-le"  # the layout of postings.bin
+TEXTS_DTYPE = "lengths-uint32-le-utf8"  # the layout of texts.bin
 
 
 class KnowledgeBaseError(ValueError):
@@ -83,6 +89,8 @@ class IndexMeta(NamedTuple):
     dtype: str
     count: int
     embedder_id: str = EMBEDDER_ID
+    texts: Optional[str] = None  # TEXTS_DTYPE; an index of older versions has none
+    documents: tuple[tuple[str, int], ...] = ()  # (doc_id, chunk count) in row order
 
 
 class Excerpt(NamedTuple):
@@ -267,23 +275,32 @@ class KnowledgeBase:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write chunks.jsonl, postings.bin and meta.json."""
+        """Write postings.bin, texts.bin and meta.json."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         parts = [array("I", map(len, self._rows)), *self._rows, *self._counts, self._squares]
         postings = b"".join(_little_endian(part).tobytes() for part in parts)
         (directory / "postings.bin").write_bytes(postings)
-        write_json_lines(directory / "chunks.jsonl", self._chunks)
-        meta = json_document(encode(IndexMeta(EMBED_DIM, INDEX_DTYPE, len(self._chunks))))
-        (directory / "meta.json").write_text(meta, encoding="utf-8")
+        texts = [c.text for c in self._chunks]
+        with open(directory / "texts.bin", "wb") as fh:
+            fh.write(_little_endian(array("I", map(len, texts))).tobytes())
+            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as writer:
+                writer.writelines(texts)  # a chunk at a time, as load reads them
+        documents = Counter(map(attrgetter("doc_id"), self._chunks))  # in row order, see ingest
+        meta = IndexMeta(EMBED_DIM, INDEX_DTYPE, len(texts), EMBEDDER_ID, TEXTS_DTYPE,
+                         tuple(documents.items()))
+        (directory / "meta.json").write_text(json_document(encode(meta)), encoding="utf-8")
 
     @classmethod
     def load(cls, directory: str | Path) -> "KnowledgeBase":
         """Read an index saved by ``save``.
 
-        An index whose meta.json names another dimension, layout or embedder,
-        or whose postings.bin does not fit its chunks, raises
-        KnowledgeBaseError: the wrong size, a row id out of range, a bucket
+        An index whose meta.json names another dimension, layout or embedder
+        (one saved before texts.bin names no texts layout) raises
+        KnowledgeBaseError, as does one whose documents name a doc id twice
+        or do not hold count chunks, whose texts.bin is short, not UTF-8 or
+        has lengths that do not sum to its text, or whose postings.bin does
+        not fit its chunks: the wrong size, a row id out of range, a bucket
         that lists a row twice or out of order, a count or squared norm of 0,
         or squared norms that do not sum to the squared counts. Files that do
         not decode raise OSError, KeyError or ValueError.
@@ -291,14 +308,33 @@ class KnowledgeBase:
         directory = Path(directory)
         meta = load_json((directory / "meta.json").read_text(encoding="utf-8"),
                          partial(decode, IndexMeta))
-        for field, found, wanted in zip(IndexMeta._fields, meta,
-                                        IndexMeta(EMBED_DIM, INDEX_DTYPE, meta.count)):
+        current = meta._replace(dimension=EMBED_DIM, dtype=INDEX_DTYPE,
+                                embedder_id=EMBEDDER_ID, texts=TEXTS_DTYPE)
+        for field, found, wanted in zip(IndexMeta._fields, meta, current):
             if found != wanted:  # an index of another version: a new ingest rebuilds it
                 raise KnowledgeBaseError(f"index {field} {found!r} is not {wanted!r}; re-run "
                                          "`penheal ingest` on its documents into a new directory")
-        chunks = read_json_lines(directory / "chunks.jsonl", Chunk)
-        if len(chunks) != meta.count:
-            raise KnowledgeBaseError(f"chunks.jsonl has {len(chunks)} chunks, not {meta.count}")
+        ids = [(doc_id, seq) for doc_id, k in meta.documents for seq in range(k)]
+        # a negative count adds no chunk but lowers the sum; a doc id twice repeats its seqs
+        if len(ids) != meta.count or len(dict(meta.documents)) < len(meta.documents):
+            raise KnowledgeBaseError(f"meta.json documents must name each doc id once and hold "
+                                     f"{meta.count} chunks, not {len(ids)}")
+        end = 4 * len(ids)  # of the lengths
+        with open(directory / "texts.bin", "rb") as fh:
+            head = fh.read(end)
+            if len(head) < end:
+                raise KnowledgeBaseError(f"texts.bin has {len(head)} bytes, fewer than 4 per chunk")
+            lengths = _little_endian(array("I", head))
+            reader = io.TextIOWrapper(fh, encoding="utf-8", newline="")  # reads characters
+            try:  # a chunk at a time: no copy of the whole text is held
+                texts = [reader.read(n) for n in lengths]
+                size = sum(map(len, texts)) + len(reader.read())
+            except UnicodeDecodeError as exc:
+                raise KnowledgeBaseError(f"texts.bin is not UTF-8: {exc.reason}") from None
+        if size != sum(lengths):
+            raise KnowledgeBaseError(f"texts.bin has lengths that sum to {sum(lengths)}, "
+                                     f"not its {size} characters")
+        chunks = [Chunk(doc_id, seq, text) for (doc_id, seq), text in zip(ids, texts)]
         data = (directory / "postings.bin").read_bytes()
         head = 4 * EMBED_DIM
         sizes = _little_endian(array("I", data[:head] if len(data) >= head else b""))

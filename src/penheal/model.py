@@ -66,6 +66,8 @@ _NO_DEFAULT = object()
 json_text = json.JSONEncoder(ensure_ascii=False).encode
 # A JSON string escape: a pair, a lone surrogate (group 1), or any other; compiled on first use.
 _ESCAPE = r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)"
+# Whether text may hold a surrogate escape: one search that skips from backslash to backslash.
+_MAY_HOLD_SURROGATE = re.compile(r"\\u[dD]").search
 
 
 def encode(value: Any) -> dict[str, Any]:
@@ -86,7 +88,7 @@ def load_json(text: str, then: Callable[[Any], Any] = lambda data: data,
     value nested too deep for either is a JSONDecodeError too, not a RecursionError.
     ``object_pairs_hook`` is ``json.loads``'s; without it, parsing takes the fast path.
     """
-    if "\\ud" in text or "\\uD" in text:  # decoded UTF-8 holds a surrogate only as an escape
+    if _MAY_HOLD_SURROGATE(text):  # decoded UTF-8 holds a surrogate only as an escape
         if lone := next((m for m in re.finditer(_ESCAPE, text) if m[1]), None):
             raise json.JSONDecodeError(f"lone surrogate \\{lone[1]}", text, lone.start())
     try:

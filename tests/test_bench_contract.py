@@ -65,7 +65,7 @@ def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
         kb, saved = inputs["kb"], tmp_path / "kb-scratch"
         postings = 4 * EMBED_DIM + 8 * sum(map(len, kb._rows)) + 8 * len(kb)
         assert (saved / "postings.bin").stat().st_size == postings
-        layout = postings + sum((saved / name).stat().st_size for name in ("chunks.jsonl",
+        layout = postings + sum((saved / name).stat().st_size for name in ("texts.bin",
                                                                             "meta.json"))
         assert [a["bytes"] for name, a in spans
                 if name in ("knowledge.save", "knowledge.load")] == [layout, layout]

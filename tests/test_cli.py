@@ -5,6 +5,7 @@ import ast
 import builtins
 import json
 import os
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -212,9 +213,10 @@ class TestIngestSubcommand:
         out = capsys.readouterr().out
         assert "8 chunks" in out  # golden count for the bundled corpus
         assert (tmp_path / "kb" / "meta.json").exists()
-        assert (tmp_path / "kb" / "chunks.jsonl").exists()
+        assert (tmp_path / "kb" / "texts.bin").exists()
         assert (tmp_path / "kb" / "postings.bin").exists()
         assert not (tmp_path / "kb" / "vectors.bin").exists()  # one layout
+        assert not (tmp_path / "kb" / "chunks.jsonl").exists()
 
     def test_empty_file_indexes_nothing_and_warns_nowhere(self, tmp_path):
         """A new process, so no test harness catches what would go to stderr."""
@@ -664,27 +666,48 @@ class TestBadInputsFailFirst:
         assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
         assert "knowledge base" in fatal_line(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("damage", ["meta-list", "meta-too-deep", "mistyped-chunk",
-                                        "broken-chunk"])
+    BAD_KB = {
+        "meta-list": "expected dict, got list",
+        "meta-too-deep": "nesting too deep",
+        "mistyped-chunk": "IndexMeta.documents: expected int, got str",
+        "broken-chunk": "texts.bin is not UTF-8: invalid start byte",
+        "truncated-texts": "texts.bin has lengths that sum to 47, not its 46 characters",
+        "short-texts": "texts.bin has 3 bytes, fewer than 4 per chunk",
+        "lengths": "texts.bin has lengths that sum to 48, not its 47 characters",
+        "documents": "meta.json documents must name each doc id once and hold 1 chunks, not 2",
+        "chunks-jsonl-layout": "index texts None is not 'lengths-uint32-le-utf8'; re-run "
+                               "`penheal ingest` on its documents into a new directory",
+    }
+
+    @pytest.mark.parametrize("damage", BAD_KB)
     def test_bad_kb(self, tmp_path, capsys, monkeypatch, no_network, damage):
         from penheal.knowledge import KnowledgeBase
+        from test_knowledge_matrix import write_jsonl_layout
 
         monkeypatch.setattr(Gateway, "complete", _refuse)
         kb = tmp_path / "index"
         index = KnowledgeBase()
         index.ingest("Scan the target with nmap before exploiting it.", doc_id="notes")
         index.save(kb)
-        chunks = {"mistyped-chunk": '{"doc_id": 5, "seq": 0, "text": ["x"]}',
-                  "broken-chunk": '{"doc_id": "notes", "seq": 0,'}.get(damage)
-        if chunks:  # after a blank line, which is skipped but counted
-            (kb / "chunks.jsonl").write_text(f"\n{chunks}\n")
+        texts, meta = (kb / "texts.bin").read_bytes(), (kb / "meta.json").read_text()
+        if damage == "meta-list":
+            (kb / "meta.json").write_text("[]")
+        elif damage == "meta-too-deep":
+            (kb / "meta.json").write_text("[" * 100_000)
+        elif damage == "mistyped-chunk":
+            (kb / "meta.json").write_text(meta.replace('"notes": 1', '"notes": "1"'))
+        elif damage == "documents":
+            (kb / "meta.json").write_text(meta.replace('"notes": 1', '"notes": 2'))
+        elif damage == "chunks-jsonl-layout":
+            write_jsonl_layout(kb)
         else:
-            (kb / "meta.json").write_text("[]" if damage == "meta-list" else "[" * 100_000)
+            (kb / "texts.bin").write_bytes({
+                "broken-chunk": texts[:4] + b"\xff" + texts[5:],
+                "truncated-texts": texts[:-1], "short-texts": texts[:3],
+                "lengths": struct.pack("<I", 48) + texts[4:]}[damage])
         assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
         line = fatal_line(capsys.readouterr().err)
-        assert f"cannot load knowledge base {kb}" in line
-        if chunks:
-            assert f"{kb / 'chunks.jsonl'} line 2 is unreadable: " in line
+        assert f"cannot load knowledge base {kb}: {self.BAD_KB[damage]}" in line
 
     def test_kb_in_the_dense_layout(self, tmp_path, capsys, monkeypatch, no_network):
         from penheal.knowledge import KnowledgeBase

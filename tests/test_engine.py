@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from plan_invariants import find, validate_plan, walk
 
 from penheal.engine import (
+    MAX_SERVICE_CHARS,
     PLAN_LINE_MEMO,
     Command,
     CommandChannel,
@@ -566,6 +567,21 @@ class TestExtractorBlocks:
     def test_missing_service_defaults_unknown(self):
         findings, _ = parse_extractor_blocks("Exploited: CVE-NA\nport: 80")
         assert findings[0].service == "unknown"
+
+    @pytest.mark.parametrize("service, kept", [
+        ("h" * MAX_SERVICE_CHARS, "h" * MAX_SERVICE_CHARS),
+        ("H" * 20_000, "h" * MAX_SERVICE_CHARS),
+        ("x" * (MAX_SERVICE_CHARS - 1) + " tail", "x" * (MAX_SERVICE_CHARS - 1)),
+    ], ids=["at-the-bound", "long", "clipped-at-a-space"])
+    def test_service_name_clipped_to_its_bound_with_one_warning(self, service, kept):
+        findings, warnings = parse_extractor_blocks(
+            f"Exploited: CVE-NA\nservice: {service}\nport: 80\n\n"
+            f"Exploited: CVE-2011-2523\nservice: {service}\nport: 21")
+        assert [f.service for f in findings] == [kept, kept]
+        extra = len(service) - MAX_SERVICE_CHARS
+        assert warnings == ([] if extra <= 0 else [
+            f"{extra} service character(s) of {i} past the first {MAX_SERVICE_CHARS} ignored"
+            for i in ("CVE-NA", "CVE-2011-2523")])
 
 
 class TestSummarize:

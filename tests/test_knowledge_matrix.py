@@ -260,6 +260,34 @@ def test_postings_equal_per_window_embed(ops):
         check_held_postings(kb)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "ünï", "笔记"]),
+                          documents | st.text(alphabet="ab 𝔘𝔫𝔦 ß€", max_size=120)),
+                min_size=1, max_size=6),
+       st.integers(1, 40), st.integers(0, 39), queries, st.integers(1, 12))
+@example([("ünï", "Straße İstanbul " * 9), ("a", "samba 𝔘 " * 9), ("ünï", "€ naïve " * 7)],
+         16, 4, "straße samba", 3)  # a re-ingest moves ünï's chunks after a's
+@example([("a", "line one\r\nline two\rthree\n" * 9)], 10, 0, "line", 2)  # kept as written
+def test_save_then_load_is_the_same_index(ops, chunk_size, overlap, query, k):
+    """A saved and loaded index holds the same chunks, postings, norms and documents, and
+    answers as the index it was saved from, for ASCII and non-ASCII text and doc ids."""
+    kb = KnowledgeBase()
+    for doc_id, text in ops:
+        kb.ingest(text, doc_id, chunk_size=chunk_size, overlap=min(overlap, chunk_size - 1))
+    with tempfile.TemporaryDirectory() as scratch:
+        kb.save(scratch)
+        loaded = KnowledgeBase.load(scratch)
+        meta = json.loads((Path(scratch) / "meta.json").read_text(encoding="utf-8"))
+    assert loaded._chunks == kb._chunks
+    assert [(c.doc_id, c.seq) for c in kb._chunks] == [
+        (doc_id, seq) for doc_id, n in meta["documents"].items() for seq in range(n)]
+    assert loaded._rows == kb._rows and loaded._counts == kb._counts
+    assert loaded._squares == kb._squares
+    assert {c.doc_id for c in kb._chunks} <= loaded._doc_ids <= kb._doc_ids
+    if len(kb):
+        assert answers(loaded, query, k) == answers(kb, query, k)
+
+
 def check_held_postings(kb):
     """Each row's postings are embed of its chunk's text: per bucket the rows ascending, each
     count / norm equal to embed's entry bit for bit, and the row's squared counts held as its
@@ -333,17 +361,56 @@ class TestValidation:
             with pytest.raises(KnowledgeBaseError, match="bytes"):
                 KnowledgeBase.load(tmp_path)
 
-    @pytest.mark.parametrize("edit", ["drop-line", "add-line", "meta-count"])
-    def test_chunk_count_that_disagrees_with_chunks_jsonl_detected(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit", ["drop-chunk", "add-chunk", "add-document", "negative",
+                                      "doc-id-twice", "meta-count"])
+    def test_chunk_count_mismatch_detected(self, tmp_path, edit):
+        """meta.json's documents must name each doc id once and list exactly ``count`` chunks;
+        a negative count adds none."""
         saved_index(tmp_path)
-        lines = (tmp_path / "chunks.jsonl").read_text().splitlines(keepends=True)
-        if edit == "meta-count":
-            meta = json.loads((tmp_path / "meta.json").read_text())
-            (tmp_path / "meta.json").write_text(json.dumps(meta | {"count": 2}))
-        else:
-            lines = lines[:-1] if edit == "drop-line" else lines + lines[-1:]
-            (tmp_path / "chunks.jsonl").write_text("".join(lines))
-        with pytest.raises(KnowledgeBaseError, match="chunks"):
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        edited = {"drop-chunk": {"documents": {"doc": 2}}, "add-chunk": {"documents": {"doc": 4}},
+                  "add-document": {"documents": {"doc": 3, "more": 1}},
+                  "negative": {"documents": {"doc": 4, "more": -1}},
+                  "doc-id-twice": {"documents": [["doc", 2], ["doc", 1]]},  # a list of pairs
+                  "meta-count": {"count": 2}}[edit]
+        (tmp_path / "meta.json").write_text(json.dumps(meta | edited))
+        with pytest.raises(KnowledgeBaseError, match="must name each doc id once and hold"):
+            KnowledgeBase.load(tmp_path)
+
+    @pytest.mark.parametrize("cut", [0, 3, 11, 12, 13, -1, -85])
+    def test_truncated_texts_detected(self, tmp_path, cut):
+        """Cut inside the 12 bytes of lengths, at their end or inside the text."""
+        saved_index(tmp_path)
+        data = (tmp_path / "texts.bin").read_bytes()
+        (tmp_path / "texts.bin").write_bytes(data[:cut])
+        with pytest.raises(KnowledgeBaseError, match="texts.bin has"):
+            KnowledgeBase.load(tmp_path)
+
+    @pytest.mark.parametrize("chunk, delta", [(0, 1), (0, -1), (2, -85), (1, 2**32 - 101)])
+    def test_lengths_that_disagree_with_the_text_detected(self, tmp_path, chunk, delta):
+        saved_index(tmp_path)
+        data = bytearray((tmp_path / "texts.bin").read_bytes())
+        length = struct.unpack_from("<I", data, 4 * chunk)[0]
+        struct.pack_into("<I", data, 4 * chunk, (length + delta) % 2**32)
+        (tmp_path / "texts.bin").write_bytes(data)
+        with pytest.raises(KnowledgeBaseError, match="lengths that sum to"):
+            KnowledgeBase.load(tmp_path)
+
+    # a byte no character starts with, a cut character and an encoded surrogate
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80"])
+    def test_texts_that_are_not_utf8_detected(self, tmp_path, bad):
+        saved_index(tmp_path)
+        data = (tmp_path / "texts.bin").read_bytes()
+        (tmp_path / "texts.bin").write_bytes(data[:20] + bad + data[20 + len(bad):])
+        with pytest.raises(KnowledgeBaseError, match="texts.bin is not UTF-8: "):
+            KnowledgeBase.load(tmp_path)
+
+    def test_chunks_jsonl_layout_asks_for_a_new_ingest(self, tmp_path):
+        saved_index(tmp_path)
+        write_jsonl_layout(tmp_path)
+        with pytest.raises(KnowledgeBaseError, match="index texts None is not "
+                                                     "'lengths-uint32-le-utf8'; re-run "
+                                                     "`penheal ingest`"):
             KnowledgeBase.load(tmp_path)
 
     def test_dense_layout_asks_for_a_new_ingest(self, tmp_path):
@@ -422,6 +489,18 @@ def write_float_layout(directory):
     (directory / "postings.bin").write_bytes(
         struct.pack(f"<{EMBED_DIM}i", *sizes) + struct.pack(f"<{len(rows)}i", *rows)
         + struct.pack(f"<{len(entries)}d", *entries))
+
+
+def write_jsonl_layout(directory):
+    """Turn the index in ``directory`` into the chunks.jsonl layout of older versions: one
+    JSON line per chunk, and a meta.json without the texts layout or the documents."""
+    kb = KnowledgeBase.load(directory)
+    meta = json.loads((directory / "meta.json").read_text())
+    (directory / "meta.json").write_text(json.dumps(
+        {key: meta[key] for key in ("dimension", "dtype", "count", "embedder_id")}, indent=2))
+    (directory / "texts.bin").unlink()
+    (directory / "chunks.jsonl").write_text("".join(
+        json.dumps(c._asdict(), ensure_ascii=False) + "\n" for c in kb._chunks), encoding="utf-8")
 
 
 def write_dense_layout(directory):

@@ -237,19 +237,18 @@ class TestIndexBytes:
 
         step = DEFAULT_CHUNK_SIZE - DEFAULT_OVERLAP
         pieces = [corpus[s : s + DEFAULT_CHUNK_SIZE] for s in range(0, len(corpus), step)]
-        rows = [
-            json.dumps({"doc_id": "pentest_notes", "seq": i, "text": p}, ensure_ascii=False)
-            for i, p in enumerate(pieces)
-        ]
         meta = {
             "dimension": EMBED_DIM,
             "dtype": "postings-uint32-counts-uint64-norms-le",
             "count": len(pieces),
             "embedder_id": f"hashed-tf-{EMBED_DIM}",
+            "texts": "lengths-uint32-le-utf8",
+            "documents": {"pentest_notes": len(pieces)},
         }
-        assert (tmp_path / "chunks.jsonl").read_bytes() == "".join(
-            r + "\n" for r in rows
-        ).encode("utf-8")
+        assert (tmp_path / "texts.bin").read_bytes() == struct.pack(
+            f"<{len(pieces)}I", *map(len, pieces)
+        ) + "".join(pieces).encode("utf-8")
+        assert not (tmp_path / "chunks.jsonl").exists()
         assert (tmp_path / "postings.bin").read_bytes() == postings_bytes(
             [dense(reference_counts(p)) for p in pieces]
         )

@@ -7,6 +7,7 @@ import json
 import json.encoder
 import math
 import pkgutil
+import re
 import sys
 import typing
 from pathlib import Path
@@ -418,6 +419,42 @@ def test_load_json_refuses_exactly_what_no_utf8_writer_takes(parts):
     assert body[pos:pos + 3].lower() == "\\ud"  # the first escape that makes it unwritable
     assert _writable(body[:pos]) and not _writable(body[:pos + 6])
     assert raised.value.msg == f"lone surrogate {body[pos:pos + 6]}"
+
+
+def _load_json_by_two_scans(text):
+    """load_json with its former surrogate pre-check, two substring scans, as an oracle."""
+    if "\\ud" in text or "\\uD" in text:
+        if lone := next((m for m in re.finditer(model._ESCAPE, text) if m[1]), None):
+            raise json.JSONDecodeError(f"lone surrogate \\{lone[1]}", text, lone.start())
+    return json.loads(text)
+
+
+def _outcome(load, text):
+    try:
+        return "value", load(text)
+    except json.JSONDecodeError as exc:
+        return "error", exc.msg, exc.pos
+
+
+# High, low and paired surrogate escapes, escaped backslashes before "ud..", and cut escapes.
+_SURROGATE_PARTS = st.sampled_from([
+    "\\ud83d", "\\uDE00", "\\udc80", "\\uD800", "\\uDBFF", "\\udfff", "\\ud83d\\ude00",
+    "\\uD83D\\uDE00", "\\\\", "\\\\ud83d", "\\\\\\udc80", "\\\\uDC80", "\\u0041", "\\n", "a",
+    "\u00e9", "\\ud7ff", "\\ue000", "\\u", "\\uD", "\\ud8", "\\ud83d\\u0041", "\\"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_SURROGATE_PARTS, max_size=6).map("".join), min_size=1, max_size=3),
+       st.sampled_from(["list", "object", "bare"]))
+@example(["\\\\ud83d", "\\udc80"], "object")
+@example(["a\\uD800"], "bare")
+def test_load_json_raises_or_returns_as_the_two_scan_check(bodies, layout):
+    """One compiled search decides what the two scans decided: the same value, or the same
+    error at the same offset."""
+    text = {"list": lambda: "[" + ", ".join(f'"{b}"' for b in bodies) + "]",
+            "object": lambda: "{" + ", ".join(f'"{b}": ["{b}", 1]' for b in bodies) + "}",
+            "bare": lambda: "[" + ", ".join(bodies) + "]"}[layout]()
+    assert _outcome(model.load_json, text) == _outcome(_load_json_by_two_scans, text)
 
 
 def test_every_enum_hashes_by_identity():

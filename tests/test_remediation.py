@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from penheal import cvss, nvd
 from penheal.backends import NVD_API_KEY_ENV, LiveNvdClient
+from penheal.engine import MAX_SERVICE_CHARS, parse_extractor_blocks
 from penheal.gateway import AgentRole, Gateway, ScriptedBackend, load_transcript
 from penheal.knapsack import COST_SCALE, solve_group_knapsack
 from penheal.model import (
@@ -337,20 +338,36 @@ class TestEstimateVector:
         assert metrics.base_score == 9.8
         assert len(warnings) == 1
 
-    def test_long_context_keeps_the_finding_in_both_requests(self):
-        """The context is clipped before the light budget would clip the task turn's front."""
-        sent = []
+    @staticmethod
+    def recording_gateway(sent):
+        """A gateway whose Estimator replies twice with no vector, appending each task turn
+        it is sent to ``sent``."""
 
         class Recording(ScriptedBackend):
             def complete(self, role, model, messages):
                 sent.append(messages[1].content)
                 return super().complete(role, model, messages)
 
-        gateway = Gateway(Recording({AgentRole.ESTIMATOR: ["no vector", "still none"]}))
-        metrics, _ = estimate_vector(finding(), "x" * 20_000, gateway)
+        return Gateway(Recording({AgentRole.ESTIMATOR: ["no vector", "still none"]}))
+
+    def test_long_context_keeps_the_finding_in_both_requests(self):
+        """The context is clipped before the light budget would clip the task turn's front."""
+        sent = []
+        metrics, _ = estimate_vector(finding(), "x" * 20_000, self.recording_gateway(sent))
         assert metrics.base_score == 7.3  # both replies failed: the default vector
         assert len(sent) == 2
         assert all(text.startswith("Vulnerability: CVE-NA on http port 80\n") for text in sent)
+
+    def test_long_service_name_keeps_the_finding_in_both_requests(self):
+        """An extractor block's service name is clipped when parsed, so a 20,000-character
+        one still leaves the Vulnerability line whole at the front of both requests."""
+        (parsed,), warnings = parse_extractor_blocks(
+            f"Exploited: CVE-NA\nservice: {'h' * 20_000}\nport: 80\ndescription: a long banner")
+        assert len(warnings) == 1
+        sent = []
+        estimate_vector(parsed, parsed.description, self.recording_gateway(sent))
+        line = f"Vulnerability: CVE-NA on {'h' * MAX_SERVICE_CHARS} port 80\n"
+        assert len(sent) == 2 and all(text.startswith(line) for text in sent)
 
     def test_garbage_twice_applies_conservative_default(self):
         gateway = gw({AgentRole.ESTIMATOR: ["nope", "still nope"]})

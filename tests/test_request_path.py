@@ -182,12 +182,12 @@ def test_only_the_loop_runs_a_plan_step(step):
 
 
 def test_one_rule_bounds_every_list_a_reply_yields():
-    """``model.keep_first`` alone words the bound warning, and each reply list's bound is the
-    ``bound`` of exactly one of its calls."""
+    """``model.keep_first`` alone words the bound warning, and each reply list's bound (and the
+    extractor's service-name bound) is the ``bound`` of exactly one of its calls."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem != "model":
             assert "past the first" not in path.read_text(encoding="utf-8"), path.name
     bounds = [(module, argument(call, 1, "bound")) for module, call in calls("keep_first")]
     assert sorted((module, getattr(bound, "id", None)) for module, bound in bounds) == [
-        ("engine", "MAX_COMMANDS"), ("engine", "MAX_FINDINGS"),
+        ("engine", "MAX_COMMANDS"), ("engine", "MAX_FINDINGS"), ("engine", "MAX_SERVICE_CHARS"),
         ("remediation", "MAX_ADVISOR_ITEMS"), ("remediation", "MAX_EXTRA_TARGETS")]
