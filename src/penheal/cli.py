@@ -41,7 +41,7 @@ EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
-_ENV_REF = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+_ENV_REF = r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}"  # compiled by re's cache on first use
 
 
 class Fatal(Exception):
@@ -56,7 +56,7 @@ def _interpolate_env(value):
             if name not in os.environ:
                 raise Fatal(f"environment variable {name} is not set")
             return os.environ[name]
-        return _ENV_REF.sub(repl, value)
+        return re.sub(_ENV_REF, repl, value)
     if isinstance(value, dict):
         return {k: _interpolate_env(v) for k, v in value.items()}
     if isinstance(value, list):

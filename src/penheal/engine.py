@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Union
 
 from .gateway import AgentRole, Gateway
 from .model import (
@@ -29,6 +29,7 @@ from .model import (
     AttackPlan,
     Command,
     CommandChannel,
+    Record,
     RunConfig,
     TaskNode,
     TaskStatus,
@@ -53,7 +54,7 @@ class EngineError(Exception):
     pass
 
 
-class ExecutionRecord(NamedTuple):  # one executed command: a history.jsonl row, in field order
+class ExecutionRecord(Record):  # one executed command: a history.jsonl row, in field order
     command: str
     channel: CommandChannel
     raw_output: str
@@ -61,7 +62,7 @@ class ExecutionRecord(NamedTuple):  # one executed command: a history.jsonl row,
     exit_status: Union[int, str]
 
 
-class IterationLog(NamedTuple):
+class IterationLog(Record):
     iteration: int
     task_id: str
     new_finding_keys: tuple[str, ...]  # a counterfactual re-plan followed when non-empty
@@ -69,7 +70,7 @@ class IterationLog(NamedTuple):
     plan_changed: bool
 
 
-class PentestResult(NamedTuple):
+class PentestResult(Record):
     history: list[ExecutionRecord]  # every executed command, in order
     plan: AttackPlan
     findings: list[Vulnerability]

@@ -22,9 +22,9 @@ import re
 import time
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Protocol
+from typing import Iterable, Optional, Protocol
 
-from .model import IdentityEnum, read_json_lines, write_json_lines
+from .model import IdentityEnum, Record, read_json_lines, write_json_lines
 
 STRONG_CHAR_BUDGET = 100_000
 LIGHT_CHAR_BUDGET = 12_000
@@ -53,7 +53,7 @@ class RoleTag(IdentityEnum):
     ASSISTANT = "assistant"
 
 
-class _ChatTurnFields(NamedTuple):
+class _ChatTurnFields(Record):
     role_tag: RoleTag
     content: str
 
@@ -90,7 +90,7 @@ _ROLE_JSON = {role: _escape(role.value) for role in AgentRole}
 _TAG_JSON = {tag: _escape(tag.value) for tag in RoleTag}
 # Distinct first (system) turns whose hash state is kept; a run has a few dozen.
 FIRST_TURN_STATES = 64
-_SURROGATE = re.compile("[\ud800-\udfff]")  # JSON can carry one alone; UTF-8 cannot
+_SURROGATE = "[\ud800-\udfff]"  # JSON can carry one alone; UTF-8 cannot; compiled on use
 
 
 @functools.lru_cache(maxsize=FIRST_TURN_STATES)
@@ -99,7 +99,7 @@ def _first_turn_state(tag_json: str, content: str):
     return hashlib.sha256(f'{{"messages":[[{tag_json},{_escape(content)}]'.encode("ascii"))
 
 
-class Exchange(NamedTuple):
+class Exchange(Record):
     role: AgentRole
     model: str
     request_hash: str
@@ -108,7 +108,7 @@ class Exchange(NamedTuple):
     ts: str = ""
 
 
-class RecordedReply(NamedTuple):
+class RecordedReply(Record):
     """The two fields of a transcript line that a replay reads."""
 
     request_hash: str
@@ -223,7 +223,7 @@ class Gateway:
         messages = _truncate(history, budget)
         response = self.backend.complete(role, model, messages)
         if not response.isascii():
-            response = _SURROGATE.sub("\ufffd", response)
+            response = re.sub(_SURROGATE, "\ufffd", response)
         if self._record_path:
             exchange = Exchange(
                 role=role,

@@ -1,0 +1,142 @@
+"""A knowledge index on disk: ``KnowledgeBase.save`` and ``KnowledgeBase.load``.
+
+Only a command that writes or reads an index imports this module, on the first
+``save`` or ``load``. An index directory holds three files. postings.bin stores
+the postings little-endian: EMBED_DIM uint32 posting counts, every uint32 row
+id, every uint32 count, then a uint64 squared norm per row. texts.bin holds a
+uint32 length in characters per chunk, then every chunk's text as one UTF-8
+string, in row order; meta.json lists each doc id and its chunk count in row
+order, as ingest keeps a document's chunks together as seq 0..k-1. An index in
+another layout, such as the chunks.jsonl, float64 entries or dense vectors.bin
+of older versions, must be ingested again.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+from array import array
+from collections import Counter
+from functools import partial
+from itertools import accumulate, pairwise
+from operator import attrgetter, lt, mul
+from pathlib import Path
+from typing import Optional
+
+from .knowledge import EMBED_DIM, EMBEDDER_ID, Chunk, KnowledgeBase, KnowledgeBaseError
+from .model import Record, decode, encode, json_document, load_json
+
+INDEX_DTYPE = "postings-uint32-counts-uint64-norms-le"  # the layout of postings.bin
+TEXTS_DTYPE = "lengths-uint32-le-utf8"  # the layout of texts.bin
+
+
+class IndexMeta(Record):
+    """The fields of an index's meta.json that a load checks."""
+
+    dimension: int
+    dtype: str
+    count: int
+    embedder_id: str = EMBEDDER_ID
+    texts: Optional[str] = None  # TEXTS_DTYPE; an index of older versions has none
+    documents: tuple[tuple[str, int], ...] = ()  # (doc_id, chunk count) in row order
+
+
+def _little_endian(part: array) -> array:
+    """``part`` in the byte order of postings.bin: on a big-endian host, a byte-swapped copy."""
+    if sys.byteorder == "big":
+        part = array(part.typecode, part)
+        part.byteswap()
+    return part
+
+
+def save(kb: KnowledgeBase, directory: str | Path) -> None:
+    """Write postings.bin, texts.bin and meta.json."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    parts = [array("I", map(len, kb._rows)), *kb._rows, *kb._counts, kb._squares]
+    postings = b"".join(_little_endian(part).tobytes() for part in parts)
+    (directory / "postings.bin").write_bytes(postings)
+    texts = [c.text for c in kb._chunks]
+    with open(directory / "texts.bin", "wb") as fh:
+        fh.write(_little_endian(array("I", map(len, texts))).tobytes())
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as writer:
+            writer.writelines(texts)  # a chunk at a time, as load reads them
+    documents = Counter(map(attrgetter("doc_id"), kb._chunks))  # in row order, see ingest
+    meta = IndexMeta(EMBED_DIM, INDEX_DTYPE, len(texts), EMBEDDER_ID, TEXTS_DTYPE,
+                     tuple(documents.items()))
+    (directory / "meta.json").write_text(json_document(encode(meta)), encoding="utf-8")
+
+
+def load(cls: type[KnowledgeBase], directory: str | Path) -> KnowledgeBase:
+    """Read an index saved by ``save`` as a ``cls``.
+
+    An index whose meta.json names another dimension, layout or embedder
+    (one saved before texts.bin names no texts layout) raises
+    KnowledgeBaseError, as does one whose documents name a doc id twice
+    or do not hold count chunks, whose texts.bin is short, not UTF-8 or
+    has lengths that do not sum to its text, or whose postings.bin does
+    not fit its chunks: the wrong size, a row id out of range, a bucket
+    that lists a row twice or out of order, a count or squared norm of 0,
+    or squared norms that do not sum to the squared counts. Files that do
+    not decode raise OSError, KeyError or ValueError.
+    """
+    directory = Path(directory)
+    meta = load_json((directory / "meta.json").read_text(encoding="utf-8"),
+                     partial(decode, IndexMeta))
+    current = meta._replace(dimension=EMBED_DIM, dtype=INDEX_DTYPE,
+                            embedder_id=EMBEDDER_ID, texts=TEXTS_DTYPE)
+    for field, found, wanted in zip(IndexMeta._fields, meta, current):
+        if found != wanted:  # an index of another version: a new ingest rebuilds it
+            raise KnowledgeBaseError(f"index {field} {found!r} is not {wanted!r}; re-run "
+                                     "`penheal ingest` on its documents into a new directory")
+    ids = [(doc_id, seq) for doc_id, k in meta.documents for seq in range(k)]
+    # a negative count adds no chunk but lowers the sum; a doc id twice repeats its seqs
+    if len(ids) != meta.count or len(dict(meta.documents)) < len(meta.documents):
+        raise KnowledgeBaseError(f"meta.json documents must name each doc id once and hold "
+                                 f"{meta.count} chunks, not {len(ids)}")
+    end = 4 * len(ids)  # of the lengths
+    with open(directory / "texts.bin", "rb") as fh:
+        head = fh.read(end)
+        if len(head) < end:
+            raise KnowledgeBaseError(f"texts.bin has {len(head)} bytes, fewer than 4 per chunk")
+        lengths = _little_endian(array("I", head))
+        reader = io.TextIOWrapper(fh, encoding="utf-8", newline="")  # reads characters
+        try:  # a chunk at a time: no copy of the whole text is held
+            texts = [reader.read(n) for n in lengths]
+            size = sum(map(len, texts)) + len(reader.read())
+        except UnicodeDecodeError as exc:
+            raise KnowledgeBaseError(f"texts.bin is not UTF-8: {exc.reason}") from None
+    if size != sum(lengths):
+        raise KnowledgeBaseError(f"texts.bin has lengths that sum to {sum(lengths)}, "
+                                 f"not its {size} characters")
+    chunks = [Chunk(doc_id, seq, text) for (doc_id, seq), text in zip(ids, texts)]
+    data = (directory / "postings.bin").read_bytes()
+    head = 4 * EMBED_DIM
+    sizes = _little_endian(array("I", data[:head] if len(data) >= head else b""))
+    total = sum(sizes)
+    if len(data) != head + 8 * total + 8 * len(chunks):
+        raise KnowledgeBaseError(f"postings.bin has {len(data)} bytes, not {head} plus 8 "
+                                 "per posting it counts and 8 per chunk")
+    split, tail = head + 4 * total, head + 8 * total
+    rows = _little_endian(array("I", data[head:split]))
+    counts = _little_endian(array("I", data[split:tail]))
+    squares = _little_endian(array("Q", data[tail:]))
+    bounds = list(pairwise(accumulate(sizes, initial=0)))
+    buckets, n = [rows[a:b] for a, b in bounds], len(chunks)
+    every = array("I", range(n))  # rows ascend strictly below n, so a bucket of n is these
+    if not all(r == every if len(r) == n else all(map(lt, r, r[1:])) and r[-1] < n
+               for r in buckets if r):
+        raise KnowledgeBaseError(f"postings.bin has a row id outside 0..{n - 1} or twice or "
+                                 "out of order in a bucket")
+    if 0 in counts or 0 in squares:
+        raise KnowledgeBaseError("postings.bin has a term count or squared norm of 0")
+    if sum(squares) != sum(map(mul, counts, counts)):
+        raise KnowledgeBaseError("postings.bin has squared norms that do not sum to the "
+                                 "squares of its counts")
+    kb = cls()
+    kb._rows = buckets
+    kb._counts = [counts[a:b] for a, b in bounds]
+    kb._squares = squares
+    kb._chunks = chunks
+    kb._doc_ids = {c.doc_id for c in chunks}
+    return kb

@@ -1,11 +1,13 @@
 """Core domain types shared by every stage of the pipeline.
 
-All value types are immutable ``typing.NamedTuple`` classes: an update is
-``value._replace(field=...)``, which returns a new instance, so plans, findings
-and reports are safe to share. Values compare equal field by field, as tuples
-do. Standard-library data classes are avoided on purpose: their module loads
-``inspect`` and ``ast``, and each decorated class execs generated methods, a
-cost every fresh process would pay at start-up.
+All value types subclass :class:`Record`, so each is an immutable
+``collections.namedtuple`` whose ``__annotations__`` stay the strings written:
+an update is ``value._replace(field=...)``, which returns a new instance, so
+plans, findings and reports are safe to share. Values compare equal field by
+field, as tuples do. Standard-library data classes are avoided on purpose:
+their module loads ``inspect`` and ``ast``, and each decorated class execs
+generated methods, a cost every fresh process would pay at start-up; and
+``typing.NamedTuple`` compiles each annotation into a ``ForwardRef``.
 
 Every JSON document the program reads or writes goes through one codec,
 :func:`encode` and :func:`decode`, exposed on the value types as ``to_dict``
@@ -37,11 +39,12 @@ import enum
 import json
 import re
 import sys
+from collections import namedtuple
 from functools import partial
 from json.encoder import encode_basestring
 from math import isfinite
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Optional
 
 # The bundled fixtures, corpus, NVD records and host profile.
 DATA_DIR = Path(__file__).parent / "data"
@@ -53,6 +56,28 @@ NVD_BASE_URL = "https://services.nvd.nist.gov/rest/json/cves/2.0"
 
 RESULT_SUMMARY_MAX = 500
 OUTPUT_CAP = 64 * 1024  # characters of a command's output kept
+
+
+class _RecordType(type):
+    """Builds each subclass of :class:`Record` as a namedtuple of its annotated fields and
+    sets the rest of the class body on it, the annotations as written among them."""
+
+    def __new__(mcs, name: str, bases: tuple, namespace: dict) -> type:
+        if not bases:  # Record itself
+            return super().__new__(mcs, name, bases, namespace)
+        hints = namespace.get("__annotations__", {})
+        defaults = [namespace[field] for field in hints if field in namespace]
+        if any(field in namespace for field in list(hints)[: len(hints) - len(defaults)]):
+            raise TypeError(f"{name}: a field without a default follows one with a default")
+        cls = namedtuple(name, hints, defaults=defaults, module=namespace["__module__"])
+        for key in namespace.keys() - hints.keys():  # annotations, methods, docstring, ...
+            setattr(cls, key, namespace[key])
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """Base of every value type, as ``typing.NamedTuple`` is, but a subclass keeps its
+    annotations as written; ``class Point(Record): x: int; y: int = 0``."""
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +151,11 @@ def _codec(cls: type) -> tuple[Callable[[Any], dict], Callable[[Any], Any]]:
     hints: dict[str, Any] = {}
     for base in reversed(cls.__mro__):  # a validating subclass keeps its base's fields
         hints.update(vars(base).get("__annotations__", {}))
-    # Value types live in modules with postponed annotations: each hint is a ForwardRef.
+    # Value types live in modules with postponed annotations: each hint is a string.
     namespace = vars(sys.modules[cls.__module__])
     encoders, decoders = [], []
     for i, name in enumerate(cls._fields):
-        enc, dec = _converters(hints[name].__forward_arg__, namespace)
+        enc, dec = _converters(hints[name], namespace)
         if enc is not None:  # the other fields are written as they are
             encoders.append((name, i, enc))
         decoders.append((name, cls._field_defaults.get(name, _NO_DEFAULT), dec))
@@ -253,14 +278,14 @@ class CommandChannel(IdentityEnum):
     MSFCONSOLE = "msfconsole"
 
 
-class Command(NamedTuple):
+class Command(Record):
     """One command for a backend; ``engine.parse_commands`` builds each, never blank."""
 
     raw: str
     channel: CommandChannel = CommandChannel.SHELL
 
 
-class TaskNode(NamedTuple):
+class TaskNode(Record):
     """One task in the layered attack plan (ids like "1", "1.2", "1.2.1")."""
 
     id: str
@@ -270,13 +295,13 @@ class TaskNode(NamedTuple):
     children: tuple[TaskNode, ...] = ()
 
 
-class AttackPlan(NamedTuple):
+class AttackPlan(Record):
     """Ordered tree of pentest tasks following the standard phase sequence."""
 
     roots: tuple[TaskNode, ...] = ()
 
 
-class CvssMetrics(NamedTuple):
+class CvssMetrics(Record):
     """The eight base-metric descriptors plus the derived base score."""
 
     av: str  # N, A, L, P
@@ -296,7 +321,7 @@ class CvssMetrics(NamedTuple):
         )
 
 
-class Vulnerability(NamedTuple):
+class Vulnerability(Record):
     """A discovered weakness: a CVE id (or CVE-NA) plus where and how it was hit."""
 
     id: str
@@ -330,7 +355,7 @@ def dedupe_findings(findings: list[Vulnerability]) -> list[Vulnerability]:
     return out
 
 
-class Recommendation(NamedTuple):
+class Recommendation(Record):
     """One remediation action with its engine-computed cost and value."""
 
     text: str
@@ -341,7 +366,7 @@ class Recommendation(NamedTuple):
     rationale: str = ""
 
 
-class ScoreReport(NamedTuple):
+class ScoreReport(Record):
     """Benchmark scores for one run against ground truth."""
 
     s_d: float
@@ -358,7 +383,7 @@ DEFAULT_COST_TIERS = (("low", 2.0), ("moderate", 5.0), ("high", 10.0))
 MAX_COST = 10.0  # a cost the evaluator gives as a number is clamped to 0..MAX_COST
 
 
-class CostPolicy(NamedTuple):
+class CostPolicy(Record):
     """Cost tier scores plus optional free-text user preference for the evaluator."""
 
     tier_scores: tuple[tuple[str, float], ...] = DEFAULT_COST_TIERS
@@ -371,18 +396,18 @@ class CostPolicy(NamedTuple):
 
 # The settings types live here, not in the CLI module: the codec reads the names in a
 # value type's module, and a profiler running the CLI as __main__ takes that slot.
-class LlmSettings(NamedTuple):
+class LlmSettings(Record):
     base_url: str = ""
     api_key: Optional[str] = None
 
 
-class NvdSettings(NamedTuple):
+class NvdSettings(Record):
     fixture_dir: Optional[str] = None
     cache_dir: Optional[str] = None  # default: nvd-cache in the out dir
     base_url: str = NVD_BASE_URL
 
 
-class RunConfig(NamedTuple):
+class RunConfig(Record):
     """The config document: the run's target, budget and limits, and how the CLI builds it."""
 
     target_address: str = ""  # required, but validate() names it when missing
@@ -451,7 +476,7 @@ class ArtifactParseError(ValueError):
     """Raised when a run artifact cannot be decoded; a UTF-8 or JSON error names its offset."""
 
 
-class _Artifact(NamedTuple):
+class _Artifact(Record):
     artifact_version: int
     run_id: str
     created_at: str

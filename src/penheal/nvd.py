@@ -14,10 +14,10 @@ import os
 import re
 import stat
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import cvss
-from .model import CVE_ID, DATA_DIR, CvssMetrics, load_json
+from .model import CVE_ID, DATA_DIR, CvssMetrics, Record, load_json
 
 CVE_PATTERN = re.compile(rf"^{CVE_ID}$", re.ASCII)
 BUNDLED_DIR = DATA_DIR / "nvd"
@@ -34,7 +34,7 @@ class NvdError(Exception):
     pass
 
 
-class CveRecord(NamedTuple):
+class CveRecord(Record):
     description: str
     metrics: CvssMetrics
 

@@ -12,7 +12,7 @@ finding under the budget.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from . import cvss
 from .gateway import LIGHT_CHAR_BUDGET, AgentRole, Gateway
@@ -25,6 +25,7 @@ from .model import (
     CvssSource,
     Recommendation,
     RecommendationStatus,
+    Record,
     RunConfig,
     Vulnerability,
     clip_summary,
@@ -41,13 +42,13 @@ from .prompts import (
 )
 
 
-class RecommendationGroup(NamedTuple):
+class RecommendationGroup(Record):
     """All candidate fixes generated for one finding; at most one gets adopted."""
 
     candidates: tuple[Recommendation, ...]
 
 
-class RemediationResult(NamedTuple):
+class RemediationResult(Record):
     groups: list[RecommendationGroup]
     warnings: list[str]
 
@@ -213,7 +214,7 @@ _TARGETS_LINE = re.compile(r"^\s*(?a:targets)\s*:\s*(.+?)\s*$", re.IGNORECASE)
 MAX_EXTRA_TARGETS = 8  # target keys kept from one reply, in reply order
 
 
-class EvaluationVerdict(NamedTuple):
+class EvaluationVerdict(Record):
     effect: float  # share of the targets' scores: full 1, partial k/100, zero 0, negative -k/100
     cost: float
     extra_target_keys: tuple[str, ...] = ()

@@ -18,15 +18,15 @@ from the host model: a service's ``vuln_script`` lines, a weakness's
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .model import BUNDLED_HOST, Command, CommandChannel, Vulnerability, decode, load_json
+from .model import BUNDLED_HOST, Command, CommandChannel, Record, Vulnerability, decode, load_json
 
 EFFECT_SHELL = "shell"
 EFFECT_ROOT_SHELL = "root-shell"
 
 
-class SimWeakness(NamedTuple):
+class SimWeakness(Record):
     row_id: str
     cve: str
     effect: str
@@ -38,7 +38,7 @@ class SimWeakness(NamedTuple):
     output: tuple[str, ...] = ()  # printed after the effect lines when it is hit
 
 
-class SimService(NamedTuple):
+class SimService(Record):
     name: str
     port: int
     banner: str = ""
@@ -47,7 +47,7 @@ class SimService(NamedTuple):
     vuln_script: tuple[str, ...] = ()  # printed under its port by nmap --script vuln
 
 
-class HostModel(NamedTuple):
+class HostModel(Record):
     address: str
     services: tuple[SimService, ...]
     hostname: str = "victim"

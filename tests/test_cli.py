@@ -939,7 +939,8 @@ class TestStageCheckpoint:
 SRC = Path(__file__).resolve().parent.parent / "src"
 DISCOVERY_STACK = ("penheal.engine", "penheal.simulator", "penheal.knowledge")
 LIVE_CLIENTS = ("penheal.backends", "requests")
-# Value types are NamedTuples, so no penheal process pays for these imports.
+# Value types are model.Record namedtuples, not data classes, so no penheal process pays for
+# these imports.
 CODEGEN = ("dataclasses", "inspect")
 
 
@@ -979,6 +980,23 @@ def test_hermetic_stages_skip_code_generation_modules(tmp_path, command):
     argv = [command, "--target", "10.0.2.4", "--mode", "hermetic", "--out", str(tmp_path)]
     script = f"from penheal.cli import main\ncode = main({argv!r})"
     assert fresh_process(script, CODEGEN + LIVE_CLIENTS) == {"code": 0, "loaded": []}
+
+
+def test_golden_run_builds_no_index_code_and_no_annotation(tmp_path):
+    """A golden hermetic ``run`` neither saves nor loads an index, so it never imports the
+    persistence module, and every value type it loads keeps its annotations as strings."""
+    argv = ["run", "--target", "10.0.2.4", "--mode", "hermetic", "--out", str(tmp_path)]
+    script = "\n".join([
+        "from penheal.cli import main",
+        f"code = main({argv!r})",
+        "types = {v for name, m in list(sys.modules.items()) if name.startswith('penheal.')",
+        "         for v in vars(m).values() if isinstance(v, type) and hasattr(v, '_fields')",
+        "         and v.__module__ == name}",
+        "hints = [h for v in types for h in vars(v).get('__annotations__', {}).values()]",
+        "if len(types) < 20 or not all(isinstance(h, str) for h in hints):",
+        "    code = 'a value type is missing or holds an annotation that is not a string'",
+    ])
+    assert fresh_process(script, ("penheal.index_files",)) == {"code": 0, "loaded": []}
 
 
 @pytest.mark.parametrize("mode", ["hemetic", "live"])  # live without llm.base_url
@@ -1047,10 +1065,11 @@ def test_only_the_cli_imports_a_stage():
     imports = {path.stem: imported_modules(path) for path in (SRC / "penheal").glob("*.py")}
     importers = {name for name, used in imports.items() if used & {"engine", "remediation", "cli"}}
     assert importers == {"cli"}
-    services = ("model", "knapsack", "cvss", "knowledge", "simulator", "scoring", "nvd",
-                "backends")
+    services = ("model", "knapsack", "cvss", "knowledge", "index_files", "simulator", "scoring",
+                "nvd", "backends")
     assert {name: imports[name] for name in services} == {
-        "model": set(), "knapsack": set(), "cvss": {"model"}, "knowledge": {"model"},
+        "model": set(), "knapsack": set(), "cvss": {"model"},
+        "knowledge": {"index_files", "model"}, "index_files": {"knowledge", "model"},
         "simulator": {"model"}, "scoring": {"model"}, "nvd": {"cvss", "model"},
         "backends": {"gateway", "model", "nvd"}}
 
