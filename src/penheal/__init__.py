@@ -7,5 +7,3 @@ set under a user budget. All model and network dependencies are pluggable,
 so the whole pipeline also runs hermetically against bundled replay
 fixtures and a simulated victim host.
 """
-
-__version__ = "0.1.0"

@@ -23,7 +23,7 @@ from operator import attrgetter, lt, mul
 from pathlib import Path
 from typing import Optional
 
-from .knowledge import EMBED_DIM, EMBEDDER_ID, Chunk, KnowledgeBase, KnowledgeBaseError
+from .knowledge import EMBED_DIM, EMBEDDER_ID, KEY_BITS, Chunk, KnowledgeBase, KnowledgeBaseError
 from .model import Record, decode, encode, json_document, load_json
 
 INDEX_DTYPE = "postings-uint32-counts-uint64-norms-le"  # the layout of postings.bin
@@ -77,8 +77,9 @@ def load(cls: type[KnowledgeBase], directory: str | Path) -> KnowledgeBase:
     has lengths that do not sum to its text, or whose postings.bin does
     not fit its chunks: the wrong size, a row id out of range, a bucket
     that lists a row twice or out of order, a count or squared norm of 0,
-    or squared norms that do not sum to the squared counts. Files that do
-    not decode raise OSError, KeyError or ValueError.
+    a squared norm above 2**(2 * KEY_BITS), which retrieve cannot rank
+    exactly, or squared norms that do not sum to the squared counts. Files
+    that do not decode raise OSError, KeyError or ValueError.
     """
     directory = Path(directory)
     meta = load_json((directory / "meta.json").read_text(encoding="utf-8"),
@@ -130,6 +131,8 @@ def load(cls: type[KnowledgeBase], directory: str | Path) -> KnowledgeBase:
                                  "out of order in a bucket")
     if 0 in counts or 0 in squares:
         raise KnowledgeBaseError("postings.bin has a term count or squared norm of 0")
+    if max(squares, default=0) > 1 << 2 * KEY_BITS:
+        raise KnowledgeBaseError(f"postings.bin has a squared norm above 2**{2 * KEY_BITS}")
     if sum(squares) != sum(map(mul, counts, counts)):
         raise KnowledgeBaseError("postings.bin has squared norms that do not sum to the "
                                  "squares of its counts")

@@ -10,26 +10,26 @@ squared norm. ``save`` and ``load`` keep an index in a directory, in the
 layout :mod:`penheal.index_files` gives; a run that neither saves nor loads
 one imports none of that code.
 
-retrieve ranks rows by integer keys: a row's key is its dot product with the
-query's counts times its scale floor(2**KEY_BITS / norm), which is 1 or more
-for a window under 2**27 characters. So key / 2**KEY_BITS is at most dot /
-norm and at least that times 1 - norm / 2**KEY_BITS. A bucket every row has
-adds its counts times the scales as one big int of 32-bit lanes, one per row,
-and the others add theirs posting by posting. A dot product is at most
-sqrt(Q * C) for the squared norms Q of the query and C of the row, so a key
-is at most sqrt(Q) * 2**KEY_BITS and no lane carries while Q is below
-2**(2 * (32 - KEY_BITS)). Rows whose key is at least the k-th largest times
-1 - mu, mu = 2 * max norm / 2**KEY_BITS + 1e-9, are scored in floats: one max
-norm covers the scales' rounding and the other the floor's, so a row left out
-has a dot / norm a relative 1e-9 below each of the k rows of largest keys.
-Those rows are found by index from heapq.nlargest(k + 1) of the keys, and
-all rows are compared with the floor only when the (k + 1)-th key is also at
-or above it. A dense scan's float fold scores each: its m <= 512 terms are
-positive, so it is within a relative (m + 3) * 2**-53 < 6e-14 of dot / norm
-times a factor all rows share, and a row 1e-9 below k others scores below
-them all. Similarities and ranking are a dense scan's, bit for bit. The
-scales and each every-row bucket's lane int are built on first use and kept
-until the next ingest, which may add or renumber rows.
+retrieve ranks rows by exact cosine, in integers. A row's key is its dot
+product with the query's counts times its scale floor(2**KEY_BITS / norm),
+which is 1 or more: lower() at most doubles a window, so ingest's bound
+chunk_size <= 2**(KEY_BITS - 1) and load's on squared norms keep every squared
+norm C at most 2**(2 * KEY_BITS). A bucket every row has adds its counts times
+the scales as one big int of 32-bit lanes, one per row, and the others add
+theirs posting by posting; a key is at most sqrt(Q) * 2**KEY_BITS for the
+query's squared norm Q, so no lane carries while Q is below 2**(2 * (32 -
+KEY_BITS)). key / 2**KEY_BITS lies between dot / norm and that times 1 - norm
+/ 2**KEY_BITS, so a row whose key is below the k-th largest times 1 - mu, mu =
+2 * max norm / 2**KEY_BITS + 1e-9, has a dot / norm below each of the k rows
+of largest keys. The others are the candidates: the rows of those k keys,
+found by index from heapq.nlargest(k + 1), unless the (k + 1)-th key is also
+at or above that bound and all rows are compared with it. A candidate's dot
+product is key // scale. Candidates rank by floor(dot**2 * 2**(4 * KEY_BITS) /
+C), exact since two unequal dot**2 / C differ by at least 2**(-4 * KEY_BITS),
+then by (doc_id, seq). A similarity is sqrt(dot**2 / (C * Q)), each step
+correctly rounded, so it never rises down the ranking and exact ties report
+the same float. The scales and each every-row bucket's lane int are built on
+first use and kept until the next ingest, which may add or renumber rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import math
 import re
 import sys
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, compress, repeat
 from operator import ge, mul, not_
@@ -53,7 +52,7 @@ DEFAULT_CHUNK_SIZE = 800
 DEFAULT_OVERLAP = 200
 EMBEDDER_ID = f"hashed-tf-{EMBED_DIM}"
 BUCKET_MAP_SIZE = 1 << 16  # the token -> bucket map is emptied when it holds this many
-MARGIN = 1e-9  # rows within this relative distance of the k-th dot / norm are scored in floats
+MARGIN = 1e-9  # mu's part for the float rounding of the candidates' bound
 KEY_BITS = 26  # a row's key is its dot product times floor(2**KEY_BITS / norm)
 
 _TOKEN = r"\w+"  # compiled on first use, by re's cache: only text that is not ASCII needs it
@@ -155,6 +154,8 @@ class KnowledgeBase:
         """
         if overlap < 0 or chunk_size <= overlap:
             raise ValueError("require chunk_size > overlap >= 0")
+        if chunk_size > 1 << KEY_BITS - 1:  # so no squared norm is above 2**(2 * KEY_BITS)
+            raise ValueError(f"chunk_size must be at most {1 << KEY_BITS - 1}")
         starts = range(0, len(document), chunk_size - overlap)
         new_chunks = [Chunk(doc_id=doc_id, seq=seq, text=document[start : start + chunk_size])
                       for seq, start in enumerate(starts)]
@@ -185,8 +186,8 @@ class KnowledgeBase:
     def retrieve(self, query: str, k: int) -> list[Excerpt]:
         """The k most cosine-similar chunks, ties broken by (doc_id, seq).
 
-        Rows are chosen by integer keys and scored by the fold of a dense
-        cosine scan; see the module docstring.
+        Candidates are chosen by integer keys and ranked by exact cosine;
+        see the module docstring.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -207,20 +208,12 @@ class KnowledgeBase:
             for before, key in zip([None, *top], top[:k]):
                 r = keys.index(key, r + 1 if key == before else 0)
                 candidates.append(r)
-        query_norm = math.sqrt(query_square)
-        entries = [(self._rows[b], self._counts[b], q / query_norm) for b, q in terms]
-        ranked = []
-        for r in candidates:
-            # the fold over ascending buckets of a dense scan, which adds x * 0.0 for the rest;
-            # a key is 0 only for a dot product of 0, unless the row's scale is 0
-            total, norm = 0.0, math.sqrt(self._squares[r])
-            for rows, bucket_counts, x in entries if keys[r] or not self._scales[r] else ():
-                i = bisect_left(rows, r)
-                if i < len(rows) and rows[i] == r:
-                    total += x * (bucket_counts[i] / norm)
-            ranked.append((-total, chunks[r].doc_id, chunks[r].seq, r))
-        ranked.sort()
-        return [Excerpt(chunks[r], -neg) for neg, _, _, r in ranked[:k]]
+        squares, scales, shift = self._squares, self._scales, 4 * KEY_BITS
+        dots = {r: keys[r] // scales[r] for r in candidates}
+        # a chunk compares by (doc_id, seq) first, and no two chunks share them
+        ranked = sorted(dots, key=lambda r: (-(dots[r] ** 2 << shift) // squares[r], chunks[r]))
+        return [Excerpt(chunks[r], math.sqrt(dots[r] ** 2 / (squares[r] * query_square)))
+                for r in ranked[:k]]
 
     def _keys(self, terms: list[tuple[int, int]], lanes: bool) -> list[int]:
         """Every row's key for the query counts ``terms``, packing into 32-bit lanes the

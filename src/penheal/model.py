@@ -450,6 +450,7 @@ class RunConfig(Record):
 for _value_type in (TaskNode, AttackPlan, CvssMetrics, Vulnerability, Recommendation,
                     ScoreReport, CostPolicy, RunConfig):
     _value_type.to_dict, _value_type.from_dict = encode, classmethod(decode)
+del _value_type
 
 
 def clip_summary(text: str, limit: int = RESULT_SUMMARY_MAX) -> str:

@@ -24,9 +24,9 @@ from penheal.engine import (
 )
 from penheal.gateway import Gateway, ReplayBackend, load_transcript
 from penheal.knapsack import solve_group_knapsack
-from penheal.knowledge import KnowledgeBase, embed
+from penheal.knowledge import KnowledgeBase
 from plan_invariants import walk
-from test_knowledge_sparse import dense
+from test_knowledge_sparse import exact_scan, reference_counts
 from penheal.model import RunConfig, TaskStatus, deserialize_run
 from penheal.remediation import RecommendationGroup, select
 from penheal.model import Recommendation
@@ -396,17 +396,8 @@ def test_criterion_8_retrieval_oracle():
     for _ in range(50):
         k = rng.randint(1, 10)
         query = " ".join(rng.choice(vocab) for _ in range(6))
-        query_vec = dense(embed(query))
-        scored = []
-        for doc_id, seq, text in corpus:
-            vec = dense(embed(text))
-            sim = 0.0
-            for i in range(len(vec)):
-                sim += vec[i] * query_vec[i]
-            scored.append((-sim, doc_id, seq))
-        scored.sort()
-        expected = [(doc_id, seq, -neg) for neg, doc_id, seq in scored[:k]]
-        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity) for e in kb.retrieve(query, k)]
+        expected = exact_scan(reference_counts, corpus, query, k)
+        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
         assert got == expected
     elapsed = time.monotonic() - start
     assert elapsed < 2.0

@@ -631,11 +631,12 @@ class TestBadInputsFailFirst:
         message = _rejected_config(tmp_path, capsys, monkeypatch, "run", doc, *budget)
         assert "invalid configuration: " in message
 
-    @pytest.mark.parametrize("damage", ["overlap", "not-utf8", "duplicate-stem"])
+    @pytest.mark.parametrize("damage", ["overlap", "not-utf8", "duplicate-stem", "chunk-size"])
     def test_bad_ingest_input(self, tmp_path, capsys, damage):
         doc = tmp_path / "notes.txt"
         doc.write_bytes(b"\xff\xfe notes" if damage == "not-utf8" else b"notes about ftp")
-        chunks = ["--chunk-size", "100", "--overlap", "200"] if damage == "overlap" else []
+        chunks = {"overlap": ["--chunk-size", "100", "--overlap", "200"],
+                  "chunk-size": ["--chunk-size", str(2**25 + 1)]}.get(damage, [])
         same_id = tmp_path / "other" / "notes.md"  # doc id "notes", like notes.txt
         same_id.parent.mkdir()
         same_id.write_text("notes about ssh")

@@ -15,7 +15,7 @@ from penheal.knowledge import (
     embed,
 )
 from penheal.prompts import format_excerpts, render_prompt
-from test_knowledge_sparse import cosine, dense
+from test_knowledge_sparse import exact_scan, reference_counts
 
 
 class TestEmbed:
@@ -28,9 +28,7 @@ class TestEmbed:
             assert math.isclose(math.sqrt(sum(v * v for v in vector.values())), 1.0, rel_tol=1e-12)
 
     def test_bag_of_words_order_invariance(self):
-        a = dense(embed("samba exploit usermap"))
-        b = dense(embed("usermap samba exploit"))
-        assert cosine(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert embed("samba exploit usermap") == embed("usermap samba exploit")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -144,24 +142,14 @@ class TestRetrieve:
         for d in range(20):
             text = " ".join(rng.choice(vocab) for _ in range(25))
             kb.ingest(text, f"doc{d:02d}", chunk_size=500, overlap=0)
-            chunks.append((f"doc{d:02d}", text))
+            chunks.append((f"doc{d:02d}", 0, text))
 
         for trial in range(10):
             query = " ".join(rng.choice(vocab) for _ in range(5))
-            query_vec = dense(embed(query))
-            scored = []
-            for doc_id, text in chunks:
-                vec = dense(embed(text))
-                sim = 0.0
-                for i in range(len(vec)):
-                    sim += vec[i] * query_vec[i]
-                scored.append((-sim, doc_id, 0, text))
-            scored.sort()
-            expected_top = scored[0]
-
+            [(doc_id, seq, similarity)] = exact_scan(reference_counts, chunks, query, 1)
             got = kb.retrieve(query, k=1)[0]
-            assert got.chunk.doc_id == expected_top[1]
-            assert got.similarity == -expected_top[0]
+            assert (got.chunk.doc_id, got.chunk.seq) == (doc_id, seq)
+            assert got.similarity.hex() == similarity
 
 
 class TestPersistence:
@@ -270,18 +258,7 @@ def test_retrieval_oracle_hundred_chunks_under_two_seconds():
     for _ in range(50):
         k = rng.randint(1, 8)
         query = " ".join(rng.choice(vocab) for _ in range(6))
-        query_vec = dense(embed(query))
-
-        scored = []
-        for doc_id, seq, text in texts:
-            vec = dense(embed(text))
-            sim = 0.0
-            for i in range(len(vec)):
-                sim += vec[i] * query_vec[i]
-            scored.append((-sim, doc_id, seq))
-        scored.sort()
-        expected = [(doc_id, seq, -neg) for neg, doc_id, seq in scored[:k]]
-
-        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity) for e in kb.retrieve(query, k)]
+        expected = exact_scan(reference_counts, texts, query, k)
+        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
         assert got == expected
     assert time.monotonic() - start < 2.0

@@ -1,5 +1,6 @@
 """The postings index: state after any ingest sequence, validation, files."""
 
+import functools
 import json
 import math
 import random
@@ -14,7 +15,7 @@ from test_knowledge_sparse import (
     VOCAB,
     dense,
     dense_counts,
-    dense_scan,
+    exact_scan,
     postings,
     postings_bytes,
     reference_counts,
@@ -67,7 +68,7 @@ def check_sequence(counter, ops, query, k):
                     kb.retrieve(query, k)
                 continue
             got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
-            assert got == dense_scan(counter, chunks, query, k)
+            assert got == exact_scan(counter, chunks, query, k)
 
 
 words = st.sampled_from(VOCAB + ["the", "straße", "İstanbul", "ΣΑΣ", "naïve", "x_1"])
@@ -95,10 +96,13 @@ queries = st.one_of(st.lists(words, min_size=1, max_size=6).map(" ".join), singl
 @example([("ingest", "c", "straße İstanbul naïve ΣΑΣ"), ("ingest", "a", "naïve nmap"),
           ("ingest", "c", "straße ΣΑΣ")], "ΣΑΣ naïve", 40)
 @example([("ingest", "a", "samba port"), ("ingest", "b", "dns")], "unseen", 2)
+@example([("ingest", "b", "dns ftp dns ftp dns ftp"), ("ingest", "a", "backdoor dns")], "dns",
+         1)  # an exact tie whose float folds differ: doc a first
 def test_retrieve_equals_dense_scan(ops, query, k):
-    """After any ingest, re-ingest and reload, retrieve ranks as a dense cosine scan, bit for
-    bit: buckets every chunk has (packed lanes) and others, ties by (doc_id, seq), k of at
-    least len(kb), queries sharing no token, and text that is not ASCII."""
+    """After any ingest, re-ingest and reload, retrieve answers as an exact cosine scan of
+    every chunk, similarities bit for bit: buckets every chunk has (packed lanes) and others,
+    exact ties by (doc_id, seq), k of at least len(kb), queries sharing no token, and text
+    that is not ASCII."""
     check_sequence(reference_counts, ops, query, k)
 
 
@@ -177,9 +181,9 @@ def test_lanes_at_their_bound_do_not_carry(repeats):
 
 
 def test_margin_keeps_rows_whose_dot_over_norm_rounds_low():
-    """Rows 59 and 61 times the query's counts have cosine 1 and fold to the same float, though
-    the first's dot / norm rounds one unit in the last place lower: the fold ranks them, so
-    the first wins the tie by doc_id."""
+    """Rows 59 and 61 times the query's counts have cosine exactly 1, though the first's
+    dot / norm rounds one unit in the last place lower: both rank as the exact scan has
+    them, with similarity 1.0, and the first wins the tie by doc_id."""
     assert 295 / math.sqrt(59**2 + 118**2) < 305 / math.sqrt(61**2 + 122**2)
     kb = KnowledgeBase()
     for doc_id, times in [("a", 59), ("b", 61)]:
@@ -188,15 +192,15 @@ def test_margin_keeps_rows_whose_dot_over_norm_rounds_low():
     chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
     for k in (1, 2):
         got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("ftp dns dns", k)]
-        assert got == dense_scan(reference_counts, chunks, "ftp dns dns", k)
-    assert got[0][2] == got[1][2] and got[0][0] == "a"
+        assert got == exact_scan(reference_counts, chunks, "ftp dns dns", k)
+    assert got[0][2] == got[1][2] == (1.0).hex() and got[0][0] == "a"
 
 
 def test_margin_keeps_rows_whose_key_rounds_low():
-    """Rows 183 times and once the query's counts have cosine 1 and fold to the same float,
-    but the first's scale floor(2**KEY_BITS / norm) drops almost a whole unit: its key is a
-    relative 6e-6 below the second's, 0.98 of its norm / 2**KEY_BITS. Only a margin of a
-    norm / 2**KEY_BITS keeps it a candidate, and it wins the tie by doc_id."""
+    """Rows 183 times and once the query's counts have cosine exactly 1, but the first's
+    scale floor(2**KEY_BITS / norm) drops almost a whole unit: its key is a relative 6e-6
+    below the second's, 0.98 of its norm / 2**KEY_BITS. Only a margin of a norm /
+    2**KEY_BITS keeps it a candidate, and it wins the tie by doc_id."""
     kb = KnowledgeBase()
     for doc_id, times in [("a", 183), ("b", 1)]:
         text = "ftp " * times + "dns dns " * times
@@ -208,23 +212,26 @@ def test_margin_keeps_rows_whose_key_rounds_low():
     chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
     for k in (1, 2):
         got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("ftp dns dns", k)]
-        assert got == dense_scan(reference_counts, chunks, "ftp dns dns", k)
-    assert got[0][2] == got[1][2] and got[0][0] == "a"
+        assert got == exact_scan(reference_counts, chunks, "ftp dns dns", k)
+    assert got[0][2] == got[1][2] == (1.0).hex() and got[0][0] == "a"
 
 
-def test_rows_whose_scale_is_0_are_still_folded(monkeypatch):
-    """With KEY_BITS at 3, a row of 12 "a" tokens has norm 12 > 2**3, so its scale and key
-    are 0 although its dot product is not. mu passes 1, every row is a candidate, and the
-    row is folded to its cosine of 1.0, winning the tie by doc_id."""
+def test_ingest_refuses_a_chunk_size_whose_norm_could_pass_the_key_bound(monkeypatch):
+    """lower() at most doubles a window, so a chunk_size of at most 2**(KEY_BITS - 1) keeps
+    every squared norm within 2**(2 * KEY_BITS), and every scale 1 or more. With KEY_BITS at
+    3, a chunk_size of 5 is refused before anything is indexed, and windows of 4 rank as the
+    exact scan has them, the one that lowers to twice its length among them."""
     monkeypatch.setattr(knowledge, "KEY_BITS", 3)
     kb = KnowledgeBase()
-    for doc_id, text in [("a", "a " * 12), ("b", "a a")]:
-        kb.ingest(text, doc_id, chunk_size=len(text), overlap=0)
+    with pytest.raises(ValueError, match="chunk_size must be at most 4"):
+        kb.ingest("a " * 12, "a", chunk_size=5, overlap=0)
+    assert len(kb) == 0 and not kb._doc_ids
+    for doc_id, text in [("a", "İİİİ" * 3), ("b", "a a i"), ("c", "aaaa")]:
+        kb.ingest(text, doc_id, chunk_size=4, overlap=0)
     chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
-    for k in (1, 2):
-        got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("a", k)]
-        assert got == dense_scan(reference_counts, chunks, "a", k)
-    assert kb._scales == [0, 4] and got[0][0] == "a"
+    for k in range(1, len(chunks) + 1):
+        assert answers(kb, "i a", k) == exact_scan(reference_counts, chunks, "i a", k)
+    assert min(kb._scales) >= 1 and len("İİİİ".lower()) == 8
 
 
 class TestIngestSequences:
@@ -454,6 +461,22 @@ class TestValidation:
         with pytest.raises(KnowledgeBaseError, match="count or squared norm of 0"):
             KnowledgeBase.load(tmp_path)
 
+    @pytest.mark.parametrize("count", [1 << KEY_BITS, (1 << KEY_BITS) + 1])
+    def test_squared_norm_above_the_key_bound_detected(self, tmp_path, count):
+        """A squared norm of at most 2**(2 * KEY_BITS) loads and keeps its row a scale of 1;
+        one above it is refused, though it still sums with the counts."""
+        kb = KnowledgeBase()
+        kb.ingest("a", "a")
+        kb.save(tmp_path)
+        sizes, rows, _, _ = read_layout((tmp_path / "postings.bin").read_bytes())
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, [count], [count**2]))
+        if count > 1 << KEY_BITS:
+            bound = rf"squared norm above 2\*\*{2 * KEY_BITS}$"
+            with pytest.raises(KnowledgeBaseError, match=bound):
+                KnowledgeBase.load(tmp_path)
+        else:
+            assert answers(KnowledgeBase.load(tmp_path), "a", 1) == [("a", 0, (1.0).hex())]
+
     @pytest.mark.parametrize("delta", [1, -1])
     def test_squared_norms_that_disagree_with_the_counts_detected(self, tmp_path, delta):
         sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
@@ -512,13 +535,9 @@ def write_dense_layout(directory):
 
 
 def test_deep_size_index_equals_dense_oracle(tmp_path):
-    """100 documents of 8 chunks, 100 seeded queries: a fresh and a loaded index both rank as
-    a scan of precomputed dense vectors does, bit for bit.
-
-    The scan folds each chunk's dense vector, zeros included, over the query's nonzero
-    buckets in ascending order; the terms it leaves out are x * 0.0 for a zero query entry,
-    which TestSparseEqualsDense shows leave a full cosine() unchanged.
-    """
+    """100 documents of 8 chunks, 100 seeded queries: a fresh and a loaded index both answer
+    as the exact cosine scan of every chunk, similarities bit for bit. Ten documents start
+    with another's first chunk, so equal scores are broken by (doc_id, seq)."""
     rng = random.Random(19)
     vocab = [f"w{i}" for i in range(300)] + VOCAB
     kb, chunks = KnowledgeBase(), []
@@ -530,22 +549,13 @@ def test_deep_size_index_equals_dense_oracle(tmp_path):
         chunks += [(f"doc{d:03d}", seq, text[s : s + 800])
                    for seq, s in enumerate(range(0, len(text), 600))]
     assert len(kb) == len(chunks) == 800
-    vectors = [dense(embed(text)) for _, _, text in chunks]
+    counter = functools.cache(reference_counts)  # each chunk's counts once, not per query
     kb.save(tmp_path)
     loaded = KnowledgeBase.load(tmp_path)
 
     for _ in range(100):
         query = " ".join(rng.choice(vocab + ["unseen"]) for _ in range(rng.randint(1, 8)))
         k = rng.randint(1, 10)
-        query_vec = dense(embed(query))
-        buckets = [b for b in range(EMBED_DIM) if query_vec[b]]
-        scored = []
-        for (doc_id, seq, _), vector in zip(chunks, vectors):
-            total = 0.0
-            for b in buckets:
-                total += query_vec[b] * vector[b]
-            scored.append((-total, doc_id, seq))
-        expected = [(doc_id, seq, (-neg).hex()) for neg, doc_id, seq in sorted(scored)[:k]]
+        expected = exact_scan(counter, chunks, query, k)
         for index in (kb, loaded):
-            got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in index.retrieve(query, k)]
-            assert got == expected
+            assert answers(index, query, k) == expected

@@ -1,4 +1,4 @@
-"""Sparse embedding and retrieval against dense references: exact vectors, similarities, bytes."""
+"""Sparse embedding and retrieval against references: exact vectors, exact cosine ranking, bytes."""
 
 import hashlib
 import json
@@ -7,6 +7,7 @@ import random
 import re
 import struct
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 from itertools import repeat
 from operator import mul, truediv
@@ -59,12 +60,6 @@ def dense_counts(text: str) -> dict[int, int]:
     return dict(enumerate(counts))
 
 
-def unit(counts: dict[int, int]) -> dict[int, float]:
-    """The embedding of term counts: each over their L2 norm, summed in integers as embed does."""
-    norm = math.sqrt(sum(c * c for c in counts.values()))
-    return {b: c / norm for b, c in counts.items()}
-
-
 def use_embedder(patch: pytest.MonkeyPatch, counter) -> None:
     """Make ingest, retrieve and embed count terms with ``counter``.
 
@@ -85,17 +80,6 @@ def dense_fold_embed(text: str) -> tuple[float, ...]:
         counts[reference_bucket(token)] += 1.0
     norm = math.sqrt(sum(map(mul, counts, counts)))
     return tuple(map(truediv, counts, repeat(norm)))
-
-
-def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    """Reference similarity: the dot product of unit vectors as a plain left fold.
-
-    retrieve's scores fold the same way; sum() compensates from Python 3.12 on.
-    """
-    total = 0.0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
 
 
 ascii_text = st.text(alphabet="".join(map(chr, range(128))), min_size=1)
@@ -155,14 +139,22 @@ class TestBucketMap:
         assert max(sizes) <= BUCKET_MAP_SIZE
 
 
-def dense_scan(counter, chunks, query, k):
-    """Reference retrieval: dense cosine() of ``counter``'s unit vectors over every chunk, then a
-    full sort."""
-    query_vec = dense(unit(counter(query)))
-    scored = [(-cosine(dense(unit(counter(text))), query_vec), doc_id, seq)
-              for doc_id, seq, text in chunks]
+def exact_scan(counter, chunks, query, k):
+    """Reference retrieval over ``chunks`` of (doc_id, seq, text): every chunk's exact cosine
+    with ``query`` from ``counter``'s counts, ranked as Fraction(dot**2, square) descending
+    and then by (doc_id, seq), each with the similarity retrieve reports, sqrt(dot**2 /
+    (square * query square))."""
+    query_counts = counter(query)
+    query_square = sum(q * q for q in query_counts.values())
+    scored = []
+    for doc_id, seq, text in chunks:
+        counts = counter(text)
+        dot = sum(c * query_counts.get(b, 0) for b, c in counts.items())
+        square = sum(c * c for c in counts.values())
+        scored.append((-Fraction(dot * dot, square), doc_id, seq,
+                       math.sqrt(dot * dot / (square * query_square))))
     scored.sort()
-    return [(doc_id, seq, (-neg).hex()) for neg, doc_id, seq in scored[:k]]
+    return [(doc_id, seq, similarity.hex()) for _, doc_id, seq, similarity in scored[:k]]
 
 
 words = st.lists(st.sampled_from(VOCAB + ["unseen"]), min_size=1, max_size=12)
@@ -170,13 +162,15 @@ words = st.lists(st.sampled_from(VOCAB + ["unseen"]), min_size=1, max_size=12)
 
 @st.composite
 def corpora(draw):
-    """Documents over a small vocabulary, duplicates included so ties occur."""
+    """Documents over a small vocabulary, duplicates included so ties occur, and one text
+    repeated, so chunks whose counts are multiples tie exactly though their floats differ."""
     docs = draw(st.lists(words, min_size=1, max_size=6))
     docs += draw(st.lists(st.sampled_from(docs), max_size=2))
+    docs += draw(st.lists(st.builds(mul, st.sampled_from(docs), st.integers(2, 4)), max_size=2))
     return [" ".join(d) for d in docs]
 
 
-def check_against_dense(counter, docs, query, k):
+def check_against_exact(counter, docs, query, k):
     kb = KnowledgeBase()
     with pytest.MonkeyPatch.context() as patch:
         use_embedder(patch, counter)
@@ -184,19 +178,30 @@ def check_against_dense(counter, docs, query, k):
             kb.ingest(text, f"doc{9 - d}", chunk_size=24, overlap=8)  # ids run against insertion
         chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
         got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve(query, k)]
-    assert got == dense_scan(counter, chunks, query, k)
+    assert got == exact_scan(counter, chunks, query, k)
 
 
 class TestSparseEqualsDense:
     @settings(max_examples=80, deadline=None)
     @given(corpora(), words, st.integers(1, 12))
+    @example(["dns ftp", "dns ftp dns ftp dns ftp", "port", "backdoor dns"], ["dns"], 2)
     def test_default_embedder(self, docs, query, k):
-        check_against_dense(reference_counts, docs, " ".join(query), k)
+        check_against_exact(reference_counts, docs, " ".join(query), k)
 
     @settings(max_examples=40, deadline=None)
     @given(corpora(), words, st.integers(1, 12))
     def test_dense_count_embedder(self, docs, query, k):
-        check_against_dense(dense_counts, docs, " ".join(query), k)
+        check_against_exact(dense_counts, docs, " ".join(query), k)
+
+    def test_exact_tie_goes_to_the_first_doc_id(self):
+        """Both chunks' cosine with "dns" is exactly 1 / sqrt(3), though a float fold of their
+        unit vectors puts b one unit in the last place above a."""
+        kb = KnowledgeBase()
+        kb.ingest(" ".join(["samba nmap dns"] * 3), "a")
+        kb.ingest("samba nmap dns", "b")
+        assert [e.chunk.doc_id for e in kb.retrieve("dns", 1)] == ["a"]
+        assert [(e.chunk.doc_id, e.similarity) for e in kb.retrieve("dns", 2)] == [
+            ("a", math.sqrt(1 / 3)), ("b", math.sqrt(1 / 3))]
 
     def test_count_embedder_fills_every_bucket(self):
         kb = KnowledgeBase()

@@ -457,6 +457,14 @@ def test_load_json_raises_or_returns_as_the_two_scan_check(bodies, layout):
     assert _outcome(model.load_json, text) == _outcome(_load_json_by_two_scans, text)
 
 
+def test_module_globals_name_each_value_type_once():
+    """Each value type is bound to its own name alone: no loop variable keeps one."""
+    types = {name: value for name, value in vars(model).items()
+             if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")}
+    assert "RunConfig" in types
+    assert [name for name, cls in types.items() if name != cls.__name__] == []
+
+
 def test_every_enum_hashes_by_identity():
     """A member-keyed dict lookup hashes in C: ``enum.Enum`` hashes by name in Python."""
     import penheal
