@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from . import gateway as gw, remediation, scoring
+from . import gateway as gw
 from .model import (
     DATA_DIR,
     AggregationMode,
@@ -32,9 +32,9 @@ from .model import (
     serialize_run,
     write_json_lines,
 )
-from .nvd import FixtureNvdClient
 
-if TYPE_CHECKING:  # at run time, each command imports only those it uses
+# At run time each stage module (these, remediation, scoring, nvd) is imported by its helper.
+if TYPE_CHECKING:
     from . import engine, knowledge, simulator
 
 EXIT_OK = 0
@@ -225,6 +225,8 @@ def _nvd_client(session: Session):
     """Fixture records when the run is hermetic or ``nvd.fixture_dir`` is set, else live."""
     nvd = session.config.nvd
     if session.config.mode == "hermetic" or nvd.fixture_dir:
+        from .nvd import FixtureNvdClient
+
         return FixtureNvdClient(nvd.fixture_dir)
     from .backends import LiveNvdClient
 
@@ -284,6 +286,8 @@ def _remediate_and_score(session: Session, nvd_client, plan: AttackPlan,
                          findings: list[Vulnerability], truth: list[Vulnerability],
                          run_id: str) -> str:
     """Remediate (printing its warnings), score and write the artifact; the report text."""
+    from . import remediation, scoring
+
     mode = session.config.aggregation_mode
     try:
         rem = remediation.remediate(findings, session.config, session.gateway, nvd_client)
@@ -341,6 +345,8 @@ def cmd_remediate(session: Session) -> None:
 
 
 def cmd_score(session: Session) -> None:
+    from . import scoring
+
     args = session.args
     mode = AggregationMode(args.aggregation)
     truth = _load_truth(args.truth)

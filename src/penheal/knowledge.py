@@ -1,14 +1,14 @@
 """External knowledge base backing the instructor.
 
 Reference documents are split into overlapping character windows, embedded,
-and found by exact cosine retrieval. There is one embedder, a deterministic
-hashed term-frequency vector (``embed``: a window's bucket counts over their
-L2 norm), so runs are hermetic and an index built in one process answers
-queries in another. The index holds the counts bucket-major as postings (per
-bucket, the ascending rows nonzero there and their counts) and each row's
-squared norm. ``save`` and ``load`` keep an index in a directory, in the
-layout :mod:`penheal.index_files` gives; a run that neither saves nor loads
-one imports none of that code.
+and found by exact cosine retrieval. There is one embedder, deterministic
+hashed term counts (``_window_counts``: a window's tokens counted by sha1
+bucket, its vector those counts over their L2 norm), so runs are hermetic and
+an index built in one process answers queries in another. The index holds the
+counts bucket-major as postings (per bucket, the ascending rows nonzero there
+and their counts) and each row's squared norm. ``save`` and ``load`` keep an
+index in a directory, in the layout :mod:`penheal.index_files` gives; a run
+that neither saves nor loads one imports none of that code.
 
 retrieve ranks rows by exact cosine, in integers. A row's key is its dot
 product with the query's counts times its scale floor(2**KEY_BITS / norm),
@@ -89,18 +89,6 @@ class _Buckets(dict):
 
 
 _BUCKETS = _Buckets()
-
-
-def embed(text: str) -> dict[int, float]:
-    """Deterministic L2-normalized hashed term-frequency embedding, as {bucket: entry}.
-
-    Only the buckets a token hits are counted, and only they are returned:
-    every other entry of the EMBED_DIM-wide vector is +0.0.
-    """
-    counts = _text_counts(text)
-    # an integer sum: under 2**27 characters it is below 2**53, so a float sum agrees
-    norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
-    return {b: c / norm for b, c in counts.items()}
 
 
 def _text_counts(text: str) -> Counter:

@@ -938,7 +938,11 @@ class TestStageCheckpoint:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))
+                        if path.stem != "__init__")
 DISCOVERY_STACK = ("penheal.engine", "penheal.simulator", "penheal.knowledge")
+REMEDIATION_STACK = ("penheal.remediation", "penheal.scoring", "penheal.cvss", "penheal.knapsack",
+                     "penheal.nvd", "penheal.prompts")
 LIVE_CLIENTS = ("penheal.backends", "requests")
 # Value types are model.Record namedtuples, not data classes, so no penheal process pays for
 # these imports.
@@ -964,10 +968,35 @@ def fresh_process(script: str, names: tuple[str, ...]) -> dict:
 
 
 def test_import_does_not_load_requests():
-    """Importing the CLI loads neither the HTTP client nor the discovery stack."""
+    """Importing the CLI loads neither the HTTP client nor either stage."""
     names = ("requests", "logging", "subprocess", "penheal.backends", *DISCOVERY_STACK,
-             *CODEGEN)
+             *REMEDIATION_STACK, *CODEGEN)
     assert fresh_process("import penheal.cli", names) == {"code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (None, ()),
+    (["pentest", "--target", "10.0.2.4", "--mode", "hermetic", "--out", "{tmp}/out"],
+     (*DISCOVERY_STACK, "penheal.prompts")),
+    (["replay", str(cli.bundled_fixture_path("golden6.jsonl"))], ()),
+    (["ingest", "{tmp}/notes.txt", "--kb", "{tmp}/kb"], ("penheal.knowledge", "penheal.index_files")),
+    (["score", "{tmp}/run-artifact.json", "--truth", "{tmp}/truth.json"], ("penheal.scoring",)),
+    (["run", "--target", "10.0.2.4", "--mode", "hermetic", "--out", "{tmp}/out"],
+     DISCOVERY_STACK + REMEDIATION_STACK),
+], ids=["import", "pentest", "replay", "ingest", "score", "run"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, stage):
+    """A fresh process loads the CLI, gateway and model, and beyond them only the penheal
+    modules of the command's own stage: none of remediation's for pentest, replay, ingest
+    or score."""
+    (tmp_path / "notes.txt").write_text("samba usermap script exploit", encoding="utf-8")
+    (tmp_path / "truth.json").write_text(
+        json.dumps([v.to_dict() for v in ground_truth(load_host_model())]), encoding="utf-8")
+    (tmp_path / "run-artifact.json").write_bytes(serialize_run(AttackPlan(), [], [], None))
+    script = "import penheal.cli" if argv is None else "\n".join([
+        "from penheal.cli import main",
+        f"code = main({[arg.format(tmp=tmp_path) for arg in argv]!r})"])
+    loaded = sorted({"penheal.cli", "penheal.gateway", "penheal.model", *stage})
+    assert fresh_process(script, PENHEAL_MODULES) == {"code": 0, "loaded": loaded}
 
 
 def test_import_builds_no_codec():
@@ -1195,10 +1224,6 @@ def test_only_the_stage_helpers_print_warnings():
     tree = ast.parse((SRC / "penheal" / "cli.py").read_text(encoding="utf-8"))
     callers = {function for function, name in names_read(tree) if name == "warn"}
     assert callers == {"_pentest_stage", "_remediate_and_score"}
-
-
-PENHEAL_MODULES = tuple(f"penheal.{path.stem}" for path in sorted((SRC / "penheal").glob("*.py"))
-                        if path.stem != "__init__")
 
 
 @pytest.mark.parametrize("module", ["simulator", "knowledge"])

@@ -12,10 +12,9 @@ from penheal.gateway import AgentRole
 from penheal.knowledge import (
     KnowledgeBase,
     KnowledgeBaseError,
-    embed,
 )
 from penheal.prompts import format_excerpts, render_prompt
-from test_knowledge_sparse import exact_scan, reference_counts
+from test_knowledge_sparse import embed, exact_scan, reference_counts
 
 
 class TestEmbed:

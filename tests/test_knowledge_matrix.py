@@ -15,6 +15,7 @@ from test_knowledge_sparse import (
     VOCAB,
     dense,
     dense_counts,
+    embed,
     exact_scan,
     postings,
     postings_bytes,
@@ -23,7 +24,7 @@ from test_knowledge_sparse import (
 )
 
 from penheal import knowledge
-from penheal.knowledge import EMBED_DIM, KEY_BITS, KnowledgeBase, KnowledgeBaseError, embed
+from penheal.knowledge import EMBED_DIM, KEY_BITS, KnowledgeBase, KnowledgeBaseError
 
 CHUNK_SIZE, OVERLAP = 24, 8
 

@@ -24,7 +24,6 @@ from penheal.knowledge import (
     EMBED_DIM,
     KnowledgeBase,
     _ASCII_WORDS,
-    embed,
 )
 
 VOCAB = ["samba", "usermap", "exploit", "nmap", "scan", "port", "ftp", "backdoor", "dns"]
@@ -70,6 +69,15 @@ def use_embedder(patch: pytest.MonkeyPatch, counter) -> None:
     if counter is not reference_counts:
         patch.setattr(knowledge, "_window_counts", lambda document, starts, size: (
             counter(document[s : s + size]) for s in starts))
+
+
+def embed(text: str) -> dict[int, float]:
+    """The L2-normalized hashed term-frequency embedding the index holds, as {bucket: entry}:
+    the text's counts from the index's own counting seam over their L2 norm. Only the buckets a
+    token hits are returned: every other entry of the EMBED_DIM-wide vector is +0.0."""
+    counts = knowledge._text_counts(text)
+    norm = math.sqrt(sum(map(mul, counts.values(), counts.values())))
+    return {b: c / norm for b, c in counts.items()}
 
 
 def dense_fold_embed(text: str) -> tuple[float, ...]:
