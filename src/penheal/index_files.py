@@ -3,12 +3,12 @@
 Only a command that writes or reads an index imports this module, on the first
 ``save`` or ``load``. An index directory holds three files. postings.bin stores
 the postings little-endian: EMBED_DIM uint32 posting counts, every uint32 row
-id, every uint32 count, then a uint64 squared norm per row. texts.bin holds a
-uint32 length in characters per chunk, then every chunk's text as one UTF-8
-string, in row order; meta.json lists each doc id and its chunk count in row
-order, as ingest keeps a document's chunks together as seq 0..k-1. An index in
-another layout, such as the chunks.jsonl, float64 entries or dense vectors.bin
-of older versions, must be ingested again.
+id, then every uint32 count; load sums each row's squared norm from them.
+texts.bin holds a uint32 length in characters per chunk, then every chunk's
+text as one UTF-8 string, in row order. meta.json names LAYOUT and lists each
+doc id and its chunk count in row order, as ingest keeps a document's chunks
+together as seq 0..k-1. An index in another layout, as of older versions, must
+be ingested again.
 """
 
 from __future__ import annotations
@@ -19,25 +19,20 @@ from array import array
 from collections import Counter
 from functools import partial
 from itertools import accumulate, pairwise
-from operator import attrgetter, lt, mul
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import Optional
 
 from .knowledge import EMBED_DIM, EMBEDDER_ID, KEY_BITS, Chunk, KnowledgeBase, KnowledgeBaseError
 from .model import Record, decode, encode, json_document, load_json
 
-INDEX_DTYPE = "postings-uint32-counts-uint64-norms-le"  # the layout of postings.bin
-TEXTS_DTYPE = "lengths-uint32-le-utf8"  # the layout of texts.bin
+LAYOUT = f"{EMBEDDER_ID} postings-uint32-le texts-uint32-lengths-utf8"  # embedder, file layouts
 
 
 class IndexMeta(Record):
     """The fields of an index's meta.json that a load checks."""
 
-    dimension: int
-    dtype: str
-    count: int
-    embedder_id: str = EMBEDDER_ID
-    texts: Optional[str] = None  # TEXTS_DTYPE; an index of older versions has none
+    layout: Optional[str] = None  # LAYOUT; an index of older versions has none
     documents: tuple[tuple[str, int], ...] = ()  # (doc_id, chunk count) in row order
 
 
@@ -53,7 +48,7 @@ def save(kb: KnowledgeBase, directory: str | Path) -> None:
     """Write postings.bin, texts.bin and meta.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    parts = [array("I", map(len, kb._rows)), *kb._rows, *kb._counts, kb._squares]
+    parts = [array("I", map(len, kb._rows)), *kb._rows, *kb._counts]
     postings = b"".join(_little_endian(part).tobytes() for part in parts)
     (directory / "postings.bin").write_bytes(postings)
     texts = [c.text for c in kb._chunks]
@@ -62,39 +57,33 @@ def save(kb: KnowledgeBase, directory: str | Path) -> None:
         with io.TextIOWrapper(fh, encoding="utf-8", newline="") as writer:
             writer.writelines(texts)  # a chunk at a time, as load reads them
     documents = Counter(map(attrgetter("doc_id"), kb._chunks))  # in row order, see ingest
-    meta = IndexMeta(EMBED_DIM, INDEX_DTYPE, len(texts), EMBEDDER_ID, TEXTS_DTYPE,
-                     tuple(documents.items()))
+    meta = IndexMeta(LAYOUT, tuple(documents.items()))
     (directory / "meta.json").write_text(json_document(encode(meta)), encoding="utf-8")
 
 
 def load(cls: type[KnowledgeBase], directory: str | Path) -> KnowledgeBase:
     """Read an index saved by ``save`` as a ``cls``.
 
-    An index whose meta.json names another dimension, layout or embedder
-    (one saved before texts.bin names no texts layout) raises
-    KnowledgeBaseError, as does one whose documents name a doc id twice
-    or do not hold count chunks, whose texts.bin is short, not UTF-8 or
-    has lengths that do not sum to its text, or whose postings.bin does
-    not fit its chunks: the wrong size, a row id out of range, a bucket
-    that lists a row twice or out of order, a count or squared norm of 0,
-    a squared norm above 2**(2 * KEY_BITS), which retrieve cannot rank
-    exactly, or squared norms that do not sum to the squared counts. Files
+    An index whose meta.json names another layout or none (one of older
+    versions, or of another embedder) raises KnowledgeBaseError, as does
+    one whose documents name a doc id twice or with no chunk, whose
+    texts.bin is short, not UTF-8 or has lengths that do not sum to its
+    text, or whose postings.bin does not fit its chunks: the wrong size, a
+    row id out of range, a bucket that lists a row twice or out of order, a
+    count of 0, a chunk with no posting, or a chunk whose squared counts
+    sum above 2**(2 * KEY_BITS), which retrieve cannot rank exactly. Files
     that do not decode raise OSError, KeyError or ValueError.
     """
     directory = Path(directory)
     meta = load_json((directory / "meta.json").read_text(encoding="utf-8"),
                      partial(decode, IndexMeta))
-    current = meta._replace(dimension=EMBED_DIM, dtype=INDEX_DTYPE,
-                            embedder_id=EMBEDDER_ID, texts=TEXTS_DTYPE)
-    for field, found, wanted in zip(IndexMeta._fields, meta, current):
-        if found != wanted:  # an index of another version: a new ingest rebuilds it
-            raise KnowledgeBaseError(f"index {field} {found!r} is not {wanted!r}; re-run "
-                                     "`penheal ingest` on its documents into a new directory")
+    if meta.layout != LAYOUT:  # an index of another version: a new ingest rebuilds it
+        raise KnowledgeBaseError(f"index layout {meta.layout!r} is not {LAYOUT!r}; re-run "
+                                 "`penheal ingest` on its documents into a new directory")
+    if len(dict(meta.documents)) < len(meta.documents) or any(k < 1 for _, k in meta.documents):
+        raise KnowledgeBaseError("meta.json documents must name each doc id once, each with 1 "
+                                 "or more chunks")
     ids = [(doc_id, seq) for doc_id, k in meta.documents for seq in range(k)]
-    # a negative count adds no chunk but lowers the sum; a doc id twice repeats its seqs
-    if len(ids) != meta.count or len(dict(meta.documents)) < len(meta.documents):
-        raise KnowledgeBaseError(f"meta.json documents must name each doc id once and hold "
-                                 f"{meta.count} chunks, not {len(ids)}")
     end = 4 * len(ids)  # of the lengths
     with open(directory / "texts.bin", "rb") as fh:
         head = fh.read(end)
@@ -115,13 +104,12 @@ def load(cls: type[KnowledgeBase], directory: str | Path) -> KnowledgeBase:
     head = 4 * EMBED_DIM
     sizes = _little_endian(array("I", data[:head] if len(data) >= head else b""))
     total = sum(sizes)
-    if len(data) != head + 8 * total + 8 * len(chunks):
+    if len(data) != head + 8 * total:
         raise KnowledgeBaseError(f"postings.bin has {len(data)} bytes, not {head} plus 8 "
-                                 "per posting it counts and 8 per chunk")
-    split, tail = head + 4 * total, head + 8 * total
+                                 "per posting it counts")
+    split = head + 4 * total
     rows = _little_endian(array("I", data[head:split]))
-    counts = _little_endian(array("I", data[split:tail]))
-    squares = _little_endian(array("Q", data[tail:]))
+    counts = _little_endian(array("I", data[split:]))
     bounds = list(pairwise(accumulate(sizes, initial=0)))
     buckets, n = [rows[a:b] for a, b in bounds], len(chunks)
     every = array("I", range(n))  # rows ascend strictly below n, so a bucket of n is these
@@ -129,17 +117,14 @@ def load(cls: type[KnowledgeBase], directory: str | Path) -> KnowledgeBase:
                for r in buckets if r):
         raise KnowledgeBaseError(f"postings.bin has a row id outside 0..{n - 1} or twice or "
                                  "out of order in a bucket")
-    if 0 in counts or 0 in squares:
-        raise KnowledgeBaseError("postings.bin has a term count or squared norm of 0")
-    if max(squares, default=0) > 1 << 2 * KEY_BITS:
-        raise KnowledgeBaseError(f"postings.bin has a squared norm above 2**{2 * KEY_BITS}")
-    if sum(squares) != sum(map(mul, counts, counts)):
-        raise KnowledgeBaseError("postings.bin has squared norms that do not sum to the "
-                                 "squares of its counts")
     kb = cls()
     kb._rows = buckets
     kb._counts = [counts[a:b] for a, b in bounds]
-    kb._squares = squares
     kb._chunks = chunks
     kb._doc_ids = {c.doc_id for c in chunks}
+    squares = kb._norms()
+    if 0 in counts or 0 in squares:
+        raise KnowledgeBaseError("postings.bin has a term count of 0 or a chunk with no posting")
+    if max(squares, default=0) > 1 << 2 * KEY_BITS:
+        raise KnowledgeBaseError(f"postings.bin has a squared norm above 2**{2 * KEY_BITS}")
     return kb

@@ -6,9 +6,9 @@ hashed term counts (``_window_counts``: a window's tokens counted by sha1
 bucket, its vector those counts over their L2 norm), so runs are hermetic and
 an index built in one process answers queries in another. The index holds the
 counts bucket-major as postings (per bucket, the ascending rows nonzero there
-and their counts) and each row's squared norm. ``save`` and ``load`` keep an
-index in a directory, in the layout :mod:`penheal.index_files` gives; a run
-that neither saves nor loads one imports none of that code.
+and their counts); ``_norms`` sums a row's squared norm from them. ``save`` and
+``load`` keep an index in a directory, in the layout :mod:`penheal.index_files`
+gives; a run that neither saves nor loads one imports none of that code.
 
 retrieve ranks rows by exact cosine, in integers. A row's key is its dot
 product with the query's counts times its scale floor(2**KEY_BITS / norm),
@@ -28,7 +28,7 @@ product is key // scale. Candidates rank by floor(dot**2 * 2**(4 * KEY_BITS) /
 C), exact since two unequal dot**2 / C differ by at least 2**(-4 * KEY_BITS),
 then by (doc_id, seq). A similarity is sqrt(dot**2 / (C * Q)), each step
 correctly rounded, so it never rises down the ranking and exact ties report
-the same float. The scales and each every-row bucket's lane int are built on
+the same float. The squared norms, scales and every-row lane ints are built on
 first use and kept until the next ingest, which may add or renumber rows.
 """
 
@@ -122,7 +122,7 @@ class KnowledgeBase:
         # _rows[b]: the rows nonzero in bucket b, ascending; _counts[b]: their term counts
         self._rows = [array("I") for _ in range(EMBED_DIM)]
         self._counts = [array("I") for _ in range(EMBED_DIM)]
-        self._squares = array("Q")  # per row, its squared norm
+        self._squares: list[int] = []  # per row, its squared norm; see _norms
         self._doc_ids: set[str] = set()  # every doc_id with chunks, perhaps more
         self._scales: list[int] = []  # per row, floor(2**KEY_BITS / norm); see _keys
         self._margin = MARGIN  # mu of the module docstring, set with _scales
@@ -155,19 +155,16 @@ class KnowledgeBase:
                 kept = list(map(not_, map(gone.__getitem__, rows)))
                 self._rows[b] = array("I", map(renumbered.__getitem__, compress(rows, kept)))
                 self._counts[b] = array("I", compress(counts, kept))
-            self._squares = array("Q", compress(self._squares, kept_rows))
             self._chunks = list(compress(self._chunks, kept_rows))
         self._doc_ids.add(doc_id)
         self._lanes.clear()
-        self._scales = []
-        rows, counts, squares = self._rows, self._counts, []
+        self._squares, self._scales = [], []
+        rows, counts = self._rows, self._counts
         windows = _window_counts(document, starts, chunk_size)
         for r, window in enumerate(windows, len(self._chunks)):
             for b, c in window.items():
                 rows[b].append(r)
                 counts[b].append(c)
-            squares.append(sum(map(mul, window.values(), window.values())))
-        self._squares.extend(squares)
         self._chunks += new_chunks
         return len(new_chunks)
 
@@ -196,7 +193,7 @@ class KnowledgeBase:
             for before, key in zip([None, *top], top[:k]):
                 r = keys.index(key, r + 1 if key == before else 0)
                 candidates.append(r)
-        squares, scales, shift = self._squares, self._scales, 4 * KEY_BITS
+        squares, scales, shift = self._norms(), self._scales, 4 * KEY_BITS
         dots = {r: keys[r] // scales[r] for r in candidates}
         # a chunk compares by (doc_id, seq) first, and no two chunks share them
         ranked = sorted(dots, key=lambda r: (-(dots[r] ** 2 << shift) // squares[r], chunks[r]))
@@ -207,8 +204,8 @@ class KnowledgeBase:
         """Every row's key for the query counts ``terms``, packing into 32-bit lanes the
         buckets every row has when ``lanes`` says no lane can overflow."""
         if not self._scales:  # exact: floor(sqrt(floor(x))) is floor(sqrt(x))
-            self._scales = [math.isqrt((1 << 2 * KEY_BITS) // s) for s in self._squares]
-            self._margin = 2 * math.sqrt(max(self._squares)) / (1 << KEY_BITS) + MARGIN
+            self._scales = [math.isqrt((1 << 2 * KEY_BITS) // s) for s in self._norms()]
+            self._margin = 2 * math.sqrt(max(self._norms())) / (1 << KEY_BITS) + MARGIN
         n, rows, counts, scales = len(self._chunks), self._rows, self._counts, self._scales
         packed, scattered = 0, []
         for b, q in terms:
@@ -224,6 +221,15 @@ class KnowledgeBase:
             for r, c in zip(bucket_rows, bucket_counts):
                 keys[r] += q * c * scales[r]
         return keys
+
+    def _norms(self) -> list[int]:
+        """Per row, its squared norm: its squared counts, summed on first use after an ingest."""
+        if not self._squares:
+            squares = self._squares = [0] * len(self._chunks)
+            for rows, counts in zip(self._rows, self._counts):
+                for r, c in zip(rows, counts):
+                    squares[r] += c * c
+        return self._squares
 
     # -- persistence: the code is imported on the first call ---------------
 

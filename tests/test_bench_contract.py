@@ -63,7 +63,7 @@ def test_one_rep_passes_the_benchmark_checks(tmp_path, monkeypatch, workload):
         commands = sum(a["commands"] for name, a in spans if name == "engine.run_pentest")
         assert commands and count("simulator.run") == commands
         kb, saved = inputs["kb"], tmp_path / "kb-scratch"
-        postings = 4 * EMBED_DIM + 8 * sum(map(len, kb._rows)) + 8 * len(kb)
+        postings = 4 * EMBED_DIM + 8 * sum(map(len, kb._rows))
         assert (saved / "postings.bin").stat().st_size == postings
         layout = postings + sum((saved / name).stat().st_size for name in ("texts.bin",
                                                                             "meta.json"))

@@ -667,6 +667,9 @@ class TestBadInputsFailFirst:
         assert run_cli(*hermetic_args(tmp_path / "out"), "--kb", str(kb)) == 1
         assert "knowledge base" in fatal_line(capsys.readouterr().err)
 
+    NEW_INGEST = ("index layout None is not 'hashed-tf-512 postings-uint32-le "
+                  "texts-uint32-lengths-utf8'; re-run `penheal ingest` on its documents into a "
+                  "new directory")
     BAD_KB = {
         "meta-list": "expected dict, got list",
         "meta-too-deep": "nesting too deep",
@@ -675,15 +678,15 @@ class TestBadInputsFailFirst:
         "truncated-texts": "texts.bin has lengths that sum to 47, not its 46 characters",
         "short-texts": "texts.bin has 3 bytes, fewer than 4 per chunk",
         "lengths": "texts.bin has lengths that sum to 48, not its 47 characters",
-        "documents": "meta.json documents must name each doc id once and hold 1 chunks, not 2",
-        "chunks-jsonl-layout": "index texts None is not 'lengths-uint32-le-utf8'; re-run "
-                               "`penheal ingest` on its documents into a new directory",
+        "documents": "meta.json documents must name each doc id once, each with 1 or more chunks",
+        "chunks-jsonl-layout": NEW_INGEST,
+        "norms-layout": NEW_INGEST,
     }
 
     @pytest.mark.parametrize("damage", BAD_KB)
     def test_bad_kb(self, tmp_path, capsys, monkeypatch, no_network, damage):
         from penheal.knowledge import KnowledgeBase
-        from test_knowledge_matrix import write_jsonl_layout
+        from test_knowledge_matrix import write_jsonl_layout, write_norms_layout
 
         monkeypatch.setattr(Gateway, "complete", _refuse)
         kb = tmp_path / "index"
@@ -698,9 +701,11 @@ class TestBadInputsFailFirst:
         elif damage == "mistyped-chunk":
             (kb / "meta.json").write_text(meta.replace('"notes": 1', '"notes": "1"'))
         elif damage == "documents":
-            (kb / "meta.json").write_text(meta.replace('"notes": 1', '"notes": 2'))
+            (kb / "meta.json").write_text(meta.replace('"notes": 1', '"notes": 0'))
         elif damage == "chunks-jsonl-layout":
             write_jsonl_layout(kb)
+        elif damage == "norms-layout":
+            write_norms_layout(kb)
         else:
             (kb / "texts.bin").write_bytes({
                 "broken-chunk": texts[:4] + b"\xff" + texts[5:],

@@ -183,9 +183,10 @@ class TestPersistence:
         kb.ingest("alpha beta gamma " * 40, "doc1", chunk_size=120, overlap=30)
         kb.save(tmp_path)
         meta = json.loads((tmp_path / "meta.json").read_text())
-        for field, value in [("embedder_id", "reversed-hashed-tf"), ("dimension", 384)]:
-            (tmp_path / "meta.json").write_text(json.dumps(meta | {field: value}))
-            with pytest.raises(KnowledgeBaseError, match=str(value)):
+        for embedder in ["reversed-hashed-tf-512", "hashed-tf-384"]:
+            layout = meta["layout"].replace("hashed-tf-512", embedder)
+            (tmp_path / "meta.json").write_text(json.dumps(meta | {"layout": layout}))
+            with pytest.raises(KnowledgeBaseError, match=f"index layout '{embedder} .*re-run"):
                 KnowledgeBase.load(tmp_path)
 
     def test_truncated_vectors_detected(self, tmp_path):

@@ -1,11 +1,14 @@
 """The postings index: state after any ingest sequence, validation, files."""
 
 import functools
+import itertools
 import json
 import math
 import random
+import re
 import struct
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -209,7 +212,7 @@ def test_margin_keeps_rows_whose_key_rounds_low():
     terms = sorted((b, q) for b, q in reference_counts("ftp dns dns").items())
     keys = kb._keys(terms, True)
     assert keys[0] < keys[1] * (1 - 5.9e-6)
-    assert keys[1] - keys[0] > 0.97 * keys[1] * math.sqrt(kb._squares[0]) / (1 << KEY_BITS)
+    assert keys[1] - keys[0] > 0.97 * keys[1] * math.sqrt(kb._norms()[0]) / (1 << KEY_BITS)
     chunks = [(c.doc_id, c.seq, c.text) for c in kb._chunks]
     for k in (1, 2):
         got = [(e.chunk.doc_id, e.chunk.seq, e.similarity.hex()) for e in kb.retrieve("ftp dns dns", k)]
@@ -290,7 +293,7 @@ def test_save_then_load_is_the_same_index(ops, chunk_size, overlap, query, k):
     assert [(c.doc_id, c.seq) for c in kb._chunks] == [
         (doc_id, seq) for doc_id, n in meta["documents"].items() for seq in range(n)]
     assert loaded._rows == kb._rows and loaded._counts == kb._counts
-    assert loaded._squares == kb._squares
+    assert loaded._norms() == kb._norms()
     assert {c.doc_id for c in kb._chunks} <= loaded._doc_ids <= kb._doc_ids
     if len(kb):
         assert answers(loaded, query, k) == answers(kb, query, k)
@@ -298,13 +301,13 @@ def test_save_then_load_is_the_same_index(ops, chunk_size, overlap, query, k):
 
 def check_held_postings(kb):
     """Each row's postings are embed of its chunk's text: per bucket the rows ascending, each
-    count / norm equal to embed's entry bit for bit, and the row's squared counts held as its
+    count / norm equal to embed's entry bit for bit, and the row's squared counts summed as its
     squared norm, whose square root is that norm."""
     squares = [0] * len(kb)
     for rows, counts in zip(kb._rows, kb._counts):
         for r, c in zip(rows, counts):
             squares[r] += c * c
-    assert list(kb._squares) == squares
+    assert kb._norms() == squares
     held = [[(r, c / math.sqrt(squares[r])) for r, c in zip(rows, counts)]
             for rows, counts in zip(kb._rows, kb._counts)]
     assert held == postings([dense(embed(c.text)) for c in kb._chunks])
@@ -324,7 +327,7 @@ class TestValidation:
 
     def test_oversize_vectors_detected(self, tmp_path):
         data = saved_index(tmp_path)
-        for extra in (bytes(1), bytes(8), bytes(12)):  # 8: one posting's or one norm's size
+        for extra in (bytes(1), bytes(8), bytes(12)):  # 8: one posting's size
             (tmp_path / "postings.bin").write_bytes(data + extra)
             with pytest.raises(KnowledgeBaseError, match="bytes"):
                 KnowledgeBase.load(tmp_path)
@@ -351,10 +354,10 @@ class TestValidation:
         for doc_id, text in [("a", "samba exploit"), ("b", "nmap scan"), ("c", "samba scan")]:
             kb.ingest(text, doc_id)
         kb.save(tmp_path)
-        sizes, rows, counts, squares = read_layout((tmp_path / "postings.bin").read_bytes())
+        sizes, rows, counts = read_layout((tmp_path / "postings.bin").read_bytes())
         end = sum(sizes[: 1 + next(b for b, size in enumerate(sizes) if 0 < size < 3)])
         rows[end - 1] = row  # still ascending: the bucket's last row
-        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts))
         with pytest.raises(KnowledgeBaseError, match="row id"):
             KnowledgeBase.load(tmp_path)
 
@@ -369,20 +372,27 @@ class TestValidation:
             with pytest.raises(KnowledgeBaseError, match="bytes"):
                 KnowledgeBase.load(tmp_path)
 
-    @pytest.mark.parametrize("edit", ["drop-chunk", "add-chunk", "add-document", "negative",
-                                      "doc-id-twice", "meta-count"])
+    DOCUMENTS = "meta.json documents must name each doc id once, each with 1 or more chunks"
+    ADDED = "texts.bin has lengths that sum to 1701671056, not its 281 characters"
+    COUNT_EDITS = {  # documents in place of {"doc": 3}, and the error that refuses them
+        # the third length's 4 bytes are read as text, or the text's first 4 as a length
+        "drop-chunk": ({"doc": 2}, "texts.bin has lengths that sum to 200, not its 289 characters"),
+        "add-chunk": ({"doc": 4}, ADDED),
+        "add-document": ({"doc": 3, "more": 1}, ADDED),
+        "negative": ({"doc": 4, "more": -1}, DOCUMENTS),
+        "zero": ({"doc": 3, "more": 0}, DOCUMENTS),
+        "doc-id-twice": ([["doc", 2], ["doc", 1]], DOCUMENTS),  # a list of pairs
+    }
+
+    @pytest.mark.parametrize("edit", COUNT_EDITS)
     def test_chunk_count_mismatch_detected(self, tmp_path, edit):
-        """meta.json's documents must name each doc id once and list exactly ``count`` chunks;
-        a negative count adds none."""
+        """meta.json's documents must name each doc id once, each with at least one chunk, and
+        texts.bin must hold as many chunks as they count: 3 here."""
         saved_index(tmp_path)
         meta = json.loads((tmp_path / "meta.json").read_text())
-        edited = {"drop-chunk": {"documents": {"doc": 2}}, "add-chunk": {"documents": {"doc": 4}},
-                  "add-document": {"documents": {"doc": 3, "more": 1}},
-                  "negative": {"documents": {"doc": 4, "more": -1}},
-                  "doc-id-twice": {"documents": [["doc", 2], ["doc", 1]]},  # a list of pairs
-                  "meta-count": {"count": 2}}[edit]
-        (tmp_path / "meta.json").write_text(json.dumps(meta | edited))
-        with pytest.raises(KnowledgeBaseError, match="must name each doc id once and hold"):
+        documents, error = self.COUNT_EDITS[edit]
+        (tmp_path / "meta.json").write_text(json.dumps(meta | {"documents": documents}))
+        with pytest.raises(KnowledgeBaseError, match=re.escape(error)):
             KnowledgeBase.load(tmp_path)
 
     @pytest.mark.parametrize("cut", [0, 3, 11, 12, 13, -1, -85])
@@ -413,64 +423,60 @@ class TestValidation:
         with pytest.raises(KnowledgeBaseError, match="texts.bin is not UTF-8: "):
             KnowledgeBase.load(tmp_path)
 
-    def test_chunks_jsonl_layout_asks_for_a_new_ingest(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["norms", "chunks-jsonl", "float", "dense"])
+    def test_older_layout_asks_for_a_new_ingest(self, tmp_path, layout):
         saved_index(tmp_path)
-        write_jsonl_layout(tmp_path)
-        with pytest.raises(KnowledgeBaseError, match="index texts None is not "
-                                                     "'lengths-uint32-le-utf8'; re-run "
-                                                     "`penheal ingest`"):
-            KnowledgeBase.load(tmp_path)
-
-    def test_dense_layout_asks_for_a_new_ingest(self, tmp_path):
-        saved_index(tmp_path)
-        write_dense_layout(tmp_path)
-        with pytest.raises(KnowledgeBaseError, match="re-run `penheal ingest`"):
-            KnowledgeBase.load(tmp_path)
-
-    def test_float_layout_asks_for_a_new_ingest(self, tmp_path):
-        saved_index(tmp_path)
-        write_float_layout(tmp_path)
-        with pytest.raises(KnowledgeBaseError, match="re-run `penheal ingest`"):
+        writer = {"norms": write_norms_layout, "chunks-jsonl": write_jsonl_layout,
+                  "float": write_float_layout, "dense": write_dense_layout}[layout]
+        writer(tmp_path)
+        error = ("index layout None is not 'hashed-tf-512 postings-uint32-le "
+                 "texts-uint32-lengths-utf8'; re-run `penheal ingest` on its documents into a new "
+                 "directory")
+        with pytest.raises(KnowledgeBaseError, match=f"^{re.escape(error)}$"):
             KnowledgeBase.load(tmp_path)
 
     @pytest.mark.parametrize("edit", ["twice", "swapped"])
     def test_bucket_rows_not_strictly_ascending_detected(self, tmp_path, edit):
-        sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
+        sizes, rows, counts = read_layout(saved_index(tmp_path))
         first = sum(sizes[: next(b for b, size in enumerate(sizes) if size >= 2)])
         if edit == "twice":
             rows[first + 1] = rows[first]
         else:
             rows[first], rows[first + 1] = rows[first + 1], rows[first]
-        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts))
         with pytest.raises(KnowledgeBaseError, match="twice or out of order"):
             KnowledgeBase.load(tmp_path)
 
     def test_zero_count_detected(self, tmp_path):
-        sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
-        squares[rows[0]] -= counts[0] ** 2  # the squared norms still sum to the squared counts
+        sizes, rows, counts = read_layout(saved_index(tmp_path))
         counts[0] = 0
-        assert squares[rows[0]] > 0
-        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
-        with pytest.raises(KnowledgeBaseError, match="count or squared norm of 0"):
+        assert squared_norms(rows, counts)[rows[0]] > 0  # its row keeps a posting
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts))
+        with pytest.raises(KnowledgeBaseError, match="term count of 0 or a chunk with no posting"):
             KnowledgeBase.load(tmp_path)
 
     def test_zero_squared_norm_detected(self, tmp_path):
-        sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
-        squares[1] += squares[0]  # the sum still agrees
-        squares[0] = 0
-        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
-        with pytest.raises(KnowledgeBaseError, match="count or squared norm of 0"):
+        """A chunk with no posting has a squared norm of 0: here every posting of row 0 is
+        dropped, and each bucket keeps its other rows in order."""
+        sizes, rows, counts = read_layout(saved_index(tmp_path))
+        kept = [r != 0 for r in rows]
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        sizes = [sum(kept[a:b]) for a, b in itertools.pairwise(bounds)]
+        rows, counts = list(itertools.compress(rows, kept)), list(itertools.compress(counts, kept))
+        assert 0 not in squared_norms(rows, counts)
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts))
+        with pytest.raises(KnowledgeBaseError, match="term count of 0 or a chunk with no posting"):
             KnowledgeBase.load(tmp_path)
 
     @pytest.mark.parametrize("count", [1 << KEY_BITS, (1 << KEY_BITS) + 1])
     def test_squared_norm_above_the_key_bound_detected(self, tmp_path, count):
-        """A squared norm of at most 2**(2 * KEY_BITS) loads and keeps its row a scale of 1;
-        one above it is refused, though it still sums with the counts."""
+        """A row of one posting whose count is ``count``: a squared norm of at most
+        2**(2 * KEY_BITS) loads and keeps its row a scale of 1; one above it is refused."""
         kb = KnowledgeBase()
         kb.ingest("a", "a")
         kb.save(tmp_path)
-        sizes, rows, _, _ = read_layout((tmp_path / "postings.bin").read_bytes())
-        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, [count], [count**2]))
+        sizes, rows, _ = read_layout((tmp_path / "postings.bin").read_bytes())
+        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, [count]))
         if count > 1 << KEY_BITS:
             bound = rf"squared norm above 2\*\*{2 * KEY_BITS}$"
             with pytest.raises(KnowledgeBaseError, match=bound):
@@ -478,37 +484,100 @@ class TestValidation:
         else:
             assert answers(KnowledgeBase.load(tmp_path), "a", 1) == [("a", 0, (1.0).hex())]
 
-    @pytest.mark.parametrize("delta", [1, -1])
-    def test_squared_norms_that_disagree_with_the_counts_detected(self, tmp_path, delta):
-        sizes, rows, counts, squares = read_layout(saved_index(tmp_path))
-        squares[2] += delta
-        (tmp_path / "postings.bin").write_bytes(write_layout(sizes, rows, counts, squares))
-        with pytest.raises(KnowledgeBaseError, match="do not sum"):
-            KnowledgeBase.load(tmp_path)
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("abc"), texts.filter(bool) | single_token),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.sampled_from(["swap", "set"]), st.integers(1, 16),
+                              st.sampled_from([0, 1, 4, 16, 1 << KEY_BITS, (1 << KEY_BITS) + 1,
+                                               2**32 - 1]) | st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=3),
+           queries)
+    @example([("a", "a a a a"), ("b", "a")], [("swap", 1, 1)], "a")
+    def test_edited_postings_load_as_their_counts_or_not_at_all(self, docs, edits, query):
+        """postings.bin edited from its end: ("swap", w, v) swaps the w-th last 8-byte word with
+        the (v % 16 + 1)-th, ("set", w, v) sets the w-th last 4-byte word to v. load refuses it
+        with a KnowledgeBaseError, or the index ranks every chunk as the exact scan of the
+        counts it loaded, no similarity above 1. The example swaps the last two words of doc a =
+        "a a a a" and doc b = "a": when postings.bin ended with the stored squared norms (16,
+        1), it loaded them swapped and a reported similarity 4.0."""
+        kb = KnowledgeBase()
+        for doc_id, text in docs:
+            kb.ingest(text, doc_id)
+        with tempfile.TemporaryDirectory() as scratch:
+            kb.save(scratch)
+            path = Path(scratch) / "postings.bin"
+            data = bytearray(path.read_bytes())
+            for edit, word, other in edits:
+                if edit == "swap":
+                    a, b = len(data) - 8 * word, len(data) - 8 * (other % 16 + 1)
+                    data[a : a + 8], data[b : b + 8] = data[b : b + 8], data[a : a + 8]
+                else:
+                    struct.pack_into("<I", data, len(data) - 4 * word, other)
+            path.write_bytes(data)
+            try:
+                loaded = KnowledgeBase.load(scratch)
+            except KnowledgeBaseError:
+                return
+        held = [{} for _ in range(len(loaded))]  # per row, {bucket: count} as loaded
+        for b, (rows, counts) in enumerate(zip(loaded._rows, loaded._counts)):
+            for r, c in zip(rows, counts):
+                held[r][b] = c
+        chunks = [(c.doc_id, c.seq, r) for r, c in enumerate(loaded._chunks)]
+
+        def counter(text):  # a chunk's text is its row, whose counts are the loaded ones
+            return held[text] if type(text) is int else reference_counts(text)
+
+        got = answers(loaded, query, len(loaded))
+        assert got == exact_scan(counter, chunks, query, len(loaded))
+        assert all(float.fromhex(similarity) <= 1.0 for _, _, similarity in got)
 
 
 def read_layout(data):
-    """postings.bin as lists: posting count per bucket, row ids, term counts, squared norms."""
+    """postings.bin as lists: posting count per bucket, row ids, term counts."""
     sizes = list(struct.unpack_from(f"<{EMBED_DIM}I", data))
     total = sum(sizes)
     rows = list(struct.unpack_from(f"<{total}I", data, 4 * EMBED_DIM))
     counts = list(struct.unpack_from(f"<{total}I", data, 4 * EMBED_DIM + 4 * total))
-    squares = list(struct.unpack_from(f"<{(len(data) - 4 * EMBED_DIM - 8 * total) // 8}Q",
-                                      data, 4 * EMBED_DIM + 8 * total))
-    return sizes, rows, counts, squares
+    return sizes, rows, counts
 
 
-def write_layout(sizes, rows, counts, squares):
+def write_layout(sizes, rows, counts):
     return (struct.pack(f"<{EMBED_DIM}I", *sizes) + struct.pack(f"<{len(rows)}I", *rows)
-            + struct.pack(f"<{len(counts)}I", *counts) + struct.pack(f"<{len(squares)}Q", *squares))
+            + struct.pack(f"<{len(counts)}I", *counts))
+
+
+def squared_norms(rows, counts):
+    """Each row's squared norm, summed from the counts of its postings."""
+    squares = Counter()
+    for r, c in zip(rows, counts):
+        squares[r] += c * c
+    return squares
+
+
+def write_norms_layout(directory):
+    """Turn the index in ``directory`` into the layout of the versions that ended postings.bin
+    with each chunk's uint64 squared norm and whose meta.json held the dimension, the postings
+    dtype, the chunk count, the embedder, the texts layout and the documents."""
+    meta = json.loads((directory / "meta.json").read_text())
+    data = (directory / "postings.bin").read_bytes()
+    count, squares = sum(meta["documents"].values()), squared_norms(*read_layout(data)[1:])
+    (directory / "postings.bin").write_bytes(
+        data + struct.pack(f"<{count}Q", *map(squares.__getitem__, range(count))))
+    (directory / "meta.json").write_text(json.dumps(
+        {"dimension": EMBED_DIM, "dtype": "postings-uint32-counts-uint64-norms-le",
+         "count": count, "embedder_id": f"hashed-tf-{EMBED_DIM}",
+         "texts": "lengths-uint32-le-utf8", "documents": meta["documents"]}, indent=2))
 
 
 def write_float_layout(directory):
-    """Turn the index in ``directory`` into the float64-entry postings layout of older versions."""
+    """Turn the index in ``directory`` into the float64-entry postings layout of older versions,
+    each entry its count over the norm the counts sum to."""
+    write_norms_layout(directory)
     meta = json.loads((directory / "meta.json").read_text())
     (directory / "meta.json").write_text(
         json.dumps(meta | {"dtype": "postings-int32-float64-le"}, indent=2))
-    sizes, rows, counts, squares = read_layout((directory / "postings.bin").read_bytes())
+    sizes, rows, counts = read_layout((directory / "postings.bin").read_bytes())
+    squares = squared_norms(rows, counts)
     entries = [c / math.sqrt(squares[r]) for r, c in zip(rows, counts)]
     (directory / "postings.bin").write_bytes(
         struct.pack(f"<{EMBED_DIM}i", *sizes) + struct.pack(f"<{len(rows)}i", *rows)
@@ -519,6 +588,7 @@ def write_jsonl_layout(directory):
     """Turn the index in ``directory`` into the chunks.jsonl layout of older versions: one
     JSON line per chunk, and a meta.json without the texts layout or the documents."""
     kb = KnowledgeBase.load(directory)
+    write_norms_layout(directory)
     meta = json.loads((directory / "meta.json").read_text())
     (directory / "meta.json").write_text(json.dumps(
         {key: meta[key] for key in ("dimension", "dtype", "count", "embedder_id")}, indent=2))
@@ -529,6 +599,7 @@ def write_jsonl_layout(directory):
 
 def write_dense_layout(directory):
     """Turn the index in ``directory`` into the dense layout of older versions."""
+    write_norms_layout(directory)
     meta = json.loads((directory / "meta.json").read_text())
     (directory / "meta.json").write_text(json.dumps(meta | {"dtype": "float64-le"}, indent=2))
     (directory / "postings.bin").unlink()

@@ -228,13 +228,12 @@ def postings(vectors: list[tuple]) -> list[list[tuple]]:
 
 def postings_bytes(vectors: list[tuple[int, ...]]) -> bytes:
     """Reference postings.bin of dense count rows, little-endian: per bucket its posting count,
-    then every row id and every term count, bucket-major, then each row's squared norm."""
+    then every row id and every term count, bucket-major, and no squared norm."""
     buckets = postings(vectors)
     rows = [r for bucket in buckets for r, _ in bucket]
     counts = [c for bucket in buckets for _, c in bucket]
-    squares = [sum(c * c for c in v) for v in vectors]
     return (struct.pack(f"<{EMBED_DIM}I", *map(len, buckets)) + struct.pack(f"<{len(rows)}I", *rows)
-            + struct.pack(f"<{len(counts)}I", *counts) + struct.pack(f"<{len(squares)}Q", *squares))
+            + struct.pack(f"<{len(counts)}I", *counts))
 
 
 class TestIndexBytes:
@@ -251,11 +250,7 @@ class TestIndexBytes:
         step = DEFAULT_CHUNK_SIZE - DEFAULT_OVERLAP
         pieces = [corpus[s : s + DEFAULT_CHUNK_SIZE] for s in range(0, len(corpus), step)]
         meta = {
-            "dimension": EMBED_DIM,
-            "dtype": "postings-uint32-counts-uint64-norms-le",
-            "count": len(pieces),
-            "embedder_id": f"hashed-tf-{EMBED_DIM}",
-            "texts": "lengths-uint32-le-utf8",
+            "layout": f"hashed-tf-{EMBED_DIM} postings-uint32-le texts-uint32-lengths-utf8",
             "documents": {"pentest_notes": len(pieces)},
         }
         assert (tmp_path / "texts.bin").read_bytes() == struct.pack(
